@@ -8,7 +8,6 @@ JSON-ready summary holding one pass/fail entry per assertion.
 
 from concurrent.futures import ThreadPoolExecutor
 import math
-import time
 
 import numpy as np
 
@@ -138,6 +137,10 @@ def _assert_in(summary, name, value, threshold, mode="le"):
     return ok
 
 
+def _assert_true(summary, name, ok):
+    return _assert_in(summary, name, float(ok), 1.0, mode="ge")
+
+
 def passed(summary):
     return all(a["passed"] for a in summary["assertions"].values())
 
@@ -154,7 +157,6 @@ def run_symbols(cfg, out_dir=None):
     delta-uniform envelope plus the stability of the coercivity floor
     between the two extreme deltas.
     """
-    t0 = time.time()
     kernels = _kernel_list(cfg)
     angles = _angles(cfg, default=tuple(2.0 * math.pi * i / 8 for i in range(8)))
     deltas = _deltas(cfg)
@@ -198,7 +200,6 @@ def run_symbols(cfg, out_dir=None):
         lo, hi = min(vals.values()), max(vals.values())
         variation = max(variation, (hi - lo) / hi)
     _assert_in(summary, "floor_stability", variation, 0.20)
-    summary["observations"]["wall_time_s"] = time.time() - t0
     summary["observations"]["tables_built"] = len(jobs)
     return table, summary
 
@@ -230,7 +231,6 @@ def run_convergence(cfg, out_dir=None):
 
 
 def _run_stokes_convergence(cfg):
-    t0 = time.time()
     deltas = _deltas(cfg)
     bound = _bound(cfg, 8)
     kcfg = _require(cfg, "kernel")
@@ -248,12 +248,10 @@ def _run_stokes_convergence(cfg):
         _assert_in(summary, f"slope_{name}", slopes[name], 0.9, mode="ge")
     summary["observations"]["slopes"] = slopes
     summary["observations"]["slope_min"] = min(slopes.values())
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 
 def _run_navier_convergence(cfg):
-    t0 = time.time()
     deltas = _deltas(cfg)
     bound = _bound(cfg, 8)
     kcfg = _require(cfg, "kernel")
@@ -272,7 +270,6 @@ def _run_navier_convergence(cfg):
     slope = fit_slope(deltas, table.column("err_v"))
     _assert_in(summary, "slope_err_v", slope, 0.9, mode="ge")
     summary["observations"]["slope"] = slope
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 
@@ -287,7 +284,6 @@ def _time_grid(cfg, default_t1=0.5, default_steps=16):
 
 def _run_evolution_refinement(cfg):
     """Unforced decay/conservation checks plus delta-refinement of both flows."""
-    t0 = time.time()
     deltas = _deltas(cfg)
     bound = _bound(cfg, 8)
     kcfg = _require(cfg, "kernel")
@@ -316,9 +312,7 @@ def _run_evolution_refinement(cfg):
         err = sol.trajectory_l2_error(traj, local_traj)
         stokes_errors.append(err)
         table.add("stokes", delta, err)
-    summary["assertions"]["stokes_energy_decreasing"] = {
-        "passed": bool(monotone_decay), "value": float(monotone_decay),
-        "threshold": 1.0, "comparison": "ge"}
+    _assert_true(summary, "stokes_energy_decreasing", monotone_decay)
 
     g = random_field(seed + 1, bound, float(cfg.get("decay", 3.0)), components=2)
     h = random_field(seed + 2, bound, float(cfg.get("decay", 3.0)), components=2)
@@ -339,11 +333,8 @@ def _run_evolution_refinement(cfg):
         table.add("navier", delta, err)
     _assert_in(summary, "navier_hamiltonian_drift", ham_drift, 1e-10)
     for name, errs in (("stokes", stokes_errors), ("navier", navier_errors)):
-        mono = all(b < a for a, b in zip(errs[:-1], errs[1:]))
-        summary["assertions"][f"{name}_refinement_monotone"] = {
-            "passed": bool(mono), "value": float(mono), "threshold": 1.0,
-            "comparison": "ge"}
-    summary["observations"]["wall_time_s"] = time.time() - t0
+        _assert_true(summary, f"{name}_refinement_monotone",
+                     all(b < a for a, b in zip(errs[:-1], errs[1:])))
     return table, summary
 
 
@@ -352,7 +343,6 @@ def _run_evolution_refinement(cfg):
 # ---------------------------------------------------------------------------
 
 def run_stokes(cfg, out_dir=None):
-    t0 = time.time()
     bound = _bound(cfg, 8)
     kcfg = _require(cfg, "kernel")
     kernel = from_config(kcfg)
@@ -373,12 +363,10 @@ def run_stokes(cfg, out_dir=None):
     _assert_in(summary, "residual", residual, 1e-12)
     _assert_in(summary, "div_defect", div_defect, 1e-12)
     _assert_in(summary, "stability_const", stability, 2.0 + 1e-9)
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 
 def run_stokes_evolve(cfg, out_dir=None):
-    t0 = time.time()
     bound = _bound(cfg, 8)
     kernel = from_config(_require(cfg, "kernel"))
     tab = build_table(kernel, _orientation(cfg, kernel.dimension), bound,
@@ -396,16 +384,12 @@ def run_stokes_evolve(cfg, out_dir=None):
         table.add(float(t), l2_norm(s_), 0.5 * l2_norm(s_) ** 2, l2_norm(s_ - sloc))
     seq = table.column("l2_norm")
     summary = _summary_shell(cfg, "stokes-evolve")
-    mono = all(b < a for a, b in zip(seq[:-1], seq[1:]))
-    summary["assertions"]["energy_decreasing"] = {
-        "passed": bool(mono), "value": float(mono), "threshold": 1.0,
-        "comparison": "ge"}
-    summary["observations"]["wall_time_s"] = time.time() - t0
+    _assert_true(summary, "energy_decreasing",
+                 all(b < a for a, b in zip(seq[:-1], seq[1:])))
     return table, summary
 
 
 def run_navier_evolve(cfg, out_dir=None):
-    t0 = time.time()
     bound = _bound(cfg, 8)
     kernel = from_config(_require(cfg, "kernel"))
     mu, lam_lame = [float(v) for v in cfg.get("lame", [1.0, 1.0])]
@@ -428,7 +412,6 @@ def run_navier_evolve(cfg, out_dir=None):
         table.add(float(t), l2_norm(s_), sol.navier_energy(dec, s_))
     summary = _summary_shell(cfg, "navier-evolve")
     _assert_in(summary, "hamiltonian_drift", drift, 1e-10)
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 
@@ -437,7 +420,6 @@ def run_navier_evolve(cfg, out_dir=None):
 # ---------------------------------------------------------------------------
 
 def run_helmholtz(cfg, out_dir=None):
-    t0 = time.time()
     tol = _tol(cfg, "residual", 1e-12)
     seed = _seed(cfg)
     table = ResultTable(["case", "reconstruction", "gauge", "pure_part_residual"])
@@ -482,12 +464,10 @@ def run_helmholtz(cfg, out_dir=None):
     _assert_in(summary, "reconstruction", worst_rec, tol)
     _assert_in(summary, "gauge", worst_gauge, tol)
     _assert_in(summary, "pure_gradient", worst_q, tol)
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 
 def run_divcurl(cfg, out_dir=None):
-    t0 = time.time()
     checks = cfg.get("checks", ["consistency", "friedrichs"])
     bound = _bound(cfg, 8)
     kcfg = _require(cfg, "kernel")
@@ -530,13 +510,11 @@ def run_divcurl(cfg, out_dir=None):
         _assert_in(summary, "consistency_residual", worst_res, tol)
         variation = (max(ratios) - min(ratios)) / max(ratios)
         _assert_in(summary, "friedrichs_variation", variation, 0.25)
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 
 def run_navier(cfg, out_dir=None):
     """Korn bound and the two energy assemblies, per Lame pair."""
-    t0 = time.time()
     bound = _bound(cfg, 8)
     kernel = from_config(_require(cfg, "kernel"))
     tab = build_table(kernel, _orientation(cfg, kernel.dimension), bound,
@@ -564,7 +542,6 @@ def run_navier(cfg, out_dir=None):
         worst_korn = max(worst_korn, margin)
     _assert_in(summary, "energy_two_ways", worst_gap, 1e-10)
     _assert_in(summary, "korn_bound", worst_korn, 1e-10)
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 
@@ -573,7 +550,6 @@ def run_navier(cfg, out_dir=None):
 # ---------------------------------------------------------------------------
 
 def run_oracle(cfg, out_dir=None):
-    t0 = time.time()
     bound = _bound(cfg, 8)
     kernel = from_config(_require(cfg, "kernel"))
     tab = build_table(kernel, _orientation(cfg, 2), bound, **_table_args(cfg))
@@ -601,8 +577,7 @@ def run_oracle(cfg, out_dir=None):
     for xi in ((1, 0), (1, 2)):
         xi_arr = np.asarray(xi, dtype=float)
         u_call = lambda X: np.sin(X @ xi_arr)
-        direct = ops.gradient_oracle(kernel, tab.orientation.vec, u_call, pts,
-                                     tol=_tol(cfg, "quad.tol", 1e-10))
+        direct = ops.gradient_oracle(kernel, tab.orientation.vec, u_call, pts)
         s = SpectralField.zeros(2, bound)
         s.set_mode(xi, -0.5j)
         spec_vals = evaluate(ops.gradient(tab, s), grid).reshape(-1, 2)
@@ -615,8 +590,7 @@ def run_oracle(cfg, out_dir=None):
     xi_arr = np.asarray((1, 2), dtype=float)
     direct = ops.divergence_oracle(
         kernel, tab.orientation.vec,
-        lambda X: np.sin(X @ xi_arr)[..., None] * amps, pts,
-        tol=_tol(cfg, "quad.tol", 1e-10))
+        lambda X: np.sin(X @ xi_arr)[..., None] * amps, pts)
     v = SpectralField.zeros(2, bound, (2,))
     v.set_mode((1, 2), -0.5j * amps)
     spec_vals = evaluate(ops.divergence(tab, v), grid).reshape(-1)
@@ -624,12 +598,10 @@ def run_oracle(cfg, out_dir=None):
     table.add("oracle_gap_divergence", gap)
     worst_gap = max(worst_gap, gap)
     _assert_in(summary, "oracle_gap", worst_gap, 1e-4)
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 
 def run_energy1d(cfg, out_dir=None):
-    t0 = time.time()
     checks = cfg.get("checks", ["rho"])
     summary = _summary_shell(cfg, "energy-1d")
     table = ResultTable(["check", "value"])
@@ -658,14 +630,10 @@ def run_energy1d(cfg, out_dir=None):
         _assert_in(summary, "constant_mass", abs(rho_c.l1_mass - 1.0), 1e-8)
         _assert_in(summary, "sine_mass", abs(rho_s.l1_mass - 1.0), 1e-8)
         _assert_in(summary, "sine_closed_form", mesh_gap, 1e-8)
-        _assert_in(summary, "sine_sign_change", rho01 + 0.013839, 1e-4)
-        summary["assertions"]["sine_sign_change"]["passed"] = bool(
-            abs(rho01 + 0.013839) < 1e-4 and rho01 < 0.0)
+        _assert_in(summary, "sine_sign_change", abs(rho01 + 0.013839), 1e-4)
         _assert_in(summary, "fractional_mass", abs(limit.l1_mass - 1.0), 1e-6)
-        mono = all(b.l1_mass >= a.l1_mass for a, b in zip(levels[:-1], levels[1:]))
-        summary["assertions"]["fractional_mass_monotone"] = {
-            "passed": bool(mono), "value": float(mono), "threshold": 1.0,
-            "comparison": "ge"}
+        _assert_true(summary, "fractional_mass_monotone",
+                     all(b.l1_mass >= a.l1_mass for a, b in zip(levels[:-1], levels[1:])))
         _assert_in(summary, "energy_equivalence", eq["gap"], 1e-6)
         if out_dir is not None and cfg.get("export_rho"):
             rho_s.to_csv(f"{out_dir}/rho_sine.csv")
@@ -686,7 +654,6 @@ def run_energy1d(cfg, out_dir=None):
             table.add(f"double_gap_d{delta}_e{eps}", gap)
             worst = max(worst, gap)
         _assert_in(summary, "double_factorization", worst, 1e-12)
-    summary["observations"]["wall_time_s"] = time.time() - t0
     return table, summary
 
 

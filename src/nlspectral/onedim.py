@@ -20,13 +20,10 @@ their mass tends to one.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import quadrature as quad
 from .errors import KernelError
 from .kernels import epsilon_cutoff, eval_kernel
-
-_GL_X, _GL_W = leggauss(32)
 
 # The clamp defect of the bond-kernel mass is the squared first moment of
 # the clamped kernel, 1 - beta eps^(2-beta) + O(eps^2), so the ladder must
@@ -39,29 +36,6 @@ def graded_mesh(delta, size=MESH_SIZE):
     """Interior mesh of (0, delta) clustered at both endpoints."""
     t = (np.arange(size) + 0.5) / size
     return delta * (t**2 * (3.0 - 2.0 * t))
-
-
-def _gl_panels(edges, n=32):
-    """Composite Gauss-Legendre nodes/weights for the given panel edges."""
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * _GL_X)
-        weights.append(half * _GL_W)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _geometric_edges(a, b, ratio=2.0):
-    """Panel edges from a to b growing geometrically away from a."""
-    if a <= 0.0:
-        return [a, b]
-    edges = [a]
-    while edges[-1] * ratio < b:
-        edges.append(edges[-1] * ratio)
-    edges.append(b)
-    return edges
 
 
 @dataclass
@@ -116,7 +90,7 @@ def _cross_edges(kernel, a, top):
         for anchor in (eps, eps - a):
             if anchor <= 0.0:
                 anchor = min(eps, top) * 0.5
-            for g in _geometric_edges(anchor, top):
+            for g in quad.geometric_edges(anchor, top):
                 if 0.0 < g < top:
                     pts.add(g)
     return sorted(pts)
@@ -138,7 +112,7 @@ def _rho_pointwise(kernel, a_values):
             hp[i] = 0.0
             rho[i] = kp[i]
             continue
-        b, wb = _gl_panels(_cross_edges(kernel, a, top))
+        b, wb = quad.gl_panels(_cross_edges(kernel, a, top), 32)
         cross = float(np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a + b)))
         hp[i] = -2.0 * a * a * cross
         rho[i] = kp[i] + hp[i]
@@ -147,15 +121,15 @@ def _rho_pointwise(kernel, a_values):
 
 def _endpoint_graded_edges(delta, extra=(), start=1e-7):
     """Panel edges of (0, delta) clustered geometrically at both endpoints."""
-    left = _geometric_edges(delta * start, delta * 0.5)
-    right = [delta - e for e in _geometric_edges(delta * start, delta * 0.5)]
+    left = quad.geometric_edges(delta * start, delta * 0.5)
+    right = [delta - e for e in left]
     return sorted({0.0, delta} | set(left) | set(right)
                   | {e for e in extra if 0.0 < e < delta})
 
 
 def _bond_rule(kernel, rho_fn, delta, extra=()):
     """One-sided quadrature rule (nodes, weights) for int_0^delta rho(a)/a^2 g(a) da."""
-    a, wa = _gl_panels(_endpoint_graded_edges(delta, extra))
+    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, extra), 32)
     return a, wa * rho_fn(a) / (a * a)
 
 
@@ -187,7 +161,7 @@ def rho_from_kernel(kernel, mesh_size=MESH_SIZE):
 def _rho_mass(rho_fn, delta, eps_break=None):
     """Two-sided L1 mass 2 int_0^delta rho(a) da with endpoint-graded panels."""
     extra = (eps_break,) if eps_break else ()
-    a, wa = _gl_panels(_endpoint_graded_edges(delta, extra))
+    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, extra), 32)
     return 2.0 * float(np.sum(wa * rho_fn(a)))
 
 
@@ -242,19 +216,14 @@ def one_sided_symbol(kernel, xi, sign=1, tol=1e-12):
         raise KernelError("one-sided operators are one-dimensional")
     xi = np.asarray(xi, dtype=float)
 
-    def level(panels, n_nodes):
-        s, w = quad._interval_rule(kernel, 0.0, kernel.horizon, panels, n_nodes)
+    def level(rule):
+        s, w = quad._interval_rule(kernel, 0.0, kernel.horizon, *rule)
         ph = np.multiply.outer(xi, s)
         re = 2.0 * np.sum(w * (np.cos(ph) - 1.0), axis=-1)
         im = 2.0 * np.sum(w * np.sin(ph), axis=-1)
         return np.sign(sign) * re + 1j * im
 
-    lam = level(2, 48)
-    check = level(3, 64)
-    scale = max(float(np.max(np.abs(lam))), 1e-300)
-    if float(np.max(np.abs(lam - check))) > tol * scale:
-        raise quad.QuadratureConvergenceError("one-sided symbol quadrature did not settle")
-    return check
+    return quad.settle(level, ((2, 48), (3, 64)), tol, "one-sided symbol quadrature")
 
 
 def one_sided_energy(kernel, u, sign=1):

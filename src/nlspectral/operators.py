@@ -89,16 +89,14 @@ def star_gradient(kernel, kvec, u, tol=quad.DEFAULT_TOL):
 # 1D averaging and the doubly nonlocal composition
 # ---------------------------------------------------------------------------
 
-def averaging_symbol(eta, xi, tol=1e-12, mass_tol=1e-8):
+def averaging_symbol(eta, xi, mass_tol=1e-8):
     """Symbol of the two-point averaging operator with window eta.
 
     a(xi) = 1/2 + (1/2) int eta(|z|) cos(xi z) dz.  eta is any object with
     ``epsilon`` (half-width) and a vectorized ``profile(z)`` for z >= 0 whose
     two-sided mass is 1; non-unit mass is rejected.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(96)
+    x, w = quad.legendre(96)
     z = 0.5 * eta.epsilon * (x + 1.0)
     wz = 0.5 * eta.epsilon * w * eta.profile(z)
     mass = 2.0 * float(np.sum(wz))
@@ -133,17 +131,17 @@ def bond_symbol(gamma, xi):
     return 4.0 * np.sum(w * (np.cos(np.multiply.outer(xi, a)) - 1.0), axis=-1)
 
 
-def averaging_1d(eta, u, tol=1e-12):
+def averaging_1d(eta, u):
     """Apply the averaging operator to a 1D spectral field."""
     if u.dimension != 1:
         raise ValueError("averaging_1d acts on 1D fields")
     xi = np.arange(-u.bound, u.bound + 1, dtype=float)
-    mult = averaging_symbol(eta, xi, tol)
+    mult = averaging_symbol(eta, xi)
     out = u.coeffs * mult.reshape(mult.shape + (1,) * len(u.component_shape))
     return SpectralField(u.bound, u.dimension, out, real=u.real)
 
 
-def double_laplacian_1d(gamma, eta, u, tol=1e-12):
+def double_laplacian_1d(gamma, eta, u):
     """Doubly nonlocal Laplacian: bond diffusion composed with averaging.
 
     Diagonal in Fourier space with symbol ell_gamma(xi) * a_eta(xi).
@@ -151,7 +149,7 @@ def double_laplacian_1d(gamma, eta, u, tol=1e-12):
     if u.dimension != 1:
         raise ValueError("double_laplacian_1d acts on 1D fields")
     xi = np.arange(-u.bound, u.bound + 1, dtype=float)
-    mult = bond_symbol(gamma, xi) * averaging_symbol(eta, xi, tol)
+    mult = bond_symbol(gamma, xi) * averaging_symbol(eta, xi)
     out = u.coeffs * mult.reshape(mult.shape + (1,) * len(u.component_shape))
     return SpectralField(u.bound, u.dimension, out, real=u.real)
 
@@ -163,9 +161,7 @@ def double_symbol_direct(gamma, eta, xi):
     cos(xi y) over the product of the two windows; used as the independent
     side of the factorization check.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(96)
+    x, w = quad.legendre(96)
     r = 0.5 * eta.epsilon * (x + 1.0)
     wr = 0.5 * eta.epsilon * w * eta.profile(r)
     y, wy = gamma.nodes, gamma.weights
@@ -187,15 +183,15 @@ def double_symbol_direct(gamma, eta, xi):
 # physical-space oracle (direct quadrature of the defining integral)
 # ---------------------------------------------------------------------------
 
-def gradient_oracle(kernel, orientation, u_callable, points, tol=quad.DEFAULT_TOL,
-                    panels=1, n_radial=32, n_angular=48):
+def gradient_oracle(kernel, orientation, u_callable, points, panels=1,
+                    n_radial=32, n_angular=48):
     """Evaluate the nonlocal gradient of a scalar function by direct quadrature.
 
     2 int w_delta(|s|) (s/|s|) (u(x+s) - u(x)) ds at each row of ``points``,
     with u given analytically (periodic extension included by the caller's
     formula).  This path never forms Fourier symbols.
     """
-    rule = quad.halfball_rule(kernel, panels, tol, n_radial, n_angular)
+    rule = quad.halfball_rule(kernel, panels, n_radial, n_angular)
     r, dirs, w = quad.rule_points(rule, kernel, orientation)
     pts = np.asarray(points, dtype=float)
     offsets = r[:, None] * dirs
@@ -204,14 +200,14 @@ def gradient_oracle(kernel, orientation, u_callable, points, tol=quad.DEFAULT_TO
     return 2.0 * np.einsum("k,pk,kc->pc", w, du, dirs)
 
 
-def divergence_oracle(kernel, orientation, u_callable, points, tol=quad.DEFAULT_TOL,
-                      panels=1, n_radial=32, n_angular=48):
+def divergence_oracle(kernel, orientation, u_callable, points, panels=1,
+                      n_radial=32, n_angular=48):
     """Direct quadrature of the adjoint divergence of a vector function.
 
     2 int w_delta(|s|) (s/|s|) . (u(x) - u(x - s)) ds at each row of
     ``points``; the companion of gradient_oracle for vector fields.
     """
-    rule = quad.halfball_rule(kernel, panels, tol, n_radial, n_angular)
+    rule = quad.halfball_rule(kernel, panels, n_radial, n_angular)
     r, dirs, w = quad.rule_points(rule, kernel, orientation)
     pts = np.asarray(points, dtype=float)
     offsets = r[:, None] * dirs

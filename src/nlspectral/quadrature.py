@@ -14,12 +14,16 @@ product of
     times a uniform trapezoid in azimuth), taken relative to a reference
     orientation and rotated into place.
 
-Refinement doubles the panel count; integrate_* helpers compare successive
-refinements and raise QuadratureConvergenceError when they disagree beyond
-the target tolerance.
+Every refinement check in the package goes through ``settle``: it
+evaluates a ladder of levels (panel doublings, grown node counts, or a
+fixed pair) and accepts the finer of the first two successive levels whose
+largest change is at most tol times the finer level's largest magnitude;
+otherwise it raises QuadratureConvergenceError with the last error and
+level.  Composite Gauss-Legendre rules all come from ``gl_panels``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -34,14 +38,84 @@ _TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
-# radial rules (unit coordinates)
+# refinement driver and Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
-def _gl(n, a, b):
-    x, w = leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def settle(evaluate, levels, tol, what):
+    """Evaluate successive levels until two agree; return the finer value.
 
+    ``evaluate(level)`` returns an array, a scalar, or a tuple of them (the
+    parts).  Two successive levels agree when the largest change over all
+    parts is at most tol times the largest magnitude over all parts of the
+    finer level.  Raises QuadratureConvergenceError naming ``what``, the
+    last error and the last level when the ladder runs out first.
+    """
+    prev, err, level = None, math.inf, None
+    for level in levels:
+        val = evaluate(level)
+        parts = val if isinstance(val, tuple) else (val,)
+        if prev is not None:
+            scale = max(max(float(np.max(np.abs(p))) for p in parts), _TINY)
+            err = max(float(np.max(np.abs(p - q))) for p, q in zip(parts, prev))
+            if err <= tol * scale:
+                return val
+        prev = parts
+    raise QuadratureConvergenceError(
+        f"{what} did not settle within tol={tol}: last error {err!r} at level {level!r}"
+    )
+
+
+@lru_cache(maxsize=None)
+def legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only)."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gl_panels(edges, n):
+    """Composite n-point Gauss-Legendre rule over the panels between edges.
+
+    Panels with b <= a are skipped; nodes come out panel by panel in edge
+    order.
+    """
+    x, w = legendre(n)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    keep = b > a
+    mid, half = 0.5 * (a[keep] + b[keep]), 0.5 * (b[keep] - a[keep])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def geometric_edges(a, b):
+    """Panel edges from a to b doubling in width away from a > 0."""
+    if a <= 0.0:
+        return [a, b]
+    edges = [a]
+    while edges[-1] * 2.0 < b:
+        edges.append(edges[-1] * 2.0)
+    edges.append(b)
+    return edges
+
+
+def _split_rule(edges, panels, n):
+    """GL rule on each edge interval cut into ``panels`` equal panels.
+
+    Each interval ends at its own lo + panels * step, which may differ from
+    the next interval's lo in the last bit, so the intervals are not merged
+    into one edge list.
+    """
+    parts = [
+        gl_panels(lo + (hi - lo) / panels * np.arange(panels + 1), n)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+# ---------------------------------------------------------------------------
+# radial rules (unit coordinates)
+# ---------------------------------------------------------------------------
 
 def radial_rule(kernel, panels=1, n_nodes=24):
     """Nodes/weights (rho, v) with sum v*g(rho) ~ int_0^1 w(rho) rho^(d-1) g drho.
@@ -68,41 +142,30 @@ def radial_rule(kernel, panels=1, n_nodes=24):
             v = kernel.normalization * w * 0.5 ** (gamma + 1.0) / rho
         return rho, v
 
-    nodes, weights = [], []
-    for a, b in _segments(kernel, panels):
-        r, w = _gl(n_nodes, a, b)
-        nodes.append(r)
-        weights.append(w * kernel.profile(r) * r ** (d - 1))
-    rho = np.concatenate(nodes)
-    v = np.concatenate(weights)
+    rho, w = _split_rule(_edges(kernel), panels, n_nodes)
+    v = w * kernel.profile(rho) * rho ** (d - 1)
     keep = v != 0.0
     return rho[keep], v[keep]
 
 
-def _segments(kernel, panels):
-    """Panelization of [0, 1] honoring profile breakpoints.
+def _edges(kernel):
+    """Panel edges of [0, 1] honoring profile breakpoints.
 
     Regularized fractional kernels get octave-geometric panels to the right
     of the cutoff radius, where the profile still spans many decades.
     """
-    edges = [0.0] + kernel.breakpoints() + [1.0]
-    segs = []
-    for a, b in zip(edges[:-1], edges[1:]):
+    breaks = [0.0] + kernel.breakpoints() + [1.0]
+    edges = [0.0]
+    for a, b in zip(breaks[:-1], breaks[1:]):
         if (
             kernel.family == FRACTIONAL
             and kernel.cutoff_rho > 0.0
             and a >= kernel.cutoff_rho - 1e-300
         ):
-            pts = [a]
-            while pts[-1] * 2.0 < b:
-                pts.append(pts[-1] * 2.0)
-            pts.append(b)
+            edges.extend(geometric_edges(a, b)[1:])
         else:
-            pts = [a, b]
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            step = (hi - lo) / panels
-            segs.extend((lo + i * step, lo + (i + 1) * step) for i in range(panels))
-    return segs
+            edges.append(b)
+    return edges
 
 
 def scaled_radial_rule(kernel, panels=1, n_nodes=24):
@@ -118,11 +181,11 @@ def scaled_radial_rule(kernel, panels=1, n_nodes=24):
 
 def half_angles_2d(n):
     """Gauss-Legendre angles/weights on (-pi/2, pi/2) about the orientation."""
-    return _gl(n, -0.5 * math.pi, 0.5 * math.pi)
+    return gl_panels([-0.5 * math.pi, 0.5 * math.pi], n)
 
 
 def quarter_angles_2d(n):
-    return _gl(n, 0.0, 0.5 * math.pi)
+    return gl_panels([0.0, 0.5 * math.pi], n)
 
 
 def hemisphere_angles_3d(n_polar, n_azimuth):
@@ -131,7 +194,7 @@ def hemisphere_angles_3d(n_polar, n_azimuth):
     Returns (J, 2) node array of (polar, azimuth) pairs and weights that
     include the sin(polar) surface factor.
     """
-    phi, wphi = _gl(n_polar, 0.0, 0.5 * math.pi)
+    phi, wphi = gl_panels([0.0, 0.5 * math.pi], n_polar)
     az = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
     waz = np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
     nodes = np.stack(
@@ -143,7 +206,7 @@ def hemisphere_angles_3d(n_polar, n_azimuth):
 
 def sphere_polar_rule(n):
     """GL rule for int_0^pi g(phi) sin(phi) dphi (full sphere, azimuth-free)."""
-    phi, w = _gl(n, 0.0, math.pi)
+    phi, w = gl_panels([0.0, math.pi], n)
     return phi, w * np.sin(phi)
 
 
@@ -187,10 +250,9 @@ class QuadratureRule:
     angular_nodes: np.ndarray
     angular_weights: np.ndarray
     panels: int
-    tol: float
 
 
-def halfball_rule(kernel, panels=1, tol=DEFAULT_TOL, n_radial=24, n_angular=None):
+def halfball_rule(kernel, panels=1, n_radial=24, n_angular=None):
     d = kernel.dimension
     if d == 2:
         n_angular = 32 if n_angular is None else n_angular
@@ -201,7 +263,7 @@ def halfball_rule(kernel, panels=1, tol=DEFAULT_TOL, n_radial=24, n_angular=None
     else:
         raise KernelError("half-ball rules exist for d = 2 or 3 only")
     rho, v = radial_rule(kernel, panels, n_radial)
-    return QuadratureRule(d, rho, v, ang, wang, panels, tol)
+    return QuadratureRule(d, rho, v, ang, wang, panels)
 
 
 def rule_points(rule, kernel, orientation):
@@ -238,27 +300,19 @@ def integrate_halfball(kernel, orientation, f, tol=DEFAULT_TOL, panels=1,
     returning (K,) or (K, m).  Raises QuadratureConvergenceError when two
     successive panel refinements still differ by more than tol (relative).
     """
-    prev = None
-    p = panels
-    for _ in range(max_doublings + 1):
-        rule = halfball_rule(kernel, p, tol, n_radial, n_angular)
-        val = _evaluate_halfball(kernel, orientation, f, rule)
-        if prev is not None:
-            scale = max(float(np.max(np.abs(val))), _TINY)
-            if float(np.max(np.abs(val - prev))) <= tol * scale:
-                return val
-        prev = val
-        p *= 2
-    raise QuadratureConvergenceError(
-        f"half-ball quadrature did not reach tol={tol} after {max_doublings} doublings"
-    )
+    def evaluate(p):
+        rule = halfball_rule(kernel, p, n_radial, n_angular)
+        return _evaluate_halfball(kernel, orientation, f, rule)
+
+    return settle(evaluate, (panels * 2**i for i in range(max_doublings + 1)), tol,
+                  "half-ball quadrature")
 
 
 def refinement_errors(kernel, orientation, f, panel_list, n_radial=24, n_angular=None):
     """Self-reported error estimates |I(p) - I(p_prev)| along a panel ladder."""
     vals = []
     for p in panel_list:
-        rule = halfball_rule(kernel, p, DEFAULT_TOL, n_radial, n_angular)
+        rule = halfball_rule(kernel, p, n_radial, n_angular)
         vals.append(_evaluate_halfball(kernel, orientation, f, rule))
     return [
         float(np.max(np.abs(np.asarray(b) - np.asarray(a))))
@@ -281,26 +335,15 @@ def _interval_rule(kernel, a, b, panels, n_nodes=24):
         scale = kernel.normalization / delta ** (2.0 - kernel.beta)
         v = scale * w * 0.5 ** (gamma + 1.0) * b ** (gamma + 1.0) / s
         return s, v
+    from .kernels import eval_kernel
+
     edges = {a, b} | {delta * r for r in kernel.breakpoints() if a < delta * r < b}
     if kernel.family == FRACTIONAL and kernel.cutoff_rho > 0.0:
         # clamped power profile: geometric panels resolve the decades above
         # the clamp radius
-        pt = max(kernel.cutoff_rho * delta, a)
-        while pt * 2.0 < b:
-            pt *= 2.0
-            if pt > a:
-                edges.add(pt)
-    edges = sorted(edges)
-    nodes, weights = [], []
-    from .kernels import eval_kernel
-
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        step = (hi - lo) / panels
-        for i in range(panels):
-            s, w = _gl(n_nodes, lo + i * step, lo + (i + 1) * step)
-            nodes.append(s)
-            weights.append(w * eval_kernel(kernel, s))
-    return np.concatenate(nodes), np.concatenate(weights)
+        edges.update(geometric_edges(max(kernel.cutoff_rho * delta, a), b)[1:-1])
+    s, w = _split_rule(sorted(edges), panels, n_nodes)
+    return s, w * eval_kernel(kernel, s)
 
 
 def integrate_interval(kernel, a, b, f, tol=1e-8, panels=1, max_doublings=6,
@@ -315,20 +358,14 @@ def integrate_interval(kernel, a, b, f, tol=1e-8, panels=1, max_doublings=6,
         raise KernelError("integrate_interval expects a 1D kernel")
     if not (0.0 <= a < b <= kernel.horizon + 1e-15):
         raise ValueError(f"interval [{a}, {b}] must sit inside [0, delta]")
-    prev = None
-    p = panels
-    for _ in range(max_doublings + 1):
+    def evaluate(p):
         s, w = _interval_rule(kernel, a, b, p, n_nodes)
         val = complex(np.sum(w * np.asarray(f(s))))
-        val = val.real if abs(val.imag) == 0.0 else val
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), _TINY):
-            return val
-        prev = val
-        p *= 2
-    raise QuadratureConvergenceError(
-        f"interval quadrature on [{a}, {b}] did not converge (last={prev!r}); "
-        "check integrability of the kernel/integrand pair"
-    )
+        return val.real if abs(val.imag) == 0.0 else val
+
+    return settle(evaluate, (panels * 2**i for i in range(max_doublings + 1)), tol,
+                  f"interval quadrature on [{a}, {b}] (check integrability of the "
+                  "kernel/integrand pair)")
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def _forcing_at(forcing, t, template):
     return f
 
 
-def stokes_evolve(table, u0, forcing, times, div_tol=1e-10, project_initial=False):
+def stokes_evolve(table, u0, forcing, times, div_tol=1e-10):
     """Evolve the unsteady Stokes system from a nonlocally divergence-free u0.
 
     The forcing is treated as piecewise constant on the time grid (evaluated
@@ -131,8 +131,6 @@ def stokes_evolve(table, u0, forcing, times, div_tol=1e-10, project_initial=Fals
     times = np.asarray(times, dtype=float)
     if u0.component_shape != (table.dimension,):
         raise ValueError("initial velocity must be a d-vector field")
-    if project_initial:
-        u0 = leray_project(table, u0)
     div0 = float(np.max(np.abs(ops.divergence(table, u0).coeffs)))
     if div0 > div_tol * max(1.0, l2_norm(u0)):
         raise ValueError(

@@ -152,47 +152,41 @@ def _re_lambda(kernel, xi_rot, nr, na):
     return out
 
 
-def _lambda_radial_many(kernel, ks, nr, na):
-    """Radial symbol factor Lambda at the magnitudes ks, via the full ball.
+def _full_ball(kernel, ks, nr, na, odd):
+    """Full-ball factors at the magnitudes ks: Lambda if ``odd``, else m.
 
-    2D reduces to four quarter-disk integrals, 3D to the polar integral of
-    the sphere with the azimuth integrated out.
+    Lambda(k) = int w_delta (s.e/|s|) sin(k s.e) ds and m(k) = int w_delta
+    (cos(k s.e) - 1) ds.  2D reduces to four quarter-disk integrals, 3D to
+    the polar integral of the sphere with the azimuth integrated out.
     """
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
+    n = na if isinstance(na, int) else na[0]
     if kernel.dimension == 2:
-        theta, va = quad.quarter_angles_2d(na if isinstance(na, int) else na[0])
+        theta, va = quad.quarter_angles_2d(n)
         c = np.cos(theta)
         front = 4.0
     else:
-        phi, va = quad.sphere_polar_rule(na if isinstance(na, int) else na[0])
+        phi, va = quad.sphere_polar_rule(n)
         c = np.cos(phi)
         front = 2.0 * math.pi
     ks = np.asarray(ks, dtype=float)
     phase = ks[:, None, None] * r[None, :, None] * c[None, None, :]
-    return front * np.einsum("kij,i,j->k", np.sin(phase), vr, va * c)
-
-
-def _m_full_ball(kernel, ks, nr, na):
-    """Orientation-free mass factor m(k) = int w_delta (cos(xi.s) - 1) ds."""
-    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
-    if kernel.dimension == 2:
-        theta, va = quad.quarter_angles_2d(na if isinstance(na, int) else na[0])
-        c = np.cos(theta)
-        front = 4.0
-    else:
-        phi, va = quad.sphere_polar_rule(na if isinstance(na, int) else na[0])
-        c = np.cos(phi)
-        front = 2.0 * math.pi
-    ks = np.asarray(ks, dtype=float)
-    phase = ks[:, None, None] * r[None, :, None] * c[None, None, :]
-    cosm1 = np.cos(phase) - 1.0
-    return front * np.einsum("kij,i,j->k", cosm1, vr, va)
+    if odd:
+        return front * np.einsum("kij,i,j->k", np.sin(phase), vr, va * c)
+    return front * np.einsum("kij,i,j->k", np.cos(phase) - 1.0, vr, va)
 
 
 def _bump(nr, na):
     if isinstance(na, tuple):
         return int(nr * 1.5) + 1, (int(na[0] * 1.5) + 1, int(na[1] * 1.5) + 2)
     return int(nr * 1.5) + 1, int(na * 1.5) + 1
+
+
+def _bumps(nr, na, count):
+    """The node counts (nr, na) and the count - 1 bumps that follow them."""
+    for _ in range(count):
+        yield nr, na
+        nr, na = _bump(nr, na)
 
 
 def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL,
@@ -223,32 +217,18 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL,
     R = quad.frame_matrix(n)
     xi_rot = half @ R                 # coordinates of xi in the frame basis
     q2 = np.rint(np.sum(half**2, axis=1)).astype(int)
-    q2_unique = np.unique(q2)
+    q2_unique, q2_index = np.unique(q2, return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
 
-    re_prev = lam_prev = None
-    for attempt in range(max_bumps + 1):
-        re_frame = _re_lambda(kernel, xi_rot, nr, na)
-        lam_rad = _lambda_radial_many(kernel, ks, nr, na)
-        if re_prev is not None:
-            scale = max(float(np.max(np.abs(re_frame))), float(np.max(np.abs(lam_rad))), 1e-300)
-            err = max(
-                float(np.max(np.abs(re_frame - re_prev))),
-                float(np.max(np.abs(lam_rad - lam_prev))),
-            )
-            if err <= tol * scale:
-                break
-        re_prev, lam_prev = re_frame, lam_rad
-        nr, na = _bump(nr, na)
-    else:
-        raise QuadratureConvergenceError(
-            f"symbol quadrature did not settle within tol={tol} for N={bound}"
-        )
+    re_frame, lam_rad = quad.settle(
+        lambda level: (_re_lambda(kernel, xi_rot, *level),
+                       _full_ball(kernel, ks, *level, odd=True)),
+        _bumps(nr, na, max_bumps + 1), tol, f"symbol quadrature for N={bound}")
 
     rad_map = {int(q): float(v) for q, v in zip(q2_unique, lam_rad)}
     re_abs = re_frame @ R.T
     norms = np.sqrt(q2.astype(float))
-    im_abs = (np.array([rad_map[int(q)] for q in q2]) / norms)[:, None] * half
+    im_abs = (lam_rad[q2_index] / norms)[:, None] * half
 
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
     idx_pos = tuple((half + bound).astype(int).T)
@@ -292,14 +272,9 @@ def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL, n_radial=None, n_angular=None
     if k == 0.0:
         return 0.0
     nr, na = _node_counts(kernel, kernel.horizon * k, n_radial, n_angular)
-    prev = None
-    for _ in range(4):
-        val = float(_lambda_radial_many(kernel, [k], nr, na)[0])
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        nr, na = _bump(nr, na)
-    raise QuadratureConvergenceError(f"Lambda quadrature did not converge at k={k}")
+    return quad.settle(
+        lambda level: float(_full_ball(kernel, [k], *level, odd=True)[0]),
+        _bumps(nr, na, 4), tol, f"Lambda quadrature at k={k}")
 
 
 def mass_factor(kernel, k, tol=quad.DEFAULT_TOL):
@@ -307,14 +282,9 @@ def mass_factor(kernel, k, tol=quad.DEFAULT_TOL):
     if k == 0.0:
         return 0.0
     nr, na = _node_counts(kernel, kernel.horizon * k)
-    prev = None
-    for _ in range(4):
-        val = float(_m_full_ball(kernel, [k], nr, na)[0])
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        nr, na = _bump(nr, na)
-    raise QuadratureConvergenceError(f"mass-factor quadrature did not converge at k={k}")
+    return quad.settle(
+        lambda level: float(_full_ball(kernel, [k], *level, odd=False)[0]),
+        _bumps(nr, na, 4), tol, f"mass-factor quadrature at k={k}")
 
 
 def star_symbol(kernel, kvec, xi, tol=quad.DEFAULT_TOL):
@@ -340,26 +310,27 @@ def star_table(kernel, kvec, bound, tol=quad.DEFAULT_TOL):
     d = kernel.dimension
     modes = lattice_modes(bound, d)
     q2 = np.sum(modes**2, axis=1)
-    q2_unique = np.unique(q2)
+    q2_unique, q2_index = np.unique(q2, return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
     kmax = kernel.horizon * float(np.max(ks))
     nr, na = _node_counts(kernel, kmax)
     nr2, na2 = _bump(nr, na)
-    lam_rad = _lambda_radial_many(kernel, ks, nr2, na2)
-    mvals = _m_full_ball(kernel, ks, nr2, na2)
+    lam_rad = _full_ball(kernel, ks, nr2, na2, odd=True)
+    mvals = _full_ball(kernel, ks, nr2, na2, odd=False)
     err = max(
-        float(np.max(np.abs(lam_rad - _lambda_radial_many(kernel, ks, nr, na)))),
-        float(np.max(np.abs(mvals - _m_full_ball(kernel, ks, nr, na)))),
+        float(np.max(np.abs(lam_rad - _full_ball(kernel, ks, nr, na, odd=True)))),
+        float(np.max(np.abs(mvals - _full_ball(kernel, ks, nr, na, odd=False)))),
     )
+    # not settle(): both errors are scaled by max|Lambda| alone, tighter than
+    # settle's scale over both parts wherever max|m| exceeds max|Lambda|
     if err > tol * max(float(np.max(np.abs(lam_rad))), 1e-300):
         raise QuadratureConvergenceError("star-symbol quadrature did not settle")
-    lookup = {int(q): (lr, mv) for q, lr, mv in zip(q2_unique, lam_rad, mvals)}
     kvec = np.asarray(kvec, dtype=float)
     table = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
-    for mode, q in zip(modes, q2):
-        lr, mv = lookup[int(q)]
-        idx = tuple(mode + bound)
-        table[idx] = 1j * lr * mode / math.sqrt(q) + mv * kvec
+    table[tuple((modes + bound).T)] = (
+        (1j * lam_rad[q2_index])[:, None] * modes / np.sqrt(q2)[:, None]
+        + mvals[q2_index][:, None] * kvec
+    )
     return table
 
 
@@ -381,7 +352,7 @@ def averaged_energy_density(kernel, xi, samples=64, tol=quad.DEFAULT_TOL):
     kmax = kernel.horizon * k
     nr, na = _node_counts(kernel, kmax)
     nr, na = _bump(nr, na)
-    lam_rad = float(_lambda_radial_many(kernel, [k], nr, na)[0])
+    lam_rad = float(_full_ball(kernel, [k], nr, na, odd=True)[0])
     angles = 2.0 * math.pi * np.arange(samples) / samples
     # rotate xi into each orientation frame instead of rotating the rule
     cos_a, sin_a = np.cos(angles), np.sin(angles)
@@ -438,9 +409,14 @@ def save_table(table, path):
 
 
 def load_table(path):
+    """Read a cache written by save_table, all or nothing.
+
+    Raises ValueError unless every nonzero lattice mode and the radial factor
+    of every |xi|^2 of the lattice are listed exactly once, and KernelError if
+    a loaded symbol fails the table validation.
+    """
     with open(path) as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in fh if ln.strip()]
     hdr = lines[0]
     if not hdr.startswith("# nlspectral-symbols"):
         raise ValueError(f"not a symbol cache: {path}")
@@ -452,14 +428,28 @@ def load_table(path):
         cfg["beta"] = float(fields["beta"])
     kernel = from_config(cfg)
     orientation = Orientation(np.array([float(c) for c in fields["n"].split(",")]))
-    lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
-    rad = {}
+    radial, rows = [], []
     for ln in lines[1:]:
         toks = ln.split()
-        if toks[0] == "L":
-            rad[int(toks[1])] = float(toks[2])
-            continue
-        mode = tuple(int(t) + bound for t in toks[:d])
-        vals = [float(t) for t in toks[d:]]
-        lam[mode] = [complex(vals[2 * i], vals[2 * i + 1]) for i in range(d)]
-    return SymbolTable(kernel, orientation, bound, lam, rad, float(fields["tol"]))
+        (radial if toks[0] == "L" else rows).append(toks)
+    try:
+        body = np.array(rows, dtype=float).reshape(len(rows), 3 * d)
+        rad = {int(q): float(v) for _, q, v in radial}
+    except ValueError as exc:
+        raise ValueError(f"symbol cache {path} has a malformed line") from exc
+    modes = body[:, :d].astype(int)
+    inside = np.all((modes == body[:, :d]) & (np.abs(modes) <= bound), axis=1)
+    idx = modes + bound
+    seen = np.zeros((2 * bound + 1,) * d, dtype=int)
+    seen[(bound,) * d] = 1          # the zero mode is pinned, never stored
+    np.add.at(seen, tuple(idx[inside].T), 1)
+    if not np.all(inside) or np.any(seen != 1):
+        raise ValueError(f"symbol cache {path} lacks or repeats a mode of N={bound}")
+    q2 = np.unique(np.sum(lattice_modes(bound, d) ** 2, axis=1))
+    if len(radial) != len(q2) or set(rad) != set(q2.tolist()):
+        raise ValueError(f"symbol cache {path} lacks or repeats a radial line of N={bound}")
+    lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
+    lam[tuple(idx.T)] = np.ascontiguousarray(body[:, d:]).view(complex)
+    table = SymbolTable(kernel, orientation, bound, lam, rad, float(fields["tol"]))
+    _validate(table)
+    return table

@@ -170,3 +170,73 @@ def test_rotation_equivariance_3d(rng):
 
         val = quad.integrate_halfball(k, R @ n, f_rot)
         assert val == pytest.approx(base, rel=1e-9)
+
+
+def test_settle_returns_finer_level():
+    seen = []
+
+    def evaluate(level):
+        seen.append(level)
+        return np.array([1.0, 2.0]) + 10.0 ** -level
+
+    val = quad.settle(evaluate, range(1, 10), 1e-6, "probe")
+    assert seen == [1, 2, 3, 4, 5, 6, 7]
+    np.testing.assert_array_equal(val, np.array([1.0, 2.0]) + 1e-7)
+
+
+def test_settle_tuple_parts_share_one_scale():
+    # the small part alone changes by 1e-3 relative to itself, but the scale
+    # is the largest magnitude over both parts
+    levels = {0: (np.array([100.0]), np.array([1.0])),
+              1: (np.array([100.0]), np.array([1.001]))}
+    big, small = quad.settle(levels.__getitem__, [0, 1], 1.1e-5, "probe")
+    assert small[0] == 1.001
+    with pytest.raises(QuadratureConvergenceError):
+        quad.settle(levels.__getitem__, [0, 1], 0.9e-5, "probe")
+    with pytest.raises(QuadratureConvergenceError):
+        quad.settle(lambda lv: levels[lv][1], [0, 1], 1.1e-5, "probe")
+
+
+def test_settle_error_names_last_error_and_level():
+    with pytest.raises(QuadratureConvergenceError) as info:
+        quad.settle(lambda lv: float(lv[0]), [(1, 24), (2, 24), (4, 24)], 1e-12,
+                    "toy ladder")
+    msg = str(info.value)
+    assert "toy ladder" in msg
+    assert "last error 2.0" in msg
+    assert "level (4, 24)" in msg
+
+
+def _gl_panels_loop(edges, n):
+    """Per-panel reference for gl_panels."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(n)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= a:
+            continue
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(mid + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("edges,n", [
+    ([0.0, 1.0], 24),
+    ([0.0, 1e-7, 2e-7, 0.3, 0.3, 0.7, 1.0], 32),   # an empty panel
+    ([0.0, 0.5, 0.25, 1.0], 5),                     # a reversed panel
+    (list(np.geomspace(1e-6, 0.5, 20)), 48),
+])
+def test_gl_panels_matches_panel_loop(edges, n):
+    nodes, weights = quad.gl_panels(edges, n)
+    ref_nodes, ref_weights = _gl_panels_loop(edges, n)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(weights, ref_weights)
+
+
+def test_legendre_is_cached_and_read_only():
+    x, w = quad.legendre(12)
+    assert quad.legendre(12)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0

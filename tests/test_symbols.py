@@ -245,6 +245,55 @@ def test_cache_roundtrip(tmp_path, table2):
     np.testing.assert_allclose(back.orientation.vec, table2.orientation.vec, rtol=0)
 
 
+def _cut_to_100_lines(lines):
+    # an N=8 2D cache cut to 100 lines used to load with 189 zero symbols
+    return lines[:100]
+
+
+def _duplicate_a_mode(lines):
+    return lines[:2] + [lines[1]] + lines[3:]
+
+
+def _mode_outside_bound(lines):
+    toks = lines[1].split()
+    return lines[:1] + [" ".join(["9"] + toks[1:]) + "\n"] + lines[2:]
+
+
+def _cut_mid_line(lines):
+    return lines[:50] + [lines[50][:10]]
+
+
+def _non_integer_mode(lines):
+    toks = lines[1].split()
+    return lines[:1] + [" ".join([toks[0] + ".9"] + toks[1:]) + "\n"] + lines[2:]
+
+
+def _drop_a_radial_line(lines):
+    # a cache cut after a few radial lines used to load with a short map
+    return lines[:-1]
+
+
+def _duplicate_a_radial_line(lines):
+    return lines[:-1] + [lines[-2]]
+
+
+def _cut_radial_line(lines):
+    return lines[:-1] + [" ".join(lines[-1].split()[:2]) + "\n"]
+
+
+@pytest.mark.parametrize("corrupt", [_cut_to_100_lines, _duplicate_a_mode,
+                                     _mode_outside_bound, _cut_mid_line,
+                                     _non_integer_mode, _drop_a_radial_line,
+                                     _duplicate_a_radial_line, _cut_radial_line])
+def test_corrupt_cache_rejected(tmp_path, table2, corrupt):
+    path = tmp_path / "cache.txt"
+    sym.save_table(table2, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(corrupt(lines)))
+    with pytest.raises(ValueError):
+        sym.load_table(path)
+
+
 def test_table_independent_midpoint_cartesian_check():
     # ten-mode spot check of Re lambda against the indicator midpoint rule
     k = normalize("sine", 2, horizon=0.35)
