@@ -96,10 +96,11 @@ def _tol(cfg, key, default):
 
 def _table_args(cfg):
     """Symbol-table build options from the tolerance config block."""
-    return {
-        "tol": _tol(cfg, "quad.tol", 1e-10),
-        "oversample": int(_tol(cfg, "quad.panels", 1)),
-    }
+    panels = cfg.get("tolerances", {}).get("quad.panels", 1)
+    if (isinstance(panels, bool) or not isinstance(panels, (int, float))
+            or not float(panels).is_integer()):
+        raise ConfigError(f"quad.panels must be a whole number, got {panels!r}")
+    return {"tol": _tol(cfg, "quad.tol", 1e-10), "oversample": int(panels)}
 
 
 def _seed(cfg, default=2024):

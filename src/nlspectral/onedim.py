@@ -127,10 +127,15 @@ def _endpoint_graded_edges(delta, extra=(), start=1e-7):
                   | {e for e in extra if 0.0 < e < delta})
 
 
-def _bond_rule(kernel, rho_fn, delta, extra=()):
-    """One-sided quadrature rule (nodes, weights) for int_0^delta rho(a)/a^2 g(a) da."""
+def _bond_rule(rho_fn, delta, extra=()):
+    """Mass and bond rule of rho from one evaluation on endpoint-graded panels.
+
+    Returns (mass, nodes, weights): the two-sided L1 mass 2 int_0^delta rho(a) da
+    and the one-sided rule for int_0^delta rho(a)/a^2 g(a) da.
+    """
     a, wa = quad.gl_panels(_endpoint_graded_edges(delta, extra), 32)
-    return a, wa * rho_fn(a) / (a * a)
+    wr = wa * rho_fn(a)
+    return 2.0 * float(np.sum(wr)), a, wr / (a * a)
 
 
 def rho_from_kernel(kernel, mesh_size=MESH_SIZE):
@@ -153,16 +158,8 @@ def rho_from_kernel(kernel, mesh_size=MESH_SIZE):
         r, _, _ = _rho_pointwise(kernel, np.atleast_1d(np.abs(a)))
         return r
 
-    mass = _rho_mass(rho_fn, delta)
-    nodes, weights = _bond_rule(kernel, rho_fn, delta)
+    mass, nodes, weights = _bond_rule(rho_fn, delta)
     return RhoKernel(delta, mesh, rho, kp, hp, mass, nodes, weights)
-
-
-def _rho_mass(rho_fn, delta, eps_break=None):
-    """Two-sided L1 mass 2 int_0^delta rho(a) da with endpoint-graded panels."""
-    extra = (eps_break,) if eps_break else ()
-    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, extra), 32)
-    return 2.0 * float(np.sum(wa * rho_fn(a)))
 
 
 def rho_regularized(kernel, eps_sequence=DEFAULT_EPS_SEQUENCE, mesh_size=MESH_SIZE):
@@ -194,8 +191,7 @@ def rho_regularized(kernel, eps_sequence=DEFAULT_EPS_SEQUENCE, mesh_size=MESH_SI
             r, _, _ = _rho_pointwise(_c, np.atleast_1d(np.abs(a)))
             return r
 
-        mass = _rho_mass(rho_fn, delta, eps_break=eps)
-        nodes, weights = _bond_rule(clamped, rho_fn, delta, extra=(eps,))
+        mass, nodes, weights = _bond_rule(rho_fn, delta, extra=(eps,))
         levels.append(RhoKernel(delta, mesh, rho, kp, hp, mass, nodes, weights,
                                 epsilon=eps))
     return levels, levels[-1]

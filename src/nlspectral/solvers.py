@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
+from .errors import KernelError
 from .fields import SpectralField, l2_norm
 from .symbols import local_table
 
@@ -20,11 +21,17 @@ _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _inv_abs2(table):
-    """1/|lambda|^2 with the pinned zero mode mapped to zero."""
+    """1/|lambda|^2 with the pinned zero mode xi = 0 mapped to zero.
+
+    Raises KernelError if lambda vanishes at any other mode.
+    """
     a2 = table.abs2()
-    out = np.zeros_like(a2)
-    nz = a2 > 0.0
-    out[nz] = 1.0 / a2[nz]
+    zero = (table.bound,) * table.dimension
+    a2[zero] = 1.0
+    if np.any(a2 == 0.0):
+        raise KernelError("degenerate symbol: lambda vanishes at a nonzero mode")
+    out = 1.0 / a2
+    out[zero] = 0.0
     return out
 
 

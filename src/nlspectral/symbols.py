@@ -11,10 +11,13 @@ with the radial factor
     Lambda(k) = int_{full ball} w_delta(|s|) (s.e/|s|) sin(k s.e) ds
 
 independent of both the orientation and the unit vector e.  Tables are
-filled by tensor quadrature vectorized over the lattice: frequencies are
-rotated into the orientation frame, integrated there, and the resulting
-vectors rotated back.  Conjugate symmetry lambda(-xi) = conj(lambda(xi))
-halves the work and holds exactly as computed.
+filled by tensor quadrature whose angular directions s_j = R s^_j are
+taken in the lattice frame (R the orientation frame matrix).  There
+exp(i r xi.s_j) is the product over coordinates of exp(i r xi_c s_jc), so
+the radial sum of Re lambda over a whole grid of modes is one complex
+matmul per direction: exact to rounding, with no rotation back.  Conjugate
+symmetry lambda(-xi) = conj(lambda(xi)) halves the work and holds exactly
+as computed.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +30,7 @@ from .errors import KernelError, QuadratureConvergenceError
 from .kernels import KernelSpec, from_config
 
 UNIT_TOL = 1e-14
-_CHUNK = 4_000_000  # max entries of a phase tensor chunk
+_CHUNK = 500_000  # max complex entries held per chunk of directions in _re_lambda
 
 
 @dataclass(frozen=True)
@@ -135,21 +138,36 @@ def _half_rule_arrays(kernel, nr, na):
     return r, vr, dirs, va
 
 
-def _re_lambda(kernel, xi_rot, nr, na):
-    """Real part of the symbol in the reference frame, vectorized over modes."""
+def _re_lambda(kernel, axes, frame, nr, na):
+    """Re lambda on the grid axes[0] x ... x axes[d-1], in the lattice frame.
+
+    With s_j = frame @ s^_j, exp(i r xi.s_j) = prod_c exp(i r xi_c s_jc): for
+    each direction j the radial sum sum_i vr_i exp(i r_i xi.s_j) over the
+    grid is the outer product of the first d - 1 coordinate factors
+    contracted over the radial nodes with the last one.  Its real part minus
+    sum vr is sum_i vr_i (cos(r_i xi.s_j) - 1).  Directions are taken in
+    chunks of at most _CHUNK complex entries; returns shape grid + (d,).
+    """
     r, vr, dirs, va = _half_rule_arrays(kernel, nr, na)
-    q_total, d = xi_rot.shape
-    out = np.empty((q_total, d))
-    proj = xi_rot @ dirs.T                      # (Q, J)
-    wdir = va[:, None] * dirs                   # (J, d)
-    chunk = max(1, _CHUNK // (len(r) * len(dirs)))
-    for lo in range(0, q_total, chunk):
-        hi = min(q_total, lo + chunk)
-        phase = r[None, :, None] * proj[lo:hi, None, :]
-        cosm1 = np.cos(phase)
-        cosm1 -= 1.0
-        out[lo:hi] = 2.0 * np.einsum("qij,i,jc->qc", cosm1, vr, wdir)
-    return out
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    shape = tuple(len(a) for a in axes)
+    d = len(axes)
+    s = dirs @ frame.T                          # (J, d) directions, lattice frame
+    ws = va[:, None] * s
+    lead = math.prod(shape[:-1])
+    out = np.zeros((math.prod(shape), d))
+    chunk = max(1, _CHUNK // (len(r) * (lead + shape[-1]) + math.prod(shape)))
+    for lo in range(0, len(s), chunk):
+        sc = s[lo:lo + chunk]
+        fac = [np.exp(1j * (sc[:, c, None, None] * axes[c][None, :, None]) * r)
+               for c in range(d)]               # (Jc, len(axes[c]), nr)
+        outer = fac[0] * vr
+        for f in fac[1:-1]:
+            outer = (outer[:, :, None, :] * f[:, None, :, :]).reshape(len(sc), -1, len(r))
+        g = np.matmul(outer, fac[-1].transpose(0, 2, 1)).real.reshape(len(sc), -1)
+        g -= np.sum(vr)
+        out += g.T @ ws[lo:lo + chunk]
+    return 2.0 * out.reshape(shape + (d,))
 
 
 def _full_ball(kernel, ks, nr, na, odd):
@@ -208,32 +226,33 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL,
     if len(n) != d:
         raise ValueError("orientation dimension does not match the kernel")
 
-    half = _positive_half(lattice_modes(bound, d)).astype(float)
+    half = _positive_half(lattice_modes(bound, d))
     kmax = kernel.horizon * math.sqrt(d) * bound
     nr, na = _node_counts(kernel, kmax, n_radial, n_angular)
     for _ in range(max(0, int(oversample) - 1)):
         nr, na = _bump(nr, na)
 
     R = quad.frame_matrix(n)
-    xi_rot = half @ R                 # coordinates of xi in the frame basis
-    q2 = np.rint(np.sum(half**2, axis=1)).astype(int)
+    # axis 0 over 0..N covers the positive half lattice
+    axes = [np.arange(bound + 1)] + [np.arange(-bound, bound + 1)] * (d - 1)
+    pick = (half[:, 0],) + tuple(half[:, 1:].T + bound)
+    q2 = np.sum(half**2, axis=1)
     q2_unique, q2_index = np.unique(q2, return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
 
-    re_frame, lam_rad = quad.settle(
-        lambda level: (_re_lambda(kernel, xi_rot, *level),
+    re_half, lam_rad = quad.settle(
+        lambda level: (_re_lambda(kernel, axes, R, *level)[pick],
                        _full_ball(kernel, ks, *level, odd=True)),
         _bumps(nr, na, max_bumps + 1), tol, f"symbol quadrature for N={bound}")
 
     rad_map = {int(q): float(v) for q, v in zip(q2_unique, lam_rad)}
-    re_abs = re_frame @ R.T
     norms = np.sqrt(q2.astype(float))
     im_abs = (lam_rad[q2_index] / norms)[:, None] * half
 
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
-    idx_pos = tuple((half + bound).astype(int).T)
-    idx_neg = tuple((-half + bound).astype(int).T)
-    val = re_abs + 1j * im_abs
+    idx_pos = tuple((half + bound).T)
+    idx_neg = tuple((-half + bound).T)
+    val = re_half + 1j * im_abs
     lam[idx_pos] = val
     lam[idx_neg] = np.conj(val)
 
@@ -354,13 +373,12 @@ def averaged_energy_density(kernel, xi, samples=64, tol=quad.DEFAULT_TOL):
     nr, na = _bump(nr, na)
     lam_rad = float(_full_ball(kernel, [k], nr, na, odd=True)[0])
     angles = 2.0 * math.pi * np.arange(samples) / samples
-    # rotate xi into each orientation frame instead of rotating the rule
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
-    xi_rot = np.stack(
-        [cos_a * xi[0] + sin_a * xi[1], -sin_a * xi[0] + cos_a * xi[1]], axis=1
-    )
-    re = _re_lambda(kernel, xi_rot, nr, na)
-    return lam_rad**2 + float(np.mean(np.sum(re**2, axis=1)))
+    re2 = [
+        np.sum(_re_lambda(kernel, ([xi[0]], [xi[1]]),
+                          quad.frame_matrix((math.cos(a), math.sin(a))), nr, na) ** 2)
+        for a in angles
+    ]
+    return lam_rad**2 + float(np.mean(re2))
 
 
 def verify_bounds(table):

@@ -149,6 +149,16 @@ def test_cli_panel_override_functional(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("panels, override", [
+    (1.9, []), (True, []), ("2", []), (1, ["--tol-override", "quad.panels=1.5"]),
+])
+def test_cli_non_integral_panels_exits_2(tmp_path, capsys, panels, override):
+    cfg = write_cfg(tmp_path, dict(SMALL_STOKES, tolerances={"quad.panels": panels}))
+    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o"), *override])
+    assert rc == 2
+    assert "quad.panels" in capsys.readouterr().err
+
+
 def test_cli_trajectory_subcommands(tmp_path):
     base = {
         "kernel": {"family": "constant", "dimension": 2, "delta": 0.1},

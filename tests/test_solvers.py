@@ -5,8 +5,9 @@ from nlspectral import fields as fl
 from nlspectral import normalize
 from nlspectral import operators as ops
 from nlspectral import solvers as sol
+from nlspectral.errors import KernelError
 from nlspectral.fields import l2_norm, s_norm
-from nlspectral.symbols import Orientation, build_table, local_table
+from nlspectral.symbols import Orientation, SymbolTable, build_table, local_table
 
 
 def test_stokes_gradient_forcing_gives_pure_pressure(table2):
@@ -28,6 +29,19 @@ def test_stokes_orthogonal_forcing_gives_pure_velocity(table2):
     assert l2_norm(s.pressure) <= 1e-14
     expect = fvec / float(np.sum(np.abs(lam) ** 2))
     np.testing.assert_allclose(s.velocity.at((1, 3)), expect, atol=1e-14)
+
+
+def test_stokes_rejects_degenerate_table(table2):
+    # a public table whose symbol vanishes at a nonzero mode must not give a
+    # plausible solution: only xi = 0 is pinned
+    lam = table2.lam.copy()
+    lam[tuple(np.array((3, -2)) + table2.bound)] = 0.0
+    bad = SymbolTable(table2.kernel, table2.orientation, table2.bound, lam,
+                      table2.lambda_radial_map, table2.tol)
+    f = fl.random_field(71, 8, 2.0, components=2)
+    with pytest.raises(KernelError, match="vanishes"):
+        sol.stokes_steady(bad, f)
+    sol.stokes_steady(table2, f)
 
 
 def test_stokes_residual_and_divergence(table2):

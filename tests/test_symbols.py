@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.special import j1
@@ -359,3 +360,107 @@ def test_high_frequency_reference_values():
     rep = sym.verify_bounds(tab)
     assert rep["max_ratio"] <= 2.0 * math.sqrt(2.0) + 1e-8
     assert rep["min_abs"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# lattice factorization of Re lambda against the direct cos sum
+# ---------------------------------------------------------------------------
+
+def _re_lambda_cos_sum(kernel, xi, frame, nr, na):
+    """Reference Re lambda at the modes xi (Q, d) in the lattice frame.
+
+    The direct sum 2 sum_ij vr_i va_j s^_j (cos(r_i xi.R s^_j) - 1) over one
+    cosine per (mode, radius, direction), taken in the orientation frame and
+    rotated back; chunked over modes to bound the phase tensor.
+    """
+    r, vr, dirs, va = sym._half_rule_arrays(kernel, nr, na)
+    proj = (np.asarray(xi, dtype=float) @ frame) @ dirs.T
+    wdir = va[:, None] * dirs
+    out = np.empty((len(proj), len(wdir[0])))
+    for lo in range(0, len(proj), 64):
+        cosm1 = np.cos(r[None, :, None] * proj[lo:lo + 64, None, :]) - 1.0
+        out[lo:lo + 64] = 2.0 * np.einsum("qij,i,jc->qc", cosm1, vr, wdir)
+    return out @ frame.T
+
+
+def _grid_modes(bound, d):
+    axes = [np.arange(bound + 1)] + [np.arange(-bound, bound + 1)] * (d - 1)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return axes, grid
+
+
+def _assert_factorized_matches_cos_sum(kernel, n, bound):
+    """_re_lambda over the half-lattice grid equals the cos sum to 1e-13 max|lambda|."""
+    d = kernel.dimension
+    frame = quad.frame_matrix(n)
+    axes, grid = _grid_modes(bound, d)
+    nr, na = sym._node_counts(kernel, kernel.horizon * math.sqrt(d) * bound)
+    got = sym._re_lambda(kernel, axes, frame, nr, na)
+    assert got.shape == tuple(len(a) for a in axes) + (d,)
+    ref = _re_lambda_cos_sum(kernel, grid, frame, nr, na)
+    ks = np.linalg.norm(grid, axis=1)
+    lam_rad = sym._full_ball(kernel, ks, nr, na, odd=True)
+    scale = float(np.max(np.sqrt(np.sum(ref**2, axis=1) + lam_rad**2)))
+    np.testing.assert_allclose(got.reshape(-1, d), ref, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
+@pytest.mark.parametrize("d, n, bound", [
+    (2, (math.cos(2.3), math.sin(2.3)), 9),
+    (3, (0.48, -0.6, 0.64), 5),
+])
+def test_re_lambda_factorization_matches_cos_sum(family, beta, d, n, bound):
+    kernel = normalize(family, d, beta=beta, horizon=0.3)
+    _assert_factorized_matches_cos_sum(kernel, np.array(n), bound)
+
+
+@pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
+def test_build_table_re_part_matches_cos_sum(family, beta):
+    # the table's real parts are the cos sum at one level of the settle ladder
+    kernel = normalize(family, 3, beta=beta, horizon=0.2)
+    n = sym.Orientation.from_vector([-0.3, 0.9, 0.2])
+    tab = sym.build_table(kernel, n, 4)
+    modes = sym.lattice_modes(4, 3)
+    nr, na = sym._node_counts(kernel, kernel.horizon * math.sqrt(3) * 4)
+    got = tab.lam[tuple((modes + 4).T)].real
+    scale = float(np.max(np.abs(tab.lam)))
+    assert any(
+        np.max(np.abs(got - _re_lambda_cos_sum(kernel, modes, quad.frame_matrix(n.vec),
+                                               *level))) <= 1e-13 * scale
+        for level in sym._bumps(nr, na, 4)
+    )
+
+
+@pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
+def test_averaged_energy_density_matches_cos_sum(family, beta):
+    kernel = normalize(family, 2, beta=beta, horizon=0.15)
+    xi = np.array([3.0, -7.0])
+    k = float(np.linalg.norm(xi))
+    nr, na = sym._bump(*sym._node_counts(kernel, kernel.horizon * k))
+    lam_rad = float(sym._full_ball(kernel, [k], nr, na, odd=True)[0])
+    re2 = [
+        np.sum(_re_lambda_cos_sum(kernel, xi[None, :],
+                                  quad.frame_matrix((math.cos(a), math.sin(a))), nr, na) ** 2)
+        for a in 2.0 * math.pi * np.arange(16) / 16
+    ]
+    ref = lam_rad**2 + float(np.mean(re2))
+    got = sym.averaged_energy_density(kernel, xi, samples=16)
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    fractional=st.booleans(),
+    beta=st.floats(1.0, 1.95),
+    delta=st.floats(0.02, 1.0),
+    angles=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi)),
+    bound=st.integers(1, 6),
+)
+def test_re_lambda_factorization_property(d, fractional, beta, delta, angles, bound):
+    a, b = angles
+    n = (np.array([math.cos(a), math.sin(a)]) if d == 2 else
+         np.array([math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]))
+    kernel = (normalize("fractional", d, beta=beta, horizon=delta) if fractional
+              else normalize("constant", d, horizon=delta))
+    _assert_factorized_matches_cos_sum(kernel, n, bound)
