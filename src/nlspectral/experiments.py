@@ -91,7 +91,11 @@ def _bound(cfg, default=None):
 
 
 def _tol(cfg, key, default):
-    return float(cfg.get("tolerances", {}).get(key, default))
+    value = cfg.get("tolerances", {}).get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value < math.inf):
+        raise ConfigError(f"{key} must be a positive number, got {value!r}")
+    return float(value)
 
 
 def _table_args(cfg):

@@ -10,8 +10,11 @@ matrix fields.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .results import mode_rows, write_text
 
 _MASK = (1 << 64) - 1
 
@@ -207,39 +210,28 @@ def to_csv(field, path):
     """Snapshot the coefficients: one row per lattice mode, Re/Im per component."""
     d = field.dimension
     modes = lattice_grid(field.bound, d).reshape(d, -1).T
-    flat = field.coeffs.reshape(len(modes), -1)
-    with open(path, "w", newline="\n") as fh:
-        heads = [f"xi{i + 1}" for i in range(d)]
-        for c in range(flat.shape[1]):
-            heads += [f"re{c + 1}", f"im{c + 1}"]
-        fh.write(",".join(heads) + "\n")
-        for mode, row in zip(modes, flat):
-            cells = [str(int(m)) for m in mode]
-            for z in row:
-                cells += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            fh.write(",".join(cells) + "\n")
+    heads = [f"xi{i + 1}" for i in range(d)]
+    for c in range(field.coeffs.size // len(modes)):
+        heads += [f"re{c + 1}", f"im{c + 1}"]
+    write_text(path, chain([",".join(heads) + "\n"], mode_rows(modes, field.coeffs, ",")))
 
 
 # ---------------------------------------------------------------------------
 # reproducible random fields
 # ---------------------------------------------------------------------------
 
-def _splitmix64(state):
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, (z ^ (z >> 31))
-
-
 def _uniforms(seed, count):
-    """Deterministic uniforms in [0, 1) from a 64-bit splitmix generator."""
-    out = np.empty(count)
-    state = seed & _MASK
-    for i in range(count):
-        state, z = _splitmix64(state)
-        out[i] = (z >> 11) * (1.0 / (1 << 53))
-    return out
+    """Deterministic uniforms in [0, 1) from a 64-bit splitmix generator.
+
+    State i (from 1) is seed + i * 0x9E3779B97F4A7C15 mod 2^64; each state is
+    mixed and its top 53 bits scaled to [0, 1), in uint64 arithmetic.
+    """
+    z = np.uint64(seed & _MASK) + np.arange(1, count + 1, dtype=np.uint64) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
 def random_field(seed, bound, decay, dimension=2, components=0):

@@ -24,6 +24,7 @@ import numpy as np
 from . import quadrature as quad
 from .errors import KernelError
 from .kernels import epsilon_cutoff, eval_kernel
+from .results import write_text
 
 # The clamp defect of the bond-kernel mass is the squared first moment of
 # the clamped kernel, 1 - beta eps^(2-beta) + O(eps^2), so the ladder must
@@ -64,10 +65,8 @@ class RhoKernel:
         return np.interp(np.abs(a), self.mesh, self.values)
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("a,rho\n")
-            for a, v in zip(self.mesh, self.values):
-                fh.write(f"{a:.17g},{v:.17g}\n")
+        cells = np.column_stack([self.mesh, self.values]).ravel().tolist()
+        write_text(path, "a,rho\n" + "%.17g,%.17g\n" * len(self.mesh) % tuple(cells))
 
 
 def _cross_edges(kernel, a, top):

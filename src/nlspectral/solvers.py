@@ -152,9 +152,12 @@ def stokes_evolve(table, u0, forcing, times, div_tol=1e-10):
     states = [u0.copy()]
     pressures = []
     u = u0.coeffs.astype(complex)
+    last_dt = None
     for t0, t1 in zip(times[:-1], times[1:]):
+        dt = t1 - t0
         f = _forcing_at(forcing, t0, u0)
-        decay = np.exp(-a2 * (t1 - t0))
+        if dt != last_dt:  # a uniform grid computes the decay once
+            last_dt, decay = dt, np.exp(-a2 * dt)
         u = decay * u
         if f is not None:
             pf = np.einsum("...ij,...j->...i", P, f.coeffs)
@@ -163,7 +166,7 @@ def stokes_evolve(table, u0, forcing, times, div_tol=1e-10):
     for t in times:
         f = _forcing_at(forcing, t, u0)
         if f is None:
-            p = np.zeros(table.abs2().shape, dtype=complex)
+            p = np.zeros(inv.shape, dtype=complex)
         else:
             p = np.einsum("...i,...i->...", lam_h, f.coeffs) * inv
         pressures.append(SpectralField(u0.bound, u0.dimension, p, real=u0.real))
@@ -328,10 +331,19 @@ class NavierModeDecomposition:
     b: np.ndarray
     nonzero: np.ndarray
 
+    def split(self, coeffs):
+        """(Pi c, c - Pi c), the parts of c in the two eigenspaces of P."""
+        pc = np.einsum("...ij,...j->...i", self.Pi, coeffs)
+        return pc, coeffs - pc
+
+    @staticmethod
+    def combine(fa, fb, parts):
+        """fa Pi c + fb (c - Pi c) from parts = split(c)."""
+        return fa[..., None] * parts[0] + fb[..., None] * parts[1]
+
     def apply(self, fa, fb, coeffs):
         """phi(P) coeffs for the scalar spectra fa = phi(a), fb = phi(b)."""
-        pc = np.einsum("...ij,...j->...i", self.Pi, coeffs)
-        return fa[..., None] * pc + fb[..., None] * (coeffs - pc)
+        return self.combine(fa, fb, self.split(coeffs))
 
 
 def navier_decompose(table, mu, lam_lame):
@@ -408,19 +420,25 @@ def navier_evolve(dec, g, h, forcing, times):
     states, rates = [SpectralField(g.bound, g.dimension, u.copy(), real=g.real)], [
         SpectralField(g.bound, g.dimension, v.copy(), real=h.real)
     ]
+    last_dt = None
     for t0, t1 in zip(times[:-1], times[1:]):
         dt = t1 - t0
         f = _forcing_at(forcing, t0, g)
-        ca, cb = np.cos(wa * dt), np.cos(wb * dt)
-        # sin(w dt)/w with the w -> 0 limit dt (zero mode only)
-        sa = np.where(wa > 0.0, np.sin(wa * dt) / np.where(wa > 0.0, wa, 1.0), dt)
-        sb = np.where(wb > 0.0, np.sin(wb * dt) / np.where(wb > 0.0, wb, 1.0), dt)
-        u_new = dec.apply(ca, cb, u) + dec.apply(sa, sb, v)
-        v_new = dec.apply(-wa * np.sin(wa * dt), -wb * np.sin(wb * dt), u) \
-            + dec.apply(ca, cb, v)
+        if dt != last_dt:  # a uniform grid computes cos/sin once
+            last_dt = dt
+            ca, cb = np.cos(wa * dt), np.cos(wb * dt)
+            sin_a, sin_b = np.sin(wa * dt), np.sin(wb * dt)
+            # sin(w dt)/w with the w -> 0 limit dt (zero mode only)
+            sa = np.where(wa > 0.0, sin_a / np.where(wa > 0.0, wa, 1.0), dt)
+            sb = np.where(wb > 0.0, sin_b / np.where(wb > 0.0, wb, 1.0), dt)
+            ma, mb = -wa * sin_a, -wb * sin_b
+        pu, pv = dec.split(u), dec.split(v)
+        u_new = dec.combine(ca, cb, pu) + dec.combine(sa, sb, pv)
+        v_new = dec.combine(ma, mb, pu) + dec.combine(ca, cb, pv)
         if f is not None:
-            u_new = u_new + dec.apply((1.0 - ca) * inva, (1.0 - cb) * invb, f.coeffs)
-            v_new = v_new + dec.apply(sa * dec.a * inva, sb * dec.b * invb, f.coeffs)
+            pf = dec.split(f.coeffs)
+            u_new = u_new + dec.combine((1.0 - ca) * inva, (1.0 - cb) * invb, pf)
+            v_new = v_new + dec.combine(sa * dec.a * inva, sb * dec.b * invb, pf)
         u, v = u_new, v_new
         states.append(SpectralField(g.bound, g.dimension, u.copy(), real=g.real))
         rates.append(SpectralField(g.bound, g.dimension, v.copy(), real=g.real))

@@ -21,6 +21,7 @@ as computed.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 import math
 
 import numpy as np
@@ -28,9 +29,10 @@ import numpy as np
 from . import quadrature as quad
 from .errors import KernelError, QuadratureConvergenceError
 from .kernels import KernelSpec, from_config
+from .results import mode_rows, write_text
 
 UNIT_TOL = 1e-14
-_CHUNK = 500_000  # max complex entries held per chunk of directions in _re_lambda
+_CHUNK = 500_000  # max entries per chunk of directions (_re_lambda) or magnitudes (_full_ball)
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,8 @@ def _full_ball(kernel, ks, nr, na, odd):
     Lambda(k) = int w_delta (s.e/|s|) sin(k s.e) ds and m(k) = int w_delta
     (cos(k s.e) - 1) ds.  2D reduces to four quarter-disk integrals, 3D to
     the polar integral of the sphere with the azimuth integrated out.
+    Magnitudes go in chunks of at most _CHUNK phase entries, each summed on
+    its own.
     """
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
     n = na if isinstance(na, int) else na[0]
@@ -188,10 +192,22 @@ def _full_ball(kernel, ks, nr, na, odd):
         c = np.cos(phi)
         front = 2.0 * math.pi
     ks = np.asarray(ks, dtype=float)
-    phase = ks[:, None, None] * r[None, :, None] * c[None, None, :]
-    if odd:
-        return front * np.einsum("kij,i,j->k", np.sin(phase), vr, va * c)
-    return front * np.einsum("kij,i,j->k", np.cos(phase) - 1.0, vr, va)
+    wa = va * c if odd else va
+    out = np.empty(len(ks))
+    step = max(1, _CHUNK // (len(r) * len(c)))
+    buf = np.empty((min(step, len(ks)), len(r), len(c)))   # reused: no page faults per chunk
+    for lo in range(0, len(ks), step):
+        kc = ks[lo:lo + step, None, None]
+        part = buf[:len(kc)]
+        np.multiply(kc, r[None, :, None], out=part)
+        part *= c                       # (k r) c, the rounding of the unchunked phase
+        if odd:
+            np.sin(part, out=part)
+        else:
+            np.cos(part, out=part)
+            part -= 1.0
+        out[lo:lo + step] = np.einsum("kij,i,j->k", part, vr, wa)
+    return front * out
 
 
 def _bump(nr, na):
@@ -411,41 +427,39 @@ def save_table(table, path):
         f"beta={'' if k.beta is None else repr(k.beta)} delta={k.horizon!r} "
         f"n={','.join(repr(float(c)) for c in table.orientation.vec)} tol={table.tol!r}"
     )
-    lines = [hdr]
     modes = lattice_modes(table.bound, table.dimension)
-    for mode in modes:
-        lam = table.lam_at(mode)
-        nums = []
-        for comp in lam:
-            nums.append(f"{comp.real:.17g}")
-            nums.append(f"{comp.imag:.17g}")
-        lines.append(" ".join([*(str(int(c)) for c in mode), *nums]))
-    for q, v in sorted(table.lambda_radial_map.items()):
-        lines.append(f"L {q} {v:.17g}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    body = mode_rows(modes, table.lam[tuple((modes + table.bound).T)], " ")
+    radial = sorted(table.lambda_radial_map.items())
+    tail = "L %d %.17g\n" * len(radial) % tuple(x for qv in radial for x in qv)
+    write_text(path, chain([hdr + "\n"], body, [tail]))
 
 
 def load_table(path):
     """Read a cache written by save_table, all or nothing.
 
-    Raises ValueError unless every nonzero lattice mode and the radial factor
-    of every |xi|^2 of the lattice are listed exactly once, and KernelError if
-    a loaded symbol fails the table validation.
+    Raises ValueError unless the header is complete and well formed and every
+    nonzero lattice mode and the radial factor of every |xi|^2 of the lattice
+    are listed exactly once, and KernelError if a loaded symbol fails the
+    table validation.
     """
     with open(path) as fh:
         lines = [ln for ln in fh if ln.strip()]
-    hdr = lines[0]
-    if not hdr.startswith("# nlspectral-symbols"):
+    if not lines or not lines[0].startswith("# nlspectral-symbols"):
         raise ValueError(f"not a symbol cache: {path}")
-    fields = dict(tok.split("=", 1) for tok in hdr.split()[2:])
-    d = int(fields["d"])
-    bound = int(fields["N"])
-    cfg = {"family": fields["family"], "dimension": d, "delta": float(fields["delta"])}
-    if fields.get("beta"):
-        cfg["beta"] = float(fields["beta"])
-    kernel = from_config(cfg)
-    orientation = Orientation(np.array([float(c) for c in fields["n"].split(",")]))
+    try:
+        fields = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        d = int(fields["d"])
+        bound = int(fields["N"])
+        cfg = {"family": fields["family"], "dimension": d, "delta": float(fields["delta"])}
+        if fields["beta"]:
+            cfg["beta"] = float(fields["beta"])
+        kernel = from_config(cfg)
+        orientation = Orientation(np.array([float(c) for c in fields["n"].split(",")]))
+        tol = float(fields["tol"])
+        if bound < 1 or orientation.dimension != d:
+            raise ValueError(f"N={bound} and n={fields['n']} do not fit d={d}")
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"symbol cache {path} has a malformed header") from exc
     radial, rows = [], []
     for ln in lines[1:]:
         toks = ln.split()
@@ -468,6 +482,6 @@ def load_table(path):
         raise ValueError(f"symbol cache {path} lacks or repeats a radial line of N={bound}")
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
     lam[tuple(idx.T)] = np.ascontiguousarray(body[:, d:]).view(complex)
-    table = SymbolTable(kernel, orientation, bound, lam, rad, float(fields["tol"]))
+    table = SymbolTable(kernel, orientation, bound, lam, rad, tol)
     _validate(table)
     return table

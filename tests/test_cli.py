@@ -5,7 +5,7 @@ import pytest
 
 from nlspectral import cli
 from nlspectral.errors import ConfigError
-from nlspectral.experiments import fit_slope
+from nlspectral.experiments import _tol, fit_slope
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -213,3 +213,28 @@ def test_cli_symbols_cache_files(tmp_path):
     from nlspectral.symbols import load_table
     back = load_table(caches[0])
     assert back.bound == 4
+
+
+@pytest.mark.parametrize("key, tol", [
+    ("quad.tol", True), ("quad.tol", False), ("quad.tol", "1e-10"), ("quad.tol", 0),
+    ("quad.tol", -1e-10), ("quad.tol", None),
+])
+def test_cli_bad_tolerance_exits_2(tmp_path, capsys, key, tol):
+    cfg = write_cfg(tmp_path, dict(SMALL_STOKES, tolerances={key: tol}))
+    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "probe.csv").exists()
+
+
+def test_cli_nan_tolerance_override_exits_2(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_STOKES)
+    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--tol-override", "quad.tol=nan"])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("tol", [True, "1e-12", 0.0, float("inf"), [1e-12]])
+def test_residual_tolerance_validated(tol):
+    with pytest.raises(ConfigError, match="residual"):
+        _tol({"tolerances": {"residual": tol}}, "residual", 1e-12)

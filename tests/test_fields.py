@@ -70,6 +70,41 @@ def test_random_field_deterministic():
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
+_MASK = (1 << 64) - 1
+
+
+def _uniforms_reference(seed, count):
+    """The scalar splitmix64 walk, one Python-int state at a time."""
+    out = np.empty(count)
+    state = seed & _MASK
+    for i in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        out[i] = ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
+    return out
+
+
+SEEDS = [0, 1, 2**63 + 5, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniforms_match_scalar_splitmix(seed):
+    np.testing.assert_array_equal(fl._uniforms(seed, 5000), _uniforms_reference(seed, 5000))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dimension, bound", [(1, 9), (2, 5), (3, 3)])
+@pytest.mark.parametrize("vector", [False, True])
+def test_random_field_matches_scalar_splitmix(monkeypatch, seed, dimension, bound, vector):
+    components = dimension if vector else 0
+    fast = fl.random_field(seed, bound, 1.5, dimension, components)
+    monkeypatch.setattr(fl, "_uniforms", _uniforms_reference)
+    ref = fl.random_field(seed, bound, 1.5, dimension, components)
+    np.testing.assert_array_equal(fast.coeffs, ref.coeffs)
+
+
 def test_random_field_flat_spectrum_populates_all_modes():
     u = fl.random_field(3, 8, 0.0)
     modes = lattice_modes(8, 2)

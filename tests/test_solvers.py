@@ -368,3 +368,88 @@ def test_helmholtz_outputs_real_for_real_input(table2):
         assert part.real
         herm = part.coeffs - np.conj(part.coeffs[::-1, ::-1])
         assert np.max(np.abs(herm)) <= 1e-14
+
+
+def _navier_evolve_reference(dec, g, h, forcing, times):
+    """Per-step navier_evolve: four projections and fresh cos/sin every step."""
+    wa, wb = np.sqrt(dec.a), np.sqrt(dec.b)
+    inva, invb = np.zeros_like(dec.a), np.zeros_like(dec.b)
+    inva[dec.nonzero] = 1.0 / dec.a[dec.nonzero]
+    invb[dec.nonzero] = 1.0 / dec.b[dec.nonzero]
+    u, v = g.coeffs.astype(complex), h.coeffs.astype(complex)
+    states, rates = [u.copy()], [v.copy()]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        dt = t1 - t0
+        ca, cb = np.cos(wa * dt), np.cos(wb * dt)
+        sa = np.where(wa > 0.0, np.sin(wa * dt) / np.where(wa > 0.0, wa, 1.0), dt)
+        sb = np.where(wb > 0.0, np.sin(wb * dt) / np.where(wb > 0.0, wb, 1.0), dt)
+        u_new = dec.apply(ca, cb, u) + dec.apply(sa, sb, v)
+        v_new = dec.apply(-wa * np.sin(wa * dt), -wb * np.sin(wb * dt), u) \
+            + dec.apply(ca, cb, v)
+        if forcing is not None:
+            f = forcing(t0).coeffs
+            u_new = u_new + dec.apply((1.0 - ca) * inva, (1.0 - cb) * invb, f)
+            v_new = v_new + dec.apply(sa * dec.a * inva, sb * dec.b * invb, f)
+        u, v = u_new, v_new
+        states.append(u.copy())
+        rates.append(v.copy())
+    return states, rates
+
+
+def _stokes_evolve_reference(table, u0, forcing, times):
+    """Per-step stokes_evolve: a fresh exp(-a2 dt) every step."""
+    a2, inv, P = table.abs2()[..., None], sol._inv_abs2(table), sol.leray_matrix(table)
+    u = u0.coeffs.astype(complex)
+    states = [u.copy()]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        decay = np.exp(-a2 * (t1 - t0))
+        u = decay * u
+        if forcing is not None:
+            pf = np.einsum("...ij,...j->...i", P, forcing(t0).coeffs)
+            u = u + (1.0 - decay) * inv[..., None] * pf
+        states.append(u.copy())
+    return states
+
+
+# non-uniform, with a run of equal steps and a repeated time (dt = 0); and
+# linspace grids whose step is not dyadic, so successive dt differ in the last bits
+_GRIDS = [np.array([0.0, 0.013, 0.05, 0.05, 0.11, 0.17, 0.23, 0.29, 0.5, 0.61]),
+          np.linspace(0.0, 1.0, 11), np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.2, 5)]
+
+
+def _forcing(t):
+    return fl.random_field(int(1000 * t) + 3, 8, 2.0, components=2) * (1.0 + t)
+
+
+@pytest.mark.parametrize("times", _GRIDS)
+@pytest.mark.parametrize("forcing", [None, _forcing])
+def test_navier_evolve_matches_per_step_reference(table2, forcing, times):
+    dec = sol.navier_decompose(table2, 1.0, 0.5)
+    g = fl.random_field(40, 8, 2.0, components=2)
+    h = fl.random_field(41, 8, 2.0, components=2)
+    traj = sol.navier_evolve(dec, g, h, forcing, times)
+    states, rates = _navier_evolve_reference(dec, g, h, forcing, times)
+    assert len(traj.states) == len(states) == len(times)
+    for got, want in zip(traj.states + traj.extras["rates"], states + rates):
+        np.testing.assert_array_equal(got.coeffs, want)
+
+
+@pytest.mark.parametrize("times", _GRIDS)
+@pytest.mark.parametrize("forcing", [None, _forcing])
+def test_stokes_evolve_matches_per_step_reference(table2, forcing, times):
+    u0 = sol.leray_project(table2, fl.random_field(42, 8, 2.0, components=2))
+    traj = sol.stokes_evolve(table2, u0, forcing, times)
+    states = _stokes_evolve_reference(table2, u0, forcing, times)
+    assert len(traj.states) == len(states)
+    for got, want in zip(traj.states, states):
+        np.testing.assert_array_equal(got.coeffs, want)
+
+
+def test_navier_split_parts(table2):
+    dec = sol.navier_decompose(table2, 1.0, 1.0)
+    c = fl.random_field(43, 8, 1.0, components=2).coeffs
+    pc, qc = dec.split(c)
+    np.testing.assert_array_equal(qc, c - pc)
+    np.testing.assert_allclose(dec.split(pc)[1], 0.0, atol=1e-15)
+    np.testing.assert_array_equal(dec.apply(dec.a, dec.b, c),
+                                  dec.combine(dec.a, dec.b, (pc, qc)))

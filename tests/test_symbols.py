@@ -282,10 +282,48 @@ def _cut_radial_line(lines):
     return lines[:-1] + [" ".join(lines[-1].split()[:2]) + "\n"]
 
 
+def _empty_file(lines):
+    return []
+
+
+def _header_only(lines):
+    return lines[:1]
+
+
+def _header_without_tol(lines):
+    return [lines[0].replace(" tol=", " tolerance=")] + lines[1:]
+
+
+def _header_without_beta(lines):
+    return [lines[0].replace(" beta=", " ")] + lines[1:]
+
+
+def _header_bad_dimension(lines):
+    return [lines[0].replace(" d=2 ", " d=two ")] + lines[1:]
+
+
+def _header_token_without_value(lines):
+    return [lines[0].replace(" family=", " family ")] + lines[1:]
+
+
+def _header_zero_bound(lines):
+    return [lines[0].replace(" N=8 ", " N=0 ")] + lines[1:]
+
+
+def _header_short_orientation(lines):
+    hdr = lines[0].split()
+    hdr = [tok if not tok.startswith("n=") else tok.split(",")[0] for tok in hdr]
+    return [" ".join(hdr) + "\n"] + lines[1:]
+
+
 @pytest.mark.parametrize("corrupt", [_cut_to_100_lines, _duplicate_a_mode,
                                      _mode_outside_bound, _cut_mid_line,
                                      _non_integer_mode, _drop_a_radial_line,
-                                     _duplicate_a_radial_line, _cut_radial_line])
+                                     _duplicate_a_radial_line, _cut_radial_line,
+                                     _empty_file, _header_only, _header_without_tol,
+                                     _header_without_beta, _header_bad_dimension,
+                                     _header_token_without_value, _header_zero_bound,
+                                     _header_short_orientation])
 def test_corrupt_cache_rejected(tmp_path, table2, corrupt):
     path = tmp_path / "cache.txt"
     sym.save_table(table2, path)
@@ -464,3 +502,30 @@ def test_re_lambda_factorization_property(d, fractional, beta, delta, angles, bo
     kernel = (normalize("fractional", d, beta=beta, horizon=delta) if fractional
               else normalize("constant", d, horizon=delta))
     _assert_factorized_matches_cos_sum(kernel, n, bound)
+
+
+def _full_ball_unchunked(kernel, ks, nr, na, odd):
+    """_full_ball with the whole K x nr x na phase tensor held at once."""
+    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
+    if kernel.dimension == 2:
+        theta, va = quad.quarter_angles_2d(na)
+        c, front = np.cos(theta), 4.0
+    else:
+        phi, va = quad.sphere_polar_rule(na[0])
+        c, front = np.cos(phi), 2.0 * math.pi
+    phase = np.asarray(ks)[:, None, None] * r[None, :, None] * c[None, None, :]
+    if odd:
+        return front * np.einsum("kij,i,j->k", np.sin(phase), vr, va * c)
+    return front * np.einsum("kij,i,j->k", np.cos(phase) - 1.0, vr, va)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+@pytest.mark.parametrize("d, na", [(2, 61), (3, (47, 90))])
+@pytest.mark.parametrize("chunk", [None, 1, 7 * 40 * 61 + 5])
+def test_full_ball_chunks_match_unchunked(monkeypatch, odd, d, na, chunk):
+    kernel = normalize("fractional", d, horizon=0.1, beta=1.5)
+    ks = np.sqrt(np.arange(1, 1500, dtype=float))
+    if chunk is not None:
+        monkeypatch.setattr(sym, "_CHUNK", chunk)
+    got = sym._full_ball(kernel, ks, 40, na, odd)
+    np.testing.assert_array_equal(got, _full_ball_unchunked(kernel, ks, 40, na, odd))
