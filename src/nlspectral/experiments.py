@@ -84,9 +84,9 @@ def _deltas(cfg):
 
 
 def _bound(cfg, default=None):
-    n = int(cfg.get("bound", default) or 0)
-    if n < 2:
-        raise ConfigError("lattice bound must be at least 2")
+    n = cfg.get("bound", default)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ConfigError(f"lattice bound must be a whole number of at least 2, got {n!r}")
     return n
 
 

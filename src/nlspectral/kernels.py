@@ -70,7 +70,7 @@ class KernelSpec:
             out[inside] = 1.0
         elif self.family == FRACTIONAL:
             with np.errstate(divide="ignore"):
-                out[inside] = np.power(rho[inside], -self.beta)
+                out = np.where(inside, np.power(rho, -self.beta), 0.0)
         elif self.family == SINE:
             out[inside] = (math.pi / 2.0) * np.sin(math.pi * rho[inside])
         elif self.family == TABULATED:

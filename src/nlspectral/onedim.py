@@ -23,14 +23,16 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import KernelError
-from .kernels import epsilon_cutoff, eval_kernel
+from .kernels import FRACTIONAL, epsilon_cutoff, eval_kernel
 from .results import write_text
+from .symbols import _CHUNK
 
 # The clamp defect of the bond-kernel mass is the squared first moment of
 # the clamped kernel, 1 - beta eps^(2-beta) + O(eps^2), so the ladder must
 # descend to ~5e-7 for the mass to land within 1e-6 of one at beta = 1.
 DEFAULT_EPS_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 5e-7)
 MESH_SIZE = 2048
+_NODES = 32   # Gauss-Legendre nodes per panel of the cross term
 
 
 def graded_mesh(delta, size=MESH_SIZE):
@@ -69,53 +71,74 @@ class RhoKernel:
         write_text(path, "a,rho\n" + "%.17g,%.17g\n" * len(self.mesh) % tuple(cells))
 
 
-def _cross_edges(kernel, a, top):
-    """Panel edges resolving both factors of w(b) w(a+b) on (0, top).
+def _edge_matrix(kernel, a, top):
+    """Panel edges resolving both factors of w(b) w(a+b) on (0, top), a row per a.
 
     Clamped singular profiles vary over decades above the clamp radius, so
     the edges grow geometrically away from the clamp (in both the b and the
-    a+b coordinate); smooth profiles only need their breakpoints.
+    a+b coordinate); smooth profiles only need their breakpoints.  Row i
+    holds 0, the distinct edges inside (0, top_i) in increasing order and
+    top_i, padded with copies of top_i; returns the rows and their edge
+    counts.  Requires top > 0.
     """
     delta = kernel.horizon
-    breaks = [delta * r for r in kernel.breakpoints()]
-    pts = {0.0, top}
-    for e in breaks:
-        if 0.0 < e < top:
-            pts.add(e)
-        if 0.0 < e - a < top:
-            pts.add(e - a)
-    if kernel.family == "fractional" and kernel.cutoff_rho > 0.0:
+    cols = [top]
+    for e in (delta * r for r in kernel.breakpoints()):
+        cols += [np.full_like(a, e), e - a]
+    if kernel.family == FRACTIONAL and kernel.cutoff_rho > 0.0:
         eps = kernel.cutoff_rho * delta
-        for anchor in (eps, eps - a):
-            if anchor <= 0.0:
-                anchor = min(eps, top) * 0.5
-            for g in quad.geometric_edges(anchor, top):
-                if 0.0 < g < top:
-                    pts.add(g)
-    return sorted(pts)
+        for anchor in (np.full_like(a, eps), eps - a):
+            anchor = np.where(anchor <= 0.0, np.minimum(eps, top) * 0.5, anchor)
+            # doubling is exact, so column k is the k-th doubling of the anchor
+            k = np.arange(max(1, int(np.max(np.ceil(np.log2(top / anchor)))) + 1))
+            cols.append(anchor[:, None] * 2.0**k)
+    top = top[:, None]
+    edges = np.column_stack(cols)
+    edges = np.sort(np.where((edges > 0.0) & (edges < top), edges, top), axis=1)
+    edges[:, 1:] = np.where(edges[:, 1:] == edges[:, :-1], top, edges[:, 1:])
+    edges = np.sort(edges, axis=1)
+    counts = np.sum(edges < top, axis=1) + 2
+    return np.column_stack([np.zeros_like(a), edges]), counts
+
+
+def _cross_integral(kernel, a, edges):
+    """int w(b) w(a+b) db over the panels of each row of edges, GL per panel.
+
+    Zero-width panels (padding) get zero weight; the nodes and weights of
+    the others are those of ``quad.gl_panels`` on the row.
+    """
+    x, w = quad.legendre(_NODES)
+    lo, hi = edges[:, :-1, None], edges[:, 1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    b = (mid + half * x).reshape(len(a), -1)
+    wb = (half * w).reshape(len(a), -1)
+    return np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a[:, None] + b), axis=1)
 
 
 def _rho_pointwise(kernel, a_values):
-    """rho(a), k-part and h-part at the given abscissae, by panel quadrature."""
+    """rho(a), k-part and h-part at the given abscissae, by panel quadrature.
+
+    The cross term is evaluated in blocks of abscissae: rows with the same
+    number of panel edges share one (rows, panels, nodes) array, of at most
+    _CHUNK entries.  Abscissae at or beyond the horizon have no cross term.
+    """
     delta = kernel.horizon
     wmass = quad.integrate_interval(kernel, 0.0, delta, lambda s: np.ones_like(s),
                                     tol=1e-12)
-    w_at = eval_kernel(kernel, a_values)
-    rho = np.empty_like(a_values)
-    kp = np.empty_like(a_values)
-    hp = np.empty_like(a_values)
-    for i, a in enumerate(a_values):
-        top = delta - a
-        kp[i] = 2.0 * a * a * w_at[i] * wmass
-        if top <= 0.0:
-            hp[i] = 0.0
-            rho[i] = kp[i]
-            continue
-        b, wb = quad.gl_panels(_cross_edges(kernel, a, top), 32)
-        cross = float(np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a + b)))
-        hp[i] = -2.0 * a * a * cross
-        rho[i] = kp[i] + hp[i]
-    return rho, kp, hp
+    kp = 2.0 * a_values * a_values * eval_kernel(kernel, a_values) * wmass
+    hp = np.zeros_like(kp)
+    live = np.flatnonzero(delta - a_values > 0.0)
+    a = a_values[live]
+    cross = np.empty_like(a)
+    if len(a):
+        edges, counts = _edge_matrix(kernel, a, delta - a)
+        for c in np.unique(counts):
+            rows = np.flatnonzero(counts == c)
+            step = max(1, _CHUNK // ((c - 1) * _NODES))
+            for r in (rows[i:i + step] for i in range(0, len(rows), step)):
+                cross[r] = _cross_integral(kernel, a[r], edges[r, :c])
+    hp[live] = -2.0 * a * a * cross
+    return kp + hp, kp, hp
 
 
 def _endpoint_graded_edges(delta, extra=(), start=1e-7):
@@ -234,9 +257,10 @@ def bond_energy(rho, u, grid=512):
     """Bond-form energy 2 int_0^delta rho(a) int |(u(x+a)-u(x))/a|^2 dx/(2pi) da.
 
     The x-integral is a uniform trapezoid over the period (exact for
-    band-limited integrands); u is sampled by direct mode summation.  The
-    result is comparable with one_sided_energy, both in coefficient
-    normalization.  No Fourier symbol enters this path.
+    band-limited integrands); u is sampled by direct mode summation, in
+    blocks of bond nodes of at most _CHUNK (x, a, mode) entries.  The result
+    is comparable with one_sided_energy, both in coefficient normalization.
+    No Fourier symbol enters this path.
     """
     from .fields import evaluate_at
 
@@ -245,9 +269,15 @@ def bond_energy(rho, u, grid=512):
     x = -np.pi + 2.0 * np.pi * np.arange(grid) / grid
     a, wa = rho.nodes, rho.weights
     ux = evaluate_at(u, x[:, None])
-    uxa = evaluate_at(u, (x[:, None] + a[None, :])[..., None])
-    diff2 = np.abs(uxa - ux[:, None]) ** 2
-    x_mean = np.mean(diff2, axis=0)
+    x_mean = np.empty(len(a))
+    # even blocks, so none holds a single node (at least 4 per block): the
+    # x-mean of one column is summed pairwise, of wider blocks row by row
+    count = -(-len(a) // max(4, _CHUNK // (grid * u.coeffs.size)))
+    bounds = [i * len(a) // count for i in range(count + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        uxa = evaluate_at(u, (x[:, None] + a[None, lo:hi])[..., None])
+        diff2 = np.abs(uxa - ux[:, None]) ** 2
+        x_mean[lo:hi] = np.mean(diff2, axis=0)
     return 2.0 * float(np.sum(wa * x_mean))
 
 

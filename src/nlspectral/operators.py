@@ -13,6 +13,7 @@ import numpy as np
 from . import quadrature as quad
 from .fields import SpectralField
 from .errors import KernelError
+from .symbols import _CHUNK
 
 
 def _check(table, field, components=None):
@@ -159,24 +160,24 @@ def double_symbol_direct(gamma, eta, xi):
 
     Integrates the four-point combination cos(xi(y+r)) - 1 - cos(xi r) +
     cos(xi y) over the product of the two windows; used as the independent
-    side of the factorization check.
+    side of the factorization check.  The frequencies go in blocks of at
+    most _CHUNK (xi, y, r) entries.
     """
     x, w = quad.legendre(96)
     r = 0.5 * eta.epsilon * (x + 1.0)
     wr = 0.5 * eta.epsilon * w * eta.profile(r)
     y, wy = gamma.nodes, gamma.weights
     xi = np.asarray(xi, dtype=float)
-    ky = np.multiply.outer(xi, y)
-    kr = np.multiply.outer(xi, r)
-    # two-sided in both variables via even symmetry of the windows
-    four = (
-        np.cos(ky[..., :, None] + kr[..., None, :])
-        + np.cos(ky[..., :, None] - kr[..., None, :])
-        - 2.0
-        - 2.0 * np.cos(kr)[..., None, :]
-        + 2.0 * np.cos(ky)[..., :, None]
-    )
-    return 2.0 * np.einsum("...yr,y,r->...", four, wy, wr)
+    flat = xi.reshape(-1)
+    out = np.empty(len(flat))
+    step = max(1, _CHUNK // (len(y) * len(r)))
+    for lo in range(0, len(flat), step):
+        ky = np.multiply.outer(flat[lo:lo + step], y)[:, :, None]
+        kr = np.multiply.outer(flat[lo:lo + step], r)[:, None, :]
+        # two-sided in both variables via even symmetry of the windows
+        four = np.cos(ky + kr) + np.cos(ky - kr) - 2.0 - 2.0 * np.cos(kr) + 2.0 * np.cos(ky)
+        out[lo:lo + step] = 2.0 * np.einsum("kyr,y,r->k", four, wy, wr)
+    return out.reshape(xi.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -308,18 +308,6 @@ def integrate_halfball(kernel, orientation, f, tol=DEFAULT_TOL, panels=1,
                   "half-ball quadrature")
 
 
-def refinement_errors(kernel, orientation, f, panel_list, n_radial=24, n_angular=None):
-    """Self-reported error estimates |I(p) - I(p_prev)| along a panel ladder."""
-    vals = []
-    for p in panel_list:
-        rule = halfball_rule(kernel, p, n_radial, n_angular)
-        vals.append(_evaluate_halfball(kernel, orientation, f, rule))
-    return [
-        float(np.max(np.abs(np.asarray(b) - np.asarray(a))))
-        for a, b in zip(vals[:-1], vals[1:])
-    ]
-
-
 # ---------------------------------------------------------------------------
 # 1D panel quadrature
 # ---------------------------------------------------------------------------
@@ -366,48 +354,3 @@ def integrate_interval(kernel, a, b, f, tol=1e-8, panels=1, max_doublings=6,
     return settle(evaluate, (panels * 2**i for i in range(max_doublings + 1)), tol,
                   f"interval quadrature on [{a}, {b}] (check integrability of the "
                   "kernel/integrand pair)")
-
-
-# ---------------------------------------------------------------------------
-# independent cross-check: midpoint Cartesian with indicator
-# ---------------------------------------------------------------------------
-
-def halfdisk_cartesian(kernel, orientation, f, cells=2048):
-    """Midpoint rule on the half-disk bounding box, indicator included.
-
-    Grid axes are aligned with the orientation so the straight edge of the
-    half-disk falls on a grid line; only the circular arc is approximated.
-    Deliberately shares nothing with the polar rules; used as an oracle.
-    """
-    from .kernels import eval_kernel
-
-    delta = kernel.horizon
-    h = delta / cells
-    x = (np.arange(cells) + 0.5) * h
-    y = (np.arange(-cells, cells) + 0.5) * h
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    r = np.hypot(X, Y)
-    mask = r <= delta
-    X, Y, r = X[mask], Y[mask], r[mask]
-    R = frame_matrix(orientation)
-    pts = np.stack([X, Y], axis=1) @ R.T
-    dirs = pts / r[:, None]
-    vals = np.asarray(f(r, dirs))
-    return np.tensordot(eval_kernel(kernel, r) * h * h, vals, axes=(0, 0))
-
-
-def monte_carlo_halfball(kernel, orientation, f, samples=200_000, seed=0):
-    """Plain Monte Carlo over the half-ball, for coarse test oracles."""
-    from .kernels import eval_kernel
-
-    d = kernel.dimension
-    delta = kernel.horizon
-    rng = np.random.default_rng(seed)
-    n = np.asarray(orientation, dtype=float)
-    pts = rng.uniform(-delta, delta, size=(samples, d))
-    r = np.linalg.norm(pts, axis=1)
-    keep = (r <= delta) & (pts @ n >= 0.0) & (r > 0.0)
-    pts, r = pts[keep], r[keep]
-    vals = np.asarray(f(r, pts / r[:, None]))
-    box = (2.0 * delta) ** d
-    return box * np.tensordot(eval_kernel(kernel, r), vals, axes=(0, 0)) / samples

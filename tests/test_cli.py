@@ -159,6 +159,14 @@ def test_cli_non_integral_panels_exits_2(tmp_path, capsys, panels, override):
     assert "quad.panels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", [8.9, "8", True])
+def test_cli_non_integer_bound_exits_2(tmp_path, capsys, bound):
+    cfg = write_cfg(tmp_path, dict(SMALL_STOKES, bound=bound))
+    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "lattice bound" in capsys.readouterr().err
+
+
 def test_cli_trajectory_subcommands(tmp_path):
     base = {
         "kernel": {"family": "constant", "dimension": 2, "delta": 0.1},

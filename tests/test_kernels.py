@@ -148,3 +148,32 @@ def test_cutoff_makes_fractional_integrable():
     k = normalize("fractional", 1, beta=1.5)
     assert not k.is_integrable
     assert epsilon_cutoff(k, 0.01).is_integrable
+
+
+def _fractional_profile_gather(kernel, rho):
+    """The fractional profile with the inside values gathered and scattered back."""
+    rho = np.asarray(rho, dtype=float)
+    out = np.zeros_like(rho)
+    inside = rho <= 1.0
+    with np.errstate(divide="ignore"):
+        out[inside] = np.power(rho[inside], -kernel.beta)
+    out *= kernel.normalization
+    if kernel.cutoff_rho > 0.0:
+        out = np.where(rho <= kernel.cutoff_rho, kernel.cutoff_value, out)
+        out[rho > 1.0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
+@pytest.mark.parametrize("cutoff", [None, 1e-3, 0.25])
+def test_fractional_profile_matches_gather_form(beta, cutoff):
+    k = normalize("fractional", 1, beta=beta, horizon=0.7)
+    if cutoff is not None:
+        k = epsilon_cutoff(k, cutoff * k.horizon)
+    c = k.cutoff_rho or 1e-3
+    rho = np.array([0.0, 1e-300, 1e-7, np.nextafter(c, 0.0), c, np.nextafter(c, 1.0),
+                    0.3, 0.999, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                    1.5, 1e300])
+    with np.errstate(over="ignore"):        # 1e-300 ** -beta overflows to inf
+        for r in (rho, rho.reshape(13, 1), rho[4]):
+            np.testing.assert_array_equal(k.profile(r), _fractional_profile_gather(k, r))

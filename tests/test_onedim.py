@@ -1,11 +1,13 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from nlspectral import KernelError, fields as fl, normalize
+from nlspectral import KernelError, epsilon_cutoff, eval_kernel, fields as fl, normalize
 from nlspectral import onedim as od
 from nlspectral import operators as ops
+from nlspectral import quadrature as quad
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +167,175 @@ def test_rho_csv_export(tmp_path, rho_constant):
     lines = path.read_text().splitlines()
     assert lines[0] == "a,rho"
     assert len(lines) == len(rho_constant.mesh) + 1
+
+
+# ---------------------------------------------------------------------------
+# block evaluation of rho against the per-point reference loop
+# ---------------------------------------------------------------------------
+
+def _cross_edges_loop(kernel, a, top):
+    """Panel edges of w(b) w(a+b) on (0, top) for one abscissa (reference)."""
+    delta = kernel.horizon
+    breaks = [delta * r for r in kernel.breakpoints()]
+    pts = {0.0, top}
+    for e in breaks:
+        if 0.0 < e < top:
+            pts.add(e)
+        if 0.0 < e - a < top:
+            pts.add(e - a)
+    if kernel.family == "fractional" and kernel.cutoff_rho > 0.0:
+        eps = kernel.cutoff_rho * delta
+        for anchor in (eps, eps - a):
+            if anchor <= 0.0:
+                anchor = min(eps, top) * 0.5
+            for g in quad.geometric_edges(anchor, top):
+                if 0.0 < g < top:
+                    pts.add(g)
+    return sorted(pts)
+
+
+def _rho_pointwise_loop(kernel, a_values):
+    """rho, k-part and h-part one abscissa at a time (reference)."""
+    delta = kernel.horizon
+    wmass = quad.integrate_interval(kernel, 0.0, delta, lambda s: np.ones_like(s),
+                                    tol=1e-12)
+    w_at = eval_kernel(kernel, a_values)
+    rho = np.empty_like(a_values)
+    kp = np.empty_like(a_values)
+    hp = np.empty_like(a_values)
+    for i, a in enumerate(a_values):
+        top = delta - a
+        kp[i] = 2.0 * a * a * w_at[i] * wmass
+        if top <= 0.0:
+            hp[i] = 0.0
+            rho[i] = kp[i]
+            continue
+        b, wb = quad.gl_panels(_cross_edges_loop(kernel, a, top), 32)
+        cross = float(np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a + b)))
+        hp[i] = -2.0 * a * a * cross
+        rho[i] = kp[i] + hp[i]
+    return rho, kp, hp
+
+
+def _assert_parts_close(got, ref):
+    scale = np.max(np.abs(ref[0]))
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-13 * scale
+
+
+def _assert_rho_close(got, ref):
+    _assert_parts_close((got.values, got.k_part, got.h_part),
+                        (ref.values, ref.k_part, ref.h_part))
+    assert abs(got.l1_mass - ref.l1_mass) <= 1e-13 * abs(ref.l1_mass)
+    assert np.max(np.abs(got.nodes - ref.nodes)) <= 1e-13 * ref.delta
+    assert np.max(np.abs(got.weights - ref.weights)) <= 1e-13 * np.max(np.abs(ref.weights))
+
+
+def _tabulated(horizon=0.8):
+    # non-increasing with interior knots: breakpoint and shifted edges
+    return normalize("tabulated", 1, horizon=horizon, values=[3.0, 2.5, 1.0, 0.6, 0.1],
+                     mesh=[0.0, 0.15, 0.4, 0.65, 1.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: normalize("constant", 1, horizon=0.6),
+    lambda: normalize("sine", 1),
+    _tabulated,
+], ids=["constant", "sine", "tabulated"])
+def test_block_rho_from_kernel_matches_loop(monkeypatch, make):
+    kernel = make()
+    got = od.rho_from_kernel(kernel, mesh_size=256)
+    monkeypatch.setattr(od, "_rho_pointwise", _rho_pointwise_loop)
+    _assert_rho_close(got, od.rho_from_kernel(kernel, mesh_size=256))
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
+def test_block_rho_regularized_matches_loop(monkeypatch, beta):
+    kernel = normalize("fractional", 1, beta=beta)
+    got, _ = od.rho_regularized(kernel, mesh_size=128)
+    monkeypatch.setattr(od, "_rho_pointwise", _rho_pointwise_loop)
+    ref, _ = od.rho_regularized(kernel, mesh_size=128)
+    assert [lv.epsilon for lv in got] == list(od.DEFAULT_EPS_SEQUENCE)
+    for g, r in zip(got, ref):
+        _assert_rho_close(g, r)
+
+
+def _special_abscissae(delta, eps):
+    """Points below the clamp radius, with top = delta - a below it, and beyond delta."""
+    return np.array([0.0, eps / 3.0, eps * (1.0 - 1e-15), eps, eps * (1.0 + 1e-15),
+                     2.0 * eps, delta / 3.0, delta - eps, delta - eps / 2.0,
+                     delta - 1e-12 * delta, delta, 1.5 * delta])
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
+@pytest.mark.parametrize("eps", od.DEFAULT_EPS_SEQUENCE)
+def test_block_rho_special_abscissae(beta, eps):
+    delta = 0.7
+    clamped = epsilon_cutoff(normalize("fractional", 1, beta=beta, horizon=delta), eps)
+    a = _special_abscissae(delta, eps)
+    got = od._rho_pointwise(clamped, a)
+    _assert_parts_close(got, _rho_pointwise_loop(clamped, a))
+    assert np.all(got[2][a >= delta] == 0.0)
+    beyond = od._rho_pointwise(clamped, a[a >= delta])
+    np.testing.assert_array_equal(beyond[0], got[0][a >= delta])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["constant", "sine", "tabulated", "fractional"]),
+    beta=st.floats(1.0, 1.95),
+    delta=st.floats(0.05, 2.0),
+    eps_frac=st.floats(1e-7, 0.5),
+    clamp=st.booleans(),
+    size=st.integers(1, 48),
+)
+def test_block_rho_property(family, beta, delta, eps_frac, clamp, size):
+    if family == "tabulated":
+        kernel = _tabulated(delta)
+    elif family == "fractional":
+        kernel = normalize(family, 1, beta=beta, horizon=delta)
+    else:
+        kernel = normalize(family, 1, horizon=delta)
+    eps = eps_frac * delta
+    if clamp or family == "fractional":
+        kernel = epsilon_cutoff(kernel, eps)
+    a = np.concatenate([od.graded_mesh(delta, size), _special_abscissae(delta, eps)])
+    _assert_parts_close(od._rho_pointwise(kernel, a), _rho_pointwise_loop(kernel, a))
+
+
+@pytest.mark.parametrize("chunk", [32, 100, 2000])
+def test_block_rho_budget_split_changes_nothing(monkeypatch, chunk):
+    kernel = epsilon_cutoff(normalize("fractional", 1, beta=1.4), 1e-4)
+    a = od.graded_mesh(1.0, 200)
+    whole = od._rho_pointwise(kernel, a)
+    monkeypatch.setattr(od, "_CHUNK", chunk)
+    for g, w in zip(od._rho_pointwise(kernel, a), whole):
+        np.testing.assert_array_equal(g, w)
+
+
+def _bond_energy_unblocked(rho, u, grid=512):
+    """bond_energy with the whole (x, a) sample tensor held at once."""
+    from nlspectral.fields import evaluate_at
+
+    if grid < 4 * u.bound + 2:
+        grid = 4 * u.bound + 2
+    x = -np.pi + 2.0 * np.pi * np.arange(grid) / grid
+    a, wa = rho.nodes, rho.weights
+    ux = evaluate_at(u, x[:, None])
+    uxa = evaluate_at(u, (x[:, None] + a[None, :])[..., None])
+    diff2 = np.abs(uxa - ux[:, None]) ** 2
+    return 2.0 * float(np.sum(wa * np.mean(diff2, axis=0)))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 512 * 9 * 5, 512 * 9 * 7 + 3])
+@pytest.mark.parametrize("nodes", [None, 5, 6, 2 * 7 + 1])
+def test_bond_energy_blocks_match_unblocked(monkeypatch, rho_constant, chunk, nodes):
+    # node counts that leave one node over after blocks of 4, 5 or 7
+    rho = rho_constant
+    if nodes is not None:
+        rho = od.RhoKernel(rho.delta, rho.mesh, rho.values, rho.k_part, rho.h_part,
+                           rho.l1_mass, rho.nodes[::97][:nodes], rho.weights[::97][:nodes])
+    u = fl.random_field(7, 4, 1.0, dimension=1)
+    if chunk is not None:
+        monkeypatch.setattr(od, "_CHUNK", chunk)
+    assert od.bond_energy(rho, u) == _bond_energy_unblocked(rho, u)

@@ -227,3 +227,36 @@ def test_adjoint_identity_3d(table3):
         lhs = complex(np.sum(ops.gradient(table3, v).coeffs * np.conj(u.coeffs)))
         rhs = -complex(np.sum(v.coeffs * np.conj(ops.divergence(table3, u).coeffs)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def _double_symbol_unblocked(gamma, eta, xi):
+    """double_symbol_direct with the whole (xi, y, r) tensor held at once."""
+    from nlspectral import quadrature as quad
+
+    x, w = quad.legendre(96)
+    r = 0.5 * eta.epsilon * (x + 1.0)
+    wr = 0.5 * eta.epsilon * w * eta.profile(r)
+    y, wy = gamma.nodes, gamma.weights
+    ky = np.multiply.outer(np.asarray(xi, dtype=float), y)
+    kr = np.multiply.outer(np.asarray(xi, dtype=float), r)
+    four = (
+        np.cos(ky[..., :, None] + kr[..., None, :])
+        + np.cos(ky[..., :, None] - kr[..., None, :])
+        - 2.0
+        - 2.0 * np.cos(kr)[..., None, :]
+        + 2.0 * np.cos(ky)[..., :, None]
+    )
+    return 2.0 * np.einsum("...yr,y,r->...", four, wy, wr)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3 * 96 * 1000])
+@pytest.mark.parametrize("shape", [(20,), (4, 5)])
+def test_double_symbol_blocks_match_unblocked(monkeypatch, chunk, shape):
+    gamma = rho_from_kernel(normalize("constant", 1, horizon=0.2), mesh_size=128)
+    eta = ops.AveragingWindow(0.05)
+    xi = np.arange(1.0, 21.0).reshape(shape)
+    if chunk is not None:
+        monkeypatch.setattr(ops, "_CHUNK", chunk)
+    got = ops.double_symbol_direct(gamma, eta, xi)
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, _double_symbol_unblocked(gamma, eta, xi))

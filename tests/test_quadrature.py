@@ -6,6 +6,8 @@ import pytest
 from nlspectral import QuadratureConvergenceError, normalize
 from nlspectral import quadrature as quad
 
+import oracles
+
 E1 = np.array([1.0, 0.0])
 
 
@@ -43,7 +45,7 @@ def test_first_component_closed_form_and_monte_carlo():
     f = lambda r, dirs: r * dirs[:, 0]
     val = quad.integrate_halfball(k, E1, f)
     assert val == pytest.approx(2.0 / math.pi, rel=1e-10)
-    mc = quad.monte_carlo_halfball(k, E1, f, samples=400_000, seed=5)
+    mc = oracles.monte_carlo_halfball(k, E1, f, samples=400_000, seed=5)
     assert mc == pytest.approx(val, rel=5e-3)
 
 
@@ -84,7 +86,7 @@ def test_refinement_estimates_nonincreasing():
         s = r[:, None] * dirs
         return np.cos(s @ xi) - 1.0
 
-    errs = quad.refinement_errors(k, E1, f, [1, 2, 4], n_radial=4, n_angular=6)
+    errs = oracles.refinement_errors(k, E1, f, [1, 2, 4], n_radial=4, n_angular=6)
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(errs[:-1], errs[1:]))
     assert errs[0] > 1e-13  # the ladder is in its convergent regime
 
@@ -143,7 +145,7 @@ def test_cartesian_midpoint_agrees_with_polar():
             return dirs * (np.cos(s @ xi_arr) - 1.0)[:, None]
 
         polar = quad.integrate_halfball(k, n, f, tol=1e-12)
-        cart = quad.halfdisk_cartesian(k, n, f, cells=1024)
+        cart = oracles.halfdisk_cartesian(k, n, f, cells=1024)
         scale = np.max(np.abs(polar))
         assert np.max(np.abs(polar - cart)) <= 1e-6 * scale
 

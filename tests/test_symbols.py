@@ -9,6 +9,8 @@ from nlspectral import normalize
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
 
+import oracles
+
 # mpmath references (30 digits) for the constant kernel, d=2, delta=0.1
 LAMBDA_CONST_K1 = 0.99925022317812043164
 LAMBDA_CONST_K5 = 4.9069447261532647035
@@ -346,7 +348,7 @@ def test_table_independent_midpoint_cartesian_check():
             s = r[:, None] * dirs
             return dirs * (np.cos(s @ xi_arr) - 1.0)[:, None]
 
-        cart = 2.0 * quad.halfdisk_cartesian(k, n.vec, f, cells=1024)
+        cart = 2.0 * oracles.halfdisk_cartesian(k, n.vec, f, cells=1024)
         re = tab.lam_at(xi).real
         assert np.max(np.abs(re - cart)) <= 1e-6 * max(np.max(np.abs(re)), 1e-3)
 
@@ -372,15 +374,13 @@ def test_3d_reflection_and_conjugate_symmetry(table3):
 
 
 def test_3d_re_lambda_monte_carlo(table3):
-    from nlspectral import quadrature as quad
-
     xi = np.array([2.0, 1.0, -1.0])
 
     def f(r, dirs):
         s = r[:, None] * dirs
         return dirs * (np.cos(s @ xi) - 1.0)[:, None]
 
-    mc = 2.0 * quad.monte_carlo_halfball(table3.kernel, table3.orientation.vec, f,
+    mc = 2.0 * oracles.monte_carlo_halfball(table3.kernel, table3.orientation.vec, f,
                                          samples=4_000_000, seed=8)
     re = table3.lam_at((2, 1, -1)).real
     np.testing.assert_allclose(mc, re, atol=5e-3 * max(1.0, np.max(np.abs(re))))
