@@ -72,12 +72,15 @@ def load_config(path):
 
 
 def _apply_overrides(cfg, args):
-    threads = args.threads if args.threads is not None else _env("THREADS")
-    if threads is not None:
-        cfg["threads"] = int(threads)
-    seed = args.seed if args.seed is not None else _env("SEED")
-    if seed is not None:
-        cfg["seed"] = int(seed)
+    for key in ("threads", "seed"):
+        value = getattr(args, key)
+        value = _env(key.upper()) if value is None else value
+        if value is not None:
+            try:
+                cfg[key] = int(value)
+            except ValueError as exc:
+                raise ConfigError(f"{ENV_PREFIX}{key.upper()} must be an integer, "
+                                  f"got {value!r}") from exc
     overrides = list(args.tol_override)
     env_tol = _env("TOL_OVERRIDE")
     if env_tol:

@@ -1,13 +1,16 @@
 """Batch experiment runners behind the command-line driver.
 
-Each runner consumes a validated configuration dict, performs one experiment
-(symbol bound sweeps, convergence studies, identity checks, the 1D energy
-suite, ...) and returns (table, summary): a deterministic ResultTable and a
-JSON-ready summary holding one pass/fail entry per assertion.
+Each runner reads its config through its entry in ``SCHEMAS`` (every key it
+reads, with its default), which rejects an unknown key at any level or a
+value of the wrong type with ConfigError before any work starts and leaves
+the dict as it is.  It then performs one experiment (symbol bound sweeps,
+convergence studies, identity checks, the 1D energy suite, ...) and returns
+a deterministic ResultTable and a summary with one pass/fail per assertion.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 import math
+import sys
 
 import numpy as np
 
@@ -34,85 +37,168 @@ def fit_slope(deltas, errors, floor=1e-13):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema: a reader turns one JSON value into a typed value, or raises
+# ConfigError naming the value's path ``where``
 # ---------------------------------------------------------------------------
 
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
+_REQUIRED = object()
 
 
-def _kernel_list(cfg):
-    raw = cfg.get("kernels")
-    if raw is None:
-        raw = [_require(cfg, "kernel")]
-    if not isinstance(raw, list):
-        raw = [raw]
-    return raw
+def _block(spec):
+    """Reader of a JSON object with the keys of ``spec``: {key: (reader, default)};
+    an absent key takes its default, read like a given value (None stays None)."""
+    def read(value, where):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        for key in value:
+            if key not in spec:
+                raise ConfigError(f"unknown key {key!r} in {where}")
+        out = {}
+        for key, (reader, default) in spec.items():
+            if key in value:
+                out[key] = reader(value[key], f"{where}.{key}")
+            elif default is _REQUIRED:
+                raise ConfigError(f"{where} is missing required key {key!r}")
+            else:
+                out[key] = None if default is None else reader(default, f"{where}.{key}")
+        return out
+    return read
 
 
-def _angles(cfg, default=(0.0,)):
-    if "angles" in cfg:
-        return [float(a) for a in cfg["angles"]]
-    ori = cfg.get("orientation")
-    if ori is None:
-        return list(default)
-    if "angle" in ori:
-        return [float(ori["angle"])]
-    raise ConfigError("2D orientations are given as angles")
+def _value(ok, what, cast=lambda v: v):
+    def read(value, where):
+        if not ok(value):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return cast(value)
+    return read
 
 
-def _orientation(cfg, dimension):
-    ori = cfg.get("orientation", {})
-    if "vector" in ori:
-        return Orientation.from_vector(ori["vector"])
-    if "angle" in ori:
-        if dimension != 2:
-            raise ConfigError("angle orientations are two-dimensional")
-        return Orientation.from_angle(float(ori["angle"]))
-    return Orientation.from_vector([1.0] + [0.0] * (dimension - 1))
+def _list(item, size=None):
+    def read(value, where):
+        if not isinstance(value, list) or not value or size not in (None, len(value)):
+            what = "a non-empty list" if size is None else f"a list of {size} entries"
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return read
 
 
-def _deltas(cfg):
-    deltas = [float(d) for d in _require(cfg, "deltas")]
+def _real(v):  # finite, and so convertible to float
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _whole(least=-math.inf, what="a whole number"):
+    return _value(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least, what)
+
+
+def _one_of(*names):
+    return _value(lambda v: v in names, "one of " + ", ".join(names))
+
+
+_text = _value(lambda v: isinstance(v, str), "a string")
+_flag = _value(lambda v: isinstance(v, bool), "true or false")
+_finite = _value(_real, "a finite number", float)
+_positive = _value(lambda v: _real(v) and v > 0.0, "a positive number", float)
+_bound = _whole(2, "a whole number of at least 2 (the lattice bound)")
+_count = _whole(1, "a whole number of at least 1")
+_pairs = _list(_list(_finite, 2))
+
+
+def _deltas(value, where):
+    deltas = _list(_positive)(value, where)
     if any(b >= a for a, b in zip(deltas[:-1], deltas[1:])):
-        raise ConfigError("delta list must be strictly decreasing")
-    if any(d <= 0.0 for d in deltas):
-        raise ConfigError("deltas must be positive")
+        raise ConfigError(f"{where} must be strictly decreasing, got {value!r}")
     return deltas
 
 
-def _bound(cfg, default=None):
-    n = cfg.get("bound", default)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise ConfigError(f"lattice bound must be a whole number of at least 2, got {n!r}")
-    return n
+def _times(value, where):
+    steps = _whole(2, "a whole number of at least 2")
+    t = _block({"t1": (_positive, 0.5), "steps": (steps, 16)})(value, where)
+    return np.linspace(0.0, t["t1"], t["steps"] + 1)
 
 
-def _tol(cfg, key, default):
-    value = cfg.get("tolerances", {}).get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 < value < math.inf):
-        raise ConfigError(f"{key} must be a positive number, got {value!r}")
-    return float(value)
+def _orientation(value, where):
+    o = _block({"angle": (_finite, None), "vector": (_list(_finite), None)})(value, where)
+    if (o["angle"] is None) == (o["vector"] is None):
+        raise ConfigError(f"{where} needs exactly one of 'angle' and 'vector'")
+    if o["vector"] is None:
+        return Orientation.from_angle(o["angle"])
+    if not any(o["vector"]):
+        raise ConfigError(f"{where}.vector must not be zero")
+    return Orientation.from_vector(o["vector"])
 
 
-def _table_args(cfg):
-    """Symbol-table build options from the tolerance config block."""
-    panels = cfg.get("tolerances", {}).get("quad.panels", 1)
-    if (isinstance(panels, bool) or not isinstance(panels, (int, float))
-            or not float(panels).is_integer()):
-        raise ConfigError(f"quad.panels must be a whole number, got {panels!r}")
-    return {"tol": _tol(cfg, "quad.tol", 1e-10), "oversample": int(panels)}
+_KERNEL = _block({"family": (_text, _REQUIRED), "dimension": (_whole(), _REQUIRED),
+                  "delta": (_positive, None), "beta": (_finite, None),
+                  "values": (_list(_finite), None), "mesh": (_list(_finite), None)})
 
 
-def _seed(cfg, default=2024):
-    return int(cfg.get("seed", default))
+def _kernel(dimension=None, swept=False):
+    """Reader of a kernel block, checked by building it and kept as written.
+
+    A swept kernel takes its horizons from ``deltas`` and may not give one.
+    """
+    def read(value, where):
+        _KERNEL(value, where)
+        if swept and "delta" in value:
+            raise ConfigError(f"{where}.delta: the horizon is swept over 'deltas'; remove it")
+        if dimension not in (None, from_config({"delta": 1.0, **value}).dimension):
+            raise ConfigError(f"{where} must be {dimension}-dimensional, got {value!r}")
+        return value
+    return read
 
 
-def _threads(cfg):
-    return max(1, int(cfg.get("threads", 1)))
+def _tolerances(**extra):
+    whole = _value(lambda v: _real(v) and float(v).is_integer(), "a whole number")
+    return (_block({"quad.tol": (_positive, 1e-10), "quad.panels": (whole, 1), **extra}), {})
+
+
+def _one(dimension=None, swept=False, bound=8):
+    """Keys of one kernel, its orientation and the lattice bound."""
+    return {"kernel": (_kernel(dimension, swept), _REQUIRED),
+            "orientation": (_orientation, None), "bound": (_bound, bound)}
+
+
+def _sweep(**extra):
+    """Keys of a 2D convergence study over the horizons ``deltas``."""
+    return {**_one(2, swept=True), "system": (_text, None), "deltas": (_deltas, _REQUIRED),
+            "decay": (_positive, 3.0), **extra}
+
+
+_LAME = (_list(_finite, 2), [1.0, 1.0])
+
+_COMMON = {"experiment": (_text, None), "threads": (_whole(), 1), "seed": (_whole(), 2024),
+           "tolerances": _tolerances()}
+
+SCHEMAS = {
+    "symbols": {"kernels": (_list(_kernel(2, swept=True)), _REQUIRED),
+                "angles": (_list(_finite), [2.0 * math.pi * i / 8 for i in range(8)]),
+                "deltas": (_deltas, _REQUIRED), "bound": (_bound, 32), "cache": (_flag, False)},
+    "stokes-convergence": _sweep(),
+    "navier-convergence": _sweep(lame=_LAME),
+    "evolution-refinement": _sweep(lame=_LAME, times=(_times, {})),
+    "stokes": {**_one(), "decay": (_positive, 2.0)},
+    "stokes-evolve": {**_one(), "decay": (_positive, 2.0), "times": (_times, {})},
+    "navier-evolve": {**_one(), "decay": (_positive, 2.0), "lame": _LAME, "times": (_times, {})},
+    "helmholtz": {"case2d": (_block(_one(2, bound=16)), None),
+                  "case3d": (_block(_one(3)), None),
+                  "tolerances": _tolerances(residual=(_positive, 1e-12))},
+    "divcurl": {**_one(3), "deltas": (_deltas, None),
+                "checks": (_list(_one_of("vector_identity", "curl_of_gradient", "consistency",
+                                         "friedrichs")), ["consistency", "friedrichs"]),
+                "tolerances": _tolerances(residual=(_positive, 1e-10))},
+    "navier": {**_one(), "lame_pairs": (_pairs, [[1.0, 1.0], [1.0, -1.5]])},
+    "oracle": {**_one(2), "pairs": (_count, 50), "grid": (_count, 64)},
+    "energy-1d": {"checks": (_list(_one_of("rho", "double")), ["rho"]), "delta": (_positive, 1.0),
+                  "mesh": (_count, onedim.MESH_SIZE), "export_rho": (_flag, False),
+                  "pairs": (_pairs, [[0.2, 0.05], [0.1, 0.1]]), "ximax": (_count, 64),
+                  "tolerances": (_block({}), {})},
+}
+
+
+def _start(cfg, name):
+    """The typed config of ``name``'s schema and an empty summary."""
+    c = _block({**_COMMON, **SCHEMAS[name]})(cfg, "config")
+    return c, {"experiment": name, "assertions": {}, "observations": {}}
 
 
 def _pmap(fn, items, threads):
@@ -122,17 +208,27 @@ def _pmap(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _summary_shell(cfg, name):
-    return {"experiment": name, "assertions": {}, "observations": {}}
+def _tables(c, block=None, deltas=None):
+    """The runners' one symbol-table builder: the table of the kernel,
+    orientation (None: the first axis) and bound of ``block`` (default ``c``),
+    or given ``deltas`` one table per horizon, built through _pmap."""
+    block = c if block is None else block
+
+    def build(kcfg):
+        k = from_config(kcfg)
+        ori = block["orientation"] or Orientation.from_vector(np.eye(k.dimension)[0])
+        if ori.dimension != k.dimension:
+            raise ConfigError(f"a {ori.dimension}D orientation for a {k.dimension}D kernel")
+        return build_table(k, ori, block["bound"], tol=c["tolerances"]["quad.tol"],
+                           oversample=c["tolerances"]["quad.panels"])
+
+    if deltas is None:
+        return build(block["kernel"])
+    return _pmap(build, [dict(block["kernel"], delta=d) for d in deltas], c["threads"])
 
 
 def _assert_in(summary, name, value, threshold, mode="le"):
-    if mode == "le":
-        ok = value <= threshold
-    elif mode == "ge":
-        ok = value >= threshold
-    else:
-        ok = value > threshold
+    ok = {"le": value <= threshold, "ge": value >= threshold, "gt": value > threshold}[mode]
     summary["assertions"][name] = {
         "passed": bool(ok),
         "value": float(value),
@@ -146,8 +242,14 @@ def _assert_true(summary, name, ok):
     return _assert_in(summary, name, float(ok), 1.0, mode="ge")
 
 
+def _decreasing(seq):
+    return all(b < a for a, b in zip(seq[:-1], seq[1:]))
+
+
 def passed(summary):
-    return all(a["passed"] for a in summary["assertions"].values())
+    """True when the summary holds assertions and every one passed."""
+    checks = summary["assertions"].values()
+    return bool(checks) and all(a["passed"] for a in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -162,48 +264,30 @@ def run_symbols(cfg, out_dir=None):
     delta-uniform envelope plus the stability of the coercivity floor
     between the two extreme deltas.
     """
-    kernels = _kernel_list(cfg)
-    angles = _angles(cfg, default=tuple(2.0 * math.pi * i / 8 for i in range(8)))
-    deltas = _deltas(cfg)
-    bound = _bound(cfg, 32)
-    table_args = _table_args(cfg)
+    c, summary = _start(cfg, "symbols")
     table = ResultTable(["family", "beta", "delta", "angle", "min_abs", "max_ratio"])
-    summary = _summary_shell(cfg, "symbols")
-
-    jobs = []
-    for kcfg in kernels:
-        for delta in deltas:
-            for angle in angles:
-                jobs.append((dict(kcfg, delta=delta), angle))
+    jobs = [(dict(kcfg, delta=delta), angle)
+            for kcfg in c["kernels"] for delta in c["deltas"] for angle in c["angles"]]
 
     def work(job):
         kcfg, angle = job
-        kernel = from_config(kcfg)
-        tab = build_table(kernel, Orientation.from_angle(angle), bound, **table_args)
+        tab = _tables(c, {"kernel": kcfg, "orientation": Orientation.from_angle(angle),
+                          "bound": c["bound"]})
         rep = sym.verify_bounds(tab)
-        if out_dir is not None and cfg.get("cache"):
+        if out_dir is not None and c["cache"]:
             tag = f"{kcfg['family']}_b{kcfg.get('beta', 0)}_d{kcfg['delta']}_a{angle:.4f}"
             sym.save_table(tab, f"{out_dir}/cache_{tag}.txt")
         return kcfg, angle, rep
 
-    results = _pmap(work, jobs, _threads(cfg))
     floors = {}
-    min_abs_all = np.inf
-    max_ratio_all = 0.0
-    for kcfg, angle, rep in results:
+    for kcfg, angle, rep in _pmap(work, jobs, c["threads"]):
         table.add(kcfg["family"], kcfg.get("beta", ""), float(kcfg["delta"]),
                   float(angle), rep["min_abs"], rep["max_ratio"])
-        floors.setdefault((kcfg["family"], kcfg.get("beta"), angle), {})[kcfg["delta"]] = rep["min_abs"]
-        min_abs_all = min(min_abs_all, rep["min_abs"])
-        max_ratio_all = max(max_ratio_all, rep["max_ratio"])
+        floors.setdefault((kcfg["family"], kcfg.get("beta"), angle), []).append(rep["min_abs"])
 
-    d = from_config(dict(kernels[0], delta=deltas[0])).dimension
-    _assert_in(summary, "min_abs_positive", min_abs_all, 0.0, mode="gt")
-    _assert_in(summary, "upper_bound", max_ratio_all, math.sqrt(2.0) * d + 1e-8)
-    variation = 0.0
-    for vals in floors.values():
-        lo, hi = min(vals.values()), max(vals.values())
-        variation = max(variation, (hi - lo) / hi)
+    _assert_in(summary, "min_abs_positive", min(table.column("min_abs")), 0.0, mode="gt")
+    _assert_in(summary, "upper_bound", max(table.column("max_ratio")), math.sqrt(2.0) * 2 + 1e-8)
+    variation = max((max(v) - min(v)) / max(v) for v in floors.values())
     _assert_in(summary, "floor_stability", variation, 0.20)
     summary["observations"]["tables_built"] = len(jobs)
     return table, summary
@@ -213,43 +297,22 @@ def run_symbols(cfg, out_dir=None):
 # steady solves and convergence studies
 # ---------------------------------------------------------------------------
 
-def _build_tables(kernel_cfg, angle_or_vec, deltas, bound, table_args, threads):
-    def work(delta):
-        kernel = from_config(dict(kernel_cfg, delta=delta))
-        ori = (Orientation.from_angle(angle_or_vec)
-               if np.isscalar(angle_or_vec)
-               else Orientation.from_vector(angle_or_vec))
-        return build_table(kernel, ori, bound, **table_args)
-
-    return _pmap(work, deltas, threads)
-
-
 def run_convergence(cfg, out_dir=None):
-    system = cfg.get("system", "stokes")
-    if system == "stokes":
-        return _run_stokes_convergence(cfg)
-    if system == "navier":
-        return _run_navier_convergence(cfg)
-    if system == "evolution":
-        return _run_evolution_refinement(cfg)
-    raise ConfigError(f"unknown convergence system {system!r}")
+    runs = {"stokes": _run_stokes_convergence, "navier": _run_navier_convergence,
+            "evolution": _run_evolution_refinement}
+    return runs[_one_of(*runs)(cfg.get("system", "stokes"), "system")](cfg)
 
 
 def _run_stokes_convergence(cfg):
-    deltas = _deltas(cfg)
-    bound = _bound(cfg, 8)
-    kcfg = _require(cfg, "kernel")
-    angle = _angles(cfg, default=(0.0,))[0]
-    f = random_field(_seed(cfg), bound, float(cfg.get("decay", 3.0)), components=2)
-    tables = _build_tables(kcfg, angle, deltas, bound, _table_args(cfg), _threads(cfg))
+    c, summary = _start(cfg, "stokes-convergence")
+    f = random_field(c["seed"], c["bound"], c["decay"], components=2)
     table = ResultTable(["delta", "err_u", "err_p", "err_div"])
-    for delta, tab in zip(deltas, tables):
+    for delta, tab in zip(c["deltas"], _tables(c, deltas=c["deltas"])):
         e = sol.stokes_errors(tab, f)
         table.add(delta, e["err_u"], e["err_p"], e["err_div"])
-    summary = _summary_shell(cfg, "stokes-convergence")
     slopes = {}
     for name in ("err_u", "err_p", "err_div"):
-        slopes[name] = fit_slope(deltas, table.column(name))
+        slopes[name] = fit_slope(c["deltas"], table.column(name))
         _assert_in(summary, f"slope_{name}", slopes[name], 0.9, mode="ge")
     summary["observations"]["slopes"] = slopes
     summary["observations"]["slope_min"] = min(slopes.values())
@@ -257,70 +320,56 @@ def _run_stokes_convergence(cfg):
 
 
 def _run_navier_convergence(cfg):
-    deltas = _deltas(cfg)
-    bound = _bound(cfg, 8)
-    kcfg = _require(cfg, "kernel")
-    angle = _angles(cfg, default=(0.0,))[0]
-    mu, lam_lame = [float(v) for v in cfg.get("lame", [1.0, 1.0])]
-    f = random_field(_seed(cfg), bound, float(cfg.get("decay", 3.0)), components=2)
-    tables = _build_tables(kcfg, angle, deltas, bound, _table_args(cfg), _threads(cfg))
-    dec0 = sol.local_navier_decomposition(2, bound, mu, lam_lame)
+    c, summary = _start(cfg, "navier-convergence")
+    mu, lam_lame = c["lame"]
+    f = random_field(c["seed"], c["bound"], c["decay"], components=2)
+    dec0 = sol.local_navier_decomposition(2, c["bound"], mu, lam_lame)
     u_local = sol.navier_steady(dec0, f)
     table = ResultTable(["delta", "err_v"])
-    for delta, tab in zip(deltas, tables):
+    for delta, tab in zip(c["deltas"], _tables(c, deltas=c["deltas"])):
         dec = sol.navier_decompose(tab, mu, lam_lame)
         u = sol.navier_steady(dec, f)
         table.add(delta, sol.v_norm_error(tab, dec, u, u_local))
-    summary = _summary_shell(cfg, "navier-convergence")
-    slope = fit_slope(deltas, table.column("err_v"))
+    slope = fit_slope(c["deltas"], table.column("err_v"))
     _assert_in(summary, "slope_err_v", slope, 0.9, mode="ge")
     summary["observations"]["slope"] = slope
     return table, summary
 
 
-def _time_grid(cfg, default_t1=0.5, default_steps=16):
-    tcfg = cfg.get("times", {})
-    t1 = float(tcfg.get("t1", default_t1))
-    steps = int(tcfg.get("steps", default_steps))
-    if t1 <= 0.0 or steps < 2:
-        raise ConfigError("time grid needs t1 > 0 and at least 2 steps")
-    return np.linspace(0.0, t1, steps + 1)
+def _hamiltonian_drift(dec, traj):
+    """Largest per-mode relative change of the wave Hamiltonian along ``traj``."""
+    H0 = sol.hamiltonian_per_mode(dec, traj.states[0], traj.extras["rates"][0])
+    floor = np.maximum(H0, 1e-30)
+    return max(float(np.max(np.abs(sol.hamiltonian_per_mode(dec, s_, r_) - H0) / floor))
+               for s_, r_ in zip(traj.states, traj.extras["rates"]))
 
 
 def _run_evolution_refinement(cfg):
     """Unforced decay/conservation checks plus delta-refinement of both flows."""
-    deltas = _deltas(cfg)
-    bound = _bound(cfg, 8)
-    kcfg = _require(cfg, "kernel")
-    angle = _angles(cfg, default=(0.0,))[0]
-    mu, lam_lame = [float(v) for v in cfg.get("lame", [1.0, 1.0])]
-    times = _time_grid(cfg)
-    seed = _seed(cfg)
-    tables = _build_tables(kcfg, angle, deltas, bound, _table_args(cfg), _threads(cfg))
-    summary = _summary_shell(cfg, "evolution-refinement")
+    c, summary = _start(cfg, "evolution-refinement")
+    bound, seed, times, decay = c["bound"], c["seed"], c["times"], c["decay"]
+    mu, lam_lame = c["lame"]
+    deltas, tables = c["deltas"], _tables(c, deltas=c["deltas"])
     table = ResultTable(["system", "delta", "l2_time_error"])
 
     # locally divergence-free base velocity; each nonlocal run projects it
     loc = local_table(2, bound)
-    u_base = sol.leray_project(loc, random_field(seed, bound, float(cfg.get("decay", 3.0)),
-                                                 components=2))
+    u_base = sol.leray_project(loc, random_field(seed, bound, decay, components=2))
     local_traj = sol.stokes_evolve(loc, u_base, None, times)
-    l2s = [l2_norm(s) for s in local_traj.states]
 
     stokes_errors = []
     monotone_decay = True
     for delta, tab in zip(deltas, tables):
         u0 = sol.leray_project(tab, u_base)
         traj = sol.stokes_evolve(tab, u0, None, times)
-        seq = [l2_norm(s) for s in traj.states]
-        monotone_decay &= all(b < a for a, b in zip(seq[:-1], seq[1:]))
+        monotone_decay &= _decreasing([l2_norm(s) for s in traj.states])
         err = sol.trajectory_l2_error(traj, local_traj)
         stokes_errors.append(err)
         table.add("stokes", delta, err)
     _assert_true(summary, "stokes_energy_decreasing", monotone_decay)
 
-    g = random_field(seed + 1, bound, float(cfg.get("decay", 3.0)), components=2)
-    h = random_field(seed + 2, bound, float(cfg.get("decay", 3.0)), components=2)
+    g = random_field(seed + 1, bound, decay, components=2)
+    h = random_field(seed + 2, bound, decay, components=2)
     dec0 = sol.local_navier_decomposition(2, bound, mu, lam_lame)
     local_wave = sol.navier_evolve(dec0, g, h, None, times)
     navier_errors = []
@@ -328,18 +377,13 @@ def _run_evolution_refinement(cfg):
     for delta, tab in zip(deltas, tables):
         dec = sol.navier_decompose(tab, mu, lam_lame)
         traj = sol.navier_evolve(dec, g, h, None, times)
-        H0 = sol.hamiltonian_per_mode(dec, traj.states[0], traj.extras["rates"][0])
-        floor = np.maximum(H0, 1e-30)
-        for s_, r_ in zip(traj.states, traj.extras["rates"]):
-            H = sol.hamiltonian_per_mode(dec, s_, r_)
-            ham_drift = max(ham_drift, float(np.max(np.abs(H - H0) / floor)))
+        ham_drift = max(ham_drift, _hamiltonian_drift(dec, traj))
         err = sol.trajectory_l2_error(traj, local_wave)
         navier_errors.append(err)
         table.add("navier", delta, err)
     _assert_in(summary, "navier_hamiltonian_drift", ham_drift, 1e-10)
     for name, errs in (("stokes", stokes_errors), ("navier", navier_errors)):
-        _assert_true(summary, f"{name}_refinement_monotone",
-                     all(b < a for a, b in zip(errs[:-1], errs[1:])))
+        _assert_true(summary, f"{name}_refinement_monotone", _decreasing(errs))
     return table, summary
 
 
@@ -348,13 +392,9 @@ def _run_evolution_refinement(cfg):
 # ---------------------------------------------------------------------------
 
 def run_stokes(cfg, out_dir=None):
-    bound = _bound(cfg, 8)
-    kcfg = _require(cfg, "kernel")
-    kernel = from_config(kcfg)
-    tab = build_table(kernel, _orientation(cfg, kernel.dimension), bound,
-                      **_table_args(cfg))
-    f = random_field(_seed(cfg), bound, float(cfg.get("decay", 2.0)),
-                     components=kernel.dimension)
+    c, summary = _start(cfg, "stokes")
+    tab = _tables(c)
+    f = random_field(c["seed"], c["bound"], c["decay"], components=tab.dimension)
     s = sol.stokes_steady(tab, f)
     residual = sol.stokes_residual(tab, s, f)
     div_defect = float(np.max(np.abs(ops.divergence(tab, s.velocity).coeffs)))
@@ -362,9 +402,8 @@ def run_stokes(cfg, out_dir=None):
     table = ResultTable(
         ["seed", "bound", "delta", "residual", "div_defect", "stability",
          "u_l2", "p_l2"])
-    table.add(_seed(cfg), bound, kernel.horizon, residual, div_defect, stability,
+    table.add(c["seed"], c["bound"], tab.kernel.horizon, residual, div_defect, stability,
               l2_norm(s.velocity), l2_norm(s.pressure))
-    summary = _summary_shell(cfg, "stokes")
     _assert_in(summary, "residual", residual, 1e-12)
     _assert_in(summary, "div_defect", div_defect, 1e-12)
     _assert_in(summary, "stability_const", stability, 2.0 + 1e-9)
@@ -372,51 +411,31 @@ def run_stokes(cfg, out_dir=None):
 
 
 def run_stokes_evolve(cfg, out_dir=None):
-    bound = _bound(cfg, 8)
-    kernel = from_config(_require(cfg, "kernel"))
-    tab = build_table(kernel, _orientation(cfg, kernel.dimension), bound,
-                      **_table_args(cfg))
-    times = _time_grid(cfg)
-    u0 = sol.leray_project(tab, random_field(_seed(cfg), bound,
-                                             float(cfg.get("decay", 2.0)),
-                                             components=kernel.dimension))
+    c, summary = _start(cfg, "stokes-evolve")
+    tab = _tables(c)
+    d, bound, times = tab.dimension, c["bound"], c["times"]
+    u0 = sol.leray_project(tab, random_field(c["seed"], bound, c["decay"], components=d))
     traj = sol.stokes_evolve(tab, u0, None, times)
-    loc = sol.stokes_evolve(local_table(kernel.dimension, bound),
-                            sol.leray_project(local_table(kernel.dimension, bound), u0),
-                            None, times)
+    loc_tab = local_table(d, bound)
+    loc = sol.stokes_evolve(loc_tab, sol.leray_project(loc_tab, u0), None, times)
     table = ResultTable(["t", "l2_norm", "energy", "err_vs_local"])
     for t, s_, sloc in zip(times, traj.states, loc.states):
         table.add(float(t), l2_norm(s_), 0.5 * l2_norm(s_) ** 2, l2_norm(s_ - sloc))
-    seq = table.column("l2_norm")
-    summary = _summary_shell(cfg, "stokes-evolve")
-    _assert_true(summary, "energy_decreasing",
-                 all(b < a for a, b in zip(seq[:-1], seq[1:])))
+    _assert_true(summary, "energy_decreasing", _decreasing(table.column("l2_norm")))
     return table, summary
 
 
 def run_navier_evolve(cfg, out_dir=None):
-    bound = _bound(cfg, 8)
-    kernel = from_config(_require(cfg, "kernel"))
-    mu, lam_lame = [float(v) for v in cfg.get("lame", [1.0, 1.0])]
-    tab = build_table(kernel, _orientation(cfg, kernel.dimension), bound,
-                      **_table_args(cfg))
-    dec = sol.navier_decompose(tab, mu, lam_lame)
-    g = random_field(_seed(cfg), bound, float(cfg.get("decay", 2.0)),
-                     components=kernel.dimension)
-    h = random_field(_seed(cfg) + 1, bound, float(cfg.get("decay", 2.0)),
-                     components=kernel.dimension)
-    times = _time_grid(cfg)
-    traj = sol.navier_evolve(dec, g, h, None, times)
+    c, summary = _start(cfg, "navier-evolve")
+    tab = _tables(c)
+    dec = sol.navier_decompose(tab, *c["lame"])
+    g = random_field(c["seed"], c["bound"], c["decay"], components=tab.dimension)
+    h = random_field(c["seed"] + 1, c["bound"], c["decay"], components=tab.dimension)
+    traj = sol.navier_evolve(dec, g, h, None, c["times"])
     table = ResultTable(["t", "l2_norm", "energy"])
-    H0 = sol.hamiltonian_per_mode(dec, traj.states[0], traj.extras["rates"][0])
-    floor = np.maximum(H0, 1e-30)
-    drift = 0.0
-    for t, s_, r_ in zip(times, traj.states, traj.extras["rates"]):
-        H = sol.hamiltonian_per_mode(dec, s_, r_)
-        drift = max(drift, float(np.max(np.abs(H - H0) / floor)))
+    for t, s_ in zip(c["times"], traj.states):
         table.add(float(t), l2_norm(s_), sol.navier_energy(dec, s_))
-    summary = _summary_shell(cfg, "navier-evolve")
-    _assert_in(summary, "hamiltonian_drift", drift, 1e-10)
+    _assert_in(summary, "hamiltonian_drift", _hamiltonian_drift(dec, traj), 1e-10)
     return table, summary
 
 
@@ -425,17 +444,15 @@ def run_navier_evolve(cfg, out_dir=None):
 # ---------------------------------------------------------------------------
 
 def run_helmholtz(cfg, out_dir=None):
-    tol = _tol(cfg, "residual", 1e-12)
-    seed = _seed(cfg)
+    c, summary = _start(cfg, "helmholtz")
+    if c["case2d"] is None and c["case3d"] is None:
+        raise ConfigError("helmholtz needs 'case2d' or 'case3d'")
+    seed = c["seed"]
     table = ResultTable(["case", "reconstruction", "gauge", "pure_part_residual"])
-    summary = _summary_shell(cfg, "helmholtz")
-    worst_rec = worst_gauge = worst_q = 0.0
 
-    cfg2 = cfg.get("case2d")
-    if cfg2:
-        bound = _bound(cfg2, 16)
-        kernel = from_config(cfg2["kernel"])
-        tab = build_table(kernel, _orientation(cfg2, 2), bound, **_table_args(cfg))
+    case = c["case2d"]
+    if case is not None:
+        tab, bound = _tables(c, case), case["bound"]
         u = random_field(seed, bound, 1.0, components=2)
         p, q = sol.helmholtz2d(tab, u)
         rec = sol.helmholtz2d_reconstruct(tab, p, q)
@@ -447,13 +464,10 @@ def run_helmholtz(cfg, out_dir=None):
         _, q_pure = sol.helmholtz2d(tab, gp)
         qres = float(np.max(np.abs(q_pure.coeffs)))
         table.add("2d", rec_res, gauge, qres)
-        worst_rec, worst_gauge, worst_q = rec_res, gauge, qres
 
-    cfg3 = cfg.get("case3d")
-    if cfg3:
-        bound = _bound(cfg3, 8)
-        kernel = from_config(cfg3["kernel"])
-        tab = build_table(kernel, _orientation(cfg3, 3), bound, **_table_args(cfg))
+    case = c["case3d"]
+    if case is not None:
+        tab, bound = _tables(c, case), case["bound"]
         u = random_field(seed + 2, bound, 1.0, dimension=3, components=3)
         p, v = sol.helmholtz3d(tab, u)
         rec = sol.helmholtz3d_reconstruct(tab, p, v)
@@ -462,49 +476,45 @@ def run_helmholtz(cfg, out_dir=None):
         gp = ops.gradient(tab, random_field(seed + 3, bound, 1.0, dimension=3))
         curl_grad = float(np.max(np.abs(ops.curl3d(tab, gp).coeffs)))
         table.add("3d", rec_res, gauge, curl_grad)
-        worst_rec = max(worst_rec, rec_res)
-        worst_gauge = max(worst_gauge, gauge)
-        worst_q = max(worst_q, curl_grad)
 
-    _assert_in(summary, "reconstruction", worst_rec, tol)
-    _assert_in(summary, "gauge", worst_gauge, tol)
-    _assert_in(summary, "pure_gradient", worst_q, tol)
+    for name, column in zip(("reconstruction", "gauge", "pure_gradient"), table.columns[1:]):
+        _assert_in(summary, name, max(table.column(column)), c["tolerances"]["residual"])
     return table, summary
 
 
 def run_divcurl(cfg, out_dir=None):
-    checks = cfg.get("checks", ["consistency", "friedrichs"])
-    bound = _bound(cfg, 8)
-    kcfg = _require(cfg, "kernel")
-    seed = _seed(cfg)
-    summary = _summary_shell(cfg, "divcurl")
+    """Double-curl identities at the kernel's own horizon and the div-curl
+    solve swept over ``deltas`` (checks consistency, friedrichs)."""
+    c, summary = _start(cfg, "divcurl")
+    checks, bound, seed = c["checks"], c["bound"], c["seed"]
+    identity = "vector_identity" in checks or "curl_of_gradient" in checks
+    sweep = "consistency" in checks or "friedrichs" in checks
+    if sweep != (c["deltas"] is not None):
+        raise ConfigError("'deltas' is read by, and only by, checks consistency and friedrichs")
+    if sweep and not identity and "delta" in c["kernel"]:
+        raise ConfigError("kernel.delta: the horizon is swept over 'deltas'; remove it")
     table = ResultTable(["check", "delta", "value"])
 
-    if "vector_identity" in checks or "curl_of_gradient" in checks:
-        kernel = from_config(kcfg)
-        tab = build_table(kernel, _orientation(cfg, 3), bound, **_table_args(cfg))
+    if identity:
+        tab = _tables(c)
         f3 = random_field(seed, bound, 1.0, dimension=3, components=3)
         lhs = ops.curl3d(tab, ops.curl3d(tab, f3, sign=1), sign=-1)
         rhs = ops.gradient(tab, ops.divergence(tab, f3)) - ops.diffusion(tab, f3)
         ident = float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
         scale = float(np.max(np.abs(rhs.coeffs)))
-        table.add("vector_identity", kernel.horizon, ident)
+        table.add("vector_identity", tab.kernel.horizon, ident)
         _assert_in(summary, "vector_identity", ident / max(scale, 1.0), 1e-12)
         p = random_field(seed + 1, bound, 1.0, dimension=3)
         cg = float(np.max(np.abs(ops.curl3d(tab, ops.gradient(tab, p)).coeffs)))
-        table.add("curl_of_gradient", kernel.horizon, cg)
+        table.add("curl_of_gradient", tab.kernel.horizon, cg)
         _assert_in(summary, "curl_of_gradient", cg, 1e-12)
 
-    if "consistency" in checks or "friedrichs" in checks:
-        deltas = _deltas(cfg)
-        tol = _tol(cfg, "residual", 1e-10)
+    if sweep:
+        tol = c["tolerances"]["residual"]
         ratios = []
         worst_res = 0.0
-        vec = cfg.get("orientation", {}).get("vector", [1.0, 0.0, 0.0])
-        tables = _build_tables(kcfg, vec, deltas, bound, _table_args(cfg),
-                               _threads(cfg))
-        for delta, tab in zip(deltas, tables):
-            ustar = random_field(seed + 2, bound, 1.0, dimension=3, components=3)
+        ustar = random_field(seed + 2, bound, 1.0, dimension=3, components=3)
+        for delta, tab in zip(c["deltas"], _tables(c, deltas=c["deltas"])):
             f = ops.divergence(tab, ustar)
             g = ops.curl3d(tab, ustar)
             _, rep = sol.divcurl3d(tab, f, g, residual_tol=tol)
@@ -520,33 +530,24 @@ def run_divcurl(cfg, out_dir=None):
 
 def run_navier(cfg, out_dir=None):
     """Korn bound and the two energy assemblies, per Lame pair."""
-    bound = _bound(cfg, 8)
-    kernel = from_config(_require(cfg, "kernel"))
-    tab = build_table(kernel, _orientation(cfg, kernel.dimension), bound,
-                      **_table_args(cfg))
-    pairs = cfg.get("lame_pairs", [[1.0, 1.0], [1.0, -1.5]])
-    seed = _seed(cfg)
+    c, summary = _start(cfg, "navier")
+    tab = _tables(c)
+    bound, seed, d = c["bound"], c["seed"], tab.dimension
     table = ResultTable(["mu", "lambda", "energy_gap", "korn_margin", "steady_residual"])
-    summary = _summary_shell(cfg, "navier")
-    worst_gap = 0.0
-    worst_korn = -np.inf
-    for mu, lam_lame in pairs:
-        dec = sol.navier_decompose(tab, float(mu), float(lam_lame))
-        u = random_field(seed, bound, 2.0, components=kernel.dimension)
+    u = random_field(seed, bound, 2.0, components=d)
+    f = random_field(seed + 1, bound, 2.0, components=d)
+    for mu, lam_lame in c["lame_pairs"]:
+        dec = sol.navier_decompose(tab, mu, lam_lame)
         e_sym = sol.navier_energy(dec, u)
-        e_asm = sol.navier_energy_assembled(tab, u, float(mu), float(lam_lame))
+        e_asm = sol.navier_energy_assembled(tab, u, mu, lam_lame)
         gap = abs(e_sym - e_asm) / max(abs(e_sym), 1e-300)
-        korn_lhs = 2.0 * e_sym
-        korn_rhs = min(float(mu), float(lam_lame) + 2.0 * float(mu)) * s_norm(u, tab) ** 2
-        margin = korn_rhs - korn_lhs  # must stay below the slack
-        f = random_field(seed + 1, bound, 2.0, components=kernel.dimension)
+        korn_rhs = min(mu, lam_lame + 2.0 * mu) * s_norm(u, tab) ** 2
+        margin = korn_rhs - 2.0 * e_sym  # must stay below the slack
         us = sol.navier_steady(dec, f)
         res = float(np.max(np.abs(sol.navier_apply(dec, us).coeffs - f.coeffs)))
-        table.add(float(mu), float(lam_lame), gap, margin, res)
-        worst_gap = max(worst_gap, gap)
-        worst_korn = max(worst_korn, margin)
-    _assert_in(summary, "energy_two_ways", worst_gap, 1e-10)
-    _assert_in(summary, "korn_bound", worst_korn, 1e-10)
+        table.add(mu, lam_lame, gap, margin, res)
+    _assert_in(summary, "energy_two_ways", max(table.column("energy_gap")), 1e-10)
+    _assert_in(summary, "korn_bound", max(table.column("korn_margin")), 1e-10)
     return table, summary
 
 
@@ -555,16 +556,13 @@ def run_navier(cfg, out_dir=None):
 # ---------------------------------------------------------------------------
 
 def run_oracle(cfg, out_dir=None):
-    bound = _bound(cfg, 8)
-    kernel = from_config(_require(cfg, "kernel"))
-    tab = build_table(kernel, _orientation(cfg, 2), bound, **_table_args(cfg))
-    seed = _seed(cfg)
-    pairs = int(cfg.get("pairs", 50))
+    c, summary = _start(cfg, "oracle")
+    tab = _tables(c)
+    kernel, bound, seed = tab.kernel, c["bound"], c["seed"]
     table = ResultTable(["check", "value"])
-    summary = _summary_shell(cfg, "oracle")
 
     worst = 0.0
-    for i in range(pairs):
+    for i in range(c["pairs"]):
         v = random_field(seed + 2 * i, bound, 1.0)
         u = random_field(seed + 2 * i + 1, bound, 1.0, components=2)
         gv = ops.gradient(tab, v)
@@ -576,7 +574,7 @@ def run_oracle(cfg, out_dir=None):
     table.add("adjoint_residual", worst)
     _assert_in(summary, "adjoint_residual", worst, 1e-12)
 
-    grid = int(cfg.get("grid", 64))
+    grid = c["grid"]
     pts = grid_points(grid, 2).reshape(2, -1).T
     worst_gap = 0.0
     for xi in ((1, 0), (1, 2)):
@@ -607,17 +605,15 @@ def run_oracle(cfg, out_dir=None):
 
 
 def run_energy1d(cfg, out_dir=None):
-    checks = cfg.get("checks", ["rho"])
-    summary = _summary_shell(cfg, "energy-1d")
+    c, summary = _start(cfg, "energy-1d")
     table = ResultTable(["check", "value"])
 
-    if "rho" in checks:
-        mesh_size = int(cfg.get("mesh", onedim.MESH_SIZE))
-        kc = normalize("constant", 1, horizon=float(cfg.get("delta", 1.0)))
-        rho_c = onedim.rho_from_kernel(kc, mesh_size)
+    if "rho" in c["checks"]:
+        kc = normalize("constant", 1, horizon=c["delta"])
+        rho_c = onedim.rho_from_kernel(kc, c["mesh"])
         table.add("constant_mass", rho_c.l1_mass)
         ks = normalize("sine", 1, horizon=1.0)
-        rho_s = onedim.rho_from_kernel(ks, mesh_size)
+        rho_s = onedim.rho_from_kernel(ks, c["mesh"])
         table.add("sine_mass", rho_s.l1_mass)
         closed = onedim.sine_rho_closed_form(rho_s.mesh)
         mesh_gap = float(np.max(np.abs(rho_s.values - closed)))
@@ -640,18 +636,16 @@ def run_energy1d(cfg, out_dir=None):
         _assert_true(summary, "fractional_mass_monotone",
                      all(b.l1_mass >= a.l1_mass for a, b in zip(levels[:-1], levels[1:])))
         _assert_in(summary, "energy_equivalence", eq["gap"], 1e-6)
-        if out_dir is not None and cfg.get("export_rho"):
+        if out_dir is not None and c["export_rho"]:
             rho_s.to_csv(f"{out_dir}/rho_sine.csv")
 
-    if "double" in checks:
-        pairs = cfg.get("pairs", [[0.2, 0.05], [0.1, 0.1]])
-        ximax = int(cfg.get("ximax", 64))
-        xi = np.arange(1, ximax + 1, dtype=float)
+    if "double" in c["checks"]:
+        xi = np.arange(1, c["ximax"] + 1, dtype=float)
         worst = 0.0
-        for delta, eps in pairs:
-            kd = normalize("constant", 1, horizon=float(delta))
+        for delta, eps in c["pairs"]:
+            kd = normalize("constant", 1, horizon=delta)
             gamma = onedim.rho_from_kernel(kd, mesh_size=256)
-            eta = ops.AveragingWindow(float(eps))
+            eta = ops.AveragingWindow(eps)
             direct = ops.double_symbol_direct(gamma, eta, xi)
             product = ops.bond_symbol(gamma, xi) * ops.averaging_symbol(eta, xi)
             scale = max(1.0, float(np.max(np.abs(product))))

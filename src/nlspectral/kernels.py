@@ -42,9 +42,10 @@ class KernelSpec:
 
     ``normalization`` is the dimensionless constant multiplying the raw family
     profile; it is computed once by :func:`normalize` and stored so every
-    downstream consumer sees bit-identical values.  ``cutoff_rho`` > 0 marks
-    an epsilon-regularized kernel: the profile is clamped on [0, cutoff_rho]
-    to ``cutoff_value`` (the infimum of the profile over that interval).
+    downstream consumer sees bit-identical values.  ``cutoff_rho`` in (0, 1)
+    marks an epsilon-regularized kernel (see :func:`epsilon_cutoff`): the
+    profile is clamped on [0, cutoff_rho] to ``cutoff_value`` (the infimum
+    of the profile over that interval).
     """
 
     family: str
@@ -79,8 +80,8 @@ class KernelSpec:
             raise KernelError(f"unknown kernel family {self.family!r}")
         out *= self.normalization
         if self.cutoff_rho > 0.0:
+            # cutoff_rho < 1, so the clamp leaves the zeros beyond rho = 1
             out = np.where(rho <= self.cutoff_rho, self.cutoff_value, out)
-            out[rho > 1.0] = 0.0
         return out
 
     @property

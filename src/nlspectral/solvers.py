@@ -2,10 +2,10 @@
 
 Each solver inverts a small per-mode system: steady/unsteady Stokes through
 the saddle-point inverse and the nonlocal Leray projector, the Helmholtz
-splittings in 2D/3D, the 3D div-curl system by least squares, and steady
-plus time-dependent Navier elasticity through the rank-one projector
-decomposition of the mode matrix.  The delta -> 0 (local) counterparts run
-through the exact same code paths with lambda(xi) = i xi.
+splittings in 2D/3D, the 3D div-curl system by closed-form least squares,
+and steady plus time-dependent Navier elasticity through the rank-one
+projector decomposition of the mode matrix.  The delta -> 0 (local)
+counterparts run through the exact same code paths with lambda(xi) = i xi.
 """
 
 from dataclasses import dataclass
@@ -254,23 +254,21 @@ def helmholtz_stability(table, u, parts):
 # div-curl system (3D)
 # ---------------------------------------------------------------------------
 
-def _cross_matrix(lam):
-    """K with K v = lam x v, per mode; shape (..., 3, 3)."""
-    z = np.zeros_like(lam[..., 0])
-    return np.stack([
-        np.stack([z, -lam[..., 2], lam[..., 1]], axis=-1),
-        np.stack([lam[..., 2], z, -lam[..., 0]], axis=-1),
-        np.stack([-lam[..., 1], lam[..., 0], z], axis=-1),
-    ], axis=-2)
-
-
 def divcurl3d(table, f, g, residual_tol=1e-10):
-    """Solve D u = f, C u = g by per-mode normal equations on the 4x3 stack.
+    """Solve D u = f, C u = g per mode, in closed form.
+
+    The normal matrix of the 4x3 stack (lambda^-, lambda x .) is exactly
+    |lambda|^2 I, so the least-squares solution is
+
+        u = -(lambda f + conj(lambda) x g) / |lambda|^2.
 
     The compatibility D^- g = 0 is required; an inconsistent right-hand side
     surfaces as a residual above ``residual_tol`` and raises ValueError.
     Returns (u, report) with the max per-mode residual and the Friedrichs
-    ratio (||u||^2 + ||Gu||^2) / (||Du||^2 + ||Cu||^2).
+    ratio (||u||^2 + ||Gu||^2) / (||Du||^2 + ||Cu||^2).  Per mode
+    |Du|^2 + |Cu|^2 = |Gu|^2 = |lambda|^2 |u|^2, so the ratio is
+    1 + ||u||^2 / ||Gu||^2 <= 1 + 1 / min |lambda|^2: its stability across
+    horizons is the coercivity floor min |lambda| over the nonzero modes.
     """
     if table.dimension != 3:
         raise ValueError("div-curl solver is three-dimensional")
@@ -278,16 +276,8 @@ def divcurl3d(table, f, g, residual_tol=1e-10):
         raise ValueError("data must be (scalar f, 3-vector g)")
     lam = table.lam
     lam_neg = table.lam_neg()
-    K = _cross_matrix(lam)
-    KH = np.conj(np.swapaxes(K, -1, -2))
-    M = np.einsum("...i,...j->...ij", np.conj(lam_neg), lam_neg) + KH @ K
-    rhs = np.conj(lam_neg) * f.coeffs[..., None] + np.einsum(
-        "...ij,...j->...i", KH, g.coeffs
-    )
-    a2 = table.abs2()
-    nz = a2 > 0.0
-    u = np.zeros_like(g.coeffs)
-    u[nz] = np.linalg.solve(M[nz], rhs[nz][..., None])[..., 0]
+    inv = _inv_abs2(table)
+    u = -(lam * f.coeffs[..., None] + np.cross(np.conj(lam), g.coeffs)) * inv[..., None]
     ufield = SpectralField(g.bound, 3, u, real=False)
 
     div_res = np.einsum("...i,...i->...", lam_neg, u) - f.coeffs

@@ -3,9 +3,15 @@
 Every preset under presets/ encodes one acceptance experiment at its stated
 tolerance; these tests execute them through the same runners the CLI uses
 and fail if any embedded assertion fails (or a runtime budget is blown).
-Run with -s to see the per-criterion lines.
+Each CSV is also compared with ``golden_presets.json``, every preset's CSV
+cells as the CLI wrote them before the config schema and the closed-form
+div-curl solve: strings exactly, numbers to 1e-10 relative with a 1e-13
+absolute floor (the machine-zero residual cells).  Re-record it only with
+a change that means to move those values.  Run with -s to see the
+per-criterion lines.
 """
 
+import csv
 import json
 import os
 import time
@@ -14,9 +20,12 @@ import pytest
 
 from nlspectral import cli
 from nlspectral.experiments import RUNNERS, passed
+from nlspectral.results import write_csv
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = os.path.join(HERE, "presets")
+with open(os.path.join(HERE, "tests", "golden_presets.json")) as fh:
+    GOLDEN = json.load(fh)
 
 CRITERIA = [
     ("crit01_symbol_bounds.json", "symbols", 60.0),
@@ -38,6 +47,21 @@ def load(name):
         return json.load(fh)
 
 
+def assert_golden(preset, csv_path):
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    golden = GOLDEN[preset]
+    assert [len(r) for r in rows] == [len(r) for r in golden], preset
+    for got_row, want_row in zip(rows, golden):
+        for got, want in zip(got_row, want_row):
+            try:
+                g, w = float(got), float(want)
+            except ValueError:
+                assert got == want, (preset, got_row, want_row)
+                continue
+            assert abs(g - w) <= max(1e-10 * abs(w), 1e-13), (preset, got_row, want_row)
+
+
 def report(name, summary, elapsed, budget):
     ok = passed(summary)
     within = budget is None or elapsed <= budget
@@ -53,15 +77,17 @@ def report(name, summary, elapsed, budget):
 
 @pytest.mark.parametrize("preset,command,budget", CRITERIA,
                          ids=[c[0].split("_")[0] for c in CRITERIA])
-def test_criterion(preset, command, budget):
+def test_criterion(preset, command, budget, tmp_path):
     cfg = load(preset)
     started = time.time()
-    _, summary = RUNNERS[command](cfg)
+    table, summary = RUNNERS[command](cfg)
     elapsed = time.time() - started
     ok, within = report(preset, summary, elapsed, budget)
     assert ok, f"{preset}: assertion failures: " + ", ".join(
         k for k, v in summary["assertions"].items() if not v["passed"])
     assert within, f"{preset}: runtime {elapsed:.1f}s exceeded budget {budget}s"
+    write_csv(table, tmp_path / "out.csv")
+    assert_golden(preset, tmp_path / "out.csv")
 
 
 def test_criterion_12_determinism(tmp_path):
@@ -74,3 +100,8 @@ def test_criterion_12_determinism(tmp_path):
     identical = b1 == b2
     print(("PASS" if identical else "FAIL") + " crit12_determinism.json")
     assert identical
+    assert_golden("crit12_determinism.json", out1 / "determinism_probe.csv")
+
+
+def test_golden_covers_every_preset():
+    assert sorted(GOLDEN) == sorted(p for p in os.listdir(PRESETS) if p.endswith(".json"))

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -5,7 +6,7 @@ import pytest
 
 from nlspectral import cli
 from nlspectral.errors import ConfigError
-from nlspectral.experiments import _tol, fit_slope
+from nlspectral.experiments import RUNNERS, fit_slope, passed
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -21,6 +22,30 @@ SMALL_STOKES = {
     "bound": 4,
     "decay": 2.0,
     "seed": 3,
+}
+
+SMALL_ORACLE = {k: v for k, v in SMALL_STOKES.items() if k != "decay"}
+
+SMALL_HELMHOLTZ = {
+    "experiment": "hh",
+    "seed": 2,
+    "case2d": {"kernel": {"family": "constant", "dimension": 2, "delta": 0.1},
+               "orientation": {"angle": 0.3}, "bound": 4},
+}
+
+SMALL_SWEEP = {
+    "experiment": "sweep",
+    "system": "stokes",
+    "kernel": {"family": "constant", "dimension": 2},
+    "deltas": [0.2, 0.1, 0.05],
+    "bound": 4,
+}
+
+SMALL_DIVCURL = {
+    "experiment": "dc",
+    "kernel": {"family": "constant", "dimension": 3},
+    "deltas": [0.2, 0.1],
+    "bound": 4,
 }
 
 
@@ -243,6 +268,104 @@ def test_cli_nan_tolerance_override_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("tol", [True, "1e-12", 0.0, float("inf"), [1e-12]])
-def test_residual_tolerance_validated(tol):
-    with pytest.raises(ConfigError, match="residual"):
-        _tol({"tolerances": {"residual": tol}}, "residual", 1e-12)
+def test_residual_tolerance_validated(tmp_path, capsys, tol):
+    cfg = write_cfg(tmp_path, dict(SMALL_HELMHOLTZ, tolerances={"residual": tol}))
+    rc = cli.main(["helmholtz", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "residual" in capsys.readouterr().err
+
+
+BAD_CONFIGS = {
+    "top-level typo": ("stokes", dict(SMALL_STOKES, decya=9.0), [], "'decya'"),
+    "kernel typo": ("stokes", dict(SMALL_STOKES, kernel=dict(SMALL_STOKES["kernel"], betaa=1.5)),
+                    [], "'betaa'"),
+    "tolerance typo": ("stokes", dict(SMALL_STOKES, tolerances={"quad.tl": 1e-8}), [], "'quad.tl'"),
+    "tolerance override typo": ("stokes", SMALL_STOKES, ["--tol-override", "quad.tl=1e-8"],
+                                "'quad.tl'"),
+    "seed string": ("stokes", dict(SMALL_STOKES, seed="x"), [], "seed"),
+    "seed float": ("stokes", dict(SMALL_STOKES, seed=7.9), [], "seed"),
+    "seed bool": ("stokes", dict(SMALL_STOKES, seed=True), [], "seed"),
+    "decay string": ("stokes", dict(SMALL_STOKES, decay="2"), [], "decay"),
+    "decay huge integer": ("stokes", dict(SMALL_STOKES, decay=10**400), [], "decay"),
+    "orientation typo": ("stokes", dict(SMALL_STOKES, orientation={"angel": 0.7}), [], "'angel'"),
+    "orientation zero": ("stokes", dict(SMALL_STOKES, orientation={"vector": [0.0, 0.0]}), [],
+                         "orientation.vector"),
+    "divcurl check typo": ("divcurl", dict(SMALL_DIVCURL, checks=["frriedrichs"]), [],
+                           "'frriedrichs'"),
+    "divcurl no checks": ("divcurl", dict(SMALL_DIVCURL, checks=[]), [], "checks"),
+    "divcurl angle": ("divcurl", dict(SMALL_DIVCURL, orientation={"angle": 0.7}), [],
+                      "orientation"),
+    "divcurl swept delta": ("divcurl", dict(SMALL_DIVCURL, kernel=dict(SMALL_DIVCURL["kernel"],
+                                                                      delta=0.5)), [], "delta"),
+    "divcurl unused deltas": ("divcurl", dict(SMALL_DIVCURL, checks=["vector_identity"]), [],
+                              "deltas"),
+    "energy-1d check typo": ("energy-1d", {"checks": ["rh0"]}, [], "'rh0'"),
+    "energy-1d float mesh": ("energy-1d", {"mesh": 2048.0}, [], "mesh"),
+    "energy-1d bool ximax": ("energy-1d", {"checks": ["double"], "ximax": True}, [], "ximax"),
+    "energy-1d quad.tol": ("energy-1d", {}, ["--tol-override", "quad.tol=1e-8"], "'quad.tol'"),
+    "helmholtz no case": ("helmholtz", {"experiment": "hh", "seed": 2}, [], "case2d"),
+    "helmholtz case typo": ("helmholtz", dict(SMALL_HELMHOLTZ, case2d=dict(
+        SMALL_HELMHOLTZ["case2d"], bonud=4)), [], "'bonud'"),
+    "convergence angles": ("convergence", dict(SMALL_SWEEP, angles=[0.3, 1.2]), [], "'angles'"),
+    "convergence swept delta": ("convergence", dict(SMALL_SWEEP, kernel=dict(
+        SMALL_SWEEP["kernel"], delta=0.5)), [], "delta"),
+    "convergence lame": ("convergence", dict(SMALL_SWEEP, lame=[1.0, 1.0]), [], "'lame'"),
+    "convergence system": ("convergence", dict(SMALL_SWEEP, system="stoke"), [], "system"),
+    "times typo": ("stokes-evolve", dict(SMALL_STOKES, times={"step": 4}), [], "'step'"),
+    "times float steps": ("stokes-evolve", dict(SMALL_STOKES, times={"steps": 4.0}), [], "steps"),
+    "times bool t1": ("stokes-evolve", dict(SMALL_STOKES, times={"t1": True}), [], "t1"),
+    "lame string": ("navier-evolve", dict(SMALL_STOKES, lame=["1", 1.0]), [], "lame"),
+    "oracle decay": ("oracle", SMALL_STOKES, [], "'decay'"),
+    "oracle float pairs": ("oracle", dict(SMALL_ORACLE, pairs=2.5), [], "pairs"),
+    "oracle string grid": ("oracle", dict(SMALL_ORACLE, grid="64"), [], "grid"),
+    "symbols orientation": ("symbols", {"kernels": [{"family": "constant", "dimension": 2}],
+                                        "deltas": [0.1], "orientation": {"angle": 0.3}},
+                            [], "'orientation'"),
+}
+
+
+@pytest.mark.parametrize("command, payload, extra, named", BAD_CONFIGS.values(),
+                         ids=list(BAD_CONFIGS))
+def test_cli_bad_config_exits_2(tmp_path, capsys, command, payload, extra, named):
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", cfg, "--out", str(out), *extra])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name", ["THREADS", "SEED"])
+def test_cli_non_integer_env_exits_2(tmp_path, monkeypatch, capsys, name):
+    cfg = write_cfg(tmp_path, SMALL_STOKES)
+    monkeypatch.setenv(f"NLSPECTRAL_{name}", "abc")
+    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"NLSPECTRAL_{name}" in capsys.readouterr().err
+
+
+def test_divcurl_identity_and_sweep_in_one_config(tmp_path):
+    # the identity checks use the kernel's own horizon, the solve sweeps deltas
+    payload = dict(SMALL_DIVCURL, checks=["vector_identity", "consistency"],
+                   kernel=dict(SMALL_DIVCURL["kernel"], delta=0.1))
+    _, summary = RUNNERS["divcurl"](payload)
+    assert set(summary["assertions"]) == {"vector_identity", "curl_of_gradient",
+                                          "consistency_residual", "friedrichs_variation"}
+    assert passed(summary)
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("stokes", SMALL_STOKES), ("helmholtz", SMALL_HELMHOLTZ), ("convergence", SMALL_SWEEP),
+    ("energy-1d", {"checks": ["double"], "pairs": [[0.2, 0.05]], "ximax": 8}),
+])
+def test_runner_leaves_config_unchanged(command, payload):
+    cfg = copy.deepcopy(payload)
+    RUNNERS[command](cfg)
+    assert cfg == payload
+
+
+def test_passed_needs_an_assertion():
+    assert not passed({"assertions": {}})
+    ok = {"passed": True, "value": 0.0, "threshold": 1.0, "comparison": "le"}
+    assert passed({"assertions": {"a": ok}})
+    assert not passed({"assertions": {"a": ok, "b": dict(ok, passed=False)}})

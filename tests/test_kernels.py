@@ -5,6 +5,7 @@ import pytest
 
 from nlspectral import KernelError, epsilon_cutoff, eval_kernel, normalize
 from nlspectral.kernels import from_config, moment
+from nlspectral.onedim import DEFAULT_EPS_SEQUENCE
 
 
 def test_constant_2d_normalization():
@@ -177,3 +178,34 @@ def test_fractional_profile_matches_gather_form(beta, cutoff):
     with np.errstate(over="ignore"):        # 1e-300 ** -beta overflows to inf
         for r in (rho, rho.reshape(13, 1), rho[4]):
             np.testing.assert_array_equal(k.profile(r), _fractional_profile_gather(k, r))
+
+
+def _profile_parent(kernel, rho):
+    """KernelSpec.profile with the zero store beyond rho = 1 after the clamp."""
+    rho = np.asarray(rho, dtype=float)
+    out = np.zeros_like(rho)
+    inside = rho <= 1.0
+    if kernel.family == "constant":
+        out[inside] = 1.0
+    elif kernel.family == "sine":
+        out[inside] = (math.pi / 2.0) * np.sin(math.pi * rho[inside])
+    else:
+        with np.errstate(divide="ignore"):
+            out = np.where(inside, np.power(rho, -kernel.beta), 0.0)
+    out *= kernel.normalization
+    if kernel.cutoff_rho > 0.0:
+        out = np.where(rho <= kernel.cutoff_rho, kernel.cutoff_value, out)
+        out[rho > 1.0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("eps", DEFAULT_EPS_SEQUENCE)
+@pytest.mark.parametrize("family, beta", [("constant", None), ("sine", None),
+                                          ("fractional", 1.0), ("fractional", 1.4),
+                                          ("fractional", 1.9)])
+def test_clamped_profile_matches_masked_store(family, beta, eps):
+    k = epsilon_cutoff(normalize(family, 1, beta=beta, horizon=1.0), eps)
+    c = k.cutoff_rho
+    rho = np.array([0.0, np.nextafter(c, 0.0), c, np.nextafter(c, 1.0), 0.3, 0.999,
+                    np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5, 1e300])
+    np.testing.assert_array_equal(k.profile(rho), _profile_parent(k, rho))

@@ -191,6 +191,59 @@ def test_divcurl_incompatible_data_rejected(table3):
         sol.divcurl3d(table3, f, g)
 
 
+def _divcurl_normal_equations(table, f, g):
+    """Reference: per-mode normal equations of the 4x3 stack, solved batched."""
+    lam = table.lam
+    lam_neg = table.lam_neg()
+    z = np.zeros_like(lam[..., 0])
+    K = np.stack([
+        np.stack([z, -lam[..., 2], lam[..., 1]], axis=-1),
+        np.stack([lam[..., 2], z, -lam[..., 0]], axis=-1),
+        np.stack([-lam[..., 1], lam[..., 0], z], axis=-1),
+    ], axis=-2)
+    KH = np.conj(np.swapaxes(K, -1, -2))
+    M = np.einsum("...i,...j->...ij", np.conj(lam_neg), lam_neg) + KH @ K
+    rhs = np.conj(lam_neg) * f.coeffs[..., None] + np.einsum("...ij,...j->...i", KH, g.coeffs)
+    nz = table.abs2() > 0.0
+    u = np.zeros_like(g.coeffs)
+    u[nz] = np.linalg.solve(M[nz], rhs[nz][..., None])[..., 0]
+    return u
+
+
+@pytest.fixture(scope="module")
+def frac_table3():
+    k = normalize("fractional", 3, horizon=0.1, beta=1.5)
+    return build_table(k, Orientation.from_vector([1.0, -2.0, 0.5]), 6)
+
+
+@pytest.mark.parametrize("which", ["table3", "frac_table3"])
+@pytest.mark.parametrize("compatible", [True, False])
+def test_divcurl_closed_form_matches_normal_equations(request, which, compatible):
+    tab = request.getfixturevalue(which)
+    ustar = fl.random_field(87, 6, 1.0, dimension=3, components=3)
+    if compatible:
+        f, g = ops.divergence(tab, ustar), ops.curl3d(tab, ustar)
+    else:  # least squares: the closed form is the minimizer for any data
+        f = fl.random_field(88, 6, 1.0, dimension=3)
+        g = fl.random_field(89, 6, 1.0, dimension=3, components=3)
+    u, _ = sol.divcurl3d(tab, f, g, residual_tol=np.inf)
+    ref = _divcurl_normal_equations(tab, f, g)
+    assert np.max(np.abs(u.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if compatible:
+        assert np.max(np.abs(u.coeffs - ustar.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["table3", "frac_table3"])
+def test_divcurl_friedrichs_ratio_is_coercivity(request, which):
+    tab = request.getfixturevalue(which)
+    ustar = fl.random_field(90, 6, 1.0, dimension=3, components=3)
+    u, rep = sol.divcurl3d(tab, ops.divergence(tab, ustar), ops.curl3d(tab, ustar))
+    ratio = 1.0 + l2_norm(u) ** 2 / l2_norm(ops.gradient(tab, u)) ** 2
+    assert rep["friedrichs_ratio"] == pytest.approx(ratio, rel=1e-14)
+    a2 = tab.abs2()
+    assert rep["friedrichs_ratio"] <= 1.0 + 1.0 / np.min(a2[a2 > 0.0])
+
+
 def test_divcurl_friedrichs_stable_across_deltas():
     n = [1.0, -2.0, 0.5]
     ratios = []
