@@ -184,10 +184,6 @@ def half_angles_2d(n):
     return gl_panels([-0.5 * math.pi, 0.5 * math.pi], n)
 
 
-def quarter_angles_2d(n):
-    return gl_panels([0.0, 0.5 * math.pi], n)
-
-
 def hemisphere_angles_3d(n_polar, n_azimuth):
     """Product rule on the hemisphere about e3: GL in polar angle x trapezoid.
 
@@ -202,12 +198,6 @@ def hemisphere_angles_3d(n_polar, n_azimuth):
     )
     weights = np.repeat(wphi * np.sin(phi), n_azimuth) * np.tile(waz, n_polar)
     return nodes, weights
-
-
-def sphere_polar_rule(n):
-    """GL rule for int_0^pi g(phi) sin(phi) dphi (full sphere, azimuth-free)."""
-    phi, w = gl_panels([0.0, math.pi], n)
-    return phi, w * np.sin(phi)
 
 
 def frame_matrix(n):

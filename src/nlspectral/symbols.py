@@ -10,9 +10,13 @@ with the radial factor
 
     Lambda(k) = int_{full ball} w_delta(|s|) (s.e/|s|) sin(k s.e) ds
 
-independent of both the orientation and the unit vector e.  Tables are
-filled by tensor quadrature whose angular directions s_j = R s^_j are
-taken in the lattice frame (R the orientation frame matrix).  There
+independent of both the orientation and the unit vector e.  Its angular
+integral is closed: Lambda(k) = 2 pi int_0^delta w_delta(r) r J1(k r) dr
+in 2D and 4 pi int_0^delta w_delta(r) r^2 j1(k r) dr in 3D, and the drift
+factor m has J0 - 1 and j0 - 1 in their place, so each is one sum over the
+radial rule.  Re lambda is filled by tensor quadrature whose angular
+directions s_j = R s^_j are taken in the lattice frame (R the orientation
+frame matrix).  There
 exp(i r xi.s_j) is the product over coordinates of exp(i r xi_c s_jc), so
 the radial sum of Re lambda over a whole grid of modes is one complex
 matmul per direction: exact to rounding, with no rotation back.  Conjugate
@@ -21,10 +25,12 @@ as computed.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 import math
 
 import numpy as np
+from scipy.special import j0, j1, spherical_jn
 
 from . import quadrature as quad
 from .errors import KernelError, QuadratureConvergenceError
@@ -172,41 +178,29 @@ def _re_lambda(kernel, axes, frame, nr, na):
     return 2.0 * out.reshape(shape + (d,))
 
 
-def _full_ball(kernel, ks, nr, na, odd):
+def _full_ball(kernel, ks, nr, odd):
     """Full-ball factors at the magnitudes ks: Lambda if ``odd``, else m.
 
     Lambda(k) = int w_delta (s.e/|s|) sin(k s.e) ds and m(k) = int w_delta
-    (cos(k s.e) - 1) ds.  2D reduces to four quarter-disk integrals, 3D to
-    the polar integral of the sphere with the azimuth integrated out.
-    Magnitudes go in chunks of at most _CHUNK phase entries, each summed on
-    its own.
+    (cos(k s.e) - 1) ds.  The angular integrals are closed (x = k r):
+    2 pi J1(x) and 2 pi (J0(x) - 1) over the circle, 4 pi j1(x) and
+    4 pi (j0(x) - 1) over the sphere, so each factor is one radial sum
+    (docs/full_ball.md).  Magnitudes go in blocks of at most _CHUNK (k, r)
+    entries, each summed on its own.
     """
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
-    n = na if isinstance(na, int) else na[0]
     if kernel.dimension == 2:
-        theta, va = quad.quarter_angles_2d(n)
-        c = np.cos(theta)
-        front = 4.0
+        front, radial = 2.0 * math.pi, j1 if odd else j0
     else:
-        phi, va = quad.sphere_polar_rule(n)
-        c = np.cos(phi)
-        front = 2.0 * math.pi
+        front, radial = 4.0 * math.pi, partial(spherical_jn, 1 if odd else 0)
     ks = np.asarray(ks, dtype=float)
-    wa = va * c if odd else va
     out = np.empty(len(ks))
-    step = max(1, _CHUNK // (len(r) * len(c)))
-    buf = np.empty((min(step, len(ks)), len(r), len(c)))   # reused: no page faults per chunk
+    step = max(1, _CHUNK // len(r))
     for lo in range(0, len(ks), step):
-        kc = ks[lo:lo + step, None, None]
-        part = buf[:len(kc)]
-        np.multiply(kc, r[None, :, None], out=part)
-        part *= c                       # (k r) c, the rounding of the unchunked phase
-        if odd:
-            np.sin(part, out=part)
-        else:
-            np.cos(part, out=part)
-            part -= 1.0
-        out[lo:lo + step] = np.einsum("kij,i,j->k", part, vr, wa)
+        vals = radial(np.multiply.outer(ks[lo:lo + step], r))
+        if not odd:
+            vals -= 1.0
+        out[lo:lo + step] = np.einsum("ki,i->k", vals, vr)
     return front * out
 
 
@@ -258,7 +252,7 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL,
 
     re_half, lam_rad = quad.settle(
         lambda level: (_re_lambda(kernel, axes, R, *level)[pick],
-                       _full_ball(kernel, ks, *level, odd=True)),
+                       _full_ball(kernel, ks, level[0], odd=True)),
         _bumps(nr, na, max_bumps + 1), tol, f"symbol quadrature for N={bound}")
 
     rad_map = {int(q): float(v) for q, v in zip(q2_unique, lam_rad)}
@@ -302,24 +296,23 @@ def local_table(dimension, bound):
     return SymbolTable(None, None, bound, lam, rad, 0.0, is_local=True)
 
 
-def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL, n_radial=None, n_angular=None):
-    """Radial symbol factor Lambda_delta(k) for a single magnitude k >= 0."""
+def _settled_full_ball(kernel, k, odd, tol, n_radial, what):
+    """_full_ball at one magnitude k >= 0, settled over a ladder of 4 nr levels."""
     if k == 0.0:
         return 0.0
-    nr, na = _node_counts(kernel, kernel.horizon * k, n_radial, n_angular)
-    return quad.settle(
-        lambda level: float(_full_ball(kernel, [k], *level, odd=True)[0]),
-        _bumps(nr, na, 4), tol, f"Lambda quadrature at k={k}")
+    nr, na = _node_counts(kernel, kernel.horizon * k, n_radial)
+    return quad.settle(lambda n: float(_full_ball(kernel, [k], n, odd)[0]),
+                       (level[0] for level in _bumps(nr, na, 4)), tol, f"{what} at k={k}")
+
+
+def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL, n_radial=None):
+    """Radial symbol factor Lambda_delta(k) for a single magnitude k >= 0."""
+    return _settled_full_ball(kernel, k, True, tol, n_radial, "Lambda quadrature")
 
 
 def mass_factor(kernel, k, tol=quad.DEFAULT_TOL):
     """Full-ball factor m_delta(k) <= 0 multiplying the drift direction."""
-    if k == 0.0:
-        return 0.0
-    nr, na = _node_counts(kernel, kernel.horizon * k)
-    return quad.settle(
-        lambda level: float(_full_ball(kernel, [k], *level, odd=False)[0]),
-        _bumps(nr, na, 4), tol, f"mass-factor quadrature at k={k}")
+    return _settled_full_ball(kernel, k, False, tol, None, "mass-factor quadrature")
 
 
 def star_symbol(kernel, kvec, xi, tol=quad.DEFAULT_TOL):
@@ -349,12 +342,12 @@ def star_table(kernel, kvec, bound, tol=quad.DEFAULT_TOL):
     ks = np.sqrt(q2_unique.astype(float))
     kmax = kernel.horizon * float(np.max(ks))
     nr, na = _node_counts(kernel, kmax)
-    nr2, na2 = _bump(nr, na)
-    lam_rad = _full_ball(kernel, ks, nr2, na2, odd=True)
-    mvals = _full_ball(kernel, ks, nr2, na2, odd=False)
+    nr2 = _bump(nr, na)[0]
+    lam_rad = _full_ball(kernel, ks, nr2, odd=True)
+    mvals = _full_ball(kernel, ks, nr2, odd=False)
     err = max(
-        float(np.max(np.abs(lam_rad - _full_ball(kernel, ks, nr, na, odd=True)))),
-        float(np.max(np.abs(mvals - _full_ball(kernel, ks, nr, na, odd=False)))),
+        float(np.max(np.abs(lam_rad - _full_ball(kernel, ks, nr, odd=True)))),
+        float(np.max(np.abs(mvals - _full_ball(kernel, ks, nr, odd=False)))),
     )
     # not settle(): both errors are scaled by max|Lambda| alone, tighter than
     # settle's scale over both parts wherever max|m| exceeds max|Lambda|
@@ -387,7 +380,7 @@ def averaged_energy_density(kernel, xi, samples=64, tol=quad.DEFAULT_TOL):
     kmax = kernel.horizon * k
     nr, na = _node_counts(kernel, kmax)
     nr, na = _bump(nr, na)
-    lam_rad = float(_full_ball(kernel, [k], nr, na, odd=True)[0])
+    lam_rad = float(_full_ball(kernel, [k], nr, odd=True)[0])
     angles = 2.0 * math.pi * np.arange(samples) / samples
     re2 = [
         np.sum(_re_lambda(kernel, ([xi[0]], [xi[1]]),

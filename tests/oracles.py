@@ -1,10 +1,14 @@
-"""Test-only quadrature oracles for the half-disk and half-ball integrals.
+"""Test-only quadrature oracles for the half-disk, half-ball and full-ball integrals.
 
-Each integrates w_delta(|s|) f(|s|, s/|s|) over the half-ball of an
-orientation by a rule that shares nothing with the polar product rules of
-``nlspectral.quadrature`` (``refinement_errors`` excepted: it reports that
-module's own refinement ladder).
+Each half-ball oracle integrates w_delta(|s|) f(|s|, s/|s|) over the
+half-ball of an orientation by a rule that shares nothing with the polar
+product rules of ``nlspectral.quadrature`` (``refinement_errors`` excepted:
+it reports that module's own refinement ladder).  ``full_ball_quadrature``
+integrates the full-ball factors by an angular product rule, the reference
+for the closed Bessel form of ``symbols._full_ball``.
 """
+
+import math
 
 import numpy as np
 
@@ -58,3 +62,30 @@ def monte_carlo_halfball(kernel, orientation, f, samples=200_000, seed=0):
     vals = np.asarray(f(r, pts / r[:, None]))
     box = (2.0 * delta) ** d
     return box * np.tensordot(eval_kernel(kernel, r), vals, axes=(0, 0)) / samples
+
+
+def full_ball_quadrature(kernel, ks, nr, na, odd):
+    """Full-ball factors Lambda (``odd``) or m at ks by angular quadrature.
+
+    The radial rule of ``symbols._full_ball`` at nr nodes times na
+    Gauss-Legendre angles: in 2D four quarter-disk integrals over (0, pi/2),
+    in 3D the polar integral of the sphere over (0, pi) with weight
+    sin(phi), the azimuth integrated out.  One sine or cosine per
+    (magnitude, radius, angle), in blocks of 64 magnitudes.
+    """
+    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
+    if kernel.dimension == 2:
+        theta, va = quad.gl_panels([0.0, 0.5 * math.pi], na)
+        c, front = np.cos(theta), 4.0
+    else:
+        phi, w = quad.gl_panels([0.0, math.pi], na)
+        c, va, front = np.cos(phi), w * np.sin(phi), 2.0 * math.pi
+    ks = np.asarray(ks, dtype=float)
+    out = np.empty(len(ks))
+    for lo in range(0, len(ks), 64):
+        phase = ks[lo:lo + 64, None, None] * r[None, :, None] * c
+        if odd:
+            out[lo:lo + 64] = np.einsum("kij,i,j->k", np.sin(phase), vr, va * c)
+        else:
+            out[lo:lo + 64] = np.einsum("kij,i,j->k", np.cos(phase) - 1.0, vr, va)
+    return front * out

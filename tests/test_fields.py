@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -103,6 +104,38 @@ def test_random_field_matches_scalar_splitmix(monkeypatch, seed, dimension, boun
     monkeypatch.setattr(fl, "_uniforms", _uniforms_reference)
     ref = fl.random_field(seed, bound, 1.5, dimension, components)
     np.testing.assert_array_equal(fast.coeffs, ref.coeffs)
+
+
+# random_field pinned bit for bit: (seed, d, N, vector, mode, the coefficient
+# at that mode as float.hex (real, imag) per component, and the first 16 hex
+# digits of the sha256 of every coefficient as little-endian complex128)
+RANDOM_FIELD_PINS = [
+    (0, 1, 9, False, (3,),
+     [("-0x1.68135ddb0276fp-3", "-0x1.b4cb0014c42c3p-6")], "8b4da589f89f7e3c"),
+    (7, 1, 9, True, (-8,),
+     [("-0x1.4a5dcce9fdf33p-6", "-0x1.3d72c4ef269c5p-5")], "bfc5740516f43407"),
+    (2**63 + 5, 2, 5, False, (2, -3),
+     [("0x1.b9dedf272a306p-4", "0x1.619823519c806p-4")], "0b149914398937dd"),
+    (11, 2, 5, True, (0, 4),
+     [("-0x1.52dc3a38aca95p-8", "0x1.e8c8688b77c15p-4"),
+      ("-0x1.d37d287dedaa8p-7", "-0x1.e5bd32c94b611p-4")], "b0275da873c387c0"),
+    (2**64 - 1, 3, 3, False, (1, -2, 3),
+     [("0x1.d905cdb0ebfefp-4", "0x1.fe0f2e8ddc4a6p-5")], "4785a284b090da86"),
+    (3, 3, 3, True, (-1, 0, 2),
+     [("0x1.50f66453962e0p-3", "-0x1.9e89f81c48e67p-3"),
+      ("0x1.04daa176bc52bp-2", "0x1.cbaf999e54735p-5"),
+      ("0x1.03d854748f691p-2", "-0x1.eee8d4bff35f2p-5")], "141578e37e9225fc"),
+]
+
+
+@pytest.mark.parametrize("seed, dimension, bound, vector, mode, values, digest",
+                         RANDOM_FIELD_PINS)
+def test_random_field_pinned_bits(seed, dimension, bound, vector, mode, values, digest):
+    u = fl.random_field(seed, bound, 1.5, dimension, dimension if vector else 0)
+    at = np.atleast_1d(u.coeffs[tuple(m + bound for m in mode)])
+    assert [(float(z.real).hex(), float(z.imag).hex()) for z in at] == values
+    data = np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 def test_random_field_flat_spectrum_populates_all_modes():

@@ -1,11 +1,11 @@
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.special import j1
 
-from nlspectral import normalize
+from nlspectral import epsilon_cutoff, normalize
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
 
@@ -428,7 +428,17 @@ def _grid_modes(bound, d):
 
 
 def _assert_factorized_matches_cos_sum(kernel, n, bound):
-    """_re_lambda over the half-lattice grid equals the cos sum to 1e-13 max|lambda|."""
+    """_re_lambda over the half-lattice grid equals the cos sum to 1e-13 max|lambda| plus a floor.
+
+    Both forms subtract a radial sum near sum vr from sum vr: the factorized
+    one takes Re sum_i vr_i exp(i r_i xi.s_j) - sum vr, the reference
+    sum_i vr_i (cos(r_i xi.s_j) - 1).  Either way each direction's radial
+    sum carries about eps sum vr of rounding however small the difference,
+    and 2 sum_j va_j |s_jc| <= 2 sum va carries it into each component: a
+    floor of 2 eps sum vr sum va on the absolute accuracy of Re lambda.  It
+    exceeds 1e-13 max|lambda| where sum vr is large against max|lambda|,
+    as for beta near 2 at a small horizon.
+    """
     d = kernel.dimension
     frame = quad.frame_matrix(n)
     axes, grid = _grid_modes(bound, d)
@@ -437,9 +447,11 @@ def _assert_factorized_matches_cos_sum(kernel, n, bound):
     assert got.shape == tuple(len(a) for a in axes) + (d,)
     ref = _re_lambda_cos_sum(kernel, grid, frame, nr, na)
     ks = np.linalg.norm(grid, axis=1)
-    lam_rad = sym._full_ball(kernel, ks, nr, na, odd=True)
+    lam_rad = sym._full_ball(kernel, ks, nr, odd=True)
     scale = float(np.max(np.sqrt(np.sum(ref**2, axis=1) + lam_rad**2)))
-    np.testing.assert_allclose(got.reshape(-1, d), ref, rtol=0, atol=1e-13 * scale)
+    _, vr, _, va = sym._half_rule_arrays(kernel, nr, na)
+    floor = 2.0 * np.finfo(float).eps * float(np.sum(vr)) * float(np.sum(va))
+    np.testing.assert_allclose(got.reshape(-1, d), ref, rtol=0, atol=1e-13 * scale + floor)
 
 
 @pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
@@ -475,7 +487,7 @@ def test_averaged_energy_density_matches_cos_sum(family, beta):
     xi = np.array([3.0, -7.0])
     k = float(np.linalg.norm(xi))
     nr, na = sym._bump(*sym._node_counts(kernel, kernel.horizon * k))
-    lam_rad = float(sym._full_ball(kernel, [k], nr, na, odd=True)[0])
+    lam_rad = float(sym._full_ball(kernel, [k], nr, odd=True)[0])
     re2 = [
         np.sum(_re_lambda_cos_sum(kernel, xi[None, :],
                                   quad.frame_matrix((math.cos(a), math.sin(a))), nr, na) ** 2)
@@ -487,6 +499,7 @@ def test_averaged_energy_density_matches_cos_sum(family, beta):
 
 
 @settings(max_examples=25, deadline=None)
+@example(d=2, fractional=True, beta=1.94921875, delta=0.03125, angles=(0.0, 0.0), bound=1)
 @given(
     d=st.sampled_from([2, 3]),
     fractional=st.booleans(),
@@ -504,28 +517,93 @@ def test_re_lambda_factorization_property(d, fractional, beta, delta, angles, bo
     _assert_factorized_matches_cos_sum(kernel, n, bound)
 
 
-def _full_ball_unchunked(kernel, ks, nr, na, odd):
-    """_full_ball with the whole K x nr x na phase tensor held at once."""
-    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
-    if kernel.dimension == 2:
-        theta, va = quad.quarter_angles_2d(na)
-        c, front = np.cos(theta), 4.0
-    else:
-        phi, va = quad.sphere_polar_rule(na[0])
-        c, front = np.cos(phi), 2.0 * math.pi
-    phase = np.asarray(ks)[:, None, None] * r[None, :, None] * c[None, None, :]
-    if odd:
-        return front * np.einsum("kij,i,j->k", np.sin(phase), vr, va * c)
-    return front * np.einsum("kij,i,j->k", np.cos(phase) - 1.0, vr, va)
+# ---------------------------------------------------------------------------
+# closed Bessel form of the full-ball factors against angular quadrature
+# ---------------------------------------------------------------------------
+
+_KERNELS = {
+    "constant": lambda d, delta, beta: normalize("constant", d, horizon=delta),
+    "fractional": lambda d, delta, beta: normalize("fractional", d, beta=beta, horizon=delta),
+    "clamped": lambda d, delta, beta: epsilon_cutoff(
+        normalize("fractional", d, beta=beta, horizon=delta), delta / 16),
+}
+
+
+def _lattice_magnitudes(bound, d):
+    """The distinct |xi| of the nonzero lattice cube, from 1 to sqrt(d) N."""
+    q2 = np.unique(np.sum(sym.lattice_modes(bound, d) ** 2, axis=1))
+    return np.sqrt(q2.astype(float))
+
+
+def _assert_full_ball_matches_quadrature(kernel, ks, nr, odd):
+    """_full_ball equals the angular product rule to 1e-12 max|value| plus a floor.
+
+    The reference takes 64 + 4 k_max delta angles, enough that its own
+    angular error stays far below the bound.  Lambda has no cancellation.
+    m sums vr_i (J0(k r_i) - 1) or vr_i (cos(k r_i c_j) - 1): terms near 1
+    less 1, each rounded to about eps whatever the size of the difference,
+    so either form carries up to eps |S^(d-1)| sum vr absolute error
+    (|S^1| = 2 pi, |S^2| = 4 pi).  Their difference may reach twice that,
+    which exceeds 1e-12 max|m| only where k_max delta is small.
+    """
+    na = 64 + int(4 * kernel.horizon * float(np.max(ks)))
+    got = sym._full_ball(kernel, ks, nr, odd)
+    ref = oracles.full_ball_quadrature(kernel, ks, nr, na, odd)
+    atol = 1e-12 * float(np.max(np.abs(ref)))
+    if not odd:
+        sphere = 2.0 * math.pi if kernel.dimension == 2 else 4.0 * math.pi
+        vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)[1]
+        atol += 2.0 * np.finfo(float).eps * sphere * float(np.sum(vr))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("odd", [True, False])
 @pytest.mark.parametrize("d, na", [(2, 61), (3, (47, 90))])
 @pytest.mark.parametrize("chunk", [None, 1, 7 * 40 * 61 + 5])
 def test_full_ball_chunks_match_unchunked(monkeypatch, odd, d, na, chunk):
+    # each block of magnitudes is summed on its own, so any block size gives
+    # the bits of one block; that block is the angular rule at na angles
+    # (the polar count in 3D) to 1e-12
     kernel = normalize("fractional", d, horizon=0.1, beta=1.5)
     ks = np.sqrt(np.arange(1, 1500, dtype=float))
-    if chunk is not None:
-        monkeypatch.setattr(sym, "_CHUNK", chunk)
-    got = sym._full_ball(kernel, ks, 40, na, odd)
-    np.testing.assert_array_equal(got, _full_ball_unchunked(kernel, ks, 40, na, odd))
+    default = sym._CHUNK
+    monkeypatch.setattr(sym, "_CHUNK", 40 * len(ks))
+    whole = sym._full_ball(kernel, ks, 40, odd)
+    monkeypatch.setattr(sym, "_CHUNK", default if chunk is None else chunk)
+    np.testing.assert_array_equal(sym._full_ball(kernel, ks, 40, odd), whole)
+    ref = oracles.full_ball_quadrature(kernel, ks, 40, na if d == 2 else na[0], odd)
+    np.testing.assert_allclose(whole, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("family, beta", [
+    ("constant", None), ("fractional", 1.0), ("fractional", 1.5), ("fractional", 1.9),
+    ("clamped", 1.5),
+])
+@pytest.mark.parametrize("d, bound", [(2, 32), (3, 8)])
+@pytest.mark.parametrize("delta", [0.2, 0.02])
+def test_full_ball_closed_form_matches_quadrature(family, beta, d, bound, delta):
+    # the first and last nr of a table's settle ladder, both factors, every
+    # |xi| of the lattice from 1 to kmax
+    kernel = _KERNELS[family](d, delta, beta)
+    ks = _lattice_magnitudes(bound, d)
+    nr, na = sym._node_counts(kernel, kernel.horizon * math.sqrt(d) * bound)
+    levels = [level[0] for level in sym._bumps(nr, na, 4)]
+    for nr in (levels[0], levels[-1]):
+        for odd in (True, False):
+            _assert_full_ball_matches_quadrature(kernel, ks, nr, odd)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    family=st.sampled_from(sorted(_KERNELS)),
+    beta=st.floats(1.0, 1.95),
+    delta=st.floats(0.02, 1.0),
+    bound=st.integers(1, 12),
+)
+def test_full_ball_closed_form_property(d, family, beta, delta, bound):
+    kernel = _KERNELS[family](d, delta, beta)
+    ks = _lattice_magnitudes(bound if d == 2 else min(bound, 6), d)
+    nr, _ = sym._node_counts(kernel, kernel.horizon * float(np.max(ks)))
+    for odd in (True, False):
+        _assert_full_ball_matches_quadrature(kernel, ks, nr, odd)
