@@ -121,9 +121,13 @@ def _positive_half(modes):
     return modes[mask]
 
 
+def _radial_count(kmax, n_radial=None):
+    return n_radial if n_radial is not None else 24 + int(kmax)
+
+
 def _node_counts(kernel, kmax, n_radial=None, n_angular=None):
     d = kernel.dimension
-    nr = n_radial if n_radial is not None else 24 + int(kmax)
+    nr = _radial_count(kmax, n_radial)
     if d == 2:
         na = n_angular if n_angular is not None else 32 + int(2.0 * kmax)
     else:
@@ -204,10 +208,21 @@ def _full_ball(kernel, ks, nr, odd):
     return front * out
 
 
+def _bump_radial(nr):
+    return int(nr * 1.5) + 1
+
+
 def _bump(nr, na):
     if isinstance(na, tuple):
-        return int(nr * 1.5) + 1, (int(na[0] * 1.5) + 1, int(na[1] * 1.5) + 2)
-    return int(nr * 1.5) + 1, int(na * 1.5) + 1
+        return _bump_radial(nr), (int(na[0] * 1.5) + 1, int(na[1] * 1.5) + 2)
+    return _bump_radial(nr), int(na * 1.5) + 1
+
+
+def _radial_bumps(nr, count):
+    """The radial count nr and the count - 1 radial bumps that follow it."""
+    for _ in range(count):
+        yield nr
+        nr = _bump_radial(nr)
 
 
 def _bumps(nr, na, count):
@@ -300,9 +315,9 @@ def _settled_full_ball(kernel, k, odd, tol, n_radial, what):
     """_full_ball at one magnitude k >= 0, settled over a ladder of 4 nr levels."""
     if k == 0.0:
         return 0.0
-    nr, na = _node_counts(kernel, kernel.horizon * k, n_radial)
     return quad.settle(lambda n: float(_full_ball(kernel, [k], n, odd)[0]),
-                       (level[0] for level in _bumps(nr, na, 4)), tol, f"{what} at k={k}")
+                       _radial_bumps(_radial_count(kernel.horizon * k, n_radial), 4),
+                       tol, f"{what} at k={k}")
 
 
 def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL, n_radial=None):
@@ -341,8 +356,8 @@ def star_table(kernel, kvec, bound, tol=quad.DEFAULT_TOL):
     q2_unique, q2_index = np.unique(q2, return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
     kmax = kernel.horizon * float(np.max(ks))
-    nr, na = _node_counts(kernel, kmax)
-    nr2 = _bump(nr, na)[0]
+    nr = _radial_count(kmax)
+    nr2 = _bump_radial(nr)
     lam_rad = _full_ball(kernel, ks, nr2, odd=True)
     mvals = _full_ball(kernel, ks, nr2, odd=False)
     err = max(

@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 import statistics
+import subprocess
 
 import pytest
 
@@ -73,3 +74,19 @@ def test_summarize_small_gain_inside_the_parents_spread():
     wall = bench_pairs.summarize(pairs, BETTER)["metrics"]["wall_s"]
     assert wall["wins"] == 4
     assert wall["beats_iqr"] is False
+
+
+def test_commit_names_a_clean_tree_and_refuses_a_dirty_one(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    (tmp_path / "untracked.txt").write_text("left by a run\n")
+    assert bench_pairs._commit(tmp_path) == git("rev-parse", "--short", "HEAD")
+    (tmp_path / "a.txt").write_text("two\n")
+    with pytest.raises(SystemExit, match="uncommitted"):
+        bench_pairs._commit(tmp_path)

@@ -3,7 +3,6 @@ import math
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
-from scipy.special import j1
 
 from nlspectral import epsilon_cutoff, normalize
 from nlspectral import quadrature as quad
@@ -141,26 +140,31 @@ def test_lambda_radial_orientation_free(table2):
         assert tab_b.lambda_radial_map[q2] == pytest.approx(val, rel=1e-11)
 
 
-def test_lambda_bessel_cross_check():
-    # Lambda(k) = 2 pi int_0^delta w_delta(r) r J1(k r) dr in 2D; scipy's
-    # Bessel evaluation is independent of the angular product rule
-    from numpy.polynomial.legendre import leggauss
-    from nlspectral.kernels import eval_kernel
+def _lambda_power_series_2d(kernel, freq, beta):
+    """Lambda(k) for w(rho) = C rho^-beta in 2D from the power series of J1.
 
-    x, w = leggauss(200)
-    for family, kwargs in [("constant", {}), ("fractional", {"beta": 1.5})]:
+    Lambda = 2 pi int_0^delta w_delta(r) r J1(k r) dr; with r = delta rho,
+    x = k delta and J1(x rho) = sum_n (-1)^n (x rho/2)^(2n+1) / (n! (n+1)!),
+    each term integrates to 1/(2n + 3 - beta): no quadrature rule and no
+    Bessel routine.  beta = 0 is the constant kernel.
+    """
+    x = freq * kernel.horizon
+    total = sum((-1) ** n * (x / 2.0) ** (2 * n + 1)
+                / (math.factorial(n) * math.factorial(n + 1) * (2 * n + 3 - beta))
+                for n in range(40))
+    return 2.0 * math.pi * kernel.normalization / kernel.horizon * total
+
+
+def test_lambda_bessel_cross_check():
+    # the series reference shares neither the radial rule nor scipy's J1
+    # with the program
+    for family, beta in [("constant", 0.0), ("fractional", 1.0), ("fractional", 1.5),
+                         ("fractional", 1.9)]:
+        kwargs = {"beta": beta} if family == "fractional" else {}
         k = normalize(family, 2, horizon=0.25, **kwargs)
-        if family == "fractional":
-            r, v = quad.scaled_radial_rule(k, panels=1, n_nodes=64)
-            for freq in (1.0, 6.0):
-                ref = 2.0 * math.pi * float(np.sum(v * j1(freq * r)))
-                assert sym.lambda_radial(k, freq) == pytest.approx(ref, rel=1e-9)
-        else:
-            r = 0.125 * (x + 1.0)
-            wr = 0.125 * w * eval_kernel(k, r) * r
-            for freq in (1.0, 6.0):
-                ref = 2.0 * math.pi * float(np.sum(wr * j1(freq * r)))
-                assert sym.lambda_radial(k, freq) == pytest.approx(ref, rel=1e-9)
+        for freq in (1.0, 6.0, 20.0):
+            ref = _lambda_power_series_2d(k, freq, beta)
+            assert sym.lambda_radial(k, freq) == pytest.approx(ref, rel=1e-9)
 
 
 def test_lambda_radial_3d_closed_polar_form():

@@ -1,14 +1,16 @@
 """Alternating parent/change benchmark pairs, summarized into BENCH_<tag>.json.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --tag pr8 \
-        [--workloads sweep2d,field3d,bond1d,cached2d] [--pairs 10] \
-        [--seconds 15] [--seed 0] [--out BENCH_pr8.json]
+    python3 tools/bench_pairs.py --parent ../parent --change . --tag pr8
 
-Both checkouts run their own ``perfbench/run.py`` (``--trace 0``), one
-process per run.  Pair ``i`` uses seed ``seed + i`` for both runs, and its
-order alternates: parent first in even pairs, change first in odd ones, so
-a steady drift of the machine's speed weighs on both sides alike.  The
-workloads run one after the other, all pairs of one before the next.
+writes ``BENCH_pr8.json`` into the change checkout.  Both checkouts run
+their own ``perfbench/run.py`` (``--trace 0``, its own run length), one
+process per run, over every workload the change's ``BENCHMARK.json``
+declares.  Each workload gets PAIRS pairs; pair ``i`` uses seed ``i`` for
+both runs, and its order alternates: parent first in even pairs, change
+first in odd ones, so a steady drift of the machine's speed weighs on both
+sides alike.  The workloads run one after the other, all pairs of one
+before the next.  Both checkouts must be git work trees with no
+uncommitted change to a tracked file; the file names both commits.
 
 For every metric of a workload the file holds each side's median and
 quartiles (``statistics.quantiles(n=4)``), the change's wins (pairs in
@@ -28,6 +30,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def parse_run(stdout):
@@ -45,10 +48,10 @@ def parse_run(stdout):
     }
 
 
-def run_one(checkout, workload, seed, seconds):
+def run_one(checkout, workload, seed):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     return parse_run(out.stdout)
 
@@ -89,10 +92,15 @@ def summarize(pairs, better):
 
 
 def _commit(checkout):
-    """The checkout's short commit hash, or None outside a git work tree."""
-    got = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
-                         capture_output=True, text=True)
-    return got.stdout.strip() if got.returncode == 0 else None
+    """The checkout's short commit hash; a tree whose tracked files differ
+    from that commit is refused, so the numbers always name their code."""
+    git = ["git", "-C", str(checkout)]
+    dirty = subprocess.run(git + ["status", "--porcelain", "--untracked-files=no"],
+                           capture_output=True, text=True, check=True).stdout
+    if dirty.strip():
+        raise SystemExit(f"{checkout}: uncommitted changes to tracked files")
+    return subprocess.run(git + ["rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def main(argv=None):
@@ -100,30 +108,22 @@ def main(argv=None):
     p.add_argument("--parent", required=True, type=Path)
     p.add_argument("--change", required=True, type=Path)
     p.add_argument("--tag", required=True)
-    p.add_argument("--workloads", default="sweep2d,field3d,bond1d,cached2d")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=15.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=None)
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2 to have quartiles")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
 
     report = {"tag": args.tag,
-              "protocol": {"pairs": args.pairs, "seconds": args.seconds,
-                           "seeds": [args.seed, args.seed + args.pairs - 1],
+              "protocol": {"pairs": PAIRS, "seeds": [0, PAIRS - 1],
                            "order": "parent first in even pairs, change first in odd"},
               "commits": {s: _commit(checkouts[s]) for s in SIDES},
               "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             pair = {}
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                pair[side] = run_one(checkouts[side], workload, args.seed + i, args.seconds)
+                pair[side] = run_one(checkouts[side], workload, i)
                 print(f"{workload} pair {i} {side}: {pair[side]['metrics']}", file=sys.stderr)
             pairs.append(pair)
         summary = summarize(pairs, better)
@@ -134,7 +134,7 @@ def main(argv=None):
         report["src_lines"] = {s: env[s]["src_lines"] for s in SIDES}
         report["versions"] = {k: env["change"][k] for k in
                               ("python", "numpy", "scipy", "blas", "nproc", "machine")}
-    out = args.out or args.change / f"BENCH_{args.tag}.json"
+    out = args.change / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
