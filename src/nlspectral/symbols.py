@@ -16,12 +16,21 @@ in 2D and 4 pi int_0^delta w_delta(r) r^2 j1(k r) dr in 3D, and the drift
 factor m has J0 - 1 and j0 - 1 in their place, so each is one sum over the
 radial rule.  Re lambda is filled by tensor quadrature whose angular
 directions s_j = R s^_j are taken in the lattice frame (R the orientation
-frame matrix).  There
-exp(i r xi.s_j) is the product over coordinates of exp(i r xi_c s_jc), so
-the radial sum of Re lambda over a whole grid of modes is one complex
-matmul per direction: exact to rounding, with no rotation back.  Conjugate
-symmetry lambda(-xi) = conj(lambda(xi)) halves the work and holds exactly
-as computed.
+frame matrix).  There exp(i r xi.s_j) is the product over coordinates of
+exp(i r xi_c s_jc), exact to rounding, with no rotation back:
+
+- blocked phase powers: exp(i n theta) for n = 0..N is
+  exp(i q b theta) exp(i m theta) with n = q b + m, b = ceil(sqrt(N+1)),
+  about 2 sqrt(N+1) complex exps per (direction, radius);
+- conjugate fold: a coordinate over -N..N takes its half n < 0 as the
+  conjugates of n > 0;
+- real-only last contraction: with A the product of the leading factors
+  and the radial weights, P = Re A . cos and Q = Im A . sin over n >= 0
+  give the radial sum at +n and -n of the last coordinate as P - Q and
+  P + Q: two real matmuls per direction over N+1 columns.
+
+Conjugate symmetry lambda(-xi) = conj(lambda(xi)) halves the lattice and
+holds exactly as computed.
 """
 
 from dataclasses import dataclass, field
@@ -121,21 +130,15 @@ def _positive_half(modes):
     return modes[mask]
 
 
-def _radial_count(kmax, n_radial=None):
-    return n_radial if n_radial is not None else 24 + int(kmax)
+def _radial_count(kmax):
+    return 24 + int(kmax)
 
 
-def _node_counts(kernel, kmax, n_radial=None, n_angular=None):
-    d = kernel.dimension
-    nr = _radial_count(kmax, n_radial)
-    if d == 2:
-        na = n_angular if n_angular is not None else 32 + int(2.0 * kmax)
-    else:
-        na = n_angular if n_angular is not None else (
-            16 + int(1.2 * kmax),
-            32 + 2 * int(kmax),
-        )
-    return nr, na
+def _node_counts(kernel, kmax):
+    nr = _radial_count(kmax)
+    if kernel.dimension == 2:
+        return nr, 32 + int(2.0 * kmax)
+    return nr, (16 + int(1.2 * kmax), 32 + 2 * int(kmax))
 
 
 def _half_rule_arrays(kernel, nr, na):
@@ -150,36 +153,59 @@ def _half_rule_arrays(kernel, nr, na):
     return r, vr, dirs, va
 
 
-def _re_lambda(kernel, axes, frame, nr, na):
-    """Re lambda on the grid axes[0] x ... x axes[d-1], in the lattice frame.
+def _phase_powers(theta, count):
+    """exp(i n theta) for n = 0..count-1, on a new axis before the last of theta.
 
-    With s_j = frame @ s^_j, exp(i r xi.s_j) = prod_c exp(i r xi_c s_jc): for
-    each direction j the radial sum sum_i vr_i exp(i r_i xi.s_j) over the
-    grid is the outer product of the first d - 1 coordinate factors
-    contracted over the radial nodes with the last one.  Its real part minus
-    sum vr is sum_i vr_i (cos(r_i xi.s_j) - 1).  Directions are taken in
-    chunks of at most _CHUNK complex entries; returns shape grid + (d,).
+    With b = ceil(sqrt(count)) and n = q b + m (0 <= m < b), exp(i n theta)
+    is exp(i q b theta) exp(i m theta): b + ceil(count / b), about
+    2 sqrt(count), complex exps per entry of theta in place of count, and
+    each power within a few ulp of the direct exp.
+    """
+    theta = np.asarray(theta, dtype=float)[..., None, :]
+    b = math.isqrt(count - 1) + 1
+    small = np.exp(1j * (np.arange(b)[:, None] * theta))
+    big = np.exp(1j * (np.arange(0, count, b)[:, None] * theta))
+    pw = big[..., :, None, :] * small[..., None, :, :]
+    return pw.reshape(pw.shape[:-3] + (-1, pw.shape[-1]))[..., :count, :]
+
+
+def _re_lambda(kernel, bound, frame, nr, na):
+    """Re lambda on the half-lattice grid 0..N x (-N..N)^(d-1), in the lattice frame.
+
+    With s_j = frame @ s^_j, exp(i r xi.s_j) = prod_c exp(i r xi_c s_jc).
+    Each coordinate's factors exp(i n s_jc r_i), n = 0..N, are blocked phase
+    powers; a signed axis takes its half n < 0 as their conjugates.  With A
+    the outer product of the first d - 1 factors times vr, the radial sum
+    Re sum_i vr_i exp(i r_i xi.s_j) at last coordinate +n and -n is P - Q
+    and P + Q, where P = Re A . cos and Q = Im A . sin over n >= 0: two real
+    matmuls per direction.  Less sum vr this is
+    sum_i vr_i (cos(r_i xi.s_j) - 1).  Directions are taken in chunks of
+    at most _CHUNK entries; returns shape (N+1,) + (2N+1,)*(d-1) + (d,).
     """
     r, vr, dirs, va = _half_rule_arrays(kernel, nr, na)
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    shape = tuple(len(a) for a in axes)
-    d = len(axes)
+    d = kernel.dimension
+    n1, n2 = bound + 1, 2 * bound + 1
     s = dirs @ frame.T                          # (J, d) directions, lattice frame
     ws = va[:, None] * s
-    lead = math.prod(shape[:-1])
-    out = np.zeros((math.prod(shape), d))
-    chunk = max(1, _CHUNK // (len(r) * (lead + shape[-1]) + math.prod(shape)))
+    lead = n1 * n2 ** (d - 2)
+    out = np.zeros((lead * n2, d))
+    chunk = max(1, _CHUNK // (len(r) * (d * n1 + 3 * lead) + lead * (2 * n1 + n2)))
     for lo in range(0, len(s), chunk):
         sc = s[lo:lo + chunk]
-        fac = [np.exp(1j * (sc[:, c, None, None] * axes[c][None, :, None]) * r)
-               for c in range(d)]               # (Jc, len(axes[c]), nr)
-        outer = fac[0] * vr
-        for f in fac[1:-1]:
-            outer = (outer[:, :, None, :] * f[:, None, :, :]).reshape(len(sc), -1, len(r))
-        g = np.matmul(outer, fac[-1].transpose(0, 2, 1)).real.reshape(len(sc), -1)
-        g -= np.sum(vr)
-        out += g.T @ ws[lo:lo + chunk]
-    return 2.0 * out.reshape(shape + (d,))
+        fac = _phase_powers(sc[:, :, None] * r, n1)   # (Jc, d, N+1, nr)
+        a = fac[:, 0] * vr
+        for c in range(1, d - 1):
+            signed = np.concatenate([fac[:, c, :0:-1].conj(), fac[:, c]], axis=1)
+            a = (a[:, :, None, :] * signed[:, None, :, :]).reshape(len(sc), -1, len(r))
+        last = fac[:, -1].transpose(0, 2, 1)
+        p = np.matmul(np.ascontiguousarray(a.real), np.ascontiguousarray(last.real))
+        q = np.matmul(np.ascontiguousarray(a.imag), np.ascontiguousarray(last.imag))
+        p -= np.sum(vr)
+        g = np.empty((len(sc), lead, n2))
+        np.add(p[:, :, :0:-1], q[:, :, :0:-1], out=g[:, :, :bound])
+        np.subtract(p, q, out=g[:, :, bound:])
+        out += g.reshape(len(sc), -1).T @ ws[lo:lo + chunk]
+    return 2.0 * out.reshape((n1,) + (n2,) * (d - 1) + (d,))
 
 
 def _full_ball(kernel, ks, nr, odd):
@@ -232,15 +258,15 @@ def _bumps(nr, na, count):
         nr, na = _bump(nr, na)
 
 
-def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL,
-                n_radial=None, n_angular=None, max_bumps=3, oversample=1):
+def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, oversample=1):
     """Build the symbol table for (kernel, orientation) up to |xi|_inf <= N.
 
     Every entry is verified by recomputation on a refined rule; construction
     raises QuadratureConvergenceError if refinement fails to settle within
     tol (relative, per table) and KernelError if any symbol magnitude
-    degenerates to zero.  ``oversample`` multiplies the automatic node
-    counts (the "quad.panels" config knob).
+    degenerates to zero.  The node counts grow with delta sqrt(d) N
+    (_node_counts); ``oversample`` starts the refinement ladder that many
+    levels up it, less one (the "quad.panels" config knob).
     """
     if bound < 1:
         raise ValueError("lattice bound must be at least 1")
@@ -253,20 +279,19 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL,
 
     half = _positive_half(lattice_modes(bound, d))
     kmax = kernel.horizon * math.sqrt(d) * bound
-    nr, na = _node_counts(kernel, kmax, n_radial, n_angular)
+    nr, na = _node_counts(kernel, kmax)
     for _ in range(max(0, int(oversample) - 1)):
         nr, na = _bump(nr, na)
 
     R = quad.frame_matrix(n)
-    # axis 0 over 0..N covers the positive half lattice
-    axes = [np.arange(bound + 1)] + [np.arange(-bound, bound + 1)] * (d - 1)
+    # the grid 0..N x (-N..N)^(d-1) of _re_lambda covers the positive half lattice
     pick = (half[:, 0],) + tuple(half[:, 1:].T + bound)
     q2 = np.sum(half**2, axis=1)
     q2_unique, q2_index = np.unique(q2, return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
 
     re_half, lam_rad = quad.settle(
-        lambda level: (_re_lambda(kernel, axes, R, *level)[pick],
+        lambda level: (_re_lambda(kernel, bound, R, *level)[pick],
                        _full_ball(kernel, ks, level[0], odd=True)),
         _bumps(nr, na, max_bumps + 1), tol, f"symbol quadrature for N={bound}")
 
@@ -311,23 +336,23 @@ def local_table(dimension, bound):
     return SymbolTable(None, None, bound, lam, rad, 0.0, is_local=True)
 
 
-def _settled_full_ball(kernel, k, odd, tol, n_radial, what):
+def _settled_full_ball(kernel, k, odd, tol, what):
     """_full_ball at one magnitude k >= 0, settled over a ladder of 4 nr levels."""
     if k == 0.0:
         return 0.0
     return quad.settle(lambda n: float(_full_ball(kernel, [k], n, odd)[0]),
-                       _radial_bumps(_radial_count(kernel.horizon * k, n_radial), 4),
+                       _radial_bumps(_radial_count(kernel.horizon * k), 4),
                        tol, f"{what} at k={k}")
 
 
-def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL, n_radial=None):
+def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL):
     """Radial symbol factor Lambda_delta(k) for a single magnitude k >= 0."""
-    return _settled_full_ball(kernel, k, True, tol, n_radial, "Lambda quadrature")
+    return _settled_full_ball(kernel, k, True, tol, "Lambda quadrature")
 
 
 def mass_factor(kernel, k, tol=quad.DEFAULT_TOL):
     """Full-ball factor m_delta(k) <= 0 multiplying the drift direction."""
-    return _settled_full_ball(kernel, k, False, tol, None, "mass-factor quadrature")
+    return _settled_full_ball(kernel, k, False, tol, "mass-factor quadrature")
 
 
 def star_symbol(kernel, kvec, xi, tol=quad.DEFAULT_TOL):
@@ -382,7 +407,9 @@ def averaged_energy_density(kernel, xi, samples=64, tol=quad.DEFAULT_TOL):
 
     Equals Lambda(|xi|)^2 plus the angular mean of |Re lambda|^2; the uniform
     trapezoid over `samples` orientations is spectrally accurate since the
-    integrand is smooth and periodic in the orientation angle.
+    integrand is smooth and periodic in the orientation angle.  Re lambda at
+    every orientation is the direct sum
+    2 sum_j va_j s_j sum_i vr_i (cos(r_i xi.s_j) - 1) over one half-ball rule.
     """
     if kernel.dimension != 2:
         raise KernelError("orientation averaging is defined on the circle (d = 2)")
@@ -396,13 +423,13 @@ def averaged_energy_density(kernel, xi, samples=64, tol=quad.DEFAULT_TOL):
     nr, na = _node_counts(kernel, kmax)
     nr, na = _bump(nr, na)
     lam_rad = float(_full_ball(kernel, [k], nr, odd=True)[0])
+    r, vr, dirs, va = _half_rule_arrays(kernel, nr, na)
     angles = 2.0 * math.pi * np.arange(samples) / samples
-    re2 = [
-        np.sum(_re_lambda(kernel, ([xi[0]], [xi[1]]),
-                          quad.frame_matrix((math.cos(a), math.sin(a))), nr, na) ** 2)
-        for a in angles
-    ]
-    return lam_rad**2 + float(np.mean(re2))
+    frames = np.stack([quad.frame_matrix((math.cos(a), math.sin(a))) for a in angles])
+    s = dirs @ frames.transpose(0, 2, 1)        # (samples, J, 2) directions, lattice frame
+    radial = (np.cos(np.multiply.outer(s @ xi, r)) - 1.0) @ vr
+    re = 2.0 * np.einsum("aj,j,ajc->ac", radial, va, s)
+    return lam_rad**2 + float(np.mean(np.sum(re**2, axis=1)))
 
 
 def verify_bounds(table):
@@ -445,17 +472,21 @@ def save_table(table, path):
 def load_table(path):
     """Read a cache written by save_table, all or nothing.
 
-    Raises ValueError unless the header is complete and well formed and every
-    nonzero lattice mode and the radial factor of every |xi|^2 of the lattice
-    are listed exactly once, and KernelError if a loaded symbol fails the
-    table validation.
+    Raises ValueError unless the header is complete and well formed, the body
+    is the mode lines and then the L lines, each of its own width and ended
+    by a newline, as save_table writes them, and every nonzero lattice mode
+    and the radial factor of every |xi|^2 of the lattice are listed exactly
+    once; KernelError if a loaded symbol fails the table validation.  The
+    body is parsed in one pass: one token list, with ";" closing each line,
+    and one float conversion of the mode tokens.
     """
     with open(path) as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("# nlspectral-symbols"):
+        header = next((ln for ln in fh if ln.strip()), "")
+        text = fh.read()
+    if not header.startswith("# nlspectral-symbols"):
         raise ValueError(f"not a symbol cache: {path}")
     try:
-        fields = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        fields = dict(tok.split("=", 1) for tok in header.split()[2:])
         d = int(fields["d"])
         bound = int(fields["N"])
         cfg = {"family": fields["family"], "dimension": d, "delta": float(fields["delta"])}
@@ -468,13 +499,20 @@ def load_table(path):
             raise ValueError(f"N={bound} and n={fields['n']} do not fit d={d}")
     except (KeyError, ValueError) as exc:
         raise ValueError(f"symbol cache {path} has a malformed header") from exc
-    radial, rows = [], []
-    for ln in lines[1:]:
-        toks = ln.split()
-        (radial if toks[0] == "L" else rows).append(toks)
+    toks = text.replace("\n", " ; ").split()
+    cut = toks.index("L") if "L" in toks else len(toks)
+    rows, radial = toks[:cut], toks[cut:]
+    width = 3 * d + 1                   # a mode line's tokens and its ";"
+    n_rows, n_radial = len(rows) // width, len(radial) // 4
+    if (len(rows) != n_rows * width or len(radial) != n_radial * 4
+            or not rows.count(";") == rows[width - 1::width].count(";") == n_rows
+            or not radial.count(";") == radial[3::4].count(";") == n_radial
+            or radial[::4].count("L") != n_radial):
+        raise ValueError(f"symbol cache {path} has a malformed line")
+    del rows[width - 1::width]
     try:
-        body = np.array(rows, dtype=float).reshape(len(rows), 3 * d)
-        rad = {int(q): float(v) for _, q, v in radial}
+        body = np.array(rows, dtype=float).reshape(n_rows, 3 * d)
+        rad = {int(q): float(v) for q, v in zip(radial[1::4], radial[2::4])}
     except ValueError as exc:
         raise ValueError(f"symbol cache {path} has a malformed line") from exc
     modes = body[:, :d].astype(int)
@@ -486,7 +524,7 @@ def load_table(path):
     if not np.all(inside) or np.any(seen != 1):
         raise ValueError(f"symbol cache {path} lacks or repeats a mode of N={bound}")
     q2 = np.unique(np.sum(lattice_modes(bound, d) ** 2, axis=1))
-    if len(radial) != len(q2) or set(rad) != set(q2.tolist()):
+    if n_radial != len(q2) or set(rad) != set(q2.tolist()):
         raise ValueError(f"symbol cache {path} lacks or repeats a radial line of N={bound}")
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
     lam[tuple(idx.T)] = np.ascontiguousarray(body[:, d:]).view(complex)

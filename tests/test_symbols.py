@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -242,11 +243,16 @@ def test_local_table_is_i_xi():
 
 
 def test_cache_roundtrip(tmp_path, table2):
+    # every bit comes back, signed zeros included
+    table = dataclasses.replace(table2, lam=table2.lam.copy())
+    table.lam[table.bound + 1, table.bound, 0] = complex(-0.0, table.lam[table.bound + 1, table.bound, 0].imag)
     path = tmp_path / "cache.txt"
-    sym.save_table(table2, path)
+    sym.save_table(table, path)
     back = sym.load_table(path)
-    np.testing.assert_array_equal(back.lam, table2.lam)
-    assert back.lambda_radial_map == table2.lambda_radial_map
+    np.testing.assert_array_equal(back.lam.view(np.int64), table.lam.view(np.int64))
+    assert back.lambda_radial_map == table.lambda_radial_map
+    assert all(math.copysign(1.0, back.lambda_radial_map[q]) == math.copysign(1.0, v)
+               for q, v in table.lambda_radial_map.items())
     assert back.kernel.family == "constant"
     assert back.bound == table2.bound
     np.testing.assert_allclose(back.orientation.vec, table2.orientation.vec, rtol=0)
@@ -268,6 +274,12 @@ def _mode_outside_bound(lines):
 
 def _cut_mid_line(lines):
     return lines[:50] + [lines[50][:10]]
+
+
+def _move_a_token_to_the_next_line(lines):
+    # the token count is right overall, but two lines have the wrong width
+    toks = lines[5].split()
+    return lines[:5] + [" ".join(toks[:-1]) + "\n", toks[-1] + " " + lines[6]] + lines[7:]
 
 
 def _non_integer_mode(lines):
@@ -324,7 +336,7 @@ def _header_short_orientation(lines):
 
 @pytest.mark.parametrize("corrupt", [_cut_to_100_lines, _duplicate_a_mode,
                                      _mode_outside_bound, _cut_mid_line,
-                                     _non_integer_mode, _drop_a_radial_line,
+                                     _move_a_token_to_the_next_line, _non_integer_mode, _drop_a_radial_line,
                                      _duplicate_a_radial_line, _cut_radial_line,
                                      _empty_file, _header_only, _header_without_tol,
                                      _header_without_beta, _header_bad_dimension,
@@ -425,6 +437,18 @@ def _re_lambda_cos_sum(kernel, xi, frame, nr, na):
     return out @ frame.T
 
 
+def test_phase_powers_match_direct_exp():
+    # each blocked power is within a few ulp of exp(i n theta), beyond the
+    # rounding both carry in their arguments (eps |n theta|)
+    eps = np.finfo(float).eps
+    for count in range(1, 41):
+        theta = np.random.default_rng(count).uniform(-math.pi, math.pi, (3, 50))
+        arg = np.arange(count)[:, None] * theta[..., None, :]
+        got = sym._phase_powers(theta, count)
+        assert got.shape == (3, count, 50)
+        assert np.all(np.abs(got - np.exp(1j * arg)) <= 4.0 * eps * (1.0 + np.abs(arg)))
+
+
 def _grid_modes(bound, d):
     axes = [np.arange(bound + 1)] + [np.arange(-bound, bound + 1)] * (d - 1)
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
@@ -447,7 +471,7 @@ def _assert_factorized_matches_cos_sum(kernel, n, bound):
     frame = quad.frame_matrix(n)
     axes, grid = _grid_modes(bound, d)
     nr, na = sym._node_counts(kernel, kernel.horizon * math.sqrt(d) * bound)
-    got = sym._re_lambda(kernel, axes, frame, nr, na)
+    got = sym._re_lambda(kernel, bound, frame, nr, na)
     assert got.shape == tuple(len(a) for a in axes) + (d,)
     ref = _re_lambda_cos_sum(kernel, grid, frame, nr, na)
     ks = np.linalg.norm(grid, axis=1)
@@ -462,6 +486,12 @@ def _assert_factorized_matches_cos_sum(kernel, n, bound):
 @pytest.mark.parametrize("d, n, bound", [
     (2, (math.cos(2.3), math.sin(2.3)), 9),
     (3, (0.48, -0.6, 0.64), 5),
+    # the benchmark sizes
+    (2, (math.cos(0.4), math.sin(0.4)), 32),
+    (3, (0.48, -0.6, 0.64), 8),
+    # block edges of the phase powers: N + 1 = 16 = 4^2, and one past it
+    (2, (math.cos(2.3), math.sin(2.3)), 15),
+    (2, (math.cos(2.3), math.sin(2.3)), 16),
 ])
 def test_re_lambda_factorization_matches_cos_sum(family, beta, d, n, bound):
     kernel = normalize(family, d, beta=beta, horizon=0.3)
