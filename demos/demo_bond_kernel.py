@@ -22,8 +22,9 @@ print()
 print("=== sine profile: a genuinely sign-changing bond kernel ===")
 ks = normalize("sine", 1)
 rho_s = od.rho_from_kernel(ks, mesh_size=512)
+wmass = od._kernel_mass(ks)
 for a in (0.05, 0.1, 0.3, 0.5):
-    val = float(od._rho_pointwise(ks, np.array([a]))[0][0])
+    val = float(od._rho_pointwise(ks, np.array([a]), wmass)[0][0])
     print(f"rho({a}) = {val:+.6f}")
 print("mass:", rho_s.l1_mass)
 

@@ -618,7 +618,8 @@ def run_energy1d(cfg, out_dir=None):
         closed = onedim.sine_rho_closed_form(rho_s.mesh)
         mesh_gap = float(np.max(np.abs(rho_s.values - closed)))
         table.add("sine_closed_form_gap", mesh_gap)
-        rho01 = float(onedim._rho_pointwise(ks, np.array([0.1]))[0][0])
+        wmass = onedim._kernel_mass(ks)
+        rho01 = float(onedim._rho_pointwise(ks, np.array([0.1]), wmass)[0][0])
         table.add("sine_rho_0p1", rho01)
         kf = normalize("fractional", 1, beta=1.0, horizon=1.0)
         levels, limit = onedim.rho_regularized(kf)

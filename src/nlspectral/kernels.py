@@ -65,23 +65,26 @@ class KernelSpec:
         integrate through that point with weighted quadrature.
         """
         rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
         inside = rho <= 1.0
-        if self.family == CONSTANT:
-            out[inside] = 1.0
-        elif self.family == FRACTIONAL:
+        if self.family == FRACTIONAL:
+            # out= keeps a 0-d input a 0-d array, which copyto can write into
             with np.errstate(divide="ignore"):
-                out = np.where(inside, np.power(rho, -self.beta), 0.0)
-        elif self.family == SINE:
-            out[inside] = (math.pi / 2.0) * np.sin(math.pi * rho[inside])
-        elif self.family == TABULATED:
-            out[inside] = np.interp(rho[inside], self.table_r, self.table_w)
+                out = np.power(rho, -self.beta, out=np.empty_like(rho))
+            np.copyto(out, 0.0, where=~inside)
         else:
-            raise KernelError(f"unknown kernel family {self.family!r}")
+            out = np.zeros_like(rho)
+            if self.family == CONSTANT:
+                out[inside] = 1.0
+            elif self.family == SINE:
+                out[inside] = (math.pi / 2.0) * np.sin(math.pi * rho[inside])
+            elif self.family == TABULATED:
+                out[inside] = np.interp(rho[inside], self.table_r, self.table_w)
+            else:
+                raise KernelError(f"unknown kernel family {self.family!r}")
         out *= self.normalization
         if self.cutoff_rho > 0.0:
             # cutoff_rho < 1, so the clamp leaves the zeros beyond rho = 1
-            out = np.where(rho <= self.cutoff_rho, self.cutoff_value, out)
+            np.copyto(out, self.cutoff_value, where=rho <= self.cutoff_rho)
         return out
 
     @property

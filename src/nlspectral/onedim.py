@@ -64,7 +64,9 @@ class RhoKernel:
     epsilon: float = 0.0
 
     def value(self, a):
-        return np.interp(np.abs(a), self.mesh, self.values)
+        """rho at |a|: interpolated on the mesh inside the support, zero beyond delta."""
+        a = np.abs(a)
+        return np.where(a <= self.delta, np.interp(a, self.mesh, self.values), 0.0)
 
     def to_csv(self, path):
         cells = np.column_stack([self.mesh, self.values]).ravel().tolist()
@@ -115,16 +117,22 @@ def _cross_integral(kernel, a, edges):
     return np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a[:, None] + b), axis=1)
 
 
-def _rho_pointwise(kernel, a_values):
+def _kernel_mass(kernel):
+    """int_0^delta w_delta(s) ds, settled to 1e-12: the factor of rho's k-part."""
+    return quad.integrate_interval(kernel, 0.0, kernel.horizon, lambda s: np.ones_like(s),
+                                   tol=1e-12)
+
+
+def _rho_pointwise(kernel, a_values, wmass):
     """rho(a), k-part and h-part at the given abscissae, by panel quadrature.
 
-    The cross term is evaluated in blocks of abscissae: rows with the same
-    number of panel edges share one (rows, panels, nodes) array, of at most
-    _CHUNK entries.  Abscissae at or beyond the horizon have no cross term.
+    ``wmass`` is ``_kernel_mass(kernel)``, settled once per kernel by the
+    caller.  The cross term is evaluated in blocks of abscissae: rows with
+    the same number of panel edges share one (rows, panels, nodes) array, of
+    at most _CHUNK entries.  Abscissae at or beyond the horizon have no
+    cross term.
     """
     delta = kernel.horizon
-    wmass = quad.integrate_interval(kernel, 0.0, delta, lambda s: np.ones_like(s),
-                                    tol=1e-12)
     kp = 2.0 * a_values * a_values * eval_kernel(kernel, a_values) * wmass
     hp = np.zeros_like(kp)
     live = np.flatnonzero(delta - a_values > 0.0)
@@ -160,6 +168,19 @@ def _bond_rule(rho_fn, delta, extra=()):
     return 2.0 * float(np.sum(wr)), a, wr / (a * a)
 
 
+def _rho_level(kernel, mesh, epsilon=0.0):
+    """RhoKernel of one (possibly clamped) kernel: rho on the mesh and its bond rule.
+
+    The kernel mass is settled once and shared by the mesh values and the
+    bond rule; a clamp radius epsilon > 0 is also a panel edge of the rule.
+    """
+    wmass = _kernel_mass(kernel)
+    rho, kp, hp = _rho_pointwise(kernel, mesh, wmass)
+    mass, nodes, weights = _bond_rule(lambda a: _rho_pointwise(kernel, a, wmass)[0],
+                                      kernel.horizon, extra=(epsilon,))
+    return RhoKernel(kernel.horizon, mesh, rho, kp, hp, mass, nodes, weights, epsilon)
+
+
 def rho_from_kernel(kernel, mesh_size=MESH_SIZE):
     """Bond kernel of an integrable 1D kernel, by direct quadrature.
 
@@ -172,16 +193,7 @@ def rho_from_kernel(kernel, mesh_size=MESH_SIZE):
         raise KernelError(
             "kernel is not integrable; use rho_regularized for the clamped limit"
         )
-    delta = kernel.horizon
-    mesh = graded_mesh(delta, mesh_size)
-    rho, kp, hp = _rho_pointwise(kernel, mesh)
-
-    def rho_fn(a):
-        r, _, _ = _rho_pointwise(kernel, np.atleast_1d(np.abs(a)))
-        return r
-
-    mass, nodes, weights = _bond_rule(rho_fn, delta)
-    return RhoKernel(delta, mesh, rho, kp, hp, mass, nodes, weights)
+    return _rho_level(kernel, graded_mesh(kernel.horizon, mesh_size))
 
 
 def rho_regularized(kernel, eps_sequence=DEFAULT_EPS_SEQUENCE, mesh_size=MESH_SIZE):
@@ -198,24 +210,14 @@ def rho_regularized(kernel, eps_sequence=DEFAULT_EPS_SEQUENCE, mesh_size=MESH_SI
     eps_sequence = sorted(eps_sequence, reverse=True)
     if eps_sequence[0] >= kernel.horizon:
         raise KernelError("clamp radii must be below the horizon")
-    delta = kernel.horizon
-    mesh = graded_mesh(delta, mesh_size)
+    mesh = graded_mesh(kernel.horizon, mesh_size)
     levels = []
-    prev = None
     for eps in eps_sequence:
-        clamped = epsilon_cutoff(kernel, eps)
-        rho, kp, hp = _rho_pointwise(clamped, mesh)
-        if prev is not None and np.any(rho < prev - 1e-9 * np.max(np.abs(rho))):
+        level = _rho_level(epsilon_cutoff(kernel, eps), mesh, eps)
+        rho = level.values
+        if levels and np.any(rho < levels[-1].values - 1e-9 * np.max(np.abs(rho))):
             raise KernelError("clamped bond kernels failed to increase monotonically")
-        prev = rho
-
-        def rho_fn(a, _c=clamped):
-            r, _, _ = _rho_pointwise(_c, np.atleast_1d(np.abs(a)))
-            return r
-
-        mass, nodes, weights = _bond_rule(rho_fn, delta, extra=(eps,))
-        levels.append(RhoKernel(delta, mesh, rho, kp, hp, mass, nodes, weights,
-                                epsilon=eps))
+        levels.append(level)
     return levels, levels[-1]
 
 
@@ -257,27 +259,41 @@ def bond_energy(rho, u, grid=512):
     """Bond-form energy 2 int_0^delta rho(a) int |(u(x+a)-u(x))/a|^2 dx/(2pi) da.
 
     The x-integral is a uniform trapezoid over the period (exact for
-    band-limited integrands); u is sampled by direct mode summation, in
-    blocks of bond nodes of at most _CHUNK (x, a, mode) entries.  The result
-    is comparable with one_sided_energy, both in coefficient normalization.
-    No Fourier symbol enters this path.
+    band-limited integrands).  u(x+a) is a separable phase sum: with
+    exp(ik(x+a)) = exp(ikx) exp(ika), the real and imaginary parts of
+    exp(ikx) uhat_k (per mode and x) and of exp(ika) (per mode and bond node)
+    are tabulated once, and each block of at most _CHUNK (part, x, a) entries
+    accumulates u(x+a) mode by mode in real arithmetic.  Every entry is
+    summed in the same order whatever the blocks, so the value does not
+    depend on _CHUNK; a BLAS matmul's per-entry rounding changes with the
+    block width.  The result is comparable with one_sided_energy, both in
+    coefficient normalization.  No Fourier symbol enters this path.
     """
-    from .fields import evaluate_at
-
     if grid < 4 * u.bound + 2:
         grid = 4 * u.bound + 2
     x = -np.pi + 2.0 * np.pi * np.arange(grid) / grid
     a, wa = rho.nodes, rho.weights
-    ux = evaluate_at(u, x[:, None])
+    k = np.arange(-u.bound, u.bound + 1, dtype=float)
+    xk = (np.exp(1j * np.multiply.outer(x, k)) * u.coeffs).T
+    ka = np.exp(1j * np.multiply.outer(k, a))
+    # coefficients of Re exp(ika) (first 2N+1 rows) and Im exp(ika) (the
+    # rest) in Re u(x+a), and for a complex field also in Im u(x+a)
+    if u.real:
+        coef = np.vstack([xk.real, -xk.imag])
+    else:
+        coef = np.block([[xk.real, xk.imag], [-xk.imag, xk.real]])
+    phases = np.vstack([ka.real, ka.imag])
+    ux = np.sum(coef[:len(k)], axis=0)
     x_mean = np.empty(len(a))
     # even blocks, so none holds a single node (at least 4 per block): the
     # x-mean of one column is summed pairwise, of wider blocks row by row
-    count = -(-len(a) // max(4, _CHUNK // (grid * u.coeffs.size)))
+    count = -(-len(a) // max(4, _CHUNK // len(ux)))
     bounds = [i * len(a) // count for i in range(count + 1)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        uxa = evaluate_at(u, (x[:, None] + a[None, lo:hi])[..., None])
-        diff2 = np.abs(uxa - ux[:, None]) ** 2
-        x_mean[lo:hi] = np.mean(diff2, axis=0)
+        uxa = np.zeros((len(ux), hi - lo))
+        for c, p in zip(coef, phases[:, lo:hi]):
+            uxa += c[:, None] * p
+        x_mean[lo:hi] = np.sum((uxa - ux[:, None]) ** 2, axis=0) / grid
     return 2.0 * float(np.sum(wa * x_mean))
 
 

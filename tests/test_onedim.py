@@ -35,13 +35,13 @@ def test_sine_rho_matches_closed_form_on_mesh(rho_sine):
 
 def test_sine_rho_midpoint_value():
     ks = normalize("sine", 1)
-    val = float(od._rho_pointwise(ks, np.array([0.5]))[0][0])
+    val = float(od._rho_pointwise(ks, np.array([0.5]), od._kernel_mass(ks))[0][0])
     assert val == pytest.approx(3.0 * math.pi / 16.0, abs=1e-10)
 
 
 def test_sine_rho_changes_sign():
     ks = normalize("sine", 1)
-    val = float(od._rho_pointwise(ks, np.array([0.1]))[0][0])
+    val = float(od._rho_pointwise(ks, np.array([0.1]), od._kernel_mass(ks))[0][0])
     assert val == pytest.approx(-0.013839, abs=1e-5)
     assert val < 0.0
 
@@ -64,7 +64,7 @@ def test_h_part_mass_identity(family):
     s2w = 2.0 * quad.integrate_interval(k, 0.0, 1.0, lambda s: s * s, tol=1e-12)
     w1 = 2.0 * quad.integrate_interval(k, 0.0, 1.0, lambda s: np.ones_like(s), tol=1e-12)
     a, wa = quad.gl_panels(od._endpoint_graded_edges(1.0), 32)
-    hmass = 2.0 * float(np.sum(wa * od._rho_pointwise(k, a)[2]))
+    hmass = 2.0 * float(np.sum(wa * od._rho_pointwise(k, a, od._kernel_mass(k))[2]))
     assert hmass == pytest.approx(1.0 - s2w * w1, abs=1e-8)
 
 
@@ -194,11 +194,14 @@ def _cross_edges_loop(kernel, a, top):
     return sorted(pts)
 
 
-def _rho_pointwise_loop(kernel, a_values):
-    """rho, k-part and h-part one abscissa at a time (reference)."""
+def _rho_pointwise_loop(kernel, a_values, wmass):
+    """rho, k-part and h-part one abscissa at a time (reference).
+
+    Settles the kernel mass afresh and requires the caller's to equal it.
+    """
     delta = kernel.horizon
-    wmass = quad.integrate_interval(kernel, 0.0, delta, lambda s: np.ones_like(s),
-                                    tol=1e-12)
+    assert wmass == quad.integrate_interval(kernel, 0.0, delta, lambda s: np.ones_like(s),
+                                            tol=1e-12)
     w_at = eval_kernel(kernel, a_values)
     rho = np.empty_like(a_values)
     kp = np.empty_like(a_values)
@@ -273,10 +276,11 @@ def test_block_rho_special_abscissae(beta, eps):
     delta = 0.7
     clamped = epsilon_cutoff(normalize("fractional", 1, beta=beta, horizon=delta), eps)
     a = _special_abscissae(delta, eps)
-    got = od._rho_pointwise(clamped, a)
-    _assert_parts_close(got, _rho_pointwise_loop(clamped, a))
+    wmass = od._kernel_mass(clamped)
+    got = od._rho_pointwise(clamped, a, wmass)
+    _assert_parts_close(got, _rho_pointwise_loop(clamped, a, wmass))
     assert np.all(got[2][a >= delta] == 0.0)
-    beyond = od._rho_pointwise(clamped, a[a >= delta])
+    beyond = od._rho_pointwise(clamped, a[a >= delta], wmass)
     np.testing.assert_array_equal(beyond[0], got[0][a >= delta])
 
 
@@ -300,21 +304,24 @@ def test_block_rho_property(family, beta, delta, eps_frac, clamp, size):
     if clamp or family == "fractional":
         kernel = epsilon_cutoff(kernel, eps)
     a = np.concatenate([od.graded_mesh(delta, size), _special_abscissae(delta, eps)])
-    _assert_parts_close(od._rho_pointwise(kernel, a), _rho_pointwise_loop(kernel, a))
+    wmass = od._kernel_mass(kernel)
+    _assert_parts_close(od._rho_pointwise(kernel, a, wmass),
+                        _rho_pointwise_loop(kernel, a, wmass))
 
 
 @pytest.mark.parametrize("chunk", [32, 100, 2000])
 def test_block_rho_budget_split_changes_nothing(monkeypatch, chunk):
     kernel = epsilon_cutoff(normalize("fractional", 1, beta=1.4), 1e-4)
     a = od.graded_mesh(1.0, 200)
-    whole = od._rho_pointwise(kernel, a)
+    wmass = od._kernel_mass(kernel)
+    whole = od._rho_pointwise(kernel, a, wmass)
     monkeypatch.setattr(od, "_CHUNK", chunk)
-    for g, w in zip(od._rho_pointwise(kernel, a), whole):
+    for g, w in zip(od._rho_pointwise(kernel, a, wmass), whole):
         np.testing.assert_array_equal(g, w)
 
 
 def _bond_energy_unblocked(rho, u, grid=512):
-    """bond_energy with the whole (x, a) sample tensor held at once."""
+    """bond_energy by direct mode summation at every (x, x + a) (per-point reference)."""
     from nlspectral.fields import evaluate_at
 
     if grid < 4 * u.bound + 2:
@@ -327,15 +334,105 @@ def _bond_energy_unblocked(rho, u, grid=512):
     return 2.0 * float(np.sum(wa * np.mean(diff2, axis=0)))
 
 
+def _bond_energy_floor(rho, u, grid=512):
+    """Rounding floor of |bond_energy - _bond_energy_unblocked|.
+
+    With unit roundoff e = 2^-53, S = sum |uhat_k|, N = u.bound and
+    y = pi + delta >= |x| + |a|, a sample u(y) = sum_k uhat_k exp(iky) is off
+    by at most S e (2 N y + 2N + 9) on either side: the phase k (x + a) or
+    k x and k a (2 N y e), the complex exps, the products with uhat_k and
+    the second phase factor (9 e in all, generously) and the sum over 2N + 1
+    modes ((2N + 1) e).  A difference u(x + a) - u(x) of the two forms is
+    then off by at most eta = 4 S e (2 N y + 2N + 9), and |d|^2 with
+    |d| <= 2 S by at most (4 S + eta) eta.  Squaring, the x-mean over the
+    grid and the sum over the n bond nodes each add their own rounding,
+    at most 8 (grid + n + 4) e S^2 per node on the two sides together.
+    Summed against the weights, times the leading 2:
+
+        floor = 2 sum |w_a| ((4 S + eta) eta + 8 (grid + n + 4) e S^2).
+    """
+    e = 2.0**-53
+    grid = max(grid, 4 * u.bound + 2)
+    s = float(np.sum(np.abs(u.coeffs)))
+    eta = 4.0 * s * e * (2.0 * u.bound * (np.pi + rho.delta) + 2.0 * u.bound + 9.0)
+    per_node = (4.0 * s + eta) * eta + 8.0 * (grid + len(rho.nodes) + 4) * e * s * s
+    return 2.0 * float(np.sum(np.abs(rho.weights))) * per_node
+
+
+def _bond_field(bound, real):
+    """A random 1D field; the complex one is scaled asymmetrically in k."""
+    u = fl.random_field(7, bound, 1.0, dimension=1)
+    if real:
+        return u
+    k = np.arange(-bound, bound + 1)
+    return fl.SpectralField(bound, 1, u.coeffs * (2.0 + k / bound), real=False)
+
+
+def _bond_nodes(rho, count):
+    """rho with count of its bond nodes (all of them for None), spread over (0, delta)."""
+    if count is None:
+        return rho
+    pick = np.linspace(0, len(rho.nodes) - 1, count).astype(int)
+    return od.RhoKernel(rho.delta, rho.mesh, rho.values, rho.k_part, rho.h_part,
+                        rho.l1_mass, rho.nodes[pick], rho.weights[pick])
+
+
+def _assert_bond_energy(monkeypatch, rho, u, chunks):
+    """Every block split gives the one-block value, within the floor of the reference."""
+    monkeypatch.setattr(od, "_CHUNK", 10**12)
+    whole = od.bond_energy(rho, u)
+    for chunk in chunks:
+        monkeypatch.setattr(od, "_CHUNK", chunk)
+        assert od.bond_energy(rho, u) == whole
+    assert abs(whole - _bond_energy_unblocked(rho, u)) <= _bond_energy_floor(rho, u)
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 512 * 9 * 5, 512 * 9 * 7 + 3])
 @pytest.mark.parametrize("nodes", [None, 5, 6, 2 * 7 + 1])
 def test_bond_energy_blocks_match_unblocked(monkeypatch, rho_constant, chunk, nodes):
-    # node counts that leave one node over after blocks of 4, 5 or 7
-    rho = rho_constant
-    if nodes is not None:
-        rho = od.RhoKernel(rho.delta, rho.mesh, rho.values, rho.k_part, rho.h_part,
-                           rho.l1_mass, rho.nodes[::97][:nodes], rho.weights[::97][:nodes])
-    u = fl.random_field(7, 4, 1.0, dimension=1)
-    if chunk is not None:
-        monkeypatch.setattr(od, "_CHUNK", chunk)
-    assert od.bond_energy(rho, u) == _bond_energy_unblocked(rho, u)
+    # a chunk of 1 makes blocks of 4 nodes, which leave one node over for
+    # some node counts; the other two make blocks of 45 and 63 nodes
+    u = _bond_field(4, True)
+    _assert_bond_energy(monkeypatch, _bond_nodes(rho_constant, nodes), u,
+                        [od._CHUNK if chunk is None else chunk])
+
+
+@pytest.mark.parametrize("field", ["complex", "wide"])
+@pytest.mark.parametrize("nodes", [None, 5, 6, 2 * 7 + 1])
+def test_bond_energy_complex_and_wide_fields(monkeypatch, rho_constant, field, nodes):
+    # bound 130 makes the x grid 522 points wide; its reference runs on 31 nodes
+    bound = 4 if field == "complex" else 130
+    if bound > 4 and nodes is None:
+        nodes = 31
+    grid = max(512, 4 * bound + 2)
+    # blocks of 4, 5 and 7 nodes, then the default chunk
+    _assert_bond_energy(monkeypatch, _bond_nodes(rho_constant, nodes), _bond_field(bound, False),
+                        [1, grid * 5, grid * 7 + 3, od._CHUNK])
+
+
+@settings(max_examples=20, deadline=None)
+@given(bound=st.integers(1, 140), real=st.booleans(), nodes=st.integers(1, 40))
+def test_bond_energy_property(rho_constant, bound, real, nodes):
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_bond_energy(mp, _bond_nodes(rho_constant, nodes), _bond_field(bound, real),
+                            [1, od._CHUNK])
+
+
+def test_rho_value_vanishes_beyond_the_support():
+    rho = od.rho_from_kernel(normalize("constant", 1, horizon=0.6), mesh_size=64)
+    np.testing.assert_array_equal(rho.value(np.array([0.9, 5.0, -0.61])), 0.0)
+    inside = np.array([0.0, 0.1, -0.3, 0.6, rho.mesh[-1]])
+    np.testing.assert_array_equal(rho.value(inside),
+                                  np.interp(np.abs(inside), rho.mesh, rho.values))
+    assert rho.value(0.3) == rho.value(-0.3) > 0.0
+
+
+def test_kernel_mass_settled_once_per_level(monkeypatch):
+    calls = []
+    settle = od._kernel_mass
+    monkeypatch.setattr(od, "_kernel_mass", lambda k: calls.append(k) or settle(k))
+    od.rho_from_kernel(normalize("constant", 1), mesh_size=32)
+    assert len(calls) == 1
+    calls.clear()
+    levels, _ = od.rho_regularized(normalize("fractional", 1, beta=1.4), mesh_size=32)
+    assert [k.cutoff_rho for k in calls] == [lv.epsilon for lv in levels]

@@ -1,12 +1,16 @@
+import math
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from nlspectral import fields as fl
+from nlspectral import epsilon_cutoff, fields as fl
 from nlspectral import normalize
 from nlspectral import operators as ops
 from nlspectral import solvers as sol
 from nlspectral.errors import KernelError
 from nlspectral.fields import l2_norm, s_norm
+from nlspectral import symbols as sym
 from nlspectral.symbols import Orientation, SymbolTable, build_table, local_table
 
 
@@ -506,3 +510,50 @@ def test_navier_split_parts(table2):
     np.testing.assert_allclose(dec.split(pc)[1], 0.0, atol=1e-15)
     np.testing.assert_array_equal(dec.apply(dec.a, dec.b, c),
                                   dec.combine(dec.a, dec.b, (pc, qc)))
+
+
+# ---------------------------------------------------------------------------
+# per-mode algebra over random tables
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _random_kernel(family, d, beta, delta):
+    if family == "sine":
+        return normalize("sine", d, horizon=delta)
+    if family == "constant":
+        return normalize("constant", d, horizon=delta)
+    kernel = normalize("fractional", d, beta=beta, horizon=delta)
+    return epsilon_cutoff(kernel, delta / 16) if family == "clamped" else kernel
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    family=st.sampled_from(["constant", "fractional", "clamped", "sine"]),
+    beta=st.floats(1.0, 1.95),
+    delta=st.floats(0.02, 1.0),
+    angles=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi)),
+    bound=st.integers(1, 6),
+)
+def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
+    a, b = angles
+    n = (np.array([math.cos(a), math.sin(a)]) if d == 2 else
+         np.array([math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]))
+    table = build_table(_random_kernel(family, d, beta, delta), n, bound)
+    # |lambda(xi)| <= sqrt(2) d |xi| on every nonzero mode
+    assert sym.verify_bounds(table)["max_ratio"] <= math.sqrt(2.0) * d
+    # the Leray projector is idempotent and self-adjoint per mode; its
+    # entries are at most 1 and each carries a few roundings per term
+    P = sol.leray_matrix(table)
+    tol = 16 * d * _EPS
+    assert np.max(np.abs(np.einsum("...ij,...jk->...ik", P, P) - P)) <= tol
+    assert np.max(np.abs(P - np.conj(np.swapaxes(P, -1, -2)))) <= tol
+    if d == 3:
+        # curl grad p = lambda x (lambda p): lambda_y (lambda_z p) - lambda_z (lambda_y p)
+        # per mode, two complex products of at most sqrt(5) roundings each per term
+        p = fl.random_field(bound, bound, 1.0, dimension=3)
+        cg = ops.curl3d(table, ops.gradient(table, p)).coeffs
+        scale = table.abs2() * np.abs(p.coeffs)
+        assert np.all(np.abs(cg) <= 8 * _EPS * scale[..., None])
