@@ -404,10 +404,10 @@ def test_bond_energy_complex_and_wide_fields(monkeypatch, rho_constant, field, n
     bound = 4 if field == "complex" else 130
     if bound > 4 and nodes is None:
         nodes = 31
-    grid = max(512, 4 * bound + 2)
+    rows = 2 * max(512, 4 * bound + 2)   # Re u and Im u at each x
     # blocks of 4, 5 and 7 nodes, then the default chunk
     _assert_bond_energy(monkeypatch, _bond_nodes(rho_constant, nodes), _bond_field(bound, False),
-                        [1, grid * 5, grid * 7 + 3, od._CHUNK])
+                        [1, rows * 5, rows * 7 + 3, od._CHUNK])
 
 
 @settings(max_examples=20, deadline=None)

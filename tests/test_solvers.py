@@ -10,8 +10,8 @@ from nlspectral import operators as ops
 from nlspectral import solvers as sol
 from nlspectral.errors import KernelError
 from nlspectral.fields import l2_norm, s_norm
-from nlspectral import symbols as sym
-from nlspectral.symbols import Orientation, SymbolTable, build_table, local_table
+from nlspectral.symbols import (Orientation, SymbolTable, build_table, local_table,
+                                verify_bounds)
 
 
 def test_stokes_gradient_forcing_gives_pure_pressure(table2):
@@ -543,7 +543,7 @@ def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
          np.array([math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]))
     table = build_table(_random_kernel(family, d, beta, delta), n, bound)
     # |lambda(xi)| <= sqrt(2) d |xi| on every nonzero mode
-    assert sym.verify_bounds(table)["max_ratio"] <= math.sqrt(2.0) * d
+    assert verify_bounds(table)["max_ratio"] <= math.sqrt(2.0) * d
     # the Leray projector is idempotent and self-adjoint per mode; its
     # entries are at most 1 and each carries a few roundings per term
     P = sol.leray_matrix(table)
