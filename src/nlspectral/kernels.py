@@ -120,8 +120,10 @@ class KernelSpec:
 def eval_kernel(kernel, r):
     """Evaluate the scaled kernel w_delta(r); zero outside the horizon."""
     delta = kernel.horizon
-    r = np.asarray(r, dtype=float)
-    return kernel.profile(r / delta) / delta ** (kernel.dimension + 1)
+    out = kernel.profile(np.asarray(r, dtype=float) / delta)
+    out /= delta ** (kernel.dimension + 1)
+    # a 0-d input gives a numpy scalar, as the out-of-place division did
+    return out[()]
 
 
 def _moment_constant(family, d, beta=None):
@@ -216,23 +218,19 @@ def normalize(family, dimension, horizon=1.0, beta=None, values=None, mesh=None)
 
 
 def moment(kernel):
-    """Unit-ball first moment of the profile, by weighted radial quadrature.
+    """Unit-ball first moment of the profile, by radial integration.
 
     Acts as the construction-time oracle for the normalization constants; it
-    deliberately reimplements the integral with scipy nodes instead of the
-    quadrature module.
+    deliberately reimplements the integral instead of using the quadrature
+    module.  The singular fractional profile integrates in closed form,
+    int_0^1 r^(d - beta) dr = 1/(d - beta + 1); everything else uses
+    64-point Gauss-Legendre panels between the profile breakpoints.
     """
-    from scipy.special import roots_jacobi
     from numpy.polynomial.legendre import leggauss
 
     d = kernel.dimension
     if kernel.is_singular:
-        # weight r^(d - beta) folded into a Gauss-Jacobi rule on [0, 1]
-        gamma = d - kernel.beta
-        x, w = roots_jacobi(48, 0.0, gamma)
-        r = 0.5 * (x + 1.0)
-        total = kernel.normalization * np.sum(w * 0.5 ** (gamma + 1))
-        return SPHERE_AREA[d] * total
+        return SPHERE_AREA[d] * (kernel.normalization / (d - kernel.beta + 1.0))
     x, w = leggauss(64)
     edges = [0.0] + kernel.breakpoints() + [1.0]
     total = 0.0

@@ -28,7 +28,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import KernelError, QuadratureConvergenceError
 from .kernels import FRACTIONAL
@@ -69,6 +68,21 @@ def settle(evaluate, levels, tol, what):
 def legendre(n):
     """Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only)."""
     x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def jacobi(n, gamma):
+    """Gauss-Jacobi nodes and weights on [-1, 1] for (1 + x)^gamma (cached, read-only).
+
+    scipy.special is imported here, at the first singular rule, so that
+    work without one never loads it.
+    """
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(n, 0.0, gamma)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -128,18 +142,13 @@ def radial_rule(kernel, panels=1, n_nodes=24):
     """
     d = kernel.dimension
     if kernel.is_singular:
-        n = n_nodes * panels
-        beta = kernel.beta
-        if d >= 2:
-            gamma = d - 1.0 - beta
-            x, w = roots_jacobi(n, 0.0, gamma)
-            rho = 0.5 * (x + 1.0)
-            v = kernel.normalization * w * 0.5 ** (gamma + 1.0)
-        else:
-            gamma = 1.0 - beta
-            x, w = roots_jacobi(n, 0.0, gamma)
-            rho = 0.5 * (x + 1.0)
-            v = kernel.normalization * w * 0.5 ** (gamma + 1.0) / rho
+        # the exponent d - 1 - beta, plus the power borrowed in 1D
+        gamma = max(d - 1.0, 1.0) - kernel.beta
+        x, w = jacobi(n_nodes * panels, gamma)
+        rho = 0.5 * (x + 1.0)
+        v = kernel.normalization * w * 0.5 ** (gamma + 1.0)
+        if d == 1:
+            v /= rho
         return rho, v
 
     rho, w = _split_rule(_edges(kernel), panels, n_nodes)
@@ -307,7 +316,7 @@ def _interval_rule(kernel, a, b, panels, n_nodes=24):
     if kernel.is_singular and a == 0.0:
         n = n_nodes * panels
         gamma = 1.0 - kernel.beta
-        x, w = roots_jacobi(n, 0.0, gamma)
+        x, w = jacobi(n, gamma)
         rho = 0.5 * (x + 1.0)        # on (0, 1), scaled to (0, b) below
         s = b * rho
         scale = kernel.normalization / delta ** (2.0 - kernel.beta)

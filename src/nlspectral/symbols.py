@@ -39,7 +39,6 @@ from itertools import chain
 import math
 
 import numpy as np
-from scipy.special import j0, j1, spherical_jn
 
 from . import quadrature as quad
 from .errors import KernelError, QuadratureConvergenceError
@@ -216,8 +215,11 @@ def _full_ball(kernel, ks, nr, odd):
     2 pi J1(x) and 2 pi (J0(x) - 1) over the circle, 4 pi j1(x) and
     4 pi (j0(x) - 1) over the sphere, so each factor is one radial sum
     (docs/full_ball.md).  Magnitudes go in blocks of at most _CHUNK (k, r)
-    entries, each summed on its own.
+    entries, each summed on its own.  scipy.special is imported here, at
+    the first table build, so that 1D work never loads it.
     """
+    from scipy.special import j0, j1, spherical_jn
+
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
     if kernel.dimension == 2:
         front, radial = 2.0 * math.pi, j1 if odd else j0

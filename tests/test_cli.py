@@ -1,12 +1,18 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nlspectral
 from nlspectral import cli
 from nlspectral.errors import ConfigError
 from nlspectral.experiments import RUNNERS, fit_slope, passed
+
+
+PRESETS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "presets")
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -369,3 +375,43 @@ def test_passed_needs_an_assertion():
     ok = {"passed": True, "value": 0.0, "threshold": 1.0, "comparison": "le"}
     assert passed({"assertions": {"a": ok}})
     assert not passed({"assertions": {"a": ok, "b": dict(ok, passed=False)}})
+
+
+_IMPORT_BOUNDARY = """
+import sys
+import nlspectral, nlspectral.cli
+for cfg in sys.argv[2:]:
+    assert nlspectral.cli.main(["energy-1d", "--config", cfg, "--out", sys.argv[1]]) == 0
+assert "scipy.special" not in sys.modules, "the 1D bond suite loaded scipy.special"
+from nlspectral import Orientation, build_table, normalize
+build_table(normalize("constant", 2, horizon=0.1), Orientation.from_angle(0.3), 4)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_bond_suite_never_loads_scipy_special(tmp_path):
+    # a fresh interpreter: this one has loaded scipy.special long since
+    with open(os.path.join(PRESETS, "crit06_rho_suite.json")) as fh:
+        rho = dict(json.load(fh), mesh=256)
+    with open(os.path.join(PRESETS, "crit07_double_laplacian.json")) as fh:
+        double = json.load(fh)
+    cfgs = [write_cfg(tmp_path, rho, "rho.json"), write_cfg(tmp_path, double, "double.json")]
+    src = os.path.dirname(os.path.dirname(nlspectral.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path / "out"), *cfgs],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("preset, command", [("crit01_symbol_bounds.json", "symbols"),
+                                             ("crit11_divcurl_friedrichs.json", "divcurl")])
+def test_threads_leave_csv_bytes_unchanged(tmp_path, preset, command):
+    config = os.path.join(PRESETS, preset)
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert cli.main([command, "--config", config, "--out", str(out),
+                         "--threads", threads]) == 0
+        bodies.append([(p.name, p.read_bytes()) for p in sorted(out.glob("*.csv"))])
+    assert len(bodies[0]) == 1 and bodies[0] == bodies[1]

@@ -1,10 +1,12 @@
+from dataclasses import replace
 import math
 
 import numpy as np
 import pytest
 
 from nlspectral import KernelError, epsilon_cutoff, eval_kernel, normalize
-from nlspectral.kernels import from_config, moment
+from nlspectral import kernels
+from nlspectral.kernels import MOMENT_RTOL, SPHERE_AREA, from_config, moment
 from nlspectral.onedim import DEFAULT_EPS_SEQUENCE
 
 
@@ -209,3 +211,74 @@ def test_clamped_profile_matches_masked_store(family, beta, eps):
     rho = np.array([0.0, np.nextafter(c, 0.0), c, np.nextafter(c, 1.0), 0.3, 0.999,
                     np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5, 1e300])
     np.testing.assert_array_equal(k.profile(rho), _profile_parent(k, rho))
+
+
+# beta over [1, 2), up to the last double below 2
+_BETAS = list(np.linspace(1.0, 2.0, 21)[:-1]) + [1.99, np.nextafter(2.0, 0.0)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_singular_moment_closed_form_matches_gauss_jacobi_sum(d):
+    """The closed form against the 48-node Gauss-Jacobi sum it replaced.
+
+    scipy scales the Jacobi weights to their exact total 2^(gamma+1)/(gamma+1),
+    so the sum differs from the closed form only by the rounding of 48
+    products and their sum: at most 4 ulp over this grid, against 8 allowed.
+    The closed form itself stays within 2 ulp of d.
+    """
+    from scipy.special import roots_jacobi
+
+    for beta in _BETAS:
+        k = normalize("fractional", d, beta=beta)
+        gamma = d - k.beta
+        _, w = roots_jacobi(48, 0.0, gamma)
+        summed = SPHERE_AREA[d] * (k.normalization * np.sum(w * 0.5 ** (gamma + 1)))
+        got = moment(k)
+        assert abs(got - summed) <= 8 * np.spacing(summed), (d, beta)
+        assert abs(got - d) <= 2 * np.spacing(float(d)), (d, beta)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family, beta", [("constant", None), ("sine", None),
+                                          ("fractional", 1.0), ("fractional", 1.5),
+                                          ("fractional", 1.99)])
+def test_moment_rejects_a_normalization_off_by_1e_8(d, family, beta):
+    k = normalize(family, d, beta=beta)
+    off = replace(k, normalization=k.normalization * (1.0 + 1e-8))
+    assert math.isclose(moment(k), d, rel_tol=MOMENT_RTOL)
+    assert not math.isclose(moment(off), d, rel_tol=MOMENT_RTOL)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 1.99])
+def test_normalize_rejects_a_wrong_fractional_constant(d, beta, monkeypatch):
+    exact = kernels._moment_constant
+    monkeypatch.setattr(kernels, "_moment_constant",
+                        lambda *args: exact(*args) * (1.0 + 1e-8))
+    with pytest.raises(KernelError, match="moment condition"):
+        normalize("fractional", d, beta=beta)
+
+
+def _eval_kernel_two_pass(kernel, r):
+    """eval_kernel with the division by delta^(d+1) into a fresh array."""
+    delta = kernel.horizon
+    r = np.asarray(r, dtype=float)
+    return kernel.profile(r / delta) / delta ** (kernel.dimension + 1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("clamped", [False, True])
+@pytest.mark.parametrize("family, kwargs", [
+    ("constant", {}), ("sine", {}), ("fractional", {"beta": 1.0}),
+    ("fractional", {"beta": 1.4}), ("tabulated", {"values": np.linspace(2.0, 0.5, 9)}),
+])
+def test_eval_kernel_matches_two_pass_form(d, clamped, family, kwargs):
+    k = normalize(family, d, horizon=0.3, **kwargs)
+    if clamped:
+        k = epsilon_cutoff(k, 0.01)
+    r = np.array([0.0, 1e-9, 0.005, 0.01, 0.02, 0.1, 0.29, 0.3, np.nextafter(0.3, 1.0), 0.5])
+    with np.errstate(divide="ignore"):
+        for x in (r, r.reshape(2, 5), r[3], np.asarray(r[5]), 0.1):
+            got, want = eval_kernel(k, x), _eval_kernel_two_pass(k, x)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)

@@ -242,3 +242,17 @@ def test_legendre_is_cached_and_read_only():
     assert quad.legendre(12)[0] is x
     with pytest.raises(ValueError):
         x[0] = 0.0
+
+
+@pytest.mark.parametrize("n,gamma", [(24, 0.0), (48, -0.5), (96, 1.0 - 1.99), (72, 0.7)])
+def test_jacobi_matches_scipy_cached_and_read_only(n, gamma):
+    from scipy.special import roots_jacobi
+
+    x, w = quad.jacobi(n, gamma)
+    ref_x, ref_w = roots_jacobi(n, 0.0, gamma)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    again = quad.jacobi(n, gamma)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -528,8 +528,13 @@ def _random_kernel(family, d, beta, delta):
     return epsilon_cutoff(kernel, delta / 16) if family == "clamped" else kernel
 
 
-@settings(max_examples=25, deadline=None)
-@given(
+def _random_orientation(d, angles):
+    a, b = angles
+    return (np.array([math.cos(a), math.sin(a)]) if d == 2 else
+            np.array([math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]))
+
+
+_random_tables = given(
     d=st.sampled_from([2, 3]),
     family=st.sampled_from(["constant", "fractional", "clamped", "sine"]),
     beta=st.floats(1.0, 1.95),
@@ -537,10 +542,12 @@ def _random_kernel(family, d, beta, delta):
     angles=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi)),
     bound=st.integers(1, 6),
 )
+
+
+@settings(max_examples=25, deadline=None)
+@_random_tables
 def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
-    a, b = angles
-    n = (np.array([math.cos(a), math.sin(a)]) if d == 2 else
-         np.array([math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]))
+    n = _random_orientation(d, angles)
     table = build_table(_random_kernel(family, d, beta, delta), n, bound)
     # |lambda(xi)| <= sqrt(2) d |xi| on every nonzero mode
     assert verify_bounds(table)["max_ratio"] <= math.sqrt(2.0) * d
@@ -557,3 +564,28 @@ def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
         cg = ops.curl3d(table, ops.gradient(table, p)).coeffs
         scale = table.abs2() * np.abs(p.coeffs)
         assert np.all(np.abs(cg) <= 8 * _EPS * scale[..., None])
+
+
+@settings(max_examples=10, deadline=None)
+@_random_tables
+def test_reflection_property(d, family, beta, delta, angles, bound):
+    """build_table(-n) is table.lam_neg(), the only cross-check of lam_neg.
+
+    In 2D the frame of -n is the negated frame of n, so every node and
+    phase is negated exactly and the tables agree bit for bit.  In 3D the
+    frame keeps one tangent, so the nodes are the mirror images rounded
+    differently: each phase r xi.s moves by a few ulp of delta |xi|, and
+    the symbols differ by up to about (1 + delta N sqrt(3)) eps relative
+    to max |lambda| (1.28 times that over 300 random draws, 12 eps at most);
+    4 times that is allowed.
+    """
+    n = _random_orientation(d, angles)
+    kernel = _random_kernel(family, d, beta, delta)
+    table = build_table(kernel, n, bound)
+    reflected = build_table(kernel, -n, bound).lam
+    if d == 2:
+        assert np.array_equal(reflected, table.lam_neg())
+    else:
+        floor = 4 * (1 + delta * bound * math.sqrt(d)) * _EPS
+        scale = np.max(np.abs(table.lam))
+        assert np.max(np.abs(reflected - table.lam_neg())) <= floor * scale
