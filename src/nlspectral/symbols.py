@@ -14,19 +14,27 @@ independent of both the orientation and the unit vector e.  Its angular
 integral is closed: Lambda(k) = 2 pi int_0^delta w_delta(r) r J1(k r) dr
 in 2D and 4 pi int_0^delta w_delta(r) r^2 j1(k r) dr in 3D, and the drift
 factor m has J0 - 1 and j0 - 1 in their place, so each is one sum over the
-radial rule.  Re lambda is filled by tensor quadrature whose angular
-directions s_j = R s^_j are taken in the lattice frame (R the orientation
-frame matrix).  There exp(i r xi.s_j) is the product over coordinates of
+radial rule.
+
+In 3D the hemisphere integral of Re lambda is closed as well
+(_re_lambda_3d): with c = xi.n/|xi|, it is a sum over even orders l of
+spherical-Bessel radial sums R_l(|xi|) times P_l(c) along n and P_l'(c)
+across it, so the only quadrature left is the radial rule
+(docs/full_ball.md).
+
+In 2D Re lambda is filled by tensor quadrature whose angular directions
+s_j = R s^_j are taken in the lattice frame (R the orientation frame
+matrix).  There exp(i r xi.s_j) is the product over coordinates of
 exp(i r xi_c s_jc), exact to rounding, with no rotation back:
 
 - blocked phase powers: exp(i n theta) for n = 0..N is
   exp(i q b theta) exp(i m theta) with n = q b + m, b = ceil(sqrt(N+1)),
   about 2 sqrt(N+1) complex exps per (direction, radius);
-- conjugate fold: a coordinate over -N..N takes its half n < 0 as the
-  conjugates of n > 0;
-- real-only last contraction: with A the product of the leading factors
-  and the radial weights, P = Re A . cos and Q = Im A . sin over n >= 0
-  give the radial sum at +n and -n of the last coordinate as P - Q and
+- conjugate fold: the second coordinate, over -N..N, takes its half n < 0
+  as the conjugates of n > 0;
+- real-only last contraction: with A the first coordinate's factors and
+  the radial weights, P = Re A . cos and Q = Im A . sin over n >= 0 give
+  the radial sum at +n and -n of the second coordinate as P - Q and
   P + Q: two real matmuls per direction over N+1 columns.
 
 Conjugate symmetry lambda(-xi) = conj(lambda(xi)) halves the lattice and
@@ -35,7 +43,7 @@ holds exactly as computed.
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 import math
 
 import numpy as np
@@ -58,7 +66,10 @@ class Orientation:
     def __post_init__(self):
         v = np.asarray(self.vec, dtype=float)
         object.__setattr__(self, "vec", v)
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+        if v.ndim != 1 or not np.all(np.isfinite(v)):
+            raise ValueError(f"orientation must be a finite 1-D vector, got {v!r}")
+        # written so that a NaN norm fails it too
+        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
             raise ValueError(f"orientation must be unit length, |n| = {np.linalg.norm(v)!r}")
 
     @classmethod
@@ -134,22 +145,15 @@ def _radial_count(kmax):
 
 
 def _node_counts(kernel, kmax):
-    nr = _radial_count(kmax)
-    if kernel.dimension == 2:
-        return nr, 32 + int(2.0 * kmax)
-    return nr, (16 + int(1.2 * kmax), 32 + 2 * int(kmax))
+    """Radial and half-circle node counts (nr, na) of a 2D level at k delta <= kmax."""
+    return _radial_count(kmax), 32 + int(2.0 * kmax)
 
 
 def _half_rule_arrays(kernel, nr, na):
-    """Scaled radial nodes/weights and reference-frame angular data."""
+    """Scaled radial nodes/weights and the half-circle directions about e1 with weights."""
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
-    if kernel.dimension == 2:
-        theta, va = quad.half_angles_2d(na)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        nodes, va = quad.hemisphere_angles_3d(*na)
-        dirs = quad.reference_directions(3, nodes)
-    return r, vr, dirs, va
+    theta, va = quad.half_angles_2d(na)
+    return r, vr, np.stack([np.cos(theta), np.sin(theta)], axis=1), va
 
 
 def _phase_powers(theta, count):
@@ -169,42 +173,37 @@ def _phase_powers(theta, count):
 
 
 def _re_lambda(kernel, bound, frame, nr, na):
-    """Re lambda on the half-lattice grid 0..N x (-N..N)^(d-1), in the lattice frame.
+    """2D Re lambda on the half-lattice grid 0..N x (-N..N), in the lattice frame.
 
-    With s_j = frame @ s^_j, exp(i r xi.s_j) = prod_c exp(i r xi_c s_jc).
-    Each coordinate's factors exp(i n s_jc r_i), n = 0..N, are blocked phase
-    powers; a signed axis takes its half n < 0 as their conjugates.  With A
-    the outer product of the first d - 1 factors times vr, the radial sum
-    Re sum_i vr_i exp(i r_i xi.s_j) at last coordinate +n and -n is P - Q
-    and P + Q, where P = Re A . cos and Q = Im A . sin over n >= 0: two real
-    matmuls per direction.  Less sum vr this is
+    With s_j = frame @ s^_j, exp(i r xi.s_j) = exp(i r xi_1 s_j1) exp(i r
+    xi_2 s_j2).  Each coordinate's factors exp(i n s_jc r_i), n = 0..N, are
+    blocked phase powers; the signed second axis takes its half n < 0 as
+    their conjugates.  With A the first coordinate's factors times vr, the
+    radial sum Re sum_i vr_i exp(i r_i xi.s_j) at second coordinate +n and
+    -n is P - Q and P + Q, where P = Re A . cos and Q = Im A . sin over
+    n >= 0: two real matmuls per direction.  Less sum vr this is
     sum_i vr_i (cos(r_i xi.s_j) - 1).  Directions are taken in chunks of
-    at most _CHUNK entries; returns shape (N+1,) + (2N+1,)*(d-1) + (d,).
+    at most _CHUNK entries; returns shape (N+1, 2N+1, 2).
     """
     r, vr, dirs, va = _half_rule_arrays(kernel, nr, na)
-    d = kernel.dimension
     n1, n2 = bound + 1, 2 * bound + 1
-    s = dirs @ frame.T                          # (J, d) directions, lattice frame
+    s = dirs @ frame.T                          # (J, 2) directions, lattice frame
     ws = va[:, None] * s
-    lead = n1 * n2 ** (d - 2)
-    out = np.zeros((lead * n2, d))
-    chunk = max(1, _CHUNK // (len(r) * (d * n1 + 3 * lead) + lead * (2 * n1 + n2)))
+    out = np.zeros((n1 * n2, 2))
+    chunk = max(1, _CHUNK // (n1 * (5 * len(r) + 2 * n1 + n2)))
     for lo in range(0, len(s), chunk):
         sc = s[lo:lo + chunk]
-        fac = _phase_powers(sc[:, :, None] * r, n1)   # (Jc, d, N+1, nr)
+        fac = _phase_powers(sc[:, :, None] * r, n1)   # (Jc, 2, N+1, nr)
         a = fac[:, 0] * vr
-        for c in range(1, d - 1):
-            signed = np.concatenate([fac[:, c, :0:-1].conj(), fac[:, c]], axis=1)
-            a = (a[:, :, None, :] * signed[:, None, :, :]).reshape(len(sc), -1, len(r))
-        last = fac[:, -1].transpose(0, 2, 1)
+        last = fac[:, 1].transpose(0, 2, 1)
         p = np.matmul(np.ascontiguousarray(a.real), np.ascontiguousarray(last.real))
         q = np.matmul(np.ascontiguousarray(a.imag), np.ascontiguousarray(last.imag))
         p -= np.sum(vr)
-        g = np.empty((len(sc), lead, n2))
+        g = np.empty((len(sc), n1, n2))
         np.add(p[:, :, :0:-1], q[:, :, :0:-1], out=g[:, :, :bound])
         np.subtract(p, q, out=g[:, :, bound:])
         out += g.reshape(len(sc), -1).T @ ws[lo:lo + chunk]
-    return 2.0 * out.reshape((n1,) + (n2,) * (d - 1) + (d,))
+    return 2.0 * out.reshape(n1, n2, 2)
 
 
 def _full_ball(kernel, ks, nr, odd):
@@ -236,13 +235,161 @@ def _full_ball(kernel, ks, nr, odd):
     return front * out
 
 
+def _spherical_jn(lmax, x):
+    """Spherical Bessel j_l(x) for l = 0..lmax at x > 0, shape (lmax + 1,) + x.shape.
+
+    The ratios rho_l = j_l/j_(l-1) come from the downward recurrence
+    rho_l = 1/((2l + 1)/x - rho_(l+1)), started at rho = 0 at the order
+    lmax + 20 + ceil(max x).  Each step scales the start's relative error
+    by rho_l rho_(l+1), about (x/2l)^2 once l is past x, so it is far
+    below rounding by the order lmax.  Then j_l = j_0 rho_1 ... rho_l with
+    j_0 = sin x/x, or j_l = j_1 rho_2 ... rho_l with j_1 = (j_0 - cos x)/x
+    where |j_1| > |j_0|: near a zero of j_0, 1/rho_1 is a difference near
+    0 and its rounding would spoil every j_l.  x > 0 keeps every step
+    finite.
+    """
+    x = np.asarray(x, dtype=float)
+    inv = 1.0 / x
+    out = np.empty((lmax + 1,) + x.shape)
+    ratio = np.zeros_like(x)
+    for l in range(lmax + 20 + math.ceil(float(np.max(x))), 0, -1):
+        ratio = 1.0 / ((2 * l + 1) * inv - ratio)
+        if l <= lmax:
+            out[l] = ratio
+    j0 = np.sin(x) * inv
+    j1 = (j0 - np.cos(x)) * inv
+    from_j1 = np.abs(j1) > np.abs(j0)
+    out[0] = np.where(from_j1, j1, j0)
+    if lmax >= 1:
+        out[1] = np.where(from_j1, 1.0, out[1])
+    np.cumprod(out, axis=0, out=out)
+    out[0] = j0
+    return out
+
+
+def _legendre(lmax, t):
+    """P_l(t) and P_l'(t) for l = 0..lmax, each of shape (lmax + 1,) + t.shape.
+
+    (l + 1) P_(l+1) = (2l + 1) t P_l - l P_(l-1) and P_(l+1)' = P_(l-1)' +
+    (2l + 1) P_l.  Both keep the parity of P_l and P_l' bit for bit:
+    negating t negates exactly the odd orders of P and the even ones of P'.
+    """
+    t = np.asarray(t, dtype=float)
+    p = np.empty((lmax + 1,) + t.shape)
+    dp = np.empty_like(p)
+    p[0], dp[0] = 1.0, 0.0
+    if lmax >= 1:
+        p[1], dp[1] = t, 1.0
+    for l in range(1, lmax):
+        p[l + 1] = ((2 * l + 1) * t * p[l] - l * p[l - 1]) / (l + 1)
+        dp[l + 1] = dp[l - 1] + (2 * l + 1) * p[l]
+    return p, dp
+
+
+def _hemisphere_weights(lmax):
+    """w_l = 4 pi (2l + 1) (-1)^(l/2) a_l for the even l <= lmax, a_l = int_0^1 t P_l(t) dt.
+
+    Legendre's equation ((1 - t^2) P_l')' = -l(l + 1) P_l, times t and
+    integrated by parts over [0, 1], gives int_0^1 (1 - t^2) P_l' dt =
+    l(l + 1) a_l; integrating the left side by parts once more gives
+    2 a_l - P_l(0).  So a_l = -P_l(0)/((l - 1)(l + 2)), and with
+    (-1)^(l/2) P_l(0) = (l - 1)!!/l!!, the product of the positive factors
+    (m + 1)/(m + 2) over even m < l, w_l = -4 pi (2l + 1) (l - 1)!!/(l!!
+    (l - 1)(l + 2)): 2 pi at l = 0 and negative after, with no
+    cancellation.
+    """
+    l = np.arange(0, lmax + 1, 2)
+    p0 = np.cumprod(np.concatenate([[1.0], (l[:-1] + 1.0) / (l[:-1] + 2.0)]))
+    return -4.0 * math.pi * (2 * l + 1) * p0 / ((l - 1) * (l + 2))
+
+
+def _orders(x):
+    """The even truncation order L of the 3D expansion at arguments k r <= x.
+
+    The term of order l >= 2 of Re lambda (_re_lambda_3d) is w_l R_l(k)
+    times a vector of length sqrt(P_l(c)^2 + P_l^1(c)^2) <=
+    sqrt(1 + l(l + 1)/2) (the addition theorem at equal arguments bounds
+    P_l^1(c)^2 by l(l + 1)/2), and |w_l| = 4 pi (2l + 1) |P_l(0)|/((l - 1)
+    (l + 2)) with |P_l(0)| <= 1, so the term is at most
+    4 pi (2l + 1) |R_l(k)|.
+    With |j_l(x)| <= x^l/(2l + 1)!!, |R_l(k)| <= S x^l/(2l + 1)!! where
+    S = sum_i |v_i|, and past l >= x each even term of these bounds is at
+    most 1/4 of the one before.  The tail beyond L is therefore at most
+    8 pi S (2L + 5) x^(L+2)/(2L + 5)!!, and L is the least even order
+    >= x - 2 that makes it at most 4 pi eps S: the rounding that the l = 0
+    term, 2 pi sum_i v_i (j_0(k r_i) - 1), already carries
+    (docs/full_ball.md).
+    """
+    log_x, L = math.log(x), 0
+    while True:
+        m = L + 2
+        log_b = m * log_x - (math.lgamma(2 * m + 2) - m * math.log(2.0) - math.lgamma(m + 1))
+        if m >= x and (2 * m + 1) * math.exp(log_b) <= 0.5 * np.finfo(float).eps:
+            return L
+        L += 2
+
+
+def _radial_orders(kernel, ks, nr, lmax):
+    """R_l(k) = sum_i v_i (j_l(k r_i) - [l = 0]) for the even l <= lmax, shape (lmax//2 + 1, K).
+
+    Over the radial rule of _full_ball, whose weights hold w_delta r^2;
+    magnitudes go in blocks of at most _CHUNK (l, k, r) entries.
+    """
+    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
+    out = np.empty((lmax // 2 + 1, len(ks)))
+    step = max(1, _CHUNK // (len(r) * (lmax + 1)))
+    for lo in range(0, len(ks), step):
+        j = _spherical_jn(lmax, np.multiply.outer(ks[lo:lo + step], r))[::2]
+        j[0] -= 1.0
+        out[:, lo:lo + step] = j @ vr
+    return out
+
+
+def _re_lambda_3d(kernel, modes, n):
+    """3D Re lambda at the nonzero integer modes (Q, 3) for the unit orientation n.
+
+    Returns the function of the radial count nr that evaluates it; the
+    angular integral over the hemisphere s.n >= 0 is closed.  With
+    k = |xi|, xi^ = xi/k and c = xi^.n, the expansion
+    cos(x xi^.s) = sum_(l even) (2l + 1) (-1)^(l/2) j_l(x) P_l(xi^.s) and
+    the addition theorem about n give
+
+        Re lambda(xi) = sum_(l even <= L) w_l R_l(k) [P_l(c) n + P_l'(c) (xi^ - c n)]
+
+    with w_l = 4 pi (2l + 1) (-1)^(l/2) a_l (_hemisphere_weights), R_l the
+    radial sums of _radial_orders and L the order of _orders
+    (docs/full_ball.md).  The azimuth about n keeps the m = 0 term along n,
+    with a_l = int_0^1 t P_l dt, and the m = 1 term across it, with
+    P_l^1(c) = -sqrt(1 - c^2) P_l'(c) and int_0^1 (1 - t^2) P_l' dt/(l(l + 1)),
+    which is a_l again.  The Legendre factors are computed here, once;
+    each call sums R_l over the radial rule at nr nodes.  P_l(-c) = P_l(c) and
+    P_l'(-c) = -P_l'(c) hold bit for bit, so the orientation -n gives
+    exactly -Re lambda.
+    """
+    modes = np.asarray(modes)
+    q2_unique, q2_index = np.unique(np.sum(modes**2, axis=1), return_inverse=True)
+    ks = np.sqrt(q2_unique.astype(float))
+    lmax = _orders(kernel.horizon * float(ks[-1]))
+    xhat = modes / ks[q2_index, None]
+    c = xhat @ n
+    lateral = xhat - c[:, None] * n
+    p, dp = _legendre(lmax, c)
+    weights = _hemisphere_weights(lmax)[:, None]
+    along, across = weights * p[::2], weights * dp[::2]
+
+    def evaluate(nr):
+        rad = _radial_orders(kernel, ks, nr, lmax)[:, q2_index]
+        return (np.sum(rad * along, axis=0)[:, None] * n
+                + np.sum(rad * across, axis=0)[:, None] * lateral)
+
+    return evaluate
+
+
 def _bump_radial(nr):
     return int(nr * 1.5) + 1
 
 
 def _bump(nr, na):
-    if isinstance(na, tuple):
-        return _bump_radial(nr), (int(na[0] * 1.5) + 1, int(na[1] * 1.5) + 2)
     return _bump_radial(nr), int(na * 1.5) + 1
 
 
@@ -266,9 +413,11 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
     Every entry is verified by recomputation on a refined rule; construction
     raises QuadratureConvergenceError if refinement fails to settle within
     tol (relative, per table) and KernelError if any symbol magnitude
-    degenerates to zero.  The node counts grow with delta sqrt(d) N
-    (_node_counts); ``oversample`` starts the refinement ladder that many
-    levels up it, less one (the "quad.panels" config knob).
+    degenerates to zero.  The node counts grow with delta sqrt(d) N: the
+    radial and half-circle counts (nr, na) of _node_counts in 2D, the
+    radial count alone in 3D, where the angular integral of Re lambda is
+    closed (_re_lambda_3d).  ``oversample`` starts the refinement ladder
+    that many levels up it, less one (the "quad.panels" config knob).
     """
     if bound < 1:
         raise ValueError("lattice bound must be at least 1")
@@ -281,21 +430,23 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
 
     half = _positive_half(lattice_modes(bound, d))
     kmax = kernel.horizon * math.sqrt(d) * bound
-    nr, na = _node_counts(kernel, kmax)
-    for _ in range(max(0, int(oversample) - 1)):
-        nr, na = _bump(nr, na)
-
-    R = quad.frame_matrix(n)
-    # the grid 0..N x (-N..N)^(d-1) of _re_lambda covers the positive half lattice
-    pick = (half[:, 0],) + tuple(half[:, 1:].T + bound)
+    skip = max(0, int(oversample) - 1)
+    if d == 2:
+        frame = quad.frame_matrix(n)
+        pick = (half[:, 0], half[:, 1] + bound)   # _re_lambda's grid 0..N x (-N..N)
+        re_part = lambda level: _re_lambda(kernel, bound, frame, *level)[pick]
+        levels = _bumps(*_node_counts(kernel, kmax), skip + max_bumps + 1)
+    else:
+        re_at = _re_lambda_3d(kernel, half, n)
+        re_part = lambda level: re_at(*level)
+        levels = ((nr,) for nr in _radial_bumps(_radial_count(kmax), skip + max_bumps + 1))
     q2 = np.sum(half**2, axis=1)
     q2_unique, q2_index = np.unique(q2, return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
 
     re_half, lam_rad = quad.settle(
-        lambda level: (_re_lambda(kernel, bound, R, *level)[pick],
-                       _full_ball(kernel, ks, level[0], odd=True)),
-        _bumps(nr, na, max_bumps + 1), tol, f"symbol quadrature for N={bound}")
+        lambda level: (re_part(level), _full_ball(kernel, ks, level[0], odd=True)),
+        islice(levels, skip, None), tol, f"symbol quadrature for N={bound}")
 
     rad_map = {int(q): float(v) for q, v in zip(q2_unique, lam_rad)}
     norms = np.sqrt(q2.astype(float))

@@ -1,8 +1,16 @@
+import os
+
+from hypothesis import settings
 import numpy as np
 import pytest
 
 from nlspectral import normalize
 from nlspectral.symbols import Orientation, build_table
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
+# blob that replays a failure; without it the properties draw afresh
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

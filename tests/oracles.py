@@ -5,7 +5,11 @@ half-ball of an orientation by a rule that shares nothing with the polar
 product rules of ``nlspectral.quadrature`` (``refinement_errors`` excepted:
 it reports that module's own refinement ladder).  ``full_ball_quadrature``
 integrates the full-ball factors by an angular product rule, the reference
-for the closed Bessel form of ``symbols._full_ball``.
+for the closed Bessel form of ``symbols._full_ball``.  ``re_lambda_cos_sum``
+is Re lambda as the direct cosine sum over a half-ball product rule
+(``half_rule``): the reference for the blocked phase powers of
+``symbols._re_lambda`` in 2D and for the closed angular form of
+``symbols._re_lambda_3d``, over the hemisphere product rule, in 3D.
 """
 
 import math
@@ -13,6 +17,7 @@ import math
 import numpy as np
 
 from nlspectral import quadrature as quad
+from nlspectral import symbols as sym
 from nlspectral.kernels import eval_kernel
 
 
@@ -89,3 +94,55 @@ def full_ball_quadrature(kernel, ks, nr, na, odd):
         else:
             out[lo:lo + 64] = np.einsum("kij,i,j->k", np.cos(phase) - 1.0, vr, va)
     return front * out
+
+
+def hemisphere_node_counts(kernel, kmax):
+    """Node counts (nr, (polar, azimuth)) of the 3D product rule at k delta <= kmax.
+
+    The radial count of the symbol tables; the angular counts grow with
+    kmax so that the rule resolves cos(k r s.xi^) to rounding.
+    """
+    return sym._radial_count(kmax), (16 + int(1.2 * kmax), 32 + 2 * int(kmax))
+
+
+def hemisphere_bumps(nr, na, count):
+    """The 3D counts (nr, na) and the count - 1 refinements that follow them.
+
+    The radial counts are those of the symbol tables' 3D ladder
+    (``symbols._radial_bumps``).
+    """
+    for _ in range(count):
+        yield nr, na
+        nr, na = sym._bump_radial(nr), (int(na[0] * 1.5) + 1, int(na[1] * 1.5) + 2)
+
+
+def half_rule(kernel, nr, na):
+    """Scaled radial rule and reference-frame half-ball directions (r, vr, dirs, va).
+
+    In 2D the half-circle rule of ``symbols._half_rule_arrays``; in 3D the
+    hemisphere product rule about e3 (Gauss-Legendre polar angle times a
+    trapezoid in azimuth) at na = (polar, azimuth) nodes.
+    """
+    if kernel.dimension == 2:
+        return sym._half_rule_arrays(kernel, nr, na)
+    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
+    nodes, va = quad.hemisphere_angles_3d(*na)
+    return r, vr, quad.reference_directions(3, nodes), va
+
+
+def re_lambda_cos_sum(kernel, xi, frame, nr, na):
+    """Reference Re lambda at the modes xi (Q, d) in the lattice frame.
+
+    The direct sum 2 sum_ij vr_i va_j s^_j (cos(r_i xi.R s^_j) - 1) over one
+    cosine per (mode, radius, direction) of ``half_rule``, taken in the
+    orientation frame R = ``frame`` and rotated back; chunked over modes to
+    bound the phase tensor.
+    """
+    r, vr, dirs, va = half_rule(kernel, nr, na)
+    proj = (np.asarray(xi, dtype=float) @ frame) @ dirs.T
+    wdir = va[:, None] * dirs
+    out = np.empty((len(proj), len(wdir[0])))
+    for lo in range(0, len(proj), 64):
+        cosm1 = np.cos(r[None, :, None] * proj[lo:lo + 64, None, :]) - 1.0
+        out[lo:lo + 64] = 2.0 * np.einsum("qij,i,jc->qc", cosm1, vr, wdir)
+    return out @ frame.T

@@ -10,8 +10,8 @@ from nlspectral import operators as ops
 from nlspectral import solvers as sol
 from nlspectral.errors import KernelError
 from nlspectral.fields import l2_norm, s_norm
-from nlspectral.symbols import (Orientation, SymbolTable, build_table, local_table,
-                                verify_bounds)
+from nlspectral.symbols import (Orientation, SymbolTable, build_table, lattice_modes,
+                                local_table, verify_bounds)
 
 
 def test_stokes_gradient_forcing_gives_pure_pressure(table2):
@@ -534,7 +534,7 @@ def _random_orientation(d, angles):
             np.array([math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]))
 
 
-_random_tables = given(
+_TABLE_ARGS = dict(
     d=st.sampled_from([2, 3]),
     family=st.sampled_from(["constant", "fractional", "clamped", "sine"]),
     beta=st.floats(1.0, 1.95),
@@ -542,6 +542,7 @@ _random_tables = given(
     angles=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi)),
     bound=st.integers(1, 6),
 )
+_random_tables = given(**_TABLE_ARGS)
 
 
 @settings(max_examples=25, deadline=None)
@@ -569,23 +570,39 @@ def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
 @settings(max_examples=10, deadline=None)
 @_random_tables
 def test_reflection_property(d, family, beta, delta, angles, bound):
-    """build_table(-n) is table.lam_neg(), the only cross-check of lam_neg.
+    """build_table(-n) is table.lam_neg() bit for bit, the only cross-check of lam_neg.
 
     In 2D the frame of -n is the negated frame of n, so every node and
-    phase is negated exactly and the tables agree bit for bit.  In 3D the
-    frame keeps one tangent, so the nodes are the mirror images rounded
-    differently: each phase r xi.s moves by a few ulp of delta |xi|, and
-    the symbols differ by up to about (1 + delta N sqrt(3)) eps relative
-    to max |lambda| (1.28 times that over 300 random draws, 12 eps at most);
-    4 times that is allowed.
+    phase is negated exactly.  In 3D the closed angular form takes
+    c = xi^.n, so -n gives -c exactly, and P_l(-c) = P_l(c) and
+    P_l'(-c) = -P_l'(c) hold bit for bit in the Legendre recurrences: the
+    real part is negated exactly.  The imaginary part does not depend on n.
     """
     n = _random_orientation(d, angles)
     kernel = _random_kernel(family, d, beta, delta)
     table = build_table(kernel, n, bound)
-    reflected = build_table(kernel, -n, bound).lam
-    if d == 2:
-        assert np.array_equal(reflected, table.lam_neg())
-    else:
-        floor = 4 * (1 + delta * bound * math.sqrt(d)) * _EPS
-        scale = np.max(np.abs(table.lam))
-        assert np.max(np.abs(reflected - table.lam_neg())) <= floor * scale
+    assert np.array_equal(build_table(kernel, -n, bound).lam, table.lam_neg())
+
+
+@settings(max_examples=10, deadline=None)
+@given(**_TABLE_ARGS, perm=st.permutations(range(3)),
+       signs=st.tuples(*[st.sampled_from([-1, 1])] * 3))
+def test_lattice_symmetry_property(d, family, beta, delta, angles, bound, perm, signs):
+    """For every signed permutation Q of the axes, lambda_{Qn}(Q xi) = Q lambda_n(xi).
+
+    Q maps the lattice and the half-ball of n onto those of Qn.  The
+    magnitudes |xi| are the same integers, so Lambda is the same bits and
+    Q only moves Im lambda.  Re lambda moves by rounding: in 2D the
+    half-circle rule about Qn is the mirror image of the one about n when
+    det Q = -1, and in 3D c = xi^.n is a sum taken in another order.
+    16 eps max|lambda| is allowed.
+    """
+    n = _random_orientation(d, angles)
+    q = np.diag(signs[:d]) @ np.eye(d, dtype=int)[[p for p in perm if p < d]]
+    kernel = _random_kernel(family, d, beta, delta)
+    table = build_table(kernel, n, bound)
+    moved = build_table(kernel, q @ n, bound)
+    modes = lattice_modes(bound, d)
+    got = moved.lam[tuple((modes @ q.T + bound).T)]
+    want = table.lam[tuple((modes + bound).T)] @ q.T
+    assert np.max(np.abs(got - want)) <= 16 * _EPS * np.max(np.abs(table.lam))

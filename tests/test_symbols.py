@@ -236,6 +236,23 @@ def test_orientation_validation():
     np.testing.assert_allclose(n.vec, [0.6, 0.8], rtol=1e-15)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sym.Orientation(np.array([math.nan, 0.0])),
+    lambda: sym.Orientation(np.array([1.0, math.nan, 0.0])),
+    lambda: sym.Orientation(np.array([math.inf, 0.0])),
+    lambda: sym.Orientation.from_vector([math.nan, 1.0]),
+    lambda: sym.Orientation.from_vector([math.inf, 1.0]),
+    lambda: sym.Orientation(np.array([[1.0, 0.0]])),
+    lambda: sym.Orientation(np.array(1.0)),
+    lambda: sym.build_table(normalize("constant", 2, horizon=0.1), np.array([math.nan, 0.0]), 4),
+], ids=["nan", "nan-3d", "inf", "from-nan", "from-inf", "2-d", "0-d", "build-table"])
+def test_orientation_rejects_non_finite_or_non_vector(make):
+    # a NaN norm used to pass the unit check, and build_table then ran its
+    # whole ladder before it failed with "last error nan"
+    with pytest.raises(ValueError, match="orientation"):
+        make()
+
+
 def test_local_table_is_i_xi():
     tab = sym.local_table(2, 4)
     np.testing.assert_array_equal(tab.lam_at((2, -3)), 1j * np.array([2.0, -3.0]))
@@ -417,25 +434,8 @@ def test_high_frequency_reference_values():
 
 
 # ---------------------------------------------------------------------------
-# lattice factorization of Re lambda against the direct cos sum
+# Re lambda (2D phase powers, 3D closed angular form) against the direct cos sum
 # ---------------------------------------------------------------------------
-
-def _re_lambda_cos_sum(kernel, xi, frame, nr, na):
-    """Reference Re lambda at the modes xi (Q, d) in the lattice frame.
-
-    The direct sum 2 sum_ij vr_i va_j s^_j (cos(r_i xi.R s^_j) - 1) over one
-    cosine per (mode, radius, direction), taken in the orientation frame and
-    rotated back; chunked over modes to bound the phase tensor.
-    """
-    r, vr, dirs, va = sym._half_rule_arrays(kernel, nr, na)
-    proj = (np.asarray(xi, dtype=float) @ frame) @ dirs.T
-    wdir = va[:, None] * dirs
-    out = np.empty((len(proj), len(wdir[0])))
-    for lo in range(0, len(proj), 64):
-        cosm1 = np.cos(r[None, :, None] * proj[lo:lo + 64, None, :]) - 1.0
-        out[lo:lo + 64] = 2.0 * np.einsum("qij,i,jc->qc", cosm1, vr, wdir)
-    return out @ frame.T
-
 
 def test_phase_powers_match_direct_exp():
     # each blocked power is within a few ulp of exp(i n theta), beyond the
@@ -455,29 +455,41 @@ def _grid_modes(bound, d):
     return axes, grid
 
 
-def _assert_factorized_matches_cos_sum(kernel, n, bound):
-    """_re_lambda over the half-lattice grid equals the cos sum to 1e-13 max|lambda| plus a floor.
+def _assert_re_lambda_matches_cos_sum(kernel, n, bound, modes=None):
+    """Re lambda equals the cos sum to 1e-13 max|lambda| plus a floor.
 
-    Both forms subtract a radial sum near sum vr from sum vr: the factorized
-    one takes Re sum_i vr_i exp(i r_i xi.s_j) - sum vr, the reference
-    sum_i vr_i (cos(r_i xi.s_j) - 1).  Either way each direction's radial
-    sum carries about eps sum vr of rounding however small the difference,
-    and 2 sum_j va_j |s_jc| <= 2 sum va carries it into each component: a
+    In 2D _re_lambda over the half-lattice grid, against the cos sum over
+    the same rule; in 3D _re_lambda_3d at the positive half lattice (or at
+    ``modes``), against the cos sum over the hemisphere product rule of
+    ``oracles.hemisphere_node_counts``, whose angular error is far below
+    the bound.  Each form subtracts a radial sum near sum vr from sum vr:
+    the 2D one takes Re sum_i vr_i exp(i r_i xi.s_j) - sum vr, the 3D one
+    sum_i vr_i (j_0(k r_i) - 1) in its l = 0 term, the reference
+    sum_i vr_i (cos(r_i xi.s_j) - 1).  Either way each radial sum carries
+    about eps sum vr of rounding however small the difference, and
+    2 sum_j va_j |s_jc| <= 2 sum va carries it into each component: a
     floor of 2 eps sum vr sum va on the absolute accuracy of Re lambda.  It
     exceeds 1e-13 max|lambda| where sum vr is large against max|lambda|,
     as for beta near 2 at a small horizon.
     """
     d = kernel.dimension
     frame = quad.frame_matrix(n)
-    axes, grid = _grid_modes(bound, d)
-    nr, na = sym._node_counts(kernel, kernel.horizon * math.sqrt(d) * bound)
-    got = sym._re_lambda(kernel, bound, frame, nr, na)
-    assert got.shape == tuple(len(a) for a in axes) + (d,)
-    ref = _re_lambda_cos_sum(kernel, grid, frame, nr, na)
-    ks = np.linalg.norm(grid, axis=1)
+    kmax = kernel.horizon * math.sqrt(d) * bound
+    if d == 2:
+        axes, modes = _grid_modes(bound, d)
+        nr, na = sym._node_counts(kernel, kmax)
+        got = sym._re_lambda(kernel, bound, frame, nr, na)
+        assert got.shape == tuple(len(a) for a in axes) + (d,)
+    else:
+        if modes is None:
+            modes = sym._positive_half(sym.lattice_modes(bound, d))
+        nr, na = oracles.hemisphere_node_counts(kernel, kmax)
+        got = sym._re_lambda_3d(kernel, modes, n)(nr)
+    ref = oracles.re_lambda_cos_sum(kernel, modes, frame, nr, na)
+    ks = np.linalg.norm(modes, axis=1)
     lam_rad = sym._full_ball(kernel, ks, nr, odd=True)
     scale = float(np.max(np.sqrt(np.sum(ref**2, axis=1) + lam_rad**2)))
-    _, vr, _, va = sym._half_rule_arrays(kernel, nr, na)
+    _, vr, _, va = oracles.half_rule(kernel, nr, na)
     floor = 2.0 * np.finfo(float).eps * float(np.sum(vr)) * float(np.sum(va))
     np.testing.assert_allclose(got.reshape(-1, d), ref, rtol=0, atol=1e-13 * scale + floor)
 
@@ -495,23 +507,39 @@ def _assert_factorized_matches_cos_sum(kernel, n, bound):
 ])
 def test_re_lambda_factorization_matches_cos_sum(family, beta, d, n, bound):
     kernel = normalize(family, d, beta=beta, horizon=0.3)
-    _assert_factorized_matches_cos_sum(kernel, np.array(n), bound)
+    _assert_re_lambda_matches_cos_sum(kernel, np.array(n), bound)
+
+
+@pytest.mark.parametrize("family, beta", [
+    ("constant", None), ("fractional", 1.5), ("fractional", 1.9)])
+@pytest.mark.parametrize("delta, bound", [(1.0, 8), (0.6, 16)])
+def test_re_lambda_3d_large_arguments_match_cos_sum(family, beta, delta, bound):
+    # k delta up to 13.9 and 16.6, where the expansion needs orders past 40;
+    # the corners of the cube and 150 random modes of the positive half
+    kernel = normalize(family, 3, beta=beta, horizon=delta)
+    half = sym._positive_half(sym.lattice_modes(bound, 3))
+    pick = np.random.default_rng(bound).choice(len(half), 150, replace=False)
+    corners = np.array([(bound, i, j) for i in (-bound, bound) for j in (-bound, bound)])
+    modes = np.concatenate([corners, half[pick]])
+    _assert_re_lambda_matches_cos_sum(kernel, np.array([0.48, -0.6, 0.64]), bound, modes)
 
 
 @pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
 def test_build_table_re_part_matches_cos_sum(family, beta):
-    # the table's real parts are the cos sum at one level of the settle ladder
+    # the table's real parts are the cos sum at one radial level of the
+    # settle ladder, the hemisphere rule's angles refined along with it
     kernel = normalize(family, 3, beta=beta, horizon=0.2)
     n = sym.Orientation.from_vector([-0.3, 0.9, 0.2])
     tab = sym.build_table(kernel, n, 4)
     modes = sym.lattice_modes(4, 3)
-    nr, na = sym._node_counts(kernel, kernel.horizon * math.sqrt(3) * 4)
+    nr, na = oracles.hemisphere_node_counts(kernel, kernel.horizon * math.sqrt(3) * 4)
     got = tab.lam[tuple((modes + 4).T)].real
     scale = float(np.max(np.abs(tab.lam)))
     assert any(
-        np.max(np.abs(got - _re_lambda_cos_sum(kernel, modes, quad.frame_matrix(n.vec),
-                                               *level))) <= 1e-13 * scale
-        for level in sym._bumps(nr, na, 4)
+        np.max(np.abs(got - oracles.re_lambda_cos_sum(kernel, modes,
+                                                      quad.frame_matrix(n.vec), *level)))
+        <= 1e-13 * scale
+        for level in oracles.hemisphere_bumps(nr, na, 4)
     )
 
 
@@ -523,13 +551,44 @@ def test_averaged_energy_density_matches_cos_sum(family, beta):
     nr, na = sym._bump(*sym._node_counts(kernel, kernel.horizon * k))
     lam_rad = float(sym._full_ball(kernel, [k], nr, odd=True)[0])
     re2 = [
-        np.sum(_re_lambda_cos_sum(kernel, xi[None, :],
-                                  quad.frame_matrix((math.cos(a), math.sin(a))), nr, na) ** 2)
+        np.sum(oracles.re_lambda_cos_sum(kernel, xi[None, :],
+                                         quad.frame_matrix((math.cos(a), math.sin(a))),
+                                         nr, na) ** 2)
         for a in 2.0 * math.pi * np.arange(16) / 16
     ]
     ref = lam_rad**2 + float(np.mean(re2))
     got = sym.averaged_energy_density(kernel, xi, samples=16)
     assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_spherical_jn_matches_scipy():
+    # l <= 80 over x in [1e-3, 60], and next to the zeros of j_0 and j_1,
+    # where starting the products from the smaller of the two would lose
+    # its relative accuracy; scipy itself is within about 7 eps there
+    from scipy.special import spherical_jn
+
+    zeros = np.concatenate([math.pi * np.arange(1, 20), [4.493409457909064, 7.725251836937707]])
+    x = np.concatenate([np.geomspace(1e-3, 60.0, 2000), zeros + 1e-9, zeros - 1e-7])
+    got = sym._spherical_jn(80, x)
+    ref = spherical_jn(np.arange(81)[:, None], x)
+    assert np.max(np.abs(got - ref)) <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("delta, bound", [(0.05, 2), (0.3, 8), (1.0, 8), (1.0, 20)])
+def test_re_lambda_3d_orders_past_truncation_change_nothing(monkeypatch, delta, bound):
+    # sixteen more orders than _orders picks move Re lambda by a few eps
+    # max|lambda| at most: the dropped tail is below rounding
+    kernel = normalize("constant", 3, horizon=delta)
+    modes = sym._positive_half(sym.lattice_modes(bound, 3))
+    n = np.array([0.48, -0.6, 0.64])
+    nr = sym._radial_count(delta * math.sqrt(3) * bound)
+    got = sym._re_lambda_3d(kernel, modes, n)(nr)
+    orders = sym._orders
+    monkeypatch.setattr(sym, "_orders", lambda x: orders(x) + 16)
+    more = sym._re_lambda_3d(kernel, modes, n)(nr)
+    lam_rad = sym._full_ball(kernel, np.linalg.norm(modes, axis=1), nr, odd=True)
+    scale = float(np.max(np.sqrt(np.sum(got**2, axis=1) + lam_rad**2)))
+    assert np.max(np.abs(more - got)) <= 4 * np.finfo(float).eps * scale
 
 
 @settings(max_examples=25, deadline=None)
@@ -548,7 +607,7 @@ def test_re_lambda_factorization_property(d, fractional, beta, delta, angles, bo
          np.array([math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]))
     kernel = (normalize("fractional", d, beta=beta, horizon=delta) if fractional
               else normalize("constant", d, horizon=delta))
-    _assert_factorized_matches_cos_sum(kernel, n, bound)
+    _assert_re_lambda_matches_cos_sum(kernel, n, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +679,7 @@ def test_full_ball_closed_form_matches_quadrature(family, beta, d, bound, delta)
     # |xi| of the lattice from 1 to kmax
     kernel = _KERNELS[family](d, delta, beta)
     ks = _lattice_magnitudes(bound, d)
-    nr, na = sym._node_counts(kernel, kernel.horizon * math.sqrt(d) * bound)
-    levels = [level[0] for level in sym._bumps(nr, na, 4)]
+    levels = list(sym._radial_bumps(sym._radial_count(kernel.horizon * math.sqrt(d) * bound), 4))
     for nr in (levels[0], levels[-1]):
         for odd in (True, False):
             _assert_full_ball_matches_quadrature(kernel, ks, nr, odd)
@@ -638,6 +696,6 @@ def test_full_ball_closed_form_matches_quadrature(family, beta, d, bound, delta)
 def test_full_ball_closed_form_property(d, family, beta, delta, bound):
     kernel = _KERNELS[family](d, delta, beta)
     ks = _lattice_magnitudes(bound if d == 2 else min(bound, 6), d)
-    nr, _ = sym._node_counts(kernel, kernel.horizon * float(np.max(ks)))
+    nr = sym._radial_count(kernel.horizon * float(np.max(ks)))
     for odd in (True, False):
         _assert_full_ball_matches_quadrature(kernel, ks, nr, odd)
