@@ -592,7 +592,7 @@ def test_lattice_symmetry_property(d, family, beta, delta, angles, bound, perm, 
 
     Q maps the lattice and the half-ball of n onto those of Qn.  The
     magnitudes |xi| are the same integers, so Lambda is the same bits and
-    Q only moves Im lambda.  Re lambda moves by rounding: in 2D the
+    Im lambda maps exactly.  Re lambda maps up to rounding: in 2D the
     half-circle rule about Qn is the mirror image of the one about n when
     det Q = -1, and in 3D c = xi^.n is a sum taken in another order.
     16 eps max|lambda| is allowed.
