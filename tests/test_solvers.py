@@ -1,12 +1,13 @@
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from nlspectral import epsilon_cutoff, fields as fl
 from nlspectral import normalize
 from nlspectral import operators as ops
+from nlspectral import quadrature as quad
 from nlspectral import solvers as sol
 from nlspectral.errors import KernelError
 from nlspectral.fields import l2_norm, s_norm
@@ -585,6 +586,8 @@ def test_reflection_property(d, family, beta, delta, angles, bound):
 
 
 @settings(max_examples=10, deadline=None)
+@example(d=2, family="fractional", beta=1.0, delta=0.021484375, angles=(0.0, 0.0), bound=1,
+         perm=[1, 0, 2], signs=(-1, -1, -1))
 @given(**_TABLE_ARGS, perm=st.permutations(range(3)),
        signs=st.tuples(*[st.sampled_from([-1, 1])] * 3))
 def test_lattice_symmetry_property(d, family, beta, delta, angles, bound, perm, signs):
@@ -595,7 +598,12 @@ def test_lattice_symmetry_property(d, family, beta, delta, angles, bound, perm, 
     Im lambda maps exactly.  Re lambda maps up to rounding: in 2D the
     half-circle rule about Qn is the mirror image of the one about n when
     det Q = -1, and in 3D c = xi^.n is a sum taken in another order.
-    16 eps max|lambda| is allowed.
+    16 eps max|lambda| is allowed, plus the floor 2 eps sum v |H| that a
+    radial sum near sum v less sum v puts on the absolute accuracy of
+    Re lambda (|H| = pi or 2 pi, the measure of the half circle or the
+    hemisphere; see test_symbols._assert_re_lambda_matches_cos_sum).  The
+    floor matters at a small horizon, where sum v is large against
+    max|lambda|: the example above reads 16.03 eps max|lambda|.
     """
     n = _random_orientation(d, angles)
     q = np.diag(signs[:d]) @ np.eye(d, dtype=int)[[p for p in perm if p < d]]
@@ -605,4 +613,6 @@ def test_lattice_symmetry_property(d, family, beta, delta, angles, bound, perm, 
     modes = lattice_modes(bound, d)
     got = moved.lam[tuple((modes @ q.T + bound).T)]
     want = table.lam[tuple((modes + bound).T)] @ q.T
-    assert np.max(np.abs(got - want)) <= 16 * _EPS * np.max(np.abs(table.lam))
+    mass = float(np.sum(quad.scaled_radial_rule(kernel, panels=1, n_nodes=24)[1]))
+    floor = 2 * _EPS * mass * (math.pi if d == 2 else 2 * math.pi)
+    assert np.max(np.abs(got - want)) <= 16 * _EPS * np.max(np.abs(table.lam)) + floor
