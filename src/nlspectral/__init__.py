@@ -12,7 +12,6 @@ from .kernels import KernelSpec, epsilon_cutoff, eval_kernel, from_config, norma
 from .symbols import (
     Orientation,
     SymbolTable,
-    averaged_energy_density,
     build_table,
     lambda_radial,
     load_table,
@@ -33,7 +32,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "SpectralField",
     "SymbolTable",
-    "averaged_energy_density",
     "build_table",
     "epsilon_cutoff",
     "eval_kernel",

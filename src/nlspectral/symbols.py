@@ -16,26 +16,11 @@ in 2D and 4 pi int_0^delta w_delta(r) r^2 j1(k r) dr in 3D, and the drift
 factor m has J0 - 1 and j0 - 1 in their place, so each is one sum over the
 radial rule.
 
-In 3D the hemisphere integral of Re lambda is closed as well
-(_re_lambda_3d): with c = xi.n/|xi|, it is a sum over even orders l of
-spherical-Bessel radial sums R_l(|xi|) times P_l(c) along n and P_l'(c)
-across it, so the only quadrature left is the radial rule
-(docs/full_ball.md).
-
-In 2D Re lambda is filled by tensor quadrature whose angular directions
-s_j = R s^_j are taken in the lattice frame (R the orientation frame
-matrix).  There exp(i r xi.s_j) is the product over coordinates of
-exp(i r xi_c s_jc), exact to rounding, with no rotation back:
-
-- blocked phase powers: exp(i n theta) for n = 0..N is
-  exp(i q b theta) exp(i m theta) with n = q b + m, b = ceil(sqrt(N+1)),
-  about 2 sqrt(N+1) complex exps per (direction, radius);
-- conjugate fold: the second coordinate, over -N..N, takes its half n < 0
-  as the conjugates of n > 0;
-- real-only last contraction: with A the first coordinate's factors and
-  the radial weights, P = Re A . cos and Q = Im A . sin over n >= 0 give
-  the radial sum at +n and -n of the second coordinate as P - Q and
-  P + Q: two real matmuls per direction over N+1 columns.
+The half-ball integral of Re lambda is closed as well (_re_lambda): with
+c = xi.n/|xi|, it is a sum over even orders l of Bessel radial sums
+R_l(|xi|) times T_l(c) along n and T_l'(c) across it in 2D, with
+spherical Bessel j_l and Legendre P_l in their place in 3D, so the only
+quadrature left is the radial rule (docs/full_ball.md).
 
 Conjugate symmetry lambda(-xi) = conj(lambda(xi)) halves the lattice and
 holds exactly as computed.
@@ -54,7 +39,7 @@ from .kernels import KernelSpec, from_config
 from .results import mode_rows, write_text
 
 UNIT_TOL = 1e-14
-_CHUNK = 500_000  # max entries per chunk of directions (_re_lambda) or magnitudes (_full_ball)
+_CHUNK = 500_000  # max entries per block: (l, k, r) in _radial_orders, (k, r) in _full_ball
 
 
 @dataclass(frozen=True)
@@ -79,10 +64,13 @@ class Orientation:
     @classmethod
     def from_vector(cls, v):
         v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
+        top = float(np.max(np.abs(v), initial=0.0))
+        if top == 0.0:
             raise ValueError("cannot orient along the zero vector")
-        return cls(v / norm)
+        # scaled by the power of two at max|v|, exactly, so that |v| neither
+        # overflows nor underflows and v/|v| keeps its bits
+        v = np.ldexp(v, -math.frexp(top)[1])
+        return cls(v / np.linalg.norm(v))
 
     @property
     def dimension(self):
@@ -144,68 +132,6 @@ def _radial_count(kmax):
     return 24 + int(kmax)
 
 
-def _node_counts(kernel, kmax):
-    """Radial and half-circle node counts (nr, na) of a 2D level at k delta <= kmax."""
-    return _radial_count(kmax), 32 + int(2.0 * kmax)
-
-
-def _half_rule_arrays(kernel, nr, na):
-    """Scaled radial nodes/weights and the half-circle directions about e1 with weights."""
-    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
-    theta, va = quad.half_angles_2d(na)
-    return r, vr, np.stack([np.cos(theta), np.sin(theta)], axis=1), va
-
-
-def _phase_powers(theta, count):
-    """exp(i n theta) for n = 0..count-1, on a new axis before the last of theta.
-
-    With b = ceil(sqrt(count)) and n = q b + m (0 <= m < b), exp(i n theta)
-    is exp(i q b theta) exp(i m theta): b + ceil(count / b), about
-    2 sqrt(count), complex exps per entry of theta in place of count, and
-    each power within a few ulp of the direct exp.
-    """
-    theta = np.asarray(theta, dtype=float)[..., None, :]
-    b = math.isqrt(count - 1) + 1
-    small = np.exp(1j * (np.arange(b)[:, None] * theta))
-    big = np.exp(1j * (np.arange(0, count, b)[:, None] * theta))
-    pw = big[..., :, None, :] * small[..., None, :, :]
-    return pw.reshape(pw.shape[:-3] + (-1, pw.shape[-1]))[..., :count, :]
-
-
-def _re_lambda(kernel, bound, frame, nr, na):
-    """2D Re lambda on the half-lattice grid 0..N x (-N..N), in the lattice frame.
-
-    With s_j = frame @ s^_j, exp(i r xi.s_j) = exp(i r xi_1 s_j1) exp(i r
-    xi_2 s_j2).  Each coordinate's factors exp(i n s_jc r_i), n = 0..N, are
-    blocked phase powers; the signed second axis takes its half n < 0 as
-    their conjugates.  With A the first coordinate's factors times vr, the
-    radial sum Re sum_i vr_i exp(i r_i xi.s_j) at second coordinate +n and
-    -n is P - Q and P + Q, where P = Re A . cos and Q = Im A . sin over
-    n >= 0: two real matmuls per direction.  Less sum vr this is
-    sum_i vr_i (cos(r_i xi.s_j) - 1).  Directions are taken in chunks of
-    at most _CHUNK entries; returns shape (N+1, 2N+1, 2).
-    """
-    r, vr, dirs, va = _half_rule_arrays(kernel, nr, na)
-    n1, n2 = bound + 1, 2 * bound + 1
-    s = dirs @ frame.T                          # (J, 2) directions, lattice frame
-    ws = va[:, None] * s
-    out = np.zeros((n1 * n2, 2))
-    chunk = max(1, _CHUNK // (n1 * (5 * len(r) + 2 * n1 + n2)))
-    for lo in range(0, len(s), chunk):
-        sc = s[lo:lo + chunk]
-        fac = _phase_powers(sc[:, :, None] * r, n1)   # (Jc, 2, N+1, nr)
-        a = fac[:, 0] * vr
-        last = fac[:, 1].transpose(0, 2, 1)
-        p = np.matmul(np.ascontiguousarray(a.real), np.ascontiguousarray(last.real))
-        q = np.matmul(np.ascontiguousarray(a.imag), np.ascontiguousarray(last.imag))
-        p -= np.sum(vr)
-        g = np.empty((len(sc), n1, n2))
-        np.add(p[:, :, :0:-1], q[:, :, :0:-1], out=g[:, :, :bound])
-        np.subtract(p, q, out=g[:, :, bound:])
-        out += g.reshape(len(sc), -1).T @ ws[lo:lo + chunk]
-    return 2.0 * out.reshape(n1, n2, 2)
-
-
 def _full_ball(kernel, ks, nr, odd):
     """Full-ball factors at the magnitudes ks: Lambda if ``odd``, else m.
 
@@ -235,44 +161,57 @@ def _full_ball(kernel, ks, nr, odd):
     return front * out
 
 
-def _spherical_jn(lmax, x):
-    """Spherical Bessel j_l(x) for l = 0..lmax at x > 0, shape (lmax + 1,) + x.shape.
+def _bessel_orders(lmax, x, d):
+    """Bessel J_l(x) (d = 2) or spherical j_l(x) (d = 3) for l = 0..lmax at x > 0.
 
-    The ratios rho_l = j_l/j_(l-1) come from the downward recurrence
-    rho_l = 1/((2l + 1)/x - rho_(l+1)), started at rho = 0 at the order
-    lmax + 20 + ceil(max x).  Each step scales the start's relative error
-    by rho_l rho_(l+1), about (x/2l)^2 once l is past x, so it is far
-    below rounding by the order lmax.  Then j_l = j_0 rho_1 ... rho_l with
-    j_0 = sin x/x, or j_l = j_1 rho_2 ... rho_l with j_1 = (j_0 - cos x)/x
-    where |j_1| > |j_0|: near a zero of j_0, 1/rho_1 is a difference near
-    0 and its rounding would spoil every j_l.  x > 0 keeps every step
-    finite.
+    The shape is (lmax + 1,) + x.shape.  Both satisfy f_(l-1) + f_(l+1) =
+    (2l + d - 2) f_l/x, so the ratios rho_l = f_l/f_(l-1) come from the
+    downward recurrence rho_l = 1/((2l + d - 2)/x - rho_(l+1)), started at
+    rho = 0 at the order lmax + 20 + ceil(max x).  Each step scales the
+    start's relative error by rho_l rho_(l+1), about (x/2l)^2 once l is
+    past x, so it is far below rounding by the order lmax.  Then
+    f_l = f_0 rho_1 ... rho_l, or f_l = f_1 rho_2 ... rho_l where
+    |f_1| > |f_0|: near a zero of f_0, 1/rho_1 is a difference near 0 and
+    its rounding would spoil every f_l.  The start pair is scipy.special's
+    j0 and j1 in 2D, and j_0 = sin x/x and j_1 = (j_0 - cos x)/x in 3D.
+    x > 0 keeps every step finite.
     """
     x = np.asarray(x, dtype=float)
     inv = 1.0 / x
     out = np.empty((lmax + 1,) + x.shape)
-    ratio = np.zeros_like(x)
+    ratio, step = np.zeros_like(x), np.empty_like(x)
     for l in range(lmax + 20 + math.ceil(float(np.max(x))), 0, -1):
-        ratio = 1.0 / ((2 * l + 1) * inv - ratio)
+        np.multiply(inv, 2 * l + d - 2, out=step)
+        step -= ratio
         if l <= lmax:
-            out[l] = ratio
-    j0 = np.sin(x) * inv
-    j1 = (j0 - np.cos(x)) * inv
-    from_j1 = np.abs(j1) > np.abs(j0)
-    out[0] = np.where(from_j1, j1, j0)
+            ratio = out[l]
+        np.divide(1.0, step, out=ratio)
+    if d == 2:
+        from scipy.special import j0, j1
+
+        f0, f1 = j0(x), j1(x)
+    else:
+        f0 = np.sin(x) * inv
+        f1 = (f0 - np.cos(x)) * inv
+    from_f1 = np.abs(f1) > np.abs(f0)
+    out[0] = np.where(from_f1, f1, f0)
     if lmax >= 1:
-        out[1] = np.where(from_j1, 1.0, out[1])
-    np.cumprod(out, axis=0, out=out)
-    out[0] = j0
+        out[1] = np.where(from_f1, 1.0, out[1])
+    for l in range(1, lmax + 1):
+        out[l] *= out[l - 1]
+    out[0] = f0
     return out
 
 
-def _legendre(lmax, t):
-    """P_l(t) and P_l'(t) for l = 0..lmax, each of shape (lmax + 1,) + t.shape.
+def _zonal(lmax, t, d):
+    """T_l(t) and T_l'(t) (d = 2) or P_l(t) and P_l'(t) (d = 3) for l = 0..lmax.
 
-    (l + 1) P_(l+1) = (2l + 1) t P_l - l P_(l-1) and P_(l+1)' = P_(l-1)' +
-    (2l + 1) P_l.  Both keep the parity of P_l and P_l' bit for bit:
-    negating t negates exactly the odd orders of P and the even ones of P'.
+    Each of shape (lmax + 1,) + t.shape, from T_(l+1) = 2t T_l - T_(l-1)
+    and T_(l+1)' = 2 T_l + 2t T_l' - T_(l-1)', or (l + 1) P_(l+1) =
+    (2l + 1) t P_l - l P_(l-1) and P_(l+1)' = P_(l-1)' + (2l + 1) P_l.
+    Every term of a right side has the parity of its left side, so negating
+    t negates exactly the odd orders of T_l and P_l and the even ones of
+    their derivatives.
     """
     t = np.asarray(t, dtype=float)
     p = np.empty((lmax + 1,) + t.shape)
@@ -281,14 +220,23 @@ def _legendre(lmax, t):
     if lmax >= 1:
         p[1], dp[1] = t, 1.0
     for l in range(1, lmax):
-        p[l + 1] = ((2 * l + 1) * t * p[l] - l * p[l - 1]) / (l + 1)
-        dp[l + 1] = dp[l - 1] + (2 * l + 1) * p[l]
+        if d == 2:
+            p[l + 1] = 2.0 * t * p[l] - p[l - 1]
+            dp[l + 1] = 2.0 * p[l] + 2.0 * t * dp[l] - dp[l - 1]
+        else:
+            p[l + 1] = ((2 * l + 1) * t * p[l] - l * p[l - 1]) / (l + 1)
+            dp[l + 1] = dp[l - 1] + (2 * l + 1) * p[l]
     return p, dp
 
 
-def _hemisphere_weights(lmax):
-    """w_l = 4 pi (2l + 1) (-1)^(l/2) a_l for the even l <= lmax, a_l = int_0^1 t P_l(t) dt.
+def _half_ball_weights(lmax, d):
+    """The factors w_l of the even orders l <= lmax of Re lambda (_re_lambda).
 
+    2D: w_l = 2 e_l (-1)^(l/2) int_(-pi/2)^(pi/2) cos(theta) cos(l theta)
+    dtheta, with e_0 = 1 and e_l = 2 the Jacobi-Anger factors; the moment
+    is -2 (-1)^(l/2)/(l^2 - 1), so w_0 = 4 and w_l = -8/(l^2 - 1).
+
+    3D: w_l = 4 pi (2l + 1) (-1)^(l/2) a_l, a_l = int_0^1 t P_l(t) dt.
     Legendre's equation ((1 - t^2) P_l')' = -l(l + 1) P_l, times t and
     integrated by parts over [0, 1], gives int_0^1 (1 - t^2) P_l' dt =
     l(l + 1) a_l; integrating the left side by parts once more gives
@@ -299,82 +247,100 @@ def _hemisphere_weights(lmax):
     cancellation.
     """
     l = np.arange(0, lmax + 1, 2)
+    if d == 2:
+        w = -8.0 / (l * l - 1.0)
+        w[0] = 4.0
+        return w
     p0 = np.cumprod(np.concatenate([[1.0], (l[:-1] + 1.0) / (l[:-1] + 2.0)]))
     return -4.0 * math.pi * (2 * l + 1) * p0 / ((l - 1) * (l + 2))
 
 
-def _orders(x):
-    """The even truncation order L of the 3D expansion at arguments k r <= x.
+def _orders(x, d):
+    """The even truncation order L of the expansion of Re lambda at arguments k r <= x.
 
-    The term of order l >= 2 of Re lambda (_re_lambda_3d) is w_l R_l(k)
-    times a vector of length sqrt(P_l(c)^2 + P_l^1(c)^2) <=
-    sqrt(1 + l(l + 1)/2) (the addition theorem at equal arguments bounds
-    P_l^1(c)^2 by l(l + 1)/2), and |w_l| = 4 pi (2l + 1) |P_l(0)|/((l - 1)
-    (l + 2)) with |P_l(0)| <= 1, so the term is at most
-    4 pi (2l + 1) |R_l(k)|.
-    With |j_l(x)| <= x^l/(2l + 1)!!, |R_l(k)| <= S x^l/(2l + 1)!! where
-    S = sum_i |v_i|, and past l >= x each even term of these bounds is at
-    most 1/4 of the one before.  The tail beyond L is therefore at most
-    8 pi S (2L + 5) x^(L+2)/(2L + 5)!!, and L is the least even order
-    >= x - 2 that makes it at most 4 pi eps S: the rounding that the l = 0
-    term, 2 pi sum_i v_i (j_0(k r_i) - 1), already carries
-    (docs/full_ball.md).
+    With S = sum_i |v_i|, the term of order l >= 2 of Re lambda
+    (_re_lambda) is w_l R_l(k) times a bracket of length at most
+    - l in 2D (sqrt(cos^2 l alpha + l^2 sin^2 l alpha) with c = cos alpha),
+      with |w_l| = 8/(l^2 - 1) and |R_l(k)| <= S (x/2)^l/l!, so the term is
+      at most 8 S l/(l^2 - 1) (x/2)^l/l!;
+    - sqrt(P_l(c)^2 + P_l^1(c)^2) <= sqrt(1 + l(l + 1)/2) in 3D (the
+      addition theorem at equal arguments bounds P_l^1(c)^2 by l(l + 1)/2),
+      with |w_l| = 4 pi (2l + 1) |P_l(0)|/((l - 1)(l + 2)), |P_l(0)| <= 1
+      and |R_l(k)| <= S x^l/(2l + 1)!!, so the term is at most
+      4 pi (2l + 1) S x^l/(2l + 1)!!.
+    Past l >= x each even term of these bounds is at most 1/4 of the one
+    before, so the tail beyond L is at most twice the bound at L + 2, and
+    L is the least even order >= x - 2 that makes it at most 2 w_0 eps S:
+    twice the rounding that the l = 0 term, w_0 sum_i v_i (f_0(k r_i) - 1),
+    already carries (docs/full_ball.md).
     """
     log_x, L = math.log(x), 0
     while True:
         m = L + 2
-        log_b = m * log_x - (math.lgamma(2 * m + 2) - m * math.log(2.0) - math.lgamma(m + 1))
-        if m >= x and (2 * m + 1) * math.exp(log_b) <= 0.5 * np.finfo(float).eps:
+        if d == 2:
+            front = 2.0 * m / (m * m - 1.0)
+            log_b = m * (log_x - math.log(2.0)) - math.lgamma(m + 1)
+        else:
+            front = 2 * m + 1
+            log_b = m * log_x - (math.lgamma(2 * m + 2) - m * math.log(2.0) - math.lgamma(m + 1))
+        if m >= x and front * math.exp(log_b) <= 0.5 * np.finfo(float).eps:
             return L
         L += 2
 
 
 def _radial_orders(kernel, ks, nr, lmax):
-    """R_l(k) = sum_i v_i (j_l(k r_i) - [l = 0]) for the even l <= lmax, shape (lmax//2 + 1, K).
+    """R_l(k) = sum_i v_i (f_l(k r_i) - [l = 0]) for the even l <= lmax, shape (lmax//2 + 1, K).
 
-    Over the radial rule of _full_ball, whose weights hold w_delta r^2;
-    magnitudes go in blocks of at most _CHUNK (l, k, r) entries.
+    f_l is J_l in 2D and j_l in 3D (_bessel_orders), over the radial rule
+    of _full_ball, whose weights hold w_delta r^(d-1); magnitudes go in
+    blocks of at most _CHUNK (l, k, r) entries.
     """
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
     out = np.empty((lmax // 2 + 1, len(ks)))
     step = max(1, _CHUNK // (len(r) * (lmax + 1)))
     for lo in range(0, len(ks), step):
-        j = _spherical_jn(lmax, np.multiply.outer(ks[lo:lo + step], r))[::2]
-        j[0] -= 1.0
-        out[:, lo:lo + step] = j @ vr
+        f = _bessel_orders(lmax, np.multiply.outer(ks[lo:lo + step], r), kernel.dimension)[::2]
+        f[0] -= 1.0
+        out[:, lo:lo + step] = f @ vr
     return out
 
 
-def _re_lambda_3d(kernel, modes, n):
-    """3D Re lambda at the nonzero integer modes (Q, 3) for the unit orientation n.
+def _re_lambda(kernel, modes, n):
+    """Re lambda at the nonzero integer modes (Q, d) for the unit orientation n.
 
     Returns the function of the radial count nr that evaluates it; the
-    angular integral over the hemisphere s.n >= 0 is closed.  With
-    k = |xi|, xi^ = xi/k and c = xi^.n, the expansion
-    cos(x xi^.s) = sum_(l even) (2l + 1) (-1)^(l/2) j_l(x) P_l(xi^.s) and
-    the addition theorem about n give
+    angular integral over the half-ball s.n >= 0 is closed.  With k = |xi|,
+    xi^ = xi/k and c = xi^.n,
 
-        Re lambda(xi) = sum_(l even <= L) w_l R_l(k) [P_l(c) n + P_l'(c) (xi^ - c n)]
+        Re lambda(xi) = sum_(l even <= L) w_l R_l(k) [Z_l(c) n + Z_l'(c) (xi^ - c n)]
 
-    with w_l = 4 pi (2l + 1) (-1)^(l/2) a_l (_hemisphere_weights), R_l the
-    radial sums of _radial_orders and L the order of _orders
-    (docs/full_ball.md).  The azimuth about n keeps the m = 0 term along n,
-    with a_l = int_0^1 t P_l dt, and the m = 1 term across it, with
-    P_l^1(c) = -sqrt(1 - c^2) P_l'(c) and int_0^1 (1 - t^2) P_l' dt/(l(l + 1)),
-    which is a_l again.  The Legendre factors are computed here, once;
-    each call sums R_l over the radial rule at nr nodes.  P_l(-c) = P_l(c) and
-    P_l'(-c) = -P_l'(c) hold bit for bit, so the orientation -n gives
+    where Z_l is T_l in 2D and P_l in 3D (_zonal), w_l the factors of
+    _half_ball_weights, R_l the radial sums of _radial_orders and L the
+    order of _orders (docs/full_ball.md).
+    - 2D: in the Jacobi-Anger series cos(x cos phi) = J_0(x) + 2 sum_(m >= 1)
+      (-1)^m J_2m(x) cos(2m phi), the half-circle keeps the moment
+      int cos(theta) cos(l theta) dtheta along n and l times it across n,
+      where sin(l alpha) = sin(alpha) T_l'(c)/l.
+    - 3D: in cos(x xi^.s) = sum_(l even) (2l + 1) (-1)^(l/2) j_l(x)
+      P_l(xi^.s) and the addition theorem about n, the azimuth keeps the
+      m = 0 term along n, with a_l = int_0^1 t P_l dt, and the m = 1 term
+      across it, with P_l^1(c) = -sqrt(1 - c^2) P_l'(c) and
+      int_0^1 (1 - t^2) P_l' dt/(l(l + 1)), which is a_l again.
+    The polynomial factors are computed here, once; each call sums R_l
+    over the radial rule at nr nodes.  Z_l(-c) = Z_l(c) and Z_l'(-c) =
+    -Z_l'(c) hold bit for bit at even l, so the orientation -n gives
     exactly -Re lambda.
     """
+    d = kernel.dimension
     modes = np.asarray(modes)
     q2_unique, q2_index = np.unique(np.sum(modes**2, axis=1), return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
-    lmax = _orders(kernel.horizon * float(ks[-1]))
+    lmax = _orders(kernel.horizon * float(ks[-1]), d)
     xhat = modes / ks[q2_index, None]
     c = xhat @ n
     lateral = xhat - c[:, None] * n
-    p, dp = _legendre(lmax, c)
-    weights = _hemisphere_weights(lmax)[:, None]
+    p, dp = _zonal(lmax, c, d)
+    weights = _half_ball_weights(lmax, d)[:, None]
     along, across = weights * p[::2], weights * dp[::2]
 
     def evaluate(nr):
@@ -389,22 +355,11 @@ def _bump_radial(nr):
     return int(nr * 1.5) + 1
 
 
-def _bump(nr, na):
-    return _bump_radial(nr), int(na * 1.5) + 1
-
-
 def _radial_bumps(nr, count):
     """The radial count nr and the count - 1 radial bumps that follow it."""
     for _ in range(count):
         yield nr
         nr = _bump_radial(nr)
-
-
-def _bumps(nr, na, count):
-    """The node counts (nr, na) and the count - 1 bumps that follow them."""
-    for _ in range(count):
-        yield nr, na
-        nr, na = _bump(nr, na)
 
 
 def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, oversample=1):
@@ -413,11 +368,10 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
     Every entry is verified by recomputation on a refined rule; construction
     raises QuadratureConvergenceError if refinement fails to settle within
     tol (relative, per table) and KernelError if any symbol magnitude
-    degenerates to zero.  The node counts grow with delta sqrt(d) N: the
-    radial and half-circle counts (nr, na) of _node_counts in 2D, the
-    radial count alone in 3D, where the angular integral of Re lambda is
-    closed (_re_lambda_3d).  ``oversample`` starts the refinement ladder
-    that many levels up it, less one (the "quad.panels" config knob).
+    degenerates to zero.  The angular integrals are closed (_re_lambda,
+    _full_ball), so the ladder refines the radial count alone, which grows
+    with delta sqrt(d) N.  ``oversample`` starts the ladder that many levels
+    up it, less one (the "quad.panels" config knob).
     """
     if bound < 1:
         raise ValueError("lattice bound must be at least 1")
@@ -431,21 +385,14 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
     half = _positive_half(lattice_modes(bound, d))
     kmax = kernel.horizon * math.sqrt(d) * bound
     skip = max(0, int(oversample) - 1)
-    if d == 2:
-        frame = quad.frame_matrix(n)
-        pick = (half[:, 0], half[:, 1] + bound)   # _re_lambda's grid 0..N x (-N..N)
-        re_part = lambda level: _re_lambda(kernel, bound, frame, *level)[pick]
-        levels = _bumps(*_node_counts(kernel, kmax), skip + max_bumps + 1)
-    else:
-        re_at = _re_lambda_3d(kernel, half, n)
-        re_part = lambda level: re_at(*level)
-        levels = ((nr,) for nr in _radial_bumps(_radial_count(kmax), skip + max_bumps + 1))
+    levels = _radial_bumps(_radial_count(kmax), skip + max_bumps + 1)
+    re_at = _re_lambda(kernel, half, n)
     q2 = np.sum(half**2, axis=1)
     q2_unique, q2_index = np.unique(q2, return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
 
     re_half, lam_rad = quad.settle(
-        lambda level: (re_part(level), _full_ball(kernel, ks, level[0], odd=True)),
+        lambda nr: (re_at(nr), _full_ball(kernel, ks, nr, odd=True)),
         islice(levels, skip, None), tol, f"symbol quadrature for N={bound}")
 
     rad_map = {int(q): float(v) for q, v in zip(q2_unique, lam_rad)}
@@ -553,36 +500,6 @@ def star_table(kernel, kvec, bound, tol=quad.DEFAULT_TOL):
         + mvals[q2_index][:, None] * kvec
     )
     return table
-
-
-def averaged_energy_density(kernel, xi, samples=64, tol=quad.DEFAULT_TOL):
-    """Orientation average of |lambda(xi)|^2 over the circle of orientations.
-
-    Equals Lambda(|xi|)^2 plus the angular mean of |Re lambda|^2; the uniform
-    trapezoid over `samples` orientations is spectrally accurate since the
-    integrand is smooth and periodic in the orientation angle.  Re lambda at
-    every orientation is the direct sum
-    2 sum_j va_j s_j sum_i vr_i (cos(r_i xi.s_j) - 1) over one half-ball rule.
-    """
-    if kernel.dimension != 2:
-        raise KernelError("orientation averaging is defined on the circle (d = 2)")
-    if samples < 8:
-        raise ValueError("need at least 8 orientation samples")
-    xi = np.asarray(xi, dtype=float)
-    k = float(np.linalg.norm(xi))
-    if k == 0.0:
-        raise ValueError("undefined at xi = 0")
-    kmax = kernel.horizon * k
-    nr, na = _node_counts(kernel, kmax)
-    nr, na = _bump(nr, na)
-    lam_rad = float(_full_ball(kernel, [k], nr, odd=True)[0])
-    r, vr, dirs, va = _half_rule_arrays(kernel, nr, na)
-    angles = 2.0 * math.pi * np.arange(samples) / samples
-    frames = np.stack([quad.frame_matrix((math.cos(a), math.sin(a))) for a in angles])
-    s = dirs @ frames.transpose(0, 2, 1)        # (samples, J, 2) directions, lattice frame
-    radial = (np.cos(np.multiply.outer(s @ xi, r)) - 1.0) @ vr
-    re = 2.0 * np.einsum("aj,j,ajc->ac", radial, va, s)
-    return lam_rad**2 + float(np.mean(np.sum(re**2, axis=1)))
 
 
 def verify_bounds(table):

@@ -7,9 +7,8 @@ it reports that module's own refinement ladder).  ``full_ball_quadrature``
 integrates the full-ball factors by an angular product rule, the reference
 for the closed Bessel form of ``symbols._full_ball``.  ``re_lambda_cos_sum``
 is Re lambda as the direct cosine sum over a half-ball product rule
-(``half_rule``): the reference for the blocked phase powers of
-``symbols._re_lambda`` in 2D and for the closed angular form of
-``symbols._re_lambda_3d``, over the hemisphere product rule, in 3D.
+(``half_rule``, the half-circle rule in 2D and the hemisphere rule in 3D):
+the reference for the closed angular form of ``symbols._re_lambda``.
 """
 
 import math
@@ -96,36 +95,43 @@ def full_ball_quadrature(kernel, ks, nr, na, odd):
     return front * out
 
 
-def hemisphere_node_counts(kernel, kmax):
-    """Node counts (nr, (polar, azimuth)) of the 3D product rule at k delta <= kmax.
+def half_ball_node_counts(kernel, kmax):
+    """Node counts (nr, na) of the half-ball product rule at k delta <= kmax.
 
     The radial count of the symbol tables; the angular counts grow with
-    kmax so that the rule resolves cos(k r s.xi^) to rounding.
+    kmax so that the rule resolves cos(k r s.xi^) to rounding: na
+    half-circle angles in 2D, na = (polar, azimuth) in 3D.
     """
-    return sym._radial_count(kmax), (16 + int(1.2 * kmax), 32 + 2 * int(kmax))
+    nr = sym._radial_count(kmax)
+    if kernel.dimension == 2:
+        return nr, 32 + int(2.0 * kmax)
+    return nr, (16 + int(1.2 * kmax), 32 + 2 * int(kmax))
 
 
-def hemisphere_bumps(nr, na, count):
-    """The 3D counts (nr, na) and the count - 1 refinements that follow them.
+def half_ball_bumps(nr, na, count):
+    """The counts (nr, na) and the count - 1 refinements that follow them.
 
-    The radial counts are those of the symbol tables' 3D ladder
+    The radial counts are those of the symbol tables' ladder
     (``symbols._radial_bumps``).
     """
     for _ in range(count):
         yield nr, na
-        nr, na = sym._bump_radial(nr), (int(na[0] * 1.5) + 1, int(na[1] * 1.5) + 2)
+        nr = sym._bump_radial(nr)
+        na = (int(na * 1.5) + 1 if isinstance(na, int) else
+              (int(na[0] * 1.5) + 1, int(na[1] * 1.5) + 2))
 
 
 def half_rule(kernel, nr, na):
     """Scaled radial rule and reference-frame half-ball directions (r, vr, dirs, va).
 
-    In 2D the half-circle rule of ``symbols._half_rule_arrays``; in 3D the
-    hemisphere product rule about e3 (Gauss-Legendre polar angle times a
-    trapezoid in azimuth) at na = (polar, azimuth) nodes.
+    In 2D the Gauss-Legendre half-circle rule about e1 at na angles; in 3D
+    the hemisphere product rule about e3 (Gauss-Legendre polar angle times
+    a trapezoid in azimuth) at na = (polar, azimuth) nodes.
     """
-    if kernel.dimension == 2:
-        return sym._half_rule_arrays(kernel, nr, na)
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
+    if kernel.dimension == 2:
+        theta, va = quad.half_angles_2d(na)
+        return r, vr, np.stack([np.cos(theta), np.sin(theta)], axis=1), va
     nodes, va = quad.hemisphere_angles_3d(*na)
     return r, vr, quad.reference_directions(3, nodes), va
 

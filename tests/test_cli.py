@@ -415,3 +415,14 @@ def test_threads_leave_csv_bytes_unchanged(tmp_path, preset, command):
                          "--threads", threads]) == 0
         bodies.append([(p.name, p.read_bytes()) for p in sorted(out.glob("*.csv"))])
     assert len(bodies[0]) == 1 and bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("vector", [[1e308, 1e308, 0.0], [3e-200, 4e-200, 0.0]],
+                         ids=["norm-overflows", "norm-underflows"])
+def test_helmholtz_orientation_vector_far_from_unit_scale(tmp_path, vector):
+    # a finite, nonzero vector whose norm computed directly is inf or 0
+    with open(os.path.join(PRESETS, "crit04_helmholtz.json")) as fh:
+        payload = json.load(fh)
+    payload["case3d"]["orientation"]["vector"] = vector
+    cfg = write_cfg(tmp_path, payload)
+    assert cli.main(["helmholtz", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

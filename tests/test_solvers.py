@@ -573,11 +573,10 @@ def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
 def test_reflection_property(d, family, beta, delta, angles, bound):
     """build_table(-n) is table.lam_neg() bit for bit, the only cross-check of lam_neg.
 
-    In 2D the frame of -n is the negated frame of n, so every node and
-    phase is negated exactly.  In 3D the closed angular form takes
-    c = xi^.n, so -n gives -c exactly, and P_l(-c) = P_l(c) and
-    P_l'(-c) = -P_l'(c) hold bit for bit in the Legendre recurrences: the
-    real part is negated exactly.  The imaginary part does not depend on n.
+    The closed angular form takes c = xi^.n, so -n gives -c exactly, and
+    at even l the Chebyshev (2D) and Legendre (3D) recurrences keep
+    Z_l(-c) = Z_l(c) and Z_l'(-c) = -Z_l'(c) bit for bit: the real part is
+    negated exactly.  The imaginary part does not depend on n.
     """
     n = _random_orientation(d, angles)
     kernel = _random_kernel(family, d, beta, delta)
@@ -595,15 +594,14 @@ def test_lattice_symmetry_property(d, family, beta, delta, angles, bound, perm, 
 
     Q maps the lattice and the half-ball of n onto those of Qn.  The
     magnitudes |xi| are the same integers, so Lambda is the same bits and
-    Im lambda maps exactly.  Re lambda maps up to rounding: in 2D the
-    half-circle rule about Qn is the mirror image of the one about n when
-    det Q = -1, and in 3D c = xi^.n is a sum taken in another order.
+    Im lambda maps exactly.  Re lambda maps up to rounding: c = xi^.n and
+    xi^ - c n are sums taken in another order.
     16 eps max|lambda| is allowed, plus the floor 2 eps sum v |H| that a
     radial sum near sum v less sum v puts on the absolute accuracy of
     Re lambda (|H| = pi or 2 pi, the measure of the half circle or the
     hemisphere; see test_symbols._assert_re_lambda_matches_cos_sum).  The
     floor matters at a small horizon, where sum v is large against
-    max|lambda|: the example above reads 16.03 eps max|lambda|.
+    max|lambda|.
     """
     n = _random_orientation(d, angles)
     q = np.diag(signs[:d]) @ np.eye(d, dtype=int)[[p for p in perm if p < d]]

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +9,7 @@ import pytest
 from nlspectral import epsilon_cutoff, normalize
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
+from nlspectral.errors import QuadratureConvergenceError
 
 import oracles
 
@@ -209,31 +211,20 @@ def test_mass_factor_first_order_in_delta():
     assert slope == pytest.approx(1.0, abs=0.05)
 
 
-def test_averaged_energy_density_dominates_radial_part():
-    k = normalize("constant", 2, horizon=0.1)
-    val = sym.averaged_energy_density(k, (3, 4), samples=64)
-    lam2 = sym.lambda_radial(k, 5.0) ** 2
-    assert val >= lam2
-
-
-def test_averaged_energy_density_rotation_invariant():
-    k = normalize("constant", 2, horizon=0.1)
-    a = sym.averaged_energy_density(k, (3, 4), samples=64)
-    b = sym.averaged_energy_density(k, (5, 0), samples=64)
-    assert abs(a - b) <= 1e-8 * a
-
-
-def test_averaged_energy_rejects_tiny_sample_count():
-    k = normalize("constant", 2, horizon=0.1)
-    with pytest.raises(ValueError):
-        sym.averaged_energy_density(k, (1, 0), samples=4)
-
-
 def test_orientation_validation():
     with pytest.raises(ValueError):
         sym.Orientation(np.array([1.0, 1.0]))
     n = sym.Orientation.from_vector([3.0, 4.0])
     np.testing.assert_allclose(n.vec, [0.6, 0.8], rtol=1e-15)
+
+
+@pytest.mark.parametrize("v, unit", [
+    ([1e308, 1e308, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+    ([3e-200, 4e-200, 0.0], [0.6, 0.8, 0.0]),
+], ids=["norm-overflows", "norm-underflows"])
+def test_orientation_from_vector_far_from_unit_scale(v, unit):
+    # |v| computed directly is inf or 0 for these finite, nonzero vectors
+    np.testing.assert_allclose(sym.Orientation.from_vector(v).vec, unit, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("make", [
@@ -434,64 +425,39 @@ def test_high_frequency_reference_values():
 
 
 # ---------------------------------------------------------------------------
-# Re lambda (2D phase powers, 3D closed angular form) against the direct cos sum
+# Re lambda (closed angular form) against the direct cos sum
 # ---------------------------------------------------------------------------
-
-def test_phase_powers_match_direct_exp():
-    # each blocked power is within a few ulp of exp(i n theta), beyond the
-    # rounding both carry in their arguments (eps |n theta|)
-    eps = np.finfo(float).eps
-    for count in range(1, 41):
-        theta = np.random.default_rng(count).uniform(-math.pi, math.pi, (3, 50))
-        arg = np.arange(count)[:, None] * theta[..., None, :]
-        got = sym._phase_powers(theta, count)
-        assert got.shape == (3, count, 50)
-        assert np.all(np.abs(got - np.exp(1j * arg)) <= 4.0 * eps * (1.0 + np.abs(arg)))
-
-
-def _grid_modes(bound, d):
-    axes = [np.arange(bound + 1)] + [np.arange(-bound, bound + 1)] * (d - 1)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return axes, grid
-
 
 def _assert_re_lambda_matches_cos_sum(kernel, n, bound, modes=None):
     """Re lambda equals the cos sum to 1e-13 max|lambda| plus a floor.
 
-    In 2D _re_lambda over the half-lattice grid, against the cos sum over
-    the same rule; in 3D _re_lambda_3d at the positive half lattice (or at
-    ``modes``), against the cos sum over the hemisphere product rule of
-    ``oracles.hemisphere_node_counts``, whose angular error is far below
-    the bound.  Each form subtracts a radial sum near sum vr from sum vr:
-    the 2D one takes Re sum_i vr_i exp(i r_i xi.s_j) - sum vr, the 3D one
-    sum_i vr_i (j_0(k r_i) - 1) in its l = 0 term, the reference
-    sum_i vr_i (cos(r_i xi.s_j) - 1).  Either way each radial sum carries
-    about eps sum vr of rounding however small the difference, and
-    2 sum_j va_j |s_jc| <= 2 sum va carries it into each component: a
-    floor of 2 eps sum vr sum va on the absolute accuracy of Re lambda.  It
-    exceeds 1e-13 max|lambda| where sum vr is large against max|lambda|,
-    as for beta near 2 at a small horizon.
+    _re_lambda at the positive half lattice (or at ``modes``), against the
+    cos sum over the half-circle or hemisphere product rule of
+    ``oracles.half_ball_node_counts``, whose angular error is far below the
+    bound.  Each form subtracts a radial sum near sum vr from sum vr: the
+    closed form sum_i vr_i (f_0(k r_i) - 1) in its l = 0 term (f_0 = J_0 in
+    2D, j_0 in 3D), the reference sum_i vr_i (cos(r_i xi.s_j) - 1).  Either
+    way each radial sum carries about eps sum vr of rounding however small
+    the difference, and 2 sum_j va_j |s_jc| <= 2 sum va carries it into
+    each component: a floor of 2 eps sum vr sum va on the absolute accuracy
+    of Re lambda (sum va = pi or 2 pi, against the l = 0 factor 4 or 2 pi).
+    It exceeds 1e-13 max|lambda| where sum vr is large against
+    max|lambda|, as for beta near 2 at a small horizon.
     """
     d = kernel.dimension
     frame = quad.frame_matrix(n)
     kmax = kernel.horizon * math.sqrt(d) * bound
-    if d == 2:
-        axes, modes = _grid_modes(bound, d)
-        nr, na = sym._node_counts(kernel, kmax)
-        got = sym._re_lambda(kernel, bound, frame, nr, na)
-        assert got.shape == tuple(len(a) for a in axes) + (d,)
-    else:
-        if modes is None:
-            modes = sym._positive_half(sym.lattice_modes(bound, d))
-        nr, na = oracles.hemisphere_node_counts(kernel, kmax)
-        got = sym._re_lambda_3d(kernel, modes, n)(nr)
+    if modes is None:
+        modes = sym._positive_half(sym.lattice_modes(bound, d))
+    nr, na = oracles.half_ball_node_counts(kernel, kmax)
+    got = sym._re_lambda(kernel, modes, n)(nr)
     ref = oracles.re_lambda_cos_sum(kernel, modes, frame, nr, na)
     ks = np.linalg.norm(modes, axis=1)
     lam_rad = sym._full_ball(kernel, ks, nr, odd=True)
     scale = float(np.max(np.sqrt(np.sum(ref**2, axis=1) + lam_rad**2)))
     _, vr, _, va = oracles.half_rule(kernel, nr, na)
     floor = 2.0 * np.finfo(float).eps * float(np.sum(vr)) * float(np.sum(va))
-    np.testing.assert_allclose(got.reshape(-1, d), ref, rtol=0, atol=1e-13 * scale + floor)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale + floor)
 
 
 @pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
@@ -501,7 +467,7 @@ def _assert_re_lambda_matches_cos_sum(kernel, n, bound, modes=None):
     # the benchmark sizes
     (2, (math.cos(0.4), math.sin(0.4)), 32),
     (3, (0.48, -0.6, 0.64), 8),
-    # block edges of the phase powers: N + 1 = 16 = 4^2, and one past it
+    # two more 2D sizes
     (2, (math.cos(2.3), math.sin(2.3)), 15),
     (2, (math.cos(2.3), math.sin(2.3)), 16),
 ])
@@ -510,55 +476,59 @@ def test_re_lambda_factorization_matches_cos_sum(family, beta, d, n, bound):
     _assert_re_lambda_matches_cos_sum(kernel, np.array(n), bound)
 
 
+def _assert_large_arguments_match_cos_sum(family, beta, d, delta, bound):
+    # the corners of the cube and 150 random modes of the positive half
+    kernel = normalize(family, d, beta=beta, horizon=delta)
+    half = sym._positive_half(sym.lattice_modes(bound, d))
+    pick = np.random.default_rng(bound).choice(len(half), 150, replace=False)
+    corners = np.array([(bound,) + c for c in product((-bound, bound), repeat=d - 1)])
+    n = np.array([0.48, -0.6, 0.64]) if d == 3 else np.array([0.6, -0.8])
+    _assert_re_lambda_matches_cos_sum(kernel, n, bound, np.concatenate([corners, half[pick]]))
+
+
 @pytest.mark.parametrize("family, beta", [
     ("constant", None), ("fractional", 1.5), ("fractional", 1.9)])
 @pytest.mark.parametrize("delta, bound", [(1.0, 8), (0.6, 16)])
 def test_re_lambda_3d_large_arguments_match_cos_sum(family, beta, delta, bound):
-    # k delta up to 13.9 and 16.6, where the expansion needs orders past 40;
-    # the corners of the cube and 150 random modes of the positive half
-    kernel = normalize(family, 3, beta=beta, horizon=delta)
-    half = sym._positive_half(sym.lattice_modes(bound, 3))
-    pick = np.random.default_rng(bound).choice(len(half), 150, replace=False)
-    corners = np.array([(bound, i, j) for i in (-bound, bound) for j in (-bound, bound)])
-    modes = np.concatenate([corners, half[pick]])
-    _assert_re_lambda_matches_cos_sum(kernel, np.array([0.48, -0.6, 0.64]), bound, modes)
+    # k delta up to 13.9 and 16.6, where the expansion needs orders past 40
+    _assert_large_arguments_match_cos_sum(family, beta, 3, delta, bound)
 
 
-@pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
-def test_build_table_re_part_matches_cos_sum(family, beta):
+@pytest.mark.parametrize("family, beta", [
+    ("constant", None), ("fractional", 1.5), ("fractional", 1.9)])
+@pytest.mark.parametrize("delta, bound", [(1.0, 16), (0.6, 32)])
+def test_re_lambda_2d_large_arguments_match_cos_sum(family, beta, delta, bound):
+    # k delta up to 22.6 and 27.2, where the expansion needs orders past 50
+    _assert_large_arguments_match_cos_sum(family, beta, 2, delta, bound)
+
+
+def _assert_table_re_part_matches_cos_sum(family, beta, n):
     # the table's real parts are the cos sum at one radial level of the
-    # settle ladder, the hemisphere rule's angles refined along with it
-    kernel = normalize(family, 3, beta=beta, horizon=0.2)
-    n = sym.Orientation.from_vector([-0.3, 0.9, 0.2])
+    # settle ladder, the product rule's angles refined along with it
+    d = len(n)
+    kernel = normalize(family, d, beta=beta, horizon=0.2)
+    n = sym.Orientation.from_vector(n)
     tab = sym.build_table(kernel, n, 4)
-    modes = sym.lattice_modes(4, 3)
-    nr, na = oracles.hemisphere_node_counts(kernel, kernel.horizon * math.sqrt(3) * 4)
+    modes = sym.lattice_modes(4, d)
+    nr, na = oracles.half_ball_node_counts(kernel, kernel.horizon * math.sqrt(d) * 4)
     got = tab.lam[tuple((modes + 4).T)].real
     scale = float(np.max(np.abs(tab.lam)))
     assert any(
         np.max(np.abs(got - oracles.re_lambda_cos_sum(kernel, modes,
                                                       quad.frame_matrix(n.vec), *level)))
         <= 1e-13 * scale
-        for level in oracles.hemisphere_bumps(nr, na, 4)
+        for level in oracles.half_ball_bumps(nr, na, 4)
     )
 
 
 @pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
-def test_averaged_energy_density_matches_cos_sum(family, beta):
-    kernel = normalize(family, 2, beta=beta, horizon=0.15)
-    xi = np.array([3.0, -7.0])
-    k = float(np.linalg.norm(xi))
-    nr, na = sym._bump(*sym._node_counts(kernel, kernel.horizon * k))
-    lam_rad = float(sym._full_ball(kernel, [k], nr, odd=True)[0])
-    re2 = [
-        np.sum(oracles.re_lambda_cos_sum(kernel, xi[None, :],
-                                         quad.frame_matrix((math.cos(a), math.sin(a))),
-                                         nr, na) ** 2)
-        for a in 2.0 * math.pi * np.arange(16) / 16
-    ]
-    ref = lam_rad**2 + float(np.mean(re2))
-    got = sym.averaged_energy_density(kernel, xi, samples=16)
-    assert abs(got - ref) <= 1e-13 * ref
+def test_build_table_re_part_matches_cos_sum(family, beta):
+    _assert_table_re_part_matches_cos_sum(family, beta, [-0.3, 0.9, 0.2])
+
+
+@pytest.mark.parametrize("family, beta", [("constant", None), ("fractional", 1.5)])
+def test_build_table_2d_re_part_matches_cos_sum(family, beta):
+    _assert_table_re_part_matches_cos_sum(family, beta, [-0.3, 0.9])
 
 
 def test_spherical_jn_matches_scipy():
@@ -569,26 +539,47 @@ def test_spherical_jn_matches_scipy():
 
     zeros = np.concatenate([math.pi * np.arange(1, 20), [4.493409457909064, 7.725251836937707]])
     x = np.concatenate([np.geomspace(1e-3, 60.0, 2000), zeros + 1e-9, zeros - 1e-7])
-    got = sym._spherical_jn(80, x)
+    got = sym._bessel_orders(80, x, 3)
     ref = spherical_jn(np.arange(81)[:, None], x)
     assert np.max(np.abs(got - ref)) <= 16 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("delta, bound", [(0.05, 2), (0.3, 8), (1.0, 8), (1.0, 20)])
-def test_re_lambda_3d_orders_past_truncation_change_nothing(monkeypatch, delta, bound):
+def test_bessel_jn_matches_scipy():
+    # the 2D counterpart: J_l for l <= 80 over x in [1e-3, 60], and next to
+    # the zeros of J_0 and J_1
+    from scipy.special import jn_zeros, jv
+
+    zeros = np.concatenate([jn_zeros(0, 19), jn_zeros(1, 19)])
+    x = np.concatenate([np.geomspace(1e-3, 60.0, 2000), zeros + 1e-9, zeros - 1e-7])
+    got = sym._bessel_orders(80, x, 2)
+    ref = jv(np.arange(81)[:, None], x)
+    assert np.max(np.abs(got - ref)) <= 16 * np.finfo(float).eps
+
+
+def _assert_orders_past_truncation_change_nothing(monkeypatch, d, delta, bound):
     # sixteen more orders than _orders picks move Re lambda by a few eps
     # max|lambda| at most: the dropped tail is below rounding
-    kernel = normalize("constant", 3, horizon=delta)
-    modes = sym._positive_half(sym.lattice_modes(bound, 3))
-    n = np.array([0.48, -0.6, 0.64])
-    nr = sym._radial_count(delta * math.sqrt(3) * bound)
-    got = sym._re_lambda_3d(kernel, modes, n)(nr)
+    kernel = normalize("constant", d, horizon=delta)
+    modes = sym._positive_half(sym.lattice_modes(bound, d))
+    n = np.array([0.48, -0.6, 0.64]) if d == 3 else np.array([0.6, -0.8])
+    nr = sym._radial_count(delta * math.sqrt(d) * bound)
+    got = sym._re_lambda(kernel, modes, n)(nr)
     orders = sym._orders
-    monkeypatch.setattr(sym, "_orders", lambda x: orders(x) + 16)
-    more = sym._re_lambda_3d(kernel, modes, n)(nr)
+    monkeypatch.setattr(sym, "_orders", lambda x, d: orders(x, d) + 16)
+    more = sym._re_lambda(kernel, modes, n)(nr)
     lam_rad = sym._full_ball(kernel, np.linalg.norm(modes, axis=1), nr, odd=True)
     scale = float(np.max(np.sqrt(np.sum(got**2, axis=1) + lam_rad**2)))
     assert np.max(np.abs(more - got)) <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("delta, bound", [(0.05, 2), (0.3, 8), (1.0, 8), (1.0, 20)])
+def test_re_lambda_3d_orders_past_truncation_change_nothing(monkeypatch, delta, bound):
+    _assert_orders_past_truncation_change_nothing(monkeypatch, 3, delta, bound)
+
+
+@pytest.mark.parametrize("delta, bound", [(0.05, 2), (0.3, 8), (1.0, 8), (1.0, 20)])
+def test_re_lambda_2d_orders_past_truncation_change_nothing(monkeypatch, delta, bound):
+    _assert_orders_past_truncation_change_nothing(monkeypatch, 2, delta, bound)
 
 
 @settings(max_examples=25, deadline=None)
@@ -608,6 +599,16 @@ def test_re_lambda_factorization_property(d, fractional, beta, delta, angles, bo
     kernel = (normalize("fractional", d, beta=beta, horizon=delta) if fractional
               else normalize("constant", d, horizon=delta))
     _assert_re_lambda_matches_cos_sum(kernel, n, bound)
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureConvergenceError,
+                   reason="the radial rule does not settle Lambda to 1e-10 as beta -> 2")
+def test_build_table_fractional_beta_near_two():
+    # with the angular integral closed the last error is still 2.1e-9 at
+    # nr = 85, and Lambda alone moves by 1.6e-10, 3.0e-10 and 1.5e-9 from
+    # level to level: the radial rule, not an angular one, fails to settle
+    kernel = normalize("fractional", 2, beta=1.9867, horizon=0.5)
+    sym.build_table(kernel, sym.Orientation.from_vector([0.260, -0.966]), 1)
 
 
 # ---------------------------------------------------------------------------
