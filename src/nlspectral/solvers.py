@@ -4,8 +4,10 @@ Each solver inverts a small per-mode system: steady/unsteady Stokes through
 the saddle-point inverse and the nonlocal Leray projector, the Helmholtz
 splittings in 2D/3D, the 3D div-curl system by closed-form least squares,
 and steady plus time-dependent Navier elasticity through the rank-one
-projector decomposition of the mode matrix.  The delta -> 0 (local)
-counterparts run through the exact same code paths with lambda(xi) = i xi.
+projector Pi = lambda lambda^H / |lambda|^2 (Leray is I - Pi), applied as
+Pi c = hat (hat^H c) through the unit symbol hat = lambda / |lambda|.  The
+delta -> 0 (local) counterparts run through the exact same code paths with
+lambda(xi) = i xi.
 """
 
 from dataclasses import dataclass
@@ -14,41 +16,43 @@ import numpy as np
 
 from . import operators as ops
 from .errors import KernelError
-from .fields import SpectralField, l2_norm
+from .fields import SpectralField, l2_norm, s_norm
 from .symbols import local_table
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _inv_abs2(table):
-    """1/|lambda|^2 with the pinned zero mode xi = 0 mapped to zero.
+def _inverse(x):
+    """1/x per mode, 0 where x is 0."""
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x != 0.0)
 
-    Raises KernelError if lambda vanishes at any other mode.
-    """
+
+def _abs2_inv(table):
+    """|lambda|^2 and its inverse per mode, 0 at xi = 0; KernelError if lambda is 0 elsewhere."""
     a2 = table.abs2()
     zero = (table.bound,) * table.dimension
-    a2[zero] = 1.0
-    if np.any(a2 == 0.0):
+    if np.count_nonzero(a2 == 0.0) > (a2[zero] == 0.0):
         raise KernelError("degenerate symbol: lambda vanishes at a nonzero mode")
-    out = 1.0 / a2
-    out[zero] = 0.0
-    return out
+    inv = _inverse(a2)
+    inv[zero] = 0.0
+    return a2, inv
 
 
-def leray_matrix(table):
-    """Per-mode projector I - lambda conj(lambda)^T / |lambda|^2."""
-    lam = table.lam
-    d = table.dimension
-    inv = _inv_abs2(table)
-    proj = np.einsum("...i,...j->...ij", lam, np.conj(lam)) * inv[..., None, None]
-    eye = np.eye(d)
-    return eye - proj
+def _unit_symbol(table, inv):
+    """hat = lambda / |lambda| per mode from inv = 1/|lambda|^2; zero at xi = 0."""
+    return table.lam * np.sqrt(inv)[..., None]
+
+
+def _along(hat, c):
+    """(sigma, Pi c): the coordinate sigma = hat^H c of c along hat, and hat sigma."""
+    sigma = np.einsum("...i,...i->...", np.conj(hat), c)
+    return sigma, hat * sigma[..., None]
 
 
 def leray_project(table, u):
-    """Project a vector field onto the nonlocally divergence-free subspace."""
-    P = leray_matrix(table)
-    out = np.einsum("...ij,...j->...i", P, u.coeffs)
+    """Project a vector field onto the nonlocally divergence-free subspace: u - Pi u."""
+    hat = _unit_symbol(table, _abs2_inv(table)[1])
+    out = u.coeffs - _along(hat, u.coeffs)[1]
     return SpectralField(u.bound, u.dimension, out, real=u.real)
 
 
@@ -66,9 +70,8 @@ def stokes_steady(table, f):
     """
     if f.component_shape != (table.dimension,):
         raise ValueError("Stokes forcing must be a d-vector field")
-    inv = _inv_abs2(table)
-    P = leray_matrix(table)
-    u = np.einsum("...ij,...j->...i", P, f.coeffs) * inv[..., None]
+    inv = _abs2_inv(table)[1]
+    u = (f.coeffs - _along(_unit_symbol(table, inv), f.coeffs)[1]) * inv[..., None]
     p = np.einsum("...i,...i->...", np.conj(table.lam), f.coeffs) * inv
     return StokesSolution(
         SpectralField(f.bound, f.dimension, u, real=f.real),
@@ -84,9 +87,7 @@ def stokes_residual(table, sol, f):
 
 def stokes_stability(table, sol, f):
     """Empirical constant (||u||_S + ||p||_2) / ||f||_(S*)."""
-    from .fields import s_norm
-
-    inv = _inv_abs2(table)
+    inv = _abs2_inv(table)[1]
     dual = float(np.sqrt(np.sum(inv[..., None] * np.abs(f.coeffs) ** 2)))
     return (s_norm(sol.velocity, table) + l2_norm(sol.pressure)) / max(dual, 1e-300)
 
@@ -127,15 +128,31 @@ def _forcing_at(forcing, t, template):
     return f
 
 
+def _time_grid(times, backward):
+    """times as a nonempty finite 1-D float grid, nondecreasing unless ``backward``."""
+    times = np.asarray(times, dtype=float)
+    bad = times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+    if bad or not backward and np.any(np.diff(times) < 0.0):
+        raise ValueError(f"times must be a nonempty finite 1-D grid"
+                         f"{'' if backward else ' that never decreases'}, got {times!r}")
+    return times
+
+
+def _spread(x, d):
+    """Per-mode x repeated over d components, for products with contiguous vectors."""
+    return np.repeat(x[..., None], d, axis=-1)
+
+
 def stokes_evolve(table, u0, forcing, times, div_tol=1e-10):
     """Evolve the unsteady Stokes system from a nonlocally divergence-free u0.
 
     The forcing is treated as piecewise constant on the time grid (evaluated
     at interval left endpoints) and the exponential integrating factor is
     applied exactly, so the only time discretization error is the forcing
-    interpolation.  Pressure responds instantaneously to the forcing.
+    interpolation.  Pressure responds instantaneously to the forcing.  The
+    times must not decrease.
     """
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times, backward=False)
     if u0.component_shape != (table.dimension,):
         raise ValueError("initial velocity must be a d-vector field")
     div0 = float(np.max(np.abs(ops.divergence(table, u0).coeffs)))
@@ -144,10 +161,8 @@ def stokes_evolve(table, u0, forcing, times, div_tol=1e-10):
             f"initial velocity is not nonlocally divergence-free (defect {div0!r}); "
             "construct it with leray_project"
         )
-    a2 = table.abs2()[..., None]
-    inv = _inv_abs2(table)
-    P = leray_matrix(table)
-    lam_h = np.conj(table.lam)
+    a2, inv = _abs2_inv(table)
+    hat = None if forcing is None else _unit_symbol(table, inv)
 
     states = [u0.copy()]
     pressures = []
@@ -157,18 +172,15 @@ def stokes_evolve(table, u0, forcing, times, div_tol=1e-10):
         dt = t1 - t0
         f = _forcing_at(forcing, t0, u0)
         if dt != last_dt:  # a uniform grid computes the decay once
-            last_dt, decay = dt, np.exp(-a2 * dt)
+            last_dt, decay = dt, _spread(np.exp(-a2 * dt), table.dimension)
         u = decay * u
         if f is not None:
-            pf = np.einsum("...ij,...j->...i", P, f.coeffs)
-            u = u + (1.0 - decay) * inv[..., None] * pf
-        states.append(SpectralField(u0.bound, u0.dimension, u.copy(), real=u0.real))
-    for t in times:
+            u = u + (1.0 - decay) * inv[..., None] * (f.coeffs - _along(hat, f.coeffs)[1])
+        states.append(SpectralField(u0.bound, u0.dimension, u, real=u0.real))
+    for p, t in zip(np.zeros((len(times),) + inv.shape, dtype=complex), times):
         f = _forcing_at(forcing, t, u0)
-        if f is None:
-            p = np.zeros(inv.shape, dtype=complex)
-        else:
-            p = np.einsum("...i,...i->...", lam_h, f.coeffs) * inv
+        if f is not None:
+            p = np.einsum("...i,...i->...", np.conj(table.lam), f.coeffs) * inv
         pressures.append(SpectralField(u0.bound, u0.dimension, p, real=u0.real))
     return Trajectory(times, states, {"pressures": pressures})
 
@@ -199,7 +211,7 @@ def helmholtz2d(table, u):
     """
     if table.dimension != 2 or u.component_shape != (2,):
         raise ValueError("2D Helmholtz decomposition needs a 2-vector field")
-    inv = _inv_abs2(table)
+    inv = _abs2_inv(table)[1]
     lam = table.lam
     p = np.einsum("...i,...i->...", np.conj(lam), u.coeffs) * inv
     ju = np.einsum("ij,...j->...i", _J2, u.coeffs)
@@ -226,7 +238,7 @@ def helmholtz3d(table, u):
     """
     if table.dimension != 3 or u.component_shape != (3,):
         raise ValueError("3D Helmholtz decomposition needs a 3-vector field")
-    inv = _inv_abs2(table)
+    inv = _abs2_inv(table)[1]
     lam = table.lam
     p = np.einsum("...i,...i->...", np.conj(lam), u.coeffs) * inv
     v = np.cross(lam, u.coeffs) * inv[..., None]
@@ -244,8 +256,6 @@ def helmholtz3d_reconstruct(table, p, v):
 
 def helmholtz_stability(table, u, parts):
     """Empirical constant sum of part energy norms over ||u||_2."""
-    from .fields import s_norm
-
     total = sum(s_norm(part, table) for part in parts)
     return total / max(l2_norm(u), 1e-300)
 
@@ -276,7 +286,7 @@ def divcurl3d(table, f, g, residual_tol=1e-10):
         raise ValueError("data must be (scalar f, 3-vector g)")
     lam = table.lam
     lam_neg = table.lam_neg()
-    inv = _inv_abs2(table)
+    inv = _abs2_inv(table)[1]
     u = -(lam * f.coeffs[..., None] + np.cross(np.conj(lam), g.coeffs)) * inv[..., None]
     ufield = SpectralField(g.bound, 3, u, real=False)
 
@@ -308,22 +318,23 @@ def divcurl3d(table, f, g, residual_tol=1e-10):
 class NavierModeDecomposition:
     """Rank-one spectral split of the per-mode Navier matrix.
 
-    P(xi) = a Pi + b (I - Pi) with Pi = lambda lambda^H / |lambda|^2,
-    a = (lambda_lame + 2 mu) |lambda|^2 and b = mu |lambda|^2.
+    P(xi) = a Pi + b (I - Pi), a = (lambda_lame + 2 mu) |lambda|^2 and
+    b = mu |lambda|^2, with Pi = hat hat^H for the unit symbol hat (zero at
+    xi = 0).  The eigen-coordinates of c are sigma = hat^H c (eigenvalue a)
+    and the complement c - hat sigma (eigenvalue b).
     """
 
     bound: int
     dimension: int
     mu: float
     lam_lame: float
-    Pi: np.ndarray
+    hat: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    nonzero: np.ndarray
 
     def split(self, coeffs):
         """(Pi c, c - Pi c), the parts of c in the two eigenspaces of P."""
-        pc = np.einsum("...ij,...j->...i", self.Pi, coeffs)
+        pc = _along(self.hat, coeffs)[1]
         return pc, coeffs - pc
 
     @staticmethod
@@ -342,25 +353,15 @@ def navier_decompose(table, mu, lam_lame):
             f"inadmissible Lame constants (mu={mu}, lambda={lam_lame}): "
             "need mu > 0 and lambda + 2 mu > 0"
         )
-    lam = table.lam
-    a2 = table.abs2()
-    inv = _inv_abs2(table)
-    Pi = np.einsum("...i,...j->...ij", lam, np.conj(lam)) * inv[..., None, None]
-    a = (lam_lame + 2.0 * mu) * a2
-    b = mu * a2
-    return NavierModeDecomposition(
-        table.bound, table.dimension, mu, lam_lame, Pi, a, b, a2 > 0.0
-    )
+    a2, inv = _abs2_inv(table)
+    return NavierModeDecomposition(table.bound, table.dimension, mu, lam_lame,
+                                   _unit_symbol(table, inv), (lam_lame + 2.0 * mu) * a2, mu * a2)
 
 
 def navier_steady(dec, f):
     if f.component_shape != (dec.dimension,):
         raise ValueError("Navier forcing must be a d-vector field")
-    fa = np.zeros_like(dec.a)
-    fb = np.zeros_like(dec.b)
-    fa[dec.nonzero] = 1.0 / dec.a[dec.nonzero]
-    fb[dec.nonzero] = 1.0 / dec.b[dec.nonzero]
-    u = dec.apply(fa, fb, f.coeffs)
+    u = dec.apply(_inverse(dec.a), _inverse(dec.b), f.coeffs)
     return SpectralField(f.bound, f.dimension, u, real=f.real)
 
 
@@ -392,46 +393,44 @@ def navier_evolve(dec, g, h, forcing, times):
     """Elastic wave propagation with exact per-mode trigonometric updates.
 
     Piecewise-constant forcing on the grid; the update is the exact
-    variation-of-constants step for u_tt + P u = f, split over the two
-    eigenspaces of P.  Returns displacement and velocity trajectories.
+    variation-of-constants step for u_tt + P u = f, for any sign of dt.
+    The displacement u and its rate v are carried in the eigen-coordinates
+    (sigma, w) of P, so a step is per-mode scalar updates and a stored
+    state is hat sigma + w.  Returns displacement and velocity trajectories.
     """
-    times = np.asarray(times, dtype=float)
-    if g.component_shape != (dec.dimension,) or h.component_shape != (dec.dimension,):
+    times = _time_grid(times, backward=True)
+    d = dec.dimension
+    if g.component_shape != (d,) or h.component_shape != (d,):
         raise ValueError("initial displacement/velocity must be d-vector fields")
-    wa = np.sqrt(dec.a)
-    wb = np.sqrt(dec.b)
-    inva = np.zeros_like(dec.a)
-    invb = np.zeros_like(dec.b)
-    inva[dec.nonzero] = 1.0 / dec.a[dec.nonzero]
-    invb[dec.nonzero] = 1.0 / dec.b[dec.nonzero]
+    a, b = dec.a, _spread(dec.b, d)
+    wa, wb = np.sqrt(a), np.sqrt(b)
+    inva, invb = _inverse(a), _inverse(b)
 
-    u = g.coeffs.astype(complex)
-    v = h.coeffs.astype(complex)
-    states, rates = [SpectralField(g.bound, g.dimension, u.copy(), real=g.real)], [
-        SpectralField(g.bound, g.dimension, v.copy(), real=h.real)
-    ]
+    def factors(w, dt):
+        """cos(w dt), sin(w dt)/w with the w -> 0 limit dt (zero mode only), -w sin(w dt)."""
+        c, s = np.cos(w * dt), np.sin(w * dt)
+        return c, np.where(w > 0.0, s / np.where(w > 0.0, w, 1.0), dt), -w * s
+
+    (su, pu), (sv, pv) = _along(dec.hat, g.coeffs), _along(dec.hat, h.coeffs)
+    wu, wv = g.coeffs - pu, h.coeffs - pv
+    states = [SpectralField(g.bound, d, g.coeffs.astype(complex), real=g.real)]
+    rates = [SpectralField(g.bound, d, h.coeffs.astype(complex), real=h.real)]
     last_dt = None
     for t0, t1 in zip(times[:-1], times[1:]):
         dt = t1 - t0
         f = _forcing_at(forcing, t0, g)
         if dt != last_dt:  # a uniform grid computes cos/sin once
             last_dt = dt
-            ca, cb = np.cos(wa * dt), np.cos(wb * dt)
-            sin_a, sin_b = np.sin(wa * dt), np.sin(wb * dt)
-            # sin(w dt)/w with the w -> 0 limit dt (zero mode only)
-            sa = np.where(wa > 0.0, sin_a / np.where(wa > 0.0, wa, 1.0), dt)
-            sb = np.where(wb > 0.0, sin_b / np.where(wb > 0.0, wb, 1.0), dt)
-            ma, mb = -wa * sin_a, -wb * sin_b
-        pu, pv = dec.split(u), dec.split(v)
-        u_new = dec.combine(ca, cb, pu) + dec.combine(sa, sb, pv)
-        v_new = dec.combine(ma, mb, pu) + dec.combine(ca, cb, pv)
+            (ca, sa, ma), (cb, sb, mb) = factors(wa, dt), factors(wb, dt)
+        su, sv = ca * su + sa * sv, ma * su + ca * sv
+        wu, wv = cb * wu + sb * wv, mb * wu + cb * wv
         if f is not None:
-            pf = dec.split(f.coeffs)
-            u_new = u_new + dec.combine((1.0 - ca) * inva, (1.0 - cb) * invb, pf)
-            v_new = v_new + dec.combine(sa * dec.a * inva, sb * dec.b * invb, pf)
-        u, v = u_new, v_new
-        states.append(SpectralField(g.bound, g.dimension, u.copy(), real=g.real))
-        rates.append(SpectralField(g.bound, g.dimension, v.copy(), real=g.real))
+            sf, pf = _along(dec.hat, f.coeffs)
+            wf = f.coeffs - pf
+            su, sv = su + (1.0 - ca) * inva * sf, sv + sa * a * inva * sf
+            wu, wv = wu + (1.0 - cb) * invb * wf, wv + sb * b * invb * wf
+        states.append(SpectralField(g.bound, d, dec.hat * su[..., None] + wu, real=g.real))
+        rates.append(SpectralField(g.bound, d, dec.hat * sv[..., None] + wv, real=g.real))
     return Trajectory(times, states, {"rates": rates})
 
 

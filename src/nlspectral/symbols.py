@@ -42,6 +42,14 @@ UNIT_TOL = 1e-14
 _CHUNK = 500_000  # max entries per block: (l, k, r) in _radial_orders, (k, r) in _full_ball
 
 
+def _finite_vector(v):
+    """v as a float array; ValueError unless it is a finite 1-D vector."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not np.all(np.isfinite(v)):
+        raise ValueError(f"orientation must be a finite 1-D vector, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Orientation:
     """Unit vector selecting the half-space of interaction."""
@@ -49,10 +57,8 @@ class Orientation:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
+        v = _finite_vector(self.vec)
         object.__setattr__(self, "vec", v)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ValueError(f"orientation must be a finite 1-D vector, got {v!r}")
         # written so that a NaN norm fails it too
         if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
             raise ValueError(f"orientation must be unit length, |n| = {np.linalg.norm(v)!r}")
@@ -63,7 +69,7 @@ class Orientation:
 
     @classmethod
     def from_vector(cls, v):
-        v = np.asarray(v, dtype=float)
+        v = _finite_vector(v)
         top = float(np.max(np.abs(v), initial=0.0))
         if top == 0.0:
             raise ValueError("cannot orient along the zero vector")

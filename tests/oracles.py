@@ -9,6 +9,8 @@ for the closed Bessel form of ``symbols._full_ball``.  ``re_lambda_cos_sum``
 is Re lambda as the direct cosine sum over a half-ball product rule
 (``half_rule``, the half-circle rule in 2D and the hemisphere rule in 3D):
 the reference for the closed angular form of ``symbols._re_lambda``.
+``symbol_projector`` and ``leray_matrix`` are the per-mode projectors as dense
+d x d matrices, the reference for the unit-symbol form of ``nlspectral.solvers``.
 """
 
 import math
@@ -152,3 +154,15 @@ def re_lambda_cos_sum(kernel, xi, frame, nr, na):
         cosm1 = np.cos(r[None, :, None] * proj[lo:lo + 64, None, :]) - 1.0
         out[lo:lo + 64] = 2.0 * np.einsum("qij,i,jc->qc", cosm1, vr, wdir)
     return out @ frame.T
+
+
+def symbol_projector(table):
+    """Dense per-mode projector Pi = lambda lambda^H / |lambda|^2, zero at xi = 0."""
+    lam, a2 = table.lam, table.abs2()
+    inv = np.divide(1.0, a2, out=np.zeros_like(a2), where=a2 > 0.0)
+    return np.einsum("...i,...j->...ij", lam, np.conj(lam)) * inv[..., None, None]
+
+
+def leray_matrix(table):
+    """Dense per-mode Leray projector I - Pi."""
+    return np.eye(table.dimension) - symbol_projector(table)

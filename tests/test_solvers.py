@@ -13,6 +13,7 @@ from nlspectral.errors import KernelError
 from nlspectral.fields import l2_norm, s_norm
 from nlspectral.symbols import (Orientation, SymbolTable, build_table, lattice_modes,
                                 local_table, verify_bounds)
+import oracles
 
 
 def test_stokes_gradient_forcing_gives_pure_pressure(table2):
@@ -101,7 +102,7 @@ def test_stokes_gradient_mode_velocity_errors_vanish():
 
 
 def test_leray_projector_idempotent_annihilates_gradients(table2):
-    P = sol.leray_matrix(table2)
+    P = oracles.leray_matrix(table2)
     PP = np.einsum("...ij,...jk->...ik", P, P)
     assert np.max(np.abs(PP - P)) <= 1e-12
     lam_action = np.einsum("...ij,...j->...i", P, table2.lam)
@@ -109,6 +110,9 @@ def test_leray_projector_idempotent_annihilates_gradients(table2):
     u = fl.random_field(73, 8, 1.0, components=2)
     pu = sol.leray_project(table2, u)
     assert np.max(np.abs(ops.divergence(table2, pu).coeffs)) <= 1e-12
+    # the unit-symbol form applies the dense projector
+    dense = np.einsum("...ij,...j->...i", P, u.coeffs)
+    assert np.max(np.abs(pu.coeffs - dense)) <= 16 * _EPS * np.max(np.abs(u.coeffs))
 
 
 def test_stokes_evolve_decay_and_initial_check(table2):
@@ -377,8 +381,9 @@ def test_nonlocal_and_local_navier_matrices_do_not_commute(table2):
     dec0 = sol.local_navier_decomposition(2, 8, 1.0, 1.0)
     idx = (3 + 8, 4 + 8)   # mode (3, 4), not aligned with the orientation
     eye = np.eye(2, dtype=complex)
-    P = dec.a[idx] * dec.Pi[idx] + dec.b[idx] * (eye - dec.Pi[idx])
-    P0 = dec0.a[idx] * dec0.Pi[idx] + dec0.b[idx] * (eye - dec0.Pi[idx])
+    Pi, Pi0 = (np.outer(d.hat[idx], np.conj(d.hat[idx])) for d in (dec, dec0))
+    P = dec.a[idx] * Pi + dec.b[idx] * (eye - Pi)
+    P0 = dec0.a[idx] * Pi0 + dec0.b[idx] * (eye - Pi0)
     comm = P @ P0 - P0 @ P
     assert np.max(np.abs(comm)) > 1e-3
 
@@ -386,7 +391,7 @@ def test_nonlocal_and_local_navier_matrices_do_not_commute(table2):
 def test_projector_spectral_decomposition(table2):
     dec = sol.navier_decompose(table2, 1.0, 1.0)
     idx = (2 + 8, 5 + 8)
-    Pi = dec.Pi[idx]
+    Pi = np.outer(dec.hat[idx], np.conj(dec.hat[idx]))
     assert np.max(np.abs(Pi @ Pi - Pi)) <= 1e-12
     assert np.max(np.abs(Pi - Pi.conj().T)) <= 1e-12
     assert dec.a[idx] > 0 and dec.b[idx] > 0
@@ -400,7 +405,7 @@ def test_stokes_evolve_forced_step_exact(table2):
     traj = sol.stokes_evolve(table2, u0, f, np.array([0.0, dt]))
     a2 = table2.abs2()[..., None]
     E = np.exp(-a2 * dt)
-    P = sol.leray_matrix(table2)
+    P = oracles.leray_matrix(table2)
     pf = np.einsum("...ij,...j->...i", P, f.coeffs)
     inv = np.zeros_like(a2)
     inv[a2 > 0] = 1.0 / a2[a2 > 0]
@@ -428,12 +433,18 @@ def test_helmholtz_outputs_real_for_real_input(table2):
         assert np.max(np.abs(herm)) <= 1e-14
 
 
-def _navier_evolve_reference(dec, g, h, forcing, times):
-    """Per-step navier_evolve: four projections and fresh cos/sin every step."""
+def _navier_evolve_reference(table, dec, g, h, forcing, times):
+    """Per-step navier_evolve through the dense projector: four projections and
+    fresh cos/sin every step."""
+    Pi = oracles.symbol_projector(table)
+
+    def apply(fa, fb, c):
+        pc = np.einsum("...ij,...j->...i", Pi, c)
+        return fa[..., None] * pc + fb[..., None] * (c - pc)
+
     wa, wb = np.sqrt(dec.a), np.sqrt(dec.b)
-    inva, invb = np.zeros_like(dec.a), np.zeros_like(dec.b)
-    inva[dec.nonzero] = 1.0 / dec.a[dec.nonzero]
-    invb[dec.nonzero] = 1.0 / dec.b[dec.nonzero]
+    inva, invb = (np.divide(1.0, x, out=np.zeros_like(x), where=x > 0.0)
+                  for x in (dec.a, dec.b))
     u, v = g.coeffs.astype(complex), h.coeffs.astype(complex)
     states, rates = [u.copy()], [v.copy()]
     for t0, t1 in zip(times[:-1], times[1:]):
@@ -441,22 +452,60 @@ def _navier_evolve_reference(dec, g, h, forcing, times):
         ca, cb = np.cos(wa * dt), np.cos(wb * dt)
         sa = np.where(wa > 0.0, np.sin(wa * dt) / np.where(wa > 0.0, wa, 1.0), dt)
         sb = np.where(wb > 0.0, np.sin(wb * dt) / np.where(wb > 0.0, wb, 1.0), dt)
-        u_new = dec.apply(ca, cb, u) + dec.apply(sa, sb, v)
-        v_new = dec.apply(-wa * np.sin(wa * dt), -wb * np.sin(wb * dt), u) \
-            + dec.apply(ca, cb, v)
+        u_new = apply(ca, cb, u) + apply(sa, sb, v)
+        v_new = apply(-wa * np.sin(wa * dt), -wb * np.sin(wb * dt), u) + apply(ca, cb, v)
         if forcing is not None:
             f = forcing(t0).coeffs
-            u_new = u_new + dec.apply((1.0 - ca) * inva, (1.0 - cb) * invb, f)
-            v_new = v_new + dec.apply(sa * dec.a * inva, sb * dec.b * invb, f)
+            u_new = u_new + apply((1.0 - ca) * inva, (1.0 - cb) * invb, f)
+            v_new = v_new + apply(sa * dec.a * inva, sb * dec.b * invb, f)
         u, v = u_new, v_new
         states.append(u.copy())
         rates.append(v.copy())
     return states, rates
 
 
+def _mode_norm(c):
+    return np.sqrt(np.sum(np.abs(c) ** 2, axis=-1))
+
+
+def _navier_floor(dec, states, rates, forcing, times):
+    """Rounding floors of |navier_evolve - reference| for displacements and rates.
+
+    Both forms take the exact step of their own input and differ by
+    rounding only (e = 2^-53).  Per mode let w+ and w- be the larger and
+    smaller of sqrt(a) and sqrt(b).  A difference (du, dv) has energy norm
+    E = (|dv|^2 + du^H P du)^(1/2) <= w+ |du| + |dv|, which the exact
+    unforced step keeps, while the forcing terms cancel in a difference;
+    and |du| <= E / w-, |dv| <= E.  One step of either form combines the
+    state (u, v) and the forcing f with factors of at most 1 into u and of
+    at most max(1, w+) into v (for |dt| <= 1).  The projection rounds at
+    most 2d + 12 times per term (the dense Pi c: Pi_ij from lambda_i,
+    conj(lambda_j) and 1/|lambda|^2, then d products and their sum; or
+    hat^H c and hat sigma), the difference c - Pi c and the combinations
+    5 times more: K = 8 (d + 2) e >= (2d + 17) e of m = |u| + |v| + |f|
+    per entry, so E <= 2 K max(1, w+) m_j for the step from t_j, per form.
+    Splitting g and h at the start and forming the stored state at t_k
+    round less than one step together, counted as one more with m_k.
+    Summed over j <= k on the two forms:
+
+        E_k = 4 K max(1, w+) sum_j m_j,  floors E_k / w- and E_k
+
+    (zero at xi = 0, where w- = 0 and both forms carry the same zeros).
+    """
+    k = 8 * (dec.dimension + 2) * 2.0**-53
+    wa, wb = np.sqrt(dec.a), np.sqrt(dec.b)
+    hi, lo = np.maximum(wa, wb), np.minimum(wa, wb)
+    m = [_mode_norm(u) + _mode_norm(v) for u, v in zip(states, rates)]
+    if forcing is not None:
+        m = [mj + _mode_norm(forcing(t).coeffs) for mj, t in zip(m, times)]
+    energy = 4 * k * np.maximum(1.0, hi) * np.cumsum(m, axis=0)
+    return np.divide(energy, lo, out=np.zeros_like(energy), where=lo > 0.0), energy
+
+
 def _stokes_evolve_reference(table, u0, forcing, times):
-    """Per-step stokes_evolve: a fresh exp(-a2 dt) every step."""
-    a2, inv, P = table.abs2()[..., None], sol._inv_abs2(table), sol.leray_matrix(table)
+    """Per-step stokes_evolve through the dense projector: a fresh exp(-a2 dt) every step."""
+    a2, P = table.abs2()[..., None], oracles.leray_matrix(table)
+    inv = np.divide(1.0, a2, out=np.zeros_like(a2), where=a2 > 0.0)
     u = u0.coeffs.astype(complex)
     states = [u.copy()]
     for t0, t1 in zip(times[:-1], times[1:]):
@@ -464,9 +513,33 @@ def _stokes_evolve_reference(table, u0, forcing, times):
         u = decay * u
         if forcing is not None:
             pf = np.einsum("...ij,...j->...i", P, forcing(t0).coeffs)
-            u = u + (1.0 - decay) * inv[..., None] * pf
+            u = u + (1.0 - decay) * inv * pf
         states.append(u.copy())
     return states
+
+
+def _stokes_floor(table, states, forcing, times):
+    """Rounding floor of |stokes_evolve - reference| for a forced flow, per step and mode.
+
+    The two forms differ only in the projection of the forcing, each off
+    by at most K |f| with K = 8 (d + 2) e as in _navier_floor; the gain
+    (1 - exp(-a2 dt)) / a2 <= dt carries it into u.  Both then multiply
+    by the decay (<= 1, so earlier differences shrink) and add, rounding
+    differently on their different operands: at most 2 e |u| on each side.
+    Summed over the steps before k:
+
+        F_k = sum_{j < k} (2 K gain_j |f(t_j)| + 4 e |u_{j+1}|).
+    """
+    e = 2.0**-53
+    k = 8 * (table.dimension + 2) * e
+    a2 = table.abs2()
+    inv = np.divide(1.0, a2, out=np.zeros_like(a2), where=a2 > 0.0)
+    floors = [np.zeros_like(a2)]
+    for j, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
+        gain = (1.0 - np.exp(-a2 * (t1 - t0))) * inv
+        local = 2 * k * gain * _mode_norm(forcing(t0).coeffs) + 4 * e * _mode_norm(states[j + 1])
+        floors.append(floors[-1] + local)
+    return floors
 
 
 # non-uniform, with a run of equal steps and a repeated time (dt = 0); and
@@ -486,10 +559,12 @@ def test_navier_evolve_matches_per_step_reference(table2, forcing, times):
     g = fl.random_field(40, 8, 2.0, components=2)
     h = fl.random_field(41, 8, 2.0, components=2)
     traj = sol.navier_evolve(dec, g, h, forcing, times)
-    states, rates = _navier_evolve_reference(dec, g, h, forcing, times)
+    states, rates = _navier_evolve_reference(table2, dec, g, h, forcing, times)
     assert len(traj.states) == len(states) == len(times)
-    for got, want in zip(traj.states + traj.extras["rates"], states + rates):
-        np.testing.assert_array_equal(got.coeffs, want)
+    floor_u, floor_v = _navier_floor(dec, states, rates, forcing, times)
+    for got, want, floor in zip(traj.states + traj.extras["rates"], states + rates,
+                                list(floor_u) + list(floor_v)):
+        assert np.all(np.abs(got.coeffs - want) <= floor[..., None])
 
 
 @pytest.mark.parametrize("times", _GRIDS)
@@ -499,8 +574,45 @@ def test_stokes_evolve_matches_per_step_reference(table2, forcing, times):
     traj = sol.stokes_evolve(table2, u0, forcing, times)
     states = _stokes_evolve_reference(table2, u0, forcing, times)
     assert len(traj.states) == len(states)
-    for got, want in zip(traj.states, states):
-        np.testing.assert_array_equal(got.coeffs, want)
+    if forcing is None:  # the decay alone: the same products, bit for bit
+        for got, want in zip(traj.states, states):
+            np.testing.assert_array_equal(got.coeffs, want)
+        return
+    floors = _stokes_floor(table2, states, forcing, times)
+    for got, want, floor in zip(traj.states, states, floors):
+        assert np.all(np.abs(got.coeffs - want) <= floor[..., None])
+
+
+_BAD_TIMES = {"backward": [0.0, -0.5], "nan": [0.0, math.nan], "inf": [0.0, math.inf],
+              "two-d": [[0.0, 0.1]], "empty": []}
+
+
+@pytest.mark.parametrize("times", _BAD_TIMES.values(), ids=_BAD_TIMES.keys())
+def test_stokes_evolve_rejects_bad_time_grids(table2, times):
+    # a decreasing step would run the heat flow backward: 1.33 grows to 3.8e23
+    u0 = sol.leray_project(table2, fl.random_field(42, 8, 2.0, components=2))
+    with pytest.raises(ValueError, match="times"):
+        sol.stokes_evolve(table2, u0, None, times)
+
+
+@pytest.mark.parametrize("times", [v for k, v in _BAD_TIMES.items() if k != "backward"],
+                         ids=[k for k in _BAD_TIMES if k != "backward"])
+def test_navier_evolve_rejects_bad_time_grids(table2, times):
+    dec = sol.navier_decompose(table2, 1.0, 0.5)
+    g = fl.random_field(40, 8, 2.0, components=2)
+    with pytest.raises(ValueError, match="times"):
+        sol.navier_evolve(dec, g, g, None, times)
+
+
+def test_navier_evolve_runs_backward(table2):
+    # the step is exact for either sign of dt: there and back returns to the start
+    dec = sol.navier_decompose(table2, 1.0, 0.5)
+    g = fl.random_field(40, 8, 2.0, components=2)
+    h = fl.random_field(41, 8, 2.0, components=2)
+    traj = sol.navier_evolve(dec, g, h, None, [0.0, 0.7, -0.2, 0.0])
+    assert l2_norm(traj.states[1] - g) > 0.1
+    np.testing.assert_allclose(traj.states[-1].coeffs, g.coeffs, atol=1e-13)
+    np.testing.assert_allclose(traj.extras["rates"][-1].coeffs, h.coeffs, atol=1e-13)
 
 
 def test_navier_split_parts(table2):
@@ -555,10 +667,27 @@ def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
     assert verify_bounds(table)["max_ratio"] <= math.sqrt(2.0) * d
     # the Leray projector is idempotent and self-adjoint per mode; its
     # entries are at most 1 and each carries a few roundings per term
-    P = sol.leray_matrix(table)
+    P = oracles.leray_matrix(table)
     tol = 16 * d * _EPS
     assert np.max(np.abs(np.einsum("...ij,...jk->...ik", P, P) - P)) <= tol
     assert np.max(np.abs(P - np.conj(np.swapaxes(P, -1, -2)))) <= tol
+    # the unit symbol: |hat| = 1 up to the roundings of |lambda|^2 (d + 1),
+    # its inverse square root (2) and the products (2), 0 at xi = 0
+    hat = sol.navier_decompose(table, 1.0, 1.0).hat
+    zero = (bound,) * d
+    assert not np.any(hat[zero])
+    unit = np.sqrt(np.sum(np.abs(hat) ** 2, axis=-1))
+    unit[zero] = 1.0
+    assert np.max(np.abs(unit - 1.0)) <= (d + 6) * _EPS
+    # leray_project is idempotent and annihilates lambda, relative to the
+    # field, with the roundings of hat^H c, hat sigma and the difference
+    u = fl.random_field(bound + 7, bound, 1.0, dimension=d, components=d)
+    pu = sol.leray_project(table, u)
+    assert np.max(np.abs(sol.leray_project(table, pu).coeffs - pu.coeffs)) \
+        <= tol * np.max(np.abs(u.coeffs))
+    grad = fl.SpectralField(bound, d, table.lam.copy(), real=False)
+    assert np.all(np.abs(sol.leray_project(table, grad).coeffs)
+                  <= tol * _mode_norm(table.lam)[..., None])
     if d == 3:
         # curl grad p = lambda x (lambda p): lambda_y (lambda_z p) - lambda_z (lambda_y p)
         # per mode, two complex products of at most sqrt(5) roundings each per term
@@ -566,6 +695,29 @@ def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
         cg = ops.curl3d(table, ops.gradient(table, p)).coeffs
         scale = table.abs2() * np.abs(p.coeffs)
         assert np.all(np.abs(cg) <= 8 * _EPS * scale[..., None])
+        _assert_double_curl(table, fl.random_field(bound + 3, bound, 1.0, dimension=3,
+                                                   components=3))
+
+
+def _assert_double_curl(table, f):
+    """C^-n C^n f = G D f - L f per mode (docs/curl_symbol.md):
+    -conj(lambda) x (lambda x f) = -lambda (conj(lambda) . f) + |lambda|^2 f.
+
+    With unit roundoff u = 2^-53 a complex product is off by sqrt(5) u
+    relative and a sum or difference by u.  lambda x f is then off by at
+    most 3.3 u |lambda| |f| per entry, and the second cross product, with
+    its own rounding, by 3.3 u |lambda|^2 |f| (sqrt(3) from the three
+    entries of the first) + 3.3 u |lambda|^2 |f|: under 10 u |lambda|^2 |f|.
+    conj(lambda) . f is off by (sqrt(5) + 2) u |lambda| |f|, the gradient
+    adds sqrt(5) u, |lambda|^2 f carries about (d + 3) u from the squares,
+    their sum and the product, and the final difference u of the sum of
+    both terms (2 |lambda|^2 |f|): under 16 u |lambda|^2 |f|.  In all,
+    at most 26 u = 13 eps of |lambda|^2 |f|; 16 eps is allowed.
+    """
+    lhs = ops.curl3d(table, ops.curl3d(table, f), sign=-1)
+    rhs = ops.gradient(table, ops.divergence(table, f)) - ops.diffusion(table, f)
+    scale = table.abs2() * _mode_norm(f.coeffs)
+    assert np.all(np.abs(lhs.coeffs - rhs.coeffs) <= 16 * _EPS * scale[..., None])
 
 
 @settings(max_examples=10, deadline=None)

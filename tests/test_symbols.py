@@ -233,10 +233,12 @@ def test_orientation_from_vector_far_from_unit_scale(v, unit):
     lambda: sym.Orientation(np.array([math.inf, 0.0])),
     lambda: sym.Orientation.from_vector([math.nan, 1.0]),
     lambda: sym.Orientation.from_vector([math.inf, 1.0]),
+    lambda: sym.Orientation.from_vector([math.inf, 0.0, 0.0]),
     lambda: sym.Orientation(np.array([[1.0, 0.0]])),
     lambda: sym.Orientation(np.array(1.0)),
     lambda: sym.build_table(normalize("constant", 2, horizon=0.1), np.array([math.nan, 0.0]), 4),
-], ids=["nan", "nan-3d", "inf", "from-nan", "from-inf", "2-d", "0-d", "build-table"])
+], ids=["nan", "nan-3d", "inf", "from-nan", "from-inf", "from-inf-3d", "2-d", "0-d",
+     "build-table"])
 def test_orientation_rejects_non_finite_or_non_vector(make):
     # a NaN norm used to pass the unit check, and build_table then ran its
     # whole ladder before it failed with "last error nan"
