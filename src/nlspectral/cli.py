@@ -105,14 +105,12 @@ def run_command(command, cfg, out_dir):
     started = time.time()
     table, summary = runner(cfg, out_dir=out_dir)
     import numpy
-    import scipy
 
     summary["metadata"] = {
         "command": command,
         "config_sha256": config_hash(cfg),
         "package_version": __version__,
         "numpy_version": numpy.__version__,
-        "scipy_version": scipy.__version__,
         "wall_time_s": time.time() - started,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }

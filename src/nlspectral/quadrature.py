@@ -7,8 +7,8 @@ product of
 
   * a radial rule on (0, 1] in unit coordinates, with the kernel profile and
     the Jacobian power folded into the weights.  Singular fractional profiles
-    use Gauss-Jacobi nodes so the r^-beta weight is exact; everything else
-    uses composite Gauss-Legendre split at profile breakpoints.
+    use Gauss-Jacobi nodes (Golub-Welsch) so the r^-beta weight is exact;
+    everything else uses composite Gauss-Legendre split at profile breakpoints.
   * an angular rule over the half-circle (2D, Gauss-Legendre on
     (-pi/2, pi/2)) or the hemisphere (3D, Gauss-Legendre in the polar angle
     times a uniform trapezoid in azimuth), taken relative to a reference
@@ -77,12 +77,18 @@ def legendre(n):
 def jacobi(n, gamma):
     """Gauss-Jacobi nodes and weights on [-1, 1] for (1 + x)^gamma (cached, read-only).
 
-    scipy.special is imported here, at the first singular rule, so that
-    work without one never loads it.
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the symmetric Jacobi matrix of the weight, and each weight is mu0 =
+    2^(gamma+1)/(gamma+1) times the square of its eigenvector's first
+    component.  Low moments stay right to about n eps mu0 as gamma -> -1.
     """
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n, 0.0, gamma)
+    # the recurrence coefficients of the Jacobi polynomials P_k^(0, gamma)
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + gamma
+    diag = np.concatenate([[gamma / (gamma + 2.0)], gamma * gamma / (s * (s + 2.0))])
+    off = 2.0 * k * (k + gamma) / (s * np.sqrt(s * s - 1.0))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    w = 2.0 ** (gamma + 1.0) / (gamma + 1.0) * vec[0] ** 2
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -168,20 +168,21 @@ def stokes_evolve(table, u0, forcing, times, div_tol=1e-10):
     pressures = []
     u = u0.coeffs.astype(complex)
     last_dt = None
-    for t0, t1 in zip(times[:-1], times[1:]):
-        dt = t1 - t0
+    # the forcing at each time serves its pressure and the step that starts there
+    for i, t0 in enumerate(times):
         f = _forcing_at(forcing, t0, u0)
+        p = (np.zeros(inv.shape, dtype=complex) if f is None
+             else np.einsum("...i,...i->...", np.conj(table.lam), f.coeffs) * inv)
+        pressures.append(SpectralField(u0.bound, u0.dimension, p, real=u0.real))
+        if i + 1 == len(times):
+            break
+        dt = times[i + 1] - t0
         if dt != last_dt:  # a uniform grid computes the decay once
             last_dt, decay = dt, _spread(np.exp(-a2 * dt), table.dimension)
         u = decay * u
         if f is not None:
             u = u + (1.0 - decay) * inv[..., None] * (f.coeffs - _along(hat, f.coeffs)[1])
         states.append(SpectralField(u0.bound, u0.dimension, u, real=u0.real))
-    for p, t in zip(np.zeros((len(times),) + inv.shape, dtype=complex), times):
-        f = _forcing_at(forcing, t, u0)
-        if f is not None:
-            p = np.einsum("...i,...i->...", np.conj(table.lam), f.coeffs) * inv
-        pressures.append(SpectralField(u0.bound, u0.dimension, p, real=u0.real))
     return Trajectory(times, states, {"pressures": pressures})
 
 

@@ -10,24 +10,20 @@ with the radial factor
 
     Lambda(k) = int_{full ball} w_delta(|s|) (s.e/|s|) sin(k s.e) ds
 
-independent of both the orientation and the unit vector e.  Its angular
-integral is closed: Lambda(k) = 2 pi int_0^delta w_delta(r) r J1(k r) dr
-in 2D and 4 pi int_0^delta w_delta(r) r^2 j1(k r) dr in 3D, and the drift
-factor m has J0 - 1 and j0 - 1 in their place, so each is one sum over the
-radial rule.
-
-The half-ball integral of Re lambda is closed as well (_re_lambda): with
-c = xi.n/|xi|, it is a sum over even orders l of Bessel radial sums
-R_l(|xi|) times T_l(c) along n and T_l'(c) across it in 2D, with
-spherical Bessel j_l and Legendre P_l in their place in 3D, so the only
-quadrature left is the radial rule (docs/full_ball.md).
+independent of both the orientation and the unit vector e.  The angular
+integrals are closed: Re lambda is a sum over even orders l of Bessel
+radial sums R_l(|xi|) times T_l(c) along n and T_l'(c) across it, c =
+xi.n/|xi|, in 2D, with spherical Bessel j_l and Legendre P_l in 3D
+(_re_lambda); Lambda and the drift factor m are R_1 and R_0 times the
+sphere's area, and a table takes Lambda from the pass that gives Re
+lambda.  The only quadrature left is the radial rule, and every Bessel
+value comes from one downward recurrence (docs/full_ball.md).
 
 Conjugate symmetry lambda(-xi) = conj(lambda(xi)) halves the lattice and
 holds exactly as computed.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 import math
 
@@ -39,7 +35,8 @@ from .kernels import KernelSpec, from_config
 from .results import mode_rows, write_text
 
 UNIT_TOL = 1e-14
-_CHUNK = 500_000  # max entries per block: (l, k, r) in _radial_orders, (k, r) in _full_ball
+_CHUNK = 500_000  # max (l, k, r) entries per block in _radial_orders
+_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def _finite_vector(v):
@@ -142,65 +139,67 @@ def _full_ball(kernel, ks, nr, odd):
     """Full-ball factors at the magnitudes ks: Lambda if ``odd``, else m.
 
     Lambda(k) = int w_delta (s.e/|s|) sin(k s.e) ds and m(k) = int w_delta
-    (cos(k s.e) - 1) ds.  The angular integrals are closed (x = k r):
-    2 pi J1(x) and 2 pi (J0(x) - 1) over the circle, 4 pi j1(x) and
-    4 pi (j0(x) - 1) over the sphere, so each factor is one radial sum
-    (docs/full_ball.md).  Magnitudes go in blocks of at most _CHUNK (k, r)
-    entries, each summed on its own.  scipy.special is imported here, at
-    the first table build, so that 1D work never loads it.
+    (cos(k s.e) - 1) ds are the sphere's area times R_1 and R_0 (_radial_orders).
     """
-    from scipy.special import j0, j1, spherical_jn
-
-    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
-    if kernel.dimension == 2:
-        front, radial = 2.0 * math.pi, j1 if odd else j0
-    else:
-        front, radial = 4.0 * math.pi, partial(spherical_jn, 1 if odd else 0)
-    ks = np.asarray(ks, dtype=float)
-    out = np.empty(len(ks))
-    step = max(1, _CHUNK // len(r))
-    for lo in range(0, len(ks), step):
-        vals = radial(np.multiply.outer(ks[lo:lo + step], r))
-        if not odd:
-            vals -= 1.0
-        out[lo:lo + step] = np.einsum("ki,i->k", vals, vr)
-    return front * out
+    return _SPHERE_AREA[kernel.dimension] * _radial_orders(kernel, ks, nr, 1)[1 if odd else 0]
 
 
-def _bessel_orders(lmax, x, d):
+def _start_order(lmax, x, d):
+    """The order at which _bessel_orders starts for arguments up to x > 0.
+
+    Past the turning order, where 2l + d - 2 > 2x, each step down shrinks
+    the start's relative error by at most q_l^2, q_l = x/(2l + d - 2 - x):
+    the start is the least order whose product of q_l^2 from the larger of
+    lmax and the turning order reaches eps/2.  In 2D it must also bring
+    (x/2)^(L+1)/(L+1)! to eps/8, since the part of Miller's sum past the
+    start is at most 8/3 of it (docs/full_ball.md).
+    """
+    log_eps = math.log(np.finfo(float).eps)
+    L, log_q2 = max(lmax, math.floor(x - 0.5 * d + 1.0) + 1, 1), 0.0
+    while True:
+        log_q2 += 2.0 * math.log(x / (2 * L + d - 2 - x))
+        log_tail = (L + 1) * math.log(0.5 * x) - math.lgamma(L + 2) if d == 2 else -math.inf
+        if log_q2 <= log_eps - math.log(2.0) and log_tail <= log_eps - math.log(8.0):
+            return L
+        L += 1
+
+
+def _bessel_orders(lmax, x, d, start=None):
     """Bessel J_l(x) (d = 2) or spherical j_l(x) (d = 3) for l = 0..lmax at x > 0.
 
-    The shape is (lmax + 1,) + x.shape.  Both satisfy f_(l-1) + f_(l+1) =
-    (2l + d - 2) f_l/x, so the ratios rho_l = f_l/f_(l-1) come from the
-    downward recurrence rho_l = 1/((2l + d - 2)/x - rho_(l+1)), started at
-    rho = 0 at the order lmax + 20 + ceil(max x).  Each step scales the
-    start's relative error by rho_l rho_(l+1), about (x/2l)^2 once l is
-    past x, so it is far below rounding by the order lmax.  Then
-    f_l = f_0 rho_1 ... rho_l, or f_l = f_1 rho_2 ... rho_l where
-    |f_1| > |f_0|: near a zero of f_0, 1/rho_1 is a difference near 0 and
-    its rounding would spoil every f_l.  The start pair is scipy.special's
-    j0 and j1 in 2D, and j_0 = sin x/x and j_1 = (j_0 - cos x)/x in 3D.
-    x > 0 keeps every step finite.
+    Shape (lmax + 1,) + x.shape.  The ratios rho_l = f_l/f_(l-1) come from
+    rho_l = 1/((2l + d - 2)/x - rho_(l+1)), started at rho = 0 at ``start``
+    (by default _start_order of lmax and max x).  Then f_l = f_0 rho_1 ...
+    rho_l, or f_1 rho_2 ... rho_l where |f_1| > |f_0|: near a zero of f_0,
+    1/rho_1 is a rounded difference.  The start pair is j_0 = sin x/x and
+    j_1 = (j_0 - cos x)/x in 3D and Miller's in 2D: the pass also sums T_l =
+    rho_l (c_l + T_(l+1)), c_l = 2 at even l and 0 at odd, so J_0 + 2 sum
+    J_2k = 1 gives 1/J_0 = 1 + rho_1 T_2 and 1/J_1 = 1/rho_1 + T_2.
     """
     x = np.asarray(x, dtype=float)
+    if start is None:
+        start = _start_order(lmax, float(np.max(x)), d)
     inv = 1.0 / x
     out = np.empty((lmax + 1,) + x.shape)
-    ratio, step = np.zeros_like(x), np.empty_like(x)
-    for l in range(lmax + 20 + math.ceil(float(np.max(x))), 0, -1):
+    ratio, step, tail = np.zeros_like(x), np.empty_like(x), np.zeros_like(x)
+    for l in range(start, 0, -1):
         np.multiply(inv, 2 * l + d - 2, out=step)
         step -= ratio
         if l <= lmax:
             ratio = out[l]
         np.divide(1.0, step, out=ratio)
+        if d == 2 and l >= 2:
+            if l % 2 == 0:
+                tail += 2.0
+            tail *= ratio
+    from_f1 = np.abs(ratio) > 1.0  # ratio is rho_1 and step is 1/rho_1
     if d == 2:
-        from scipy.special import j0, j1
-
-        f0, f1 = j0(x), j1(x)
+        lead = 1.0 / np.where(from_f1, step + tail, 1.0 + ratio * tail)
+        f0 = np.where(from_f1, lead * step, lead)
     else:
         f0 = np.sin(x) * inv
-        f1 = (f0 - np.cos(x)) * inv
-    from_f1 = np.abs(f1) > np.abs(f0)
-    out[0] = np.where(from_f1, f1, f0)
+        lead = np.where(from_f1, (f0 - np.cos(x)) * inv, f0)
+    out[0] = lead
     if lmax >= 1:
         out[1] = np.where(from_f1, 1.0, out[1])
     for l in range(1, lmax + 1):
@@ -295,28 +294,29 @@ def _orders(x, d):
 
 
 def _radial_orders(kernel, ks, nr, lmax):
-    """R_l(k) = sum_i v_i (f_l(k r_i) - [l = 0]) for the even l <= lmax, shape (lmax//2 + 1, K).
+    """R_l(k) = sum_i v_i (f_l(k r_i) - [l = 0]) for l = 0..lmax, shape (lmax + 1, K).
 
     f_l is J_l in 2D and j_l in 3D (_bessel_orders), over the radial rule
-    of _full_ball, whose weights hold w_delta r^(d-1); magnitudes go in
-    blocks of at most _CHUNK (l, k, r) entries.
+    whose weights hold w_delta r^(d-1), in blocks of at most _CHUNK (l, k,
+    r) entries that share one start order, so any blocks give the same bits.
     """
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
-    out = np.empty((lmax // 2 + 1, len(ks)))
+    start = _start_order(lmax, float(np.max(ks)) * float(np.max(r)), kernel.dimension)
+    out = np.empty((lmax + 1, len(ks)))
     step = max(1, _CHUNK // (len(r) * (lmax + 1)))
     for lo in range(0, len(ks), step):
-        f = _bessel_orders(lmax, np.multiply.outer(ks[lo:lo + step], r), kernel.dimension)[::2]
+        f = _bessel_orders(lmax, np.multiply.outer(ks[lo:lo + step], r), kernel.dimension, start)
         f[0] -= 1.0
-        out[:, lo:lo + step] = f @ vr
+        out[:, lo:lo + step] = np.einsum("lki,i->lk", f, vr)
     return out
 
 
 def _re_lambda(kernel, modes, n):
     """Re lambda at the nonzero integer modes (Q, d) for the unit orientation n.
 
-    Returns the function of the radial count nr that evaluates it; the
-    angular integral over the half-ball s.n >= 0 is closed.  With k = |xi|,
-    xi^ = xi/k and c = xi^.n,
+    Returns the function of the radial count nr that evaluates (Re lambda,
+    Lambda at the sorted distinct |xi|); the angular integral over the
+    half-ball s.n >= 0 is closed.  With k = |xi|, xi^ = xi/k and c = xi^.n,
 
         Re lambda(xi) = sum_(l even <= L) w_l R_l(k) [Z_l(c) n + Z_l'(c) (xi^ - c n)]
 
@@ -332,10 +332,10 @@ def _re_lambda(kernel, modes, n):
       m = 0 term along n, with a_l = int_0^1 t P_l dt, and the m = 1 term
       across it, with P_l^1(c) = -sqrt(1 - c^2) P_l'(c) and
       int_0^1 (1 - t^2) P_l' dt/(l(l + 1)), which is a_l again.
-    The polynomial factors are computed here, once; each call sums R_l
-    over the radial rule at nr nodes.  Z_l(-c) = Z_l(c) and Z_l'(-c) =
-    -Z_l'(c) hold bit for bit at even l, so the orientation -n gives
-    exactly -Re lambda.
+    Lambda is R_1 times the sphere's area (_full_ball).  The polynomial
+    factors are computed here, once; each call sums R_l over the radial
+    rule at nr nodes.  Z_l(-c) = Z_l(c) and Z_l'(-c) = -Z_l'(c) hold bit
+    for bit at even l, so the orientation -n gives exactly -Re lambda.
     """
     d = kernel.dimension
     modes = np.asarray(modes)
@@ -350,9 +350,11 @@ def _re_lambda(kernel, modes, n):
     along, across = weights * p[::2], weights * dp[::2]
 
     def evaluate(nr):
-        rad = _radial_orders(kernel, ks, nr, lmax)[:, q2_index]
-        return (np.sum(rad * along, axis=0)[:, None] * n
-                + np.sum(rad * across, axis=0)[:, None] * lateral)
+        rad = _radial_orders(kernel, ks, nr, max(lmax, 1))
+        even = rad[:lmax + 1:2][:, q2_index]
+        re = (np.sum(even * along, axis=0)[:, None] * n
+              + np.sum(even * across, axis=0)[:, None] * lateral)
+        return re, _SPHERE_AREA[d] * rad[1]
 
     return evaluate
 
@@ -374,17 +376,17 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
     Every entry is verified by recomputation on a refined rule; construction
     raises QuadratureConvergenceError if refinement fails to settle within
     tol (relative, per table) and KernelError if any symbol magnitude
-    degenerates to zero.  The angular integrals are closed (_re_lambda,
-    _full_ball), so the ladder refines the radial count alone, which grows
+    degenerates to zero.  The angular integrals are closed, and Re lambda
+    and Lambda come from one Bessel pass per level (_re_lambda), so the
+    ladder refines the radial count alone, which grows
     with delta sqrt(d) N.  ``oversample`` starts the ladder that many levels
     up it, less one (the "quad.panels" config knob).
     """
     if bound < 1:
         raise ValueError("lattice bound must be at least 1")
     d = kernel.dimension
-    n = np.asarray(orientation.vec if isinstance(orientation, Orientation) else orientation,
-                   dtype=float)
-    orientation = orientation if isinstance(orientation, Orientation) else Orientation(n)
+    orientation = orientation if isinstance(orientation, Orientation) else Orientation(orientation)
+    n = orientation.vec
     if len(n) != d:
         raise ValueError("orientation dimension does not match the kernel")
 
@@ -392,14 +394,11 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
     kmax = kernel.horizon * math.sqrt(d) * bound
     skip = max(0, int(oversample) - 1)
     levels = _radial_bumps(_radial_count(kmax), skip + max_bumps + 1)
-    re_at = _re_lambda(kernel, half, n)
     q2 = np.sum(half**2, axis=1)
     q2_unique, q2_index = np.unique(q2, return_inverse=True)
-    ks = np.sqrt(q2_unique.astype(float))
 
-    re_half, lam_rad = quad.settle(
-        lambda nr: (re_at(nr), _full_ball(kernel, ks, nr, odd=True)),
-        islice(levels, skip, None), tol, f"symbol quadrature for N={bound}")
+    re_half, lam_rad = quad.settle(_re_lambda(kernel, half, n), islice(levels, skip, None),
+                                   tol, f"symbol quadrature for N={bound}")
 
     rad_map = {int(q): float(v) for q, v in zip(q2_unique, lam_rad)}
     norms = np.sqrt(q2.astype(float))
@@ -486,15 +485,11 @@ def star_table(kernel, kvec, bound, tol=quad.DEFAULT_TOL):
     q2 = np.sum(modes**2, axis=1)
     q2_unique, q2_index = np.unique(q2, return_inverse=True)
     ks = np.sqrt(q2_unique.astype(float))
-    kmax = kernel.horizon * float(np.max(ks))
-    nr = _radial_count(kmax)
-    nr2 = _bump_radial(nr)
-    lam_rad = _full_ball(kernel, ks, nr2, odd=True)
-    mvals = _full_ball(kernel, ks, nr2, odd=False)
-    err = max(
-        float(np.max(np.abs(lam_rad - _full_ball(kernel, ks, nr, odd=True)))),
-        float(np.max(np.abs(mvals - _full_ball(kernel, ks, nr, odd=False)))),
-    )
+    nr = _radial_count(kernel.horizon * float(np.max(ks)))
+    coarse, fine = (_SPHERE_AREA[d] * _radial_orders(kernel, ks, n, 1)
+                    for n in (nr, _bump_radial(nr)))
+    mvals, lam_rad = fine
+    err = float(np.max(np.abs(fine - coarse)))
     # not settle(): both errors are scaled by max|Lambda| alone, tighter than
     # settle's scale over both parts wherever max|m| exceeds max|Lambda|
     if err > tol * max(float(np.max(np.abs(lam_rad))), 1e-300):

@@ -377,29 +377,50 @@ def test_passed_needs_an_assertion():
     assert not passed({"assertions": {"a": ok, "b": dict(ok, passed=False)}})
 
 
-_IMPORT_BOUNDARY = """
+_WITHOUT_SCIPY = """
 import sys
-import nlspectral, nlspectral.cli
-for cfg in sys.argv[2:]:
-    assert nlspectral.cli.main(["energy-1d", "--config", cfg, "--out", sys.argv[1]]) == 0
-assert "scipy.special" not in sys.modules, "the 1D bond suite loaded scipy.special"
-from nlspectral import Orientation, build_table, normalize
-build_table(normalize("constant", 2, horizon=0.1), Orientation.from_angle(0.3), 4)
-assert "scipy.special" in sys.modules
+sys.modules["scipy"] = None  # any import of scipy or of a scipy submodule now fails
+import nlspectral.cli
+out, runs = sys.argv[1], sys.argv[2:]
+for command, cfg in zip(runs[::2], runs[1::2]):
+    assert nlspectral.cli.main([command, "--config", cfg, "--out", out]) == 0, (command, cfg)
 """
 
+# every preset under its subcommand, shrunk where it is slow, and the two
+# evolution subcommands, which no preset runs
+_PRESET_RUNS = [
+    ("crit01_symbol_bounds.json", "symbols", {"angles": [0.0, 2.356194490192345], "bound": 8}),
+    ("crit02_stokes_convergence.json", "convergence", {}),
+    ("crit03_adjoint_oracle.json", "oracle", {"pairs": 5, "grid": 32}),
+    ("crit04_helmholtz.json", "helmholtz", {}),
+    ("crit05_vector_identity.json", "divcurl", {}),
+    ("crit06_rho_suite.json", "energy-1d", {"mesh": 256}),
+    ("crit07_double_laplacian.json", "energy-1d", {"ximax": 16}),
+    ("crit08_korn_energy.json", "navier", {}),
+    ("crit09_navier_convergence.json", "convergence", {}),
+    ("crit10_evolution.json", "convergence", {}),
+    ("crit11_divcurl_friedrichs.json", "divcurl", {}),
+    ("crit12_determinism.json", "stokes", {}),
+]
 
-def test_bond_suite_never_loads_scipy_special(tmp_path):
-    # a fresh interpreter: this one has loaded scipy.special long since
-    with open(os.path.join(PRESETS, "crit06_rho_suite.json")) as fh:
-        rho = dict(json.load(fh), mesh=256)
-    with open(os.path.join(PRESETS, "crit07_double_laplacian.json")) as fh:
-        double = json.load(fh)
-    cfgs = [write_cfg(tmp_path, rho, "rho.json"), write_cfg(tmp_path, double, "double.json")]
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported: numpy is the
+    # library's only dependency at run time
+    runs = []
+    for i, (preset, command, shrink) in enumerate(_PRESET_RUNS):
+        with open(os.path.join(PRESETS, preset)) as fh:
+            runs += [command, write_cfg(tmp_path, dict(json.load(fh), **shrink), f"{i}.json")]
+    evolve = {"kernel": {"family": "fractional", "beta": 1.5, "dimension": 2, "delta": 0.1},
+              "orientation": {"angle": 0.7}, "bound": 4, "decay": 2.0, "seed": 5,
+              "times": {"t1": 0.2, "steps": 4}}
+    runs += ["stokes-evolve", write_cfg(tmp_path, evolve, "stokes.json"),
+             "navier-evolve", write_cfg(tmp_path, dict(evolve, lame=[1.0, 1.0]), "navier.json")]
+    assert sorted(set(runs[::2])) == sorted(RUNNERS)
     src = os.path.dirname(os.path.dirname(nlspectral.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path / "out"), *cfgs],
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out"), *runs],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

@@ -583,6 +583,42 @@ def test_stokes_evolve_matches_per_step_reference(table2, forcing, times):
         assert np.all(np.abs(got.coeffs - want) <= floor[..., None])
 
 
+def _stokes_evolve_two_passes(table, u0, forcing, times):
+    """stokes_evolve as it was with a forcing at every time: the states at the
+    left ends in one pass, then the pressures with the forcing called again."""
+    a2, inv = sol._abs2_inv(table)
+    hat = sol._unit_symbol(table, inv)
+    u, states, pressures = u0.coeffs.astype(complex), [u0.coeffs], []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        decay = sol._spread(np.exp(-a2 * (t1 - t0)), table.dimension)
+        f = forcing(t0).coeffs
+        u = decay * u + (1.0 - decay) * inv[..., None] * (f - sol._along(hat, f)[1])
+        states.append(u)
+    for t in times:
+        pressures.append(np.einsum("...i,...i->...", np.conj(table.lam), forcing(t).coeffs) * inv)
+    return states, pressures
+
+
+@pytest.mark.parametrize("times", _GRIDS)
+def test_stokes_evolve_calls_the_forcing_once_per_time(table2, times):
+    # one call serves the step from t and the pressure at t, with the bits of two
+    u0 = sol.leray_project(table2, fl.random_field(42, 8, 2.0, components=2))
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return _forcing(t)
+
+    traj = sol.stokes_evolve(table2, u0, counted, times)
+    assert calls == list(times)
+    states, pressures = _stokes_evolve_two_passes(table2, u0, _forcing, times)
+    for got, want in zip(traj.states, states):
+        assert np.array_equal(got.coeffs, want)
+    for got, want in zip(traj.extras["pressures"], pressures):
+        assert np.array_equal(got.coeffs, want)
+    assert len(traj.states) == len(traj.extras["pressures"]) == len(times)
+
+
 _BAD_TIMES = {"backward": [0.0, -0.5], "nan": [0.0, math.nan], "inf": [0.0, math.inf],
               "two-d": [[0.0, 0.1]], "empty": []}
 

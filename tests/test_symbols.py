@@ -9,7 +9,6 @@ import pytest
 from nlspectral import epsilon_cutoff, normalize
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
-from nlspectral.errors import QuadratureConvergenceError
 
 import oracles
 
@@ -452,7 +451,7 @@ def _assert_re_lambda_matches_cos_sum(kernel, n, bound, modes=None):
     if modes is None:
         modes = sym._positive_half(sym.lattice_modes(bound, d))
     nr, na = oracles.half_ball_node_counts(kernel, kmax)
-    got = sym._re_lambda(kernel, modes, n)(nr)
+    got = sym._re_lambda(kernel, modes, n)(nr)[0]
     ref = oracles.re_lambda_cos_sum(kernel, modes, frame, nr, na)
     ks = np.linalg.norm(modes, axis=1)
     lam_rad = sym._full_ball(kernel, ks, nr, odd=True)
@@ -558,6 +557,28 @@ def test_bessel_jn_matches_scipy():
     assert np.max(np.abs(got - ref)) <= 16 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("top", [0.3, 60.0])
+@pytest.mark.parametrize("lmax", [1, 80])
+@pytest.mark.parametrize("d", [2, 3])
+def test_bessel_orders_later_start_changes_nothing(d, lmax, top):
+    # forty orders above _start_order move no f_l beyond the 16 eps of the
+    # scipy comparisons: the start error, and in 2D the dropped part of
+    # Miller's sum, are below rounding, at lmax = 1 (the full-ball factors,
+    # where x alone sets the start) and at 80, over x up to 0.3, where the
+    # start is closest to lmax, and over the scipy tests' grid up to 60
+    from scipy.special import jn_zeros
+
+    x = np.geomspace(1e-3, top, 2000)
+    if top == 60.0:
+        zeros = (np.concatenate([jn_zeros(0, 19), jn_zeros(1, 19)]) if d == 2 else
+                 np.concatenate([math.pi * np.arange(1, 20), [4.493409457909064, 7.725251836937707]]))
+        x = np.concatenate([x, zeros + 1e-9, zeros - 1e-7])
+    start = sym._start_order(lmax, float(np.max(x)), d)
+    got = sym._bessel_orders(lmax, x, d)
+    later = sym._bessel_orders(lmax, x, d, start + 40)
+    assert np.max(np.abs(later - got)) <= 16 * np.finfo(float).eps
+
+
 def _assert_orders_past_truncation_change_nothing(monkeypatch, d, delta, bound):
     # sixteen more orders than _orders picks move Re lambda by a few eps
     # max|lambda| at most: the dropped tail is below rounding
@@ -565,10 +586,10 @@ def _assert_orders_past_truncation_change_nothing(monkeypatch, d, delta, bound):
     modes = sym._positive_half(sym.lattice_modes(bound, d))
     n = np.array([0.48, -0.6, 0.64]) if d == 3 else np.array([0.6, -0.8])
     nr = sym._radial_count(delta * math.sqrt(d) * bound)
-    got = sym._re_lambda(kernel, modes, n)(nr)
+    got = sym._re_lambda(kernel, modes, n)(nr)[0]
     orders = sym._orders
     monkeypatch.setattr(sym, "_orders", lambda x, d: orders(x, d) + 16)
-    more = sym._re_lambda(kernel, modes, n)(nr)
+    more = sym._re_lambda(kernel, modes, n)(nr)[0]
     lam_rad = sym._full_ball(kernel, np.linalg.norm(modes, axis=1), nr, odd=True)
     scale = float(np.max(np.sqrt(np.sum(got**2, axis=1) + lam_rad**2)))
     assert np.max(np.abs(more - got)) <= 4 * np.finfo(float).eps * scale
@@ -603,14 +624,17 @@ def test_re_lambda_factorization_property(d, fractional, beta, delta, angles, bo
     _assert_re_lambda_matches_cos_sum(kernel, n, bound)
 
 
-@pytest.mark.xfail(strict=True, raises=QuadratureConvergenceError,
-                   reason="the radial rule does not settle Lambda to 1e-10 as beta -> 2")
-def test_build_table_fractional_beta_near_two():
-    # with the angular integral closed the last error is still 2.1e-9 at
-    # nr = 85, and Lambda alone moves by 1.6e-10, 3.0e-10 and 1.5e-9 from
-    # level to level: the radial rule, not an angular one, fails to settle
-    kernel = normalize("fractional", 2, beta=1.9867, horizon=0.5)
-    sym.build_table(kernel, sym.Orientation.from_vector([0.260, -0.966]), 1)
+@pytest.mark.parametrize("d, beta, bound", [
+    (d, beta, 4) for d in (2, 3) for beta in (1.97, 1.98, 1.99, 1.995, 1.999)] + [(2, 1.9867, 1)])
+def test_build_table_fractional_beta_near_two(d, beta, bound):
+    # the tables settle at the default tol and max_bumps as beta -> 2: the
+    # Gauss-Jacobi rule at the exponent d - 1 - beta keeps its low moments
+    # exact; with scipy's roots_jacobi, Lambda moved by 1.6e-10 to 1.5e-9
+    # from level to level at beta = 1.9867 and 2D N = 1 failed to settle
+    kernel = normalize("fractional", d, beta=beta, horizon=0.5)
+    n = [0.260, -0.966] if d == 2 else [0.48, -0.6, 0.64]
+    tab = sym.build_table(kernel, sym.Orientation.from_vector(n), bound)
+    assert np.all(np.isfinite(tab.lam))
 
 
 # ---------------------------------------------------------------------------
