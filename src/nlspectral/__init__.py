@@ -17,10 +17,9 @@ from .symbols import (
     load_table,
     local_table,
     save_table,
-    star_symbol,
     verify_bounds,
 )
-from .fields import SpectralField, forward_transform, l2_norm, norms, random_field, s_norm
+from .fields import SpectralField, l2_norm, random_field, s_norm
 
 __version__ = "0.1.0"
 
@@ -35,18 +34,15 @@ __all__ = [
     "build_table",
     "epsilon_cutoff",
     "eval_kernel",
-    "forward_transform",
     "from_config",
     "l2_norm",
     "lambda_radial",
     "load_table",
     "local_table",
-    "norms",
     "normalize",
     "random_field",
     "s_norm",
     "save_table",
-    "star_symbol",
     "verify_bounds",
     "__version__",
 ]

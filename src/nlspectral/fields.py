@@ -94,15 +94,23 @@ def lattice_grid(bound, dimension):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=0)
 
 
+def positive_half(coords):
+    """Mask of the lexicographically positive representative of each (xi, -xi) pair.
+
+    ``coords`` holds one integer array per axis, all of one shape; xi is in
+    the half when its first nonzero coordinate is positive.
+    """
+    mask = np.zeros(coords[0].shape, dtype=bool)
+    prior_zero = np.ones(coords[0].shape, dtype=bool)
+    for c in coords:
+        mask |= prior_zero & (c > 0)
+        prior_zero &= c == 0
+    return mask
+
+
 def l2_norm(field):
     """Coefficient-space L2 norm (sum |uhat|^2)^(1/2); grid L2 is (2 pi)^(d/2) times this."""
     return float(np.sqrt(np.sum(np.abs(field.coeffs) ** 2)))
-
-
-def inner(f, g):
-    """Coefficient-space inner product sum f.conj(g); real for real fields."""
-    val = complex(np.sum(f.coeffs * np.conj(g.coeffs)))
-    return val.real if f.real and g.real else val
 
 
 def s_norm(field, table):
@@ -115,31 +123,6 @@ def s_norm(field, table):
     return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2)))
 
 
-def h1_seminorm(field):
-    """(sum |xi|^2 |uhat|^2)^(1/2), the local counterpart of the energy norm."""
-    k2 = np.sum(lattice_grid(field.bound, field.dimension) ** 2, axis=0)
-    extra = field.coeffs.ndim - k2.ndim
-    w = k2.reshape(k2.shape + (1,) * extra)
-    return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2)))
-
-
-def norms(field, table=None, lame=None):
-    """L2, energy and (optionally) elasticity V-norm of a field.
-
-    The V entry needs both a symbol table and Lame constants (mu, lambda);
-    it uses the symbol quadratic form 2 E(u) of the elastic energy.
-    """
-    out = {"l2": l2_norm(field)}
-    if table is not None:
-        out["s"] = s_norm(field, table)
-        if lame is not None:
-            from .solvers import navier_decompose, navier_quadratic_form
-
-            dec = navier_decompose(table, *lame)
-            out["v"] = float(np.sqrt(out["l2"] ** 2 + navier_quadratic_form(dec, field)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
@@ -148,35 +131,6 @@ def grid_points(size, dimension):
     """Uniform sample grid x_j = -pi + 2 pi j / size per axis."""
     x = -np.pi + 2.0 * np.pi * np.arange(size) / size
     return np.stack(np.meshgrid(*([x] * dimension), indexing="ij"), axis=0)
-
-
-def forward_transform(samples, bound, dimension=None):
-    """Project grid samples onto the truncated lattice; returns (field, mean).
-
-    The sample cube may carry trailing component axes.  The grid must have at
-    least 2N+1 points per axis.  The removed mean is reported instead of kept.
-    """
-    samples = np.asarray(samples)
-    if dimension is None:
-        dimension = samples.ndim
-    d = dimension
-    size = samples.shape[0]
-    if any(s != size for s in samples.shape[:d]):
-        raise ValueError("sample grid must be cubic")
-    if size < 2 * bound + 1:
-        raise ValueError(f"grid size {size} too small for truncation N={bound}")
-    axes = tuple(range(d))
-    hat = np.fft.fftshift(np.fft.fftn(samples, axes=axes), axes=axes) / size**d
-    center = size // 2
-    cube = hat[tuple(slice(center - bound, center + bound + 1) for _ in range(d))]
-    # grid starts at -pi, so bin xi carries a (-1)^(sum xi) phase
-    modes = lattice_grid(bound, d)
-    phase = (-1.0) ** np.sum(modes, axis=0)
-    cube = cube * phase.reshape(phase.shape + (1,) * (samples.ndim - d))
-    mean = cube[(bound,) * d].copy()
-    real = bool(np.isrealobj(samples))
-    field = SpectralField(bound, d, np.ascontiguousarray(cube), real)
-    return field, mean
 
 
 def evaluate(field, size):
@@ -193,16 +147,6 @@ def evaluate(field, size):
     slices = tuple(np.arange(-field.bound, field.bound + 1) % size for _ in range(d))
     full[np.ix_(*slices, *[np.arange(s) for s in comp])] = cube
     vals = np.fft.ifftn(full, axes=tuple(range(d))) * size**d
-    return vals.real if field.real else vals
-
-
-def evaluate_at(field, points):
-    """Direct mode summation at arbitrary points, shape (..., d) -> (..., comp)."""
-    pts = np.asarray(points, dtype=float)
-    modes = lattice_grid(field.bound, field.dimension).reshape(field.dimension, -1)
-    flat = field.coeffs.reshape((modes.shape[1],) + field.component_shape)
-    phase = np.exp(1j * np.tensordot(pts, modes, axes=(-1, 0)))
-    vals = np.tensordot(phase, flat, axes=(-1, 0))
     return vals.real if field.real else vals
 
 
@@ -253,11 +197,7 @@ def random_field(seed, bound, decay, dimension=2, components=0):
     amp = (1.0 + k2) ** (-decay / 2.0)
     # fill the lexicographically positive half, then mirror conjugates; this
     # keeps |uhat| exactly proportional to the decay profile
-    pos = np.zeros(k2.shape, dtype=bool)
-    prior_zero = np.ones(k2.shape, dtype=bool)
-    for c in range(d):
-        pos |= prior_zero & (grid[c] > 0)
-        prior_zero &= grid[c] == 0
+    pos = positive_half(grid)
     half = np.where(
         pos.reshape(pos.shape + (1,) * len(cshape)),
         amp.reshape(k2.shape + (1,) * len(cshape)) * np.exp(2j * np.pi * phases),

@@ -5,7 +5,7 @@ lambda (outer product for vector fields), adjoint divergence by the reflected
 symbol -conj(lambda), diffusion by -|lambda|^2, curl by the complex cross
 product lambda x (componentwise, no conjugation: forced by linearity of the
 defining integral over exp(i xi.x)).  The physical-space integral form lives
-only in the quadrature oracle at the bottom, which never touches symbols.
+only in the quadrature oracles at the bottom, which never touch symbols.
 """
 
 import numpy as np
@@ -75,19 +75,8 @@ def strain(table, u):
     return SpectralField(u.bound, u.dimension, sym, real=u.real)
 
 
-def star_gradient(kernel, kvec, u, tol=quad.DEFAULT_TOL):
-    """Drift-stabilized radial gradient of a scalar field."""
-    from .symbols import star_table
-
-    if u.component_shape != ():
-        raise ValueError("star gradient acts on scalar fields")
-    mu = star_table(kernel, kvec, u.bound, tol)
-    out = mu * u.coeffs[..., None]
-    return SpectralField(u.bound, u.dimension, out, real=False)
-
-
 # ---------------------------------------------------------------------------
-# 1D averaging and the doubly nonlocal composition
+# 1D averaging and the doubly nonlocal symbol
 # ---------------------------------------------------------------------------
 
 def averaging_symbol(eta, xi, mass_tol=1e-8):
@@ -130,29 +119,6 @@ def bond_symbol(gamma, xi):
     xi = np.asarray(xi, dtype=float)
     a, w = gamma.nodes, gamma.weights
     return 4.0 * np.sum(w * (np.cos(np.multiply.outer(xi, a)) - 1.0), axis=-1)
-
-
-def averaging_1d(eta, u):
-    """Apply the averaging operator to a 1D spectral field."""
-    if u.dimension != 1:
-        raise ValueError("averaging_1d acts on 1D fields")
-    xi = np.arange(-u.bound, u.bound + 1, dtype=float)
-    mult = averaging_symbol(eta, xi)
-    out = u.coeffs * mult.reshape(mult.shape + (1,) * len(u.component_shape))
-    return SpectralField(u.bound, u.dimension, out, real=u.real)
-
-
-def double_laplacian_1d(gamma, eta, u):
-    """Doubly nonlocal Laplacian: bond diffusion composed with averaging.
-
-    Diagonal in Fourier space with symbol ell_gamma(xi) * a_eta(xi).
-    """
-    if u.dimension != 1:
-        raise ValueError("double_laplacian_1d acts on 1D fields")
-    xi = np.arange(-u.bound, u.bound + 1, dtype=float)
-    mult = bond_symbol(gamma, xi) * averaging_symbol(eta, xi)
-    out = u.coeffs * mult.reshape(mult.shape + (1,) * len(u.component_shape))
-    return SpectralField(u.bound, u.dimension, out, real=u.real)
 
 
 def double_symbol_direct(gamma, eta, xi):
@@ -215,23 +181,3 @@ def divergence_oracle(kernel, orientation, u_callable, points, panels=1,
     shifted = pts[:, None, :] - offsets[None, :, :]
     du = u_callable(pts)[:, None, :] - u_callable(shifted)
     return 2.0 * np.einsum("k,pkc,kc->p", w, du, dirs)
-
-
-def affine_gradient_oracle(kernel, orientation, matrix, tol=quad.DEFAULT_TOL):
-    """Direct quadrature of the gradient of u(x) = A x + b (any x, by translation).
-
-    Returns the constant matrix produced by the integral; consistency demands
-    it equal A^T (gradient indexed as (derivative, component)).
-    """
-    A = np.asarray(matrix, dtype=float)
-
-    def f(r, dirs):
-        # s (x) (A s)/|s| = r dir (x) (A dir)
-        au = dirs @ A.T
-        return 2.0 * r[:, None, None] * dirs[:, :, None] * au[:, None, :]
-
-    flat = quad.integrate_halfball(
-        kernel, orientation, lambda r, u: f(r, u).reshape(len(r), -1), tol=tol
-    )
-    d = kernel.dimension
-    return flat.reshape(d, d)

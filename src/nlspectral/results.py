@@ -65,7 +65,6 @@ def mode_rows(modes, values, sep):
 class ResultTable:
     columns: list
     rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def add(self, *values):
         if len(values) != len(self.columns):

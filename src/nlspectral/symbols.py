@@ -14,10 +14,10 @@ independent of both the orientation and the unit vector e.  The angular
 integrals are closed: Re lambda is a sum over even orders l of Bessel
 radial sums R_l(|xi|) times T_l(c) along n and T_l'(c) across it, c =
 xi.n/|xi|, in 2D, with spherical Bessel j_l and Legendre P_l in 3D
-(_re_lambda); Lambda and the drift factor m are R_1 and R_0 times the
-sphere's area, and a table takes Lambda from the pass that gives Re
-lambda.  The only quadrature left is the radial rule, and every Bessel
-value comes from one downward recurrence (docs/full_ball.md).
+(_re_lambda); Lambda is R_1 times the sphere's area, and a table takes
+it from the pass that gives Re lambda.  The only quadrature left is the
+radial rule, and every Bessel value comes from one downward recurrence
+(docs/full_ball.md).
 
 Conjugate symmetry lambda(-xi) = conj(lambda(xi)) halves the lattice and
 holds exactly as computed.
@@ -30,13 +30,13 @@ import math
 import numpy as np
 
 from . import quadrature as quad
-from .errors import KernelError, QuadratureConvergenceError
-from .kernels import KernelSpec, from_config
+from .errors import KernelError
+from .fields import lattice_grid, positive_half
+from .kernels import SPHERE_AREA, KernelSpec, from_config
 from .results import mode_rows, write_text
 
 UNIT_TOL = 1e-14
 _CHUNK = 500_000  # max (l, k, r) entries per block in _radial_orders
-_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def _finite_vector(v):
@@ -116,32 +116,12 @@ class SymbolTable:
 
 def lattice_modes(bound, dimension):
     """All nonzero integer frequencies in the cube, shape (Q, d)."""
-    axes = [np.arange(-bound, bound + 1)] * dimension
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dimension)
+    grid = lattice_grid(bound, dimension).reshape(dimension, -1).T
     return grid[np.any(grid != 0, axis=1)]
-
-
-def _positive_half(modes):
-    """Lexicographically positive representative of each (xi, -xi) pair."""
-    mask = np.zeros(len(modes), dtype=bool)
-    prior_zero = np.ones(len(modes), dtype=bool)
-    for c in range(modes.shape[1]):
-        mask |= prior_zero & (modes[:, c] > 0)
-        prior_zero &= modes[:, c] == 0
-    return modes[mask]
 
 
 def _radial_count(kmax):
     return 24 + int(kmax)
-
-
-def _full_ball(kernel, ks, nr, odd):
-    """Full-ball factors at the magnitudes ks: Lambda if ``odd``, else m.
-
-    Lambda(k) = int w_delta (s.e/|s|) sin(k s.e) ds and m(k) = int w_delta
-    (cos(k s.e) - 1) ds are the sphere's area times R_1 and R_0 (_radial_orders).
-    """
-    return _SPHERE_AREA[kernel.dimension] * _radial_orders(kernel, ks, nr, 1)[1 if odd else 0]
 
 
 def _start_order(lmax, x, d):
@@ -332,7 +312,7 @@ def _re_lambda(kernel, modes, n):
       m = 0 term along n, with a_l = int_0^1 t P_l dt, and the m = 1 term
       across it, with P_l^1(c) = -sqrt(1 - c^2) P_l'(c) and
       int_0^1 (1 - t^2) P_l' dt/(l(l + 1)), which is a_l again.
-    Lambda is R_1 times the sphere's area (_full_ball).  The polynomial
+    Lambda is R_1 times the sphere's area (lambda_radial).  The polynomial
     factors are computed here, once; each call sums R_l over the radial
     rule at nr nodes.  Z_l(-c) = Z_l(c) and Z_l'(-c) = -Z_l'(c) hold bit
     for bit at even l, so the orientation -n gives exactly -Re lambda.
@@ -354,7 +334,7 @@ def _re_lambda(kernel, modes, n):
         even = rad[:lmax + 1:2][:, q2_index]
         re = (np.sum(even * along, axis=0)[:, None] * n
               + np.sum(even * across, axis=0)[:, None] * lateral)
-        return re, _SPHERE_AREA[d] * rad[1]
+        return re, SPHERE_AREA[d] * rad[1]
 
     return evaluate
 
@@ -390,7 +370,8 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
     if len(n) != d:
         raise ValueError("orientation dimension does not match the kernel")
 
-    half = _positive_half(lattice_modes(bound, d))
+    modes = lattice_modes(bound, d)
+    half = modes[positive_half(modes.T)]
     kmax = kernel.horizon * math.sqrt(d) * bound
     skip = max(0, int(oversample) - 1)
     levels = _radial_bumps(_radial_count(kmax), skip + max_bumps + 1)
@@ -417,18 +398,13 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
 
 
 def _validate(table):
-    modes = lattice_modes(table.bound, table.dimension)
-    idx = tuple((modes + table.bound).T)
-    mags = np.sqrt(table.abs2()[idx])
-    if np.any(mags == 0.0):
-        raise KernelError("degenerate kernel: a symbol magnitude vanished")
-    d = table.dimension
-    ratio = mags / np.linalg.norm(modes, axis=1)
-    bound = math.sqrt(2.0) * d * (1.0 + 1e-9)
-    if float(np.max(ratio)) > bound:
-        raise KernelError(
-            f"symbol bound violated: max |lambda|/|xi| = {float(np.max(ratio))!r}"
-        )
+    """KernelError unless 0 < |lambda| <= sqrt(2) d |xi| at every mode, NaN failing both."""
+    rep = verify_bounds(table)
+    if not rep["min_abs"] > 0.0:
+        raise KernelError(f"degenerate kernel: min |lambda| = {rep['min_abs']!r}")
+    bound = math.sqrt(2.0) * table.dimension * (1.0 + 1e-9)
+    if not rep["max_ratio"] <= bound:
+        raise KernelError(f"symbol bound violated: max |lambda|/|xi| = {rep['max_ratio']!r}")
 
 
 def local_table(dimension, bound):
@@ -441,66 +417,18 @@ def local_table(dimension, bound):
     return SymbolTable(None, None, bound, lam, rad, 0.0, is_local=True)
 
 
-def _settled_full_ball(kernel, k, odd, tol, what):
-    """_full_ball at one magnitude k >= 0, settled over a ladder of 4 nr levels."""
+def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL):
+    """Radial symbol factor Lambda_delta(k) for a single magnitude k >= 0.
+
+    The sphere's area times R_1 (_radial_orders), settled over a ladder of
+    4 radial counts.
+    """
     if k == 0.0:
         return 0.0
-    return quad.settle(lambda n: float(_full_ball(kernel, [k], n, odd)[0]),
+    area = SPHERE_AREA[kernel.dimension]
+    return quad.settle(lambda nr: float(area * _radial_orders(kernel, [k], nr, 1)[1, 0]),
                        _radial_bumps(_radial_count(kernel.horizon * k), 4),
-                       tol, f"{what} at k={k}")
-
-
-def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL):
-    """Radial symbol factor Lambda_delta(k) for a single magnitude k >= 0."""
-    return _settled_full_ball(kernel, k, True, tol, "Lambda quadrature")
-
-
-def mass_factor(kernel, k, tol=quad.DEFAULT_TOL):
-    """Full-ball factor m_delta(k) <= 0 multiplying the drift direction."""
-    return _settled_full_ball(kernel, k, False, tol, "mass-factor quadrature")
-
-
-def star_symbol(kernel, kvec, xi, tol=quad.DEFAULT_TOL):
-    """Symbol of the drift-stabilized radial gradient.
-
-    mu(xi) = i Lambda(|xi|) xi/|xi| + m(|xi|) kvec: the first term is the
-    radially symmetric (full ball, orientation-free) gradient, the second the
-    orientation-dependent stabilization along the constant vector kvec.
-    """
-    xi = np.asarray(xi, dtype=float)
-    k = float(np.linalg.norm(xi))
-    if k == 0.0:
-        raise ValueError("star symbol undefined at xi = 0")
-    kvec = np.asarray(kvec, dtype=float)
-    mu = 1j * lambda_radial(kernel, k, tol) * xi / k
-    if np.any(kvec != 0.0):
-        mu = mu + mass_factor(kernel, k, tol) * kvec
-    return mu
-
-
-def star_table(kernel, kvec, bound, tol=quad.DEFAULT_TOL):
-    """Dense lattice table of the star symbol, for operator application."""
-    d = kernel.dimension
-    modes = lattice_modes(bound, d)
-    q2 = np.sum(modes**2, axis=1)
-    q2_unique, q2_index = np.unique(q2, return_inverse=True)
-    ks = np.sqrt(q2_unique.astype(float))
-    nr = _radial_count(kernel.horizon * float(np.max(ks)))
-    coarse, fine = (_SPHERE_AREA[d] * _radial_orders(kernel, ks, n, 1)
-                    for n in (nr, _bump_radial(nr)))
-    mvals, lam_rad = fine
-    err = float(np.max(np.abs(fine - coarse)))
-    # not settle(): both errors are scaled by max|Lambda| alone, tighter than
-    # settle's scale over both parts wherever max|m| exceeds max|Lambda|
-    if err > tol * max(float(np.max(np.abs(lam_rad))), 1e-300):
-        raise QuadratureConvergenceError("star-symbol quadrature did not settle")
-    kvec = np.asarray(kvec, dtype=float)
-    table = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
-    table[tuple((modes + bound).T)] = (
-        (1j * lam_rad[q2_index])[:, None] * modes / np.sqrt(q2)[:, None]
-        + mvals[q2_index][:, None] * kvec
-    )
-    return table
+                       tol, f"Lambda quadrature at k={k}")
 
 
 def verify_bounds(table):
@@ -543,13 +471,14 @@ def save_table(table, path):
 def load_table(path):
     """Read a cache written by save_table, all or nothing.
 
-    Raises ValueError unless the header is complete and well formed, the body
-    is the mode lines and then the L lines, each of its own width and ended
-    by a newline, as save_table writes them, and every nonzero lattice mode
-    and the radial factor of every |xi|^2 of the lattice are listed exactly
-    once; KernelError if a loaded symbol fails the table validation.  The
-    body is parsed in one pass: one token list, with ";" closing each line,
-    and one float conversion of the mode tokens.
+    Raises ValueError unless the header is complete and well formed, with a
+    positive finite tol, the body is the mode lines and then the L lines,
+    each of its own width and ended by a newline, as save_table writes them,
+    and every nonzero lattice mode and the finite radial factor of every
+    |xi|^2 of the lattice are listed exactly once; KernelError if a loaded
+    symbol fails the table validation, as a NaN does.  The body is parsed in
+    one pass: one token list, with ";" closing each line, and one float
+    conversion of the mode tokens.
     """
     with open(path) as fh:
         header = next((ln for ln in fh if ln.strip()), "")
@@ -568,6 +497,8 @@ def load_table(path):
         tol = float(fields["tol"])
         if bound < 1 or orientation.dimension != d:
             raise ValueError(f"N={bound} and n={fields['n']} do not fit d={d}")
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tol={fields['tol']} is not a positive finite number")
     except (KeyError, ValueError) as exc:
         raise ValueError(f"symbol cache {path} has a malformed header") from exc
     toks = text.replace("\n", " ; ").split()
@@ -584,6 +515,8 @@ def load_table(path):
     try:
         body = np.array(rows, dtype=float).reshape(n_rows, 3 * d)
         rad = {int(q): float(v) for q, v in zip(radial[1::4], radial[2::4])}
+        if not all(map(math.isfinite, rad.values())):
+            raise ValueError("a radial factor is not finite")
     except ValueError as exc:
         raise ValueError(f"symbol cache {path} has a malformed line") from exc
     modes = body[:, :d].astype(int)

@@ -5,12 +5,16 @@ half-ball of an orientation by a rule that shares nothing with the polar
 product rules of ``nlspectral.quadrature`` (``refinement_errors`` excepted:
 it reports that module's own refinement ladder).  ``full_ball_quadrature``
 integrates the full-ball factors by an angular product rule, the reference
-for the closed Bessel form of ``symbols._full_ball``.  ``re_lambda_cos_sum``
-is Re lambda as the direct cosine sum over a half-ball product rule
-(``half_rule``, the half-circle rule in 2D and the hemisphere rule in 3D):
-the reference for the closed angular form of ``symbols._re_lambda``.
+for their closed Bessel form, the sphere's area times the radial sums of
+``symbols._radial_orders``.  ``re_lambda_cos_sum`` is Re lambda as the
+direct cosine sum over a half-ball product rule (``half_rule``, the
+half-circle rule in 2D and the hemisphere rule in 3D): the reference for
+the closed angular form of ``symbols._re_lambda``.
 ``symbol_projector`` and ``leray_matrix`` are the per-mode projectors as dense
 d x d matrices, the reference for the unit-symbol form of ``nlspectral.solvers``.
+``affine_gradient_oracle`` is the half-ball quadrature of the gradient of an
+affine map, the consistency check; ``evaluate_at`` sums a field's modes at
+arbitrary points, the per-point reference of the 1D bond energy.
 """
 
 import math
@@ -19,6 +23,7 @@ import numpy as np
 
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
+from nlspectral.fields import lattice_grid
 from nlspectral.kernels import eval_kernel
 
 
@@ -73,7 +78,7 @@ def monte_carlo_halfball(kernel, orientation, f, samples=200_000, seed=0):
 def full_ball_quadrature(kernel, ks, nr, na, odd):
     """Full-ball factors Lambda (``odd``) or m at ks by angular quadrature.
 
-    The radial rule of ``symbols._full_ball`` at nr nodes times na
+    The radial rule of ``symbols._radial_orders`` at nr nodes times na
     Gauss-Legendre angles: in 2D four quarter-disk integrals over (0, pi/2),
     in 3D the polar integral of the sphere over (0, pi) with weight
     sin(phi), the azimuth integrated out.  One sine or cosine per
@@ -166,3 +171,33 @@ def symbol_projector(table):
 def leray_matrix(table):
     """Dense per-mode Leray projector I - Pi."""
     return np.eye(table.dimension) - symbol_projector(table)
+
+
+def affine_gradient_oracle(kernel, orientation, matrix, tol=quad.DEFAULT_TOL):
+    """Direct quadrature of the gradient of u(x) = A x + b (any x, by translation).
+
+    Returns the constant matrix produced by the integral; consistency demands
+    it equal A^T (gradient indexed as (derivative, component)).
+    """
+    A = np.asarray(matrix, dtype=float)
+
+    def f(r, dirs):
+        # s (x) (A s)/|s| = r dir (x) (A dir)
+        au = dirs @ A.T
+        return 2.0 * r[:, None, None] * dirs[:, :, None] * au[:, None, :]
+
+    flat = quad.integrate_halfball(
+        kernel, orientation, lambda r, u: f(r, u).reshape(len(r), -1), tol=tol
+    )
+    d = kernel.dimension
+    return flat.reshape(d, d)
+
+
+def evaluate_at(field, points):
+    """Direct mode summation at arbitrary points, shape (..., d) -> (..., comp)."""
+    pts = np.asarray(points, dtype=float)
+    modes = lattice_grid(field.bound, field.dimension).reshape(field.dimension, -1)
+    flat = field.coeffs.reshape((modes.shape[1],) + field.component_shape)
+    phase = np.exp(1j * np.tensordot(pts, modes, axes=(-1, 0)))
+    vals = np.tensordot(phase, flat, axes=(-1, 0))
+    return vals.real if field.real else vals

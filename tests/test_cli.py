@@ -417,12 +417,32 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     runs += ["stokes-evolve", write_cfg(tmp_path, evolve, "stokes.json"),
              "navier-evolve", write_cfg(tmp_path, dict(evolve, lame=[1.0, 1.0]), "navier.json")]
     assert sorted(set(runs[::2])) == sorted(RUNNERS)
+    done = _fresh_interpreter(_WITHOUT_SCIPY, str(tmp_path / "out"), *runs)
+    assert done.returncode == 0, done.stderr
+
+
+_STAR_IMPORT = """
+from nlspectral import *
+import nlspectral
+missing = [name for name in nlspectral.__all__ if name not in globals()]
+assert not missing and len(set(nlspectral.__all__)) == len(nlspectral.__all__), missing
+"""
+
+
+def test_star_import_resolves_every_public_name():
+    # the star import itself raises AttributeError for a name of __all__
+    # that the package no longer defines
+    done = _fresh_interpreter(_STAR_IMPORT)
+    assert done.returncode == 0, done.stderr
+
+
+def _fresh_interpreter(code, *args):
+    """Run ``code`` in a new Python that imports this checkout's nlspectral."""
     src = os.path.dirname(os.path.dirname(nlspectral.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out"), *runs],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("preset, command", [("crit01_symbol_bounds.json", "symbols"),

@@ -8,33 +8,7 @@ from nlspectral import fields as fl
 from nlspectral import normalize
 from nlspectral.symbols import Orientation, build_table, lattice_modes
 
-
-def test_forward_transform_cosine():
-    g = fl.grid_points(32, 2)
-    field, mean = fl.forward_transform(np.cos(g[0]), 4)
-    assert field.at((1, 0)) == pytest.approx(0.5, abs=1e-14)
-    assert field.at((-1, 0)) == pytest.approx(0.5, abs=1e-14)
-    assert abs(field.at((2, 1))) < 1e-14
-    assert abs(mean) < 1e-14
-
-
-def test_forward_transform_constant_reports_mean():
-    field, mean = fl.forward_transform(np.ones((16, 16)), 4)
-    assert mean == pytest.approx(1.0, abs=1e-14)
-    assert fl.l2_norm(field) == 0.0
-
-
-def test_forward_transform_grid_too_small():
-    with pytest.raises(ValueError):
-        fl.forward_transform(np.ones((8, 8)), 4)
-
-
-def test_round_trip_white_noise(rng):
-    samples = rng.standard_normal((33, 33))
-    field, mean = fl.forward_transform(samples, 16)
-    back = fl.evaluate(field, 33) + mean.real
-    # band-limited projection is exact on a 33-point grid at N = 16
-    np.testing.assert_allclose(back, samples, atol=1e-12)
+import oracles
 
 
 def test_parseval_against_grid_quadrature():
@@ -56,7 +30,9 @@ def test_single_mode_norms():
 
 def test_s_norm_bounded_by_h1(table2):
     u = fl.random_field(15, 8, 1.0, components=2)
-    assert fl.s_norm(u, table2) <= 2.0 * math.sqrt(2.0) * fl.h1_seminorm(u) * (1 + 1e-12)
+    k2 = np.sum(fl.lattice_grid(8, 2) ** 2, axis=0)
+    h1 = math.sqrt(float(np.sum(k2[..., None] * np.abs(u.coeffs) ** 2)))
+    assert fl.s_norm(u, table2) <= 2.0 * math.sqrt(2.0) * h1 * (1 + 1e-12)
 
 
 def test_norms_requires_table():
@@ -187,15 +163,8 @@ def test_evaluate_at_matches_grid():
     u = fl.random_field(13, 5, 1.0)
     x = fl.grid_points(16, 2)
     pts = np.stack([x[0].ravel(), x[1].ravel()], axis=1)
-    direct = fl.evaluate_at(u, pts).reshape(16, 16)
+    direct = oracles.evaluate_at(u, pts).reshape(16, 16)
     np.testing.assert_allclose(direct, fl.evaluate(u, 16), atol=1e-12)
-
-
-def test_v_norm_through_norms(table2):
-    u = fl.random_field(17, 8, 2.0, components=2)
-    out = fl.norms(u, table2, lame=(1.0, 1.0))
-    assert out["v"] >= out["l2"]
-    assert set(out) == {"l2", "s", "v"}
 
 
 def test_field_csv_snapshot(tmp_path):
@@ -205,13 +174,3 @@ def test_field_csv_snapshot(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "xi1,xi2,re1,im1,re2,im2"
     assert len(lines) == 26  # 5^2 modes + header
-
-
-def test_forward_transform_vector_samples():
-    g = fl.grid_points(32, 2)
-    samples = np.stack([np.cos(g[0]), np.sin(g[1])], axis=-1)
-    field, mean = fl.forward_transform(samples, 4, dimension=2)
-    assert field.component_shape == (2,)
-    np.testing.assert_allclose(field.at((1, 0)), [0.5, 0.0], atol=1e-14)
-    np.testing.assert_allclose(field.at((0, 1)), [0.0, -0.5j], atol=1e-14)
-    np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-14)

@@ -9,6 +9,8 @@ from nlspectral import onedim as od
 from nlspectral import operators as ops
 from nlspectral import quadrature as quad
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def rho_constant():
@@ -322,14 +324,12 @@ def test_block_rho_budget_split_changes_nothing(monkeypatch, chunk):
 
 def _bond_energy_unblocked(rho, u, grid=512):
     """bond_energy by direct mode summation at every (x, x + a) (per-point reference)."""
-    from nlspectral.fields import evaluate_at
-
     if grid < 4 * u.bound + 2:
         grid = 4 * u.bound + 2
     x = -np.pi + 2.0 * np.pi * np.arange(grid) / grid
     a, wa = rho.nodes, rho.weights
-    ux = evaluate_at(u, x[:, None])
-    uxa = evaluate_at(u, (x[:, None] + a[None, :])[..., None])
+    ux = oracles.evaluate_at(u, x[:, None])
+    uxa = oracles.evaluate_at(u, (x[:, None] + a[None, :])[..., None])
     diff2 = np.abs(uxa - ux[:, None]) ** 2
     return 2.0 * float(np.sum(wa * np.mean(diff2, axis=0)))
 

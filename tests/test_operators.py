@@ -8,6 +8,8 @@ from nlspectral import symbols as sym
 from nlspectral.onedim import rho_from_kernel
 from nlspectral.symbols import Orientation, SymbolTable, build_table, local_table
 
+import oracles
+
 
 def neg_table(tab):
     """Table of the reflected orientation, built from the reflection relation."""
@@ -53,14 +55,14 @@ def test_gradient_oracle_agreement(const2, table2):
 
 
 def test_affine_consistency_identity(const2):
-    out = ops.affine_gradient_oracle(const2, np.array([1.0, 0.0]), np.eye(2))
+    out = oracles.affine_gradient_oracle(const2, np.array([1.0, 0.0]), np.eye(2))
     np.testing.assert_allclose(out, np.eye(2), atol=1e-10)
 
 
 def test_affine_consistency_general(const3, rng):
     A = rng.standard_normal((3, 3))
     n = np.array([0.0, 1.0, 0.0])
-    out = ops.affine_gradient_oracle(const3, n, A)
+    out = oracles.affine_gradient_oracle(const3, n, A)
     np.testing.assert_allclose(out, A.T, atol=1e-9)
 
 
@@ -153,17 +155,6 @@ def test_strain_on_doubly_orthogonal_mode(table3):
     assert frob2 == pytest.approx(expected, rel=1e-12)
 
 
-def test_star_gradient_matches_two_sided_average():
-    # with zero drift the star gradient is the orientation average
-    # (G^n + G^{-n})/2
-    k = normalize("constant", 2, horizon=0.1)
-    tab = build_table(k, Orientation.from_angle(0.7), 4)
-    u = fl.random_field(45, 4, 1.0)
-    star = ops.star_gradient(k, np.zeros(2), u)
-    avg = 0.5 * (ops.gradient(tab, u) + ops.gradient(neg_table(tab), u))
-    np.testing.assert_allclose(star.coeffs, avg.coeffs, atol=1e-10)
-
-
 def test_averaging_symbol_unit_at_zero():
     eta = ops.AveragingWindow(0.05)
     assert ops.averaging_symbol(eta, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-15)
@@ -178,22 +169,6 @@ def test_averaging_rejects_bad_mass():
 
     with pytest.raises(ValueError):
         ops.averaging_symbol(Bad(), np.array([1.0]))
-
-
-def test_double_laplacian_factorizes():
-    k = normalize("constant", 1, horizon=0.2)
-    gamma = rho_from_kernel(k, mesh_size=128)
-    eta = ops.AveragingWindow(0.05)
-    u = fl.random_field(46, 16, 1.0, dimension=1)
-    xi = np.arange(-16, 17, dtype=float)
-    both = ops.double_laplacian_1d(gamma, eta, u)
-    via_bond = u.multiply_modes(ops.bond_symbol(gamma, xi))
-    via_avg = ops.averaging_1d(eta, via_bond)
-    np.testing.assert_allclose(both.coeffs, via_avg.coeffs, atol=1e-12)
-    # commuted order
-    via_avg_first = u.multiply_modes(ops.averaging_symbol(eta, xi))
-    other = via_avg_first.multiply_modes(ops.bond_symbol(gamma, xi))
-    np.testing.assert_allclose(both.coeffs, other.coeffs, atol=1e-12)
 
 
 def test_truncation_mismatch_rejected(table2):

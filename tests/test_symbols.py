@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from nlspectral import epsilon_cutoff, normalize
+from nlspectral import fields as fl
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
+from nlspectral.kernels import SPHERE_AREA
 
 import oracles
 
@@ -17,6 +19,20 @@ LAMBDA_CONST_K1 = 0.99925022317812043164
 LAMBDA_CONST_K5 = 4.9069447261532647035
 RE_LAMBDA_34_ANGLE03 = (-0.51213875850697885, -0.5491363567549441)
 LAMBDA_FRAC15_K5 = 4.933477915085754464
+
+
+def _positive_half(bound, d):
+    """The lexicographically positive half of the nonzero lattice cube."""
+    modes = sym.lattice_modes(bound, d)
+    return modes[fl.positive_half(modes.T)]
+
+
+def _full_ball(kernel, ks, nr, odd):
+    """Lambda (``odd``) or m at the magnitudes ks: the sphere's area times R_1 or R_0.
+
+    R_0 is also the l = 0 radial sum of Re lambda.
+    """
+    return SPHERE_AREA[kernel.dimension] * sym._radial_orders(kernel, ks, nr, 1)[1 if odd else 0]
 
 
 def test_lambda_radial_against_reference():
@@ -186,30 +202,6 @@ def test_lambda_radial_3d_closed_polar_form():
         assert sym.lambda_radial(k, freq) == pytest.approx(ref, rel=1e-9)
 
 
-def test_star_symbol_pure_imaginary_without_drift():
-    k = normalize("constant", 2, horizon=0.1)
-    mu = sym.star_symbol(k, np.zeros(2), (3, 4))
-    assert np.max(np.abs(mu.real)) == 0.0
-    lam_rad = sym.lambda_radial(k, 5.0)
-    np.testing.assert_allclose(mu, 1j * lam_rad * np.array([0.6, 0.8]), atol=1e-12)
-
-
-def test_mass_factor_negative_on_lattice():
-    k = normalize("constant", 2, horizon=0.1)
-    for freq in (1.0, 2.0, 5.0, 13.0, 45.0):
-        assert sym.mass_factor(k, freq) < 0.0
-
-
-def test_mass_factor_first_order_in_delta():
-    deltas = [0.2, 0.1, 0.05, 0.025]
-    vals = []
-    for d in deltas:
-        k = normalize("constant", 2, horizon=d)
-        vals.append(abs(sym.mass_factor(k, 1.0)))
-    slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
-    assert slope == pytest.approx(1.0, abs=0.05)
-
-
 def test_orientation_validation():
     with pytest.raises(ValueError):
         sym.Orientation(np.array([1.0, 1.0]))
@@ -343,6 +335,21 @@ def _header_short_orientation(lines):
     return [" ".join(hdr) + "\n"] + lines[1:]
 
 
+def _nan_symbol_cell(lines):
+    # a NaN cell used to load, and verify_bounds then reported min_abs = nan
+    toks = lines[1].split()
+    return lines[:1] + [" ".join(toks[:2] + ["nan"] + toks[3:]) + "\n"] + lines[2:]
+
+
+def _nan_radial_value(lines):
+    return lines[:-1] + [" ".join(lines[-1].split()[:2] + ["nan"]) + "\n"]
+
+
+def _header_nan_tol(lines):
+    hdr = [tok if not tok.startswith("tol=") else "tol=nan" for tok in lines[0].split()]
+    return [" ".join(hdr) + "\n"] + lines[1:]
+
+
 @pytest.mark.parametrize("corrupt", [_cut_to_100_lines, _duplicate_a_mode,
                                      _mode_outside_bound, _cut_mid_line,
                                      _move_a_token_to_the_next_line, _non_integer_mode, _drop_a_radial_line,
@@ -350,7 +357,8 @@ def _header_short_orientation(lines):
                                      _empty_file, _header_only, _header_without_tol,
                                      _header_without_beta, _header_bad_dimension,
                                      _header_token_without_value, _header_zero_bound,
-                                     _header_short_orientation])
+                                     _header_short_orientation, _nan_symbol_cell,
+                                     _nan_radial_value, _header_nan_tol])
 def test_corrupt_cache_rejected(tmp_path, table2, corrupt):
     path = tmp_path / "cache.txt"
     sym.save_table(table2, path)
@@ -449,12 +457,12 @@ def _assert_re_lambda_matches_cos_sum(kernel, n, bound, modes=None):
     frame = quad.frame_matrix(n)
     kmax = kernel.horizon * math.sqrt(d) * bound
     if modes is None:
-        modes = sym._positive_half(sym.lattice_modes(bound, d))
+        modes = _positive_half(bound, d)
     nr, na = oracles.half_ball_node_counts(kernel, kmax)
     got = sym._re_lambda(kernel, modes, n)(nr)[0]
     ref = oracles.re_lambda_cos_sum(kernel, modes, frame, nr, na)
     ks = np.linalg.norm(modes, axis=1)
-    lam_rad = sym._full_ball(kernel, ks, nr, odd=True)
+    lam_rad = _full_ball(kernel, ks, nr, True)
     scale = float(np.max(np.sqrt(np.sum(ref**2, axis=1) + lam_rad**2)))
     _, vr, _, va = oracles.half_rule(kernel, nr, na)
     floor = 2.0 * np.finfo(float).eps * float(np.sum(vr)) * float(np.sum(va))
@@ -480,7 +488,7 @@ def test_re_lambda_factorization_matches_cos_sum(family, beta, d, n, bound):
 def _assert_large_arguments_match_cos_sum(family, beta, d, delta, bound):
     # the corners of the cube and 150 random modes of the positive half
     kernel = normalize(family, d, beta=beta, horizon=delta)
-    half = sym._positive_half(sym.lattice_modes(bound, d))
+    half = _positive_half(bound, d)
     pick = np.random.default_rng(bound).choice(len(half), 150, replace=False)
     corners = np.array([(bound,) + c for c in product((-bound, bound), repeat=d - 1)])
     n = np.array([0.48, -0.6, 0.64]) if d == 3 else np.array([0.6, -0.8])
@@ -583,14 +591,14 @@ def _assert_orders_past_truncation_change_nothing(monkeypatch, d, delta, bound):
     # sixteen more orders than _orders picks move Re lambda by a few eps
     # max|lambda| at most: the dropped tail is below rounding
     kernel = normalize("constant", d, horizon=delta)
-    modes = sym._positive_half(sym.lattice_modes(bound, d))
+    modes = _positive_half(bound, d)
     n = np.array([0.48, -0.6, 0.64]) if d == 3 else np.array([0.6, -0.8])
     nr = sym._radial_count(delta * math.sqrt(d) * bound)
     got = sym._re_lambda(kernel, modes, n)(nr)[0]
     orders = sym._orders
     monkeypatch.setattr(sym, "_orders", lambda x, d: orders(x, d) + 16)
     more = sym._re_lambda(kernel, modes, n)(nr)[0]
-    lam_rad = sym._full_ball(kernel, np.linalg.norm(modes, axis=1), nr, odd=True)
+    lam_rad = _full_ball(kernel, np.linalg.norm(modes, axis=1), nr, True)
     scale = float(np.max(np.sqrt(np.sum(got**2, axis=1) + lam_rad**2)))
     assert np.max(np.abs(more - got)) <= 4 * np.finfo(float).eps * scale
 
@@ -667,7 +675,7 @@ def _assert_full_ball_matches_quadrature(kernel, ks, nr, odd):
     which exceeds 1e-12 max|m| only where k_max delta is small.
     """
     na = 64 + int(4 * kernel.horizon * float(np.max(ks)))
-    got = sym._full_ball(kernel, ks, nr, odd)
+    got = _full_ball(kernel, ks, nr, odd)
     ref = oracles.full_ball_quadrature(kernel, ks, nr, na, odd)
     atol = 1e-12 * float(np.max(np.abs(ref)))
     if not odd:
@@ -688,9 +696,9 @@ def test_full_ball_chunks_match_unchunked(monkeypatch, odd, d, na, chunk):
     ks = np.sqrt(np.arange(1, 1500, dtype=float))
     default = sym._CHUNK
     monkeypatch.setattr(sym, "_CHUNK", 40 * len(ks))
-    whole = sym._full_ball(kernel, ks, 40, odd)
+    whole = _full_ball(kernel, ks, 40, odd)
     monkeypatch.setattr(sym, "_CHUNK", default if chunk is None else chunk)
-    np.testing.assert_array_equal(sym._full_ball(kernel, ks, 40, odd), whole)
+    np.testing.assert_array_equal(_full_ball(kernel, ks, 40, odd), whole)
     ref = oracles.full_ball_quadrature(kernel, ks, 40, na if d == 2 else na[0], odd)
     np.testing.assert_allclose(whole, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
