@@ -167,8 +167,8 @@ def normalize(family, dimension, horizon=1.0, beta=None, values=None, mesh=None)
     """
     if dimension not in (1, 2, 3):
         raise KernelError(f"dimension must be 1, 2 or 3, got {dimension}")
-    if horizon <= 0.0:
-        raise KernelError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise KernelError(f"horizon must be a positive finite number, got {horizon!r}")
     if family not in FAMILIES:
         raise KernelError(f"unknown kernel family {family!r}")
 

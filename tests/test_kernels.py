@@ -72,6 +72,12 @@ def test_rejects_bad_beta():
         normalize("fractional", 2, beta=2.0)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -0.1, float("nan"), float("inf")])
+def test_rejects_a_horizon_that_is_not_positive_and_finite(horizon):
+    with pytest.raises(KernelError):
+        normalize("constant", 2, horizon=horizon)
+
+
 def test_rejects_negative_tabulated_values():
     with pytest.raises(KernelError):
         normalize("tabulated", 2, values=[1.0, -0.5, 0.2])

@@ -345,6 +345,11 @@ def _nan_radial_value(lines):
     return lines[:-1] + [" ".join(lines[-1].split()[:2] + ["nan"]) + "\n"]
 
 
+def _header_nan_delta(lines):
+    hdr = [tok if not tok.startswith("delta=") else "delta=nan" for tok in lines[0].split()]
+    return [" ".join(hdr) + "\n"] + lines[1:]
+
+
 def _header_nan_tol(lines):
     hdr = [tok if not tok.startswith("tol=") else "tol=nan" for tok in lines[0].split()]
     return [" ".join(hdr) + "\n"] + lines[1:]
@@ -358,7 +363,7 @@ def _header_nan_tol(lines):
                                      _header_without_beta, _header_bad_dimension,
                                      _header_token_without_value, _header_zero_bound,
                                      _header_short_orientation, _nan_symbol_cell,
-                                     _nan_radial_value, _header_nan_tol])
+                                     _nan_radial_value, _header_nan_tol, _header_nan_delta])
 def test_corrupt_cache_rejected(tmp_path, table2, corrupt):
     path = tmp_path / "cache.txt"
     sym.save_table(table2, path)
