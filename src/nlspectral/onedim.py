@@ -25,14 +25,13 @@ from . import quadrature as quad
 from .errors import KernelError
 from .kernels import FRACTIONAL, epsilon_cutoff, eval_kernel
 from .results import write_text
-from .symbols import _CHUNK
 
 # The clamp defect of the bond-kernel mass is the squared first moment of
 # the clamped kernel, 1 - beta eps^(2-beta) + O(eps^2), so the ladder must
 # descend to ~5e-7 for the mass to land within 1e-6 of one at beta = 1.
 DEFAULT_EPS_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 5e-7)
 MESH_SIZE = 2048
-_NODES = 32   # Gauss-Legendre nodes per panel of the cross term
+_NODES = 16   # Gauss-Legendre nodes per panel of the cross term (see _cross_integral)
 
 
 def graded_mesh(delta, size=MESH_SIZE):
@@ -108,6 +107,17 @@ def _cross_integral(kernel, a, edges):
 
     Zero-width panels (padding) get zero weight; the nodes and weights of
     the others are those of ``quad.gl_panels`` on the row.
+
+    16 nodes put the Gauss error below rounding.  Breakpoints and clamp
+    edges are panel edges of ``_edge_matrix``, so inside a panel the
+    factors are entire or polynomial for the smooth profiles, and for a
+    clamped power profile singular only at b = 0 and b = -a (w(b) is
+    constant on the first panel, which ends at or below the clamp radius).
+    Each panel [lo, hi] past the first is a doubling panel of a clamp
+    ladder or a piece of one, so hi - lo <= lo, and both points lie at
+    least one panel width left of lo: at t <= -3 in the panel's unit
+    coordinate, whose Bernstein ellipse has parameter 3 + sqrt(8) = 5.83.
+    The 16-point Gauss error is then about 5.83^-32 = 3e-25 relative.
     """
     x, w = quad.legendre(_NODES)
     lo, hi = edges[:, :-1, None], edges[:, 1:, None]
@@ -129,8 +139,9 @@ def _rho_pointwise(kernel, a_values, wmass):
     ``wmass`` is ``_kernel_mass(kernel)``, settled once per kernel by the
     caller.  The cross term is evaluated in blocks of abscissae: rows with
     the same number of panel edges share one (rows, panels, nodes) array, of
-    at most _CHUNK entries.  Abscissae at or beyond the horizon have no
-    cross term.
+    at most ``quad._BLOCK`` entries, so that its temporaries stay in cache
+    and are not returned to the system after each block.  Abscissae at or
+    beyond the horizon have no cross term.
     """
     delta = kernel.horizon
     kp = 2.0 * a_values * a_values * eval_kernel(kernel, a_values) * wmass
@@ -142,7 +153,7 @@ def _rho_pointwise(kernel, a_values, wmass):
         edges, counts = _edge_matrix(kernel, a, delta - a)
         for c in np.unique(counts):
             rows = np.flatnonzero(counts == c)
-            step = max(1, _CHUNK // ((c - 1) * _NODES))
+            step = max(1, quad._BLOCK // ((c - 1) * _NODES))
             for r in (rows[i:i + step] for i in range(0, len(rows), step)):
                 cross[r] = _cross_integral(kernel, a[r], edges[r, :c])
     hp[live] = -2.0 * a * a * cross
@@ -262,12 +273,13 @@ def bond_energy(rho, u, grid=512):
     band-limited integrands).  u(x+a) is a separable phase sum: with
     exp(ik(x+a)) = exp(ikx) exp(ika), the real and imaginary parts of
     exp(ikx) uhat_k (per mode and x) and of exp(ika) (per mode and bond node)
-    are tabulated once, and each block of at most _CHUNK (part, x, a) entries
-    accumulates u(x+a) mode by mode in real arithmetic.  Every entry is
-    summed in the same order whatever the blocks, so the value does not
-    depend on _CHUNK; a BLAS matmul's per-entry rounding changes with the
-    block width.  The result is comparable with one_sided_energy, both in
-    coefficient normalization.  No Fourier symbol enters this path.
+    are tabulated once, and each block of at most ``quad._BLOCK`` (part, x, a)
+    entries, a cache-sized budget, accumulates u(x+a) mode by mode in real
+    arithmetic.  Every entry is summed in the same order whatever the
+    blocks, so the value does not depend on the budget; a BLAS matmul's
+    per-entry rounding changes with the block width.  The result is
+    comparable with one_sided_energy, both in coefficient normalization.
+    No Fourier symbol enters this path.
     """
     if grid < 4 * u.bound + 2:
         grid = 4 * u.bound + 2
@@ -287,7 +299,7 @@ def bond_energy(rho, u, grid=512):
     x_mean = np.empty(len(a))
     # even blocks, so none holds a single node (at least 4 per block): the
     # x-mean of one column is summed pairwise, of wider blocks row by row
-    count = -(-len(a) // max(4, _CHUNK // len(ux)))
+    count = -(-len(a) // max(4, quad._BLOCK // len(ux)))
     bounds = [i * len(a) // count for i in range(count + 1)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         uxa = np.zeros((len(ux), hi - lo))

@@ -13,7 +13,6 @@ import numpy as np
 from . import quadrature as quad
 from .fields import SpectralField
 from .errors import KernelError
-from .symbols import _CHUNK
 
 
 def _check(table, field, components=None):
@@ -127,7 +126,7 @@ def double_symbol_direct(gamma, eta, xi):
     Integrates the four-point combination cos(xi(y+r)) - 1 - cos(xi r) +
     cos(xi y) over the product of the two windows; used as the independent
     side of the factorization check.  The frequencies go in blocks of at
-    most _CHUNK (xi, y, r) entries.
+    most ``quad._BLOCK`` (xi, y, r) entries, a cache-sized budget.
     """
     x, w = quad.legendre(96)
     r = 0.5 * eta.epsilon * (x + 1.0)
@@ -136,7 +135,7 @@ def double_symbol_direct(gamma, eta, xi):
     xi = np.asarray(xi, dtype=float)
     flat = xi.reshape(-1)
     out = np.empty(len(flat))
-    step = max(1, _CHUNK // (len(y) * len(r)))
+    step = max(1, quad._BLOCK // (len(y) * len(r)))
     for lo in range(0, len(flat), step):
         ky = np.multiply.outer(flat[lo:lo + step], y)[:, :, None]
         kr = np.multiply.outer(flat[lo:lo + step], r)[:, None, :]
@@ -150,6 +149,26 @@ def double_symbol_direct(gamma, eta, xi):
 # physical-space oracle (direct quadrature of the defining integral)
 # ---------------------------------------------------------------------------
 
+def _oracle(kernel, orientation, u_callable, points, sign, panels, n_radial, n_angular):
+    """2 sign sum_k w_k (u(x + sign s_k) - u(x)) . dirs_k at each row of points.
+
+    The points go in blocks of at most ``quad._BLOCK`` (point, offset,
+    axis) entries, a cache-sized budget; each block is contracted with one
+    matmul against 2 w dirs.
+    """
+    rule = quad.halfball_rule(kernel, panels, n_radial, n_angular)
+    r, dirs, w = quad.rule_points(rule, kernel, orientation)
+    pts = np.asarray(points, dtype=float)
+    offsets = sign * r[:, None] * dirs
+    wdirs = 2.0 * sign * w[:, None] * dirs
+    step = max(1, quad._BLOCK // offsets.size)
+    blocks = []
+    for p in (pts[lo:lo + step] for lo in range(0, len(pts), step)):
+        du = u_callable(p[:, None, :] + offsets) - u_callable(p)[:, None]
+        blocks.append(np.tensordot(du, wdirs, du.ndim - 1))
+    return np.concatenate(blocks)
+
+
 def gradient_oracle(kernel, orientation, u_callable, points, panels=1,
                     n_radial=32, n_angular=48):
     """Evaluate the nonlocal gradient of a scalar function by direct quadrature.
@@ -158,13 +177,7 @@ def gradient_oracle(kernel, orientation, u_callable, points, panels=1,
     with u given analytically (periodic extension included by the caller's
     formula).  This path never forms Fourier symbols.
     """
-    rule = quad.halfball_rule(kernel, panels, n_radial, n_angular)
-    r, dirs, w = quad.rule_points(rule, kernel, orientation)
-    pts = np.asarray(points, dtype=float)
-    offsets = r[:, None] * dirs
-    shifted = pts[:, None, :] + offsets[None, :, :]
-    du = u_callable(shifted) - u_callable(pts)[:, None]
-    return 2.0 * np.einsum("k,pk,kc->pc", w, du, dirs)
+    return _oracle(kernel, orientation, u_callable, points, 1.0, panels, n_radial, n_angular)
 
 
 def divergence_oracle(kernel, orientation, u_callable, points, panels=1,
@@ -174,10 +187,4 @@ def divergence_oracle(kernel, orientation, u_callable, points, panels=1,
     2 int w_delta(|s|) (s/|s|) . (u(x) - u(x - s)) ds at each row of
     ``points``; the companion of gradient_oracle for vector fields.
     """
-    rule = quad.halfball_rule(kernel, panels, n_radial, n_angular)
-    r, dirs, w = quad.rule_points(rule, kernel, orientation)
-    pts = np.asarray(points, dtype=float)
-    offsets = r[:, None] * dirs
-    shifted = pts[:, None, :] - offsets[None, :, :]
-    du = u_callable(pts)[:, None, :] - u_callable(shifted)
-    return 2.0 * np.einsum("k,pkc,kc->p", w, du, dirs)
+    return _oracle(kernel, orientation, u_callable, points, -1.0, panels, n_radial, n_angular)

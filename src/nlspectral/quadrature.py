@@ -34,6 +34,11 @@ from .kernels import FRACTIONAL
 
 DEFAULT_TOL = 1e-10
 _TINY = 1e-300
+# Entries per float64 temporary (256 KiB) in the blocked loops of onedim and
+# operators.  The allocator maps a multi-megabyte block afresh and unmaps or
+# trims it on free, so every block of that size faults its pages in again;
+# blocks of this size are reused from the heap and stay in cache.
+_BLOCK = 32_768
 
 
 # ---------------------------------------------------------------------------

@@ -433,15 +433,17 @@ def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL):
 
 def verify_bounds(table):
     """Lattice extremes of the symbol magnitude, for coercivity reports."""
-    modes = lattice_modes(table.bound, table.dimension)
-    idx = tuple((modes + table.bound).T)
-    mags = np.sqrt(table.abs2()[idx])
-    ratio = mags / np.linalg.norm(modes, axis=1)
+    n, shape = table.bound, table.lam.shape[:-1]
+    centre = math.prod(shape) // 2  # the zero mode; the flat cube without it is lattice_modes
+    k2 = np.arange(-n, n + 1) ** 2
+    mags = np.sqrt(np.delete(table.abs2().ravel(), centre))
+    ratio = mags / np.sqrt(np.delete(sum(np.ix_(*[k2] * len(shape))).ravel(), centre))
+    i = int(np.argmin(mags))
     return {
-        "min_abs": float(np.min(mags)),
+        "min_abs": float(mags[i]),
         "max_abs": float(np.max(mags)),
         "max_ratio": float(np.max(ratio)),
-        "argmin": tuple(int(c) for c in modes[int(np.argmin(mags))]),
+        "argmin": tuple(int(c) - n for c in np.unravel_index(i + (i >= centre), shape)),
     }
 
 

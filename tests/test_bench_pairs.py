@@ -16,9 +16,9 @@ _SPEC.loader.exec_module(bench_pairs)
 BETTER = {"wall_s": "lower", "pass_frac": "higher"}
 
 
-def _run(wall, frac=1.0, cal=0.02):
+def _run(wall, frac=1.0, cal=0.02, minflt=0):
     return {"metrics": {"wall_s": wall, "pass_frac": frac}, "calibration_s": cal,
-            "correct": frac == 1.0}
+            "correct": frac == 1.0, "minflt": minflt}
 
 
 def test_parse_run_reads_the_three_tagged_lines():
@@ -90,3 +90,29 @@ def test_commit_names_a_clean_tree_and_refuses_a_dirty_one(tmp_path):
     (tmp_path / "a.txt").write_text("two\n")
     with pytest.raises(SystemExit, match="uncommitted"):
         bench_pairs._commit(tmp_path)
+
+
+def test_summarize_medians_the_page_faults():
+    faults = {"parent": [900, 100, 500, 700], "change": [40, 10, 30, 20]}
+    pairs = [{s: _run(1.0, minflt=faults[s][i]) for s in ("parent", "change")}
+             for i in range(4)]
+    assert bench_pairs.summarize(pairs, BETTER)["minflt"] == {"parent": 600.0, "change": 25.0}
+
+
+def test_run_one_counts_the_faults_of_its_child(tmp_path, monkeypatch):
+    # a stand-in run.py that touches 16 MiB of fresh pages, then prints the
+    # three tagged lines: its faults must show in the run's minflt
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    result = {"correct": True, "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}
+    (bench / "run.py").write_text(
+        "import json\n"
+        "pages = bytearray(16 << 20)\n"
+        "for i in range(0, len(pages), 4096):\n"
+        "    pages[i] = 1\n"
+        "print('env ' + json.dumps({'src_lines': 1}))\n"
+        "print('calibration_s ' + json.dumps({'before': [1.0], 'after': [1.0]}))\n"
+        f"print({json.dumps(json.dumps(result))})\n")
+    run = bench_pairs.run_one(tmp_path, "any", 0)
+    assert run["metrics"] == {"wall_s": 0.5}
+    assert run["minflt"] >= (16 << 20) // 4096

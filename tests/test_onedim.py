@@ -215,7 +215,7 @@ def _rho_pointwise_loop(kernel, a_values, wmass):
             hp[i] = 0.0
             rho[i] = kp[i]
             continue
-        b, wb = quad.gl_panels(_cross_edges_loop(kernel, a, top), 32)
+        b, wb = quad.gl_panels(_cross_edges_loop(kernel, a, top), od._NODES)
         cross = float(np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a + b)))
         hp[i] = -2.0 * a * a * cross
         rho[i] = kp[i] + hp[i]
@@ -317,9 +317,71 @@ def test_block_rho_budget_split_changes_nothing(monkeypatch, chunk):
     a = od.graded_mesh(1.0, 200)
     wmass = od._kernel_mass(kernel)
     whole = od._rho_pointwise(kernel, a, wmass)
-    monkeypatch.setattr(od, "_CHUNK", chunk)
+    monkeypatch.setattr(quad, "_BLOCK", chunk)
     for g, w in zip(od._rho_pointwise(kernel, a, wmass), whole):
         np.testing.assert_array_equal(g, w)
+
+
+def _cross_rounding_floor(kernel, a, nodes):
+    """Rounding floor of the h-part of _rho_pointwise at ``nodes`` per panel.
+
+    The cross term sums n = panels * nodes terms t = wb w(b) w(a+b), with
+    unit roundoff e = 2^-53.  numpy sums a row pairwise in 8-way unrolled
+    blocks of 128, so the sum is off by at most (log2 n + 18) e sum |t|.
+    The products wb w w, the half width, 2 a a and each kernel's r/delta,
+    profile and 1/delta^2 add at most 12 e |t| more; 30 covers both with
+    room.  A node b = mid + half x is off by at most 3 e hi (hi the panel's
+    right end) and a + b by e (a + b) more, which moves each factor by that
+    much times its slope; the slope comes from a backward difference, which
+    never looks past the horizon.  Times the leading 2 a^2:
+
+        floor = 2 a^2 e sum wb ((log2 n + 30) |w(b) w(a+b)|
+                                + 3 hi |w'(b)| |w(a+b)| + |w(b)| (a + b + 3 hi) |w'(a+b)|).
+    """
+    delta = kernel.horizon
+    floor = np.zeros_like(a)
+    live = np.flatnonzero(delta - a > 0.0)
+    edges, counts = od._edge_matrix(kernel, a[live], delta - a[live])
+    x, w = quad.legendre(nodes)
+    lo, hi = edges[:, :-1, None], edges[:, 1:, None]
+    b = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+    wb = 0.5 * (hi - lo) * w
+    ab = a[live, None, None] + b
+
+    def slope(s):
+        return np.abs(eval_kernel(kernel, s) - eval_kernel(kernel, s * (1.0 - 1e-7))) / (1e-7 * s)
+
+    wb_, wab = np.abs(eval_kernel(kernel, b)), np.abs(eval_kernel(kernel, ab))
+    log_n = np.log2((counts - 1) * nodes)[:, None, None]
+    terms = wb * ((log_n + 30.0) * wb_ * wab + 3.0 * hi * slope(b) * wab
+                  + wb_ * (ab + 3.0 * hi) * slope(ab))
+    floor[live] = 2.0 * a[live] ** 2 * 2.0**-53 * np.sum(terms, axis=(1, 2))
+    return floor
+
+
+@pytest.mark.parametrize("family, beta, eps",
+                         [(f, None, 1e-3) for f in ("constant", "sine", "tabulated")]
+                         + [("fractional", b, e) for b in (1.0, 1.4, 1.9)
+                            for e in od.DEFAULT_EPS_SEQUENCE])
+def test_rho_nodes_at_the_rounding_floor(monkeypatch, family, beta, eps):
+    # rho at _NODES against a 96-node rule on the same panels: apart from
+    # the two rules' rounding (the cross-term floors, and one rounding of
+    # kp + hp on each side) they agree, the Gauss error being ~3e-25
+    if family == "tabulated":
+        kernel = _tabulated()
+    elif family == "fractional":
+        kernel = epsilon_cutoff(normalize(family, 1, beta=beta), eps)
+    else:
+        kernel = normalize(family, 1, horizon=0.6)
+    a = np.concatenate([od.graded_mesh(kernel.horizon, 64),
+                        _special_abscissae(kernel.horizon, eps)])
+    wmass = od._kernel_mass(kernel)
+    got = od._rho_pointwise(kernel, a, wmass)[0]
+    floor = _cross_rounding_floor(kernel, a, od._NODES)
+    monkeypatch.setattr(od, "_NODES", 96)
+    ref, kp, hp = od._rho_pointwise(kernel, a, wmass)
+    floor += _cross_rounding_floor(kernel, a, 96) + 2.0**-52 * (np.abs(kp) + np.abs(hp))
+    assert np.all(np.abs(got - ref) <= floor)
 
 
 def _bond_energy_unblocked(rho, u, grid=512):
@@ -379,10 +441,10 @@ def _bond_nodes(rho, count):
 
 def _assert_bond_energy(monkeypatch, rho, u, chunks):
     """Every block split gives the one-block value, within the floor of the reference."""
-    monkeypatch.setattr(od, "_CHUNK", 10**12)
+    monkeypatch.setattr(quad, "_BLOCK", 10**12)
     whole = od.bond_energy(rho, u)
     for chunk in chunks:
-        monkeypatch.setattr(od, "_CHUNK", chunk)
+        monkeypatch.setattr(quad, "_BLOCK", chunk)
         assert od.bond_energy(rho, u) == whole
     assert abs(whole - _bond_energy_unblocked(rho, u)) <= _bond_energy_floor(rho, u)
 
@@ -394,7 +456,7 @@ def test_bond_energy_blocks_match_unblocked(monkeypatch, rho_constant, chunk, no
     # some node counts; the other two make blocks of 45 and 63 nodes
     u = _bond_field(4, True)
     _assert_bond_energy(monkeypatch, _bond_nodes(rho_constant, nodes), u,
-                        [od._CHUNK if chunk is None else chunk])
+                        [quad._BLOCK if chunk is None else chunk])
 
 
 @pytest.mark.parametrize("field", ["complex", "wide"])
@@ -407,7 +469,7 @@ def test_bond_energy_complex_and_wide_fields(monkeypatch, rho_constant, field, n
     rows = 2 * max(512, 4 * bound + 2)   # Re u and Im u at each x
     # blocks of 4, 5 and 7 nodes, then the default chunk
     _assert_bond_energy(monkeypatch, _bond_nodes(rho_constant, nodes), _bond_field(bound, False),
-                        [1, rows * 5, rows * 7 + 3, od._CHUNK])
+                        [1, rows * 5, rows * 7 + 3, quad._BLOCK])
 
 
 @settings(max_examples=20, deadline=None)
@@ -415,7 +477,7 @@ def test_bond_energy_complex_and_wide_fields(monkeypatch, rho_constant, field, n
 def test_bond_energy_property(rho_constant, bound, real, nodes):
     with pytest.MonkeyPatch.context() as mp:
         _assert_bond_energy(mp, _bond_nodes(rho_constant, nodes), _bond_field(bound, real),
-                            [1, od._CHUNK])
+                            [1, quad._BLOCK])
 
 
 def test_rho_value_vanishes_beyond_the_support():

@@ -4,6 +4,7 @@ import pytest
 from nlspectral import fields as fl
 from nlspectral import normalize
 from nlspectral import operators as ops
+from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
 from nlspectral.onedim import rho_from_kernel
 from nlspectral.symbols import Orientation, SymbolTable, build_table, local_table
@@ -195,6 +196,51 @@ def test_divergence_oracle_agreement(const2, table2):
     assert np.linalg.norm(direct - spec) / np.linalg.norm(direct) <= 1e-4
 
 
+def _oracle_unblocked(kernel, n, u_callable, pts, sign, rule):
+    """Both oracles with every (point, offset) pair held at once (reference).
+
+    Returns the einsum contraction and the sums of |2 w du dirs| that bound
+    its rounding, per point and output component.
+    """
+    r, dirs, w = quad.rule_points(quad.halfball_rule(kernel, 1, *rule), kernel, n)
+    du = sign * (u_callable(pts[:, None, :] + sign * r[:, None] * dirs)
+                 - u_callable(pts)[:, None])
+    if du.ndim == 2:
+        return (2.0 * np.einsum("k,pk,kc->pc", w, du, dirs),
+                2.0 * np.einsum("k,pk,kc->pc", np.abs(w), np.abs(du), np.abs(dirs)))
+    return (2.0 * np.einsum("k,pkc,kc->p", w, du, dirs),
+            2.0 * np.einsum("k,pkc,kc->p", np.abs(w), np.abs(du), np.abs(dirs)))
+
+
+@pytest.mark.parametrize("oracle", ["gradient", "divergence"])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_oracle_blocks_match_unblocked(monkeypatch, oracle, dimension, rng):
+    # 37 points in blocks of 1, 5 and 8 (neither divides 37) and in one
+    # block.  The differences u(x +- s) - u(x) carry the same bits in every
+    # block (u is entry-wise), so only the contraction's rounding differs:
+    # a sum of m = K (gradient) or K d (divergence) products 2 w du dirs
+    # with at most two roundings each is off by at most (m + 2) e sum |.|
+    # on each side, e = 2^-53.
+    kernel = normalize("constant", dimension, horizon=0.3)
+    n = rng.standard_normal(dimension)
+    n /= np.linalg.norm(n)
+    rule = (6, 10) if dimension == 2 else (6, (4, 8))
+    pts = rng.uniform(-np.pi, np.pi, (37, dimension))
+    coef = np.arange(1.0, dimension + 1.0)
+    if oracle == "gradient":
+        u, call, sign = (lambda X: np.sin(X[..., 0] + X[..., -1] * 2.0)), ops.gradient_oracle, 1.0
+    else:
+        u, call, sign = (lambda X: np.cos(X * coef)), ops.divergence_oracle, -1.0
+    ref, mag = _oracle_unblocked(kernel, n, u, pts, sign, rule)
+    size = quad.rule_points(quad.halfball_rule(kernel, 1, *rule), kernel, n)[1].size
+    m = size if oracle == "divergence" else size // dimension
+    for block in [1, size * 5 + 7, size * 8, 10**9]:
+        monkeypatch.setattr(quad, "_BLOCK", block)
+        got = call(kernel, n, u, pts, n_radial=rule[0], n_angular=rule[1])
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 2.0 * (m + 2) * 2.0**-53 * mag)
+
+
 def test_adjoint_identity_3d(table3):
     for seed in range(5):
         v = fl.random_field(300 + seed, 6, 1.0, dimension=3)
@@ -206,8 +252,6 @@ def test_adjoint_identity_3d(table3):
 
 def _double_symbol_unblocked(gamma, eta, xi):
     """double_symbol_direct with the whole (xi, y, r) tensor held at once."""
-    from nlspectral import quadrature as quad
-
     x, w = quad.legendre(96)
     r = 0.5 * eta.epsilon * (x + 1.0)
     wr = 0.5 * eta.epsilon * w * eta.profile(r)
@@ -231,7 +275,7 @@ def test_double_symbol_blocks_match_unblocked(monkeypatch, chunk, shape):
     eta = ops.AveragingWindow(0.05)
     xi = np.arange(1.0, 21.0).reshape(shape)
     if chunk is not None:
-        monkeypatch.setattr(ops, "_CHUNK", chunk)
+        monkeypatch.setattr(quad, "_BLOCK", chunk)
     got = ops.double_symbol_direct(gamma, eta, xi)
     assert got.shape == shape
     np.testing.assert_array_equal(got, _double_symbol_unblocked(gamma, eta, xi))

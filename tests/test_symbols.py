@@ -91,6 +91,35 @@ def test_upper_bound_d2(table2):
     assert rep["min_abs"] > 0.0
 
 
+def _bounds_gathered(table):
+    """verify_bounds through the modes of lattice_modes, gathered (reference)."""
+    modes = sym.lattice_modes(table.bound, table.dimension)
+    mags = np.sqrt(table.abs2()[tuple((modes + table.bound).T)])
+    ratio = mags / np.linalg.norm(modes, axis=1)
+    return {"min_abs": float(np.min(mags)), "max_abs": float(np.max(mags)),
+            "max_ratio": float(np.max(ratio)),
+            "argmin": tuple(int(c) for c in modes[int(np.argmin(mags))])}
+
+
+def test_verify_bounds_matches_the_gathered_modes(table2, table3):
+    # local_table(2, 3) ties its least magnitude over the four unit modes;
+    # the first in lattice order is the one reported
+    assert sym.verify_bounds(sym.local_table(2, 3)) == {
+        "min_abs": 1.0, "max_abs": math.sqrt(18.0), "max_ratio": 1.0, "argmin": (-1, 0)}
+    # the least magnitude right after the zero mode in lattice order, (0, 1)
+    local = sym.local_table(2, 3)
+    lam = local.lam.copy()
+    lam[3, 4] *= 0.5
+    after_zero = sym.SymbolTable(None, None, 3, lam, local.lambda_radial_map, 0.0,
+                                 is_local=True)
+    assert sym.verify_bounds(after_zero)["argmin"] == (0, 1)
+    tables = [table2, table3, sym.local_table(3, 2), sym.local_table(2, 1), after_zero,
+              sym.build_table(normalize("fractional", 2, beta=1.5, horizon=0.3),
+                              sym.Orientation.from_angle(-0.4), 5)]
+    for tab in tables:
+        assert sym.verify_bounds(tab) == _bounds_gathered(tab)
+
+
 def test_floor_stable_between_deltas():
     # frozen from the first trusted run: the N=8 lattice floor for the
     # constant kernel sits at ~0.9994 for both horizons

@@ -18,13 +18,16 @@ which it is better than its parent, by the metric's direction in
 ``BENCHMARK.json``), the median difference and whether it exceeds the
 parent's interquartile range.  Beside them: each side's median
 calibration time (the fixed loop ``run.py`` times before and after every
-run, to tell a slower machine from slower code), ``src_lines``, the
-versions ``run.py`` reports, and every run's raw metrics.
+run, to tell a slower machine from slower code), each side's median count
+of minor page faults per run process (``minflt``, from the
+``RUSAGE_CHILDREN`` totals around the run), ``src_lines``, the versions
+``run.py`` reports, and every run's raw metrics and fault count.
 """
 
 import argparse
 import json
 from pathlib import Path
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,11 +52,14 @@ def parse_run(stdout):
 
 
 def run_one(checkout, workload, seed):
+    """One ``run.py`` process, parsed, with its minor page faults as ``minflt``."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return parse_run(out.stdout)
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    return {**parse_run(out.stdout), "minflt": minflt}
 
 
 def _spread(values):
@@ -87,6 +93,7 @@ def summarize(pairs, better):
         }
     out["calibration_s"] = {
         s: statistics.median(p[s]["calibration_s"] for p in pairs) for s in SIDES}
+    out["minflt"] = {s: statistics.median(p[s]["minflt"] for p in pairs) for s in SIDES}
     out["correct"] = {s: all(p[s]["correct"] for p in pairs) for s in SIDES}
     return out
 
@@ -127,7 +134,7 @@ def main(argv=None):
                 print(f"{workload} pair {i} {side}: {pair[side]['metrics']}", file=sys.stderr)
             pairs.append(pair)
         summary = summarize(pairs, better)
-        summary["runs"] = [{s: {"metrics": p[s]["metrics"], "calibration_s": p[s]["calibration_s"]}
+        summary["runs"] = [{s: {k: p[s][k] for k in ("metrics", "calibration_s", "minflt")}
                             for s in SIDES} for p in pairs]
         report["workloads"][workload] = summary
         env = {s: pairs[0][s]["env"] for s in SIDES}
