@@ -351,10 +351,10 @@ def _cross_rounding_floor(kernel, a, nodes):
     def slope(s):
         return np.abs(eval_kernel(kernel, s) - eval_kernel(kernel, s * (1.0 - 1e-7))) / (1e-7 * s)
 
-    wb_, wab = np.abs(eval_kernel(kernel, b)), np.abs(eval_kernel(kernel, ab))
+    kb, kab = np.abs(eval_kernel(kernel, b)), np.abs(eval_kernel(kernel, ab))
     log_n = np.log2((counts - 1) * nodes)[:, None, None]
-    terms = wb * ((log_n + 30.0) * wb_ * wab + 3.0 * hi * slope(b) * wab
-                  + wb_ * (ab + 3.0 * hi) * slope(ab))
+    terms = wb * ((log_n + 30.0) * kb * kab + 3.0 * hi * slope(b) * kab
+                  + kb * (ab + 3.0 * hi) * slope(ab))
     floor[live] = 2.0 * a[live] ** 2 * 2.0**-53 * np.sum(terms, axis=(1, 2))
     return floor
 
