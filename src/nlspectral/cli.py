@@ -23,6 +23,7 @@ from . import __version__
 from .errors import ConfigError, KernelError, QuadratureConvergenceError
 from .experiments import RUNNERS, passed
 from .results import config_hash, write_csv, write_summary
+from .symbols import clear_radial_cache
 
 ENV_PREFIX = "NLSPECTRAL_"
 
@@ -97,7 +98,12 @@ def _apply_overrides(cfg, args):
 
 
 def run_command(command, cfg, out_dir):
-    """Execute one experiment and write its artifacts; returns the exit code."""
+    """Execute one experiment and write its artifacts; returns the exit code.
+
+    The run starts with an empty radial cache (symbols), so that its tables
+    owe nothing to an earlier run in the same process.
+    """
+    clear_radial_cache()
     runner = RUNNERS[command]
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):

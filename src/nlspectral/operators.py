@@ -126,7 +126,9 @@ def double_symbol_direct(gamma, eta, xi):
     Integrates the four-point combination cos(xi(y+r)) - 1 - cos(xi r) +
     cos(xi y) over the product of the two windows; used as the independent
     side of the factorization check.  The frequencies go in blocks of at
-    most ``quad._BLOCK`` (xi, y, r) entries, a cache-sized budget.
+    most ``quad._BLOCK`` (xi, y, r) entries, a cache-sized budget; one
+    frequency is the least block.  Every block is formed in the same two
+    slab buffers, allocated once, so no block maps fresh memory.
     """
     x, w = quad.legendre(96)
     r = 0.5 * eta.epsilon * (x + 1.0)
@@ -136,11 +138,19 @@ def double_symbol_direct(gamma, eta, xi):
     flat = xi.reshape(-1)
     out = np.empty(len(flat))
     step = max(1, quad._BLOCK // (len(y) * len(r)))
+    slab = np.empty((2, min(step, len(flat)), len(y), len(r)))
     for lo in range(0, len(flat), step):
         ky = np.multiply.outer(flat[lo:lo + step], y)[:, :, None]
         kr = np.multiply.outer(flat[lo:lo + step], r)[:, None, :]
-        # two-sided in both variables via even symmetry of the windows
-        four = np.cos(ky + kr) + np.cos(ky - kr) - 2.0 - 2.0 * np.cos(kr) + 2.0 * np.cos(ky)
+        four, minus = slab[:, :len(ky)]
+        # two-sided in both variables via even symmetry of the windows:
+        # cos(ky + kr) + cos(ky - kr) - 2 - 2 cos(kr) + 2 cos(ky), in place
+        np.cos(np.add(ky, kr, out=four), out=four)
+        np.cos(np.subtract(ky, kr, out=minus), out=minus)
+        four += minus
+        four -= 2.0
+        four -= 2.0 * np.cos(kr)
+        four += 2.0 * np.cos(ky)
         out[lo:lo + step] = 2.0 * np.einsum("kyr,y,r->k", four, wy, wr)
     return out.reshape(xi.shape)
 

@@ -21,11 +21,22 @@ radial rule, and every Bessel value comes from one downward recurrence
 
 Conjugate symmetry lambda(-xi) = conj(lambda(xi)) halves the lattice and
 holds exactly as computed.
+
+Only the zonal factors and the direction xi^ depend on the orientation, so
+the radial sums R_l of one kernel serve every orientation.  _re_lambda takes
+them from a small LRU cache, keyed by every field of the kernel (tabulated
+profiles by the bytes of their tables), the bytes of the distinct |xi|, the
+radial count nr and the order L; each level of a refinement ladder is its own
+entry, so settle still compares two computed levels.  The cache holds at
+most _RADIAL_CACHE_SIZE = 8 read-only arrays, is thread-safe, and is emptied
+by clear_radial_cache, which the CLI calls at the start of every run.
 """
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 import math
+import threading
 
 import numpy as np
 
@@ -37,6 +48,11 @@ from .results import mode_rows, write_text
 
 UNIT_TOL = 1e-14
 _CHUNK = 500_000  # max (l, k, r) entries per block in _radial_orders
+# one ladder of max_bumps + 1 = 4 radial levels for each of two kernels,
+# which is what a 2-thread pool building two kernels at once interleaves
+_RADIAL_CACHE_SIZE = 8
+_radial_cache = OrderedDict()
+_radial_lock = threading.Lock()
 
 
 def _finite_vector(v):
@@ -291,6 +307,41 @@ def _radial_orders(kernel, ks, nr, lmax):
     return out
 
 
+def clear_radial_cache():
+    """Empty the cache of radial sums that _re_lambda shares across orientations."""
+    with _radial_lock:
+        _radial_cache.clear()
+
+
+def _kernel_key(kernel):
+    """Every field of the kernel, hashable: arrays as their dtype and bytes."""
+    return tuple((v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else v
+                 for v in (getattr(kernel, f.name) for f in fields(kernel)))
+
+
+def _cached_radial_orders(key, kernel, ks, nr, lmax):
+    """_radial_orders(kernel, ks, nr, lmax) as a read-only array, from the LRU cache.
+
+    ``key`` names kernel and ks (_re_lambda); lmax and nr complete it.  The
+    sums are computed outside the lock, so two threads may both compute a
+    missing entry; they get the same bits, and the first one stored is kept.
+    """
+    key += (lmax, nr)
+    with _radial_lock:
+        rad = _radial_cache.get(key)
+        if rad is not None:
+            _radial_cache.move_to_end(key)
+            return rad
+    rad = _radial_orders(kernel, ks, nr, lmax)
+    rad.setflags(write=False)
+    with _radial_lock:
+        rad = _radial_cache.setdefault(key, rad)
+        _radial_cache.move_to_end(key)
+        while len(_radial_cache) > _RADIAL_CACHE_SIZE:
+            _radial_cache.popitem(last=False)
+    return rad
+
+
 def _re_lambda(kernel, modes, n):
     """Re lambda at the nonzero integer modes (Q, d) for the unit orientation n.
 
@@ -313,9 +364,11 @@ def _re_lambda(kernel, modes, n):
       across it, with P_l^1(c) = -sqrt(1 - c^2) P_l'(c) and
       int_0^1 (1 - t^2) P_l' dt/(l(l + 1)), which is a_l again.
     Lambda is R_1 times the sphere's area (lambda_radial).  The polynomial
-    factors are computed here, once; each call sums R_l over the radial
-    rule at nr nodes.  Z_l(-c) = Z_l(c) and Z_l'(-c) = -Z_l'(c) hold bit
-    for bit at even l, so the orientation -n gives exactly -Re lambda.
+    factors are computed here, once; each call takes R_l at nr radial nodes
+    from the radial cache (module docstring), which other orientations of
+    the same kernel and lattice share.  Z_l(-c) = Z_l(c) and Z_l'(-c) =
+    -Z_l'(c) hold bit for bit at even l, so the orientation -n gives exactly
+    -Re lambda.
     """
     d = kernel.dimension
     modes = np.asarray(modes)
@@ -328,9 +381,10 @@ def _re_lambda(kernel, modes, n):
     p, dp = _zonal(lmax, c, d)
     weights = _half_ball_weights(lmax, d)[:, None]
     along, across = weights * p[::2], weights * dp[::2]
+    key = (_kernel_key(kernel), ks.tobytes())
 
     def evaluate(nr):
-        rad = _radial_orders(kernel, ks, nr, max(lmax, 1))
+        rad = _cached_radial_orders(key, kernel, ks, nr, max(lmax, 1))
         even = rad[:lmax + 1:2][:, q2_index]
         re = (np.sum(even * along, axis=0)[:, None] * n
               + np.sum(even * across, axis=0)[:, None] * lateral)

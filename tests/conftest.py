@@ -4,13 +4,33 @@ from hypothesis import settings
 import numpy as np
 import pytest
 
-from nlspectral import normalize
-from nlspectral.symbols import Orientation, build_table
+from nlspectral import normalize, symbols
+from nlspectral.symbols import Orientation, build_table, clear_radial_cache
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
 # blob that replays a failure; without it the properties draw afresh
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def _cold_radial_cache():
+    """Each test starts with an empty radial cache, whichever tests ran before."""
+    clear_radial_cache()
+
+
+@pytest.fixture()
+def radial_passes(monkeypatch):
+    """The radial count nr of every radial pass (_radial_orders) the test runs."""
+    passes = []
+    real = symbols._radial_orders
+
+    def spy(kernel, ks, nr, lmax):
+        passes.append(nr)
+        return real(kernel, ks, nr, lmax)
+
+    monkeypatch.setattr(symbols, "_radial_orders", spy)
+    return passes
 
 
 @pytest.fixture(scope="session")

@@ -467,3 +467,13 @@ def test_helmholtz_orientation_vector_far_from_unit_scale(tmp_path, vector):
     payload["case3d"]["orientation"]["vector"] = vector
     cfg = write_cfg(tmp_path, payload)
     assert cli.main(["helmholtz", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_each_cli_run_starts_with_a_cold_radial_cache(tmp_path, radial_passes):
+    # the second run of the same config computes its radial sums again
+    cfg = write_cfg(tmp_path, SMALL_STOKES)
+    counts = []
+    for run in ("first", "second"):
+        assert cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        counts.append(len(radial_passes))
+    assert counts[0] >= 2 and counts[1] == 2 * counts[0]

@@ -768,3 +768,138 @@ def test_full_ball_closed_form_property(d, family, beta, delta, bound):
     nr = sym._radial_count(kernel.horizon * float(np.max(ks)))
     for odd in (True, False):
         _assert_full_ball_matches_quadrature(kernel, ks, nr, odd)
+
+
+# ---------------------------------------------------------------------------
+# the radial cache that orientations of one kernel share
+# ---------------------------------------------------------------------------
+
+def _unit(d):
+    return np.array([0.6, -0.8]) if d == 2 else np.array([0.48, -0.6, 0.64])
+
+
+def _one_ulp_more_at(values, i):
+    values = values.copy()
+    values[i] = np.nextafter(values[i], np.inf)
+    return values
+
+
+_M2 = [[1, 0], [1, 1], [2, 1], [0, 3]]
+_M3 = [[1, 0, 0], [1, 1, 0], [2, 1, 0], [0, 3, 0]]     # the |xi| of _M2
+
+
+def _cache_pair(case):
+    """Two (kernel, modes) that differ in one field of the kernel or in the lattice."""
+    frac = normalize("fractional", 2, beta=1.5, horizon=0.1)
+    tab = normalize("tabulated", 2, horizon=0.1, values=[3.0, 2.0, 1.0, 0.5])
+    return {
+        "clamped": ((frac, _M2), (epsilon_cutoff(frac, 0.01), _M2)),
+        "normalization": ((frac, _M2), (dataclasses.replace(frac, normalization=2.0), _M2)),
+        "tabulated value": ((tab, _M2),
+                            (dataclasses.replace(tab, table_w=_one_ulp_more_at(tab.table_w, 2)),
+                             _M2)),
+        "dimension": ((normalize("constant", 2, horizon=0.1), _M2),
+                      (normalize("constant", 3, horizon=0.1), _M3)),
+        "bound": ((frac, sym.lattice_modes(4, 2)), (frac, sym.lattice_modes(5, 2))),
+        # one more |xi| below the largest, so the order L is the same
+        "lattice": ((frac, _M2), (frac, _M2 + [[2, 0]])),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["clamped", "normalization", "tabulated value", "dimension",
+                                  "bound", "lattice"])
+def test_radial_cache_keeps_kernels_apart(case):
+    # the second evaluation gets its own entry and the bits of a cold cache
+    (ka, ma), (kb, mb) = _cache_pair(case)
+    sym._re_lambda(ka, np.array(ma), _unit(ka.dimension))(30)
+    warm = sym._re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
+    assert len(sym._radial_cache) == 2
+    sym.clear_radial_cache()
+    cold = sym._re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
+    for w, c in zip(warm, cold):
+        np.testing.assert_array_equal(w, c)
+
+
+def test_radial_cache_entries_are_read_only(const2):
+    sym._re_lambda(const2, np.array(_M2), _unit(2))(30)
+    (rad,) = sym._radial_cache.values()
+    assert not rad.flags.writeable
+    with pytest.raises(ValueError):
+        rad[0, 0] = 1.0
+
+
+def test_orientation_sweep_computes_each_level_once(radial_passes, const2):
+    sym.build_table(const2, sym.Orientation.from_angle(0.3), 16)
+    first = list(radial_passes)
+    for j in range(1, 8):
+        sym.build_table(const2, sym.Orientation.from_angle(0.3 + j * math.pi / 4), 16)
+    assert len(first) >= 2 and len(set(first)) == len(first)
+    assert radial_passes == first
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_warm_build_matches_cold_build(d):
+    kernel = normalize("fractional", d, beta=1.5, horizon=0.2)
+    ori = sym.Orientation.from_vector(_unit(d))
+    sym.build_table(kernel, sym.Orientation.from_vector(-_unit(d)[::-1]), 6)
+    warm = sym.build_table(kernel, ori, 6)
+    sym.clear_radial_cache()
+    cold = sym.build_table(kernel, ori, 6)
+    np.testing.assert_array_equal(warm.lam, cold.lam)
+    assert warm.lambda_radial_map == cold.lambda_radial_map
+
+
+def test_pooled_builds_match_serial_builds():
+    # two kernels, four orientations each, interleaved over a 2-thread pool
+    from nlspectral.experiments import _pmap
+
+    kernels = [normalize("constant", 2, horizon=0.1),
+               normalize("fractional", 2, beta=1.5, horizon=0.1)]
+    jobs = [(k, 0.2 + j * math.pi / 4) for j in range(4) for k in kernels]
+
+    def build(job):
+        return sym.build_table(job[0], sym.Orientation.from_angle(job[1]), 16)
+
+    pooled = _pmap(build, jobs, 2)
+    sym.clear_radial_cache()
+    serial = [build(job) for job in jobs]
+    for p, s in zip(pooled, serial):
+        np.testing.assert_array_equal(p.lam, s.lam)
+
+
+def test_radial_cache_is_bounded_and_drops_the_oldest(const2):
+    evaluate = sym._re_lambda(const2, np.array(_M2), _unit(2))
+    for nr in range(20, 20 + sym._RADIAL_CACHE_SIZE + 1):
+        evaluate(nr)
+    assert len(sym._radial_cache) == sym._RADIAL_CACHE_SIZE == 8
+    assert sorted(key[-1] for key in sym._radial_cache) == list(range(21, 29))
+
+
+def test_radial_cache_under_contention():
+    # six threads on a 1 us switch interval share twelve keys, more than the
+    # cache holds: every result keeps the bits of a serial evaluation, and
+    # the cache ends within its bound
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    kernels = [normalize("constant", 2, horizon=0.1),
+               normalize("fractional", 2, beta=1.5, horizon=0.1)]
+    jobs = [(i, nr) for i in range(2) for nr in range(20, 26)] * 8
+
+    def evaluate(job):
+        return sym._re_lambda(kernels[job[0]], np.array(_M2), _unit(2))(job[1])
+
+    want = {job: evaluate(job) for job in set(jobs)}
+    sym.clear_radial_cache()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(evaluate, job) for job in jobs]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for job, parts in zip(jobs, got):
+        for g, w in zip(parts, want[job]):
+            np.testing.assert_array_equal(g, w)
+    assert len(sym._radial_cache) <= sym._RADIAL_CACHE_SIZE
