@@ -100,7 +100,14 @@ _finite = _value(_real, "a finite number", float)
 _positive = _value(lambda v: _real(v) and v > 0.0, "a positive number", float)
 _bound = _whole(2, "a whole number of at least 2 (the lattice bound)")
 _count = _whole(1, "a whole number of at least 1")
-_pairs = _list(_list(_finite, 2))
+
+
+def _lame(value, where):
+    mu, lam = _list(_finite, 2)(value, where)
+    if not (mu > 0.0 and lam + 2.0 * mu > 0.0):
+        raise ConfigError(f"{where} must be a Lame pair [mu, lambda] with mu > 0 and "
+                          f"lambda + 2 mu > 0, got {value!r}")
+    return [mu, lam]
 
 
 def _deltas(value, where):
@@ -149,7 +156,8 @@ def _kernel(dimension=None, swept=False):
 
 def _tolerances(**extra):
     whole = _value(lambda v: _real(v) and float(v).is_integer(), "a whole number")
-    return (_block({"quad.tol": (_positive, 1e-10), "quad.panels": (whole, 1), **extra}), {})
+    below_one = _value(lambda v: _real(v) and 0.0 < v < 1.0, "a number in (0, 1)", float)
+    return (_block({"quad.tol": (below_one, 1e-10), "quad.panels": (whole, 1), **extra}), {})
 
 
 def _one(dimension=None, swept=False, bound=8):
@@ -164,7 +172,7 @@ def _sweep(**extra):
             "decay": (_positive, 3.0), **extra}
 
 
-_LAME = (_list(_finite, 2), [1.0, 1.0])
+_LAME = (_lame, [1.0, 1.0])
 
 _COMMON = {"experiment": (_text, None), "threads": (_whole(), 1), "seed": (_whole(), 2024),
            "tolerances": _tolerances()}
@@ -186,11 +194,12 @@ SCHEMAS = {
                 "checks": (_list(_one_of("vector_identity", "curl_of_gradient", "consistency",
                                          "friedrichs")), ["consistency", "friedrichs"]),
                 "tolerances": _tolerances(residual=(_positive, 1e-10))},
-    "navier": {**_one(), "lame_pairs": (_pairs, [[1.0, 1.0], [1.0, -1.5]])},
+    "navier": {**_one(), "lame_pairs": (_list(_lame), [[1.0, 1.0], [1.0, -1.5]])},
     "oracle": {**_one(2), "pairs": (_count, 50), "grid": (_count, 64)},
     "energy-1d": {"checks": (_list(_one_of("rho", "double")), ["rho"]), "delta": (_positive, 1.0),
                   "mesh": (_count, onedim.MESH_SIZE), "export_rho": (_flag, False),
-                  "pairs": (_pairs, [[0.2, 0.05], [0.1, 0.1]]), "ximax": (_count, 64),
+                  "pairs": (_list(_list(_positive, 2)), [[0.2, 0.05], [0.1, 0.1]]),
+                  "ximax": (_count, 64),
                   "tolerances": (_block({}), {})},
 }
 
@@ -557,6 +566,8 @@ def run_navier(cfg, out_dir=None):
 
 def run_oracle(cfg, out_dir=None):
     c, summary = _start(cfg, "oracle")
+    if c["grid"] < 2 * c["bound"] + 1:  # the sampled fields hold |xi|_inf <= bound
+        raise ConfigError(f"config.grid must be at least 2 bound + 1, got {c['grid']!r}")
     tab = _tables(c)
     kernel, bound, seed = tab.kernel, c["bound"], c["seed"]
     table = ResultTable(["check", "value"])

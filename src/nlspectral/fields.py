@@ -82,11 +82,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def multiply_modes(self, multiplier):
-        """Per-mode multiplication; multiplier broadcasts over components."""
-        out = self.coeffs * multiplier
-        return SpectralField(self.bound, self.dimension, out, real=False)
-
 
 def lattice_grid(bound, dimension):
     """Integer frequency arrays, one (2N+1,)*d cube per axis."""

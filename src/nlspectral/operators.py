@@ -78,6 +78,13 @@ def strain(table, u):
 # 1D averaging and the doubly nonlocal symbol
 # ---------------------------------------------------------------------------
 
+def _window_rule(eta):
+    """96-point Gauss-Legendre nodes on (0, eps) and weights times eta's profile."""
+    x, w = quad.legendre(96)
+    z = 0.5 * eta.epsilon * (x + 1.0)
+    return z, 0.5 * eta.epsilon * w * eta.profile(z)
+
+
 def averaging_symbol(eta, xi, mass_tol=1e-8):
     """Symbol of the two-point averaging operator with window eta.
 
@@ -85,9 +92,7 @@ def averaging_symbol(eta, xi, mass_tol=1e-8):
     ``epsilon`` (half-width) and a vectorized ``profile(z)`` for z >= 0 whose
     two-sided mass is 1; non-unit mass is rejected.
     """
-    x, w = quad.legendre(96)
-    z = 0.5 * eta.epsilon * (x + 1.0)
-    wz = 0.5 * eta.epsilon * w * eta.profile(z)
+    z, wz = _window_rule(eta)
     mass = 2.0 * float(np.sum(wz))
     if abs(mass - 1.0) > mass_tol:
         raise ValueError(f"averaging window must have unit mass, got {mass!r}")
@@ -130,9 +135,7 @@ def double_symbol_direct(gamma, eta, xi):
     frequency is the least block.  Every block is formed in the same two
     slab buffers, allocated once, so no block maps fresh memory.
     """
-    x, w = quad.legendre(96)
-    r = 0.5 * eta.epsilon * (x + 1.0)
-    wr = 0.5 * eta.epsilon * w * eta.profile(r)
+    r, wr = _window_rule(eta)
     y, wy = gamma.nodes, gamma.weights
     xi = np.asarray(xi, dtype=float)
     flat = xi.reshape(-1)
@@ -166,8 +169,7 @@ def _oracle(kernel, orientation, u_callable, points, sign, panels, n_radial, n_a
     axis) entries, a cache-sized budget; each block is contracted with one
     matmul against 2 w dirs.
     """
-    rule = quad.halfball_rule(kernel, panels, n_radial, n_angular)
-    r, dirs, w = quad.rule_points(rule, kernel, orientation)
+    r, dirs, w = quad.halfball_points(kernel, orientation, panels, n_radial, n_angular)
     pts = np.asarray(points, dtype=float)
     offsets = sign * r[:, None] * dirs
     wdirs = 2.0 * sign * w[:, None] * dirs

@@ -1,18 +1,15 @@
 """Weighted quadrature over half-disks, half-balls and 1D kernel panels.
 
-All rules integrate against the scaled kernel measure w_delta(|s|) ds.  In
-polar/spherical coordinates that measure factors into a radial part
-w_delta(r) r^(d-1) dr and a smooth angular part, so a rule is a tensor
-product of
-
-  * a radial rule on (0, 1] in unit coordinates, with the kernel profile and
-    the Jacobian power folded into the weights.  Singular fractional profiles
-    use Gauss-Jacobi nodes (Golub-Welsch) so the r^-beta weight is exact;
-    everything else uses composite Gauss-Legendre split at profile breakpoints.
-  * an angular rule over the half-circle (2D, Gauss-Legendre on
-    (-pi/2, pi/2)) or the hemisphere (3D, Gauss-Legendre in the polar angle
-    times a uniform trapezoid in azimuth), taken relative to a reference
-    orientation and rotated into place.
+``scaled_radial_rule``, the radial rule of every symbol table, integrates
+against w_delta(r) r^(d-1) dr on (0, delta]: Gauss-Jacobi (Golub-Welsch)
+for the singular r^-beta weight, else composite Gauss-Legendre split at
+the profile's breakpoints.  ``halfball_points``, the one half-ball rule,
+is that radial rule times Gauss-Legendre angles on the half-circle (2D)
+or polar angles times an azimuth trapezoid on the hemisphere (3D) about
+the orientation, as physical offsets and weights.  The symbol tables close
+their angular integrals (``symbols``), so it serves the physical-space
+checks alone: ``integrate_halfball``, the oracles of ``operators`` and
+the test oracles.
 
 Every refinement check in the package goes through ``settle``: it
 evaluates a ladder of levels (panel doublings, grown node counts, or a
@@ -22,7 +19,6 @@ otherwise it raises QuadratureConvergenceError with the last error and
 level.  Composite Gauss-Legendre rules all come from ``gl_panels``.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 import math
 
@@ -139,17 +135,18 @@ def _split_rule(edges, panels, n):
 
 
 # ---------------------------------------------------------------------------
-# radial rules (unit coordinates)
+# radial rule and the half-ball rule
 # ---------------------------------------------------------------------------
 
-def radial_rule(kernel, panels=1, n_nodes=24):
-    """Nodes/weights (rho, v) with sum v*g(rho) ~ int_0^1 w(rho) rho^(d-1) g drho.
+def scaled_radial_rule(kernel, panels=1, n_nodes=24):
+    """Nodes/weights (r, v) with sum v*g(r) ~ int_0^delta w_delta(r) r^(d-1) g dr.
 
-    For uncut fractional kernels the algebraic weight rho^(d-1-beta) is built
-    into a Gauss-Jacobi rule; in one dimension that exponent is below -1, so
-    one power of rho is borrowed from the integrand (weights carry 1/rho and
-    integrands must vanish at the origin; divergent pairs then show up as
-    refinement failures instead of silent garbage).
+    Built on (0, 1] and scaled by the horizon.  For uncut fractional kernels
+    the algebraic weight rho^(d-1-beta) is built into a Gauss-Jacobi rule;
+    in one dimension that exponent is below -1, so one power of rho is
+    borrowed from the integrand (weights carry 1/rho and integrands must
+    vanish at the origin; divergent pairs then show up as refinement
+    failures instead of silent garbage).
     """
     d = kernel.dimension
     if kernel.is_singular:
@@ -160,12 +157,12 @@ def radial_rule(kernel, panels=1, n_nodes=24):
         v = kernel.normalization * w * 0.5 ** (gamma + 1.0)
         if d == 1:
             v /= rho
-        return rho, v
-
-    rho, w = _split_rule(_edges(kernel), panels, n_nodes)
-    v = w * kernel.profile(rho) * rho ** (d - 1)
-    keep = v != 0.0
-    return rho[keep], v[keep]
+    else:
+        rho, w = _split_rule(_edges(kernel), panels, n_nodes)
+        v = w * kernel.profile(rho) * rho ** (d - 1)
+        keep = v != 0.0
+        rho, v = rho[keep], v[keep]
+    return kernel.horizon * rho, v / kernel.horizon
 
 
 def _edges(kernel):
@@ -188,38 +185,6 @@ def _edges(kernel):
     return edges
 
 
-def scaled_radial_rule(kernel, panels=1, n_nodes=24):
-    """Like radial_rule but in physical radii: int_0^delta w_delta(r) r^(d-1) g dr."""
-    rho, v = radial_rule(kernel, panels, n_nodes)
-    delta = kernel.horizon
-    return delta * rho, v / delta
-
-
-# ---------------------------------------------------------------------------
-# angular rules and frames
-# ---------------------------------------------------------------------------
-
-def half_angles_2d(n):
-    """Gauss-Legendre angles/weights on (-pi/2, pi/2) about the orientation."""
-    return gl_panels([-0.5 * math.pi, 0.5 * math.pi], n)
-
-
-def hemisphere_angles_3d(n_polar, n_azimuth):
-    """Product rule on the hemisphere about e3: GL in polar angle x trapezoid.
-
-    Returns (J, 2) node array of (polar, azimuth) pairs and weights that
-    include the sin(polar) surface factor.
-    """
-    phi, wphi = gl_panels([0.0, 0.5 * math.pi], n_polar)
-    az = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-    waz = np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
-    nodes = np.stack(
-        [np.repeat(phi, n_azimuth), np.tile(az, n_polar)], axis=1
-    )
-    weights = np.repeat(wphi * np.sin(phi), n_azimuth) * np.tile(waz, n_polar)
-    return nodes, weights
-
-
 def frame_matrix(n):
     """Rotation taking the reference axis (e1 in 2D, e3 in 3D) to n."""
     n = np.asarray(n, dtype=float)
@@ -236,70 +201,38 @@ def frame_matrix(n):
     raise ValueError(f"orientation must be a 2- or 3-vector, got shape {n.shape}")
 
 
-def reference_directions(dimension, angular_nodes):
-    """Unit vectors of the angular nodes in the reference frame."""
-    if dimension == 2:
-        th = angular_nodes
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
-    phi, az = angular_nodes[:, 0], angular_nodes[:, 1]
-    sp = np.sin(phi)
-    return np.stack([sp * np.cos(az), sp * np.sin(az), np.cos(phi)], axis=1)
+def halfball_points(kernel, orientation, panels=1, n_radial=24, n_angular=None):
+    """The half-ball rule as physical offsets: radii r, directions dirs, weights w.
 
-
-# ---------------------------------------------------------------------------
-# half-ball rule object
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor rule for the weighted half-ball integral at one panel level."""
-
-    dimension: int
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-    angular_nodes: np.ndarray
-    angular_weights: np.ndarray
-    panels: int
-
-
-def halfball_rule(kernel, panels=1, n_radial=24, n_angular=None):
+    sum_k w[k] f(r[k], dirs[k]) approximates the integral of
+    w_delta(|s|) f(|s|, s/|s|) over B_delta intersected with s.n >= 0.
+    Every node count is multiplied by ``panels``.  The radii are
+    scaled_radial_rule at n_radial nodes; the directions, about n, are
+    n_angular Gauss-Legendre angles on (-pi/2, pi/2) in 2D (default 32),
+    or in 3D n_angular = (polar, azimuth) counts (default (16, 32)):
+    Gauss-Legendre polar angles on (0, pi/2), sin(polar) in the weights,
+    times a trapezoid in azimuth.  The nodes run radius-major: each radius
+    over every direction.
+    """
     d = kernel.dimension
     if d == 2:
         n_angular = 32 if n_angular is None else n_angular
-        ang, wang = half_angles_2d(n_angular * panels)
+        theta, wang = gl_panels([-0.5 * math.pi, 0.5 * math.pi], n_angular * panels)
+        ref = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     elif d == 3:
-        n_angular = (16, 32) if n_angular is None else n_angular
-        ang, wang = hemisphere_angles_3d(n_angular[0] * panels, n_angular[1] * panels)
+        n_polar, n_az = (c * panels for c in ((16, 32) if n_angular is None else n_angular))
+        polar, wpolar = gl_panels([0.0, 0.5 * math.pi], n_polar)
+        phi = np.repeat(polar, n_az)
+        az = np.tile(2.0 * math.pi * np.arange(n_az) / n_az, n_polar)
+        sp = np.sin(phi)
+        ref = np.stack([sp * np.cos(az), sp * np.sin(az), np.cos(phi)], axis=1)
+        wang = np.repeat(wpolar * np.sin(polar), n_az) * (2.0 * math.pi / n_az)
     else:
         raise KernelError("half-ball rules exist for d = 2 or 3 only")
-    rho, v = radial_rule(kernel, panels, n_radial)
-    return QuadratureRule(d, rho, v, ang, wang, panels)
-
-
-def rule_points(rule, kernel, orientation):
-    """Flatten a rule into physical offsets: radii, directions, weights.
-
-    sum weights[k] * f(r[k], dirs[k]) approximates the half-ball integral of
-    w_delta(|s|) f(|s|, s/|s|) over B_delta intersected with the half-space
-    of the orientation.
-    """
-    delta = kernel.horizon
-    R = frame_matrix(orientation)
-    dirs = reference_directions(rule.dimension, rule.angular_nodes) @ R.T
-    r = delta * np.repeat(rule.radial_nodes, len(dirs))
-    u = np.tile(dirs, (len(rule.radial_nodes), 1))
-    w = np.repeat(rule.radial_weights / delta, len(dirs)) * np.tile(
-        rule.angular_weights, len(rule.radial_nodes)
-    )
-    return r, u, w
-
-
-def _evaluate_halfball(kernel, orientation, f, rule):
-    r, u, w = rule_points(rule, kernel, orientation)
-    vals = np.asarray(f(r, u))
-    if vals.shape[0] != len(r):
-        raise ValueError("integrand must return one row per quadrature node")
-    return np.tensordot(w, vals, axes=(0, 0))
+    dirs = ref @ frame_matrix(orientation).T
+    r, v = scaled_radial_rule(kernel, panels, n_radial)
+    return (np.repeat(r, len(dirs)), np.tile(dirs, (len(r), 1)),
+            np.repeat(v, len(dirs)) * np.tile(wang, len(r)))
 
 
 def integrate_halfball(kernel, orientation, f, tol=DEFAULT_TOL, panels=1,
@@ -308,11 +241,15 @@ def integrate_halfball(kernel, orientation, f, tol=DEFAULT_TOL, panels=1,
 
     f must be vectorized: f(r, dirs) with r of shape (K,) and dirs (K, d),
     returning (K,) or (K, m).  Raises QuadratureConvergenceError when two
-    successive panel refinements still differ by more than tol (relative).
+    successive panel doublings of halfball_points still differ by more
+    than tol (relative).
     """
     def evaluate(p):
-        rule = halfball_rule(kernel, p, n_radial, n_angular)
-        return _evaluate_halfball(kernel, orientation, f, rule)
+        r, dirs, w = halfball_points(kernel, orientation, p, n_radial, n_angular)
+        vals = np.asarray(f(r, dirs))
+        if vals.shape[0] != len(r):
+            raise ValueError("integrand must return one row per quadrature node")
+        return np.tensordot(w, vals, axes=(0, 0))
 
     return settle(evaluate, (panels * 2**i for i in range(max_doublings + 1)), tol,
                   "half-ball quadrature")

@@ -475,14 +475,19 @@ def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL):
     """Radial symbol factor Lambda_delta(k) for a single magnitude k >= 0.
 
     The sphere's area times R_1 (_radial_orders), settled over a ladder of
-    4 radial counts.
+    4 radial counts.  |J_1| and |j_1| are at most 1, so |Lambda| <= area
+    sum_i |v_i|; that bound is the least scale of the ladder's comparison,
+    which near a zero of Lambda would otherwise ask a value near 0 for
+    relative accuracy.
     """
     if k == 0.0:
         return 0.0
     area = SPHERE_AREA[kernel.dimension]
-    return quad.settle(lambda nr: float(area * _radial_orders(kernel, [k], nr, 1)[1, 0]),
-                       _radial_bumps(_radial_count(kernel.horizon * k), 4),
-                       tol, f"Lambda quadrature at k={k}")
+    start = _radial_count(kernel.horizon * k)
+    floor = area * float(np.sum(np.abs(quad.scaled_radial_rule(kernel, 1, start)[1])))
+    # settle scales by the largest part of a level, so a constant part floors it
+    return quad.settle(lambda nr: (float(area * _radial_orders(kernel, [k], nr, 1)[1, 0]), floor),
+                       _radial_bumps(start, 4), tol, f"Lambda quadrature at k={k}")[0]
 
 
 def verify_bounds(table):

@@ -1,15 +1,14 @@
 """Test-only quadrature oracles for the half-disk, half-ball and full-ball integrals.
 
-Each half-ball oracle integrates w_delta(|s|) f(|s|, s/|s|) over the
-half-ball of an orientation by a rule that shares nothing with the polar
-product rules of ``nlspectral.quadrature`` (``refinement_errors`` excepted:
-it reports that module's own refinement ladder).  ``full_ball_quadrature``
-integrates the full-ball factors by an angular product rule, the reference
-for their closed Bessel form, the sphere's area times the radial sums of
-``symbols._radial_orders``.  ``re_lambda_cos_sum`` is Re lambda as the
-direct cosine sum over a half-ball product rule (``half_rule``, the
-half-circle rule in 2D and the hemisphere rule in 3D): the reference for
-the closed angular form of ``symbols._re_lambda``.
+``halfdisk_cartesian`` and ``monte_carlo_halfball`` integrate
+w_delta(|s|) f(|s|, s/|s|) over the half-ball of an orientation by rules
+that share nothing with ``nlspectral.quadrature.halfball_points``;
+``refinement_errors`` reports that rule's own panel ladder.
+``full_ball_quadrature`` integrates the full-ball factors by an angular
+product rule, the reference for their closed Bessel form, the sphere's area
+times the radial sums of ``symbols._radial_orders``.  ``re_lambda_cos_sum``
+is Re lambda as the direct cosine sum over ``halfball_points``: the
+reference for the closed angular form of ``symbols._re_lambda``.
 ``symbol_projector`` and ``leray_matrix`` are the per-mode projectors as dense
 d x d matrices, the reference for the unit-symbol form of ``nlspectral.solvers``.
 ``affine_gradient_oracle`` is the half-ball quadrature of the gradient of an
@@ -31,8 +30,8 @@ def refinement_errors(kernel, orientation, f, panel_list, n_radial=24, n_angular
     """Self-reported error estimates |I(p) - I(p_prev)| along a panel ladder."""
     vals = []
     for p in panel_list:
-        rule = quad.halfball_rule(kernel, p, n_radial, n_angular)
-        vals.append(quad._evaluate_halfball(kernel, orientation, f, rule))
+        r, dirs, w = quad.halfball_points(kernel, orientation, p, n_radial, n_angular)
+        vals.append(np.tensordot(w, np.asarray(f(r, dirs)), axes=(0, 0)))
     return [
         float(np.max(np.abs(np.asarray(b) - np.asarray(a))))
         for a, b in zip(vals[:-1], vals[1:])
@@ -128,37 +127,21 @@ def half_ball_bumps(nr, na, count):
               (int(na[0] * 1.5) + 1, int(na[1] * 1.5) + 2))
 
 
-def half_rule(kernel, nr, na):
-    """Scaled radial rule and reference-frame half-ball directions (r, vr, dirs, va).
+def re_lambda_cos_sum(kernel, xi, n, nr, na):
+    """Reference Re lambda at the modes xi (Q, d) for the orientation n.
 
-    In 2D the Gauss-Legendre half-circle rule about e1 at na angles; in 3D
-    the hemisphere product rule about e3 (Gauss-Legendre polar angle times
-    a trapezoid in azimuth) at na = (polar, azimuth) nodes.
+    The direct sum 2 sum_k w_k dirs_k (cos(r_k xi.dirs_k) - 1) over one
+    cosine per (mode, node) of ``quad.halfball_points`` at nr radial and na
+    angular nodes (half-circle angles in 2D, (polar, azimuth) in 3D);
+    chunked over modes to bound the phase tensor.
     """
-    r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
-    if kernel.dimension == 2:
-        theta, va = quad.half_angles_2d(na)
-        return r, vr, np.stack([np.cos(theta), np.sin(theta)], axis=1), va
-    nodes, va = quad.hemisphere_angles_3d(*na)
-    return r, vr, quad.reference_directions(3, nodes), va
-
-
-def re_lambda_cos_sum(kernel, xi, frame, nr, na):
-    """Reference Re lambda at the modes xi (Q, d) in the lattice frame.
-
-    The direct sum 2 sum_ij vr_i va_j s^_j (cos(r_i xi.R s^_j) - 1) over one
-    cosine per (mode, radius, direction) of ``half_rule``, taken in the
-    orientation frame R = ``frame`` and rotated back; chunked over modes to
-    bound the phase tensor.
-    """
-    r, vr, dirs, va = half_rule(kernel, nr, na)
-    proj = (np.asarray(xi, dtype=float) @ frame) @ dirs.T
-    wdir = va[:, None] * dirs
+    r, dirs, w = quad.halfball_points(kernel, n, 1, nr, na)
+    proj = np.asarray(xi, dtype=float) @ dirs.T
+    wdir = 2.0 * w[:, None] * dirs
     out = np.empty((len(proj), len(wdir[0])))
     for lo in range(0, len(proj), 64):
-        cosm1 = np.cos(r[None, :, None] * proj[lo:lo + 64, None, :]) - 1.0
-        out[lo:lo + 64] = 2.0 * np.einsum("qij,i,jc->qc", cosm1, vr, wdir)
-    return out @ frame.T
+        out[lo:lo + 64] = (np.cos(r * proj[lo:lo + 64]) - 1.0) @ wdir
+    return out
 
 
 def symbol_projector(table):

@@ -256,7 +256,7 @@ def test_cli_symbols_cache_files(tmp_path):
 
 @pytest.mark.parametrize("key, tol", [
     ("quad.tol", True), ("quad.tol", False), ("quad.tol", "1e-10"), ("quad.tol", 0),
-    ("quad.tol", -1e-10), ("quad.tol", None),
+    ("quad.tol", -1e-10), ("quad.tol", None), ("quad.tol", 3),
 ])
 def test_cli_bad_tolerance_exits_2(tmp_path, capsys, key, tol):
     cfg = write_cfg(tmp_path, dict(SMALL_STOKES, tolerances={key: tol}))
@@ -321,9 +321,19 @@ BAD_CONFIGS = {
     "times float steps": ("stokes-evolve", dict(SMALL_STOKES, times={"steps": 4.0}), [], "steps"),
     "times bool t1": ("stokes-evolve", dict(SMALL_STOKES, times={"t1": True}), [], "t1"),
     "lame string": ("navier-evolve", dict(SMALL_STOKES, lame=["1", 1.0]), [], "lame"),
+    "lame inadmissible": ("navier-evolve", dict(SMALL_STOKES, lame=[1.0, -2.0]), [], "lame"),
+    "convergence lame inadmissible": ("convergence", dict(SMALL_SWEEP, system="navier",
+                                                          lame=[0.0, 1.0]), [], "lame"),
+    "navier lame_pairs inadmissible": ("navier", dict(SMALL_ORACLE, lame_pairs=[
+        [1.0, 1.0], [1.0, -2.5]]), [], "lame_pairs[1]"),
+    "energy-1d window half-width": ("energy-1d", {"checks": ["double"], "pairs": [[0.2, 0.0]]},
+                                    [], "pairs[0][1]"),
+    "tolerance override quad.tol": ("stokes", SMALL_STOKES, ["--tol-override", "quad.tol=3"],
+                                    "quad.tol"),
     "oracle decay": ("oracle", SMALL_STOKES, [], "'decay'"),
     "oracle float pairs": ("oracle", dict(SMALL_ORACLE, pairs=2.5), [], "pairs"),
     "oracle string grid": ("oracle", dict(SMALL_ORACLE, grid="64"), [], "grid"),
+    "oracle coarse grid": ("oracle", dict(SMALL_ORACLE, grid=3), [], "grid"),
     "symbols orientation": ("symbols", {"kernels": [{"family": "constant", "dimension": 2}],
                                         "deltas": [0.1], "orientation": {"angle": 0.3}},
                             [], "'orientation'"),

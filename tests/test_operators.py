@@ -202,7 +202,7 @@ def _oracle_unblocked(kernel, n, u_callable, pts, sign, rule):
     Returns the einsum contraction and the sums of |2 w du dirs| that bound
     its rounding, per point and output component.
     """
-    r, dirs, w = quad.rule_points(quad.halfball_rule(kernel, 1, *rule), kernel, n)
+    r, dirs, w = quad.halfball_points(kernel, n, 1, *rule)
     du = sign * (u_callable(pts[:, None, :] + sign * r[:, None] * dirs)
                  - u_callable(pts)[:, None])
     if du.ndim == 2:
@@ -232,7 +232,7 @@ def test_oracle_blocks_match_unblocked(monkeypatch, oracle, dimension, rng):
     else:
         u, call, sign = (lambda X: np.cos(X * coef)), ops.divergence_oracle, -1.0
     ref, mag = _oracle_unblocked(kernel, n, u, pts, sign, rule)
-    size = quad.rule_points(quad.halfball_rule(kernel, 1, *rule), kernel, n)[1].size
+    size = quad.halfball_points(kernel, n, 1, *rule)[1].size
     m = size if oracle == "divergence" else size // dimension
     for block in [1, size * 5 + 7, size * 8, 10**9]:
         monkeypatch.setattr(quad, "_BLOCK", block)

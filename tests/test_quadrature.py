@@ -122,12 +122,15 @@ def test_interval_rejects_outside_support():
 
 
 def test_rule_weights_positive_nodes_interior():
+    # radii in (0, delta], unit directions strictly inside the half-space
     for family, kwargs in [("constant", {}), ("fractional", {"beta": 1.8}), ("sine", {})]:
-        k = normalize(family, 2, **kwargs)
-        rule = quad.halfball_rule(k)
-        assert np.all(rule.radial_weights > 0.0)
-        assert np.all(rule.angular_weights > 0.0)
-        assert np.all((rule.radial_nodes > 0.0) & (rule.radial_nodes <= 1.0))
+        for n in (E1, np.array([0.48, -0.6, 0.64])):
+            k = normalize(family, len(n), horizon=0.4, **kwargs)
+            r, dirs, w = quad.halfball_points(k, n)
+            assert np.all(w > 0.0)
+            assert np.all((r > 0.0) & (r <= 0.4))
+            assert np.all(dirs @ n > 0.0)
+            np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_cartesian_midpoint_agrees_with_polar():

@@ -48,6 +48,23 @@ def test_lambda_radial_zero_frequency():
     assert sym.lambda_radial(k, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("d, delta, k", [
+    (2, 1.0, 5.8843), (3, 1.0, 2.0 * math.pi), (2, 0.1, 58.843), (2, 1.0, 83.8907)])
+def test_lambda_radial_settles_at_a_zero(d, delta, k):
+    # k delta next to a zero of J_1 (2D) or j_1 (3D), where Lambda is about
+    # 1e-15 of its terms.  Both levels are resolved, so they differ by
+    # rounding alone: each f_1(k r_i) within the 16 eps of the Bessel tests
+    # and the nr roundings of the sum, times sum |v_i|, on either side.
+    kernel = normalize("constant", d, horizon=delta)
+    got = sym.lambda_radial(kernel, k)
+    nr = sym._radial_count(delta * k)
+    for _ in range(4):
+        nr = sym._bump_radial(nr)
+    ref = _full_ball(kernel, np.array([k]), nr, True)[0]
+    area_v = SPHERE_AREA[d] * float(np.sum(np.abs(quad.scaled_radial_rule(kernel, 1, nr)[1])))
+    assert abs(got - ref) <= 2.0 * (16 + nr) * np.finfo(float).eps * area_v
+
+
 def test_lambda_radial_within_small_k_band():
     # 1 - k^2/8 <= Lambda/|xi| <= 1 for k = delta |xi| < 1
     k = normalize("constant", 2, horizon=0.1)
@@ -475,31 +492,30 @@ def _assert_re_lambda_matches_cos_sum(kernel, n, bound, modes=None):
     """Re lambda equals the cos sum to 1e-13 max|lambda| plus a floor.
 
     _re_lambda at the positive half lattice (or at ``modes``), against the
-    cos sum over the half-circle or hemisphere product rule of
+    cos sum over ``quad.halfball_points`` at the node counts of
     ``oracles.half_ball_node_counts``, whose angular error is far below the
     bound.  Each form subtracts a radial sum near sum vr from sum vr: the
     closed form sum_i vr_i (f_0(k r_i) - 1) in its l = 0 term (f_0 = J_0 in
-    2D, j_0 in 3D), the reference sum_i vr_i (cos(r_i xi.s_j) - 1).  Either
-    way each radial sum carries about eps sum vr of rounding however small
-    the difference, and 2 sum_j va_j |s_jc| <= 2 sum va carries it into
-    each component: a floor of 2 eps sum vr sum va on the absolute accuracy
-    of Re lambda (sum va = pi or 2 pi, against the l = 0 factor 4 or 2 pi).
-    It exceeds 1e-13 max|lambda| where sum vr is large against
-    max|lambda|, as for beta near 2 at a small horizon.
+    2D, j_0 in 3D), the reference sum_k w_k (cos(r_k xi.s_k) - 1) with
+    w_k = vr_i va_j.  Either way each term carries about eps of rounding
+    however small the difference, and 2 w_k |s_kc| <= 2 w_k carries it into
+    each component: a floor of 2 eps sum w = 2 eps sum vr sum va on the
+    absolute accuracy of Re lambda (sum va = pi or 2 pi, against the l = 0
+    factor 4 or 2 pi).  It exceeds 1e-13 max|lambda| where sum vr is large
+    against max|lambda|, as for beta near 2 at a small horizon.
     """
     d = kernel.dimension
-    frame = quad.frame_matrix(n)
     kmax = kernel.horizon * math.sqrt(d) * bound
     if modes is None:
         modes = _positive_half(bound, d)
     nr, na = oracles.half_ball_node_counts(kernel, kmax)
     got = sym._re_lambda(kernel, modes, n)(nr)[0]
-    ref = oracles.re_lambda_cos_sum(kernel, modes, frame, nr, na)
+    ref = oracles.re_lambda_cos_sum(kernel, modes, n, nr, na)
     ks = np.linalg.norm(modes, axis=1)
     lam_rad = _full_ball(kernel, ks, nr, True)
     scale = float(np.max(np.sqrt(np.sum(ref**2, axis=1) + lam_rad**2)))
-    _, vr, _, va = oracles.half_rule(kernel, nr, na)
-    floor = 2.0 * np.finfo(float).eps * float(np.sum(vr)) * float(np.sum(va))
+    w = quad.halfball_points(kernel, n, 1, nr, na)[2]
+    floor = 2.0 * np.finfo(float).eps * float(np.sum(w))
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale + floor)
 
 
@@ -557,8 +573,7 @@ def _assert_table_re_part_matches_cos_sum(family, beta, n):
     got = tab.lam[tuple((modes + 4).T)].real
     scale = float(np.max(np.abs(tab.lam)))
     assert any(
-        np.max(np.abs(got - oracles.re_lambda_cos_sum(kernel, modes,
-                                                      quad.frame_matrix(n.vec), *level)))
+        np.max(np.abs(got - oracles.re_lambda_cos_sum(kernel, modes, n.vec, *level)))
         <= 1e-13 * scale
         for level in oracles.half_ball_bumps(nr, na, 4)
     )
@@ -664,6 +679,28 @@ def test_re_lambda_factorization_property(d, fractional, beta, delta, angles, bo
     kernel = (normalize("fractional", d, beta=beta, horizon=delta) if fractional
               else normalize("constant", d, horizon=delta))
     _assert_re_lambda_matches_cos_sum(kernel, n, bound)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    beta=st.sampled_from([None, 1.0, 1.5, 1.9]),
+    delta=st.floats(0.02, 3.0),
+    angles=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi)),
+)
+def test_re_lambda_along_n_negative_property(d, beta, delta, angles):
+    # the paper's coercivity: for a nonnegative kernel, -Re lambda(xi).n is
+    # the half-ball integral of 2 w (s^.n)(1 - cos xi.s) >= 0, which is not
+    # 0 everywhere, so Re lambda(xi).n < 0 at every xi != 0
+    a, b = angles
+    n = (np.array([math.cos(a), math.sin(a)]) if d == 2 else
+         np.array([math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]))
+    kernel = (normalize("constant", d, horizon=delta) if beta is None
+              else normalize("fractional", d, beta=beta, horizon=delta))
+    bound = 32 if d == 2 else 8
+    tab = sym.build_table(kernel, n, bound)
+    modes = sym.lattice_modes(bound, d)
+    assert np.all(tab.lam[tuple((modes + bound).T)].real @ n < 0.0)
 
 
 @pytest.mark.parametrize("d, beta, bound", [
