@@ -7,10 +7,9 @@ writes one CSV of results plus a JSON summary with pass/fail per assertion.
 Exit codes: 0 success, 1 assertion failure, 2 configuration error,
 3 quadrature non-convergence.
 
-Flags may also be supplied through the environment with the NLSPECTRAL_
-prefix (NLSPECTRAL_CONFIG, NLSPECTRAL_OUT, NLSPECTRAL_THREADS,
-NLSPECTRAL_SEED, NLSPECTRAL_TOL_OVERRIDE with comma-separated KEY=VAL
-entries); explicit flags win.
+The flags are the only way to set the run: the config path (--config), the
+output directory (--out, default the working directory), and overrides of
+the config's threads, seed and tolerance entries.
 """
 
 import argparse
@@ -25,16 +24,10 @@ from .experiments import RUNNERS, passed
 from .results import config_hash, write_csv, write_summary
 from .symbols import clear_radial_cache
 
-ENV_PREFIX = "NLSPECTRAL_"
-
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
-
-
-def _env(name):
-    return os.environ.get(ENV_PREFIX + name)
 
 
 def build_parser():
@@ -59,7 +52,7 @@ def build_parser():
 
 def load_config(path):
     if path is None:
-        raise ConfigError("no config given (flag --config or NLSPECTRAL_CONFIG)")
+        raise ConfigError("no config given (flag --config)")
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -74,19 +67,9 @@ def load_config(path):
 
 def _apply_overrides(cfg, args):
     for key in ("threads", "seed"):
-        value = getattr(args, key)
-        value = _env(key.upper()) if value is None else value
-        if value is not None:
-            try:
-                cfg[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"{ENV_PREFIX}{key.upper()} must be an integer, "
-                                  f"got {value!r}") from exc
-    overrides = list(args.tol_override)
-    env_tol = _env("TOL_OVERRIDE")
-    if env_tol:
-        overrides.extend(tok for tok in env_tol.split(",") if tok)
-    for item in overrides:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for item in args.tol_override:
         if "=" not in item:
             raise ConfigError(f"tolerance override must be KEY=VAL, got {item!r}")
         key, val = item.split("=", 1)
@@ -130,11 +113,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg_path = args.config or _env("CONFIG")
-        cfg = load_config(cfg_path)
-        cfg = _apply_overrides(cfg, args)
-        out_dir = args.out or _env("OUT") or "."
-        return run_command(args.command, cfg, out_dir)
+        cfg = _apply_overrides(load_config(args.config), args)
+        return run_command(args.command, cfg, args.out or ".")
     except (ConfigError, KernelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

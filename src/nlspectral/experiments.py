@@ -6,6 +6,8 @@ value of the wrong type with ConfigError before any work starts and leaves
 the dict as it is.  It then performs one experiment (symbol bound sweeps,
 convergence studies, identity checks, the 1D energy suite, ...) and returns
 a deterministic ResultTable and a summary with one pass/fail per assertion.
+A runner is called as runner(cfg, out_dir) and writes its extra files, the
+symbol caches of ``symbols`` and the rho CSV of ``energy-1d``, to out_dir.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -22,13 +24,13 @@ from .results import ResultTable
 from .symbols import Orientation, build_table, local_table
 
 
-def fit_slope(deltas, errors, floor=1e-13):
+def fit_slope(deltas, errors):
     """Least-squares slope of log error against log delta.
 
-    Floor-dominated pairs (error below 1e-13) are excluded; at least three
+    Floor-dominated pairs (error at most 1e-13) are excluded; at least three
     surviving pairs are required.
     """
-    pairs = [(d, e) for d, e in zip(deltas, errors) if e > floor]
+    pairs = [(d, e) for d, e in zip(deltas, errors) if e > 1e-13]
     if len(pairs) < 3:
         raise ConfigError("need at least 3 positive (delta, error) pairs above the floor")
     x = np.log([p[0] for p in pairs])
@@ -155,9 +157,8 @@ def _kernel(dimension=None, swept=False):
 
 
 def _tolerances(**extra):
-    whole = _value(lambda v: _real(v) and float(v).is_integer(), "a whole number")
     below_one = _value(lambda v: _real(v) and 0.0 < v < 1.0, "a number in (0, 1)", float)
-    return (_block({"quad.tol": (below_one, 1e-10), "quad.panels": (whole, 1), **extra}), {})
+    return (_block({"quad.tol": (below_one, 1e-10), **extra}), {})
 
 
 def _one(dimension=None, swept=False, bound=8):
@@ -228,8 +229,7 @@ def _tables(c, block=None, deltas=None):
         ori = block["orientation"] or Orientation.from_vector(np.eye(k.dimension)[0])
         if ori.dimension != k.dimension:
             raise ConfigError(f"a {ori.dimension}D orientation for a {k.dimension}D kernel")
-        return build_table(k, ori, block["bound"], tol=c["tolerances"]["quad.tol"],
-                           oversample=c["tolerances"]["quad.panels"])
+        return build_table(k, ori, block["bound"], tol=c["tolerances"]["quad.tol"])
 
     if deltas is None:
         return build(block["kernel"])
@@ -265,7 +265,7 @@ def passed(summary):
 # symbol bound sweep
 # ---------------------------------------------------------------------------
 
-def run_symbols(cfg, out_dir=None):
+def run_symbols(cfg, out_dir):
     """Spectral sweep: positivity and the uniform upper bound over a lattice.
 
     Sweeps kernels x orientations x deltas, records the lattice minimum of
@@ -283,7 +283,7 @@ def run_symbols(cfg, out_dir=None):
         tab = _tables(c, {"kernel": kcfg, "orientation": Orientation.from_angle(angle),
                           "bound": c["bound"]})
         rep = sym.verify_bounds(tab)
-        if out_dir is not None and c["cache"]:
+        if c["cache"]:
             tag = f"{kcfg['family']}_b{kcfg.get('beta', 0)}_d{kcfg['delta']}_a{angle:.4f}"
             sym.save_table(tab, f"{out_dir}/cache_{tag}.txt")
         return kcfg, angle, rep
@@ -306,7 +306,7 @@ def run_symbols(cfg, out_dir=None):
 # steady solves and convergence studies
 # ---------------------------------------------------------------------------
 
-def run_convergence(cfg, out_dir=None):
+def run_convergence(cfg, out_dir):
     runs = {"stokes": _run_stokes_convergence, "navier": _run_navier_convergence,
             "evolution": _run_evolution_refinement}
     return runs[_one_of(*runs)(cfg.get("system", "stokes"), "system")](cfg)
@@ -400,7 +400,7 @@ def _run_evolution_refinement(cfg):
 # steady Stokes / evolution drivers (single-run subcommands)
 # ---------------------------------------------------------------------------
 
-def run_stokes(cfg, out_dir=None):
+def run_stokes(cfg, out_dir):
     c, summary = _start(cfg, "stokes")
     tab = _tables(c)
     f = random_field(c["seed"], c["bound"], c["decay"], components=tab.dimension)
@@ -419,7 +419,7 @@ def run_stokes(cfg, out_dir=None):
     return table, summary
 
 
-def run_stokes_evolve(cfg, out_dir=None):
+def run_stokes_evolve(cfg, out_dir):
     c, summary = _start(cfg, "stokes-evolve")
     tab = _tables(c)
     d, bound, times = tab.dimension, c["bound"], c["times"]
@@ -434,7 +434,7 @@ def run_stokes_evolve(cfg, out_dir=None):
     return table, summary
 
 
-def run_navier_evolve(cfg, out_dir=None):
+def run_navier_evolve(cfg, out_dir):
     c, summary = _start(cfg, "navier-evolve")
     tab = _tables(c)
     dec = sol.navier_decompose(tab, *c["lame"])
@@ -452,7 +452,7 @@ def run_navier_evolve(cfg, out_dir=None):
 # Helmholtz / div-curl / identities
 # ---------------------------------------------------------------------------
 
-def run_helmholtz(cfg, out_dir=None):
+def run_helmholtz(cfg, out_dir):
     c, summary = _start(cfg, "helmholtz")
     if c["case2d"] is None and c["case3d"] is None:
         raise ConfigError("helmholtz needs 'case2d' or 'case3d'")
@@ -491,7 +491,7 @@ def run_helmholtz(cfg, out_dir=None):
     return table, summary
 
 
-def run_divcurl(cfg, out_dir=None):
+def run_divcurl(cfg, out_dir):
     """Double-curl identities at the kernel's own horizon and the div-curl
     solve swept over ``deltas`` (checks consistency, friedrichs)."""
     c, summary = _start(cfg, "divcurl")
@@ -537,7 +537,7 @@ def run_divcurl(cfg, out_dir=None):
     return table, summary
 
 
-def run_navier(cfg, out_dir=None):
+def run_navier(cfg, out_dir):
     """Korn bound and the two energy assemblies, per Lame pair."""
     c, summary = _start(cfg, "navier")
     tab = _tables(c)
@@ -564,7 +564,7 @@ def run_navier(cfg, out_dir=None):
 # adjoint/oracle and the 1D energy suite
 # ---------------------------------------------------------------------------
 
-def run_oracle(cfg, out_dir=None):
+def run_oracle(cfg, out_dir):
     c, summary = _start(cfg, "oracle")
     if c["grid"] < 2 * c["bound"] + 1:  # the sampled fields hold |xi|_inf <= bound
         raise ConfigError(f"config.grid must be at least 2 bound + 1, got {c['grid']!r}")
@@ -615,7 +615,7 @@ def run_oracle(cfg, out_dir=None):
     return table, summary
 
 
-def run_energy1d(cfg, out_dir=None):
+def run_energy1d(cfg, out_dir):
     c, summary = _start(cfg, "energy-1d")
     table = ResultTable(["check", "value"])
 
@@ -648,7 +648,7 @@ def run_energy1d(cfg, out_dir=None):
         _assert_true(summary, "fractional_mass_monotone",
                      all(b.l1_mass >= a.l1_mass for a, b in zip(levels[:-1], levels[1:])))
         _assert_in(summary, "energy_equivalence", eq["gap"], 1e-6)
-        if out_dir is not None and c["export_rho"]:
+        if c["export_rho"]:
             rho_s.to_csv(f"{out_dir}/rho_sine.csv")
 
     if "double" in c["checks"]:

@@ -49,19 +49,20 @@ class SpectralField:
     def at(self, xi):
         return self.coeffs[tuple(int(c) + self.bound for c in xi)]
 
-    def set_mode(self, xi, value, hermitian=None):
-        """Assign one coefficient; mirrors the conjugate when keeping realness."""
+    def set_mode(self, xi, value):
+        """Assign one coefficient; a real field also gets its conjugate at -xi."""
         if all(c == 0 for c in xi):
             raise ValueError("the zero mode is pinned to zero")
         self.coeffs[tuple(int(c) + self.bound for c in xi)] = value
-        if hermitian if hermitian is not None else self.real:
+        if self.real:
             self.coeffs[tuple(-int(c) + self.bound for c in xi)] = np.conj(value)
         return self
 
     @classmethod
-    def zeros(cls, dimension, bound, component_shape=(), real=True):
+    def zeros(cls, dimension, bound, component_shape=()):
+        """The zero real field."""
         shape = (2 * bound + 1,) * dimension + tuple(component_shape)
-        return cls(bound, dimension, np.zeros(shape, dtype=complex), real)
+        return cls(bound, dimension, np.zeros(shape, dtype=complex))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -160,9 +160,9 @@ def _rho_pointwise(kernel, a_values, wmass):
     return kp + hp, kp, hp
 
 
-def _endpoint_graded_edges(delta, extra=(), start=1e-7):
-    """Panel edges of (0, delta) clustered geometrically at both endpoints."""
-    left = quad.geometric_edges(delta * start, delta * 0.5)
+def _endpoint_graded_edges(delta, extra=()):
+    """Panel edges of (0, delta) doubling away from 1e-7 delta at both endpoints."""
+    left = quad.geometric_edges(delta * 1e-7, delta * 0.5)
     right = [delta - e for e in left]
     return sorted({0.0, delta} | set(left) | set(right)
                   | {e for e in extra if 0.0 < e < delta})
@@ -236,12 +236,12 @@ def rho_regularized(kernel, eps_sequence=DEFAULT_EPS_SEQUENCE, mesh_size=MESH_SI
 # one-sided symbols and energies
 # ---------------------------------------------------------------------------
 
-def one_sided_symbol(kernel, xi, sign=1, tol=1e-12):
-    """Fourier symbol of G^{+-} at the frequencies xi (vectorized).
+def one_sided_symbol(kernel, xi):
+    """Fourier symbol lambda^+ of G^+ at the frequencies xi (vectorized).
 
-    lambda^+ = 2 int_0^delta w_delta(s)(exp(i xi s) - 1) ds and
-    lambda^- = -conj(lambda^+): the real part flips with the side, the
-    imaginary part does not.
+    lambda^+ = 2 int_0^delta w_delta(s)(exp(i xi s) - 1) ds, settled to
+    1e-12 over two interval rules.  G^- has lambda^- = -conj(lambda^+): the
+    real part flips with the side, the imaginary part does not.
     """
     if kernel.dimension != 1:
         raise KernelError("one-sided operators are one-dimensional")
@@ -252,37 +252,39 @@ def one_sided_symbol(kernel, xi, sign=1, tol=1e-12):
         ph = np.multiply.outer(xi, s)
         re = 2.0 * np.sum(w * (np.cos(ph) - 1.0), axis=-1)
         im = 2.0 * np.sum(w * np.sin(ph), axis=-1)
-        return np.sign(sign) * re + 1j * im
+        return re + 1j * im
 
-    return quad.settle(level, ((2, 48), (3, 64)), tol, "one-sided symbol quadrature")
+    return quad.settle(level, ((2, 48), (3, 64)), 1e-12, "one-sided symbol quadrature")
 
 
-def one_sided_energy(kernel, u, sign=1):
-    """Dirichlet energy sum |lambda^{+-}(xi)|^2 |uhat(xi)|^2 of a 1D field."""
+def one_sided_energy(kernel, u):
+    """Dirichlet energy sum |lambda^+(xi)|^2 |uhat(xi)|^2 of a 1D field.
+
+    |lambda^-|^2 = |lambda^+|^2, so it is the energy of either side.
+    """
     xi = np.arange(-u.bound, u.bound + 1, dtype=float)
-    lam = one_sided_symbol(kernel, xi, sign)
+    lam = one_sided_symbol(kernel, xi)
     mag2 = np.abs(lam) ** 2
     w = mag2.reshape(mag2.shape + (1,) * len(u.component_shape))
     return float(np.sum(w * np.abs(u.coeffs) ** 2))
 
 
-def bond_energy(rho, u, grid=512):
+def bond_energy(rho, u):
     """Bond-form energy 2 int_0^delta rho(a) int |(u(x+a)-u(x))/a|^2 dx/(2pi) da.
 
-    The x-integral is a uniform trapezoid over the period (exact for
-    band-limited integrands).  u(x+a) is a separable phase sum: with
-    exp(ik(x+a)) = exp(ikx) exp(ika), the real and imaginary parts of
-    exp(ikx) uhat_k (per mode and x) and of exp(ika) (per mode and bond node)
-    are tabulated once, and each block of at most ``quad._BLOCK`` (part, x, a)
-    entries, a cache-sized budget, accumulates u(x+a) mode by mode in real
-    arithmetic.  Every entry is summed in the same order whatever the
+    The x-integral is a uniform trapezoid over the period on max(512,
+    4N + 2) points (exact for band-limited integrands).  u(x+a) is a
+    separable phase sum: with exp(ik(x+a)) = exp(ikx) exp(ika), the real
+    and imaginary parts of exp(ikx) uhat_k (per mode and x) and of exp(ika)
+    (per mode and bond node) are tabulated once, and each block of at most
+    ``quad._BLOCK`` (part, x, a) entries, a cache-sized budget, accumulates
+    u(x+a) mode by mode in real arithmetic.  Every entry is summed in the same order whatever the
     blocks, so the value does not depend on the budget; a BLAS matmul's
     per-entry rounding changes with the block width.  The result is
     comparable with one_sided_energy, both in coefficient normalization.
     No Fourier symbol enters this path.
     """
-    if grid < 4 * u.bound + 2:
-        grid = 4 * u.bound + 2
+    grid = max(512, 4 * u.bound + 2)
     x = -np.pi + 2.0 * np.pi * np.arange(grid) / grid
     a, wa = rho.nodes, rho.weights
     k = np.arange(-u.bound, u.bound + 1, dtype=float)
@@ -316,7 +318,7 @@ def energy_equivalence_check(kernel, u, rho=None):
     """
     if rho is None:
         rho = rho_from_kernel(kernel)
-    e_plus = one_sided_energy(kernel, u, sign=1)
+    e_plus = one_sided_energy(kernel, u)
     e_rho = bond_energy(rho, u)
     gap = abs(e_plus - e_rho) / max(e_plus, e_rho, 1e-300)
     return {"e_plus": e_plus, "e_rho": e_rho, "gap": gap}

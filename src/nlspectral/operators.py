@@ -85,16 +85,16 @@ def _window_rule(eta):
     return z, 0.5 * eta.epsilon * w * eta.profile(z)
 
 
-def averaging_symbol(eta, xi, mass_tol=1e-8):
+def averaging_symbol(eta, xi):
     """Symbol of the two-point averaging operator with window eta.
 
     a(xi) = 1/2 + (1/2) int eta(|z|) cos(xi z) dz.  eta is any object with
     ``epsilon`` (half-width) and a vectorized ``profile(z)`` for z >= 0 whose
-    two-sided mass is 1; non-unit mass is rejected.
+    two-sided mass is 1; a mass more than 1e-8 from 1 is rejected.
     """
     z, wz = _window_rule(eta)
     mass = 2.0 * float(np.sum(wz))
-    if abs(mass - 1.0) > mass_tol:
+    if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"averaging window must have unit mass, got {mass!r}")
     xi = np.asarray(xi, dtype=float)
     return 0.5 + np.sum(wz * np.cos(np.multiply.outer(xi, z)), axis=-1)
@@ -162,14 +162,16 @@ def double_symbol_direct(gamma, eta, xi):
 # physical-space oracle (direct quadrature of the defining integral)
 # ---------------------------------------------------------------------------
 
-def _oracle(kernel, orientation, u_callable, points, sign, panels, n_radial, n_angular):
+def _oracle(kernel, orientation, u_callable, points, sign):
     """2 sign sum_k w_k (u(x + sign s_k) - u(x)) . dirs_k at each row of points.
 
-    The points go in blocks of at most ``quad._BLOCK`` (point, offset,
-    axis) entries, a cache-sized budget; each block is contracted with one
-    matmul against 2 w dirs.
+    One fixed half-ball rule: 32 radial nodes times 48 angles in 2D, or
+    times 24 polar angles and 48 azimuths in 3D.  The points go in blocks
+    of at most ``quad._BLOCK`` (point, offset, axis) entries, a cache-sized
+    budget; each block is contracted with one matmul against 2 w dirs.
     """
-    r, dirs, w = quad.halfball_points(kernel, orientation, panels, n_radial, n_angular)
+    n_angular = 48 if kernel.dimension == 2 else (24, 48)
+    r, dirs, w = quad.halfball_points(kernel, orientation, 1, 32, n_angular)
     pts = np.asarray(points, dtype=float)
     offsets = sign * r[:, None] * dirs
     wdirs = 2.0 * sign * w[:, None] * dirs
@@ -181,22 +183,20 @@ def _oracle(kernel, orientation, u_callable, points, sign, panels, n_radial, n_a
     return np.concatenate(blocks)
 
 
-def gradient_oracle(kernel, orientation, u_callable, points, panels=1,
-                    n_radial=32, n_angular=48):
+def gradient_oracle(kernel, orientation, u_callable, points):
     """Evaluate the nonlocal gradient of a scalar function by direct quadrature.
 
     2 int w_delta(|s|) (s/|s|) (u(x+s) - u(x)) ds at each row of ``points``,
     with u given analytically (periodic extension included by the caller's
     formula).  This path never forms Fourier symbols.
     """
-    return _oracle(kernel, orientation, u_callable, points, 1.0, panels, n_radial, n_angular)
+    return _oracle(kernel, orientation, u_callable, points, 1.0)
 
 
-def divergence_oracle(kernel, orientation, u_callable, points, panels=1,
-                      n_radial=32, n_angular=48):
+def divergence_oracle(kernel, orientation, u_callable, points):
     """Direct quadrature of the adjoint divergence of a vector function.
 
     2 int w_delta(|s|) (s/|s|) . (u(x) - u(x - s)) ds at each row of
     ``points``; the companion of gradient_oracle for vector fields.
     """
-    return _oracle(kernel, orientation, u_callable, points, -1.0, panels, n_radial, n_angular)
+    return _oracle(kernel, orientation, u_callable, points, -1.0)

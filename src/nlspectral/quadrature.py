@@ -141,22 +141,17 @@ def _split_rule(edges, panels, n):
 def scaled_radial_rule(kernel, panels=1, n_nodes=24):
     """Nodes/weights (r, v) with sum v*g(r) ~ int_0^delta w_delta(r) r^(d-1) g dr.
 
-    Built on (0, 1] and scaled by the horizon.  For uncut fractional kernels
-    the algebraic weight rho^(d-1-beta) is built into a Gauss-Jacobi rule;
-    in one dimension that exponent is below -1, so one power of rho is
-    borrowed from the integrand (weights carry 1/rho and integrands must
-    vanish at the origin; divergent pairs then show up as refinement
-    failures instead of silent garbage).
+    Built on (0, 1] and scaled by the horizon, for a 2D or 3D kernel (1D
+    kernels have their own panels, ``integrate_interval``).  For uncut
+    fractional kernels the algebraic weight rho^(d-1-beta) is built into a
+    Gauss-Jacobi rule.
     """
     d = kernel.dimension
     if kernel.is_singular:
-        # the exponent d - 1 - beta, plus the power borrowed in 1D
-        gamma = max(d - 1.0, 1.0) - kernel.beta
+        gamma = d - 1.0 - kernel.beta
         x, w = jacobi(n_nodes * panels, gamma)
         rho = 0.5 * (x + 1.0)
         v = kernel.normalization * w * 0.5 ** (gamma + 1.0)
-        if d == 1:
-            v /= rho
     else:
         rho, w = _split_rule(_edges(kernel), panels, n_nodes)
         v = w * kernel.profile(rho) * rho ** (d - 1)
@@ -235,24 +230,23 @@ def halfball_points(kernel, orientation, panels=1, n_radial=24, n_angular=None):
             np.repeat(v, len(dirs)) * np.tile(wang, len(r)))
 
 
-def integrate_halfball(kernel, orientation, f, tol=DEFAULT_TOL, panels=1,
-                       max_doublings=5, n_radial=24, n_angular=None):
+def integrate_halfball(kernel, orientation, f, tol=DEFAULT_TOL):
     """Adaptively integrate w_delta(|s|) f(|s|, s/|s|) over the half-ball.
 
     f must be vectorized: f(r, dirs) with r of shape (K,) and dirs (K, d),
-    returning (K,) or (K, m).  Raises QuadratureConvergenceError when two
-    successive panel doublings of halfball_points still differ by more
-    than tol (relative).
+    returning (K,) or (K, m).  halfball_points at its default counts is
+    refined by panel doublings, 1 to 32 panels; raises
+    QuadratureConvergenceError when two successive levels still differ by
+    more than tol (relative).
     """
     def evaluate(p):
-        r, dirs, w = halfball_points(kernel, orientation, p, n_radial, n_angular)
+        r, dirs, w = halfball_points(kernel, orientation, p)
         vals = np.asarray(f(r, dirs))
         if vals.shape[0] != len(r):
             raise ValueError("integrand must return one row per quadrature node")
         return np.tensordot(w, vals, axes=(0, 0))
 
-    return settle(evaluate, (panels * 2**i for i in range(max_doublings + 1)), tol,
-                  "half-ball quadrature")
+    return settle(evaluate, (2**i for i in range(6)), tol, "half-ball quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +275,10 @@ def _interval_rule(kernel, a, b, panels, n_nodes=24):
     return s, w * eval_kernel(kernel, s)
 
 
-def integrate_interval(kernel, a, b, f, tol=1e-8, panels=1, max_doublings=6,
-                       n_nodes=24):
+def integrate_interval(kernel, a, b, f, tol=1e-8):
     """Panel-adaptive int_a^b w_delta(s) f(s) ds for a 1D kernel.
 
+    24 nodes per panel, refined by panel doublings, 1 to 64 panels.
     Requires [a, b] inside [0, delta].  Non-integrable pairs (a singular
     kernel against an integrand that does not vanish at the origin) fail the
     refinement comparison and raise QuadratureConvergenceError.
@@ -294,10 +288,10 @@ def integrate_interval(kernel, a, b, f, tol=1e-8, panels=1, max_doublings=6,
     if not (0.0 <= a < b <= kernel.horizon + 1e-15):
         raise ValueError(f"interval [{a}, {b}] must sit inside [0, delta]")
     def evaluate(p):
-        s, w = _interval_rule(kernel, a, b, p, n_nodes)
+        s, w = _interval_rule(kernel, a, b, p)
         val = complex(np.sum(w * np.asarray(f(s))))
         return val.real if abs(val.imag) == 0.0 else val
 
-    return settle(evaluate, (panels * 2**i for i in range(max_doublings + 1)), tol,
+    return settle(evaluate, (2**i for i in range(7)), tol,
                   f"interval quadrature on [{a}, {b}] (check integrability of the "
                   "kernel/integrand pair)")

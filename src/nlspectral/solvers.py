@@ -143,20 +143,21 @@ def _spread(x, d):
     return np.repeat(x[..., None], d, axis=-1)
 
 
-def stokes_evolve(table, u0, forcing, times, div_tol=1e-10):
+def stokes_evolve(table, u0, forcing, times):
     """Evolve the unsteady Stokes system from a nonlocally divergence-free u0.
 
     The forcing is treated as piecewise constant on the time grid (evaluated
     at interval left endpoints) and the exponential integrating factor is
     applied exactly, so the only time discretization error is the forcing
     interpolation.  Pressure responds instantaneously to the forcing.  The
-    times must not decrease.
+    times must not decrease, and u0's largest divergence coefficient must
+    be at most 1e-10 max(1, |u0|).
     """
     times = _time_grid(times, backward=False)
     if u0.component_shape != (table.dimension,):
         raise ValueError("initial velocity must be a d-vector field")
     div0 = float(np.max(np.abs(ops.divergence(table, u0).coeffs)))
-    if div0 > div_tol * max(1.0, l2_norm(u0)):
+    if div0 > 1e-10 * max(1.0, l2_norm(u0)):
         raise ValueError(
             f"initial velocity is not nonlocally divergence-free (defect {div0!r}); "
             "construct it with leray_project"

@@ -34,7 +34,7 @@ by clear_radial_cache, which the CLI calls at the start of every run.
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice
+from itertools import chain
 import math
 import threading
 
@@ -48,7 +48,7 @@ from .results import mode_rows, write_text
 
 UNIT_TOL = 1e-14
 _CHUNK = 500_000  # max (l, k, r) entries per block in _radial_orders
-# one ladder of max_bumps + 1 = 4 radial levels for each of two kernels,
+# one ladder of 4 radial levels (build_table) for each of two kernels,
 # which is what a 2-thread pool building two kernels at once interleaves
 _RADIAL_CACHE_SIZE = 8
 _radial_cache = OrderedDict()
@@ -404,21 +404,28 @@ def _radial_bumps(nr, count):
         nr = _bump_radial(nr)
 
 
-def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, oversample=1):
+def _symbol_dimension(kernel):
+    """The kernel's dimension; KernelError, naming it, unless it is 2 or 3."""
+    d = kernel.dimension
+    if d not in (2, 3):
+        raise KernelError(f"symbols are defined for 2D and 3D kernels, got dimension {d}")
+    return d
+
+
+def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     """Build the symbol table for (kernel, orientation) up to |xi|_inf <= N.
 
     Every entry is verified by recomputation on a refined rule; construction
     raises QuadratureConvergenceError if refinement fails to settle within
-    tol (relative, per table) and KernelError if any symbol magnitude
-    degenerates to zero.  The angular integrals are closed, and Re lambda
-    and Lambda come from one Bessel pass per level (_re_lambda), so the
-    ladder refines the radial count alone, which grows
-    with delta sqrt(d) N.  ``oversample`` starts the ladder that many levels
-    up it, less one (the "quad.panels" config knob).
+    tol (relative, per table) and KernelError if the kernel is not 2D or 3D
+    or any symbol magnitude degenerates to zero.  The angular integrals are
+    closed, and Re lambda and Lambda come from one Bessel pass per level
+    (_re_lambda), so the ladder refines the radial count alone: 4 levels,
+    from a count that grows with delta sqrt(d) N.
     """
     if bound < 1:
         raise ValueError("lattice bound must be at least 1")
-    d = kernel.dimension
+    d = _symbol_dimension(kernel)
     orientation = orientation if isinstance(orientation, Orientation) else Orientation(orientation)
     n = orientation.vec
     if len(n) != d:
@@ -427,12 +434,11 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL, max_bumps=3, o
     modes = lattice_modes(bound, d)
     half = modes[positive_half(modes.T)]
     kmax = kernel.horizon * math.sqrt(d) * bound
-    skip = max(0, int(oversample) - 1)
-    levels = _radial_bumps(_radial_count(kmax), skip + max_bumps + 1)
     q2 = np.sum(half**2, axis=1)
     q2_unique, q2_index = np.unique(q2, return_inverse=True)
 
-    re_half, lam_rad = quad.settle(_re_lambda(kernel, half, n), islice(levels, skip, None),
+    re_half, lam_rad = quad.settle(_re_lambda(kernel, half, n),
+                                   _radial_bumps(_radial_count(kmax), 4),
                                    tol, f"symbol quadrature for N={bound}")
 
     rad_map = {int(q): float(v) for q, v in zip(q2_unique, lam_rad)}
@@ -471,23 +477,25 @@ def local_table(dimension, bound):
     return SymbolTable(None, None, bound, lam, rad, 0.0, is_local=True)
 
 
-def lambda_radial(kernel, k, tol=quad.DEFAULT_TOL):
+def lambda_radial(kernel, k):
     """Radial symbol factor Lambda_delta(k) for a single magnitude k >= 0.
 
-    The sphere's area times R_1 (_radial_orders), settled over a ladder of
-    4 radial counts.  |J_1| and |j_1| are at most 1, so |Lambda| <= area
+    The sphere's area times R_1 (_radial_orders), settled to the default
+    tolerance over a ladder of 4 radial counts; KernelError unless the
+    kernel is 2D or 3D.  |J_1| and |j_1| are at most 1, so |Lambda| <= area
     sum_i |v_i|; that bound is the least scale of the ladder's comparison,
     which near a zero of Lambda would otherwise ask a value near 0 for
     relative accuracy.
     """
+    area = SPHERE_AREA[_symbol_dimension(kernel)]
     if k == 0.0:
         return 0.0
-    area = SPHERE_AREA[kernel.dimension]
     start = _radial_count(kernel.horizon * k)
     floor = area * float(np.sum(np.abs(quad.scaled_radial_rule(kernel, 1, start)[1])))
     # settle scales by the largest part of a level, so a constant part floors it
     return quad.settle(lambda nr: (float(area * _radial_orders(kernel, [k], nr, 1)[1, 0]), floor),
-                       _radial_bumps(start, 4), tol, f"Lambda quadrature at k={k}")[0]
+                       _radial_bumps(start, 4), quad.DEFAULT_TOL,
+                       f"Lambda quadrature at k={k}")[0]
 
 
 def verify_bounds(table):

@@ -14,6 +14,8 @@ d x d matrices, the reference for the unit-symbol form of ``nlspectral.solvers``
 ``affine_gradient_oracle`` is the half-ball quadrature of the gradient of an
 affine map, the consistency check; ``evaluate_at`` sums a field's modes at
 arbitrary points, the per-point reference of the 1D bond energy.
+``complex_zeros`` is a zero field that is not kept real, so that
+``set_mode`` fills one coefficient alone.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
-from nlspectral.fields import lattice_grid
+from nlspectral.fields import SpectralField, lattice_grid
 from nlspectral.kernels import eval_kernel
 
 
@@ -184,3 +186,10 @@ def evaluate_at(field, points):
     phase = np.exp(1j * np.tensordot(pts, modes, axes=(-1, 0)))
     vals = np.tensordot(phase, flat, axes=(-1, 0))
     return vals.real if field.real else vals
+
+
+def complex_zeros(dimension, bound, component_shape=()):
+    """A zero field whose coefficients need not be conjugate symmetric."""
+    field = SpectralField.zeros(dimension, bound, component_shape)
+    field.real = False
+    return field

@@ -19,8 +19,8 @@ def test_parseval_against_grid_quadrature():
 
 
 def test_single_mode_norms():
-    u = fl.SpectralField.zeros(2, 4, real=False)
-    u.set_mode((1, 0), 1.0, hermitian=False)
+    u = oracles.complex_zeros(2, 4)
+    u.set_mode((1, 0), 1.0)
     assert fl.l2_norm(u) == 1.0
     k = normalize("constant", 2, horizon=0.1)
     tab = build_table(k, Orientation.from_angle(0.7), 4)

@@ -119,15 +119,6 @@ def test_one_sided_symbol_constant_closed_form():
     im = 2.0 / delta**2 * ((1.0 - np.cos(xi * delta)) / xi)
     lam = od.one_sided_symbol(k, xi)
     np.testing.assert_allclose(lam, re + 1j * im, rtol=1e-12)
-    lam_minus = od.one_sided_symbol(k, xi, sign=-1)
-    np.testing.assert_allclose(lam_minus, -np.conj(lam), rtol=1e-12)
-
-
-def test_one_sided_energy_symmetric(table2=None):
-    k = normalize("constant", 1)
-    u = fl.random_field(55, 6, 1.0, dimension=1)
-    assert od.one_sided_energy(k, u, 1) == pytest.approx(
-        od.one_sided_energy(k, u, -1), rel=1e-13)
 
 
 def test_energy_equivalence_constant_sine_mode(rho_constant):

@@ -224,7 +224,7 @@ def test_oracle_blocks_match_unblocked(monkeypatch, oracle, dimension, rng):
     kernel = normalize("constant", dimension, horizon=0.3)
     n = rng.standard_normal(dimension)
     n /= np.linalg.norm(n)
-    rule = (6, 10) if dimension == 2 else (6, (4, 8))
+    rule = (32, 48) if dimension == 2 else (32, (24, 48))  # the oracles' fixed rule
     pts = rng.uniform(-np.pi, np.pi, (37, dimension))
     coef = np.arange(1.0, dimension + 1.0)
     if oracle == "gradient":
@@ -236,9 +236,26 @@ def test_oracle_blocks_match_unblocked(monkeypatch, oracle, dimension, rng):
     m = size if oracle == "divergence" else size // dimension
     for block in [1, size * 5 + 7, size * 8, 10**9]:
         monkeypatch.setattr(quad, "_BLOCK", block)
-        got = call(kernel, n, u, pts, n_radial=rule[0], n_angular=rule[1])
+        got = call(kernel, n, u, pts)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 2.0 * (m + 2) * 2.0**-53 * mag)
+
+
+@pytest.mark.parametrize("kernel", [
+    normalize("constant", 3, horizon=0.3), normalize("fractional", 3, beta=1.5, horizon=0.3),
+    normalize("sine", 3, horizon=0.7)], ids=["constant", "fractional", "sine"])
+def test_oracles_3d_reproduce_affine_fields(kernel, rng):
+    # the oracles at their own 3D rule: the normalization makes the nonlocal
+    # gradient of u(x) = a.x + c equal a, and the divergence of A x + b
+    # equal trace A, up to rounding
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    A, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    pts = rng.uniform(-np.pi, np.pi, (5, 3))
+    grad = ops.gradient_oracle(kernel, n, lambda X: X @ A[0] + 0.5, pts)
+    div = ops.divergence_oracle(kernel, n, lambda X: X @ A.T + b, pts)
+    np.testing.assert_allclose(grad, np.tile(A[0], (5, 1)), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(div, np.full(5, np.trace(A)), rtol=0.0, atol=1e-13)
 
 
 def test_adjoint_identity_3d(table3):

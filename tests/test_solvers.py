@@ -18,8 +18,8 @@ import oracles
 
 def test_stokes_gradient_forcing_gives_pure_pressure(table2):
     # fhat = lambda(xi0) on one mode: the projector annihilates it
-    f = fl.SpectralField.zeros(2, 8, (2,), real=False)
-    f.set_mode((2, 1), table2.lam_at((2, 1)), hermitian=False)
+    f = oracles.complex_zeros(2, 8, (2,))
+    f.set_mode((2, 1), table2.lam_at((2, 1)))
     s = sol.stokes_steady(table2, f)
     assert l2_norm(s.velocity) <= 1e-14
     assert s.pressure.at((2, 1)) == pytest.approx(1.0, abs=1e-13)
@@ -29,8 +29,8 @@ def test_stokes_orthogonal_forcing_gives_pure_velocity(table2):
     lam = table2.lam_at((1, 3))
     fvec = np.array([-np.conj(lam[1]), np.conj(lam[0])])  # perp to conj(lam)
     assert abs(np.conj(lam) @ fvec) < 1e-14
-    f = fl.SpectralField.zeros(2, 8, (2,), real=False)
-    f.set_mode((1, 3), fvec, hermitian=False)
+    f = oracles.complex_zeros(2, 8, (2,))
+    f.set_mode((1, 3), fvec)
     s = sol.stokes_steady(table2, f)
     assert l2_norm(s.pressure) <= 1e-14
     expect = fvec / float(np.sum(np.abs(lam) ** 2))
@@ -93,8 +93,8 @@ def test_stokes_gradient_mode_velocity_errors_vanish():
     n = Orientation.from_vector([1.0, 0.0])
     k = normalize("constant", 2, horizon=0.1)
     tab = build_table(k, n, 4)
-    f = fl.SpectralField.zeros(2, 4, (2,), real=False)
-    f.set_mode((2, 0), tab.lam_at((2, 0)), hermitian=False)
+    f = oracles.complex_zeros(2, 4, (2,))
+    f.set_mode((2, 0), tab.lam_at((2, 0)))
     e = sol.stokes_errors(tab, f)
     assert e["err_u"] <= 1e-14
     assert e["err_div"] <= 1e-14
@@ -344,12 +344,12 @@ def test_navier_forced_step_matches_quadrature():
     dec = sol.navier_decompose(tab, 1.0, 1.0)
     xi = (1, 0)
     lam = tab.lam_at(xi)
-    g = fl.SpectralField.zeros(2, 2, (2,), real=False)
+    g = oracles.complex_zeros(2, 2, (2,))
     gvec = lam / np.linalg.norm(lam)       # inside the Pi eigenspace
-    g.set_mode(xi, gvec, hermitian=False)
-    h = fl.SpectralField.zeros(2, 2, (2,), real=False)
-    f = fl.SpectralField.zeros(2, 2, (2,), real=False)
-    f.set_mode(xi, 0.3 * gvec, hermitian=False)
+    g.set_mode(xi, gvec)
+    h = oracles.complex_zeros(2, 2, (2,))
+    f = oracles.complex_zeros(2, 2, (2,))
+    f.set_mode(xi, 0.3 * gvec)
     times = np.linspace(0.0, 0.7, 8)
     traj = sol.navier_evolve(dec, g, h, f, times)
     idx = (1 + 2, 0 + 2)

@@ -5,9 +5,16 @@ referenced by the package itself, the benchmark harness, the demos or the
 tools.  References are ``Name`` and ``Attribute`` nodes of the parsed
 sources (a method by its attribute name); a name met only inside its own
 definition, as in a recursive call, is not referenced.
+
+Likewise every defaulted parameter of a public function or method must be
+passed, by keyword or by position, by some call outside tests/ to a
+function of that name: a setting that no caller sets is a constant at its
+one use.  A call with ``*args`` passes every position, one with
+``**kwargs`` every keyword.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,18 +22,19 @@ LIBRARY = sorted((ROOT / "src" / "nlspectral").glob("*.py"))
 USERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py")) + sorted(
     path for folder in ("demos", "tools") for path in (ROOT / folder).rglob("*.py"))
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
 
 
 def _public_definitions(tree):
-    """(qualified name, name) of the public top-level definitions and methods."""
+    """(qualified name, node) of the public top-level definitions and methods."""
     for node in tree.body:
         if isinstance(node, _DEFS) and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, _DEFS) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item.name
+                        yield f"{node.name}.{item.name}", item
 
 
 def _references(node, inside=frozenset()):
@@ -40,14 +48,57 @@ def _references(node, inside=frozenset()):
         yield from _references(child, inside)
 
 
+def _defaulted(qualified, node):
+    """(name, position in a call, None if keyword-only) of the defaulted
+    parameters of a function; a method's self or cls takes no position."""
+    args = node.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    skip = 1 if "." in qualified and not static else 0
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(node, inside=frozenset()):
+    """(name, positional count, keywords) of the calls under node, outside
+    definitions of that name; None among the keywords stands for ``**``."""
+    if isinstance(node, _DEFS):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name not in inside:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield name, math.inf if starred else len(node.args), {k.arg for k in node.keywords}
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, inside)
+
+
+def _unset_parameters(library, users):
+    """``qualified(parameter)`` of each defaulted parameter no call in users passes."""
+    calls = {}
+    for tree in users:
+        for name, count, keywords in _calls(tree):
+            calls.setdefault(name, []).append((count, keywords))
+    return [f"{qualified}({param})"
+            for tree in library
+            for qualified, node in _public_definitions(tree) if isinstance(node, _FUNCS)
+            for param, position in _defaulted(qualified, node)
+            if not any(None in kw or param in kw or (position is not None and position < count)
+                       for count, kw in calls.get(node.name, []))]
+
+
 def test_no_public_name_is_used_by_the_tests_alone():
     used = set()
     for path in USERS:
         used.update(_references(ast.parse(path.read_text(), str(path))))
     unused = [f"{path.name}: {qualified}"
               for path in LIBRARY
-              for qualified, name in _public_definitions(ast.parse(path.read_text(), str(path)))
-              if name not in used]
+              for qualified, node in _public_definitions(ast.parse(path.read_text(), str(path)))
+              if node.name not in used]
     assert not unused, "public names that only tests/ use; move them there: " + ", ".join(unused)
 
 
@@ -57,5 +108,25 @@ def test_a_test_only_name_is_found():
     tree = ast.parse("def lonely(n):\n    return lonely(n - 1)\n\n"
                      "class Box:\n    def unused(self):\n        return self\n")
     used = set(_references(tree))
-    assert [q for q, name in _public_definitions(tree) if name not in used] == [
+    assert [q for q, node in _public_definitions(tree) if node.name not in used] == [
         "lonely", "Box", "Box.unused"]
+
+
+def test_no_setting_is_set_by_the_tests_alone():
+    library = [ast.parse(path.read_text(), str(path)) for path in LIBRARY]
+    users = [ast.parse(path.read_text(), str(path)) for path in USERS]
+    unset = _unset_parameters(library, users)
+    assert not unset, ("defaulted parameters that no caller outside tests/ passes; "
+                       "make each a constant at its use: " + ", ".join(unset))
+
+
+def test_an_unset_parameter_is_found():
+    # the check itself: a parameter passed by position, one by keyword, one
+    # through **, a method's parameter past self, and the misses: a default
+    # passed only inside the function's own body, and a keyword-only one
+    library = ast.parse(
+        "def f(a, b=1, c=2, d=3, *, e=4):\n    return f(a, b, c, d, e=e)\n\n"
+        "class Box:\n    def put(self, x=0, y=0):\n        return x + y\n"
+        "    @staticmethod\n    def make(z=0):\n        return z\n")
+    users = [library, ast.parse("f(0, 1)\nf(0, d=2)\nBox().put(1)\nBox.make(**{})\n")]
+    assert _unset_parameters([library], users) == ["f(c)", "f(e)", "Box.put(y)"]

@@ -10,6 +10,7 @@ from nlspectral import epsilon_cutoff, normalize
 from nlspectral import fields as fl
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
+from nlspectral.errors import KernelError
 from nlspectral.kernels import SPHERE_AREA
 
 import oracles
@@ -46,6 +47,21 @@ def test_lambda_radial_against_reference():
 def test_lambda_radial_zero_frequency():
     k = normalize("constant", 2, horizon=0.1)
     assert sym.lambda_radial(k, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("kernel", [
+    normalize("constant", 1, horizon=0.5), normalize("fractional", 1, beta=1.5, horizon=0.5)],
+    ids=["constant", "fractional"])
+def test_symbols_refuse_a_1d_kernel(kernel, monkeypatch):
+    # a KernelError naming the dimension, before any quadrature
+    def no_rule(*args):
+        raise AssertionError("a radial rule was built")
+
+    monkeypatch.setattr(quad, "scaled_radial_rule", no_rule)
+    for call in (lambda: sym.lambda_radial(kernel, 3.0), lambda: sym.lambda_radial(kernel, 0.0),
+                 lambda: sym.build_table(kernel, sym.Orientation(np.ones(1)), 4)):
+        with pytest.raises(KernelError, match="dimension 1"):
+            call()
 
 
 @pytest.mark.parametrize("d, delta, k", [
