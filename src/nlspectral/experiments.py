@@ -282,11 +282,10 @@ def run_symbols(cfg, out_dir):
         kcfg, angle = job
         tab = _tables(c, {"kernel": kcfg, "orientation": Orientation.from_angle(angle),
                           "bound": c["bound"]})
-        rep = sym.verify_bounds(tab)
         if c["cache"]:
             tag = f"{kcfg['family']}_b{kcfg.get('beta', 0)}_d{kcfg['delta']}_a{angle:.4f}"
             sym.save_table(tab, f"{out_dir}/cache_{tag}.txt")
-        return kcfg, angle, rep
+        return kcfg, angle, tab.bounds
 
     floors = {}
     for kcfg, angle, rep in _pmap(work, jobs, c["threads"]):

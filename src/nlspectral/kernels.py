@@ -167,8 +167,13 @@ def normalize(family, dimension, horizon=1.0, beta=None, values=None, mesh=None)
     """
     if dimension not in (1, 2, 3):
         raise KernelError(f"dimension must be 1, 2 or 3, got {dimension}")
-    if not 0.0 < horizon < math.inf:
-        raise KernelError(f"horizon must be a positive finite number, got {horizon!r}")
+    try:
+        scale = float(horizon) ** (dimension + 1)   # what eval_kernel divides by
+    except OverflowError:
+        scale = math.inf
+    if not (horizon > 0.0 and np.finfo(float).tiny <= scale < math.inf):
+        raise KernelError(f"horizon must be positive with delta^{dimension + 1} a finite normal "
+                          f"float, got delta={horizon!r}")
     if family not in FAMILIES:
         raise KernelError(f"unknown kernel family {family!r}")
 

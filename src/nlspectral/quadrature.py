@@ -30,10 +30,10 @@ from .kernels import FRACTIONAL
 
 DEFAULT_TOL = 1e-10
 _TINY = 1e-300
-# Entries per float64 temporary (256 KiB) in the blocked loops of onedim and
-# operators.  The allocator maps a multi-megabyte block afresh and unmaps or
-# trims it on free, so every block of that size faults its pages in again;
-# blocks of this size are reused from the heap and stay in cache.
+# Entries per float64 temporary (256 KiB) in the blocked loops of onedim,
+# operators and symbols.  The allocator maps a multi-megabyte block afresh
+# and unmaps or trims it on free, so every block of that size faults its
+# pages in again; blocks of this size are reused from the heap, in cache.
 _BLOCK = 32_768
 
 
@@ -138,15 +138,23 @@ def _split_rule(edges, panels, n):
 # radial rule and the half-ball rule
 # ---------------------------------------------------------------------------
 
+def ball_dimension(kernel):
+    """The kernel's dimension; KernelError, naming it, unless it is 2 or 3."""
+    d = kernel.dimension
+    if d not in (2, 3):
+        raise KernelError(f"symbols and radial rules need a 2D or 3D kernel, got dimension {d}")
+    return d
+
+
 def scaled_radial_rule(kernel, panels=1, n_nodes=24):
     """Nodes/weights (r, v) with sum v*g(r) ~ int_0^delta w_delta(r) r^(d-1) g dr.
 
-    Built on (0, 1] and scaled by the horizon, for a 2D or 3D kernel (1D
-    kernels have their own panels, ``integrate_interval``).  For uncut
-    fractional kernels the algebraic weight rho^(d-1-beta) is built into a
-    Gauss-Jacobi rule.
+    Built on (0, 1] and scaled by the horizon, for a 2D or 3D kernel
+    (``ball_dimension``; 1D kernels have their own panels,
+    ``integrate_interval``).  For uncut fractional kernels the algebraic
+    weight rho^(d-1-beta) is built into a Gauss-Jacobi rule.
     """
-    d = kernel.dimension
+    d = ball_dimension(kernel)
     if kernel.is_singular:
         gamma = d - 1.0 - kernel.beta
         x, w = jacobi(n_nodes * panels, gamma)
@@ -209,12 +217,12 @@ def halfball_points(kernel, orientation, panels=1, n_radial=24, n_angular=None):
     times a trapezoid in azimuth.  The nodes run radius-major: each radius
     over every direction.
     """
-    d = kernel.dimension
-    if d == 2:
+    r, v = scaled_radial_rule(kernel, panels, n_radial)
+    if kernel.dimension == 2:
         n_angular = 32 if n_angular is None else n_angular
         theta, wang = gl_panels([-0.5 * math.pi, 0.5 * math.pi], n_angular * panels)
         ref = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    elif d == 3:
+    else:
         n_polar, n_az = (c * panels for c in ((16, 32) if n_angular is None else n_angular))
         polar, wpolar = gl_panels([0.0, 0.5 * math.pi], n_polar)
         phi = np.repeat(polar, n_az)
@@ -222,10 +230,7 @@ def halfball_points(kernel, orientation, panels=1, n_radial=24, n_angular=None):
         sp = np.sin(phi)
         ref = np.stack([sp * np.cos(az), sp * np.sin(az), np.cos(phi)], axis=1)
         wang = np.repeat(wpolar * np.sin(polar), n_az) * (2.0 * math.pi / n_az)
-    else:
-        raise KernelError("half-ball rules exist for d = 2 or 3 only")
     dirs = ref @ frame_matrix(orientation).T
-    r, v = scaled_radial_rule(kernel, panels, n_radial)
     return (np.repeat(r, len(dirs)), np.tile(dirs, (len(r), 1)),
             np.repeat(v, len(dirs)) * np.tile(wang, len(r)))
 

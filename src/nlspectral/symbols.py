@@ -33,7 +33,8 @@ by clear_radial_cache, which the CLI calls at the start of every run.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 import math
 import threading
@@ -47,7 +48,10 @@ from .kernels import SPHERE_AREA, KernelSpec, from_config
 from .results import mode_rows, write_text
 
 UNIT_TOL = 1e-14
-_CHUNK = 500_000  # max (l, k, r) entries per block in _radial_orders
+# The largest delta sqrt(d) N, the largest argument k r of a table's Bessel
+# sums, that build_table accepts.  The bound of _orders overflows a float
+# near 2300; at 1000 a 2D N = 32 table takes 14 s on one Xeon core.
+_MAX_KR = 1000.0
 # one ladder of 4 radial levels (build_table) for each of two kernels,
 # which is what a 2-thread pool building two kernels at once interleaves
 _RADIAL_CACHE_SIZE = 8
@@ -100,19 +104,30 @@ class Orientation:
 class SymbolTable:
     """Cached symbols lambda(xi) over the lattice cube [-N, N]^d minus 0.
 
-    ``lam`` has shape (2N+1,)*d + (d,) indexed by xi + N per axis.
-    ``lambda_radial_map`` caches the radial factor keyed by the integer
-    |xi|^2.  Local tables (``is_local``) carry lambda(xi) = i xi and are the
-    delta -> 0 counterparts used by the error studies.
+    ``lam`` has shape (2N+1,)*d + (d,) indexed by xi + N per axis; ``q2``
+    is the ascending distinct |xi|^2 and ``radial`` Lambda at each.  Local
+    tables (``is_local``) carry lambda(xi) = i xi and are the delta -> 0
+    counterparts used by the error studies.
     """
 
     kernel: KernelSpec | None
     orientation: Orientation | None
     bound: int
     lam: np.ndarray
-    lambda_radial_map: dict = field(default_factory=dict)
+    q2: np.ndarray
+    radial: np.ndarray
     tol: float = quad.DEFAULT_TOL
     is_local: bool = False
+
+    @property
+    def lambda_radial_map(self):
+        """Lambda keyed by the integer |xi|^2: a dict built from q2 and radial."""
+        return dict(zip(self.q2.tolist(), self.radial.tolist()))
+
+    @cached_property
+    def bounds(self):
+        """The verify_bounds report, computed once: by _validate for a built or loaded table."""
+        return verify_bounds(self)
 
     @property
     def dimension(self):
@@ -293,13 +308,13 @@ def _radial_orders(kernel, ks, nr, lmax):
     """R_l(k) = sum_i v_i (f_l(k r_i) - [l = 0]) for l = 0..lmax, shape (lmax + 1, K).
 
     f_l is J_l in 2D and j_l in 3D (_bessel_orders), over the radial rule
-    whose weights hold w_delta r^(d-1), in blocks of at most _CHUNK (l, k,
-    r) entries that share one start order, so any blocks give the same bits.
+    whose weights hold w_delta r^(d-1), in blocks of at most quad._BLOCK (l,
+    k, r) entries that share one start order, so any blocks give the same bits.
     """
     r, vr = quad.scaled_radial_rule(kernel, panels=1, n_nodes=nr)
     start = _start_order(lmax, float(np.max(ks)) * float(np.max(r)), kernel.dimension)
     out = np.empty((lmax + 1, len(ks)))
-    step = max(1, _CHUNK // (len(r) * (lmax + 1)))
+    step = max(1, quad._BLOCK // (len(r) * (lmax + 1)))
     for lo in range(0, len(ks), step):
         f = _bessel_orders(lmax, np.multiply.outer(ks[lo:lo + step], r), kernel.dimension, start)
         f[0] -= 1.0
@@ -342,12 +357,13 @@ def _cached_radial_orders(key, kernel, ks, nr, lmax):
     return rad
 
 
-def _re_lambda(kernel, modes, n):
+def _re_lambda(kernel, modes, n, q2, index):
     """Re lambda at the nonzero integer modes (Q, d) for the unit orientation n.
 
+    q2 and index are np.unique of the modes' |xi|^2 with return_inverse.
     Returns the function of the radial count nr that evaluates (Re lambda,
-    Lambda at the sorted distinct |xi|); the angular integral over the
-    half-ball s.n >= 0 is closed.  With k = |xi|, xi^ = xi/k and c = xi^.n,
+    Lambda at each q2); the angular integral over the half-ball s.n >= 0 is
+    closed.  With k = |xi|, xi^ = xi/k and c = xi^.n,
 
         Re lambda(xi) = sum_(l even <= L) w_l R_l(k) [Z_l(c) n + Z_l'(c) (xi^ - c n)]
 
@@ -371,11 +387,9 @@ def _re_lambda(kernel, modes, n):
     -Re lambda.
     """
     d = kernel.dimension
-    modes = np.asarray(modes)
-    q2_unique, q2_index = np.unique(np.sum(modes**2, axis=1), return_inverse=True)
-    ks = np.sqrt(q2_unique.astype(float))
+    ks = np.sqrt(q2.astype(float))
     lmax = _orders(kernel.horizon * float(ks[-1]), d)
-    xhat = modes / ks[q2_index, None]
+    xhat = modes / ks[index, None]
     c = xhat @ n
     lateral = xhat - c[:, None] * n
     p, dp = _zonal(lmax, c, d)
@@ -385,7 +399,7 @@ def _re_lambda(kernel, modes, n):
 
     def evaluate(nr):
         rad = _cached_radial_orders(key, kernel, ks, nr, max(lmax, 1))
-        even = rad[:lmax + 1:2][:, q2_index]
+        even = rad[:lmax + 1:2][:, index]
         re = (np.sum(even * along, axis=0)[:, None] * n
               + np.sum(even * across, axis=0)[:, None] * lateral)
         return re, SPHERE_AREA[d] * rad[1]
@@ -404,14 +418,6 @@ def _radial_bumps(nr, count):
         nr = _bump_radial(nr)
 
 
-def _symbol_dimension(kernel):
-    """The kernel's dimension; KernelError, naming it, unless it is 2 or 3."""
-    d = kernel.dimension
-    if d not in (2, 3):
-        raise KernelError(f"symbols are defined for 2D and 3D kernels, got dimension {d}")
-    return d
-
-
 def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     """Build the symbol table for (kernel, orientation) up to |xi|_inf <= N.
 
@@ -425,7 +431,10 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     """
     if bound < 1:
         raise ValueError("lattice bound must be at least 1")
-    d = _symbol_dimension(kernel)
+    d = quad.ball_dimension(kernel)
+    kmax = kernel.horizon * math.sqrt(d) * bound
+    if not kmax <= _MAX_KR:
+        raise KernelError(f"delta*sqrt(d)*N = {kmax!r} exceeds {_MAX_KR}, the cap of a table")
     orientation = orientation if isinstance(orientation, Orientation) else Orientation(orientation)
     n = orientation.vec
     if len(n) != d:
@@ -433,17 +442,13 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
 
     modes = lattice_modes(bound, d)
     half = modes[positive_half(modes.T)]
-    kmax = kernel.horizon * math.sqrt(d) * bound
-    q2 = np.sum(half**2, axis=1)
-    q2_unique, q2_index = np.unique(q2, return_inverse=True)
+    q2, index = np.unique(np.sum(half**2, axis=1), return_inverse=True)
 
-    re_half, lam_rad = quad.settle(_re_lambda(kernel, half, n),
+    re_half, lam_rad = quad.settle(_re_lambda(kernel, half, n, q2, index),
                                    _radial_bumps(_radial_count(kmax), 4),
                                    tol, f"symbol quadrature for N={bound}")
 
-    rad_map = {int(q): float(v) for q, v in zip(q2_unique, lam_rad)}
-    norms = np.sqrt(q2.astype(float))
-    im_abs = (lam_rad[q2_index] / norms)[:, None] * half
+    im_abs = (lam_rad / np.sqrt(q2.astype(float)))[index][:, None] * half
 
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
     idx_pos = tuple((half + bound).T)
@@ -452,14 +457,14 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     lam[idx_pos] = val
     lam[idx_neg] = np.conj(val)
 
-    table = SymbolTable(kernel, orientation, bound, lam, rad_map, tol)
+    table = SymbolTable(kernel, orientation, bound, lam, q2, lam_rad, tol)
     _validate(table)
     return table
 
 
 def _validate(table):
     """KernelError unless 0 < |lambda| <= sqrt(2) d |xi| at every mode, NaN failing both."""
-    rep = verify_bounds(table)
+    rep = table.bounds
     if not rep["min_abs"] > 0.0:
         raise KernelError(f"degenerate kernel: min |lambda| = {rep['min_abs']!r}")
     bound = math.sqrt(2.0) * table.dimension * (1.0 + 1e-9)
@@ -473,8 +478,8 @@ def local_table(dimension, bound):
     lam = np.zeros((2 * bound + 1,) * dimension + (dimension,), dtype=complex)
     idx = tuple((modes + bound).T)
     lam[idx] = 1j * modes
-    rad = {int(q): math.sqrt(q) for q in np.unique(np.sum(modes**2, axis=1))}
-    return SymbolTable(None, None, bound, lam, rad, 0.0, is_local=True)
+    q2 = np.unique(np.sum(modes**2, axis=1))
+    return SymbolTable(None, None, bound, lam, q2, np.sqrt(q2), 0.0, is_local=True)
 
 
 def lambda_radial(kernel, k):
@@ -487,7 +492,7 @@ def lambda_radial(kernel, k):
     which near a zero of Lambda would otherwise ask a value near 0 for
     relative accuracy.
     """
-    area = SPHERE_AREA[_symbol_dimension(kernel)]
+    area = SPHERE_AREA[quad.ball_dimension(kernel)]
     if k == 0.0:
         return 0.0
     start = _radial_count(kernel.horizon * k)
@@ -532,8 +537,8 @@ def save_table(table, path):
     )
     modes = lattice_modes(table.bound, table.dimension)
     body = mode_rows(modes, table.lam[tuple((modes + table.bound).T)], " ")
-    radial = sorted(table.lambda_radial_map.items())
-    tail = "L %d %.17g\n" * len(radial) % tuple(x for qv in radial for x in qv)
+    radial = zip(table.q2.tolist(), table.radial.tolist())
+    tail = "L %d %.17g\n" * len(table.q2) % tuple(chain.from_iterable(radial))
     write_text(path, chain([hdr + "\n"], body, [tail]))
 
 
@@ -541,13 +546,13 @@ def load_table(path):
     """Read a cache written by save_table, all or nothing.
 
     Raises ValueError unless the header is complete and well formed, with a
-    positive finite tol, the body is the mode lines and then the L lines,
-    each of its own width and ended by a newline, as save_table writes them,
-    and every nonzero lattice mode and the finite radial factor of every
-    |xi|^2 of the lattice are listed exactly once; KernelError if a loaded
-    symbol fails the table validation, as a NaN does.  The body is parsed in
-    one pass: one token list, with ";" closing each line, and one float
-    conversion of the mode tokens.
+    positive finite tol, and the body is exactly what save_table writes: a
+    line for each nonzero lattice mode in the order of lattice_modes, then
+    an L line with a finite Lambda for each distinct |xi|^2 in ascending
+    order, each line of its own width and ended by a newline; KernelError
+    if a loaded symbol fails the table validation, as a NaN does.  The body
+    is parsed in one pass: one token list, with ";" closing each line, and
+    one float conversion of the mode tokens.
     """
     with open(path) as fh:
         header = next((ln for ln in fh if ln.strip()), "")
@@ -583,24 +588,19 @@ def load_table(path):
     del rows[width - 1::width]
     try:
         body = np.array(rows, dtype=float).reshape(n_rows, 3 * d)
-        rad = {int(q): float(v) for q, v in zip(radial[1::4], radial[2::4])}
-        if not all(map(math.isfinite, rad.values())):
+        lam_rad = np.array(radial[2::4], dtype=float)
+        if not np.all(np.isfinite(lam_rad)):
             raise ValueError("a radial factor is not finite")
     except ValueError as exc:
         raise ValueError(f"symbol cache {path} has a malformed line") from exc
-    modes = body[:, :d].astype(int)
-    inside = np.all((modes == body[:, :d]) & (np.abs(modes) <= bound), axis=1)
-    idx = modes + bound
-    seen = np.zeros((2 * bound + 1,) * d, dtype=int)
-    seen[(bound,) * d] = 1          # the zero mode is pinned, never stored
-    np.add.at(seen, tuple(idx[inside].T), 1)
-    if not np.all(inside) or np.any(seen != 1):
-        raise ValueError(f"symbol cache {path} lacks or repeats a mode of N={bound}")
-    q2 = np.unique(np.sum(lattice_modes(bound, d) ** 2, axis=1))
-    if n_radial != len(q2) or set(rad) != set(q2.tolist()):
-        raise ValueError(f"symbol cache {path} lacks or repeats a radial line of N={bound}")
+    modes = lattice_modes(bound, d)
+    if not np.array_equal(body[:, :d], modes):
+        raise ValueError(f"symbol cache {path} lacks, repeats or reorders a mode of N={bound}")
+    q2 = np.unique(np.sum(modes**2, axis=1))
+    if not np.array_equal(radial[1::4], q2.astype(str)):
+        raise ValueError(f"symbol cache {path} lacks, repeats or reorders an L line of N={bound}")
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
-    lam[tuple(idx.T)] = np.ascontiguousarray(body[:, d:]).view(complex)
-    table = SymbolTable(kernel, orientation, bound, lam, rad, tol)
+    lam[tuple((modes + bound).T)] = np.ascontiguousarray(body[:, d:]).view(complex)
+    table = SymbolTable(kernel, orientation, bound, lam, q2, lam_rad, tol)
     _validate(table)
     return table

@@ -322,6 +322,17 @@ BAD_CONFIGS = {
     # the schema takes a kernel of any dimension; the symbol table refuses it
     "stokes 1D kernel": ("stokes", {"kernel": {"family": "constant", "dimension": 1,
                                                "delta": 0.5}}, [], "dimension 1"),
+    # a horizon whose delta^(d+1) overflows or underflows, and a lattice past
+    # the cap on delta sqrt(d) N: each used to raise, run on or exit 3
+    "energy-1d huge delta": ("energy-1d", {"checks": ["rho"], "delta": 1e300}, [], "delta=1e+300"),
+    "energy-1d tiny delta": ("energy-1d", {"checks": ["rho"], "delta": 1e-300}, [],
+                             "delta=1e-300"),
+    "energy-1d huge pair delta": ("energy-1d", {"checks": ["double"], "pairs": [[1e300, 0.05]]},
+                                  [], "delta=1e+300"),
+    "stokes huge delta": ("stokes", dict(SMALL_STOKES, kernel=dict(
+        SMALL_STOKES["kernel"], delta=1e300)), [], "delta=1e+300"),
+    "stokes delta past the lattice cap": ("stokes", dict(SMALL_STOKES, kernel=dict(
+        SMALL_STOKES["kernel"], delta=1e5)), [], "delta*sqrt(d)*N"),
     "symbols orientation": ("symbols", {"kernels": [{"family": "constant", "dimension": 2}],
                                         "deltas": [0.1], "orientation": {"angle": 0.3}},
                             [], "'orientation'"),
@@ -357,6 +368,25 @@ def test_runner_leaves_config_unchanged(tmp_path, command, payload):
     cfg = copy.deepcopy(payload)
     RUNNERS[command](cfg, str(tmp_path))
     assert cfg == payload
+
+
+def test_symbol_sweep_computes_each_tables_bounds_once(tmp_path, monkeypatch):
+    # crit01's sweep, shrunk: the bounds it reports are the ones that the
+    # table's validation computed, and each build takes one np.unique of |xi|^2
+    import numpy as np
+
+    from nlspectral import symbols as sym
+
+    calls = []  # list.append is atomic, so pooled builds may count into it
+    verify, unique = sym.verify_bounds, np.unique
+    monkeypatch.setattr(sym, "verify_bounds", lambda tab: calls.append("bounds") or verify(tab))
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append("unique") or unique(*a, **k))
+    with open(os.path.join(PRESETS, "crit01_symbol_bounds.json")) as fh:
+        cfg = dict(json.load(fh), angles=[0.0, 2.356194490192345], bound=8)
+    _, summary = RUNNERS["symbols"](cfg, str(tmp_path))
+    assert passed(summary)
+    tables = len(cfg["kernels"]) * len(cfg["deltas"]) * len(cfg["angles"])
+    assert sorted(calls) == ["bounds"] * tables + ["unique"] * tables
 
 
 def test_passed_needs_an_assertion():

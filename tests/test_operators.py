@@ -15,7 +15,7 @@ import oracles
 def neg_table(tab):
     """Table of the reflected orientation, built from the reflection relation."""
     return SymbolTable(tab.kernel, Orientation(-tab.orientation.vec), tab.bound,
-                       tab.lam_neg(), tab.lambda_radial_map, tab.tol)
+                       tab.lam_neg(), tab.q2, tab.radial, tab.tol)
 
 
 def test_gradient_of_zero_is_zero(table2):

@@ -5,6 +5,7 @@ import pytest
 
 from nlspectral import QuadratureConvergenceError, normalize
 from nlspectral import quadrature as quad
+from nlspectral.errors import KernelError
 
 import oracles
 
@@ -25,6 +26,16 @@ def radius(r, dirs):
 def test_half_moment_2d(family, kwargs):
     k = normalize(family, 2, **kwargs)
     assert quad.integrate_halfball(k, E1, radius) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_radial_rules_refuse_a_1d_kernel():
+    # one check names the dimension; a 1D fractional kernel used to reach
+    # the Gauss-Jacobi eigensolve at the exponent -beta and fail there
+    kernel = normalize("fractional", 1, horizon=0.5, beta=1.5)
+    for call in (lambda: quad.scaled_radial_rule(kernel, 1, 8),
+                 lambda: quad.halfball_points(kernel, np.ones(1))):
+        with pytest.raises(KernelError, match="dimension 1"):
+            call()
 
 
 def test_half_moment_3d():

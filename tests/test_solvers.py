@@ -43,7 +43,7 @@ def test_stokes_rejects_degenerate_table(table2):
     lam = table2.lam.copy()
     lam[tuple(np.array((3, -2)) + table2.bound)] = 0.0
     bad = SymbolTable(table2.kernel, table2.orientation, table2.bound, lam,
-                      table2.lambda_radial_map, table2.tol)
+                      table2.q2, table2.radial, table2.tol)
     f = fl.random_field(71, 8, 2.0, components=2)
     with pytest.raises(KernelError, match="vanishes"):
         sol.stokes_steady(bad, f)

@@ -28,6 +28,12 @@ def _positive_half(bound, d):
     return modes[fl.positive_half(modes.T)]
 
 
+def _re_lambda(kernel, modes, n):
+    """sym._re_lambda at the modes, given np.unique of their |xi|^2 as build_table gives it."""
+    return sym._re_lambda(kernel, modes, n, *np.unique(np.sum(modes**2, axis=1),
+                                                       return_inverse=True))
+
+
 def _full_ball(kernel, ks, nr, odd):
     """Lambda (``odd``) or m at the magnitudes ks: the sphere's area times R_1 or R_0.
 
@@ -143,7 +149,7 @@ def test_verify_bounds_matches_the_gathered_modes(table2, table3):
     local = sym.local_table(2, 3)
     lam = local.lam.copy()
     lam[3, 4] *= 0.5
-    after_zero = sym.SymbolTable(None, None, 3, lam, local.lambda_radial_map, 0.0,
+    after_zero = sym.SymbolTable(None, None, 3, lam, local.q2, local.radial, 0.0,
                                  is_local=True)
     assert sym.verify_bounds(after_zero)["argmin"] == (0, 1)
     tables = [table2, table3, sym.local_table(3, 2), sym.local_table(2, 1), after_zero,
@@ -359,6 +365,16 @@ def _duplicate_a_radial_line(lines):
     return lines[:-1] + [lines[-2]]
 
 
+def _swap_two_radial_lines(lines):
+    # every |xi|^2 once, out of order: the L lines are ascending or refused
+    return lines[:-2] + [lines[-1], lines[-2]]
+
+
+def _swap_two_mode_lines(lines):
+    # every mode once, out of lattice order
+    return lines[:1] + [lines[2], lines[1]] + lines[3:]
+
+
 def _cut_radial_line(lines):
     return lines[:-1] + [" ".join(lines[-1].split()[:2]) + "\n"]
 
@@ -420,7 +436,8 @@ def _header_nan_tol(lines):
 @pytest.mark.parametrize("corrupt", [_cut_to_100_lines, _duplicate_a_mode,
                                      _mode_outside_bound, _cut_mid_line,
                                      _move_a_token_to_the_next_line, _non_integer_mode, _drop_a_radial_line,
-                                     _duplicate_a_radial_line, _cut_radial_line,
+                                     _duplicate_a_radial_line, _swap_two_radial_lines,
+                                     _swap_two_mode_lines, _cut_radial_line,
                                      _empty_file, _header_only, _header_without_tol,
                                      _header_without_beta, _header_bad_dimension,
                                      _header_token_without_value, _header_zero_bound,
@@ -525,7 +542,7 @@ def _assert_re_lambda_matches_cos_sum(kernel, n, bound, modes=None):
     if modes is None:
         modes = _positive_half(bound, d)
     nr, na = oracles.half_ball_node_counts(kernel, kmax)
-    got = sym._re_lambda(kernel, modes, n)(nr)[0]
+    got = _re_lambda(kernel, modes, n)(nr)[0]
     ref = oracles.re_lambda_cos_sum(kernel, modes, n, nr, na)
     ks = np.linalg.norm(modes, axis=1)
     lam_rad = _full_ball(kernel, ks, nr, True)
@@ -659,10 +676,10 @@ def _assert_orders_past_truncation_change_nothing(monkeypatch, d, delta, bound):
     modes = _positive_half(bound, d)
     n = np.array([0.48, -0.6, 0.64]) if d == 3 else np.array([0.6, -0.8])
     nr = sym._radial_count(delta * math.sqrt(d) * bound)
-    got = sym._re_lambda(kernel, modes, n)(nr)[0]
+    got = _re_lambda(kernel, modes, n)(nr)[0]
     orders = sym._orders
     monkeypatch.setattr(sym, "_orders", lambda x, d: orders(x, d) + 16)
-    more = sym._re_lambda(kernel, modes, n)(nr)[0]
+    more = _re_lambda(kernel, modes, n)(nr)[0]
     lam_rad = _full_ball(kernel, np.linalg.norm(modes, axis=1), nr, True)
     scale = float(np.max(np.sqrt(np.sum(got**2, axis=1) + lam_rad**2)))
     assert np.max(np.abs(more - got)) <= 4 * np.finfo(float).eps * scale
@@ -781,10 +798,10 @@ def test_full_ball_chunks_match_unchunked(monkeypatch, odd, d, na, chunk):
     # (the polar count in 3D) to 1e-12
     kernel = normalize("fractional", d, horizon=0.1, beta=1.5)
     ks = np.sqrt(np.arange(1, 1500, dtype=float))
-    default = sym._CHUNK
-    monkeypatch.setattr(sym, "_CHUNK", 40 * len(ks))
+    default = quad._BLOCK
+    monkeypatch.setattr(quad, "_BLOCK", 40 * len(ks))
     whole = _full_ball(kernel, ks, 40, odd)
-    monkeypatch.setattr(sym, "_CHUNK", default if chunk is None else chunk)
+    monkeypatch.setattr(quad, "_BLOCK", default if chunk is None else chunk)
     np.testing.assert_array_equal(_full_ball(kernel, ks, 40, odd), whole)
     ref = oracles.full_ball_quadrature(kernel, ks, 40, na if d == 2 else na[0], odd)
     np.testing.assert_allclose(whole, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
@@ -864,17 +881,17 @@ def _cache_pair(case):
 def test_radial_cache_keeps_kernels_apart(case):
     # the second evaluation gets its own entry and the bits of a cold cache
     (ka, ma), (kb, mb) = _cache_pair(case)
-    sym._re_lambda(ka, np.array(ma), _unit(ka.dimension))(30)
-    warm = sym._re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
+    _re_lambda(ka, np.array(ma), _unit(ka.dimension))(30)
+    warm = _re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
     assert len(sym._radial_cache) == 2
     sym.clear_radial_cache()
-    cold = sym._re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
+    cold = _re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
     for w, c in zip(warm, cold):
         np.testing.assert_array_equal(w, c)
 
 
 def test_radial_cache_entries_are_read_only(const2):
-    sym._re_lambda(const2, np.array(_M2), _unit(2))(30)
+    _re_lambda(const2, np.array(_M2), _unit(2))(30)
     (rad,) = sym._radial_cache.values()
     assert not rad.flags.writeable
     with pytest.raises(ValueError):
@@ -921,7 +938,7 @@ def test_pooled_builds_match_serial_builds():
 
 
 def test_radial_cache_is_bounded_and_drops_the_oldest(const2):
-    evaluate = sym._re_lambda(const2, np.array(_M2), _unit(2))
+    evaluate = _re_lambda(const2, np.array(_M2), _unit(2))
     for nr in range(20, 20 + sym._RADIAL_CACHE_SIZE + 1):
         evaluate(nr)
     assert len(sym._radial_cache) == sym._RADIAL_CACHE_SIZE == 8
@@ -940,7 +957,7 @@ def test_radial_cache_under_contention():
     jobs = [(i, nr) for i in range(2) for nr in range(20, 26)] * 8
 
     def evaluate(job):
-        return sym._re_lambda(kernels[job[0]], np.array(_M2), _unit(2))(job[1])
+        return _re_lambda(kernels[job[0]], np.array(_M2), _unit(2))(job[1])
 
     want = {job: evaluate(job) for job in set(jobs)}
     sym.clear_radial_cache()
