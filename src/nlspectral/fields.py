@@ -7,9 +7,14 @@ to zero) and real-valued fields satisfy uhat(-xi) = conj(uhat(xi)).
 Coefficients live in a dense cube of shape (2N+1,)*d followed by the
 component shape: () for scalars, (d,) for vectors, (d, d) for gradient-type
 matrix fields.
+
+What depends on (N, d) alone is computed once: lattice(N, d), a read-only record
+kept in an LRU cache of _LATTICE_CACHE_SIZE = 4, which tables and random_field read.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -17,6 +22,9 @@ import numpy as np
 from .results import mode_rows, write_text
 
 _MASK = (1 << 64) - 1
+# a run uses a handful of lattices: a table's, and the local tables' of a sweep
+_LATTICE_CACHE_SIZE = 4
+Lattice = namedtuple("Lattice", "modes norms half q2 index k")
 
 
 @dataclass
@@ -90,18 +98,25 @@ def lattice_grid(bound, dimension):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=0)
 
 
-def positive_half(coords):
-    """Mask of the lexicographically positive representative of each (xi, -xi) pair.
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def lattice(bound, dimension):
+    """What every table and field on the cube [-N, N]^d shares: a read-only Lattice.
 
-    ``coords`` holds one integer array per axis, all of one shape; xi is in
-    the half when its first nonzero coordinate is positive.
+    ``modes``: the nonzero frequencies (Q, d) in the cube's C order, which is
+    lexicographic, so ``half`` = modes[Q/2:], after the zero mode, holds the xi
+    whose first nonzero coordinate is positive, and -xi mirrors xi about it.
+    ``norms`` = |xi| per mode; ``q2`` and ``index`` are np.unique of the half's
+    |xi|^2 with return_inverse, and ``k`` = sqrt(q2).
     """
-    mask = np.zeros(coords[0].shape, dtype=bool)
-    prior_zero = np.ones(coords[0].shape, dtype=bool)
-    for c in coords:
-        mask |= prior_zero & (c > 0)
-        prior_zero &= c == 0
-    return mask
+    grid = lattice_grid(bound, dimension).reshape(dimension, -1).T
+    modes = grid[np.any(grid != 0, axis=1)]
+    half = modes[len(modes) // 2:]
+    q2, index = np.unique(np.sum(half**2, axis=1), return_inverse=True)
+    rec = Lattice(modes, np.sqrt(np.sum(modes**2, axis=1)), half, q2, index,
+                  np.sqrt(q2.astype(float)))
+    for a in rec:
+        a.setflags(write=False)
+    return rec
 
 
 def l2_norm(field):
@@ -187,18 +202,14 @@ def random_field(seed, bound, decay, dimension=2, components=0):
     cshape = () if components == 0 else (components,)
     n = 2 * bound + 1
     ncomp = 1 if components == 0 else components
-    phases = _uniforms(seed, n**d * ncomp).reshape((n,) * d + cshape)
-    grid = lattice_grid(bound, d)
-    k2 = np.sum(grid**2, axis=0)
-    amp = (1.0 + k2) ** (-decay / 2.0)
-    # fill the lexicographically positive half, then mirror conjugates; this
-    # keeps |uhat| exactly proportional to the decay profile
-    pos = positive_half(grid)
-    half = np.where(
-        pos.reshape(pos.shape + (1,) * len(cshape)),
-        amp.reshape(k2.shape + (1,) * len(cshape)) * np.exp(2j * np.pi * phases),
-        0.0,
-    )
+    lat, centre = lattice(bound, d), n**d // 2
+    phases = _uniforms(seed, n**d * ncomp).reshape(n**d, ncomp)[centre + 1:]
+    # fill the lexicographically positive half (after the zero mode), then mirror
+    # conjugates; this keeps |uhat| exactly proportional to the decay profile
+    half = np.zeros((n**d, ncomp), dtype=complex)
+    amp = ((1.0 + lat.q2) ** (-decay / 2.0))[lat.index, None]
+    half[centre + 1:] = amp * np.exp(2j * np.pi * phases)
+    half = half.reshape((n,) * d + cshape)
     rev = tuple(slice(None, None, -1) for _ in range(d))
     coeffs = half + np.conj(half[rev])
     return SpectralField(bound, d, coeffs, real=True)

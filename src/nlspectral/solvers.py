@@ -404,9 +404,9 @@ def navier_evolve(dec, g, h, forcing, times):
     d = dec.dimension
     if g.component_shape != (d,) or h.component_shape != (d,):
         raise ValueError("initial displacement/velocity must be d-vector fields")
-    a, b = dec.a, _spread(dec.b, d)
-    wa, wb = np.sqrt(a), np.sqrt(b)
-    inva, invb = _inverse(a), _inverse(b)
+    # the transverse factors are computed once per mode, then spread over d
+    a, b, invb = dec.a, _spread(dec.b, d), _spread(_inverse(dec.b), d)
+    wa, wb, inva = np.sqrt(a), np.sqrt(dec.b), _inverse(a)
 
     def factors(w, dt):
         """cos(w dt), sin(w dt)/w with the w -> 0 limit dt (zero mode only), -w sin(w dt)."""
@@ -423,7 +423,7 @@ def navier_evolve(dec, g, h, forcing, times):
         f = _forcing_at(forcing, t0, g)
         if dt != last_dt:  # a uniform grid computes cos/sin once
             last_dt = dt
-            (ca, sa, ma), (cb, sb, mb) = factors(wa, dt), factors(wb, dt)
+            (ca, sa, ma), (cb, sb, mb) = factors(wa, dt), (_spread(x, d) for x in factors(wb, dt))
         su, sv = ca * su + sa * sv, ma * su + ca * sv
         wu, wv = cb * wu + sb * wv, mb * wu + cb * wv
         if f is not None:

@@ -30,6 +30,10 @@ radial count nr and the order L; each level of a refinement ladder is its own
 entry, so settle still compares two computed levels.  The cache holds at
 most _RADIAL_CACHE_SIZE = 8 read-only arrays, is thread-safe, and is emptied
 by clear_radial_cache, which the CLI calls at the start of every run.
+
+What depends on the lattice alone comes from the read-only fields.lattice(N, d).
+A built, loaded or local table is read-only and keeps its |lambda|^2 (abs2) and
+its bounds once computed; verify_bounds returns a copy of the bounds.
 """
 
 from collections import OrderedDict
@@ -43,14 +47,14 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import KernelError
-from .fields import lattice_grid, positive_half
+from .fields import lattice
 from .kernels import SPHERE_AREA, KernelSpec, from_config
 from .results import mode_rows, write_text
 
 UNIT_TOL = 1e-14
-# The largest delta sqrt(d) N, the largest argument k r of a table's Bessel
-# sums, that build_table accepts.  The bound of _orders overflows a float
-# near 2300; at 1000 a 2D N = 32 table takes 14 s on one Xeon core.
+# The largest argument k r of the Bessel sums: delta sqrt(d) N in build_table,
+# delta k in lambda_radial.  The bound of _orders overflows a float near 2300;
+# at 1000 a 2D N = 32 table takes 14 s on one Xeon core.
 _MAX_KR = 1000.0
 # one ladder of 4 radial levels (build_table) for each of two kernels,
 # which is what a 2-thread pool building two kernels at once interleaves
@@ -127,7 +131,7 @@ class SymbolTable:
     @cached_property
     def bounds(self):
         """The verify_bounds report, computed once: by _validate for a built or loaded table."""
-        return verify_bounds(self)
+        return _bounds(self)
 
     @property
     def dimension(self):
@@ -141,14 +145,20 @@ class SymbolTable:
         """Symbol of the reflected orientation: lambda_{-n} = -conj(lambda_n)."""
         return -np.conj(self.lam)
 
+    @cached_property
+    def _abs2(self):
+        a2 = np.sum(np.abs(self.lam) ** 2, axis=-1)
+        a2.setflags(write=False)
+        return a2
+
     def abs2(self):
-        return np.sum(np.abs(self.lam) ** 2, axis=-1)
+        """|lambda|^2 per mode, computed once and read-only."""
+        return self._abs2
 
 
 def lattice_modes(bound, dimension):
-    """All nonzero integer frequencies in the cube, shape (Q, d)."""
-    grid = lattice_grid(bound, dimension).reshape(dimension, -1).T
-    return grid[np.any(grid != 0, axis=1)]
+    """All nonzero integer frequencies in the cube, shape (Q, d), read-only (fields.lattice)."""
+    return lattice(bound, dimension).modes
 
 
 def _radial_count(kmax):
@@ -440,46 +450,40 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     if len(n) != d:
         raise ValueError("orientation dimension does not match the kernel")
 
-    modes = lattice_modes(bound, d)
-    half = modes[positive_half(modes.T)]
-    q2, index = np.unique(np.sum(half**2, axis=1), return_inverse=True)
-
-    re_half, lam_rad = quad.settle(_re_lambda(kernel, half, n, q2, index),
+    lat = lattice(bound, d)
+    re_half, lam_rad = quad.settle(_re_lambda(kernel, lat.half, n, lat.q2, lat.index),
                                    _radial_bumps(_radial_count(kmax), 4),
                                    tol, f"symbol quadrature for N={bound}")
 
-    im_abs = (lam_rad / np.sqrt(q2.astype(float)))[index][:, None] * half
+    im_abs = (lam_rad / lat.k)[lat.index][:, None] * lat.half
 
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
-    idx_pos = tuple((half + bound).T)
-    idx_neg = tuple((-half + bound).T)
-    val = re_half + 1j * im_abs
-    lam[idx_pos] = val
-    lam[idx_neg] = np.conj(val)
-
-    table = SymbolTable(kernel, orientation, bound, lam, q2, lam_rad, tol)
-    _validate(table)
-    return table
+    val, centre = re_half + 1j * im_abs, len(lat.modes) // 2
+    lam.reshape(-1, d)[centre + 1:] = val           # the half, after the zero mode
+    lam.reshape(-1, d)[centre - 1::-1] = np.conj(val)  # -xi, mirrored before it
+    return _validate(SymbolTable(kernel, orientation, bound, lam, lat.q2, lam_rad, tol))
 
 
 def _validate(table):
-    """KernelError unless 0 < |lambda| <= sqrt(2) d |xi| at every mode, NaN failing both."""
+    """The table, read-only; KernelError unless 0 < |lambda| <= sqrt(2) d |xi|, NaN fails both."""
+    for a in (table.lam, table.radial):
+        a.setflags(write=False)
     rep = table.bounds
     if not rep["min_abs"] > 0.0:
         raise KernelError(f"degenerate kernel: min |lambda| = {rep['min_abs']!r}")
     bound = math.sqrt(2.0) * table.dimension * (1.0 + 1e-9)
     if not rep["max_ratio"] <= bound:
         raise KernelError(f"symbol bound violated: max |lambda|/|xi| = {rep['max_ratio']!r}")
+    return table
 
 
 def local_table(dimension, bound):
     """The delta -> 0 counterpart: lambda(xi) = i xi through the same layout."""
-    modes = lattice_modes(bound, dimension)
+    lat = lattice(bound, dimension)
     lam = np.zeros((2 * bound + 1,) * dimension + (dimension,), dtype=complex)
-    idx = tuple((modes + bound).T)
-    lam[idx] = 1j * modes
-    q2 = np.unique(np.sum(modes**2, axis=1))
-    return SymbolTable(None, None, bound, lam, q2, np.sqrt(q2), 0.0, is_local=True)
+    lam[tuple((lat.modes + bound).T)] = 1j * lat.modes
+    lam.setflags(write=False)  # q2 and k are lattice's, read-only
+    return SymbolTable(None, None, bound, lam, lat.q2, lat.k, 0.0, is_local=True)
 
 
 def lambda_radial(kernel, k):
@@ -490,11 +494,13 @@ def lambda_radial(kernel, k):
     kernel is 2D or 3D.  |J_1| and |j_1| are at most 1, so |Lambda| <= area
     sum_i |v_i|; that bound is the least scale of the ladder's comparison,
     which near a zero of Lambda would otherwise ask a value near 0 for
-    relative accuracy.
+    relative accuracy.  KernelError, before any rule, if delta k > _MAX_KR.
     """
     area = SPHERE_AREA[quad.ball_dimension(kernel)]
     if k == 0.0:
         return 0.0
+    if not kernel.horizon * k <= _MAX_KR:
+        raise KernelError(f"delta*k = {kernel.horizon * k!r} exceeds {_MAX_KR}, the cap of Lambda")
     start = _radial_count(kernel.horizon * k)
     floor = area * float(np.sum(np.abs(quad.scaled_radial_rule(kernel, 1, start)[1])))
     # settle scales by the largest part of a level, so a constant part floors it
@@ -504,12 +510,16 @@ def lambda_radial(kernel, k):
 
 
 def verify_bounds(table):
-    """Lattice extremes of the symbol magnitude, for coercivity reports."""
+    """Lattice extremes of the symbol magnitude, for coercivity reports: a copy of table.bounds."""
+    return dict(table.bounds)
+
+
+def _bounds(table):
+    """The pass behind SymbolTable.bounds: min and max |lambda|, max |lambda|/|xi|, argmin."""
     n, shape = table.bound, table.lam.shape[:-1]
     centre = math.prod(shape) // 2  # the zero mode; the flat cube without it is lattice_modes
-    k2 = np.arange(-n, n + 1) ** 2
     mags = np.sqrt(np.delete(table.abs2().ravel(), centre))
-    ratio = mags / np.sqrt(np.delete(sum(np.ix_(*[k2] * len(shape))).ravel(), centre))
+    ratio = mags / lattice(n, len(shape)).norms
     i = int(np.argmin(mags))
     return {
         "min_abs": float(mags[i]),
@@ -593,14 +603,11 @@ def load_table(path):
             raise ValueError("a radial factor is not finite")
     except ValueError as exc:
         raise ValueError(f"symbol cache {path} has a malformed line") from exc
-    modes = lattice_modes(bound, d)
-    if not np.array_equal(body[:, :d], modes):
+    lat = lattice(bound, d)
+    if not np.array_equal(body[:, :d], lat.modes):
         raise ValueError(f"symbol cache {path} lacks, repeats or reorders a mode of N={bound}")
-    q2 = np.unique(np.sum(modes**2, axis=1))
-    if not np.array_equal(radial[1::4], q2.astype(str)):
+    if not np.array_equal(radial[1::4], lat.q2.astype(str)):
         raise ValueError(f"symbol cache {path} lacks, repeats or reorders an L line of N={bound}")
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
-    lam[tuple((modes + bound).T)] = np.ascontiguousarray(body[:, d:]).view(complex)
-    table = SymbolTable(kernel, orientation, bound, lam, q2, lam_rad, tol)
-    _validate(table)
-    return table
+    lam[tuple((lat.modes + bound).T)] = np.ascontiguousarray(body[:, d:]).view(complex)
+    return _validate(SymbolTable(kernel, orientation, bound, lam, lat.q2, lam_rad, tol))

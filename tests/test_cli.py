@@ -372,21 +372,23 @@ def test_runner_leaves_config_unchanged(tmp_path, command, payload):
 
 def test_symbol_sweep_computes_each_tables_bounds_once(tmp_path, monkeypatch):
     # crit01's sweep, shrunk: the bounds it reports are the ones that the
-    # table's validation computed, and each build takes one np.unique of |xi|^2
+    # table's validation computed, and its one lattice takes one np.unique
+    # of |xi|^2, however many tables share it
     import numpy as np
 
-    from nlspectral import symbols as sym
+    from nlspectral import fields as fl, symbols as sym
 
     calls = []  # list.append is atomic, so pooled builds may count into it
-    verify, unique = sym.verify_bounds, np.unique
-    monkeypatch.setattr(sym, "verify_bounds", lambda tab: calls.append("bounds") or verify(tab))
+    bounds, unique = sym._bounds, np.unique
+    monkeypatch.setattr(sym, "_bounds", lambda tab: calls.append("bounds") or bounds(tab))
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append("unique") or unique(*a, **k))
+    fl.lattice.cache_clear()
     with open(os.path.join(PRESETS, "crit01_symbol_bounds.json")) as fh:
         cfg = dict(json.load(fh), angles=[0.0, 2.356194490192345], bound=8)
     _, summary = RUNNERS["symbols"](cfg, str(tmp_path))
     assert passed(summary)
     tables = len(cfg["kernels"]) * len(cfg["deltas"]) * len(cfg["angles"])
-    assert sorted(calls) == ["bounds"] * tables + ["unique"] * tables
+    assert sorted(calls) == ["bounds"] * tables + ["unique"]
 
 
 def test_passed_needs_an_assertion():

@@ -1,6 +1,7 @@
 import dataclasses
 from itertools import product
 import math
+import time
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -11,6 +12,7 @@ from nlspectral import fields as fl
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
 from nlspectral.errors import KernelError
+from nlspectral.experiments import _pmap
 from nlspectral.kernels import SPHERE_AREA
 
 import oracles
@@ -23,9 +25,10 @@ LAMBDA_FRAC15_K5 = 4.933477915085754464
 
 
 def _positive_half(bound, d):
-    """The lexicographically positive half of the nonzero lattice cube."""
+    """The lexicographically positive half of the nonzero lattice cube: the
+    modes whose first nonzero coordinate is positive (reference)."""
     modes = sym.lattice_modes(bound, d)
-    return modes[fl.positive_half(modes.T)]
+    return modes[modes[np.arange(len(modes)), np.argmax(modes != 0, axis=1)] > 0]
 
 
 def _re_lambda(kernel, modes, n):
@@ -48,6 +51,24 @@ def test_lambda_radial_against_reference():
     assert sym.lambda_radial(k, 5.0) == pytest.approx(LAMBDA_CONST_K5, abs=1e-10)
     kf = normalize("fractional", 2, beta=1.5, horizon=0.1)
     assert sym.lambda_radial(kf, 5.0) == pytest.approx(LAMBDA_FRAC15_K5, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1e6, math.inf, math.nan])
+def test_lambda_radial_refuses_delta_k_past_the_cap(k, monkeypatch):
+    kernel = normalize("constant", 2, horizon=0.5)
+    rules = []
+    monkeypatch.setattr(quad, "scaled_radial_rule", lambda *a: rules.append(a))
+    start = time.perf_counter()
+    with pytest.raises(KernelError, match=f"delta\\*k = {0.5 * k!r} exceeds"):
+        sym.lambda_radial(kernel, k)
+    assert time.perf_counter() - start < 0.1
+    assert rules == []
+
+
+def test_lambda_radial_at_the_cap():
+    # delta k = 1000 exactly: radial rules of 1024 nodes and more
+    kernel = normalize("constant", 2, horizon=0.5)
+    assert math.isfinite(sym.lambda_radial(kernel, sym._MAX_KR / 0.5))
 
 
 def test_lambda_radial_zero_frequency():
@@ -157,6 +178,59 @@ def test_verify_bounds_matches_the_gathered_modes(table2, table3):
                               sym.Orientation.from_angle(-0.4), 5)]
     for tab in tables:
         assert sym.verify_bounds(tab) == _bounds_gathered(tab)
+
+
+def _built_loaded_local(tmp_path, table):
+    path = tmp_path / "cache.txt"
+    sym.save_table(table, path)
+    return {"built": table, "loaded": sym.load_table(path), "local": sym.local_table(3, 2)}
+
+
+def test_tables_are_read_only(tmp_path, table2):
+    for name, tab in _built_loaded_local(tmp_path, table2).items():
+        assert tab.abs2() is tab.abs2(), name
+        for a in (tab.lam, tab.q2, tab.radial, tab.abs2()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    np.testing.assert_array_equal(table2.abs2(), np.sum(np.abs(table2.lam) ** 2, axis=-1))
+
+
+def test_verify_bounds_is_a_copy_of_a_fresh_pass(tmp_path, table2):
+    tables = _built_loaded_local(tmp_path, table2)
+    # a replaced table computes its own bounds, from its own lam
+    tables["replaced"] = dataclasses.replace(table2, lam=0.5 * table2.lam)
+    for name, tab in tables.items():
+        rep = sym.verify_bounds(tab)
+        assert rep == _bounds_gathered(tab) == sym._bounds(tab), name
+        rep["min_abs"] = -1.0
+        assert tab.bounds["min_abs"] > 0.0
+    assert tables["replaced"].bounds["min_abs"] == 0.5 * table2.bounds["min_abs"]
+
+
+@pytest.mark.parametrize("bound, d", [(5, 2), (3, 3)])
+def test_lattice_record_is_computed_once_and_read_only(bound, d):
+    lat = fl.lattice(bound, d)
+    assert fl.lattice(bound, d) is lat
+    grid = fl.lattice_grid(bound, d).reshape(d, -1).T
+    modes = grid[np.any(grid != 0, axis=1)]
+    half = _positive_half(bound, d)
+    q2, index = np.unique(np.sum(half**2, axis=1), return_inverse=True)
+    want = {"modes": modes, "norms": np.sqrt(np.sum(modes**2, axis=1)), "half": half,
+            "q2": q2, "index": index, "k": np.sqrt(q2.astype(float))}
+    assert set(lat._fields) == set(want)
+    for name, value in want.items():
+        np.testing.assert_array_equal(getattr(lat, name), value)
+    # the half follows the zero mode in the flat cube, and -xi mirrors it
+    flat = fl.lattice_grid(bound, d).reshape(d, -1).T
+    centre = len(flat) // 2
+    np.testing.assert_array_equal(flat[centre + 1:], half)
+    np.testing.assert_array_equal(flat[centre - 1::-1], -half)
+    # C order too: _re_lambda's xhat @ n keeps its bits only for C-ordered modes
+    for name, value in lat._asdict().items():
+        assert not value.flags.writeable and value.flags.c_contiguous, name
+    with pytest.raises(AttributeError):
+        lat.modes = modes
+    assert sym.lattice_modes(bound, d) is lat.modes
 
 
 def test_floor_stable_between_deltas():
@@ -921,8 +995,6 @@ def test_warm_build_matches_cold_build(d):
 
 def test_pooled_builds_match_serial_builds():
     # two kernels, four orientations each, interleaved over a 2-thread pool
-    from nlspectral.experiments import _pmap
-
     kernels = [normalize("constant", 2, horizon=0.1),
                normalize("fractional", 2, beta=1.5, horizon=0.1)]
     jobs = [(k, 0.2 + j * math.pi / 4) for j in range(4) for k in kernels]
@@ -930,11 +1002,16 @@ def test_pooled_builds_match_serial_builds():
     def build(job):
         return sym.build_table(job[0], sym.Orientation.from_angle(job[1]), 16)
 
-    pooled = _pmap(build, jobs, 2)
-    sym.clear_radial_cache()
-    serial = [build(job) for job in jobs]
-    for p, s in zip(pooled, serial):
-        np.testing.assert_array_equal(p.lam, s.lam)
+    # both sides start cold: the pool's threads also race to build the lattice record
+    runs = []
+    for threads in (2, 1):
+        sym.clear_radial_cache()
+        fl.lattice.cache_clear()
+        runs.append(_pmap(build, jobs, threads))
+    for p, s in zip(*runs):
+        for name in ("lam", "q2", "radial"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(s, name))
+        assert p.bounds == s.bounds
 
 
 def test_radial_cache_is_bounded_and_drops_the_oldest(const2):

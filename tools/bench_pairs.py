@@ -22,18 +22,34 @@ run, to tell a slower machine from slower code), each side's median count
 of minor page faults per run process (``minflt``, from the
 ``RUSAGE_CHILDREN`` totals around the run), ``src_lines``, the versions
 ``run.py`` reports, and every run's raw metrics and fault count.
+
+After the workloads, the presets of PRESETS (crit01 and crit11) run the
+same way, PAIRS alternating pairs, each run one ``nlspectral`` CLI process
+of the checkout's ``src/`` into a fresh output directory.  Their metrics
+are the process's wall time and its peak RSS, from ``os.wait4`` on that
+process (``RUSAGE_CHILDREN``'s ``ru_maxrss`` is the largest of all
+children waited for), summarized as above under ``presets``; a run that
+exits nonzero is not ``correct``.  A child's peak also counts the RSS it
+had at fork, this script's own, which is well below a preset's.
 """
 
 import argparse
 import json
+import os
 from pathlib import Path
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 SIDES = ("parent", "change")
 PAIRS = 10
+# preset -> (subcommand, config under presets/)
+PRESETS = {"crit01": ("symbols", "crit01_symbol_bounds.json"),
+           "crit11": ("divcurl", "crit11_divcurl_friedrichs.json")}
+PRESET_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
 
 def parse_run(stdout):
@@ -60,6 +76,44 @@ def run_one(checkout, workload, seed):
         cwd=checkout, capture_output=True, text=True, check=True)
     minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     return {**parse_run(out.stdout), "minflt": minflt}
+
+
+def run_preset(checkout, command, config):
+    """One CLI process of a preset: its wall time and its own peak RSS."""
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nlspectral.cli", command, "--config",
+             str(Path("presets") / config), "--out", out],
+            cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"metrics": {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0},
+            "correct": proc.returncode == 0}
+
+
+def alternate(run, label):
+    """PAIRS pairs ``{side: run(side, i)}``: parent first in even pairs, change first in odd."""
+    pairs = []
+    for i in range(PAIRS):
+        pair = {}
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            pair[side] = run(side, i)
+            print(f"{label} pair {i} {side}: {pair[side]['metrics']}", file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
+def preset_pass(checkouts):
+    """The summary of each preset's pairs, with every run's metrics."""
+    out = {}
+    for name, (command, config) in PRESETS.items():
+        pairs = alternate(lambda side, i: run_preset(checkouts[side], command, config), name)
+        out[name] = {**summarize(pairs, PRESET_BETTER),
+                     "runs": [{s: p[s]["metrics"] for s in SIDES} for p in pairs]}
+    return out
 
 
 def _spread(values):
@@ -91,9 +145,9 @@ def summarize(pairs, better):
             "wins": sum(sign * (c - p) > 0.0 for p, c in zip(vals["parent"], vals["change"])),
             "beats_iqr": sign * diff > stats["parent"]["iqr"],
         }
-    out["calibration_s"] = {
-        s: statistics.median(p[s]["calibration_s"] for p in pairs) for s in SIDES}
-    out["minflt"] = {s: statistics.median(p[s]["minflt"] for p in pairs) for s in SIDES}
+    for key in ("calibration_s", "minflt"):      # perfbench runs only
+        if key in pairs[0]["parent"]:
+            out[key] = {s: statistics.median(p[s][key] for p in pairs) for s in SIDES}
     out["correct"] = {s: all(p[s]["correct"] for p in pairs) for s in SIDES}
     return out
 
@@ -126,13 +180,7 @@ def main(argv=None):
               "commits": {s: _commit(checkouts[s]) for s in SIDES},
               "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
-        pairs = []
-        for i in range(PAIRS):
-            pair = {}
-            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                pair[side] = run_one(checkouts[side], workload, i)
-                print(f"{workload} pair {i} {side}: {pair[side]['metrics']}", file=sys.stderr)
-            pairs.append(pair)
+        pairs = alternate(lambda side, i: run_one(checkouts[side], workload, i), workload)
         summary = summarize(pairs, better)
         summary["runs"] = [{s: {k: p[s][k] for k in ("metrics", "calibration_s", "minflt")}
                             for s in SIDES} for p in pairs]
@@ -141,6 +189,7 @@ def main(argv=None):
         report["src_lines"] = {s: env[s]["src_lines"] for s in SIDES}
         report["versions"] = {k: env["change"][k] for k in
                               ("python", "numpy", "scipy", "blas", "nproc", "machine")}
+    report["presets"] = preset_pass(checkouts)
     out = args.change / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
