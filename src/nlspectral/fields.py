@@ -128,7 +128,7 @@ def s_norm(field, table):
     """Energy norm (sum |lambda(xi)|^2 |uhat(xi)|^2)^(1/2)."""
     if table is None:
         raise ValueError("energy norms need a symbol table")
-    weight = table.abs2()
+    weight = table.abs2
     extra = field.coeffs.ndim - weight.ndim
     w = weight.reshape(weight.shape + (1,) * extra)
     return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2)))

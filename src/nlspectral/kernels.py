@@ -12,7 +12,8 @@ dimension:
 
 Supported families: constant, fractional (w ~ r**-beta for 1 <= beta < 2),
 a fixed sine profile (pi/2) * sin(pi r), and tabulated profiles interpolated
-piecewise-linearly on a graded radial mesh.
+piecewise-linearly on a graded radial mesh, held as tuples of floats so that
+a KernelSpec is hashable and compares by value (symbols caches by kernel).
 """
 
 from dataclasses import dataclass, replace
@@ -45,7 +46,8 @@ class KernelSpec:
     downstream consumer sees bit-identical values.  ``cutoff_rho`` in (0, 1)
     marks an epsilon-regularized kernel (see :func:`epsilon_cutoff`): the
     profile is clamped on [0, cutoff_rho] to ``cutoff_value`` (the infimum
-    of the profile over that interval).
+    of the profile over that interval).  The knots ``table_r`` and values
+    ``table_w`` of a tabulated profile are stored as tuples of floats.
     """
 
     family: str
@@ -53,10 +55,15 @@ class KernelSpec:
     horizon: float
     normalization: float
     beta: float | None = None
-    table_r: np.ndarray | None = None
-    table_w: np.ndarray | None = None
+    table_r: tuple | None = None
+    table_w: tuple | None = None
     cutoff_rho: float = 0.0
     cutoff_value: float = 0.0
+
+    def __post_init__(self):
+        for name in ("table_r", "table_w"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
     def profile(self, rho):
         """Normalized unit-ball profile w(rho), vectorized over rho >= 0.

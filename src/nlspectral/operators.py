@@ -48,7 +48,7 @@ def divergence(table, u):
 def diffusion(table, u):
     """Composition divergence(gradient(.)): multiply by -|lambda|^2."""
     _check(table, u)
-    mult = -table.abs2()
+    mult = -table.abs2
     out = u.coeffs * mult.reshape(mult.shape + (1,) * len(u.component_shape))
     return SpectralField(u.bound, u.dimension, out, real=u.real)
 

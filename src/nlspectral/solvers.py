@@ -29,7 +29,7 @@ def _inverse(x):
 
 def _abs2_inv(table):
     """|lambda|^2 and its inverse per mode, 0 at xi = 0; KernelError if lambda is 0 elsewhere."""
-    a2 = table.abs2()
+    a2 = table.abs2
     zero = (table.bound,) * table.dimension
     if np.count_nonzero(a2 == 0.0) > (a2[zero] == 0.0):
         raise KernelError("degenerate symbol: lambda vanishes at a nonzero mode")

@@ -24,24 +24,22 @@ holds exactly as computed.
 
 Only the zonal factors and the direction xi^ depend on the orientation, so
 the radial sums R_l of one kernel serve every orientation.  _re_lambda takes
-them from a small LRU cache, keyed by every field of the kernel (tabulated
-profiles by the bytes of their tables), the bytes of the distinct |xi|, the
-radial count nr and the order L; each level of a refinement ladder is its own
-entry, so settle still compares two computed levels.  The cache holds at
-most _RADIAL_CACHE_SIZE = 8 read-only arrays, is thread-safe, and is emptied
-by clear_radial_cache, which the CLI calls at the start of every run.
+them from _cached_radial_orders, a thread-safe functools.lru_cache of
+_RADIAL_CACHE_SIZE = 8 read-only arrays keyed by the kernel (a KernelSpec is
+hashable, a tabulated profile held as tuples), the bytes of the distinct |xi|,
+the radial count nr and the order L; each level of a refinement ladder is its
+own entry, so settle still compares two computed levels.  clear_radial_cache
+empties it, and the CLI calls it at the start of every run.
 
 What depends on the lattice alone comes from the read-only fields.lattice(N, d).
 A built, loaded or local table is read-only and keeps its |lambda|^2 (abs2) and
 its bounds once computed; verify_bounds returns a copy of the bounds.
 """
 
-from collections import OrderedDict
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain
 import math
-import threading
 
 import numpy as np
 
@@ -59,8 +57,6 @@ _MAX_KR = 1000.0
 # one ladder of 4 radial levels (build_table) for each of two kernels,
 # which is what a 2-thread pool building two kernels at once interleaves
 _RADIAL_CACHE_SIZE = 8
-_radial_cache = OrderedDict()
-_radial_lock = threading.Lock()
 
 
 def _finite_vector(v):
@@ -108,9 +104,9 @@ class Orientation:
 class SymbolTable:
     """Cached symbols lambda(xi) over the lattice cube [-N, N]^d minus 0.
 
-    ``lam`` has shape (2N+1,)*d + (d,) indexed by xi + N per axis; ``q2``
-    is the ascending distinct |xi|^2 and ``radial`` Lambda at each.  Local
-    tables (``is_local``) carry lambda(xi) = i xi and are the delta -> 0
+    ``lam`` has shape (2N+1,)*d + (d,) indexed by xi + N per axis and
+    ``radial`` is Lambda at each |xi|^2 of fields.lattice(N, d).q2.  Local
+    tables (no kernel) carry lambda(xi) = i xi and are the delta -> 0
     counterparts used by the error studies.
     """
 
@@ -118,15 +114,13 @@ class SymbolTable:
     orientation: Orientation | None
     bound: int
     lam: np.ndarray
-    q2: np.ndarray
     radial: np.ndarray
     tol: float = quad.DEFAULT_TOL
-    is_local: bool = False
 
     @property
     def lambda_radial_map(self):
-        """Lambda keyed by the integer |xi|^2: a dict built from q2 and radial."""
-        return dict(zip(self.q2.tolist(), self.radial.tolist()))
+        """Lambda keyed by the integer |xi|^2: a dict built from the lattice's q2 and radial."""
+        return dict(zip(lattice(self.bound, self.dimension).q2.tolist(), self.radial.tolist()))
 
     @cached_property
     def bounds(self):
@@ -146,14 +140,11 @@ class SymbolTable:
         return -np.conj(self.lam)
 
     @cached_property
-    def _abs2(self):
+    def abs2(self):
+        """|lambda|^2 per mode, computed once and read-only."""
         a2 = np.sum(np.abs(self.lam) ** 2, axis=-1)
         a2.setflags(write=False)
         return a2
-
-    def abs2(self):
-        """|lambda|^2 per mode, computed once and read-only."""
-        return self._abs2
 
 
 def lattice_modes(bound, dimension):
@@ -332,39 +323,17 @@ def _radial_orders(kernel, ks, nr, lmax):
     return out
 
 
+@lru_cache(maxsize=_RADIAL_CACHE_SIZE)
+def _cached_radial_orders(kernel, kbytes, nr, lmax):
+    """_radial_orders, read-only, at the |xi| whose float64 bytes are kbytes (_re_lambda)."""
+    rad = _radial_orders(kernel, np.frombuffer(kbytes), nr, lmax)
+    rad.setflags(write=False)
+    return rad
+
+
 def clear_radial_cache():
     """Empty the cache of radial sums that _re_lambda shares across orientations."""
-    with _radial_lock:
-        _radial_cache.clear()
-
-
-def _kernel_key(kernel):
-    """Every field of the kernel, hashable: arrays as their dtype and bytes."""
-    return tuple((v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else v
-                 for v in (getattr(kernel, f.name) for f in fields(kernel)))
-
-
-def _cached_radial_orders(key, kernel, ks, nr, lmax):
-    """_radial_orders(kernel, ks, nr, lmax) as a read-only array, from the LRU cache.
-
-    ``key`` names kernel and ks (_re_lambda); lmax and nr complete it.  The
-    sums are computed outside the lock, so two threads may both compute a
-    missing entry; they get the same bits, and the first one stored is kept.
-    """
-    key += (lmax, nr)
-    with _radial_lock:
-        rad = _radial_cache.get(key)
-        if rad is not None:
-            _radial_cache.move_to_end(key)
-            return rad
-    rad = _radial_orders(kernel, ks, nr, lmax)
-    rad.setflags(write=False)
-    with _radial_lock:
-        rad = _radial_cache.setdefault(key, rad)
-        _radial_cache.move_to_end(key)
-        while len(_radial_cache) > _RADIAL_CACHE_SIZE:
-            _radial_cache.popitem(last=False)
-    return rad
+    _cached_radial_orders.cache_clear()
 
 
 def _re_lambda(kernel, modes, n, q2, index):
@@ -399,16 +368,17 @@ def _re_lambda(kernel, modes, n, q2, index):
     d = kernel.dimension
     ks = np.sqrt(q2.astype(float))
     lmax = _orders(kernel.horizon * float(ks[-1]), d)
-    xhat = modes / ks[index, None]
+    # C order, so that xhat @ n takes one path and the bits do not depend on modes' layout
+    xhat = np.ascontiguousarray(modes / ks[index, None])
     c = xhat @ n
     lateral = xhat - c[:, None] * n
     p, dp = _zonal(lmax, c, d)
     weights = _half_ball_weights(lmax, d)[:, None]
     along, across = weights * p[::2], weights * dp[::2]
-    key = (_kernel_key(kernel), ks.tobytes())
+    kbytes = ks.tobytes()
 
     def evaluate(nr):
-        rad = _cached_radial_orders(key, kernel, ks, nr, max(lmax, 1))
+        rad = _cached_radial_orders(kernel, kbytes, nr, max(lmax, 1))
         even = rad[:lmax + 1:2][:, index]
         re = (np.sum(even * along, axis=0)[:, None] * n
               + np.sum(even * across, axis=0)[:, None] * lateral)
@@ -461,7 +431,7 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     val, centre = re_half + 1j * im_abs, len(lat.modes) // 2
     lam.reshape(-1, d)[centre + 1:] = val           # the half, after the zero mode
     lam.reshape(-1, d)[centre - 1::-1] = np.conj(val)  # -xi, mirrored before it
-    return _validate(SymbolTable(kernel, orientation, bound, lam, lat.q2, lam_rad, tol))
+    return _validate(SymbolTable(kernel, orientation, bound, lam, lam_rad, tol))
 
 
 def _validate(table):
@@ -482,8 +452,8 @@ def local_table(dimension, bound):
     lat = lattice(bound, dimension)
     lam = np.zeros((2 * bound + 1,) * dimension + (dimension,), dtype=complex)
     lam[tuple((lat.modes + bound).T)] = 1j * lat.modes
-    lam.setflags(write=False)  # q2 and k are lattice's, read-only
-    return SymbolTable(None, None, bound, lam, lat.q2, lat.k, 0.0, is_local=True)
+    lam.setflags(write=False)  # k is the lattice's, read-only
+    return SymbolTable(None, None, bound, lam, lat.k, 0.0)
 
 
 def lambda_radial(kernel, k):
@@ -518,7 +488,7 @@ def _bounds(table):
     """The pass behind SymbolTable.bounds: min and max |lambda|, max |lambda|/|xi|, argmin."""
     n, shape = table.bound, table.lam.shape[:-1]
     centre = math.prod(shape) // 2  # the zero mode; the flat cube without it is lattice_modes
-    mags = np.sqrt(np.delete(table.abs2().ravel(), centre))
+    mags = np.sqrt(np.delete(table.abs2.ravel(), centre))
     ratio = mags / lattice(n, len(shape)).norms
     i = int(np.argmin(mags))
     return {
@@ -535,7 +505,7 @@ def _bounds(table):
 
 def save_table(table, path):
     """Write the table as decimal text, one lattice mode per line."""
-    if table.is_local:
+    if table.kernel is None:
         raise ValueError("local tables are analytic; nothing to cache")
     k = table.kernel
     if k.family == "tabulated":
@@ -547,8 +517,8 @@ def save_table(table, path):
     )
     modes = lattice_modes(table.bound, table.dimension)
     body = mode_rows(modes, table.lam[tuple((modes + table.bound).T)], " ")
-    radial = zip(table.q2.tolist(), table.radial.tolist())
-    tail = "L %d %.17g\n" * len(table.q2) % tuple(chain.from_iterable(radial))
+    radial = zip(lattice(table.bound, table.dimension).q2.tolist(), table.radial.tolist())
+    tail = "L %d %.17g\n" * len(table.radial) % tuple(chain.from_iterable(radial))
     write_text(path, chain([hdr + "\n"], body, [tail]))
 
 
@@ -610,4 +580,4 @@ def load_table(path):
         raise ValueError(f"symbol cache {path} lacks, repeats or reorders an L line of N={bound}")
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
     lam[tuple((lat.modes + bound).T)] = np.ascontiguousarray(body[:, d:]).view(complex)
-    return _validate(SymbolTable(kernel, orientation, bound, lam, lat.q2, lam_rad, tol))
+    return _validate(SymbolTable(kernel, orientation, bound, lam, lam_rad, tol))

@@ -148,7 +148,7 @@ def re_lambda_cos_sum(kernel, xi, n, nr, na):
 
 def symbol_projector(table):
     """Dense per-mode projector Pi = lambda lambda^H / |lambda|^2, zero at xi = 0."""
-    lam, a2 = table.lam, table.abs2()
+    lam, a2 = table.lam, table.abs2
     inv = np.divide(1.0, a2, out=np.zeros_like(a2), where=a2 > 0.0)
     return np.einsum("...i,...j->...ij", lam, np.conj(lam)) * inv[..., None, None]
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 import resource
 import statistics
@@ -121,15 +122,16 @@ def test_run_one_counts_the_faults_of_its_child(tmp_path, monkeypatch):
 
 def test_run_preset_takes_each_processs_own_peak_rss(tmp_path):
     # a stand-in CLI that checks its arguments, touches the MiB of fresh pages
-    # its subcommand names and exits 3 when that is 0.  A child's peak counts
-    # the RSS it had at fork, this process's, so the big run is sized past
-    # it; the small run after it must report its own peak again, where
+    # its subcommand names and exits 3 when that is 0; otherwise it writes a
+    # summary whose wall_time_s is that count.  A child's peak counts the RSS
+    # it had at fork, this process's, so the big run is sized past it; the
+    # small run after it must report its own peak again, where
     # RUSAGE_CHILDREN would give the largest of all children
     cli = tmp_path / "src" / "nlspectral"
     cli.mkdir(parents=True)
     (cli / "__init__.py").write_text("")
     (cli / "cli.py").write_text(
-        "import os, sys\n"
+        "import json, os, sys\n"
         "command, flag, config, out_flag, out = sys.argv[1:]\n"
         "if (flag, config, out_flag) != ('--config', os.path.join('presets', 'p.json'), '--out')"
         " or not os.path.isdir(out):\n"
@@ -137,10 +139,15 @@ def test_run_preset_takes_each_processs_own_peak_rss(tmp_path):
         "pages = bytearray(int(command) << 20)\n"
         "for i in range(0, len(pages), 4096):\n"
         "    pages[i] = 1\n"
-        "sys.exit(0 if pages else 3)\n")
+        "if not pages:\n"
+        "    sys.exit(3)\n"
+        "with open(os.path.join(out, 'p_summary.json'), 'w') as fh:\n"
+        "    json.dump({'metadata': {'wall_time_s': float(command)}}, fh)\n")
     mib = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0) + 32
     small, big, again = (bench_pairs.run_preset(tmp_path, str(m), "p.json") for m in (0, mib, 0))
     assert big["correct"] and not small["correct"] and not again["correct"]
+    assert big["metrics"]["wall_time_s"] == float(mib)
+    assert math.isnan(small["metrics"]["wall_time_s"])        # it wrote no summary
     assert big["metrics"]["peak_rss_mb"] >= mib
     assert again["metrics"]["peak_rss_mb"] <= small["metrics"]["peak_rss_mb"] + 8.0
     assert again["metrics"]["peak_rss_mb"] < big["metrics"]["peak_rss_mb"] - 16.0
@@ -153,20 +160,46 @@ def test_preset_pass_alternates_and_summarizes_without_calibration(monkeypatch):
     def runner(checkout, command, config):
         calls.append((checkout, command, config))
         wall = {"p": 2.0, "c": 1.0}[checkout] + 0.01 * len(calls)
-        return {"metrics": {"wall_s": wall, "peak_rss_mb": 60.0}, "correct": True}
+        return {"metrics": {"wall_s": wall, "wall_time_s": 0.5, "peak_rss_mb": 60.0},
+                "correct": True}
 
     monkeypatch.setattr(bench_pairs, "run_preset", runner)
-    out = bench_pairs.preset_pass({"parent": "p", "change": "c"})
+    presets = [("crit01_symbol_bounds.json", "symbols"),
+               ("crit11_divcurl_friedrichs.json", "divcurl")]
+    out = bench_pairs.preset_pass({"parent": "p", "change": "c"}, presets)
     pairs = bench_pairs.PAIRS
-    assert set(out) == set(bench_pairs.PRESETS) == {"crit01", "crit11"}
+    assert list(out) == ["crit01_symbol_bounds", "crit11_divcurl_friedrichs"]
     assert calls[:2 * pairs:2] == [("p" if i % 2 == 0 else "c", "symbols",
                                     "crit01_symbol_bounds.json") for i in range(pairs)]
     assert [c[1] for c in calls[2 * pairs:]] == ["divcurl"] * 2 * pairs
-    crit01 = out["crit01"]
+    crit01 = out["crit01_symbol_bounds"]
     assert crit01["pairs"] == pairs and crit01["correct"] == {"parent": True, "change": True}
     assert crit01["metrics"]["wall_s"]["wins"] == pairs
     assert crit01["metrics"]["peak_rss_mb"]["wins"] == 0         # a tie is no win
+    assert crit01["metrics"]["wall_time_s"]["wins"] == 0
     assert set(crit01["metrics"]["wall_s"]["parent"]) == {"median", "q1", "q3", "iqr"}
     assert "calibration_s" not in crit01 and "minflt" not in crit01
-    assert crit01["runs"][0] == {"parent": {"wall_s": 2.01, "peak_rss_mb": 60.0},
-                                 "change": {"wall_s": 1.02, "peak_rss_mb": 60.0}}
+    assert crit01["runs"][0] == {
+        "parent": {"wall_s": 2.01, "wall_time_s": 0.5, "peak_rss_mb": 60.0},
+        "change": {"wall_s": 1.02, "wall_time_s": 0.5, "peak_rss_mb": 60.0}}
+
+
+def test_read_presets_gives_every_row_of_the_table_as_ci_does():
+    root = _PATH.parents[1]
+    presets = bench_pairs.read_presets(root / "presets" / "README.md")
+    assert len(presets) == 12
+    assert presets[0] == ("crit01_symbol_bounds.json", "symbols")
+    assert presets[-1] == ("crit12_determinism.json", "stokes")
+    assert sorted(c for c, _ in presets) == sorted(p.name for p in (root / "presets").glob("*.json"))
+
+
+def test_run_tier1_times_the_suite_and_counts_its_passes(tmp_path):
+    # a stand-in checkout whose suite has two passing tests and one failing
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_stand_in.py").write_text(
+        "def test_one():\n    pass\n\n"
+        "def test_two():\n    pass\n\n"
+        "def test_three():\n    assert False\n")
+    run = bench_pairs.run_tier1(tmp_path)
+    assert run["passed"] == 2 and run["exit"] == 1
+    assert run["wall_s"] > 0.0

@@ -52,6 +52,40 @@ def test_tabulated_moment_condition(rng):
     assert moment(k) == pytest.approx(2.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    (("constant", 2), {"horizon": 0.1}),
+    (("fractional", 3), {"beta": 1.5, "horizon": 0.2}),
+    (("tabulated", 2), {"horizon": 0.1, "values": [3.0, 2.0, 1.0, 0.5]}),
+], ids=["2d", "3d", "tabulated"])
+def test_equal_arguments_give_equal_hashable_kernels(args, kwargs):
+    a, b = normalize(*args, **kwargs), normalize(*args, **kwargs)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_kernels_that_differ_in_one_field_compare_unequal():
+    frac = normalize("fractional", 2, beta=1.5, horizon=0.1)
+    tab = normalize("tabulated", 2, horizon=0.1, values=[3.0, 2.0, 1.0, 0.5])
+    w = list(tab.table_w)
+    w[2] = float(np.nextafter(w[2], np.inf))
+    for base, other in ((frac, epsilon_cutoff(frac, 0.01)),
+                        (frac, replace(frac, normalization=2.0)),
+                        (tab, replace(tab, table_w=np.array(w)))):
+        assert other != base
+    assert isinstance(tab.table_w, tuple) and tab.table_w[2] < w[2]
+
+
+def test_a_kernel_built_with_array_tables_is_hashable():
+    tab = normalize("tabulated", 2, horizon=0.1, values=[3.0, 2.0, 1.0, 0.5])
+    direct = kernels.KernelSpec("tabulated", 2, 0.1, tab.normalization,
+                                table_r=np.array(tab.table_r), table_w=np.array(tab.table_w))
+    assert direct.table_r == tab.table_r and direct.table_w == tab.table_w
+    assert all(type(v) is float for v in direct.table_r + direct.table_w)
+    assert direct == tab and hash(direct) == hash(tab)
+    np.testing.assert_array_equal(direct.profile(np.linspace(0.0, 1.0, 9)),
+                                  tab.profile(np.linspace(0.0, 1.0, 9)))
+
+
 @pytest.mark.parametrize("delta", [1.0, 0.1, 0.01])
 def test_scaling_consistency(delta):
     # int_{|x|<=delta} w_delta(|x|)|x| dx = d independent of delta

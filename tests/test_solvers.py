@@ -43,7 +43,7 @@ def test_stokes_rejects_degenerate_table(table2):
     lam = table2.lam.copy()
     lam[tuple(np.array((3, -2)) + table2.bound)] = 0.0
     bad = SymbolTable(table2.kernel, table2.orientation, table2.bound, lam,
-                      table2.q2, table2.radial, table2.tol)
+                      table2.radial, table2.tol)
     f = fl.random_field(71, 8, 2.0, components=2)
     with pytest.raises(KernelError, match="vanishes"):
         sol.stokes_steady(bad, f)
@@ -130,7 +130,7 @@ def test_stokes_evolve_matches_heat_kernel_per_mode(table2):
     u0 = sol.leray_project(table2, fl.random_field(75, 8, 2.0, components=2))
     times = np.array([0.0, 0.13, 0.4])
     traj = sol.stokes_evolve(table2, u0, None, times)
-    decay = np.exp(-table2.abs2() * 0.4)[..., None]
+    decay = np.exp(-table2.abs2 * 0.4)[..., None]
     np.testing.assert_allclose(traj.states[-1].coeffs, u0.coeffs * decay, atol=1e-14)
 
 
@@ -213,7 +213,7 @@ def _divcurl_normal_equations(table, f, g):
     KH = np.conj(np.swapaxes(K, -1, -2))
     M = np.einsum("...i,...j->...ij", np.conj(lam_neg), lam_neg) + KH @ K
     rhs = np.conj(lam_neg) * f.coeffs[..., None] + np.einsum("...ij,...j->...i", KH, g.coeffs)
-    nz = table.abs2() > 0.0
+    nz = table.abs2 > 0.0
     u = np.zeros_like(g.coeffs)
     u[nz] = np.linalg.solve(M[nz], rhs[nz][..., None])[..., 0]
     return u
@@ -249,7 +249,7 @@ def test_divcurl_friedrichs_ratio_is_coercivity(request, which):
     u, rep = sol.divcurl3d(tab, ops.divergence(tab, ustar), ops.curl3d(tab, ustar))
     ratio = 1.0 + l2_norm(u) ** 2 / l2_norm(ops.gradient(tab, u)) ** 2
     assert rep["friedrichs_ratio"] == pytest.approx(ratio, rel=1e-14)
-    a2 = tab.abs2()
+    a2 = tab.abs2
     assert rep["friedrichs_ratio"] <= 1.0 + 1.0 / np.min(a2[a2 > 0.0])
 
 
@@ -403,7 +403,7 @@ def test_stokes_evolve_forced_step_exact(table2):
     f = fl.random_field(78, 8, 2.0, components=2)
     dt = 0.2
     traj = sol.stokes_evolve(table2, u0, f, np.array([0.0, dt]))
-    a2 = table2.abs2()[..., None]
+    a2 = table2.abs2[..., None]
     E = np.exp(-a2 * dt)
     P = oracles.leray_matrix(table2)
     pf = np.einsum("...ij,...j->...i", P, f.coeffs)
@@ -504,7 +504,7 @@ def _navier_floor(dec, states, rates, forcing, times):
 
 def _stokes_evolve_reference(table, u0, forcing, times):
     """Per-step stokes_evolve through the dense projector: a fresh exp(-a2 dt) every step."""
-    a2, P = table.abs2()[..., None], oracles.leray_matrix(table)
+    a2, P = table.abs2[..., None], oracles.leray_matrix(table)
     inv = np.divide(1.0, a2, out=np.zeros_like(a2), where=a2 > 0.0)
     u = u0.coeffs.astype(complex)
     states = [u.copy()]
@@ -532,7 +532,7 @@ def _stokes_floor(table, states, forcing, times):
     """
     e = 2.0**-53
     k = 8 * (table.dimension + 2) * e
-    a2 = table.abs2()
+    a2 = table.abs2
     inv = np.divide(1.0, a2, out=np.zeros_like(a2), where=a2 > 0.0)
     floors = [np.zeros_like(a2)]
     for j, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
@@ -729,7 +729,7 @@ def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
         # per mode, two complex products of at most sqrt(5) roundings each per term
         p = fl.random_field(bound, bound, 1.0, dimension=3)
         cg = ops.curl3d(table, ops.gradient(table, p)).coeffs
-        scale = table.abs2() * np.abs(p.coeffs)
+        scale = table.abs2 * np.abs(p.coeffs)
         assert np.all(np.abs(cg) <= 8 * _EPS * scale[..., None])
         _assert_double_curl(table, fl.random_field(bound + 3, bound, 1.0, dimension=3,
                                                    components=3))
@@ -752,7 +752,7 @@ def _assert_double_curl(table, f):
     """
     lhs = ops.curl3d(table, ops.curl3d(table, f), sign=-1)
     rhs = ops.gradient(table, ops.divergence(table, f)) - ops.diffusion(table, f)
-    scale = table.abs2() * _mode_norm(f.coeffs)
+    scale = table.abs2 * _mode_norm(f.coeffs)
     assert np.all(np.abs(lhs.coeffs - rhs.coeffs) <= 16 * _EPS * scale[..., None])
 
 

@@ -154,7 +154,7 @@ def test_upper_bound_d2(table2):
 def _bounds_gathered(table):
     """verify_bounds through the modes of lattice_modes, gathered (reference)."""
     modes = sym.lattice_modes(table.bound, table.dimension)
-    mags = np.sqrt(table.abs2()[tuple((modes + table.bound).T)])
+    mags = np.sqrt(table.abs2[tuple((modes + table.bound).T)])
     ratio = mags / np.linalg.norm(modes, axis=1)
     return {"min_abs": float(np.min(mags)), "max_abs": float(np.max(mags)),
             "max_ratio": float(np.max(ratio)),
@@ -170,8 +170,7 @@ def test_verify_bounds_matches_the_gathered_modes(table2, table3):
     local = sym.local_table(2, 3)
     lam = local.lam.copy()
     lam[3, 4] *= 0.5
-    after_zero = sym.SymbolTable(None, None, 3, lam, local.q2, local.radial, 0.0,
-                                 is_local=True)
+    after_zero = sym.SymbolTable(None, None, 3, lam, local.radial, 0.0)
     assert sym.verify_bounds(after_zero)["argmin"] == (0, 1)
     tables = [table2, table3, sym.local_table(3, 2), sym.local_table(2, 1), after_zero,
               sym.build_table(normalize("fractional", 2, beta=1.5, horizon=0.3),
@@ -188,11 +187,11 @@ def _built_loaded_local(tmp_path, table):
 
 def test_tables_are_read_only(tmp_path, table2):
     for name, tab in _built_loaded_local(tmp_path, table2).items():
-        assert tab.abs2() is tab.abs2(), name
-        for a in (tab.lam, tab.q2, tab.radial, tab.abs2()):
+        assert tab.abs2 is tab.abs2, name
+        for a in (tab.lam, tab.radial, tab.abs2):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
-    np.testing.assert_array_equal(table2.abs2(), np.sum(np.abs(table2.lam) ** 2, axis=-1))
+    np.testing.assert_array_equal(table2.abs2, np.sum(np.abs(table2.lam) ** 2, axis=-1))
 
 
 def test_verify_bounds_is_a_copy_of_a_fresh_pass(tmp_path, table2):
@@ -225,12 +224,23 @@ def test_lattice_record_is_computed_once_and_read_only(bound, d):
     centre = len(flat) // 2
     np.testing.assert_array_equal(flat[centre + 1:], half)
     np.testing.assert_array_equal(flat[centre - 1::-1], -half)
-    # C order too: _re_lambda's xhat @ n keeps its bits only for C-ordered modes
+    # C order too, so that _re_lambda's C-ordered xhat is no copy
     for name, value in lat._asdict().items():
         assert not value.flags.writeable and value.flags.c_contiguous, name
     with pytest.raises(AttributeError):
         lat.modes = modes
     assert sym.lattice_modes(bound, d) is lat.modes
+
+
+def test_re_lambda_bits_do_not_depend_on_the_layout_of_modes():
+    # xhat @ n took another path for F-ordered modes, 1 ulp apart in 3D
+    kernel = normalize("constant", 3, horizon=0.3)
+    n = sym.Orientation.from_vector([1.0, -2.0, 0.5]).vec
+    lat = fl.lattice(3, 3)
+    c_side = sym._re_lambda(kernel, lat.half, n, lat.q2, lat.index)(40)
+    f_side = sym._re_lambda(kernel, np.asfortranarray(lat.half), n, lat.q2, lat.index)(40)
+    for c, f in zip(c_side, f_side):
+        np.testing.assert_array_equal(f, c)
 
 
 def test_floor_stable_between_deltas():
@@ -382,7 +392,7 @@ def test_orientation_rejects_non_finite_or_non_vector(make):
 def test_local_table_is_i_xi():
     tab = sym.local_table(2, 4)
     np.testing.assert_array_equal(tab.lam_at((2, -3)), 1j * np.array([2.0, -3.0]))
-    assert tab.is_local
+    assert tab.kernel is None
 
 
 def test_cache_roundtrip(tmp_path, table2):
@@ -923,9 +933,8 @@ def _unit(d):
 
 
 def _one_ulp_more_at(values, i):
-    values = values.copy()
-    values[i] = np.nextafter(values[i], np.inf)
-    return values
+    """The tuple values with its entry i one ulp larger."""
+    return values[:i] + (float(np.nextafter(values[i], np.inf)),) + values[i + 1:]
 
 
 _M2 = [[1, 0], [1, 1], [2, 1], [0, 3]]
@@ -957,7 +966,8 @@ def test_radial_cache_keeps_kernels_apart(case):
     (ka, ma), (kb, mb) = _cache_pair(case)
     _re_lambda(ka, np.array(ma), _unit(ka.dimension))(30)
     warm = _re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
-    assert len(sym._radial_cache) == 2
+    info = sym._cached_radial_orders.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     sym.clear_radial_cache()
     cold = _re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
     for w, c in zip(warm, cold):
@@ -965,8 +975,10 @@ def test_radial_cache_keeps_kernels_apart(case):
 
 
 def test_radial_cache_entries_are_read_only(const2):
-    _re_lambda(const2, np.array(_M2), _unit(2))(30)
-    (rad,) = sym._radial_cache.values()
+    ks = np.sqrt(np.unique(np.sum(np.array(_M2) ** 2, axis=1)).astype(float))
+    rad = sym._cached_radial_orders(const2, ks.tobytes(), 30, 4)
+    assert sym._cached_radial_orders(const2, ks.tobytes(), 30, 4) is rad
+    assert sym._cached_radial_orders.cache_info().currsize == 1
     assert not rad.flags.writeable
     with pytest.raises(ValueError):
         rad[0, 0] = 1.0
@@ -1009,17 +1021,24 @@ def test_pooled_builds_match_serial_builds():
         fl.lattice.cache_clear()
         runs.append(_pmap(build, jobs, threads))
     for p, s in zip(*runs):
-        for name in ("lam", "q2", "radial"):
+        for name in ("lam", "radial"):
             np.testing.assert_array_equal(getattr(p, name), getattr(s, name))
         assert p.bounds == s.bounds
 
 
-def test_radial_cache_is_bounded_and_drops_the_oldest(const2):
+def test_radial_cache_is_bounded_and_drops_the_oldest(radial_passes, const2):
+    # nine levels through a cache of eight: the first, least recently used,
+    # is computed again, and the last, most recently used, is not
     evaluate = _re_lambda(const2, np.array(_M2), _unit(2))
     for nr in range(20, 20 + sym._RADIAL_CACHE_SIZE + 1):
         evaluate(nr)
-    assert len(sym._radial_cache) == sym._RADIAL_CACHE_SIZE == 8
-    assert sorted(key[-1] for key in sym._radial_cache) == list(range(21, 29))
+    info = sym._cached_radial_orders.cache_info()
+    assert info.currsize == info.maxsize == sym._RADIAL_CACHE_SIZE == 8
+    assert radial_passes == list(range(20, 29))
+    evaluate(28)
+    assert radial_passes == list(range(20, 29))
+    evaluate(20)
+    assert radial_passes == list(range(20, 29)) + [20]
 
 
 def test_radial_cache_under_contention():
@@ -1049,4 +1068,4 @@ def test_radial_cache_under_contention():
     for job, parts in zip(jobs, got):
         for g, w in zip(parts, want[job]):
             np.testing.assert_array_equal(g, w)
-    assert len(sym._radial_cache) <= sym._RADIAL_CACHE_SIZE
+    assert sym._cached_radial_orders.cache_info().currsize <= sym._RADIAL_CACHE_SIZE

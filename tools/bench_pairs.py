@@ -23,20 +23,29 @@ of minor page faults per run process (``minflt``, from the
 ``RUSAGE_CHILDREN`` totals around the run), ``src_lines``, the versions
 ``run.py`` reports, and every run's raw metrics and fault count.
 
-After the workloads, the presets of PRESETS (crit01 and crit11) run the
-same way, PAIRS alternating pairs, each run one ``nlspectral`` CLI process
-of the checkout's ``src/`` into a fresh output directory.  Their metrics
-are the process's wall time and its peak RSS, from ``os.wait4`` on that
-process (``RUSAGE_CHILDREN``'s ``ru_maxrss`` is the largest of all
-children waited for), summarized as above under ``presets``; a run that
-exits nonzero is not ``correct``.  A child's peak also counts the RSS it
-had at fork, this script's own, which is well below a preset's.
+After the workloads, every preset of the table in the change's
+``presets/README.md`` runs with its subcommand, as CI's presets step reads
+them: PAIRS alternating pairs, each run one ``nlspectral`` CLI process of
+the checkout's ``src/`` into a fresh output directory.  Their metrics are
+the process's wall time, the ``metadata.wall_time_s`` of the
+``*_summary.json`` the run wrote (NaN if it wrote none) and the process's
+peak RSS, from ``os.wait4`` on that process (``RUSAGE_CHILDREN``'s
+``ru_maxrss`` is the largest of all children waited for), summarized as
+above under ``presets``, keyed by the config's name without ``.json``; a
+run that exits nonzero is not ``correct``.  A child's peak also counts the
+RSS it had at fork, this script's own, which is well below a preset's.
+
+Last, each side runs the Tier-1 suite once (ROADMAP.md's command, with
+derandomized hypothesis examples as in CI), parent first; ``tier1`` holds
+its wall time, its passed count and its exit code.
 """
 
 import argparse
 import json
+import math
 import os
 from pathlib import Path
+import re
 import resource
 import statistics
 import subprocess
@@ -46,10 +55,9 @@ import time
 
 SIDES = ("parent", "change")
 PAIRS = 10
-# preset -> (subcommand, config under presets/)
-PRESETS = {"crit01": ("symbols", "crit01_symbol_bounds.json"),
-           "crit11": ("divcurl", "crit11_divcurl_friedrichs.json")}
-PRESET_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
+PRESET_BETTER = {"wall_s": "lower", "wall_time_s": "lower", "peak_rss_mb": "lower"}
+# a row of the presets table: | `crit01_symbol_bounds.json` | `symbols` | ...
+PRESET_ROW = re.compile(r"^\| `(crit[^`]*)` \| `([^`]*)`", re.MULTILINE)
 
 
 def parse_run(stdout):
@@ -78,8 +86,13 @@ def run_one(checkout, workload, seed):
     return {**parse_run(out.stdout), "minflt": minflt}
 
 
+def read_presets(readme):
+    """The (config, subcommand) rows of the presets table in ``readme``, in its order."""
+    return PRESET_ROW.findall(Path(readme).read_text())
+
+
 def run_preset(checkout, command, config):
-    """One CLI process of a preset: its wall time and its own peak RSS."""
+    """One CLI process of a preset: its wall time, its in-process wall time and its own peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
     with tempfile.TemporaryDirectory() as out:
         start = time.perf_counter()
@@ -89,9 +102,25 @@ def run_preset(checkout, command, config):
             cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"metrics": {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0},
-            "correct": proc.returncode == 0}
+        summaries = [json.loads(p.read_text()) for p in Path(out).glob("*_summary.json")]
+    inner = summaries[0]["metadata"]["wall_time_s"] if summaries else math.nan
+    return {"metrics": {"wall_s": wall, "wall_time_s": inner,
+                        "peak_rss_mb": usage.ru_maxrss / 1024.0},
+            "correct": os.waitstatus_to_exitcode(status) == 0}
+
+
+def run_tier1(checkout):
+    """One timed Tier-1 run in the checkout: wall time, passed count and exit code."""
+    env = dict(os.environ, HYPOTHESIS_PROFILE="ci",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(checkout).resolve() / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    passed = re.findall(r"(\d+) passed", proc.stdout)
+    return {"wall_s": wall, "passed": int(passed[-1]) if passed else 0,
+            "exit": proc.returncode}
 
 
 def alternate(run, label):
@@ -106,10 +135,11 @@ def alternate(run, label):
     return pairs
 
 
-def preset_pass(checkouts):
-    """The summary of each preset's pairs, with every run's metrics."""
+def preset_pass(checkouts, presets):
+    """The summary of the pairs of each (config, subcommand) preset, with every run's metrics."""
     out = {}
-    for name, (command, config) in PRESETS.items():
+    for config, command in presets:
+        name = config.removesuffix(".json")
         pairs = alternate(lambda side, i: run_preset(checkouts[side], command, config), name)
         out[name] = {**summarize(pairs, PRESET_BETTER),
                      "runs": [{s: p[s]["metrics"] for s in SIDES} for p in pairs]}
@@ -189,7 +219,9 @@ def main(argv=None):
         report["src_lines"] = {s: env[s]["src_lines"] for s in SIDES}
         report["versions"] = {k: env["change"][k] for k in
                               ("python", "numpy", "scipy", "blas", "nproc", "machine")}
-    report["presets"] = preset_pass(checkouts)
+    report["presets"] = preset_pass(checkouts, read_presets(args.change / "presets" / "README.md"))
+    report["tier1"] = {s: run_tier1(checkouts[s]) for s in SIDES}
+    print(f"tier1: {report['tier1']}", file=sys.stderr)
     out = args.change / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
