@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 assertion failure, 2 configuration error,
 
 The flags are the only way to set the run: the config path (--config), the
 output directory (--out, default the working directory), and overrides of
-the config's threads, seed and tolerance entries.
+the config's seed and tolerance entries.  A run builds its symbol tables one
+after another.
 """
 
 import argparse
@@ -41,8 +42,6 @@ def build_parser():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", default=None, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for independent symbol builds")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--tol-override", action="append", default=[],
@@ -66,9 +65,8 @@ def load_config(path):
 
 
 def _apply_overrides(cfg, args):
-    for key in ("threads", "seed"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     for item in args.tol_override:
         if "=" not in item:
             raise ConfigError(f"tolerance override must be KEY=VAL, got {item!r}")

@@ -10,7 +10,7 @@ A runner is called as runner(cfg, out_dir) and writes its extra files, the
 symbol caches of ``symbols`` and the rho CSV of ``energy-1d``, to out_dir.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 import math
 import sys
 
@@ -104,11 +104,14 @@ _bound = _whole(2, "a whole number of at least 2 (the lattice bound)")
 _count = _whole(1, "a whole number of at least 1")
 
 
+_LAME_FLOOR = 1e-100  # the solves divide by mu|lambda|^2 and the error norms square that
+
+
 def _lame(value, where):
     mu, lam = _list(_finite, 2)(value, where)
-    if not (mu > 0.0 and lam + 2.0 * mu > 0.0):
-        raise ConfigError(f"{where} must be a Lame pair [mu, lambda] with mu > 0 and "
-                          f"lambda + 2 mu > 0, got {value!r}")
+    if not (mu >= _LAME_FLOOR and lam + 2.0 * mu >= _LAME_FLOOR):
+        raise ConfigError(f"{where} must be a Lame pair [mu, lambda] with mu and "
+                          f"lambda + 2 mu at least {_LAME_FLOOR:g}, got {value!r}")
     return [mu, lam]
 
 
@@ -175,8 +178,7 @@ def _sweep(**extra):
 
 _LAME = (_lame, [1.0, 1.0])
 
-_COMMON = {"experiment": (_text, None), "threads": (_whole(), 1), "seed": (_whole(), 2024),
-           "tolerances": _tolerances()}
+_COMMON = {"experiment": (_text, None), "seed": (_whole(), 2024), "tolerances": _tolerances()}
 
 SCHEMAS = {
     "symbols": {"kernels": (_list(_kernel(2, swept=True)), _REQUIRED),
@@ -211,17 +213,10 @@ def _start(cfg, name):
     return c, {"experiment": name, "assertions": {}, "observations": {}}
 
 
-def _pmap(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _tables(c, block=None, deltas=None):
     """The runners' one symbol-table builder: the table of the kernel,
     orientation (None: the first axis) and bound of ``block`` (default ``c``),
-    or given ``deltas`` one table per horizon, built through _pmap."""
+    or given ``deltas`` one table per horizon."""
     block = c if block is None else block
 
     def build(kcfg):
@@ -233,7 +228,7 @@ def _tables(c, block=None, deltas=None):
 
     if deltas is None:
         return build(block["kernel"])
-    return _pmap(build, [dict(block["kernel"], delta=d) for d in deltas], c["threads"])
+    return [build(dict(block["kernel"], delta=d)) for d in deltas]
 
 
 def _assert_in(summary, name, value, threshold, mode="le"):
@@ -275,21 +270,15 @@ def run_symbols(cfg, out_dir):
     """
     c, summary = _start(cfg, "symbols")
     table = ResultTable(["family", "beta", "delta", "angle", "min_abs", "max_ratio"])
-    jobs = [(dict(kcfg, delta=delta), angle)
-            for kcfg in c["kernels"] for delta in c["deltas"] for angle in c["angles"]]
-
-    def work(job):
-        kcfg, angle = job
-        tab = _tables(c, {"kernel": kcfg, "orientation": Orientation.from_angle(angle),
-                          "bound": c["bound"]})
-        if c["cache"]:
-            tag = f"{kcfg['family']}_b{kcfg.get('beta', 0)}_d{kcfg['delta']}_a{angle:.4f}"
-            sym.save_table(tab, f"{out_dir}/cache_{tag}.txt")
-        return kcfg, angle, tab.bounds
-
     floors = {}
-    for kcfg, angle, rep in _pmap(work, jobs, c["threads"]):
-        table.add(kcfg["family"], kcfg.get("beta", ""), float(kcfg["delta"]),
+    for kcfg, delta, angle in itertools.product(c["kernels"], c["deltas"], c["angles"]):
+        tab = _tables(c, {"kernel": dict(kcfg, delta=delta),
+                          "orientation": Orientation.from_angle(angle), "bound": c["bound"]})
+        if c["cache"]:
+            tag = f"{kcfg['family']}_b{kcfg.get('beta', 0)}_d{delta}_a{angle:.4f}"
+            sym.save_table(tab, f"{out_dir}/cache_{tag}.txt")
+        rep = tab.bounds
+        table.add(kcfg["family"], kcfg.get("beta", ""), float(delta),
                   float(angle), rep["min_abs"], rep["max_ratio"])
         floors.setdefault((kcfg["family"], kcfg.get("beta"), angle), []).append(rep["min_abs"])
 
@@ -297,7 +286,7 @@ def run_symbols(cfg, out_dir):
     _assert_in(summary, "upper_bound", max(table.column("max_ratio")), math.sqrt(2.0) * 2 + 1e-8)
     variation = max((max(v) - min(v)) / max(v) for v in floors.values())
     _assert_in(summary, "floor_stability", variation, 0.20)
-    summary["observations"]["tables_built"] = len(jobs)
+    summary["observations"]["tables_built"] = len(table.rows)
     return table, summary
 
 

@@ -44,19 +44,15 @@ def graded_mesh(delta, size=MESH_SIZE):
 class RhoKernel:
     """Even bond kernel tabulated on a graded mesh of (0, delta).
 
-    ``k_part``/``h_part`` store the two pieces of the defining split (the
-    diagonal product term and the shifted cross term) whose sum is rho; they
-    are kept for internal-consistency tests.  ``value`` re-evaluates rho by
-    quadrature at arbitrary points; ``nodes``/``weights`` give a one-sided
-    quadrature rule for integrals of rho(a)/a^2 against smooth functions,
-    which is exactly the bond-kernel measure of the induced diffusion.
+    ``value`` interpolates rho on the mesh at arbitrary points;
+    ``nodes``/``weights`` give a one-sided quadrature rule for integrals of
+    rho(a)/a^2 against smooth functions, which is exactly the bond-kernel
+    measure of the induced diffusion.
     """
 
     delta: float
     mesh: np.ndarray
     values: np.ndarray
-    k_part: np.ndarray
-    h_part: np.ndarray
     l1_mass: float
     nodes: np.ndarray
     weights: np.ndarray
@@ -186,10 +182,10 @@ def _rho_level(kernel, mesh, epsilon=0.0):
     bond rule; a clamp radius epsilon > 0 is also a panel edge of the rule.
     """
     wmass = _kernel_mass(kernel)
-    rho, kp, hp = _rho_pointwise(kernel, mesh, wmass)
+    rho = _rho_pointwise(kernel, mesh, wmass)[0]
     mass, nodes, weights = _bond_rule(lambda a: _rho_pointwise(kernel, a, wmass)[0],
                                       kernel.horizon, extra=(epsilon,))
-    return RhoKernel(kernel.horizon, mesh, rho, kp, hp, mass, nodes, weights, epsilon)
+    return RhoKernel(kernel.horizon, mesh, rho, mass, nodes, weights, epsilon)
 
 
 def rho_from_kernel(kernel, mesh_size=MESH_SIZE):

@@ -25,11 +25,13 @@ holds exactly as computed.
 Only the zonal factors and the direction xi^ depend on the orientation, so
 the radial sums R_l of one kernel serve every orientation.  _re_lambda takes
 them from _cached_radial_orders, a thread-safe functools.lru_cache of
-_RADIAL_CACHE_SIZE = 8 read-only arrays keyed by the kernel (a KernelSpec is
-hashable, a tabulated profile held as tuples), the bytes of the distinct |xi|,
-the radial count nr and the order L; each level of a refinement ladder is its
-own entry, so settle still compares two computed levels.  clear_radial_cache
-empties it, and the CLI calls it at the start of every run.
+_RADIAL_CACHE_SIZE = 4 read-only arrays, one full ladder of build_table, keyed
+by the kernel (a KernelSpec is hashable, a tabulated profile held as tuples),
+the bytes of the distinct |xi|, the radial count nr and the order L; each
+level of a refinement ladder is its own entry, so settle still compares two
+computed levels, and an orientation sweep hits at whichever level it
+settles.  clear_radial_cache empties it, and the CLI calls it at the start
+of every run.
 
 What depends on the lattice alone comes from the read-only fields.lattice(N, d).
 A built, loaded or local table is read-only and keeps its |lambda|^2 (abs2) and
@@ -54,9 +56,9 @@ UNIT_TOL = 1e-14
 # delta k in lambda_radial.  The bound of _orders overflows a float near 2300;
 # at 1000 a 2D N = 32 table takes 14 s on one Xeon core.
 _MAX_KR = 1000.0
-# one ladder of 4 radial levels (build_table) for each of two kernels,
-# which is what a 2-thread pool building two kernels at once interleaves
-_RADIAL_CACHE_SIZE = 8
+# one ladder of 4 radial levels (build_table), so that an orientation sweep
+# of one kernel hits at whichever level its tables settle
+_RADIAL_CACHE_SIZE = 4
 
 
 def _finite_vector(v):

@@ -15,6 +15,11 @@ from nlspectral.experiments import RUNNERS, fit_slope, passed
 PRESETS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "presets")
 
 
+def _preset(name):
+    with open(os.path.join(PRESETS, name)) as fh:
+        return json.load(fh)
+
+
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -311,6 +316,12 @@ BAD_CONFIGS = {
                                                           lame=[0.0, 1.0]), [], "lame"),
     "navier lame_pairs inadmissible": ("navier", dict(SMALL_ORACLE, lame_pairs=[
         [1.0, 1.0], [1.0, -2.5]]), [], "lame_pairs[1]"),
+    # a modulus near 0 overflows the error norms of the solves, and that
+    # RuntimeWarning used to escape main
+    "crit09 lame near zero": ("convergence", dict(_preset("crit09_navier_convergence.json"),
+                                                  lame=[1e-300, 1.0]), [], "config.lame"),
+    "lame lambda + 2 mu near zero": ("navier-evolve", dict(SMALL_STOKES,
+                                                           lame=[1e-99, -1.99999e-99]), [], "lame"),
     "energy-1d window half-width": ("energy-1d", {"checks": ["double"], "pairs": [[0.2, 0.0]]},
                                     [], "pairs[0][1]"),
     "tolerance override quad.tol": ("stokes", SMALL_STOKES, ["--tol-override", "quad.tol=3"],
@@ -333,6 +344,9 @@ BAD_CONFIGS = {
         SMALL_STOKES["kernel"], delta=1e300)), [], "delta=1e+300"),
     "stokes delta past the lattice cap": ("stokes", dict(SMALL_STOKES, kernel=dict(
         SMALL_STOKES["kernel"], delta=1e5)), [], "delta*sqrt(d)*N"),
+    # the key of the retired symbol-build pool
+    "crit01 threads": ("symbols", dict(_preset("crit01_symbol_bounds.json"), threads=1), [],
+                       "unknown key 'threads' in config"),
     "symbols orientation": ("symbols", {"kernels": [{"family": "constant", "dimension": 2}],
                                         "deltas": [0.1], "orientation": {"angle": 0.3}},
                             [], "'orientation'"),
@@ -378,7 +392,7 @@ def test_symbol_sweep_computes_each_tables_bounds_once(tmp_path, monkeypatch):
 
     from nlspectral import fields as fl, symbols as sym
 
-    calls = []  # list.append is atomic, so pooled builds may count into it
+    calls = []
     bounds, unique = sym._bounds, np.unique
     monkeypatch.setattr(sym, "_bounds", lambda tab: calls.append("bounds") or bounds(tab))
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append("unique") or unique(*a, **k))
@@ -466,17 +480,14 @@ def _fresh_interpreter(code, *args):
                           env=env, capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("preset, command", [("crit01_symbol_bounds.json", "symbols"),
-                                             ("crit11_divcurl_friedrichs.json", "divcurl")])
-def test_threads_leave_csv_bytes_unchanged(tmp_path, preset, command):
-    config = os.path.join(PRESETS, preset)
-    bodies = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert cli.main([command, "--config", config, "--out", str(out),
-                         "--threads", threads]) == 0
-        bodies.append([(p.name, p.read_bytes()) for p in sorted(out.glob("*.csv"))])
-    assert len(bodies[0]) == 1 and bodies[0] == bodies[1]
+def test_threads_flag_exits_2(tmp_path, capsys):
+    # tables are built one after another; the flag of the retired pool is
+    # an argparse error
+    config = os.path.join(PRESETS, "crit01_symbol_bounds.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symbols", "--config", config, "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("vector", [[1e308, 1e308, 0.0], [3e-200, 4e-200, 0.0]],

@@ -53,8 +53,9 @@ def test_nonnegative_for_nonincreasing(rho_constant):
 
 
 def test_split_parts_sum_to_rho(rho_sine):
-    np.testing.assert_allclose(rho_sine.k_part + rho_sine.h_part, rho_sine.values,
-                               atol=1e-14)
+    k = normalize("sine", 1)
+    _, kp, hp = od._rho_pointwise(k, rho_sine.mesh, od._kernel_mass(k))
+    np.testing.assert_allclose(kp + hp, rho_sine.values, atol=1e-14)
 
 
 @pytest.mark.parametrize("family", ["constant", "sine"])
@@ -219,9 +220,17 @@ def _assert_parts_close(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-13 * scale
 
 
+def _with_parts(kernel, rho):
+    """(rho, its values with the k-part and h-part on its mesh), the parts
+    from od._rho_pointwise as it stands when called."""
+    _, kp, hp = od._rho_pointwise(kernel, rho.mesh, od._kernel_mass(kernel))
+    return rho, (rho.values, kp, hp)
+
+
 def _assert_rho_close(got, ref):
-    _assert_parts_close((got.values, got.k_part, got.h_part),
-                        (ref.values, ref.k_part, ref.h_part))
+    """Two _with_parts pairs agree: values, parts, mass and bond rule."""
+    (got, got_parts), (ref, ref_parts) = got, ref
+    _assert_parts_close(got_parts, ref_parts)
     assert abs(got.l1_mass - ref.l1_mass) <= 1e-13 * abs(ref.l1_mass)
     assert np.max(np.abs(got.nodes - ref.nodes)) <= 1e-13 * ref.delta
     assert np.max(np.abs(got.weights - ref.weights)) <= 1e-13 * np.max(np.abs(ref.weights))
@@ -240,18 +249,23 @@ def _tabulated(horizon=0.8):
 ], ids=["constant", "sine", "tabulated"])
 def test_block_rho_from_kernel_matches_loop(monkeypatch, make):
     kernel = make()
-    got = od.rho_from_kernel(kernel, mesh_size=256)
+    got = _with_parts(kernel, od.rho_from_kernel(kernel, mesh_size=256))
     monkeypatch.setattr(od, "_rho_pointwise", _rho_pointwise_loop)
-    _assert_rho_close(got, od.rho_from_kernel(kernel, mesh_size=256))
+    _assert_rho_close(got, _with_parts(kernel, od.rho_from_kernel(kernel, mesh_size=256)))
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
 def test_block_rho_regularized_matches_loop(monkeypatch, beta):
     kernel = normalize("fractional", 1, beta=beta)
-    got, _ = od.rho_regularized(kernel, mesh_size=128)
+
+    def levels():
+        return [_with_parts(epsilon_cutoff(kernel, lv.epsilon), lv)
+                for lv in od.rho_regularized(kernel, mesh_size=128)[0]]
+
+    got = levels()
     monkeypatch.setattr(od, "_rho_pointwise", _rho_pointwise_loop)
-    ref, _ = od.rho_regularized(kernel, mesh_size=128)
-    assert [lv.epsilon for lv in got] == list(od.DEFAULT_EPS_SEQUENCE)
+    ref = levels()
+    assert [lv.epsilon for lv, _ in got] == list(od.DEFAULT_EPS_SEQUENCE)
     for g, r in zip(got, ref):
         _assert_rho_close(g, r)
 
@@ -426,8 +440,8 @@ def _bond_nodes(rho, count):
     if count is None:
         return rho
     pick = np.linspace(0, len(rho.nodes) - 1, count).astype(int)
-    return od.RhoKernel(rho.delta, rho.mesh, rho.values, rho.k_part, rho.h_part,
-                        rho.l1_mass, rho.nodes[pick], rho.weights[pick])
+    return od.RhoKernel(rho.delta, rho.mesh, rho.values, rho.l1_mass,
+                        rho.nodes[pick], rho.weights[pick])
 
 
 def _assert_bond_energy(monkeypatch, rho, u, chunks):

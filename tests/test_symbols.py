@@ -12,7 +12,6 @@ from nlspectral import fields as fl
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
 from nlspectral.errors import KernelError
-from nlspectral.experiments import _pmap
 from nlspectral.kernels import SPHERE_AREA
 
 import oracles
@@ -517,6 +516,13 @@ def _header_nan_tol(lines):
     return [" ".join(hdr) + "\n"] + lines[1:]
 
 
+def _symbol_between_the_bounds(lines):
+    # lambda = (3.5 |xi|, 0): the ratio lies above sqrt(2) d = 2.83 and below
+    # 2d = 4, so only the bound of _validate refuses it
+    x, y = (int(t) for t in lines[1].split()[:2])
+    return lines[:1] + [f"{x} {y} {3.5 * math.hypot(x, y)!r} 0 0 0\n"] + lines[2:]
+
+
 @pytest.mark.parametrize("corrupt", [_cut_to_100_lines, _duplicate_a_mode,
                                      _mode_outside_bound, _cut_mid_line,
                                      _move_a_token_to_the_next_line, _non_integer_mode, _drop_a_radial_line,
@@ -526,7 +532,8 @@ def _header_nan_tol(lines):
                                      _header_without_beta, _header_bad_dimension,
                                      _header_token_without_value, _header_zero_bound,
                                      _header_short_orientation, _nan_symbol_cell,
-                                     _nan_radial_value, _header_nan_tol, _header_nan_delta])
+                                     _nan_radial_value, _header_nan_tol, _header_nan_delta,
+                                     _symbol_between_the_bounds])
 def test_corrupt_cache_rejected(tmp_path, table2, corrupt):
     path = tmp_path / "cache.txt"
     sym.save_table(table2, path)
@@ -1006,7 +1013,10 @@ def test_warm_build_matches_cold_build(d):
 
 
 def test_pooled_builds_match_serial_builds():
-    # two kernels, four orientations each, interleaved over a 2-thread pool
+    # two kernels, four orientations each, interleaved over a 2-thread pool,
+    # as a caller's own pool builds them (perfbench's field3d)
+    from concurrent.futures import ThreadPoolExecutor
+
     kernels = [normalize("constant", 2, horizon=0.1),
                normalize("fractional", 2, beta=1.5, horizon=0.1)]
     jobs = [(k, 0.2 + j * math.pi / 4) for j in range(4) for k in kernels]
@@ -1015,30 +1025,32 @@ def test_pooled_builds_match_serial_builds():
         return sym.build_table(job[0], sym.Orientation.from_angle(job[1]), 16)
 
     # both sides start cold: the pool's threads also race to build the lattice record
-    runs = []
-    for threads in (2, 1):
-        sym.clear_radial_cache()
-        fl.lattice.cache_clear()
-        runs.append(_pmap(build, jobs, threads))
-    for p, s in zip(*runs):
+    sym.clear_radial_cache()
+    fl.lattice.cache_clear()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = list(pool.map(build, jobs))
+    sym.clear_radial_cache()
+    fl.lattice.cache_clear()
+    serial = [build(job) for job in jobs]
+    for p, s in zip(pooled, serial):
         for name in ("lam", "radial"):
             np.testing.assert_array_equal(getattr(p, name), getattr(s, name))
         assert p.bounds == s.bounds
 
 
 def test_radial_cache_is_bounded_and_drops_the_oldest(radial_passes, const2):
-    # nine levels through a cache of eight: the first, least recently used,
+    # five levels through a cache of four: the first, least recently used,
     # is computed again, and the last, most recently used, is not
     evaluate = _re_lambda(const2, np.array(_M2), _unit(2))
     for nr in range(20, 20 + sym._RADIAL_CACHE_SIZE + 1):
         evaluate(nr)
     info = sym._cached_radial_orders.cache_info()
-    assert info.currsize == info.maxsize == sym._RADIAL_CACHE_SIZE == 8
-    assert radial_passes == list(range(20, 29))
-    evaluate(28)
-    assert radial_passes == list(range(20, 29))
+    assert info.currsize == info.maxsize == sym._RADIAL_CACHE_SIZE == 4
+    assert radial_passes == list(range(20, 25))
+    evaluate(24)
+    assert radial_passes == list(range(20, 25))
     evaluate(20)
-    assert radial_passes == list(range(20, 29)) + [20]
+    assert radial_passes == list(range(20, 25)) + [20]
 
 
 def test_radial_cache_under_contention():
