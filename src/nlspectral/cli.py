@@ -67,12 +67,14 @@ def load_config(path):
 def _apply_overrides(cfg, args):
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if args.tol_override and not isinstance(cfg.setdefault("tolerances", {}), dict):
+        raise ConfigError(f"config.tolerances must be a JSON object, got {cfg['tolerances']!r}")
     for item in args.tol_override:
         if "=" not in item:
             raise ConfigError(f"tolerance override must be KEY=VAL, got {item!r}")
         key, val = item.split("=", 1)
         try:
-            cfg.setdefault("tolerances", {})[key] = float(val)
+            cfg["tolerances"][key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"tolerance override {item!r} is not numeric") from exc
     return cfg
@@ -89,7 +91,7 @@ def run_command(command, cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir} is not writable")
-    started = time.time()
+    started = time.perf_counter()
     table, summary = runner(cfg, out_dir=out_dir)
     import numpy
 
@@ -98,7 +100,7 @@ def run_command(command, cfg, out_dir):
         "config_sha256": config_hash(cfg),
         "package_version": __version__,
         "numpy_version": numpy.__version__,
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     name = cfg.get("experiment", command).replace(" ", "_")

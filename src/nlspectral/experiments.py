@@ -12,6 +12,7 @@ symbol caches of ``symbols`` and the rho CSV of ``energy-1d``, to out_dir.
 
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -97,6 +98,9 @@ def _one_of(*names):
 
 
 _text = _value(lambda v: isinstance(v, str), "a string")
+_file_name = _value(lambda v: isinstance(v, str) and v[:1] not in ("", ".")
+                    and not {"/", "\0", os.sep, os.altsep} & set(v),
+                    "a plain file name (no path separator or NUL, not starting with '.')")
 _flag = _value(lambda v: isinstance(v, bool), "true or false")
 _finite = _value(_real, "a finite number", float)
 _positive = _value(lambda v: _real(v) and v > 0.0, "a positive number", float)
@@ -178,7 +182,7 @@ def _sweep(**extra):
 
 _LAME = (_lame, [1.0, 1.0])
 
-_COMMON = {"experiment": (_text, None), "seed": (_whole(), 2024), "tolerances": _tolerances()}
+_COMMON = {"experiment": (_file_name, None), "seed": (_whole(), 2024), "tolerances": _tolerances()}
 
 SCHEMAS = {
     "symbols": {"kernels": (_list(_kernel(2, swept=True)), _REQUIRED),
@@ -618,7 +622,7 @@ def run_energy1d(cfg, out_dir):
         mesh_gap = float(np.max(np.abs(rho_s.values - closed)))
         table.add("sine_closed_form_gap", mesh_gap)
         wmass = onedim._kernel_mass(ks)
-        rho01 = float(onedim._rho_pointwise(ks, np.array([0.1]), wmass)[0][0])
+        rho01 = float(onedim._rho_pointwise(ks, np.array([0.1]), wmass)[0])
         table.add("sine_rho_0p1", rho01)
         kf = normalize("fractional", 1, beta=1.0, horizon=1.0)
         levels, limit = onedim.rho_regularized(kf)

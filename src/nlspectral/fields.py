@@ -54,9 +54,6 @@ class SpectralField:
     def copy(self):
         return SpectralField(self.bound, self.dimension, self.coeffs.copy(), self.real)
 
-    def at(self, xi):
-        return self.coeffs[tuple(int(c) + self.bound for c in xi)]
-
     def set_mode(self, xi, value):
         """Assign one coefficient; a real field also gets its conjugate at -xi."""
         if all(c == 0 for c in xi):

@@ -1,4 +1,4 @@
-"""Weighted quadrature over half-disks, half-balls and 1D kernel panels.
+"""Weighted quadrature over half-disks, half-balls and the 1D interval (0, delta].
 
 ``scaled_radial_rule``, the radial rule of every symbol table, integrates
 against w_delta(r) r^(d-1) dr on (0, delta]: Gauss-Jacobi (Golub-Welsch)
@@ -9,14 +9,16 @@ or polar angles times an azimuth trapezoid on the hemisphere (3D) about
 the orientation, as physical offsets and weights.  The symbol tables close
 their angular integrals (``symbols``), so it serves the physical-space
 checks alone: ``integrate_halfball``, the oracles of ``operators`` and
-the test oracles.
+the test oracles.  ``_interval_rule`` is the 1D rule on (0, delta] (``onedim``).
 
 Every refinement check in the package goes through ``settle``: it
 evaluates a ladder of levels (panel doublings, grown node counts, or a
 fixed pair) and accepts the finer of the first two successive levels whose
 largest change is at most tol times the finer level's largest magnitude;
 otherwise it raises QuadratureConvergenceError with the last error and
-level.  Composite Gauss-Legendre rules all come from ``gl_panels``.
+level.  Composite Gauss-Legendre rules come from ``gl_panels``, except
+those that ``onedim._cross_integral``, ``operators._window_rule`` and
+``kernels._tabulated_moment`` build from Gauss-Legendre nodes themselves.
 """
 
 from functools import lru_cache
@@ -26,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import KernelError, QuadratureConvergenceError
-from .kernels import FRACTIONAL
+from .kernels import FRACTIONAL, eval_kernel
 
 DEFAULT_TOL = 1e-10
 _TINY = 1e-300
@@ -150,8 +152,8 @@ def scaled_radial_rule(kernel, panels=1, n_nodes=24):
     """Nodes/weights (r, v) with sum v*g(r) ~ int_0^delta w_delta(r) r^(d-1) g dr.
 
     Built on (0, 1] and scaled by the horizon, for a 2D or 3D kernel
-    (``ball_dimension``; 1D kernels have their own panels,
-    ``integrate_interval``).  For uncut fractional kernels the algebraic
+    (``ball_dimension``; 1D kernels have their own rule,
+    ``_interval_rule``).  For uncut fractional kernels the algebraic
     weight rho^(d-1-beta) is built into a Gauss-Jacobi rule.
     """
     d = ball_dimension(kernel)
@@ -255,48 +257,26 @@ def integrate_halfball(kernel, orientation, f, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# 1D panel quadrature
+# the 1D rule on (0, delta]
 # ---------------------------------------------------------------------------
 
-def _interval_rule(kernel, a, b, panels, n_nodes=24):
-    delta = kernel.horizon
-    if kernel.is_singular and a == 0.0:
-        n = n_nodes * panels
-        gamma = 1.0 - kernel.beta
-        x, w = jacobi(n, gamma)
-        rho = 0.5 * (x + 1.0)        # on (0, 1), scaled to (0, b) below
-        s = b * rho
-        scale = kernel.normalization / delta ** (2.0 - kernel.beta)
-        v = scale * w * 0.5 ** (gamma + 1.0) * b ** (gamma + 1.0) / s
-        return s, v
-    from .kernels import eval_kernel
+def _interval_rule(kernel, panels, n_nodes=24):
+    """Nodes/weights (s, v) with sum v*g(s) ~ int_0^delta w_delta(s) g(s) ds, 1D kernel.
 
-    edges = {a, b} | {delta * r for r in kernel.breakpoints() if a < delta * r < b}
+    n_nodes * panels Gauss-Jacobi nodes for an uncut fractional kernel, else
+    Gauss-Legendre panels at the breakpoints and above a clamp radius.
+    """
+    delta = kernel.horizon
+    if kernel.is_singular:
+        gamma = 1.0 - kernel.beta
+        x, w = jacobi(n_nodes * panels, gamma)
+        s = delta * (0.5 * (x + 1.0))
+        scale = kernel.normalization / delta ** (2.0 - kernel.beta)
+        return s, scale * w * 0.5 ** (gamma + 1.0) * delta ** (gamma + 1.0) / s
+    edges = {0.0, delta} | {delta * r for r in kernel.breakpoints() if 0.0 < delta * r < delta}
     if kernel.family == FRACTIONAL and kernel.cutoff_rho > 0.0:
         # clamped power profile: geometric panels resolve the decades above
         # the clamp radius
-        edges.update(geometric_edges(max(kernel.cutoff_rho * delta, a), b)[1:-1])
+        edges.update(geometric_edges(kernel.cutoff_rho * delta, delta)[1:-1])
     s, w = _split_rule(sorted(edges), panels, n_nodes)
     return s, w * eval_kernel(kernel, s)
-
-
-def integrate_interval(kernel, a, b, f, tol=1e-8):
-    """Panel-adaptive int_a^b w_delta(s) f(s) ds for a 1D kernel.
-
-    24 nodes per panel, refined by panel doublings, 1 to 64 panels.
-    Requires [a, b] inside [0, delta].  Non-integrable pairs (a singular
-    kernel against an integrand that does not vanish at the origin) fail the
-    refinement comparison and raise QuadratureConvergenceError.
-    """
-    if kernel.dimension != 1:
-        raise KernelError("integrate_interval expects a 1D kernel")
-    if not (0.0 <= a < b <= kernel.horizon + 1e-15):
-        raise ValueError(f"interval [{a}, {b}] must sit inside [0, delta]")
-    def evaluate(p):
-        s, w = _interval_rule(kernel, a, b, p)
-        val = complex(np.sum(w * np.asarray(f(s))))
-        return val.real if abs(val.imag) == 0.0 else val
-
-    return settle(evaluate, (2**i for i in range(7)), tol,
-                  f"interval quadrature on [{a}, {b}] (check integrability of the "
-                  "kernel/integrand pair)")

@@ -326,27 +326,15 @@ class NavierModeDecomposition:
     and the complement c - hat sigma (eigenvalue b).
     """
 
-    bound: int
     dimension: int
-    mu: float
-    lam_lame: float
     hat: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
-    def split(self, coeffs):
-        """(Pi c, c - Pi c), the parts of c in the two eigenspaces of P."""
-        pc = _along(self.hat, coeffs)[1]
-        return pc, coeffs - pc
-
-    @staticmethod
-    def combine(fa, fb, parts):
-        """fa Pi c + fb (c - Pi c) from parts = split(c)."""
-        return fa[..., None] * parts[0] + fb[..., None] * parts[1]
-
     def apply(self, fa, fb, coeffs):
-        """phi(P) coeffs for the scalar spectra fa = phi(a), fb = phi(b)."""
-        return self.combine(fa, fb, self.split(coeffs))
+        """phi(P) c = fa Pi c + fb (c - Pi c) for the scalar spectra fa = phi(a), fb = phi(b)."""
+        pc = _along(self.hat, coeffs)[1]
+        return fa[..., None] * pc + fb[..., None] * (coeffs - pc)
 
 
 def navier_decompose(table, mu, lam_lame):
@@ -356,8 +344,8 @@ def navier_decompose(table, mu, lam_lame):
             "need mu > 0 and lambda + 2 mu > 0"
         )
     a2, inv = _abs2_inv(table)
-    return NavierModeDecomposition(table.bound, table.dimension, mu, lam_lame,
-                                   _unit_symbol(table, inv), (lam_lame + 2.0 * mu) * a2, mu * a2)
+    return NavierModeDecomposition(table.dimension, _unit_symbol(table, inv),
+                                   (lam_lame + 2.0 * mu) * a2, mu * a2)
 
 
 def navier_steady(dec, f):

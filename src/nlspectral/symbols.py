@@ -117,7 +117,7 @@ class SymbolTable:
     bound: int
     lam: np.ndarray
     radial: np.ndarray
-    tol: float = quad.DEFAULT_TOL
+    tol: float
 
     @property
     def lambda_radial_map(self):
@@ -149,11 +149,6 @@ class SymbolTable:
         return a2
 
 
-def lattice_modes(bound, dimension):
-    """All nonzero integer frequencies in the cube, shape (Q, d), read-only (fields.lattice)."""
-    return lattice(bound, dimension).modes
-
-
 def _radial_count(kmax):
     return 24 + int(kmax)
 
@@ -178,12 +173,12 @@ def _start_order(lmax, x, d):
         L += 1
 
 
-def _bessel_orders(lmax, x, d, start=None):
+def _bessel_orders(lmax, x, d, start):
     """Bessel J_l(x) (d = 2) or spherical j_l(x) (d = 3) for l = 0..lmax at x > 0.
 
     Shape (lmax + 1,) + x.shape.  The ratios rho_l = f_l/f_(l-1) come from
     rho_l = 1/((2l + d - 2)/x - rho_(l+1)), started at rho = 0 at ``start``
-    (by default _start_order of lmax and max x).  Then f_l = f_0 rho_1 ...
+    (_start_order of lmax and max x, or later).  Then f_l = f_0 rho_1 ...
     rho_l, or f_1 rho_2 ... rho_l where |f_1| > |f_0|: near a zero of f_0,
     1/rho_1 is a rounded difference.  The start pair is j_0 = sin x/x and
     j_1 = (j_0 - cos x)/x in 3D and Miller's in 2D: the pass also sums T_l =
@@ -191,8 +186,6 @@ def _bessel_orders(lmax, x, d, start=None):
     J_2k = 1 gives 1/J_0 = 1 + rho_1 T_2 and 1/J_1 = 1/rho_1 + T_2.
     """
     x = np.asarray(x, dtype=float)
-    if start is None:
-        start = _start_order(lmax, float(np.max(x)), d)
     inv = 1.0 / x
     out = np.empty((lmax + 1,) + x.shape)
     ratio, step, tail = np.zeros_like(x), np.empty_like(x), np.zeros_like(x)
@@ -489,7 +482,7 @@ def verify_bounds(table):
 def _bounds(table):
     """The pass behind SymbolTable.bounds: min and max |lambda|, max |lambda|/|xi|, argmin."""
     n, shape = table.bound, table.lam.shape[:-1]
-    centre = math.prod(shape) // 2  # the zero mode; the flat cube without it is lattice_modes
+    centre = math.prod(shape) // 2  # the zero mode; the flat cube without it is lattice(...).modes
     mags = np.sqrt(np.delete(table.abs2.ravel(), centre))
     ratio = mags / lattice(n, len(shape)).norms
     i = int(np.argmin(mags))
@@ -517,9 +510,9 @@ def save_table(table, path):
         f"beta={'' if k.beta is None else repr(k.beta)} delta={k.horizon!r} "
         f"n={','.join(repr(float(c)) for c in table.orientation.vec)} tol={table.tol!r}"
     )
-    modes = lattice_modes(table.bound, table.dimension)
-    body = mode_rows(modes, table.lam[tuple((modes + table.bound).T)], " ")
-    radial = zip(lattice(table.bound, table.dimension).q2.tolist(), table.radial.tolist())
+    lat = lattice(table.bound, table.dimension)
+    body = mode_rows(lat.modes, table.lam[tuple((lat.modes + table.bound).T)], " ")
+    radial = zip(lat.q2.tolist(), table.radial.tolist())
     tail = "L %d %.17g\n" * len(table.radial) % tuple(chain.from_iterable(radial))
     write_text(path, chain([hdr + "\n"], body, [tail]))
 
@@ -529,7 +522,7 @@ def load_table(path):
 
     Raises ValueError unless the header is complete and well formed, with a
     positive finite tol, and the body is exactly what save_table writes: a
-    line for each nonzero lattice mode in the order of lattice_modes, then
+    line for each nonzero lattice mode in the order of lattice(N, d).modes, then
     an L line with a finite Lambda for each distinct |xi|^2 in ascending
     order, each line of its own width and ended by a newline; KernelError
     if a loaded symbol fails the table validation, as a NaN does.  The body

@@ -94,6 +94,17 @@ def test_cli_success_writes_artifacts(tmp_path):
     assert summary["metadata"]["config_sha256"]
 
 
+def test_wall_time_does_not_follow_a_stepping_wall_clock(tmp_path, monkeypatch):
+    # a wall clock that steps back a minute at every reading leaves the
+    # run's wall_time_s a small positive number
+    readings = iter(range(10**6))
+    monkeypatch.setattr(cli.time, "time", lambda: 2e9 - 60.0 * next(readings))
+    cfg = write_cfg(tmp_path, SMALL_STOKES)
+    assert cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "probe_summary.json").read_text())
+    assert 0.0 <= summary["metadata"]["wall_time_s"] < 60.0
+
+
 def test_cli_determinism_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_STOKES)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -347,6 +358,16 @@ BAD_CONFIGS = {
     # the key of the retired symbol-build pool
     "crit01 threads": ("symbols", dict(_preset("crit01_symbol_bounds.json"), threads=1), [],
                        "unknown key 'threads' in config"),
+    # an override into tolerances that are not an object: a TypeError used
+    # to escape main (exit 1)
+    **{f"crit12 tolerances {bad!r} with override": (
+        "stokes", dict(_preset("crit12_determinism.json"), tolerances=bad),
+        ["--tol-override", "quad.tol=1e-8"], "config.tolerances") for bad in ([], None, "x", 3)},
+    # the experiment names the output files: a path escaped --out or raised,
+    # and "" wrote ".csv"
+    **{f"experiment {bad!r}": ("stokes", dict(SMALL_STOKES, experiment=bad), [],
+                               "config.experiment")
+       for bad in ("a/b", "x\u0000y", "../escaped", "", ".hidden", "..")},
     "symbols orientation": ("symbols", {"kernels": [{"family": "constant", "dimension": 2}],
                                         "deltas": [0.1], "orientation": {"angle": 0.3}},
                             [], "'orientation'"),

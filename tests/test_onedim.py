@@ -37,13 +37,13 @@ def test_sine_rho_matches_closed_form_on_mesh(rho_sine):
 
 def test_sine_rho_midpoint_value():
     ks = normalize("sine", 1)
-    val = float(od._rho_pointwise(ks, np.array([0.5]), od._kernel_mass(ks))[0][0])
+    val = float(od._rho_pointwise(ks, np.array([0.5]), od._kernel_mass(ks))[0])
     assert val == pytest.approx(3.0 * math.pi / 16.0, abs=1e-10)
 
 
 def test_sine_rho_changes_sign():
     ks = normalize("sine", 1)
-    val = float(od._rho_pointwise(ks, np.array([0.1]), od._kernel_mass(ks))[0][0])
+    val = float(od._rho_pointwise(ks, np.array([0.1]), od._kernel_mass(ks))[0])
     assert val == pytest.approx(-0.013839, abs=1e-5)
     assert val < 0.0
 
@@ -52,23 +52,31 @@ def test_nonnegative_for_nonincreasing(rho_constant):
     assert np.all(rho_constant.values >= 0.0)
 
 
-def test_split_parts_sum_to_rho(rho_sine):
-    k = normalize("sine", 1)
-    _, kp, hp = od._rho_pointwise(k, rho_sine.mesh, od._kernel_mass(k))
-    np.testing.assert_allclose(kp + hp, rho_sine.values, atol=1e-14)
+@pytest.mark.parametrize("delta", [1.0, 0.3])
+def test_constant_rho_pointwise_closed_form(delta):
+    # w = 1/delta^2 on (0, delta]: mass 1/delta and rho(a) = 2 a^3/delta^4
+    k = normalize("constant", 1, horizon=delta)
+    wmass = od._kernel_mass(k)
+    assert wmass == pytest.approx(1.0 / delta, rel=1e-14)
+    a = np.concatenate([od.graded_mesh(delta, 64), [delta, 1.5 * delta]])
+    expect = np.where(a <= delta, 2.0 * a**3 / delta**4, 0.0)
+    # within rounding of the k-part 2 a^2/delta^3, which the h-part cancels
+    kp = 2.0 * a * a / delta**3
+    assert np.all(np.abs(od._rho_pointwise(k, a, wmass) - expect) <= 1e-14 * kp)
 
 
 @pytest.mark.parametrize("family", ["constant", "sine"])
 def test_h_part_mass_identity(family):
-    # int h = 1 - (int s^2 w)(int w) over (-delta, delta)
-    from nlspectral import quadrature as quad
-
+    # int h = 1 - (int s^2 w)(int w) over (-delta, delta), the h-part being
+    # rho less its k-part 2 a^2 w(a) int w
     k = normalize(family, 1)
-    s2w = 2.0 * quad.integrate_interval(k, 0.0, 1.0, lambda s: s * s, tol=1e-12)
-    w1 = 2.0 * quad.integrate_interval(k, 0.0, 1.0, lambda s: np.ones_like(s), tol=1e-12)
+    s, w = quad._interval_rule(k, 8)
+    s2w = 2.0 * float(np.sum(w * s * s))
+    wmass = od._kernel_mass(k)
     a, wa = quad.gl_panels(od._endpoint_graded_edges(1.0), 32)
-    hmass = 2.0 * float(np.sum(wa * od._rho_pointwise(k, a, od._kernel_mass(k))[2]))
-    assert hmass == pytest.approx(1.0 - s2w * w1, abs=1e-8)
+    hp = od._rho_pointwise(k, a, wmass) - 2.0 * a * a * eval_kernel(k, a) * wmass
+    hmass = 2.0 * float(np.sum(wa * hp))
+    assert hmass == pytest.approx(1.0 - s2w * 2.0 * wmass, abs=1e-8)
 
 
 def test_rho_rejects_nonintegrable_kernel():
@@ -189,48 +197,31 @@ def _cross_edges_loop(kernel, a, top):
 
 
 def _rho_pointwise_loop(kernel, a_values, wmass):
-    """rho, k-part and h-part one abscissa at a time (reference).
+    """rho one abscissa at a time (reference).
 
     Settles the kernel mass afresh and requires the caller's to equal it.
     """
     delta = kernel.horizon
-    assert wmass == quad.integrate_interval(kernel, 0.0, delta, lambda s: np.ones_like(s),
-                                            tol=1e-12)
+    assert wmass == od._kernel_mass(kernel)
     w_at = eval_kernel(kernel, a_values)
     rho = np.empty_like(a_values)
-    kp = np.empty_like(a_values)
-    hp = np.empty_like(a_values)
     for i, a in enumerate(a_values):
         top = delta - a
-        kp[i] = 2.0 * a * a * w_at[i] * wmass
-        if top <= 0.0:
-            hp[i] = 0.0
-            rho[i] = kp[i]
-            continue
-        b, wb = quad.gl_panels(_cross_edges_loop(kernel, a, top), od._NODES)
-        cross = float(np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a + b)))
-        hp[i] = -2.0 * a * a * cross
-        rho[i] = kp[i] + hp[i]
-    return rho, kp, hp
+        rho[i] = 2.0 * a * a * w_at[i] * wmass
+        if top > 0.0:
+            b, wb = quad.gl_panels(_cross_edges_loop(kernel, a, top), od._NODES)
+            cross = float(np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a + b)))
+            rho[i] += -2.0 * a * a * cross
+    return rho
 
 
-def _assert_parts_close(got, ref):
-    scale = np.max(np.abs(ref[0]))
-    for g, r in zip(got, ref):
-        assert np.max(np.abs(g - r)) <= 1e-13 * scale
-
-
-def _with_parts(kernel, rho):
-    """(rho, its values with the k-part and h-part on its mesh), the parts
-    from od._rho_pointwise as it stands when called."""
-    _, kp, hp = od._rho_pointwise(kernel, rho.mesh, od._kernel_mass(kernel))
-    return rho, (rho.values, kp, hp)
+def _assert_values_close(got, ref):
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _assert_rho_close(got, ref):
-    """Two _with_parts pairs agree: values, parts, mass and bond rule."""
-    (got, got_parts), (ref, ref_parts) = got, ref
-    _assert_parts_close(got_parts, ref_parts)
+    """Two RhoKernels agree: values, mass and bond rule."""
+    _assert_values_close(got.values, ref.values)
     assert abs(got.l1_mass - ref.l1_mass) <= 1e-13 * abs(ref.l1_mass)
     assert np.max(np.abs(got.nodes - ref.nodes)) <= 1e-13 * ref.delta
     assert np.max(np.abs(got.weights - ref.weights)) <= 1e-13 * np.max(np.abs(ref.weights))
@@ -249,23 +240,19 @@ def _tabulated(horizon=0.8):
 ], ids=["constant", "sine", "tabulated"])
 def test_block_rho_from_kernel_matches_loop(monkeypatch, make):
     kernel = make()
-    got = _with_parts(kernel, od.rho_from_kernel(kernel, mesh_size=256))
+    got = od.rho_from_kernel(kernel, mesh_size=256)
     monkeypatch.setattr(od, "_rho_pointwise", _rho_pointwise_loop)
-    _assert_rho_close(got, _with_parts(kernel, od.rho_from_kernel(kernel, mesh_size=256)))
+    _assert_rho_close(got, od.rho_from_kernel(kernel, mesh_size=256))
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
 def test_block_rho_regularized_matches_loop(monkeypatch, beta):
     kernel = normalize("fractional", 1, beta=beta)
 
-    def levels():
-        return [_with_parts(epsilon_cutoff(kernel, lv.epsilon), lv)
-                for lv in od.rho_regularized(kernel, mesh_size=128)[0]]
-
-    got = levels()
+    got = od.rho_regularized(kernel, mesh_size=128)[0]
     monkeypatch.setattr(od, "_rho_pointwise", _rho_pointwise_loop)
-    ref = levels()
-    assert [lv.epsilon for lv, _ in got] == list(od.DEFAULT_EPS_SEQUENCE)
+    ref = od.rho_regularized(kernel, mesh_size=128)[0]
+    assert [lv.epsilon for lv in got] == list(od.DEFAULT_EPS_SEQUENCE)
     for g, r in zip(got, ref):
         _assert_rho_close(g, r)
 
@@ -285,10 +272,12 @@ def test_block_rho_special_abscissae(beta, eps):
     a = _special_abscissae(delta, eps)
     wmass = od._kernel_mass(clamped)
     got = od._rho_pointwise(clamped, a, wmass)
-    _assert_parts_close(got, _rho_pointwise_loop(clamped, a, wmass))
-    assert np.all(got[2][a >= delta] == 0.0)
-    beyond = od._rho_pointwise(clamped, a[a >= delta], wmass)
-    np.testing.assert_array_equal(beyond[0], got[0][a >= delta])
+    _assert_values_close(got, _rho_pointwise_loop(clamped, a, wmass))
+    # at and beyond the horizon rho is its k-part alone
+    beyond = a >= delta
+    np.testing.assert_array_equal(got[beyond],
+                                  (2.0 * a * a * eval_kernel(clamped, a) * wmass)[beyond])
+    np.testing.assert_array_equal(od._rho_pointwise(clamped, a[beyond], wmass), got[beyond])
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,8 +301,8 @@ def test_block_rho_property(family, beta, delta, eps_frac, clamp, size):
         kernel = epsilon_cutoff(kernel, eps)
     a = np.concatenate([od.graded_mesh(delta, size), _special_abscissae(delta, eps)])
     wmass = od._kernel_mass(kernel)
-    _assert_parts_close(od._rho_pointwise(kernel, a, wmass),
-                        _rho_pointwise_loop(kernel, a, wmass))
+    _assert_values_close(od._rho_pointwise(kernel, a, wmass),
+                         _rho_pointwise_loop(kernel, a, wmass))
 
 
 @pytest.mark.parametrize("chunk", [32, 100, 2000])
@@ -323,8 +312,7 @@ def test_block_rho_budget_split_changes_nothing(monkeypatch, chunk):
     wmass = od._kernel_mass(kernel)
     whole = od._rho_pointwise(kernel, a, wmass)
     monkeypatch.setattr(quad, "_BLOCK", chunk)
-    for g, w in zip(od._rho_pointwise(kernel, a, wmass), whole):
-        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(od._rho_pointwise(kernel, a, wmass), whole)
 
 
 def _cross_rounding_floor(kernel, a, nodes):
@@ -381,11 +369,12 @@ def test_rho_nodes_at_the_rounding_floor(monkeypatch, family, beta, eps):
     a = np.concatenate([od.graded_mesh(kernel.horizon, 64),
                         _special_abscissae(kernel.horizon, eps)])
     wmass = od._kernel_mass(kernel)
-    got = od._rho_pointwise(kernel, a, wmass)[0]
+    got = od._rho_pointwise(kernel, a, wmass)
     floor = _cross_rounding_floor(kernel, a, od._NODES)
     monkeypatch.setattr(od, "_NODES", 96)
-    ref, kp, hp = od._rho_pointwise(kernel, a, wmass)
-    floor += _cross_rounding_floor(kernel, a, 96) + 2.0**-52 * (np.abs(kp) + np.abs(hp))
+    ref = od._rho_pointwise(kernel, a, wmass)
+    kp = 2.0 * a * a * eval_kernel(kernel, a) * wmass  # the h-part is ref - kp
+    floor += _cross_rounding_floor(kernel, a, 96) + 2.0**-52 * (np.abs(kp) + np.abs(ref - kp))
     assert np.all(np.abs(got - ref) <= floor)
 
 

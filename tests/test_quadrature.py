@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlspectral import QuadratureConvergenceError, normalize
+from nlspectral import QuadratureConvergenceError, eval_kernel, normalize
 from nlspectral import quadrature as quad
 from nlspectral.errors import KernelError
 
@@ -104,32 +104,29 @@ def test_refinement_estimates_nonincreasing():
 
 def test_interval_half_moment():
     k = normalize("constant", 1)
-    assert quad.integrate_interval(k, 0.0, 1.0, lambda s: s) == pytest.approx(0.5, rel=1e-12)
+    s, w = quad._interval_rule(k, 1)
+    assert float(np.sum(w * s)) == pytest.approx(0.5, rel=1e-12)
+    assert float(np.sum(w * s * s)) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_interval_constant_mass():
-    k = normalize("constant", 1)
-    val = quad.integrate_interval(k, 0.0, 1.0, lambda s: np.ones_like(s))
-    assert val == pytest.approx(1.0, rel=1e-12)
+    # the constant kernel is 1/delta^2 on (0, delta]: its mass is 1/delta
+    for delta in (1.0, 0.3):
+        s, w = quad._interval_rule(normalize("constant", 1, horizon=delta), 1)
+        assert float(np.sum(w)) == pytest.approx(1.0 / delta, rel=1e-12)
+        assert np.all((s > 0.0) & (s < delta))
 
 
-def test_interval_subrange():
-    # int_a^b 1 ds with the unit constant kernel is just b - a
-    k = normalize("constant", 1)
-    val = quad.integrate_interval(k, 0.25, 0.75, lambda s: np.ones_like(s))
-    assert val == pytest.approx(0.5, rel=1e-12)
-
-
-def test_interval_rejects_nonintegrable_pair():
-    k = normalize("fractional", 1, beta=1.5)
-    with pytest.raises(QuadratureConvergenceError):
-        quad.integrate_interval(k, 0.0, 1.0, lambda s: np.ones_like(s))
-
-
-def test_interval_rejects_outside_support():
-    k = normalize("constant", 1, horizon=0.5)
-    with pytest.raises(ValueError):
-        quad.integrate_interval(k, 0.0, 0.7, lambda s: s)
+@pytest.mark.parametrize("beta", [1.0, 1.5, 1.9])
+def test_interval_rule_integrates_the_singular_weight(beta):
+    # uncut fractional kernel, w = C s^-beta on (0, delta]: Gauss-Jacobi
+    # integrates s^m w, m >= 1, exactly: C delta^(m + 1 - beta)/(m + 1 - beta)
+    k = normalize("fractional", 1, beta=beta, horizon=0.4)
+    c = float(eval_kernel(k, 0.1)) * 0.1**beta
+    s, w = quad._interval_rule(k, 1)
+    for m in (1, 2, 3):
+        exact = c * k.horizon ** (m + 1.0 - beta) / (m + 1.0 - beta)
+        assert float(np.sum(w * s**m)) == pytest.approx(exact, rel=1e-13)
 
 
 def test_rule_weights_positive_nodes_interior():

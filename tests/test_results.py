@@ -40,7 +40,7 @@ def _ref_save_table(table, path):
         f"n={','.join(repr(float(c)) for c in table.orientation.vec)} tol={table.tol!r}"
     )
     lines = [hdr]
-    for mode in sym.lattice_modes(table.bound, table.dimension):
+    for mode in fl.lattice(table.bound, table.dimension).modes:
         nums = []
         for comp in table.lam_at(mode):
             nums += [f"{comp.real:.17g}", f"{comp.imag:.17g}"]

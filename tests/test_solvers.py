@@ -11,8 +11,8 @@ from nlspectral import quadrature as quad
 from nlspectral import solvers as sol
 from nlspectral.errors import KernelError
 from nlspectral.fields import l2_norm, s_norm
-from nlspectral.symbols import (Orientation, SymbolTable, build_table, lattice_modes,
-                                local_table, verify_bounds)
+from nlspectral.symbols import (Orientation, SymbolTable, build_table, local_table,
+                                verify_bounds)
 import oracles
 
 
@@ -22,7 +22,7 @@ def test_stokes_gradient_forcing_gives_pure_pressure(table2):
     f.set_mode((2, 1), table2.lam_at((2, 1)))
     s = sol.stokes_steady(table2, f)
     assert l2_norm(s.velocity) <= 1e-14
-    assert s.pressure.at((2, 1)) == pytest.approx(1.0, abs=1e-13)
+    assert s.pressure.coeffs[2 + 8, 1 + 8] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_stokes_orthogonal_forcing_gives_pure_velocity(table2):
@@ -34,7 +34,7 @@ def test_stokes_orthogonal_forcing_gives_pure_velocity(table2):
     s = sol.stokes_steady(table2, f)
     assert l2_norm(s.pressure) <= 1e-14
     expect = fvec / float(np.sum(np.abs(lam) ** 2))
-    np.testing.assert_allclose(s.velocity.at((1, 3)), expect, atol=1e-14)
+    np.testing.assert_allclose(s.velocity.coeffs[1 + 8, 3 + 8], expect, atol=1e-14)
 
 
 def test_stokes_rejects_degenerate_table(table2):
@@ -61,8 +61,8 @@ def test_stokes_residual_and_divergence(table2):
 def test_stokes_outputs_zero_mean_and_real(table2):
     f = fl.random_field(72, 8, 2.0, components=2)
     s = sol.stokes_steady(table2, f)
-    assert abs(s.pressure.at((0, 0))) == 0.0
-    assert np.max(np.abs(s.velocity.at((0, 0)))) == 0.0
+    assert abs(s.pressure.coeffs[8, 8]) == 0.0
+    assert np.max(np.abs(s.velocity.coeffs[8, 8])) == 0.0
     herm = s.velocity.coeffs - np.conj(s.velocity.coeffs[::-1, ::-1])
     assert np.max(np.abs(herm)) <= 1e-15
 
@@ -154,7 +154,7 @@ def test_helmholtz2d_exactness(table2):
     p, q = sol.helmholtz2d(table2, u)
     rec = sol.helmholtz2d_reconstruct(table2, p, q)
     assert np.max(np.abs(rec.coeffs - u.coeffs)) <= 1e-12
-    assert abs(p.at((0, 0))) == 0.0 and abs(q.at((0, 0))) == 0.0
+    assert abs(p.coeffs[8, 8]) == 0.0 and abs(q.coeffs[8, 8]) == 0.0
     # stability of the splitting
     assert sol.helmholtz_stability(table2, u, (p, q)) <= 2.0 + 1e-9
 
@@ -357,7 +357,7 @@ def test_navier_forced_step_matches_quadrature():
     w = np.sqrt(a)
     t = times[-1]
     expect = gvec * np.cos(w * t) + 0.3 * gvec / a * (1.0 - np.cos(w * t))
-    np.testing.assert_allclose(traj.states[-1].at(xi), expect, atol=1e-12)
+    np.testing.assert_allclose(traj.states[-1].coeffs[idx], expect, atol=1e-12)
 
 
 def test_navier_trajectory_converges_to_local():
@@ -652,13 +652,16 @@ def test_navier_evolve_runs_backward(table2):
 
 
 def test_navier_split_parts(table2):
+    # the spectra (1, 0) and (0, 1) give the two eigenspace parts of c: they
+    # sum to c, and Pi c has no part outside its eigenspace
     dec = sol.navier_decompose(table2, 1.0, 1.0)
     c = fl.random_field(43, 8, 1.0, components=2).coeffs
-    pc, qc = dec.split(c)
+    one, zero = np.ones_like(dec.a), np.zeros_like(dec.a)
+    pc, qc = dec.apply(one, zero, c), dec.apply(zero, one, c)
     np.testing.assert_array_equal(qc, c - pc)
-    np.testing.assert_allclose(dec.split(pc)[1], 0.0, atol=1e-15)
+    np.testing.assert_allclose(dec.apply(zero, one, pc), 0.0, atol=1e-15)
     np.testing.assert_array_equal(dec.apply(dec.a, dec.b, c),
-                                  dec.combine(dec.a, dec.b, (pc, qc)))
+                                  dec.a[..., None] * pc + dec.b[..., None] * qc)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +799,7 @@ def test_lattice_symmetry_property(d, family, beta, delta, angles, bound, perm, 
     kernel = _random_kernel(family, d, beta, delta)
     table = build_table(kernel, n, bound)
     moved = build_table(kernel, q @ n, bound)
-    modes = lattice_modes(bound, d)
+    modes = fl.lattice(bound, d).modes
     got = moved.lam[tuple((modes @ q.T + bound).T)]
     want = table.lam[tuple((modes + bound).T)] @ q.T
     mass = float(np.sum(quad.scaled_radial_rule(kernel, panels=1, n_nodes=24)[1]))

@@ -3,8 +3,9 @@
 Every public function, class and method of ``src/nlspectral`` must be
 referenced by the package itself, the benchmark harness, the demos or the
 tools.  References are ``Name`` and ``Attribute`` nodes of the parsed
-sources (a method by its attribute name); a name met only inside its own
-definition, as in a recursive call, is not referenced.
+sources; a method is referenced only by an ``Attribute`` node of its name,
+so that a variable of the same name does not hide it.  A name met only
+inside its own definition, as in a recursive call, is not referenced.
 
 Likewise every defaulted parameter of a public function or method must be
 passed, by keyword or by position, by some call outside tests/ to a
@@ -38,14 +39,25 @@ def _public_definitions(tree):
 
 
 def _references(node, inside=frozenset()):
-    """Names of the Name and Attribute nodes under node, outside definitions of that name."""
+    """(is an Attribute, name) of the Name and Attribute nodes under node,
+    outside definitions of that name."""
     if isinstance(node, _DEFS):
         inside = inside | {node.name}
     name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
     if isinstance(node, (ast.Name, ast.Attribute)) and name not in inside:
-        yield name
+        yield isinstance(node, ast.Attribute), name
     for child in ast.iter_child_nodes(node):
         yield from _references(child, inside)
+
+
+def _unreferenced(library, users):
+    """(tree, qualified name) of each public definition in library that no
+    tree of users references; a method only an Attribute node references."""
+    refs = {ref for tree in users for ref in _references(tree)}
+    names, attributes = {name for _, name in refs}, {name for attr, name in refs if attr}
+    return [(tree, qualified) for tree in library
+            for qualified, node in _public_definitions(tree)
+            if node.name not in (attributes if "." in qualified else names)]
 
 
 def _defaulted(qualified, node):
@@ -92,13 +104,11 @@ def _unset_parameters(library, users):
 
 
 def test_no_public_name_is_used_by_the_tests_alone():
-    used = set()
-    for path in USERS:
-        used.update(_references(ast.parse(path.read_text(), str(path))))
-    unused = [f"{path.name}: {qualified}"
-              for path in LIBRARY
-              for qualified, node in _public_definitions(ast.parse(path.read_text(), str(path)))
-              if node.name not in used]
+    library = [ast.parse(path.read_text(), str(path)) for path in LIBRARY]
+    users = [ast.parse(path.read_text(), str(path)) for path in USERS]
+    file_of = {id(tree): path.name for path, tree in zip(LIBRARY, library)}
+    unused = [f"{file_of[id(tree)]}: {qualified}"
+              for tree, qualified in _unreferenced(library, users)]
     assert not unused, "public names that only tests/ use; move them there: " + ", ".join(unused)
 
 
@@ -107,9 +117,17 @@ def test_a_test_only_name_is_found():
     # body, and one referenced nowhere, are both reported
     tree = ast.parse("def lonely(n):\n    return lonely(n - 1)\n\n"
                      "class Box:\n    def unused(self):\n        return self\n")
-    used = set(_references(tree))
-    assert [q for q, node in _public_definitions(tree) if node.name not in used] == [
-        "lonely", "Box", "Box.unused"]
+    assert [q for _, q in _unreferenced([tree], [tree])] == ["lonely", "Box", "Box.unused"]
+
+
+def test_a_method_hidden_by_a_variable_is_found():
+    # a variable named like a method does not reference it; an attribute does
+    library = ast.parse("class Field:\n    def at(self, xi):\n        return xi\n\n"
+                        "    def value(self, a):\n        return a\n")
+    users = [library, ast.parse("at = float(Field().value(0.1))\n")]
+    assert [q for _, q in _unreferenced([library], users)] == ["Field.at"]
+    users.append(ast.parse("Field().at\n"))
+    assert _unreferenced([library], users) == []
 
 
 def test_no_setting_is_set_by_the_tests_alone():

@@ -26,7 +26,7 @@ LAMBDA_FRAC15_K5 = 4.933477915085754464
 def _positive_half(bound, d):
     """The lexicographically positive half of the nonzero lattice cube: the
     modes whose first nonzero coordinate is positive (reference)."""
-    modes = sym.lattice_modes(bound, d)
+    modes = fl.lattice(bound, d).modes
     return modes[modes[np.arange(len(modes)), np.argmax(modes != 0, axis=1)] > 0]
 
 
@@ -151,8 +151,8 @@ def test_upper_bound_d2(table2):
 
 
 def _bounds_gathered(table):
-    """verify_bounds through the modes of lattice_modes, gathered (reference)."""
-    modes = sym.lattice_modes(table.bound, table.dimension)
+    """verify_bounds through the lattice's nonzero modes, gathered (reference)."""
+    modes = fl.lattice(table.bound, table.dimension).modes
     mags = np.sqrt(table.abs2[tuple((modes + table.bound).T)])
     ratio = mags / np.linalg.norm(modes, axis=1)
     return {"min_abs": float(np.min(mags)), "max_abs": float(np.max(mags)),
@@ -228,7 +228,6 @@ def test_lattice_record_is_computed_once_and_read_only(bound, d):
         assert not value.flags.writeable and value.flags.c_contiguous, name
     with pytest.raises(AttributeError):
         lat.modes = modes
-    assert sym.lattice_modes(bound, d) is lat.modes
 
 
 def test_re_lambda_bits_do_not_depend_on_the_layout_of_modes():
@@ -265,7 +264,7 @@ def test_magnitude_does_not_degrade_for_fixed_mode():
 
 
 def test_conjugate_symmetry_exact(table2):
-    modes = sym.lattice_modes(table2.bound, 2)
+    modes = fl.lattice(table2.bound, 2).modes
     for xi in modes[::7]:
         np.testing.assert_array_equal(
             table2.lam_at(-xi), np.conj(table2.lam_at(xi))
@@ -572,7 +571,7 @@ def test_3d_small_delta_consistency():
 
 
 def test_3d_reflection_and_conjugate_symmetry(table3):
-    modes = sym.lattice_modes(table3.bound, 3)
+    modes = fl.lattice(table3.bound, 3).modes
     for xi in modes[::17]:
         np.testing.assert_array_equal(table3.lam_at(-xi), np.conj(table3.lam_at(xi)))
     k = table3.kernel
@@ -692,7 +691,7 @@ def _assert_table_re_part_matches_cos_sum(family, beta, n):
     kernel = normalize(family, d, beta=beta, horizon=0.2)
     n = sym.Orientation.from_vector(n)
     tab = sym.build_table(kernel, n, 4)
-    modes = sym.lattice_modes(4, d)
+    modes = fl.lattice(4, d).modes
     nr, na = oracles.half_ball_node_counts(kernel, kernel.horizon * math.sqrt(d) * 4)
     got = tab.lam[tuple((modes + 4).T)].real
     scale = float(np.max(np.abs(tab.lam)))
@@ -721,7 +720,7 @@ def test_spherical_jn_matches_scipy():
 
     zeros = np.concatenate([math.pi * np.arange(1, 20), [4.493409457909064, 7.725251836937707]])
     x = np.concatenate([np.geomspace(1e-3, 60.0, 2000), zeros + 1e-9, zeros - 1e-7])
-    got = sym._bessel_orders(80, x, 3)
+    got = sym._bessel_orders(80, x, 3, sym._start_order(80, float(np.max(x)), 3))
     ref = spherical_jn(np.arange(81)[:, None], x)
     assert np.max(np.abs(got - ref)) <= 16 * np.finfo(float).eps
 
@@ -733,7 +732,7 @@ def test_bessel_jn_matches_scipy():
 
     zeros = np.concatenate([jn_zeros(0, 19), jn_zeros(1, 19)])
     x = np.concatenate([np.geomspace(1e-3, 60.0, 2000), zeros + 1e-9, zeros - 1e-7])
-    got = sym._bessel_orders(80, x, 2)
+    got = sym._bessel_orders(80, x, 2, sym._start_order(80, float(np.max(x)), 2))
     ref = jv(np.arange(81)[:, None], x)
     assert np.max(np.abs(got - ref)) <= 16 * np.finfo(float).eps
 
@@ -755,7 +754,7 @@ def test_bessel_orders_later_start_changes_nothing(d, lmax, top):
                  np.concatenate([math.pi * np.arange(1, 20), [4.493409457909064, 7.725251836937707]]))
         x = np.concatenate([x, zeros + 1e-9, zeros - 1e-7])
     start = sym._start_order(lmax, float(np.max(x)), d)
-    got = sym._bessel_orders(lmax, x, d)
+    got = sym._bessel_orders(lmax, x, d, start)
     later = sym._bessel_orders(lmax, x, d, start + 40)
     assert np.max(np.abs(later - got)) <= 16 * np.finfo(float).eps
 
@@ -823,7 +822,7 @@ def test_re_lambda_along_n_negative_property(d, beta, delta, angles):
               else normalize("fractional", d, beta=beta, horizon=delta))
     bound = 32 if d == 2 else 8
     tab = sym.build_table(kernel, n, bound)
-    modes = sym.lattice_modes(bound, d)
+    modes = fl.lattice(bound, d).modes
     assert np.all(tab.lam[tuple((modes + bound).T)].real @ n < 0.0)
 
 
@@ -854,7 +853,7 @@ _KERNELS = {
 
 def _lattice_magnitudes(bound, d):
     """The distinct |xi| of the nonzero lattice cube, from 1 to sqrt(d) N."""
-    q2 = np.unique(np.sum(sym.lattice_modes(bound, d) ** 2, axis=1))
+    q2 = np.unique(np.sum(fl.lattice(bound, d).modes ** 2, axis=1))
     return np.sqrt(q2.astype(float))
 
 
@@ -960,7 +959,7 @@ def _cache_pair(case):
                              _M2)),
         "dimension": ((normalize("constant", 2, horizon=0.1), _M2),
                       (normalize("constant", 3, horizon=0.1), _M3)),
-        "bound": ((frac, sym.lattice_modes(4, 2)), (frac, sym.lattice_modes(5, 2))),
+        "bound": ((frac, fl.lattice(4, 2).modes), (frac, fl.lattice(5, 2).modes)),
         # one more |xi| below the largest, so the order L is the same
         "lattice": ((frac, _M2), (frac, _M2 + [[2, 0]])),
     }[case]
