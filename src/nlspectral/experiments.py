@@ -301,7 +301,7 @@ def run_symbols(cfg, out_dir):
 def run_convergence(cfg, out_dir):
     runs = {"stokes": _run_stokes_convergence, "navier": _run_navier_convergence,
             "evolution": _run_evolution_refinement}
-    return runs[_one_of(*runs)(cfg.get("system", "stokes"), "system")](cfg)
+    return runs[_one_of(*runs)(cfg.get("system", "stokes"), "config.system")](cfg)
 
 
 def _run_stokes_convergence(cfg):
@@ -324,7 +324,7 @@ def _run_navier_convergence(cfg):
     c, summary = _start(cfg, "navier-convergence")
     mu, lam_lame = c["lame"]
     f = random_field(c["seed"], c["bound"], c["decay"], components=2)
-    dec0 = sol.local_navier_decomposition(2, c["bound"], mu, lam_lame)
+    dec0 = sol.navier_decompose(local_table(2, c["bound"]), mu, lam_lame)
     u_local = sol.navier_steady(dec0, f)
     table = ResultTable(["delta", "err_v"])
     for delta, tab in zip(c["deltas"], _tables(c, deltas=c["deltas"])):
@@ -371,7 +371,7 @@ def _run_evolution_refinement(cfg):
 
     g = random_field(seed + 1, bound, decay, components=2)
     h = random_field(seed + 2, bound, decay, components=2)
-    dec0 = sol.local_navier_decomposition(2, bound, mu, lam_lame)
+    dec0 = sol.navier_decompose(local_table(2, bound), mu, lam_lame)
     local_wave = sol.navier_evolve(dec0, g, h, None, times)
     navier_errors = []
     ham_drift = 0.0

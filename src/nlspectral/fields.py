@@ -55,12 +55,14 @@ class SpectralField:
         return SpectralField(self.bound, self.dimension, self.coeffs.copy(), self.real)
 
     def set_mode(self, xi, value):
-        """Assign one coefficient; a real field also gets its conjugate at -xi."""
-        if all(c == 0 for c in xi):
+        """Set mode xi (and -xi to its conjugate in a real field); both are checked first."""
+        at, mirror = (cube_index(m, self.bound, self.dimension)
+                      for m in (xi, [-int(c) for c in xi]))
+        if at == mirror:
             raise ValueError("the zero mode is pinned to zero")
-        self.coeffs[tuple(int(c) + self.bound for c in xi)] = value
+        self.coeffs[at] = value
         if self.real:
-            self.coeffs[tuple(-int(c) + self.bound for c in xi)] = np.conj(value)
+            self.coeffs[mirror] = np.conj(value)
         return self
 
     @classmethod
@@ -87,6 +89,14 @@ class SpectralField:
         return out
 
     __rmul__ = __mul__
+
+
+def cube_index(xi, bound, dimension):
+    """The index of mode xi in a (2N+1,)*d cube; ValueError unless xi is a d-tuple in [-N, N]^d."""
+    idx = tuple(int(c) + bound for c in xi)
+    if len(idx) != dimension or not all(0 <= i <= 2 * bound for i in idx):
+        raise ValueError(f"mode {tuple(xi)!r} is not in the cube [-{bound}, {bound}]^{dimension}")
+    return idx
 
 
 def lattice_grid(bound, dimension):

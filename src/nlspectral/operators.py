@@ -16,12 +16,12 @@ from .errors import KernelError
 
 
 def _check(table, field, components=None):
+    """ValueError unless field has the table's N and d and, if given, these components."""
     if field.bound != table.bound or field.dimension != table.dimension:
-        raise ValueError("field truncation/dimension does not match the table")
+        raise ValueError(f"a field of N={field.bound}, d={field.dimension} does not fit "
+                         f"a table of N={table.bound}, d={table.dimension}")
     if components is not None and field.component_shape != components:
-        raise ValueError(
-            f"expected component shape {components}, got {field.component_shape}"
-        )
+        raise ValueError(f"expected component shape {components}, got {field.component_shape}")
 
 
 def gradient(table, u):

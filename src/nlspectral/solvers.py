@@ -5,9 +5,11 @@ the saddle-point inverse and the nonlocal Leray projector, the Helmholtz
 splittings in 2D/3D, the 3D div-curl system by closed-form least squares,
 and steady plus time-dependent Navier elasticity through the rank-one
 projector Pi = lambda lambda^H / |lambda|^2 (Leray is I - Pi), applied as
-Pi c = hat (hat^H c) through the unit symbol hat = lambda / |lambda|.  The
+Pi c = hat (hat^H c) through the table's unit symbol hat = lambda / |lambda|.
+Each divides by the table's 1/|lambda|^2 (inv_abs2), which a table's own
+validation keeps finite, and checks its fields with operators._check.  The
 delta -> 0 (local) counterparts run through the exact same code paths with
-lambda(xi) = i xi.
+lambda(xi) = i xi (symbols.local_table).
 """
 
 from dataclasses import dataclass
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .errors import KernelError
 from .fields import SpectralField, l2_norm, s_norm
-from .symbols import local_table
+from .symbols import SymbolTable, local_table
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -27,32 +28,21 @@ def _inverse(x):
     return np.divide(1.0, x, out=np.zeros_like(x), where=x != 0.0)
 
 
-def _abs2_inv(table):
-    """|lambda|^2 and its inverse per mode, 0 at xi = 0; KernelError if lambda is 0 elsewhere."""
-    a2 = table.abs2
-    zero = (table.bound,) * table.dimension
-    if np.count_nonzero(a2 == 0.0) > (a2[zero] == 0.0):
-        raise KernelError("degenerate symbol: lambda vanishes at a nonzero mode")
-    inv = _inverse(a2)
-    inv[zero] = 0.0
-    return a2, inv
-
-
-def _unit_symbol(table, inv):
-    """hat = lambda / |lambda| per mode from inv = 1/|lambda|^2; zero at xi = 0."""
-    return table.lam * np.sqrt(inv)[..., None]
-
-
 def _along(hat, c):
     """(sigma, Pi c): the coordinate sigma = hat^H c of c along hat, and hat sigma."""
     sigma = np.einsum("...i,...i->...", np.conj(hat), c)
     return sigma, hat * sigma[..., None]
 
 
+def _potential(table, c):
+    """lambda^H c / |lambda|^2 per mode: the scalar whose gradient is Pi c."""
+    return np.einsum("...i,...i->...", np.conj(table.lam), c) * table.inv_abs2
+
+
 def leray_project(table, u):
     """Project a vector field onto the nonlocally divergence-free subspace: u - Pi u."""
-    hat = _unit_symbol(table, _abs2_inv(table)[1])
-    out = u.coeffs - _along(hat, u.coeffs)[1]
+    ops._check(table, u, (table.dimension,))
+    out = u.coeffs - _along(table.hat, u.coeffs)[1]
     return SpectralField(u.bound, u.dimension, out, real=u.real)
 
 
@@ -68,11 +58,9 @@ def stokes_steady(table, f):
     uhat = (I - lambda lambda^H/|lambda|^2) fhat / |lambda|^2 and
     phat = lambda^H fhat / |lambda|^2 per mode.
     """
-    if f.component_shape != (table.dimension,):
-        raise ValueError("Stokes forcing must be a d-vector field")
-    inv = _abs2_inv(table)[1]
-    u = (f.coeffs - _along(_unit_symbol(table, inv), f.coeffs)[1]) * inv[..., None]
-    p = np.einsum("...i,...i->...", np.conj(table.lam), f.coeffs) * inv
+    ops._check(table, f, (table.dimension,))
+    u = (f.coeffs - _along(table.hat, f.coeffs)[1]) * table.inv_abs2[..., None]
+    p = _potential(table, f.coeffs)
     return StokesSolution(
         SpectralField(f.bound, f.dimension, u, real=f.real),
         SpectralField(f.bound, f.dimension, p, real=f.real),
@@ -81,30 +69,26 @@ def stokes_steady(table, f):
 
 def stokes_residual(table, sol, f):
     """Max per-mode residual of -L u + G p - f; machine-zero by construction."""
+    ops._check(table, f, (table.dimension,))
     lhs = (ops.diffusion(table, sol.velocity) * -1.0 + ops.gradient(table, sol.pressure))
     return float(np.max(np.abs(lhs.coeffs - f.coeffs)))
 
 
 def stokes_stability(table, sol, f):
     """Empirical constant (||u||_S + ||p||_2) / ||f||_(S*)."""
-    inv = _abs2_inv(table)[1]
-    dual = float(np.sqrt(np.sum(inv[..., None] * np.abs(f.coeffs) ** 2)))
+    ops._check(table, f, (table.dimension,))
+    dual = float(np.sqrt(np.sum(table.inv_abs2[..., None] * np.abs(f.coeffs) ** 2)))
     return (s_norm(sol.velocity, table) + l2_norm(sol.pressure)) / max(dual, 1e-300)
 
 
-def local_divergence(u):
-    """Local divergence i xi . uhat, used for the incompressibility defect."""
-    return ops.divergence(local_table(u.dimension, u.bound), u)
-
-
 def stokes_errors(table, f):
-    """L2 errors of the nonlocal Stokes solution against the local one."""
-    nonlocal_sol = stokes_steady(table, f)
-    local_sol = stokes_steady(local_table(f.dimension, f.bound), f)
+    """L2 errors of the nonlocal Stokes solution against the local one; its local divergence."""
+    local = local_table(f.dimension, f.bound)
+    nonlocal_sol, local_sol = stokes_steady(table, f), stokes_steady(local, f)
     return {
         "err_u": l2_norm(nonlocal_sol.velocity - local_sol.velocity),
         "err_p": l2_norm(nonlocal_sol.pressure - local_sol.pressure),
-        "err_div": l2_norm(local_divergence(nonlocal_sol.velocity)),
+        "err_div": l2_norm(ops.divergence(local, nonlocal_sol.velocity)),
     }
 
 
@@ -119,12 +103,12 @@ class Trajectory:
     extras: dict            # solver-specific companions (pressures, rates)
 
 
-def _forcing_at(forcing, t, template):
+def _forcing_at(forcing, t, table):
+    """The forcing at t, a d-vector field of the table (ops._check); None without one."""
     if forcing is None:
         return None
     f = forcing(t) if callable(forcing) else forcing
-    if f.component_shape != template.component_shape:
-        raise ValueError("forcing component shape mismatch")
+    ops._check(table, f, (table.dimension,))
     return f
 
 
@@ -154,26 +138,21 @@ def stokes_evolve(table, u0, forcing, times):
     be at most 1e-10 max(1, |u0|).
     """
     times = _time_grid(times, backward=False)
-    if u0.component_shape != (table.dimension,):
-        raise ValueError("initial velocity must be a d-vector field")
-    div0 = float(np.max(np.abs(ops.divergence(table, u0).coeffs)))
+    div0 = float(np.max(np.abs(ops.divergence(table, u0).coeffs)))  # checks u0 (ops._check)
     if div0 > 1e-10 * max(1.0, l2_norm(u0)):
         raise ValueError(
             f"initial velocity is not nonlocally divergence-free (defect {div0!r}); "
             "construct it with leray_project"
         )
-    a2, inv = _abs2_inv(table)
-    hat = None if forcing is None else _unit_symbol(table, inv)
-
+    a2, inv = table.abs2, table.inv_abs2
     states = [u0.copy()]
     pressures = []
     u = u0.coeffs.astype(complex)
     last_dt = None
     # the forcing at each time serves its pressure and the step that starts there
     for i, t0 in enumerate(times):
-        f = _forcing_at(forcing, t0, u0)
-        p = (np.zeros(inv.shape, dtype=complex) if f is None
-             else np.einsum("...i,...i->...", np.conj(table.lam), f.coeffs) * inv)
+        f = _forcing_at(forcing, t0, table)
+        p = np.zeros(inv.shape, dtype=complex) if f is None else _potential(table, f.coeffs)
         pressures.append(SpectralField(u0.bound, u0.dimension, p, real=u0.real))
         if i + 1 == len(times):
             break
@@ -182,7 +161,7 @@ def stokes_evolve(table, u0, forcing, times):
             last_dt, decay = dt, _spread(np.exp(-a2 * dt), table.dimension)
         u = decay * u
         if f is not None:
-            u = u + (1.0 - decay) * inv[..., None] * (f.coeffs - _along(hat, f.coeffs)[1])
+            u = u + (1.0 - decay) * inv[..., None] * (f.coeffs - _along(table.hat, f.coeffs)[1])
         states.append(SpectralField(u0.bound, u0.dimension, u, real=u0.real))
     return Trajectory(times, states, {"pressures": pressures})
 
@@ -211,13 +190,12 @@ def helmholtz2d(table, u):
 
         phat = lambda^H uhat / |lambda|^2,  qhat = lambda^T J uhat / |lambda|^2.
     """
-    if table.dimension != 2 or u.component_shape != (2,):
-        raise ValueError("2D Helmholtz decomposition needs a 2-vector field")
-    inv = _abs2_inv(table)[1]
-    lam = table.lam
-    p = np.einsum("...i,...i->...", np.conj(lam), u.coeffs) * inv
+    if table.dimension != 2:
+        raise ValueError("2D Helmholtz decomposition needs a 2D table")
+    ops._check(table, u, (2,))
+    p = _potential(table, u.coeffs)
     ju = np.einsum("ij,...j->...i", _J2, u.coeffs)
-    q = np.einsum("...i,...i->...", lam, ju) * inv
+    q = np.einsum("...i,...i->...", table.lam, ju) * table.inv_abs2
     return (
         SpectralField(u.bound, 2, p, real=u.real),
         SpectralField(u.bound, 2, q, real=u.real),
@@ -225,6 +203,7 @@ def helmholtz2d(table, u):
 
 
 def helmholtz2d_reconstruct(table, p, q):
+    ops._check(table, q, ())
     grad_p = ops.gradient(table, p)
     lam_neg = table.lam_neg()
     grad_q = lam_neg * q.coeffs[..., None]
@@ -238,12 +217,11 @@ def helmholtz3d(table, u):
 
     phat = lambda^H uhat / |lambda|^2 and vhat = lambda x uhat / |lambda|^2.
     """
-    if table.dimension != 3 or u.component_shape != (3,):
-        raise ValueError("3D Helmholtz decomposition needs a 3-vector field")
-    inv = _abs2_inv(table)[1]
-    lam = table.lam
-    p = np.einsum("...i,...i->...", np.conj(lam), u.coeffs) * inv
-    v = np.cross(lam, u.coeffs) * inv[..., None]
+    if table.dimension != 3:
+        raise ValueError("3D Helmholtz decomposition needs a 3D table")
+    ops._check(table, u, (3,))
+    p = _potential(table, u.coeffs)
+    v = np.cross(table.lam, u.coeffs) * table.inv_abs2[..., None]
     return (
         SpectralField(u.bound, 3, p, real=u.real),
         SpectralField(u.bound, 3, v, real=u.real),
@@ -284,12 +262,10 @@ def divcurl3d(table, f, g, residual_tol=1e-10):
     """
     if table.dimension != 3:
         raise ValueError("div-curl solver is three-dimensional")
-    if f.component_shape != () or g.component_shape != (3,):
-        raise ValueError("data must be (scalar f, 3-vector g)")
-    lam = table.lam
-    lam_neg = table.lam_neg()
-    inv = _abs2_inv(table)[1]
-    u = -(lam * f.coeffs[..., None] + np.cross(np.conj(lam), g.coeffs)) * inv[..., None]
+    ops._check(table, f, ())
+    ops._check(table, g, (3,))
+    lam, lam_neg = table.lam, table.lam_neg()
+    u = -(lam * f.coeffs[..., None] + np.cross(np.conj(lam), g.coeffs)) * table.inv_abs2[..., None]
     ufield = SpectralField(g.bound, 3, u, real=False)
 
     div_res = np.einsum("...i,...i->...", lam_neg, u) - f.coeffs
@@ -321,20 +297,21 @@ class NavierModeDecomposition:
     """Rank-one spectral split of the per-mode Navier matrix.
 
     P(xi) = a Pi + b (I - Pi), a = (lambda_lame + 2 mu) |lambda|^2 and
-    b = mu |lambda|^2, with Pi = hat hat^H for the unit symbol hat (zero at
-    xi = 0).  The eigen-coordinates of c are sigma = hat^H c (eigenvalue a)
-    and the complement c - hat sigma (eigenvalue b).
+    b = mu |lambda|^2, with Pi = hat hat^H for the table's unit symbol hat
+    (zero at xi = 0).  The eigen-coordinates of c are sigma = hat^H c
+    (eigenvalue a) and the complement c - hat sigma (eigenvalue b).
     """
 
-    dimension: int
-    hat: np.ndarray
+    table: SymbolTable
     a: np.ndarray
     b: np.ndarray
 
-    def apply(self, fa, fb, coeffs):
-        """phi(P) c = fa Pi c + fb (c - Pi c) for the scalar spectra fa = phi(a), fb = phi(b)."""
-        pc = _along(self.hat, coeffs)[1]
-        return fa[..., None] * pc + fb[..., None] * (coeffs - pc)
+    def apply(self, fa, fb, u):
+        """phi(P) c = fa Pi c + fb (c - Pi c) for the scalar spectra fa = phi(a), fb = phi(b)
+        and the coefficients c of u, a d-vector field of the table (ops._check)."""
+        ops._check(self.table, u, (self.table.dimension,))
+        pc = _along(self.table.hat, u.coeffs)[1]
+        return fa[..., None] * pc + fb[..., None] * (u.coeffs - pc)
 
 
 def navier_decompose(table, mu, lam_lame):
@@ -343,27 +320,23 @@ def navier_decompose(table, mu, lam_lame):
             f"inadmissible Lame constants (mu={mu}, lambda={lam_lame}): "
             "need mu > 0 and lambda + 2 mu > 0"
         )
-    a2, inv = _abs2_inv(table)
-    return NavierModeDecomposition(table.dimension, _unit_symbol(table, inv),
-                                   (lam_lame + 2.0 * mu) * a2, mu * a2)
+    return NavierModeDecomposition(table, (lam_lame + 2.0 * mu) * table.abs2, mu * table.abs2)
 
 
 def navier_steady(dec, f):
-    if f.component_shape != (dec.dimension,):
-        raise ValueError("Navier forcing must be a d-vector field")
-    u = dec.apply(_inverse(dec.a), _inverse(dec.b), f.coeffs)
+    u = dec.apply(_inverse(dec.a), _inverse(dec.b), f)
     return SpectralField(f.bound, f.dimension, u, real=f.real)
 
 
 def navier_apply(dec, u):
     """P u, the Navier operator applied per mode."""
-    out = dec.apply(dec.a, dec.b, u.coeffs)
+    out = dec.apply(dec.a, dec.b, u)
     return SpectralField(u.bound, u.dimension, out, real=False)
 
 
 def navier_quadratic_form(dec, u):
     """sum uhat^H P uhat (real, equals twice the elastic energy)."""
-    pu = dec.apply(dec.a, dec.b, u.coeffs)
+    pu = dec.apply(dec.a, dec.b, u)
     return float(np.real(np.sum(np.conj(u.coeffs) * pu)))
 
 
@@ -389,9 +362,9 @@ def navier_evolve(dec, g, h, forcing, times):
     state is hat sigma + w.  Returns displacement and velocity trajectories.
     """
     times = _time_grid(times, backward=True)
-    d = dec.dimension
-    if g.component_shape != (d,) or h.component_shape != (d,):
-        raise ValueError("initial displacement/velocity must be d-vector fields")
+    table, hat, d = dec.table, dec.table.hat, dec.table.dimension
+    for u in (g, h):
+        ops._check(table, u, (d,))
     # the transverse factors are computed once per mode, then spread over d
     a, b, invb = dec.a, _spread(dec.b, d), _spread(_inverse(dec.b), d)
     wa, wb, inva = np.sqrt(a), np.sqrt(dec.b), _inverse(a)
@@ -401,38 +374,35 @@ def navier_evolve(dec, g, h, forcing, times):
         c, s = np.cos(w * dt), np.sin(w * dt)
         return c, np.where(w > 0.0, s / np.where(w > 0.0, w, 1.0), dt), -w * s
 
-    (su, pu), (sv, pv) = _along(dec.hat, g.coeffs), _along(dec.hat, h.coeffs)
+    (su, pu), (sv, pv) = _along(hat, g.coeffs), _along(hat, h.coeffs)
     wu, wv = g.coeffs - pu, h.coeffs - pv
     states = [SpectralField(g.bound, d, g.coeffs.astype(complex), real=g.real)]
     rates = [SpectralField(g.bound, d, h.coeffs.astype(complex), real=h.real)]
     last_dt = None
     for t0, t1 in zip(times[:-1], times[1:]):
         dt = t1 - t0
-        f = _forcing_at(forcing, t0, g)
+        f = _forcing_at(forcing, t0, table)
         if dt != last_dt:  # a uniform grid computes cos/sin once
             last_dt = dt
             (ca, sa, ma), (cb, sb, mb) = factors(wa, dt), (_spread(x, d) for x in factors(wb, dt))
         su, sv = ca * su + sa * sv, ma * su + ca * sv
         wu, wv = cb * wu + sb * wv, mb * wu + cb * wv
         if f is not None:
-            sf, pf = _along(dec.hat, f.coeffs)
+            sf, pf = _along(hat, f.coeffs)
             wf = f.coeffs - pf
             su, sv = su + (1.0 - ca) * inva * sf, sv + sa * a * inva * sf
             wu, wv = wu + (1.0 - cb) * invb * wf, wv + sb * b * invb * wf
-        states.append(SpectralField(g.bound, d, dec.hat * su[..., None] + wu, real=g.real))
-        rates.append(SpectralField(g.bound, d, dec.hat * sv[..., None] + wv, real=g.real))
+        states.append(SpectralField(g.bound, d, hat * su[..., None] + wu, real=g.real))
+        rates.append(SpectralField(g.bound, d, hat * sv[..., None] + wv, real=g.real))
     return Trajectory(times, states, {"rates": rates})
 
 
 def hamiltonian_per_mode(dec, u, v):
     """|uhat_t|^2 + uhat^H P uhat per mode; conserved by the unforced flow."""
-    pu = dec.apply(dec.a, dec.b, u.coeffs)
+    ops._check(dec.table, v, (dec.table.dimension,))
+    pu = dec.apply(dec.a, dec.b, u)
     return np.real(np.sum(np.conj(u.coeffs) * pu, axis=-1)
                    + np.sum(np.abs(v.coeffs) ** 2, axis=-1))
-
-
-def local_navier_decomposition(dimension, bound, mu, lam_lame):
-    return navier_decompose(local_table(dimension, bound), mu, lam_lame)
 
 
 def v_norm_error(table, dec, u, reference):

@@ -34,8 +34,9 @@ settles.  clear_radial_cache empties it, and the CLI calls it at the start
 of every run.
 
 What depends on the lattice alone comes from the read-only fields.lattice(N, d).
-A built, loaded or local table is read-only and keeps its |lambda|^2 (abs2) and
-its bounds once computed; verify_bounds returns a copy of the bounds.
+Every SymbolTable is validated when it is made and is read-only; it keeps its
+|lambda|^2 (abs2), 1/|lambda|^2 (inv_abs2), unit symbol (hat) and bounds once
+computed; verify_bounds returns a copy of the bounds.
 """
 
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import KernelError
-from .fields import lattice
+from .fields import cube_index, lattice
 from .kernels import SPHERE_AREA, KernelSpec, from_config
 from .results import mode_rows, write_text
 
@@ -102,7 +103,13 @@ class Orientation:
         return len(self.vec)
 
 
-@dataclass
+def _read_only(a):
+    """a, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
 class SymbolTable:
     """Cached symbols lambda(xi) over the lattice cube [-N, N]^d minus 0.
 
@@ -110,6 +117,12 @@ class SymbolTable:
     ``radial`` is Lambda at each |xi|^2 of fields.lattice(N, d).q2.  Local
     tables (no kernel) carry lambda(xi) = i xi and are the delta -> 0
     counterparts used by the error studies.
+
+    A table is valid by construction, whether built, loaded, local, made by
+    hand or by dataclasses.replace: its arrays become read-only; ValueError
+    unless they have the shapes above; KernelError unless lambda(0) = 0 and
+    0 < |lambda| <= sqrt(2) d |xi| at every other mode, which a NaN fails.
+    It is frozen, so no reassigned attribute escapes that check.
     """
 
     kernel: KernelSpec | None
@@ -119,6 +132,22 @@ class SymbolTable:
     radial: np.ndarray
     tol: float
 
+    def __post_init__(self):
+        d, centre = self.dimension, (self.bound,) * self.dimension
+        if (self.lam.shape != (2 * self.bound + 1,) * d + (d,)
+                or self.radial.shape != lattice(self.bound, d).q2.shape):
+            raise ValueError(f"lam {self.lam.shape} and radial {self.radial.shape} "
+                             f"do not fit N={self.bound}")
+        for a in (self.lam, self.radial):
+            _read_only(a)
+        if np.any(self.lam[centre]):
+            raise KernelError(f"lambda(0) = {self.lam[centre]!r}, not 0")
+        rep = self.bounds
+        if not rep["min_abs"] > 0.0:
+            raise KernelError(f"degenerate kernel: min |lambda| = {rep['min_abs']!r}")
+        if not rep["max_ratio"] <= math.sqrt(2.0) * d * (1.0 + 1e-9):
+            raise KernelError(f"symbol bound violated: max |lambda|/|xi| = {rep['max_ratio']!r}")
+
     @property
     def lambda_radial_map(self):
         """Lambda keyed by the integer |xi|^2: a dict built from the lattice's q2 and radial."""
@@ -126,16 +155,26 @@ class SymbolTable:
 
     @cached_property
     def bounds(self):
-        """The verify_bounds report, computed once: by _validate for a built or loaded table."""
-        return _bounds(self)
+        """The verify_bounds report, computed once at construction: min and max
+        |lambda|, max |lambda|/|xi| and the argmin, over the nonzero modes."""
+        n, shape = self.bound, self.lam.shape[:-1]
+        centre = math.prod(shape) // 2  # the zero mode, which lattice(...).modes omits
+        mags = np.sqrt(np.delete(self.abs2.ravel(), centre))
+        ratio = mags / lattice(n, len(shape)).norms
+        i = int(np.argmin(mags))
+        return {
+            "min_abs": float(mags[i]),
+            "max_abs": float(np.max(mags)),
+            "max_ratio": float(np.max(ratio)),
+            "argmin": tuple(int(c) - n for c in np.unravel_index(i + (i >= centre), shape)),
+        }
 
     @property
     def dimension(self):
         return self.lam.ndim - 1
 
     def lam_at(self, xi):
-        idx = tuple(int(c) + self.bound for c in xi)
-        return self.lam[idx]
+        return self.lam[cube_index(xi, self.bound, self.dimension)]
 
     def lam_neg(self):
         """Symbol of the reflected orientation: lambda_{-n} = -conj(lambda_n)."""
@@ -144,9 +183,18 @@ class SymbolTable:
     @cached_property
     def abs2(self):
         """|lambda|^2 per mode, computed once and read-only."""
-        a2 = np.sum(np.abs(self.lam) ** 2, axis=-1)
-        a2.setflags(write=False)
-        return a2
+        return _read_only(np.sum(np.abs(self.lam) ** 2, axis=-1))
+
+    @cached_property
+    def inv_abs2(self):
+        """1/|lambda|^2 per mode and 0 at xi = 0, computed once and read-only."""
+        a2 = self.abs2
+        return _read_only(np.divide(1.0, a2, out=np.zeros_like(a2), where=a2 != 0.0))
+
+    @cached_property
+    def hat(self):
+        """The unit symbol lambda/|lambda| per mode, 0 at xi = 0; computed once and read-only."""
+        return _read_only(self.lam * np.sqrt(self.inv_abs2)[..., None])
 
 
 def _radial_count(kmax):
@@ -321,9 +369,7 @@ def _radial_orders(kernel, ks, nr, lmax):
 @lru_cache(maxsize=_RADIAL_CACHE_SIZE)
 def _cached_radial_orders(kernel, kbytes, nr, lmax):
     """_radial_orders, read-only, at the |xi| whose float64 bytes are kbytes (_re_lambda)."""
-    rad = _radial_orders(kernel, np.frombuffer(kbytes), nr, lmax)
-    rad.setflags(write=False)
-    return rad
+    return _read_only(_radial_orders(kernel, np.frombuffer(kbytes), nr, lmax))
 
 
 def clear_radial_cache():
@@ -426,20 +472,7 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     val, centre = re_half + 1j * im_abs, len(lat.modes) // 2
     lam.reshape(-1, d)[centre + 1:] = val           # the half, after the zero mode
     lam.reshape(-1, d)[centre - 1::-1] = np.conj(val)  # -xi, mirrored before it
-    return _validate(SymbolTable(kernel, orientation, bound, lam, lam_rad, tol))
-
-
-def _validate(table):
-    """The table, read-only; KernelError unless 0 < |lambda| <= sqrt(2) d |xi|, NaN fails both."""
-    for a in (table.lam, table.radial):
-        a.setflags(write=False)
-    rep = table.bounds
-    if not rep["min_abs"] > 0.0:
-        raise KernelError(f"degenerate kernel: min |lambda| = {rep['min_abs']!r}")
-    bound = math.sqrt(2.0) * table.dimension * (1.0 + 1e-9)
-    if not rep["max_ratio"] <= bound:
-        raise KernelError(f"symbol bound violated: max |lambda|/|xi| = {rep['max_ratio']!r}")
-    return table
+    return SymbolTable(kernel, orientation, bound, lam, lam_rad, tol)
 
 
 def local_table(dimension, bound):
@@ -447,7 +480,6 @@ def local_table(dimension, bound):
     lat = lattice(bound, dimension)
     lam = np.zeros((2 * bound + 1,) * dimension + (dimension,), dtype=complex)
     lam[tuple((lat.modes + bound).T)] = 1j * lat.modes
-    lam.setflags(write=False)  # k is the lattice's, read-only
     return SymbolTable(None, None, bound, lam, lat.k, 0.0)
 
 
@@ -477,21 +509,6 @@ def lambda_radial(kernel, k):
 def verify_bounds(table):
     """Lattice extremes of the symbol magnitude, for coercivity reports: a copy of table.bounds."""
     return dict(table.bounds)
-
-
-def _bounds(table):
-    """The pass behind SymbolTable.bounds: min and max |lambda|, max |lambda|/|xi|, argmin."""
-    n, shape = table.bound, table.lam.shape[:-1]
-    centre = math.prod(shape) // 2  # the zero mode; the flat cube without it is lattice(...).modes
-    mags = np.sqrt(np.delete(table.abs2.ravel(), centre))
-    ratio = mags / lattice(n, len(shape)).norms
-    i = int(np.argmin(mags))
-    return {
-        "min_abs": float(mags[i]),
-        "max_abs": float(np.max(mags)),
-        "max_ratio": float(np.max(ratio)),
-        "argmin": tuple(int(c) - n for c in np.unravel_index(i + (i >= centre), shape)),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -575,4 +592,4 @@ def load_table(path):
         raise ValueError(f"symbol cache {path} lacks, repeats or reorders an L line of N={bound}")
     lam = np.zeros((2 * bound + 1,) * d + (d,), dtype=complex)
     lam[tuple((lat.modes + bound).T)] = np.ascontiguousarray(body[:, d:]).view(complex)
-    return _validate(SymbolTable(kernel, orientation, bound, lam, lam_rad, tol))
+    return SymbolTable(kernel, orientation, bound, lam, lam_rad, tol)

@@ -317,7 +317,7 @@ BAD_CONFIGS = {
     "convergence swept delta": ("convergence", dict(SMALL_SWEEP, kernel=dict(
         SMALL_SWEEP["kernel"], delta=0.5)), [], "delta"),
     "convergence lame": ("convergence", dict(SMALL_SWEEP, lame=[1.0, 1.0]), [], "'lame'"),
-    "convergence system": ("convergence", dict(SMALL_SWEEP, system="stoke"), [], "system"),
+    "convergence system": ("convergence", dict(SMALL_SWEEP, system="stoke"), [], "config.system"),
     "times typo": ("stokes-evolve", dict(SMALL_STOKES, times={"step": 4}), [], "'step'"),
     "times float steps": ("stokes-evolve", dict(SMALL_STOKES, times={"steps": 4.0}), [], "steps"),
     "times bool t1": ("stokes-evolve", dict(SMALL_STOKES, times={"t1": True}), [], "t1"),
@@ -409,13 +409,17 @@ def test_symbol_sweep_computes_each_tables_bounds_once(tmp_path, monkeypatch):
     # crit01's sweep, shrunk: the bounds it reports are the ones that the
     # table's validation computed, and its one lattice takes one np.unique
     # of |xi|^2, however many tables share it
+    import functools
+
     import numpy as np
 
     from nlspectral import fields as fl, symbols as sym
 
     calls = []
-    bounds, unique = sym._bounds, np.unique
-    monkeypatch.setattr(sym, "_bounds", lambda tab: calls.append("bounds") or bounds(tab))
+    bounds, unique = sym.SymbolTable.bounds.func, np.unique
+    counted = functools.cached_property(lambda tab: calls.append("bounds") or bounds(tab))
+    counted.__set_name__(sym.SymbolTable, "bounds")
+    monkeypatch.setattr(sym.SymbolTable, "bounds", counted)
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append("unique") or unique(*a, **k))
     fl.lattice.cache_clear()
     with open(os.path.join(PRESETS, "crit01_symbol_bounds.json")) as fh:

@@ -152,6 +152,17 @@ def test_set_mode_rejects_zero_mode():
         u.set_mode((0, 0), 1.0)
 
 
+@pytest.mark.parametrize("mode", [(-5, 0), (0, 5), (1,), (1, 2, 0)])
+def test_set_mode_rejects_a_mode_outside_the_cube_before_writing(mode):
+    # at the parent, (-5, 0) on N = 4 wrote mode (4, 0) and then raised
+    # IndexError, leaving the field without its conjugate at (-4, 0)
+    u = fl.random_field(8, 4, 1.0)
+    before = u.coeffs.copy()
+    with pytest.raises(ValueError, match="not in the cube"):
+        u.set_mode(mode, 1.0)
+    np.testing.assert_array_equal(u.coeffs, before)
+
+
 def test_component_shapes():
     s = fl.random_field(1, 3, 1.0)
     v = fl.random_field(1, 3, 1.0, components=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -39,15 +40,81 @@ def test_stokes_orthogonal_forcing_gives_pure_velocity(table2):
 
 def test_stokes_rejects_degenerate_table(table2):
     # a public table whose symbol vanishes at a nonzero mode must not give a
-    # plausible solution: only xi = 0 is pinned
+    # plausible solution: only xi = 0 is pinned, and no such table is made
     lam = table2.lam.copy()
     lam[tuple(np.array((3, -2)) + table2.bound)] = 0.0
-    bad = SymbolTable(table2.kernel, table2.orientation, table2.bound, lam,
-                      table2.radial, table2.tol)
-    f = fl.random_field(71, 8, 2.0, components=2)
-    with pytest.raises(KernelError, match="vanishes"):
-        sol.stokes_steady(bad, f)
-    sol.stokes_steady(table2, f)
+    with pytest.raises(KernelError, match="degenerate"):
+        SymbolTable(table2.kernel, table2.orientation, table2.bound, lam,
+                    table2.radial, table2.tol)
+    with pytest.raises(KernelError, match="degenerate"):
+        dataclasses.replace(table2, lam=lam)
+    sol.stokes_steady(table2, fl.random_field(71, 8, 2.0, components=2))
+
+
+def _field(table, components, bound=None, dimension=None):
+    """A random field of the table's N and d unless given, with these components (0: scalar)."""
+    return fl.random_field(5, bound or table.bound, 2.0, dimension=dimension or table.dimension,
+                           components=components)
+
+
+def _navier(t):
+    return sol.navier_decompose(t, 1.0, 0.5)
+
+
+# entry point: (table dimension, components it expects (0: scalar), call with the field)
+_ENTRY_POINTS = {
+    "leray_project": (2, 2, lambda t, u: sol.leray_project(t, u)),
+    "stokes_steady": (2, 2, lambda t, f: sol.stokes_steady(t, f)),
+    "stokes_residual": (2, 2, lambda t, f: sol.stokes_residual(
+        t, sol.stokes_steady(t, _field(t, 2)), f)),
+    "stokes_stability": (2, 2, lambda t, f: sol.stokes_stability(
+        t, sol.stokes_steady(t, _field(t, 2)), f)),
+    "stokes_evolve u0": (2, 2, lambda t, u: sol.stokes_evolve(t, u, None, [0.0, 0.1])),
+    "stokes_evolve forcing": (2, 2, lambda t, f: sol.stokes_evolve(
+        t, sol.leray_project(t, _field(t, 2)), f, [0.0, 0.1])),
+    "stokes_evolve forcing(t)": (2, 2, lambda t, f: sol.stokes_evolve(
+        t, sol.leray_project(t, _field(t, 2)), lambda s: f, [0.0, 0.1])),
+    "helmholtz2d": (2, 2, lambda t, u: sol.helmholtz2d(t, u)),
+    "helmholtz2d_reconstruct q": (2, 0, lambda t, q: sol.helmholtz2d_reconstruct(
+        t, _field(t, 0), q)),
+    "helmholtz3d": (3, 3, lambda t, u: sol.helmholtz3d(t, u)),
+    "divcurl3d f": (3, 0, lambda t, f: sol.divcurl3d(t, f, fl.SpectralField.zeros(3, 6, (3,)))),
+    "divcurl3d g": (3, 3, lambda t, g: sol.divcurl3d(t, fl.SpectralField.zeros(3, 6), g)),
+    "navier_steady": (2, 2, lambda t, f: sol.navier_steady(_navier(t), f)),
+    "navier_apply": (2, 2, lambda t, u: sol.navier_apply(_navier(t), u)),
+    "navier_energy": (2, 2, lambda t, u: sol.navier_energy(_navier(t), u)),
+    "navier_evolve g": (2, 2, lambda t, g: sol.navier_evolve(
+        _navier(t), g, _field(t, 2), None, [0.0, 0.1])),
+    "navier_evolve h": (2, 2, lambda t, h: sol.navier_evolve(
+        _navier(t), _field(t, 2), h, None, [0.0, 0.1])),
+    "navier_evolve forcing": (2, 2, lambda t, f: sol.navier_evolve(
+        _navier(t), _field(t, 2), _field(t, 2), lambda s: f, [0.0, 0.1])),
+    "hamiltonian_per_mode u": (2, 2, lambda t, u: sol.hamiltonian_per_mode(
+        _navier(t), u, _field(t, 2))),
+    "hamiltonian_per_mode v": (2, 2, lambda t, v: sol.hamiltonian_per_mode(
+        _navier(t), _field(t, 2), v)),
+}
+
+# how a field misfits a table of (N, d) that expects k components
+_MISFITS = {
+    "bound": lambda t, k: _field(t, k, bound=t.bound - 2),
+    "dimension": lambda t, k: _field(t, k, dimension=5 - t.dimension),
+    "components": lambda t, k: _field(t, 0 if k else t.dimension),
+    "one more component": lambda t, k: _field(t, k + 1),
+}
+
+
+@pytest.mark.parametrize("misfit", _MISFITS)
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_solvers_check_their_fields_against_the_table(table2, table3, entry, misfit):
+    # at the parent a 2D 3-component field and a 3D table came back from
+    # stokes_steady with component shape (5, 3), and a misfit bound raised
+    # numpy's broadcast error, which names nothing
+    d, k, call = _ENTRY_POINTS[entry]
+    table = table2 if d == 2 else table3
+    call(table, fl.SpectralField.zeros(d, table.bound, (k,) if k else ()))  # a field that fits
+    with pytest.raises(ValueError, match="does not fit a table|expected component shape"):
+        call(table, _MISFITS[misfit](table, k))
 
 
 def test_stokes_residual_and_divergence(table2):
@@ -309,7 +376,7 @@ def test_navier_steady_convergence_vnorm():
     n = Orientation.from_angle(0.7)
     f = fl.random_field(2024, 8, 3.0, components=2)
     mu, lam_lame = 1.0, 1.0
-    dec0 = sol.local_navier_decomposition(2, 8, mu, lam_lame)
+    dec0 = sol.navier_decompose(local_table(2, 8), mu, lam_lame)
     u_loc = sol.navier_steady(dec0, f)
     deltas = [0.2, 0.1, 0.05, 0.025]
     errs = []
@@ -365,8 +432,7 @@ def test_navier_trajectory_converges_to_local():
     g = fl.random_field(96, 6, 3.0, components=2)
     h = fl.random_field(97, 6, 3.0, components=2)
     times = np.linspace(0.0, 0.5, 11)
-    ref = sol.navier_evolve(sol.local_navier_decomposition(2, 6, 1.0, 1.0),
-                            g, h, None, times)
+    ref = sol.navier_evolve(sol.navier_decompose(local_table(2, 6), 1.0, 1.0), g, h, None, times)
     errs = []
     for delta in (0.2, 0.1, 0.05):
         k = normalize("constant", 2, horizon=delta)
@@ -378,10 +444,10 @@ def test_navier_trajectory_converges_to_local():
 
 def test_nonlocal_and_local_navier_matrices_do_not_commute(table2):
     dec = sol.navier_decompose(table2, 1.0, 1.0)
-    dec0 = sol.local_navier_decomposition(2, 8, 1.0, 1.0)
+    dec0 = sol.navier_decompose(local_table(2, 8), 1.0, 1.0)
     idx = (3 + 8, 4 + 8)   # mode (3, 4), not aligned with the orientation
     eye = np.eye(2, dtype=complex)
-    Pi, Pi0 = (np.outer(d.hat[idx], np.conj(d.hat[idx])) for d in (dec, dec0))
+    Pi, Pi0 = (np.outer(d.table.hat[idx], np.conj(d.table.hat[idx])) for d in (dec, dec0))
     P = dec.a[idx] * Pi + dec.b[idx] * (eye - Pi)
     P0 = dec0.a[idx] * Pi0 + dec0.b[idx] * (eye - Pi0)
     comm = P @ P0 - P0 @ P
@@ -391,7 +457,7 @@ def test_nonlocal_and_local_navier_matrices_do_not_commute(table2):
 def test_projector_spectral_decomposition(table2):
     dec = sol.navier_decompose(table2, 1.0, 1.0)
     idx = (2 + 8, 5 + 8)
-    Pi = np.outer(dec.hat[idx], np.conj(dec.hat[idx]))
+    Pi = np.outer(dec.table.hat[idx], np.conj(dec.table.hat[idx]))
     assert np.max(np.abs(Pi @ Pi - Pi)) <= 1e-12
     assert np.max(np.abs(Pi - Pi.conj().T)) <= 1e-12
     assert dec.a[idx] > 0 and dec.b[idx] > 0
@@ -492,7 +558,7 @@ def _navier_floor(dec, states, rates, forcing, times):
 
     (zero at xi = 0, where w- = 0 and both forms carry the same zeros).
     """
-    k = 8 * (dec.dimension + 2) * 2.0**-53
+    k = 8 * (dec.table.dimension + 2) * 2.0**-53
     wa, wb = np.sqrt(dec.a), np.sqrt(dec.b)
     hi, lo = np.maximum(wa, wb), np.minimum(wa, wb)
     m = [_mode_norm(u) + _mode_norm(v) for u, v in zip(states, rates)]
@@ -586,8 +652,7 @@ def test_stokes_evolve_matches_per_step_reference(table2, forcing, times):
 def _stokes_evolve_two_passes(table, u0, forcing, times):
     """stokes_evolve as it was with a forcing at every time: the states at the
     left ends in one pass, then the pressures with the forcing called again."""
-    a2, inv = sol._abs2_inv(table)
-    hat = sol._unit_symbol(table, inv)
+    a2, inv, hat = table.abs2, table.inv_abs2, table.hat
     u, states, pressures = u0.coeffs.astype(complex), [u0.coeffs], []
     for t0, t1 in zip(times[:-1], times[1:]):
         decay = sol._spread(np.exp(-a2 * (t1 - t0)), table.dimension)
@@ -655,12 +720,13 @@ def test_navier_split_parts(table2):
     # the spectra (1, 0) and (0, 1) give the two eigenspace parts of c: they
     # sum to c, and Pi c has no part outside its eigenspace
     dec = sol.navier_decompose(table2, 1.0, 1.0)
-    c = fl.random_field(43, 8, 1.0, components=2).coeffs
+    u = fl.random_field(43, 8, 1.0, components=2)
+    c = u.coeffs
     one, zero = np.ones_like(dec.a), np.zeros_like(dec.a)
-    pc, qc = dec.apply(one, zero, c), dec.apply(zero, one, c)
+    pc, qc = dec.apply(one, zero, u), dec.apply(zero, one, u)
     np.testing.assert_array_equal(qc, c - pc)
-    np.testing.assert_allclose(dec.apply(zero, one, pc), 0.0, atol=1e-15)
-    np.testing.assert_array_equal(dec.apply(dec.a, dec.b, c),
+    np.testing.assert_allclose(dec.apply(zero, one, fl.SpectralField(8, 2, pc)), 0.0, atol=1e-15)
+    np.testing.assert_array_equal(dec.apply(dec.a, dec.b, u),
                                   dec.a[..., None] * pc + dec.b[..., None] * qc)
 
 
@@ -712,7 +778,7 @@ def test_per_mode_algebra_property(d, family, beta, delta, angles, bound):
     assert np.max(np.abs(P - np.conj(np.swapaxes(P, -1, -2)))) <= tol
     # the unit symbol: |hat| = 1 up to the roundings of |lambda|^2 (d + 1),
     # its inverse square root (2) and the products (2), 0 at xi = 0
-    hat = sol.navier_decompose(table, 1.0, 1.0).hat
+    hat = table.hat
     zero = (bound,) * d
     assert not np.any(hat[zero])
     unit = np.sqrt(np.sum(np.abs(hat) ** 2, axis=-1))

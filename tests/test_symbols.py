@@ -199,10 +199,77 @@ def test_verify_bounds_is_a_copy_of_a_fresh_pass(tmp_path, table2):
     tables["replaced"] = dataclasses.replace(table2, lam=0.5 * table2.lam)
     for name, tab in tables.items():
         rep = sym.verify_bounds(tab)
-        assert rep == _bounds_gathered(tab) == sym._bounds(tab), name
+        assert rep == _bounds_gathered(tab) == sym.SymbolTable.bounds.func(tab), name
         rep["min_abs"] = -1.0
         assert tab.bounds["min_abs"] > 0.0
     assert tables["replaced"].bounds["min_abs"] == 0.5 * table2.bounds["min_abs"]
+
+
+def _set(lam, index, value):
+    lam = lam.copy()
+    lam[index] = value
+    return lam
+
+
+# each symbol breaks 0 < |lambda| <= sqrt(2) d |xi| or lambda(0) = 0 at one place
+_BAD_SYMBOLS = {
+    "over the bound": (lambda lam: 10.0 * lam, "bound violated"),
+    "just over the bound": (lambda lam: _set(lam, (9, 8), [3.0, 0.0]), "bound violated"),
+    "zero at a nonzero mode": (lambda lam: _set(lam, (11, 6), 0.0), "degenerate"),
+    "NaN at a nonzero mode": (lambda lam: _set(lam, (2, 15, 1), math.nan), "degenerate"),
+    "nonzero at xi = 0": (lambda lam: _set(lam, (8, 8, 0), 1e-3j), r"lambda\(0\)"),
+}
+
+
+@pytest.mark.parametrize("made", ["replace", "by hand"])
+@pytest.mark.parametrize("name", _BAD_SYMBOLS)
+def test_an_invalid_symbol_is_refused_at_construction(table2, made, name):
+    # at the parent, replace(table, lam=10 * lam) made a table with max
+    # |lambda|/|xi| = 9.99 that stokes_steady solved with
+    bad, match = _BAD_SYMBOLS[name]
+    lam = bad(table2.lam)
+    with pytest.raises(KernelError, match=match):
+        if made == "replace":
+            dataclasses.replace(table2, lam=lam)
+        else:
+            sym.SymbolTable(table2.kernel, table2.orientation, 8, lam, table2.radial, table2.tol)
+
+
+def test_a_table_must_fit_its_lattice(table2):
+    local = sym.local_table(2, 3)
+    for kwargs in ({"lam": table2.lam}, {"radial": table2.radial}, {"bound": 4},
+                   {"lam": table2.lam[..., :1]}):
+        with pytest.raises(ValueError, match="do not fit"):
+            dataclasses.replace(local, **kwargs)
+
+
+def test_a_table_is_frozen(table2):
+    # reassigning lam would skip the check that construction makes
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table2.lam = 10.0 * table2.lam
+    assert table2.bounds["max_ratio"] <= 2.0 * math.sqrt(2.0)
+
+
+def test_inverse_and_unit_symbol_are_kept_and_read_only(tmp_path, table2):
+    for name, tab in _built_loaded_local(tmp_path, table2).items():
+        assert tab.inv_abs2 is tab.inv_abs2 and tab.hat is tab.hat, name
+        zero = (tab.bound,) * tab.dimension
+        nonzero = np.ones(tab.abs2.shape, dtype=bool)
+        nonzero[zero] = False
+        np.testing.assert_array_equal(tab.inv_abs2[nonzero], 1.0 / tab.abs2[nonzero])
+        np.testing.assert_array_equal(tab.hat, tab.lam * np.sqrt(tab.inv_abs2)[..., None])
+        assert tab.inv_abs2[zero] == 0.0 and not np.any(tab.hat[zero]), name
+        for a in (tab.inv_abs2, tab.hat):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
+@pytest.mark.parametrize("mode", [(-9, 0), (0, 9), (1,), (1, 0, 0), ()])
+def test_lam_at_rejects_a_mode_outside_the_cube(table2, mode):
+    # at the parent (-9, 0) wrapped round to lambda(8, 0), and (1,) gave a 17x2 slice
+    with pytest.raises(ValueError, match="not in the cube"):
+        table2.lam_at(mode)
+    np.testing.assert_array_equal(table2.lam_at((-8, 8)), table2.lam[0, 16])
 
 
 @pytest.mark.parametrize("bound, d", [(5, 2), (3, 3)])
@@ -395,8 +462,9 @@ def test_local_table_is_i_xi():
 
 def test_cache_roundtrip(tmp_path, table2):
     # every bit comes back, signed zeros included
-    table = dataclasses.replace(table2, lam=table2.lam.copy())
-    table.lam[table.bound + 1, table.bound, 0] = complex(-0.0, table.lam[table.bound + 1, table.bound, 0].imag)
+    lam, at = table2.lam.copy(), (table2.bound + 1, table2.bound, 0)
+    lam[at] = complex(-0.0, lam[at].imag)
+    table = dataclasses.replace(table2, lam=lam)
     path = tmp_path / "cache.txt"
     sym.save_table(table, path)
     back = sym.load_table(path)
@@ -517,7 +585,7 @@ def _header_nan_tol(lines):
 
 def _symbol_between_the_bounds(lines):
     # lambda = (3.5 |xi|, 0): the ratio lies above sqrt(2) d = 2.83 and below
-    # 2d = 4, so only the bound of _validate refuses it
+    # 2d = 4, so only the bound of the table's validation refuses it
     x, y = (int(t) for t in lines[1].split()[:2])
     return lines[:1] + [f"{x} {y} {3.5 * math.hypot(x, y)!r} 0 0 0\n"] + lines[2:]
 
