@@ -63,8 +63,8 @@ def _navier(t):
 
 # entry point: (table dimension, components it expects (0: scalar), call with the field)
 _ENTRY_POINTS = {
-    "leray_project": (2, 2, lambda t, u: sol.leray_project(t, u)),
-    "stokes_steady": (2, 2, lambda t, f: sol.stokes_steady(t, f)),
+    "leray_project": (2, 2, sol.leray_project),
+    "stokes_steady": (2, 2, sol.stokes_steady),
     "stokes_residual": (2, 2, lambda t, f: sol.stokes_residual(
         t, sol.stokes_steady(t, _field(t, 2)), f)),
     "stokes_stability": (2, 2, lambda t, f: sol.stokes_stability(
@@ -74,10 +74,10 @@ _ENTRY_POINTS = {
         t, sol.leray_project(t, _field(t, 2)), f, [0.0, 0.1])),
     "stokes_evolve forcing(t)": (2, 2, lambda t, f: sol.stokes_evolve(
         t, sol.leray_project(t, _field(t, 2)), lambda s: f, [0.0, 0.1])),
-    "helmholtz2d": (2, 2, lambda t, u: sol.helmholtz2d(t, u)),
+    "helmholtz2d": (2, 2, sol.helmholtz2d),
     "helmholtz2d_reconstruct q": (2, 0, lambda t, q: sol.helmholtz2d_reconstruct(
         t, _field(t, 0), q)),
-    "helmholtz3d": (3, 3, lambda t, u: sol.helmholtz3d(t, u)),
+    "helmholtz3d": (3, 3, sol.helmholtz3d),
     "divcurl3d f": (3, 0, lambda t, f: sol.divcurl3d(t, f, fl.SpectralField.zeros(3, 6, (3,)))),
     "divcurl3d g": (3, 3, lambda t, g: sol.divcurl3d(t, fl.SpectralField.zeros(3, 6), g)),
     "navier_steady": (2, 2, lambda t, f: sol.navier_steady(_navier(t), f)),
