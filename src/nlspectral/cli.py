@@ -7,10 +7,10 @@ writes one CSV of results plus a JSON summary with pass/fail per assertion.
 Exit codes: 0 success, 1 assertion failure, 2 configuration error,
 3 quadrature non-convergence.
 
-The flags are the only way to set the run: the config path (--config), the
-output directory (--out, default the working directory), and overrides of
-the config's seed and tolerance entries.  A run builds its symbol tables one
-after another.
+The config file is a run's only input: the flags name it (--config) and the
+output directory (--out, default the working directory).  run_command is the
+only code that writes files; the runners only compute.  A run builds its
+symbol tables one after another.
 """
 
 import argparse
@@ -42,10 +42,6 @@ def build_parser():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", default=None, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--tol-override", action="append", default=[],
-                       metavar="KEY=VAL", help="override a tolerance entry")
     return parser
 
 
@@ -64,22 +60,6 @@ def load_config(path):
     return cfg
 
 
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.tol_override and not isinstance(cfg.setdefault("tolerances", {}), dict):
-        raise ConfigError(f"config.tolerances must be a JSON object, got {cfg['tolerances']!r}")
-    for item in args.tol_override:
-        if "=" not in item:
-            raise ConfigError(f"tolerance override must be KEY=VAL, got {item!r}")
-        key, val = item.split("=", 1)
-        try:
-            cfg["tolerances"][key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"tolerance override {item!r} is not numeric") from exc
-    return cfg
-
-
 def run_command(command, cfg, out_dir):
     """Execute one experiment and write its artifacts; returns the exit code.
 
@@ -92,7 +72,7 @@ def run_command(command, cfg, out_dir):
     if not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir} is not writable")
     started = time.perf_counter()
-    table, summary = runner(cfg, out_dir=out_dir)
+    table, summary = runner(cfg)
     import numpy
 
     summary["metadata"] = {
@@ -113,8 +93,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        return run_command(args.command, cfg, args.out or ".")
+        return run_command(args.command, load_config(args.config), args.out or ".")
     except (ConfigError, KernelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,8 +6,8 @@ value of the wrong type with ConfigError before any work starts and leaves
 the dict as it is.  It then performs one experiment (symbol bound sweeps,
 convergence studies, identity checks, the 1D energy suite, ...) and returns
 a deterministic ResultTable and a summary with one pass/fail per assertion.
-A runner is called as runner(cfg, out_dir) and writes its extra files, the
-symbol caches of ``symbols`` and the rho CSV of ``energy-1d``, to out_dir.
+A runner is called as runner(cfg) and writes no file: the command-line
+driver writes the table and the summary.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import onedim, operators as ops, solvers as sol, symbols as sym
+from . import onedim, operators as ops, solvers as sol
 from .errors import ConfigError
 from .fields import SpectralField, l2_norm, random_field, s_norm, evaluate, grid_points
 from .kernels import from_config, normalize
@@ -101,7 +101,6 @@ _text = _value(lambda v: isinstance(v, str), "a string")
 _file_name = _value(lambda v: isinstance(v, str) and v[:1] not in ("", ".")
                     and not {"/", "\0", os.sep, os.altsep} & set(v),
                     "a plain file name (no path separator or NUL, not starting with '.')")
-_flag = _value(lambda v: isinstance(v, bool), "true or false")
 _finite = _value(_real, "a finite number", float)
 _positive = _value(lambda v: _real(v) and v > 0.0, "a positive number", float)
 _bound = _whole(2, "a whole number of at least 2 (the lattice bound)")
@@ -187,13 +186,11 @@ _COMMON = {"experiment": (_file_name, None), "seed": (_whole(), 2024), "toleranc
 SCHEMAS = {
     "symbols": {"kernels": (_list(_kernel(2, swept=True)), _REQUIRED),
                 "angles": (_list(_finite), [2.0 * math.pi * i / 8 for i in range(8)]),
-                "deltas": (_deltas, _REQUIRED), "bound": (_bound, 32), "cache": (_flag, False)},
+                "deltas": (_deltas, _REQUIRED), "bound": (_bound, 32)},
     "stokes-convergence": _sweep(),
     "navier-convergence": _sweep(lame=_LAME),
     "evolution-refinement": _sweep(lame=_LAME, times=(_times, {})),
     "stokes": {**_one(), "decay": (_positive, 2.0)},
-    "stokes-evolve": {**_one(), "decay": (_positive, 2.0), "times": (_times, {})},
-    "navier-evolve": {**_one(), "decay": (_positive, 2.0), "lame": _LAME, "times": (_times, {})},
     "helmholtz": {"case2d": (_block(_one(2, bound=16)), None),
                   "case3d": (_block(_one(3)), None),
                   "tolerances": _tolerances(residual=(_positive, 1e-12))},
@@ -204,7 +201,7 @@ SCHEMAS = {
     "navier": {**_one(), "lame_pairs": (_list(_lame), [[1.0, 1.0], [1.0, -1.5]])},
     "oracle": {**_one(2), "pairs": (_count, 50), "grid": (_count, 64)},
     "energy-1d": {"checks": (_list(_one_of("rho", "double")), ["rho"]), "delta": (_positive, 1.0),
-                  "mesh": (_count, onedim.MESH_SIZE), "export_rho": (_flag, False),
+                  "mesh": (_count, onedim.MESH_SIZE),
                   "pairs": (_list(_list(_positive, 2)), [[0.2, 0.05], [0.1, 0.1]]),
                   "ximax": (_count, 64),
                   "tolerances": (_block({}), {})},
@@ -264,7 +261,7 @@ def passed(summary):
 # symbol bound sweep
 # ---------------------------------------------------------------------------
 
-def run_symbols(cfg, out_dir):
+def run_symbols(cfg):
     """Spectral sweep: positivity and the uniform upper bound over a lattice.
 
     Sweeps kernels x orientations x deltas, records the lattice minimum of
@@ -278,9 +275,6 @@ def run_symbols(cfg, out_dir):
     for kcfg, delta, angle in itertools.product(c["kernels"], c["deltas"], c["angles"]):
         tab = _tables(c, {"kernel": dict(kcfg, delta=delta),
                           "orientation": Orientation.from_angle(angle), "bound": c["bound"]})
-        if c["cache"]:
-            tag = f"{kcfg['family']}_b{kcfg.get('beta', 0)}_d{delta}_a{angle:.4f}"
-            sym.save_table(tab, f"{out_dir}/cache_{tag}.txt")
         rep = tab.bounds
         table.add(kcfg["family"], kcfg.get("beta", ""), float(delta),
                   float(angle), rep["min_abs"], rep["max_ratio"])
@@ -298,7 +292,7 @@ def run_symbols(cfg, out_dir):
 # steady solves and convergence studies
 # ---------------------------------------------------------------------------
 
-def run_convergence(cfg, out_dir):
+def run_convergence(cfg):
     runs = {"stokes": _run_stokes_convergence, "navier": _run_navier_convergence,
             "evolution": _run_evolution_refinement}
     return runs[_one_of(*runs)(cfg.get("system", "stokes"), "config.system")](cfg)
@@ -389,10 +383,10 @@ def _run_evolution_refinement(cfg):
 
 
 # ---------------------------------------------------------------------------
-# steady Stokes / evolution drivers (single-run subcommands)
+# steady Stokes
 # ---------------------------------------------------------------------------
 
-def run_stokes(cfg, out_dir):
+def run_stokes(cfg):
     c, summary = _start(cfg, "stokes")
     tab = _tables(c)
     f = random_field(c["seed"], c["bound"], c["decay"], components=tab.dimension)
@@ -411,40 +405,11 @@ def run_stokes(cfg, out_dir):
     return table, summary
 
 
-def run_stokes_evolve(cfg, out_dir):
-    c, summary = _start(cfg, "stokes-evolve")
-    tab = _tables(c)
-    d, bound, times = tab.dimension, c["bound"], c["times"]
-    u0 = sol.leray_project(tab, random_field(c["seed"], bound, c["decay"], components=d))
-    traj = sol.stokes_evolve(tab, u0, None, times)
-    loc_tab = local_table(d, bound)
-    loc = sol.stokes_evolve(loc_tab, sol.leray_project(loc_tab, u0), None, times)
-    table = ResultTable(["t", "l2_norm", "energy", "err_vs_local"])
-    for t, s_, sloc in zip(times, traj.states, loc.states):
-        table.add(float(t), l2_norm(s_), 0.5 * l2_norm(s_) ** 2, l2_norm(s_ - sloc))
-    _assert_true(summary, "energy_decreasing", _decreasing(table.column("l2_norm")))
-    return table, summary
-
-
-def run_navier_evolve(cfg, out_dir):
-    c, summary = _start(cfg, "navier-evolve")
-    tab = _tables(c)
-    dec = sol.navier_decompose(tab, *c["lame"])
-    g = random_field(c["seed"], c["bound"], c["decay"], components=tab.dimension)
-    h = random_field(c["seed"] + 1, c["bound"], c["decay"], components=tab.dimension)
-    traj = sol.navier_evolve(dec, g, h, None, c["times"])
-    table = ResultTable(["t", "l2_norm", "energy"])
-    for t, s_ in zip(c["times"], traj.states):
-        table.add(float(t), l2_norm(s_), sol.navier_energy(dec, s_))
-    _assert_in(summary, "hamiltonian_drift", _hamiltonian_drift(dec, traj), 1e-10)
-    return table, summary
-
-
 # ---------------------------------------------------------------------------
 # Helmholtz / div-curl / identities
 # ---------------------------------------------------------------------------
 
-def run_helmholtz(cfg, out_dir):
+def run_helmholtz(cfg):
     c, summary = _start(cfg, "helmholtz")
     if c["case2d"] is None and c["case3d"] is None:
         raise ConfigError("helmholtz needs 'case2d' or 'case3d'")
@@ -483,7 +448,7 @@ def run_helmholtz(cfg, out_dir):
     return table, summary
 
 
-def run_divcurl(cfg, out_dir):
+def run_divcurl(cfg):
     """Double-curl identities at the kernel's own horizon and the div-curl
     solve swept over ``deltas`` (checks consistency, friedrichs)."""
     c, summary = _start(cfg, "divcurl")
@@ -529,7 +494,7 @@ def run_divcurl(cfg, out_dir):
     return table, summary
 
 
-def run_navier(cfg, out_dir):
+def run_navier(cfg):
     """Korn bound and the two energy assemblies, per Lame pair."""
     c, summary = _start(cfg, "navier")
     tab = _tables(c)
@@ -556,7 +521,7 @@ def run_navier(cfg, out_dir):
 # adjoint/oracle and the 1D energy suite
 # ---------------------------------------------------------------------------
 
-def run_oracle(cfg, out_dir):
+def run_oracle(cfg):
     c, summary = _start(cfg, "oracle")
     if c["grid"] < 2 * c["bound"] + 1:  # the sampled fields hold |xi|_inf <= bound
         raise ConfigError(f"config.grid must be at least 2 bound + 1, got {c['grid']!r}")
@@ -607,7 +572,7 @@ def run_oracle(cfg, out_dir):
     return table, summary
 
 
-def run_energy1d(cfg, out_dir):
+def run_energy1d(cfg):
     c, summary = _start(cfg, "energy-1d")
     table = ResultTable(["check", "value"])
 
@@ -640,8 +605,6 @@ def run_energy1d(cfg, out_dir):
         _assert_true(summary, "fractional_mass_monotone",
                      all(b.l1_mass >= a.l1_mass for a, b in zip(levels[:-1], levels[1:])))
         _assert_in(summary, "energy_equivalence", eq["gap"], 1e-6)
-        if c["export_rho"]:
-            rho_s.to_csv(f"{out_dir}/rho_sine.csv")
 
     if "double" in c["checks"]:
         xi = np.arange(1, c["ximax"] + 1, dtype=float)
@@ -663,11 +626,9 @@ def run_energy1d(cfg, out_dir):
 RUNNERS = {
     "symbols": run_symbols,
     "stokes": run_stokes,
-    "stokes-evolve": run_stokes_evolve,
     "helmholtz": run_helmholtz,
     "divcurl": run_divcurl,
     "navier": run_navier,
-    "navier-evolve": run_navier_evolve,
     "energy-1d": run_energy1d,
     "convergence": run_convergence,
     "oracle": run_oracle,

@@ -16,6 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -55,9 +56,9 @@ class SpectralField:
         return SpectralField(self.bound, self.dimension, self.coeffs.copy(), self.real)
 
     def set_mode(self, xi, value):
-        """Set mode xi (and -xi to its conjugate in a real field); both are checked first."""
-        at, mirror = (cube_index(m, self.bound, self.dimension)
-                      for m in (xi, [-int(c) for c in xi]))
+        """Set mode xi (and -xi to its conjugate in a real field); xi is checked first."""
+        at = cube_index(xi, self.bound, self.dimension)
+        mirror = tuple(2 * self.bound - i for i in at)
         if at == mirror:
             raise ValueError("the zero mode is pinned to zero")
         self.coeffs[at] = value
@@ -92,11 +93,25 @@ class SpectralField:
 
 
 def cube_index(xi, bound, dimension):
-    """The index of mode xi in a (2N+1,)*d cube; ValueError unless xi is a d-tuple in [-N, N]^d."""
-    idx = tuple(int(c) + bound for c in xi)
-    if len(idx) != dimension or not all(0 <= i <= 2 * bound for i in idx):
-        raise ValueError(f"mode {tuple(xi)!r} is not in the cube [-{bound}, {bound}]^{dimension}")
-    return idx
+    """The index of mode xi in a (2N+1,)*d cube; ValueError unless xi is a d-tuple of
+    whole numbers (ints, numpy integers or integral floats) in [-N, N]^d."""
+    xi = tuple(xi)
+    if len(xi) != dimension or not all(
+            (isinstance(c, Integral) or isinstance(c, Real) and float(c).is_integer())
+            and -bound <= c <= bound for c in xi):
+        raise ValueError(f"mode {xi!r} is not in the cube [-{bound}, {bound}]^{dimension}")
+    return tuple(int(c) + bound for c in xi)
+
+
+def _check(table, field, *shapes):
+    """ValueError unless field has the table's N and d and, if shapes are given, one of them
+    as its component shape."""
+    if field.bound != table.bound or field.dimension != table.dimension:
+        raise ValueError(f"a field of N={field.bound}, d={field.dimension} does not fit "
+                         f"a table of N={table.bound}, d={table.dimension}")
+    if shapes and field.component_shape not in shapes:
+        raise ValueError(f"expected component shape {' or '.join(map(str, shapes))}, "
+                         f"got {field.component_shape}")
 
 
 def lattice_grid(bound, dimension):
@@ -132,9 +147,11 @@ def l2_norm(field):
 
 
 def s_norm(field, table):
-    """Energy norm (sum |lambda(xi)|^2 |uhat(xi)|^2)^(1/2)."""
+    """Energy norm (sum |lambda(xi)|^2 |uhat(xi)|^2)^(1/2) of a scalar or d-vector
+    field of the table."""
     if table is None:
         raise ValueError("energy norms need a symbol table")
+    _check(table, field, (), (table.dimension,))
     weight = table.abs2
     extra = field.coeffs.ndim - weight.ndim
     w = weight.reshape(weight.shape + (1,) * extra)

@@ -24,7 +24,6 @@ import numpy as np
 from . import quadrature as quad
 from .errors import KernelError
 from .kernels import FRACTIONAL, epsilon_cutoff, eval_kernel
-from .results import write_text
 
 # The clamp defect of the bond-kernel mass is the squared first moment of
 # the clamped kernel, 1 - beta eps^(2-beta) + O(eps^2), so the ladder must
@@ -62,10 +61,6 @@ class RhoKernel:
         """rho at |a|: interpolated on the mesh inside the support, zero beyond delta."""
         a = np.abs(a)
         return np.where(a <= self.delta, np.interp(a, self.mesh, self.values), 0.0)
-
-    def to_csv(self, path):
-        cells = np.column_stack([self.mesh, self.values]).ravel().tolist()
-        write_text(path, "a,rho\n" + "%.17g,%.17g\n" * len(self.mesh) % tuple(cells))
 
 
 def _edge_matrix(kernel, a, top):
@@ -308,13 +303,12 @@ def bond_energy(rho, u):
     return 2.0 * float(np.sum(wa * x_mean))
 
 
-def energy_equivalence_check(kernel, u, rho=None):
-    """Compare the spectral one-sided energy with the bond-form energy.
+def energy_equivalence_check(kernel, u, rho):
+    """Compare the spectral one-sided energy with the bond-form energy of rho,
+    the kernel's RhoKernel (rho_from_kernel or a level of rho_regularized).
 
     Returns a dict with both values and their relative gap.
     """
-    if rho is None:
-        rho = rho_from_kernel(kernel)
     e_plus = one_sided_energy(kernel, u)
     e_rho = bond_energy(rho, u)
     gap = abs(e_plus - e_rho) / max(e_plus, e_rho, 1e-300)

@@ -11,29 +11,18 @@ only in the quadrature oracles at the bottom, which never touch symbols.
 import numpy as np
 
 from . import quadrature as quad
-from .fields import SpectralField
+from .fields import SpectralField, _check
 from .errors import KernelError
-
-
-def _check(table, field, components=None):
-    """ValueError unless field has the table's N and d and, if given, these components."""
-    if field.bound != table.bound or field.dimension != table.dimension:
-        raise ValueError(f"a field of N={field.bound}, d={field.dimension} does not fit "
-                         f"a table of N={table.bound}, d={table.dimension}")
-    if components is not None and field.component_shape != components:
-        raise ValueError(f"expected component shape {components}, got {field.component_shape}")
 
 
 def gradient(table, u):
     """Nonlocal gradient: scalar -> vector, vector -> (derivative, component) matrix."""
-    _check(table, u)
+    _check(table, u, (), (table.dimension,))
     lam = table.lam
     if u.component_shape == ():
         out = lam * u.coeffs[..., None]
-    elif u.component_shape == (table.dimension,):
-        out = lam[..., :, None] * u.coeffs[..., None, :]
     else:
-        raise ValueError("gradient expects a scalar or d-vector field")
+        out = lam[..., :, None] * u.coeffs[..., None, :]
     # conjugate symmetry of the table keeps real fields real
     return SpectralField(u.bound, u.dimension, out, real=u.real)
 

@@ -7,7 +7,7 @@ and steady plus time-dependent Navier elasticity through the rank-one
 projector Pi = lambda lambda^H / |lambda|^2 (Leray is I - Pi), applied as
 Pi c = hat (hat^H c) through the table's unit symbol hat = lambda / |lambda|.
 Each divides by the table's 1/|lambda|^2 (inv_abs2), which a table's own
-validation keeps finite, and checks its fields with operators._check.  The
+validation keeps finite, and checks its fields with fields._check.  The
 delta -> 0 (local) counterparts run through the exact same code paths with
 lambda(xi) = i xi (symbols.local_table).
 """

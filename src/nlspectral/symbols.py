@@ -122,7 +122,8 @@ class SymbolTable:
     hand or by dataclasses.replace: its arrays become read-only; ValueError
     unless they have the shapes above; KernelError unless lambda(0) = 0 and
     0 < |lambda| <= sqrt(2) d |xi| at every other mode, which a NaN fails.
-    It is frozen, so no reassigned attribute escapes that check.
+    It is frozen, so no reassigned attribute escapes that check, and a copy
+    (pickle, copy.deepcopy) is rebuilt through the constructor.
     """
 
     kernel: KernelSpec | None
@@ -147,6 +148,12 @@ class SymbolTable:
             raise KernelError(f"degenerate kernel: min |lambda| = {rep['min_abs']!r}")
         if not rep["max_ratio"] <= math.sqrt(2.0) * d * (1.0 + 1e-9):
             raise KernelError(f"symbol bound violated: max |lambda|/|xi| = {rep['max_ratio']!r}")
+
+    def __reduce__(self):
+        """Copies (pickle, copy.copy, copy.deepcopy) are rebuilt by the constructor,
+        so they are checked and read-only like the original."""
+        return SymbolTable, (self.kernel, self.orientation, self.bound, self.lam, self.radial,
+                             self.tol)
 
     @property
     def lambda_radial_map(self):

@@ -80,7 +80,7 @@ def report(name, summary, elapsed, budget):
 def test_criterion(preset, command, budget, tmp_path):
     cfg = load(preset)
     started = time.time()
-    table, summary = RUNNERS[command](cfg, str(tmp_path))
+    table, summary = RUNNERS[command](cfg)
     elapsed = time.time() - started
     ok, within = report(preset, summary, elapsed, budget)
     assert ok, f"{preset}: assertion failures: " + ", ".join(

@@ -52,6 +52,8 @@ SMALL_SWEEP = {
     "bound": 4,
 }
 
+SMALL_EVOLUTION = dict(SMALL_SWEEP, system="evolution", times={"t1": 0.2, "steps": 4})
+
 SMALL_DIVCURL = {
     "experiment": "dc",
     "kernel": {"family": "constant", "dimension": 3},
@@ -153,22 +155,6 @@ def test_cli_quadrature_failure_exits_3(tmp_path):
     assert rc == 3
 
 
-def test_cli_seed_flag_overrides_config(tmp_path):
-    cfg = write_cfg(tmp_path, SMALL_STOKES)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["stokes", "--config", cfg, "--out", str(out1)]) == 0
-    assert cli.main(["stokes", "--config", cfg, "--out", str(out2),
-                     "--seed", "99"]) == 0
-    assert (out1 / "probe.csv").read_bytes() != (out2 / "probe.csv").read_bytes()
-
-
-def test_cli_tol_override_parsing(tmp_path):
-    cfg = write_cfg(tmp_path, SMALL_STOKES)
-    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--tol-override", "quad.tol=banana"])
-    assert rc == 2
-
-
 def test_preset_files_are_valid_json():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     presets = sorted(p for p in os.listdir(os.path.join(here, "presets"))
@@ -179,14 +165,11 @@ def test_preset_files_are_valid_json():
             json.load(fh)
 
 
-@pytest.mark.parametrize("panels, override", [
-    (1.9, []), (True, []), ("2", []), (1, ["--tol-override", "quad.panels=1.5"]),
-    (1, []), (1, ["--tol-override", "quad.panels=2"]),
-])
-def test_cli_non_integral_panels_exits_2(tmp_path, capsys, panels, override):
+@pytest.mark.parametrize("panels", [1.9, True, "2", 1])
+def test_cli_non_integral_panels_exits_2(tmp_path, capsys, panels):
     # quad.panels is not a key: any value of it, whole or not, is unknown
     cfg = write_cfg(tmp_path, dict(SMALL_STOKES, tolerances={"quad.panels": panels}))
-    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o"), *override])
+    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "unknown key 'quad.panels'" in capsys.readouterr().err
 
@@ -197,27 +180,6 @@ def test_cli_non_integer_bound_exits_2(tmp_path, capsys, bound):
     rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "lattice bound" in capsys.readouterr().err
-
-
-def test_cli_trajectory_subcommands(tmp_path):
-    base = {
-        "kernel": {"family": "constant", "dimension": 2, "delta": 0.1},
-        "orientation": {"angle": 0.7},
-        "bound": 4,
-        "decay": 2.0,
-        "seed": 5,
-        "times": {"t1": 0.2, "steps": 4},
-    }
-    cfg = write_cfg(tmp_path, dict(base, experiment="st"))
-    out = tmp_path / "o1"
-    assert cli.main(["stokes-evolve", "--config", cfg, "--out", str(out)]) == 0
-    header = (out / "st.csv").read_text().splitlines()[0]
-    assert header == "t,l2_norm,energy,err_vs_local"
-    cfg2 = write_cfg(tmp_path, dict(base, experiment="nv", lame=[1.0, 1.0]),
-                     name="cfg2.json")
-    out2 = tmp_path / "o2"
-    assert cli.main(["navier-evolve", "--config", cfg2, "--out", str(out2)]) == 0
-    assert (out2 / "nv.csv").read_text().splitlines()[0] == "t,l2_norm,energy"
 
 
 def test_cli_energy1d_and_helmholtz_smoke(tmp_path):
@@ -237,27 +199,9 @@ def test_cli_energy1d_and_helmholtz_smoke(tmp_path):
     assert cli.main(["helmholtz", "--config", cfg2, "--out", str(tmp_path / "b")]) == 0
 
 
-def test_cli_symbols_cache_files(tmp_path):
-    cfg = write_cfg(tmp_path, {
-        "experiment": "sweep",
-        "kernels": [{"family": "constant", "dimension": 2}],
-        "angles": [0.0, 1.5707963267948966],
-        "deltas": [0.2, 0.1],
-        "bound": 4,
-        "cache": True,
-    })
-    out = tmp_path / "o"
-    assert cli.main(["symbols", "--config", cfg, "--out", str(out)]) == 0
-    caches = sorted(out.glob("cache_*.txt"))
-    assert len(caches) == 4
-    from nlspectral.symbols import load_table
-    back = load_table(caches[0])
-    assert back.bound == 4
-
-
 @pytest.mark.parametrize("key, tol", [
     ("quad.tol", True), ("quad.tol", False), ("quad.tol", "1e-10"), ("quad.tol", 0),
-    ("quad.tol", -1e-10), ("quad.tol", None), ("quad.tol", 3),
+    ("quad.tol", -1e-10), ("quad.tol", None), ("quad.tol", 3), ("quad.tol", float("nan")),
 ])
 def test_cli_bad_tolerance_exits_2(tmp_path, capsys, key, tol):
     cfg = write_cfg(tmp_path, dict(SMALL_STOKES, tolerances={key: tol}))
@@ -265,13 +209,6 @@ def test_cli_bad_tolerance_exits_2(tmp_path, capsys, key, tol):
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o" / "probe.csv").exists()
-
-
-def test_cli_nan_tolerance_override_exits_2(tmp_path):
-    cfg = write_cfg(tmp_path, SMALL_STOKES)
-    rc = cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--tol-override", "quad.tol=nan"])
-    assert rc == 2
 
 
 @pytest.mark.parametrize("tol", [True, "1e-12", 0.0, float("inf"), [1e-12]])
@@ -283,113 +220,108 @@ def test_residual_tolerance_validated(tmp_path, capsys, tol):
 
 
 BAD_CONFIGS = {
-    "top-level typo": ("stokes", dict(SMALL_STOKES, decya=9.0), [], "'decya'"),
+    "top-level typo": ("stokes", dict(SMALL_STOKES, decya=9.0), "'decya'"),
     "kernel typo": ("stokes", dict(SMALL_STOKES, kernel=dict(SMALL_STOKES["kernel"], betaa=1.5)),
-                    [], "'betaa'"),
-    "tolerance typo": ("stokes", dict(SMALL_STOKES, tolerances={"quad.tl": 1e-8}), [], "'quad.tl'"),
-    "tolerance override typo": ("stokes", SMALL_STOKES, ["--tol-override", "quad.tl=1e-8"],
-                                "'quad.tl'"),
-    "seed string": ("stokes", dict(SMALL_STOKES, seed="x"), [], "seed"),
-    "seed float": ("stokes", dict(SMALL_STOKES, seed=7.9), [], "seed"),
-    "seed bool": ("stokes", dict(SMALL_STOKES, seed=True), [], "seed"),
-    "decay string": ("stokes", dict(SMALL_STOKES, decay="2"), [], "decay"),
-    "decay huge integer": ("stokes", dict(SMALL_STOKES, decay=10**400), [], "decay"),
-    "orientation typo": ("stokes", dict(SMALL_STOKES, orientation={"angel": 0.7}), [], "'angel'"),
-    "orientation zero": ("stokes", dict(SMALL_STOKES, orientation={"vector": [0.0, 0.0]}), [],
+                    "'betaa'"),
+    "tolerance typo": ("stokes", dict(SMALL_STOKES, tolerances={"quad.tl": 1e-8}), "'quad.tl'"),
+    "seed string": ("stokes", dict(SMALL_STOKES, seed="x"), "seed"),
+    "seed float": ("stokes", dict(SMALL_STOKES, seed=7.9), "seed"),
+    "seed bool": ("stokes", dict(SMALL_STOKES, seed=True), "seed"),
+    "decay string": ("stokes", dict(SMALL_STOKES, decay="2"), "decay"),
+    "decay huge integer": ("stokes", dict(SMALL_STOKES, decay=10**400), "decay"),
+    "orientation typo": ("stokes", dict(SMALL_STOKES, orientation={"angel": 0.7}), "'angel'"),
+    "orientation zero": ("stokes", dict(SMALL_STOKES, orientation={"vector": [0.0, 0.0]}),
                          "orientation.vector"),
-    "divcurl check typo": ("divcurl", dict(SMALL_DIVCURL, checks=["frriedrichs"]), [],
+    "divcurl check typo": ("divcurl", dict(SMALL_DIVCURL, checks=["frriedrichs"]),
                            "'frriedrichs'"),
-    "divcurl no checks": ("divcurl", dict(SMALL_DIVCURL, checks=[]), [], "checks"),
-    "divcurl angle": ("divcurl", dict(SMALL_DIVCURL, orientation={"angle": 0.7}), [],
+    "divcurl no checks": ("divcurl", dict(SMALL_DIVCURL, checks=[]), "checks"),
+    "divcurl angle": ("divcurl", dict(SMALL_DIVCURL, orientation={"angle": 0.7}),
                       "orientation"),
     "divcurl swept delta": ("divcurl", dict(SMALL_DIVCURL, kernel=dict(SMALL_DIVCURL["kernel"],
-                                                                      delta=0.5)), [], "delta"),
-    "divcurl unused deltas": ("divcurl", dict(SMALL_DIVCURL, checks=["vector_identity"]), [],
+                                                                      delta=0.5)), "delta"),
+    "divcurl unused deltas": ("divcurl", dict(SMALL_DIVCURL, checks=["vector_identity"]),
                               "deltas"),
-    "energy-1d check typo": ("energy-1d", {"checks": ["rh0"]}, [], "'rh0'"),
-    "energy-1d float mesh": ("energy-1d", {"mesh": 2048.0}, [], "mesh"),
-    "energy-1d bool ximax": ("energy-1d", {"checks": ["double"], "ximax": True}, [], "ximax"),
-    "energy-1d quad.tol": ("energy-1d", {}, ["--tol-override", "quad.tol=1e-8"], "'quad.tol'"),
-    "helmholtz no case": ("helmholtz", {"experiment": "hh", "seed": 2}, [], "case2d"),
+    "energy-1d check typo": ("energy-1d", {"checks": ["rh0"]}, "'rh0'"),
+    "energy-1d float mesh": ("energy-1d", {"mesh": 2048.0}, "mesh"),
+    "energy-1d bool ximax": ("energy-1d", {"checks": ["double"], "ximax": True}, "ximax"),
+    "energy-1d quad.tol": ("energy-1d", {"tolerances": {"quad.tol": 1e-8}}, "'quad.tol'"),
+    "helmholtz no case": ("helmholtz", {"experiment": "hh", "seed": 2}, "case2d"),
     "helmholtz case typo": ("helmholtz", dict(SMALL_HELMHOLTZ, case2d=dict(
-        SMALL_HELMHOLTZ["case2d"], bonud=4)), [], "'bonud'"),
-    "convergence angles": ("convergence", dict(SMALL_SWEEP, angles=[0.3, 1.2]), [], "'angles'"),
+        SMALL_HELMHOLTZ["case2d"], bonud=4)), "'bonud'"),
+    "convergence angles": ("convergence", dict(SMALL_SWEEP, angles=[0.3, 1.2]), "'angles'"),
     "convergence swept delta": ("convergence", dict(SMALL_SWEEP, kernel=dict(
-        SMALL_SWEEP["kernel"], delta=0.5)), [], "delta"),
-    "convergence lame": ("convergence", dict(SMALL_SWEEP, lame=[1.0, 1.0]), [], "'lame'"),
-    "convergence system": ("convergence", dict(SMALL_SWEEP, system="stoke"), [], "config.system"),
-    "times typo": ("stokes-evolve", dict(SMALL_STOKES, times={"step": 4}), [], "'step'"),
-    "times float steps": ("stokes-evolve", dict(SMALL_STOKES, times={"steps": 4.0}), [], "steps"),
-    "times bool t1": ("stokes-evolve", dict(SMALL_STOKES, times={"t1": True}), [], "t1"),
-    "lame string": ("navier-evolve", dict(SMALL_STOKES, lame=["1", 1.0]), [], "lame"),
-    "lame inadmissible": ("navier-evolve", dict(SMALL_STOKES, lame=[1.0, -2.0]), [], "lame"),
+        SMALL_SWEEP["kernel"], delta=0.5)), "delta"),
+    "convergence lame": ("convergence", dict(SMALL_SWEEP, lame=[1.0, 1.0]), "'lame'"),
+    "convergence system": ("convergence", dict(SMALL_SWEEP, system="stoke"), "config.system"),
+    "times typo": ("convergence", dict(SMALL_EVOLUTION, times={"step": 4}), "'step'"),
+    "times float steps": ("convergence", dict(SMALL_EVOLUTION, times={"steps": 4.0}), "steps"),
+    "times bool t1": ("convergence", dict(SMALL_EVOLUTION, times={"t1": True}), "t1"),
+    "lame string": ("convergence", dict(SMALL_SWEEP, system="navier", lame=["1", 1.0]), "lame"),
+    "lame inadmissible": ("convergence", dict(SMALL_EVOLUTION, lame=[1.0, -2.0]), "lame"),
     "convergence lame inadmissible": ("convergence", dict(SMALL_SWEEP, system="navier",
-                                                          lame=[0.0, 1.0]), [], "lame"),
+                                                          lame=[0.0, 1.0]), "lame"),
     "navier lame_pairs inadmissible": ("navier", dict(SMALL_ORACLE, lame_pairs=[
-        [1.0, 1.0], [1.0, -2.5]]), [], "lame_pairs[1]"),
+        [1.0, 1.0], [1.0, -2.5]]), "lame_pairs[1]"),
     # a modulus near 0 overflows the error norms of the solves, and that
     # RuntimeWarning used to escape main
     "crit09 lame near zero": ("convergence", dict(_preset("crit09_navier_convergence.json"),
-                                                  lame=[1e-300, 1.0]), [], "config.lame"),
-    "lame lambda + 2 mu near zero": ("navier-evolve", dict(SMALL_STOKES,
-                                                           lame=[1e-99, -1.99999e-99]), [], "lame"),
+                                                  lame=[1e-300, 1.0]), "config.lame"),
+    "lame lambda + 2 mu near zero": ("convergence", dict(SMALL_EVOLUTION,
+                                                         lame=[1e-99, -1.99999e-99]), "lame"),
     "energy-1d window half-width": ("energy-1d", {"checks": ["double"], "pairs": [[0.2, 0.0]]},
-                                    [], "pairs[0][1]"),
-    "tolerance override quad.tol": ("stokes", SMALL_STOKES, ["--tol-override", "quad.tol=3"],
-                                    "quad.tol"),
-    "oracle decay": ("oracle", SMALL_STOKES, [], "'decay'"),
-    "oracle float pairs": ("oracle", dict(SMALL_ORACLE, pairs=2.5), [], "pairs"),
-    "oracle string grid": ("oracle", dict(SMALL_ORACLE, grid="64"), [], "grid"),
-    "oracle coarse grid": ("oracle", dict(SMALL_ORACLE, grid=3), [], "grid"),
+                                    "pairs[0][1]"),
+    "oracle decay": ("oracle", SMALL_STOKES, "'decay'"),
+    "oracle float pairs": ("oracle", dict(SMALL_ORACLE, pairs=2.5), "pairs"),
+    "oracle string grid": ("oracle", dict(SMALL_ORACLE, grid="64"), "grid"),
+    "oracle coarse grid": ("oracle", dict(SMALL_ORACLE, grid=3), "grid"),
     # the schema takes a kernel of any dimension; the symbol table refuses it
     "stokes 1D kernel": ("stokes", {"kernel": {"family": "constant", "dimension": 1,
-                                               "delta": 0.5}}, [], "dimension 1"),
+                                               "delta": 0.5}}, "dimension 1"),
     # a horizon whose delta^(d+1) overflows or underflows, and a lattice past
     # the cap on delta sqrt(d) N: each used to raise, run on or exit 3
-    "energy-1d huge delta": ("energy-1d", {"checks": ["rho"], "delta": 1e300}, [], "delta=1e+300"),
-    "energy-1d tiny delta": ("energy-1d", {"checks": ["rho"], "delta": 1e-300}, [],
+    "energy-1d huge delta": ("energy-1d", {"checks": ["rho"], "delta": 1e300}, "delta=1e+300"),
+    "energy-1d tiny delta": ("energy-1d", {"checks": ["rho"], "delta": 1e-300},
                              "delta=1e-300"),
     "energy-1d huge pair delta": ("energy-1d", {"checks": ["double"], "pairs": [[1e300, 0.05]]},
-                                  [], "delta=1e+300"),
+                                  "delta=1e+300"),
     "stokes huge delta": ("stokes", dict(SMALL_STOKES, kernel=dict(
-        SMALL_STOKES["kernel"], delta=1e300)), [], "delta=1e+300"),
+        SMALL_STOKES["kernel"], delta=1e300)), "delta=1e+300"),
     "stokes delta past the lattice cap": ("stokes", dict(SMALL_STOKES, kernel=dict(
-        SMALL_STOKES["kernel"], delta=1e5)), [], "delta*sqrt(d)*N"),
+        SMALL_STOKES["kernel"], delta=1e5)), "delta*sqrt(d)*N"),
     # the key of the retired symbol-build pool
-    "crit01 threads": ("symbols", dict(_preset("crit01_symbol_bounds.json"), threads=1), [],
+    "crit01 threads": ("symbols", dict(_preset("crit01_symbol_bounds.json"), threads=1),
                        "unknown key 'threads' in config"),
-    # an override into tolerances that are not an object: a TypeError used
-    # to escape main (exit 1)
-    **{f"crit12 tolerances {bad!r} with override": (
+    # tolerances that are not an object
+    **{f"crit12 tolerances {bad!r}": (
         "stokes", dict(_preset("crit12_determinism.json"), tolerances=bad),
-        ["--tol-override", "quad.tol=1e-8"], "config.tolerances") for bad in ([], None, "x", 3)},
+        "config.tolerances") for bad in ([], None, "x", 3)},
     # the experiment names the output files: a path escaped --out or raised,
     # and "" wrote ".csv"
-    **{f"experiment {bad!r}": ("stokes", dict(SMALL_STOKES, experiment=bad), [],
+    **{f"experiment {bad!r}": ("stokes", dict(SMALL_STOKES, experiment=bad),
                                "config.experiment")
        for bad in ("a/b", "x\u0000y", "../escaped", "", ".hidden", "..")},
     "symbols orientation": ("symbols", {"kernels": [{"family": "constant", "dimension": 2}],
                                         "deltas": [0.1], "orientation": {"angle": 0.3}},
-                            [], "'orientation'"),
+                            "'orientation'"),
 }
 
 
-@pytest.mark.parametrize("command, payload, extra, named", BAD_CONFIGS.values(),
+@pytest.mark.parametrize("command, payload, named", BAD_CONFIGS.values(),
                          ids=list(BAD_CONFIGS))
-def test_cli_bad_config_exits_2(tmp_path, capsys, command, payload, extra, named):
+def test_cli_bad_config_exits_2(tmp_path, capsys, command, payload, named):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "o"
-    rc = cli.main([command, "--config", cfg, "--out", str(out), *extra])
+    rc = cli.main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_divcurl_identity_and_sweep_in_one_config(tmp_path):
+def test_divcurl_identity_and_sweep_in_one_config():
     # the identity checks use the kernel's own horizon, the solve sweeps deltas
     payload = dict(SMALL_DIVCURL, checks=["vector_identity", "consistency"],
                    kernel=dict(SMALL_DIVCURL["kernel"], delta=0.1))
-    _, summary = RUNNERS["divcurl"](payload, str(tmp_path))
+    _, summary = RUNNERS["divcurl"](payload)
     assert set(summary["assertions"]) == {"vector_identity", "curl_of_gradient",
                                           "consistency_residual", "friedrichs_variation"}
     assert passed(summary)
@@ -399,13 +331,13 @@ def test_divcurl_identity_and_sweep_in_one_config(tmp_path):
     ("stokes", SMALL_STOKES), ("helmholtz", SMALL_HELMHOLTZ), ("convergence", SMALL_SWEEP),
     ("energy-1d", {"checks": ["double"], "pairs": [[0.2, 0.05]], "ximax": 8}),
 ])
-def test_runner_leaves_config_unchanged(tmp_path, command, payload):
+def test_runner_leaves_config_unchanged(command, payload):
     cfg = copy.deepcopy(payload)
-    RUNNERS[command](cfg, str(tmp_path))
+    RUNNERS[command](cfg)
     assert cfg == payload
 
 
-def test_symbol_sweep_computes_each_tables_bounds_once(tmp_path, monkeypatch):
+def test_symbol_sweep_computes_each_tables_bounds_once(monkeypatch):
     # crit01's sweep, shrunk: the bounds it reports are the ones that the
     # table's validation computed, and its one lattice takes one np.unique
     # of |xi|^2, however many tables share it
@@ -424,7 +356,7 @@ def test_symbol_sweep_computes_each_tables_bounds_once(tmp_path, monkeypatch):
     fl.lattice.cache_clear()
     with open(os.path.join(PRESETS, "crit01_symbol_bounds.json")) as fh:
         cfg = dict(json.load(fh), angles=[0.0, 2.356194490192345], bound=8)
-    _, summary = RUNNERS["symbols"](cfg, str(tmp_path))
+    _, summary = RUNNERS["symbols"](cfg)
     assert passed(summary)
     tables = len(cfg["kernels"]) * len(cfg["deltas"]) * len(cfg["angles"])
     assert sorted(calls) == ["bounds"] * tables + ["unique"]
@@ -446,8 +378,7 @@ for command, cfg in zip(runs[::2], runs[1::2]):
     assert nlspectral.cli.main([command, "--config", cfg, "--out", out]) == 0, (command, cfg)
 """
 
-# every preset under its subcommand, shrunk where it is slow, and the two
-# evolution subcommands, which no preset runs
+# every preset under its subcommand, shrunk where it is slow
 _PRESET_RUNS = [
     ("crit01_symbol_bounds.json", "symbols", {"angles": [0.0, 2.356194490192345], "bound": 8}),
     ("crit02_stokes_convergence.json", "convergence", {}),
@@ -471,11 +402,6 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     for i, (preset, command, shrink) in enumerate(_PRESET_RUNS):
         with open(os.path.join(PRESETS, preset)) as fh:
             runs += [command, write_cfg(tmp_path, dict(json.load(fh), **shrink), f"{i}.json")]
-    evolve = {"kernel": {"family": "fractional", "beta": 1.5, "dimension": 2, "delta": 0.1},
-              "orientation": {"angle": 0.7}, "bound": 4, "decay": 2.0, "seed": 5,
-              "times": {"t1": 0.2, "steps": 4}}
-    runs += ["stokes-evolve", write_cfg(tmp_path, evolve, "stokes.json"),
-             "navier-evolve", write_cfg(tmp_path, dict(evolve, lame=[1.0, 1.0]), "navier.json")]
     assert sorted(set(runs[::2])) == sorted(RUNNERS)
     done = _fresh_interpreter(_WITHOUT_SCIPY, str(tmp_path / "out"), *runs)
     assert done.returncode == 0, done.stderr
@@ -513,6 +439,27 @@ def test_threads_flag_exits_2(tmp_path, capsys):
         cli.main(["symbols", "--config", config, "--out", str(tmp_path), "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "99"], ["--tol-override", "quad.tol=1e-8"]],
+                         ids=["seed", "tol-override"])
+def test_override_flags_exit_2(tmp_path, capsys, flag):
+    # the config's seed and tolerances are the only way to set them
+    cfg = write_cfg(tmp_path, SMALL_STOKES)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / "o"), *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["stokes-evolve", "navier-evolve"])
+def test_evolve_subcommands_exit_2(tmp_path, capsys, command):
+    # both evolutions run under convergence with system evolution (crit10)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", write_cfg(tmp_path, SMALL_STOKES)])
+    assert exc.value.code == 2
+    assert command in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("vector", [[1e308, 1e308, 0.0], [3e-200, 4e-200, 0.0]],

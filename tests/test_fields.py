@@ -6,6 +6,7 @@ import pytest
 
 from nlspectral import fields as fl
 from nlspectral import normalize
+from nlspectral import solvers as sol
 from nlspectral.symbols import Orientation, build_table
 
 import oracles
@@ -161,6 +162,45 @@ def test_set_mode_rejects_a_mode_outside_the_cube_before_writing(mode):
     with pytest.raises(ValueError, match="not in the cube"):
         u.set_mode(mode, 1.0)
     np.testing.assert_array_equal(u.coeffs, before)
+
+
+@pytest.mark.parametrize("coord", [1.5, -0.5, 1 + 1e-12, math.nan, math.inf, -math.inf,
+                                   np.float64(2.5), "1", 1j])
+def test_a_non_integral_mode_is_refused_like_one_outside_the_cube(coord):
+    # int() truncated 1.5, so set_mode wrote (1, 0) and (-1, 0), and NaN or
+    # inf raised a conversion error that named no mode
+    u = fl.random_field(8, 4, 1.0)
+    before = u.coeffs.copy()
+    tab = build_table(normalize("constant", 2, horizon=0.1), Orientation.from_angle(0.7), 4)
+    for call in (lambda: u.set_mode((coord, 0), 1.0), lambda: tab.lam_at((0, coord))):
+        with pytest.raises(ValueError, match="not in the cube"):
+            call()
+    np.testing.assert_array_equal(u.coeffs, before)
+
+
+def test_integral_floats_and_numpy_integers_are_modes():
+    u = fl.SpectralField.zeros(2, 4)
+    u.set_mode((np.int64(1), -2.0), 1.0)
+    u.set_mode((np.float64(-3.0), np.int8(4)), 2.0)
+    want = fl.SpectralField.zeros(2, 4).set_mode((1, -2), 1.0).set_mode((-3, 4), 2.0)
+    np.testing.assert_array_equal(u.coeffs, want.coeffs)
+    tab = build_table(normalize("constant", 2, horizon=0.1), Orientation.from_angle(0.7), 4)
+    np.testing.assert_array_equal(tab.lam_at((np.int32(-1), 3.0)), tab.lam_at((-1, 3)))
+
+
+@pytest.mark.parametrize("field, message", [
+    (fl.random_field(1, 4, 1.0, components=5), r"component shape \(\) or \(2,\), got \(5,\)"),
+    (fl.SpectralField.zeros(2, 4, (2, 2)), r"component shape \(\) or \(2,\), got \(2, 2\)"),
+    (fl.random_field(1, 3, 1.0), "N=3, d=2 does not fit a table of N=4, d=2"),
+    (fl.random_field(1, 4, 1.0, dimension=3), "d=3 does not fit"),
+], ids=["five-components", "matrix", "bound", "dimension"])
+def test_s_norm_checks_the_field_against_the_table(field, message):
+    # at the parent a 5-component field returned a number, and a field of
+    # another N raised numpy's broadcast error
+    tab = build_table(normalize("constant", 2, horizon=0.1), Orientation.from_angle(0.7), 4)
+    for call in (lambda: fl.s_norm(field, tab), lambda: sol.helmholtz_stability(tab, field, [field])):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_component_shapes():

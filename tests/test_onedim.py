@@ -163,14 +163,6 @@ def test_fractional_bond_symbol_matches_after_regularization():
     np.testing.assert_allclose(-bond, np.abs(lam) ** 2, rtol=2e-5)
 
 
-def test_rho_csv_export(tmp_path, rho_constant):
-    path = tmp_path / "rho.csv"
-    rho_constant.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "a,rho"
-    assert len(lines) == len(rho_constant.mesh) + 1
-
-
 # ---------------------------------------------------------------------------
 # block evaluation of rho against the per-point reference loop
 # ---------------------------------------------------------------------------

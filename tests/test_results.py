@@ -8,7 +8,6 @@ import pytest
 
 from nlspectral import fields as fl
 from nlspectral import normalize
-from nlspectral import onedim as od
 from nlspectral import results
 from nlspectral import symbols as sym
 from nlspectral.results import ResultTable, write_csv, write_summary, write_text
@@ -49,13 +48,6 @@ def _ref_save_table(table, path):
         lines.append(f"L {q} {v:.17g}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _ref_rho_csv(rho, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("a,rho\n")
-        for a, v in zip(rho.mesh, rho.values):
-            fh.write(f"{a:.17g},{v:.17g}\n")
 
 
 def _ref_write_csv(table, path):
@@ -117,11 +109,6 @@ def test_save_table_fractional_matches_reference(tmp_path):
     k = normalize("fractional", 2, horizon=0.2, beta=1.5)
     table = sym.build_table(k, sym.Orientation.from_angle(2.1), 5)
     _same_bytes(tmp_path, sym.save_table, _ref_save_table, table)
-
-
-def test_rho_csv_matches_reference(tmp_path):
-    rho = od.rho_from_kernel(normalize("sine", 1), mesh_size=64)
-    _same_bytes(tmp_path, lambda r, p: r.to_csv(p), _ref_rho_csv, rho)
 
 
 def test_write_csv_matches_reference(tmp_path):

@@ -250,6 +250,27 @@ def test_a_table_is_frozen(table2):
     assert table2.bounds["max_ratio"] <= 2.0 * math.sqrt(2.0)
 
 
+@pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
+def test_a_copy_is_rebuilt_through_the_constructor(table2, how):
+    # pickle and deepcopy used to skip __post_init__: the copy's lam was
+    # writable and never checked
+    import copy
+    import pickle
+
+    copier = {"pickle": lambda t: pickle.loads(pickle.dumps(t)),
+              "deepcopy": copy.deepcopy, "copy": copy.copy}[how]
+    back = copier(table2)
+    for name in ("lam", "radial", "abs2", "inv_abs2", "hat"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(table2, name))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(back, name)[...] = 0
+    assert back.bounds == table2.bounds and back.kernel == table2.kernel
+    bad = copy.copy(table2)
+    object.__setattr__(bad, "lam", 10.0 * table2.lam)
+    with pytest.raises(KernelError, match="symbol bound violated"):
+        copier(bad)
+
+
 def test_inverse_and_unit_symbol_are_kept_and_read_only(tmp_path, table2):
     for name, tab in _built_loaded_local(tmp_path, table2).items():
         assert tab.inv_abs2 is tab.inv_abs2 and tab.hat is tab.hat, name
