@@ -64,12 +64,15 @@ def run_command(command, cfg, out_dir):
     """Execute one experiment and write its artifacts; returns the exit code.
 
     The run starts with an empty radial cache (symbols), so that its tables
-    owe nothing to an earlier run in the same process.
+    owe nothing to an earlier run in the same process.  An existing output
+    directory must be writable before the run; a missing one is made after
+    it, so that a run refused for its config leaves nothing behind, and an
+    OSError while making it (the path or a parent of it is a file) is a
+    ConfigError naming the path.
     """
     clear_radial_cache()
     runner = RUNNERS[command]
-    os.makedirs(out_dir, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):
+    if os.path.isdir(out_dir) and not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir} is not writable")
     started = time.perf_counter()
     table, summary = runner(cfg)
@@ -84,6 +87,10 @@ def run_command(command, cfg, out_dir):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     name = cfg.get("experiment", command).replace(" ", "_")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out_dir}: {exc}") from exc
     write_csv(table, os.path.join(out_dir, f"{name}.csv"))
     write_summary(summary, os.path.join(out_dir, f"{name}_summary.json"))
     return EXIT_OK if passed(summary) else EXIT_ASSERTION

@@ -23,15 +23,20 @@ Conjugate symmetry lambda(-xi) = conj(lambda(xi)) halves the lattice and
 holds exactly as computed.
 
 Only the zonal factors and the direction xi^ depend on the orientation, so
-the radial sums R_l of one kernel serve every orientation.  _re_lambda takes
-them from _cached_radial_orders, a thread-safe functools.lru_cache of
-_RADIAL_CACHE_SIZE = 4 read-only arrays, one full ladder of build_table, keyed
-by the kernel (a KernelSpec is hashable, a tabulated profile held as tuples),
-the bytes of the distinct |xi|, the radial count nr and the order L; each
-level of a refinement ladder is its own entry, so settle still compares two
-computed levels, and an orientation sweep hits at whichever level it
-settles.  clear_radial_cache empties it, and the CLI calls it at the start
-of every run.
+the factors of one kernel, lattice and radial count serve every orientation.
+_re_lambda takes them from _cached_factors, a thread-safe functools.lru_cache
+of _RADIAL_CACHE_SIZE = 4 read-only entries, one full ladder of build_table,
+keyed by the kernel (a KernelSpec is hashable, a tabulated profile held as
+tuples), the bytes of the distinct |xi| (and in 2D of the modes), the radial
+count nr and the order L.  An entry holds the radial sums R_l at the
+distinct |xi| in 3D, and in 2D the matrix M of w_l R_l(|xi|) cos(l theta_xi)
+and sin(l theta_xi) over the modes with Lambda at each |xi|, so that each
+further orientation costs one small product M A(n) (_re_lambda).  Each
+level of a refinement ladder is its own entry, so settle still compares
+two computed levels, and an orientation sweep hits at whichever level it
+settles.  The ladder starts at the radial count whose Gauss error bound on
+f_l(k r) is below rounding (_radial_count).  clear_radial_cache empties
+the cache, and the CLI calls it at the start of every run.
 
 What depends on the lattice alone comes from the read-only fields.lattice(N, d).
 Every SymbolTable is validated when it is made and is read-only; it keeps its
@@ -204,8 +209,40 @@ class SymbolTable:
         return _read_only(self.lam * np.sqrt(self.inv_abs2)[..., None])
 
 
-def _radial_count(kmax):
-    return 24 + int(kmax)
+def _radial_count(x, d):
+    """The first radial count of a ladder whose arguments k r reach x > 0.
+
+    An n-point Gauss rule of a positive weight w on an interval of length h
+    misses int w g by g^(2n)(z)/(2n)! int w pi_n^2, and int w pi_n^2 <= 4
+    (h/4)^(2n) int w, since the monic Chebyshev polynomial of the interval
+    is at most 2 (h/4)^n there.  In rho = r/delta every radial rule is such a
+    rule on (0, 1] or on panels of it: Gauss-Jacobi, whose weight holds
+    rho^(d-1-beta), or Gauss-Legendre, whose integrand is rho^(d-1) f_l(x
+    rho) times the profile.  |f_l^(j)| <= 1 at every order l and j (J_l
+    and j_l are averages of a unit phase), so by Leibniz the 2n-th
+    derivative of rho^(d-1) f_l(x rho) is at most x^(2n-d+1) (x + 2n)^(d-1),
+    and against S = sum_i |v_i| = int w_delta r^(d-1) dr (int rho^(d-1) =
+    1/d) the error of every R_l is at most
+
+        4 d (x/4)^(2n-d+1) ((x + 2n)/4)^(d-1)/(2n)!
+
+    for a constant profile and for Gauss-Jacobi.  The count is the least n
+    that brings it to eps, the rounding that R_0 already carries
+    (docs/full_ball.md), and at least 6.  What another profile adds to the
+    derivatives (the sine's, the clamped power law's on its octave panels)
+    is left to the ladder, which then settles a level or two later: from 6,
+    its levels reach 10, 16 and 25 nodes, which resolve those profiles to
+    rounding, while the bound alone falls to 2 as x -> 0, and its ladder
+    would end at 11.
+    """
+    log_eps, n = math.log(np.finfo(float).eps), 6
+    while True:
+        m = 2 * n
+        log_b = (math.log(4 * d) + (m - d + 1) * math.log(0.25 * x)
+                 + (d - 1) * math.log(0.25 * (x + m)) - math.lgamma(m + 1))
+        if log_b <= log_eps:
+            return n
+        n += 1
 
 
 def _start_order(lmax, x, d):
@@ -373,15 +410,50 @@ def _radial_orders(kernel, ks, nr, lmax):
     return out
 
 
+def _harmonics(lmax, u):
+    """cos(l theta) at the even l <= lmax and sin(l theta) at the even 2 <= l <= lmax.
+
+    For unit 2-vectors u = (cos theta, sin theta) of shape (..., 2): T_l(u_1)
+    and u_2 T_l'(u_1)/l (_zonal), of shapes (L',) + u.shape[:-1] and (L' -
+    1,) + u.shape[:-1] with L' = lmax/2 + 1.  Both are unchanged, bit for bit,
+    when u is negated.
+    """
+    u = np.asarray(u)
+    p, dp = _zonal(lmax, u[..., 0], 2)
+    sin = np.multiply(u[..., 1], dp[2::2])
+    sin /= np.arange(2, lmax + 1, 2).reshape((-1,) + (1,) * (u.ndim - 1))
+    return p[::2], sin
+
+
 @lru_cache(maxsize=_RADIAL_CACHE_SIZE)
-def _cached_radial_orders(kernel, kbytes, nr, lmax):
-    """_radial_orders, read-only, at the |xi| whose float64 bytes are kbytes (_re_lambda)."""
-    return _read_only(_radial_orders(kernel, np.frombuffer(kbytes), nr, lmax))
+def _cached_factors(kernel, kbytes, mbytes, nr, lmax):
+    """The orientation-free factors of one radial level (_re_lambda), read-only.
+
+    kbytes are the float64 bytes of the distinct |xi| in ascending order.
+    3D (mbytes None): the radial sums R_l there (_radial_orders).  2D, where
+    mbytes are the float64 bytes of the modes (Q, 2): the pair (M, Lambda),
+    M of shape (Q, 2L' - 1), column-major, whose columns are w_l R_l(|xi|)
+    cos(l theta_xi) at the even l <= lmax and then w_l R_l(|xi|) sin(l
+    theta_xi) at the even 2 <= l <= lmax (_harmonics of xi^), and Lambda =
+    2 pi R_1 at the distinct |xi|.
+    """
+    ks = np.frombuffer(kbytes)
+    rad = _radial_orders(kernel, ks, nr, max(lmax, 1))
+    if mbytes is None:
+        return _read_only(rad)
+    modes = np.frombuffer(mbytes).reshape(-1, 2)
+    norms = np.sqrt(np.sum(modes**2, axis=1))
+    cos, sin = _harmonics(lmax, modes / norms[:, None])
+    wr = (_half_ball_weights(lmax, 2)[:, None] * rad[:lmax + 1:2])[:, np.searchsorted(ks, norms)]
+    m = np.empty((len(modes), 2 * len(wr) - 1), order="F")
+    np.multiply(wr, cos, out=m[:, :len(wr)].T)
+    np.multiply(wr[1:], sin, out=m[:, len(wr):].T)
+    return _read_only(m), _read_only(SPHERE_AREA[2] * rad[1])
 
 
 def clear_radial_cache():
-    """Empty the cache of radial sums that _re_lambda shares across orientations."""
-    _cached_radial_orders.cache_clear()
+    """Empty the cache of the factors that _re_lambda shares across orientations."""
+    _cached_factors.cache_clear()
 
 
 def _re_lambda(kernel, modes, n, q2, index):
@@ -400,22 +472,48 @@ def _re_lambda(kernel, modes, n, q2, index):
     - 2D: in the Jacobi-Anger series cos(x cos phi) = J_0(x) + 2 sum_(m >= 1)
       (-1)^m J_2m(x) cos(2m phi), the half-circle keeps the moment
       int cos(theta) cos(l theta) dtheta along n and l times it across n,
-      where sin(l alpha) = sin(alpha) T_l'(c)/l.
+      where sin(l alpha) = sin(alpha) T_l'(c)/l.  With alpha = theta_xi -
+      theta_n and t = n turned by +90 degrees, Re lambda = F n + G t, F =
+      sum w_l R_l cos(l alpha) and G = sum w_l R_l l sin(l alpha), and the
+      angle sums split [F G] = M A(n): M holds what the modes give
+      (_cached_factors) and A(n), of shape (2L' - 1, 2), the rows [cos l
+      theta_n, -l sin l theta_n] and [sin l theta_n, l cos l theta_n]
+      (_harmonics of n).  So Re lambda = M (A(n) [n; t]), one product per
+      orientation over the cached M.
     - 3D: in cos(x xi^.s) = sum_(l even) (2l + 1) (-1)^(l/2) j_l(x)
       P_l(xi^.s) and the addition theorem about n, the azimuth keeps the
       m = 0 term along n, with a_l = int_0^1 t P_l dt, and the m = 1 term
       across it, with P_l^1(c) = -sqrt(1 - c^2) P_l'(c) and
-      int_0^1 (1 - t^2) P_l' dt/(l(l + 1)), which is a_l again.
-    Lambda is R_1 times the sphere's area (lambda_radial).  The polynomial
-    factors are computed here, once; each call takes R_l at nr radial nodes
-    from the radial cache (module docstring), which other orientations of
-    the same kernel and lattice share.  Z_l(-c) = Z_l(c) and Z_l'(-c) =
-    -Z_l'(c) hold bit for bit at even l, so the orientation -n gives exactly
-    -Re lambda.
+      int_0^1 (1 - t^2) P_l' dt/(l(l + 1)), which is a_l again.  The
+      polynomial factors are computed here, once, and each call takes R_l
+      from the cache.
+    Lambda is R_1 times the sphere's area (lambda_radial).  Each call takes
+    the factors of nr radial nodes from the cache (module docstring), which
+    other orientations of the same kernel and modes share.  Z_l(-c) =
+    Z_l(c) and Z_l'(-c) = -Z_l'(c) hold bit for bit at even l, so A(-n) =
+    A(n), [-n; -t] = -[n; t], and the orientation -n gives exactly -Re
+    lambda in both dimensions.
     """
     d = kernel.dimension
     ks = np.sqrt(q2.astype(float))
     lmax = _orders(kernel.horizon * float(ks[-1]), d)
+    kbytes = ks.tobytes()
+    if d == 2:
+        # in C order, so that the key does not depend on the layout of modes
+        mbytes = np.ascontiguousarray(modes, dtype=float).tobytes()
+        cos, sin = _harmonics(lmax, n)
+        l = np.arange(2, lmax + 1, 2)
+        # A(n): a row per column of M, then A(n) [n; t]
+        a = np.concatenate([np.stack([cos, -np.concatenate([[0.0], l * sin])], axis=1),
+                            np.stack([sin, l * cos[1:]], axis=1)])
+        p = a @ np.array([n, [-n[1], n[0]]])
+
+        def evaluate(nr):
+            m, lam_rad = _cached_factors(kernel, kbytes, mbytes, nr, lmax)
+            return m @ p, lam_rad
+
+        return evaluate
+
     # C order, so that xhat @ n takes one path and the bits do not depend on modes' layout
     xhat = np.ascontiguousarray(modes / ks[index, None])
     c = xhat @ n
@@ -423,10 +521,9 @@ def _re_lambda(kernel, modes, n, q2, index):
     p, dp = _zonal(lmax, c, d)
     weights = _half_ball_weights(lmax, d)[:, None]
     along, across = weights * p[::2], weights * dp[::2]
-    kbytes = ks.tobytes()
 
     def evaluate(nr):
-        rad = _cached_radial_orders(kernel, kbytes, nr, max(lmax, 1))
+        rad = _cached_factors(kernel, kbytes, None, nr, lmax)
         even = rad[:lmax + 1:2][:, index]
         re = (np.sum(even * along, axis=0)[:, None] * n
               + np.sum(even * across, axis=0)[:, None] * lateral)
@@ -455,7 +552,11 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     or any symbol magnitude degenerates to zero.  The angular integrals are
     closed, and Re lambda and Lambda come from one Bessel pass per level
     (_re_lambda), so the ladder refines the radial count alone: 4 levels,
-    from a count that grows with delta sqrt(d) N.
+    from the count whose Gauss error bound on f_l(k r) up to k r = delta
+    sqrt(d) N is below rounding (_radial_count).  Each level's factors are
+    cached (_cached_factors): a 2D orientation sweep of one kernel and N
+    computes each level once, and every other orientation costs one small
+    product per level.
     """
     if bound < 1:
         raise ValueError("lattice bound must be at least 1")
@@ -470,7 +571,7 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
 
     lat = lattice(bound, d)
     re_half, lam_rad = quad.settle(_re_lambda(kernel, lat.half, n, lat.q2, lat.index),
-                                   _radial_bumps(_radial_count(kmax), 4),
+                                   _radial_bumps(_radial_count(kmax, d), 4),
                                    tol, f"symbol quadrature for N={bound}")
 
     im_abs = (lam_rad / lat.k)[lat.index][:, None] * lat.half
@@ -500,12 +601,13 @@ def lambda_radial(kernel, k):
     which near a zero of Lambda would otherwise ask a value near 0 for
     relative accuracy.  KernelError, before any rule, if delta k > _MAX_KR.
     """
-    area = SPHERE_AREA[quad.ball_dimension(kernel)]
+    d = quad.ball_dimension(kernel)
+    area = SPHERE_AREA[d]
     if k == 0.0:
         return 0.0
     if not kernel.horizon * k <= _MAX_KR:
         raise KernelError(f"delta*k = {kernel.horizon * k!r} exceeds {_MAX_KR}, the cap of Lambda")
-    start = _radial_count(kernel.horizon * k)
+    start = _radial_count(kernel.horizon * k, d)
     floor = area * float(np.sum(np.abs(quad.scaled_radial_rule(kernel, 1, start)[1])))
     # settle scales by the largest part of a level, so a constant part floors it
     return quad.settle(lambda nr: (float(area * _radial_orders(kernel, [k], nr, 1)[1, 0]), floor),

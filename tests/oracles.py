@@ -110,7 +110,7 @@ def half_ball_node_counts(kernel, kmax):
     kmax so that the rule resolves cos(k r s.xi^) to rounding: na
     half-circle angles in 2D, na = (polar, azimuth) in 3D.
     """
-    nr = sym._radial_count(kmax)
+    nr = sym._radial_count(kmax, kernel.dimension)
     if kernel.dimension == 2:
         return nr, 32 + int(2.0 * kmax)
     return nr, (16 + int(1.2 * kmax), 32 + 2 * int(kmax))

@@ -309,12 +309,25 @@ BAD_CONFIGS = {
 @pytest.mark.parametrize("command, payload, named", BAD_CONFIGS.values(),
                          ids=list(BAD_CONFIGS))
 def test_cli_bad_config_exits_2(tmp_path, capsys, command, payload, named):
+    # neither the output directory nor its missing parent is made
     cfg = write_cfg(tmp_path, payload)
-    out = tmp_path / "o"
+    out = tmp_path / "o" / "run"
     rc = cli.main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
     assert named in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a file", "below a file"])
+def test_cli_out_that_is_or_lies_below_a_file_exits_2(tmp_path, capsys, below):
+    # the file is left as it was, and the message names the path
+    cfg = write_cfg(tmp_path, SMALL_STOKES)
+    blocker = tmp_path / "taken"
+    blocker.write_text("mine\n")
+    out = blocker / "run" if below else blocker
+    assert cli.main(["stokes", "--config", cfg, "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert blocker.read_text() == "mine\n"
 
 
 def test_divcurl_identity_and_sweep_in_one_config():

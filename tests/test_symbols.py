@@ -99,7 +99,7 @@ def test_lambda_radial_settles_at_a_zero(d, delta, k):
     # and the nr roundings of the sum, times sum |v_i|, on either side.
     kernel = normalize("constant", d, horizon=delta)
     got = sym.lambda_radial(kernel, k)
-    nr = sym._radial_count(delta * k)
+    nr = sym._radial_count(delta * k, d)
     for _ in range(4):
         nr = sym._bump_radial(nr)
     ref = _full_ball(kernel, np.array([k]), nr, True)[0]
@@ -360,11 +360,16 @@ def test_conjugate_symmetry_exact(table2):
 
 
 def test_reflection_relation():
-    k = normalize("constant", 2, horizon=0.1)
-    n = sym.Orientation.from_angle(1.35)
-    tab = sym.build_table(k, n, 5)
-    tab_neg = sym.build_table(k, sym.Orientation(-n.vec), 5)
-    np.testing.assert_allclose(tab_neg.lam, tab.lam_neg(), rtol=0, atol=1e-12)
+    # the orientation -n gives exactly -Re lambda and the same Lambda, bit
+    # for bit, in both dimensions, for both families and at several angles
+    for d, (family, beta), a in product((2, 3), (("constant", None), ("fractional", 1.5)),
+                                        (0.0, 1.35, math.pi / 2, 2.9, 4.4)):
+        k = normalize(family, d, beta=beta, horizon=0.1)
+        v = [math.cos(a), math.sin(a)] if d == 2 else [math.cos(a), math.sin(a) * 0.6, -0.8]
+        n = sym.Orientation.from_vector(v)
+        tab = sym.build_table(k, n, 5 if d == 2 else 3)
+        tab_neg = sym.build_table(k, sym.Orientation(-n.vec), tab.bound)
+        np.testing.assert_array_equal(tab_neg.lam, tab.lam_neg())
 
 
 def test_imaginary_part_matches_radial_factor(rng):
@@ -854,7 +859,7 @@ def _assert_orders_past_truncation_change_nothing(monkeypatch, d, delta, bound):
     kernel = normalize("constant", d, horizon=delta)
     modes = _positive_half(bound, d)
     n = np.array([0.48, -0.6, 0.64]) if d == 3 else np.array([0.6, -0.8])
-    nr = sym._radial_count(delta * math.sqrt(d) * bound)
+    nr = sym._radial_count(delta * math.sqrt(d) * bound, d)
     got = _re_lambda(kernel, modes, n)(nr)[0]
     orders = sym._orders
     monkeypatch.setattr(sym, "_orders", lambda x, d: orders(x, d) + 16)
@@ -997,7 +1002,7 @@ def test_full_ball_closed_form_matches_quadrature(family, beta, d, bound, delta)
     # |xi| of the lattice from 1 to kmax
     kernel = _KERNELS[family](d, delta, beta)
     ks = _lattice_magnitudes(bound, d)
-    levels = list(sym._radial_bumps(sym._radial_count(kernel.horizon * math.sqrt(d) * bound), 4))
+    levels = list(sym._radial_bumps(sym._radial_count(kernel.horizon * math.sqrt(d) * bound, d), 4))
     for nr in (levels[0], levels[-1]):
         for odd in (True, False):
             _assert_full_ball_matches_quadrature(kernel, ks, nr, odd)
@@ -1014,9 +1019,88 @@ def test_full_ball_closed_form_matches_quadrature(family, beta, d, bound, delta)
 def test_full_ball_closed_form_property(d, family, beta, delta, bound):
     kernel = _KERNELS[family](d, delta, beta)
     ks = _lattice_magnitudes(bound if d == 2 else min(bound, 6), d)
-    nr = sym._radial_count(kernel.horizon * float(np.max(ks)))
+    nr = sym._radial_count(kernel.horizon * float(np.max(ks)), d)
     for odd in (True, False):
         _assert_full_ball_matches_quadrature(kernel, ks, nr, odd)
+
+
+# ---------------------------------------------------------------------------
+# the first radial level
+# ---------------------------------------------------------------------------
+
+def _old_radial_count(x, d):
+    """The start the ladder had before _radial_count took it from the Gauss bound."""
+    return 24 + int(x)
+
+
+@pytest.mark.parametrize("d, x", [(2, 1e-8), (2, 0.9), (2, 4.5), (3, 2.77), (2, 990.0),
+                                  (3, 999.0)])
+def test_radial_count_meets_its_bound(d, x):
+    # the start meets the bound of its docstring, and one node fewer does
+    # not, unless the floor of 6 set it
+    def log_bound(n):
+        m = 2 * n
+        return (math.log(4 * d) + (m - d + 1) * math.log(x / 4)
+                + (d - 1) * math.log((x + m) / 4) - math.lgamma(m + 1))
+
+    n = sym._radial_count(x, d)
+    assert log_bound(n) <= math.log(np.finfo(float).eps)
+    assert n == 6 or log_bound(n - 1) > math.log(np.finfo(float).eps)
+    assert n < _old_radial_count(x, d)
+
+
+def test_a_profile_the_bound_leaves_out_settles_later(radial_passes):
+    # at delta sqrt(2) N = 0.28 the ladder starts at 6 nodes: the constant
+    # kernel settles at the second level, the sine profile only at the
+    # third, since 6 and 10 nodes do not yet agree on it to tol
+    for family, levels in (("constant", 2), ("sine", 3)):
+        radial_passes.clear()
+        sym.build_table(normalize(family, 2, horizon=0.05), sym.Orientation.from_angle(0.4), 4)
+        assert len(radial_passes) == levels, family
+
+
+_SWEEP = {
+    "constant": lambda d, delta: normalize("constant", d, horizon=delta),
+    "fractional 1.5": lambda d, delta: normalize("fractional", d, beta=1.5, horizon=delta),
+    "fractional 1.99": lambda d, delta: normalize("fractional", d, beta=1.99, horizon=delta),
+    "fractional 1.999": lambda d, delta: normalize("fractional", d, beta=1.999, horizon=delta),
+    "sine": lambda d, delta: normalize("sine", d, horizon=delta),
+    "tabulated": lambda d, delta: normalize("tabulated", d, horizon=delta,
+                                            values=[3.0, 2.0, 1.0, 0.5]),
+    "clamped": lambda d, delta: epsilon_cutoff(
+        normalize("fractional", d, beta=1.5, horizon=delta), delta / 16),
+    "clamped 1.99": lambda d, delta: epsilon_cutoff(
+        normalize("fractional", d, beta=1.99, horizon=delta), delta / 1000),
+}
+
+
+def _assert_matches_the_old_start(monkeypatch, family, d, delta, bound):
+    # both ladders settle, and their tables agree within the table's tol
+    kernel = _SWEEP[family](d, delta)
+    n = sym.Orientation.from_vector(_unit(d))
+    new = sym.build_table(kernel, n, bound)
+    monkeypatch.setattr(sym, "_radial_count", _old_radial_count)
+    sym.clear_radial_cache()
+    old = sym.build_table(kernel, n, bound)
+    scale = float(np.max(np.abs(old.lam)))
+    assert np.max(np.abs(new.lam - old.lam)) <= new.tol * scale
+    assert np.max(np.abs(new.radial - old.radial)) <= new.tol * scale
+
+
+@pytest.mark.parametrize("family", sorted(_SWEEP))
+@pytest.mark.parametrize("d, delta, bound", [
+    (2, 0.001, 4), (2, 0.1, 8), (2, 0.6, 12), (3, 0.05, 3), (3, 0.5, 4)])
+def test_tables_match_the_tables_of_the_old_start(monkeypatch, family, d, delta, bound):
+    _assert_matches_the_old_start(monkeypatch, family, d, delta, bound)
+
+
+# delta sqrt(d) N = 990 and 999, next to the cap of 1000.  The old start's
+# rules there have 1013 nodes and more, and a Gauss-Jacobi rule that size
+# takes seconds to build, so the fractional kernels sit this one out
+@pytest.mark.parametrize("family", ["constant", "sine", "tabulated", "clamped 1.99"])
+@pytest.mark.parametrize("d, delta", [(2, 700.0), (3, 577.0)])
+def test_tables_next_to_the_cap_match_the_old_start(monkeypatch, family, d, delta):
+    _assert_matches_the_old_start(monkeypatch, family, d, delta, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,7 +1145,7 @@ def test_radial_cache_keeps_kernels_apart(case):
     (ka, ma), (kb, mb) = _cache_pair(case)
     _re_lambda(ka, np.array(ma), _unit(ka.dimension))(30)
     warm = _re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
-    info = sym._cached_radial_orders.cache_info()
+    info = sym._cached_factors.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     sym.clear_radial_cache()
     cold = _re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
@@ -1069,23 +1153,34 @@ def test_radial_cache_keeps_kernels_apart(case):
         np.testing.assert_array_equal(w, c)
 
 
-def test_radial_cache_entries_are_read_only(const2):
-    ks = np.sqrt(np.unique(np.sum(np.array(_M2) ** 2, axis=1)).astype(float))
-    rad = sym._cached_radial_orders(const2, ks.tobytes(), 30, 4)
-    assert sym._cached_radial_orders(const2, ks.tobytes(), 30, 4) is rad
-    assert sym._cached_radial_orders.cache_info().currsize == 1
-    assert not rad.flags.writeable
-    with pytest.raises(ValueError):
-        rad[0, 0] = 1.0
+def test_radial_cache_entries_are_read_only(const2, const3):
+    # 2D: M, of shape (Q, 2L' - 1), and Lambda at the distinct |xi|; 3D: R_l
+    ks = np.sqrt(np.unique(np.sum(np.array(_M2) ** 2, axis=1)).astype(float)).tobytes()
+    m2 = np.array(_M2, dtype=float).tobytes()
+    entry = sym._cached_factors(const2, ks, m2, 30, 4)
+    assert sym._cached_factors(const2, ks, m2, 30, 4) is entry
+    m, lam_rad = entry
+    assert m.shape == (len(_M2), 5) and lam_rad.shape == (4,)
+    rad = sym._cached_factors(const3, ks, None, 30, 4)
+    assert rad.shape == (5, 4)
+    assert sym._cached_factors.cache_info().currsize == 2
+    for a in (m, lam_rad, rad):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_orientation_sweep_computes_each_level_once(radial_passes, const2):
+    # 8 orientations: one radial pass and one M per level, the rest are hits
     sym.build_table(const2, sym.Orientation.from_angle(0.3), 16)
     first = list(radial_passes)
     for j in range(1, 8):
         sym.build_table(const2, sym.Orientation.from_angle(0.3 + j * math.pi / 4), 16)
     assert len(first) >= 2 and len(set(first)) == len(first)
     assert radial_passes == first
+    info = sym._cached_factors.cache_info()
+    assert info.misses == info.currsize == len(first)
+    assert info.hits >= 7 * 2
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -1132,7 +1227,7 @@ def test_radial_cache_is_bounded_and_drops_the_oldest(radial_passes, const2):
     evaluate = _re_lambda(const2, np.array(_M2), _unit(2))
     for nr in range(20, 20 + sym._RADIAL_CACHE_SIZE + 1):
         evaluate(nr)
-    info = sym._cached_radial_orders.cache_info()
+    info = sym._cached_factors.cache_info()
     assert info.currsize == info.maxsize == sym._RADIAL_CACHE_SIZE == 4
     assert radial_passes == list(range(20, 25))
     evaluate(24)
@@ -1168,4 +1263,4 @@ def test_radial_cache_under_contention():
     for job, parts in zip(jobs, got):
         for g, w in zip(parts, want[job]):
             np.testing.assert_array_equal(g, w)
-    assert sym._cached_radial_orders.cache_info().currsize <= sym._RADIAL_CACHE_SIZE
+    assert sym._cached_factors.cache_info().currsize <= sym._RADIAL_CACHE_SIZE

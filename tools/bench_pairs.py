@@ -12,6 +12,15 @@ sides alike.  The workloads run one after the other, all pairs of one
 before the next.  Both checkouts must be git work trees with no
 uncommitted change to a tracked file; the file names both commits.
 
+Naming one checkout as both sides is an A/A run:
+
+    python3 tools/bench_pairs.py --parent ../parent --change ../parent --tag aa
+
+pairs the checkout with itself and writes ``BENCH_aa.json`` into it.  Its
+median differences, wins and spreads are what noise alone gives on the
+machine, the floor that a gain claimed from a parent/change file must
+clear beside the parent's interquartile range.
+
 For every metric of a workload the file holds each side's median and
 quartiles (``statistics.quantiles(n=4)``), the change's wins (pairs in
 which it is better than its parent, by the metric's direction in
