@@ -23,7 +23,6 @@ from . import __version__
 from .errors import ConfigError, KernelError, QuadratureConvergenceError
 from .experiments import RUNNERS, passed
 from .results import config_hash, write_csv, write_summary
-from .symbols import clear_radial_cache
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -63,14 +62,13 @@ def load_config(path):
 def run_command(command, cfg, out_dir):
     """Execute one experiment and write its artifacts; returns the exit code.
 
-    The run starts with an empty radial cache (symbols), so that its tables
-    owe nothing to an earlier run in the same process.  An existing output
-    directory must be writable before the run; a missing one is made after
-    it, so that a run refused for its config leaves nothing behind, and an
-    OSError while making it (the path or a parent of it is a file) is a
-    ConfigError naming the path.
+    An existing output directory must be writable before the run; a missing
+    one is made after it, so that a run refused for its config leaves
+    nothing behind, and an OSError while making it (the path or a parent of
+    it is a file) is a ConfigError naming the path.  Tables that reuse the
+    radial cache (symbols) of an earlier run in the same process have the
+    bits of cold ones.
     """
-    clear_radial_cache()
     runner = RUNNERS[command]
     if os.path.isdir(out_dir) and not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir} is not writable")

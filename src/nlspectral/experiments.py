@@ -340,10 +340,19 @@ def _hamiltonian_drift(dec, traj):
 
 
 def _run_evolution_refinement(cfg):
-    """Unforced decay/conservation checks plus delta-refinement of both flows."""
+    """Unforced decay/conservation checks plus delta-refinement of both flows.
+
+    ConfigError, before any table, if the fastest wave phase sqrt(max(mu,
+    lambda + 2 mu)) 4N t1 (|lambda(xi)| <= sqrt(2) d |xi| <= 4N in 2D) passes
+    1/sqrt(eps), where the phases would keep less than half of their digits.
+    """
     c, summary = _start(cfg, "evolution-refinement")
     bound, seed, times, decay = c["bound"], c["seed"], c["times"], c["decay"]
     mu, lam_lame = c["lame"]
+    phase = math.sqrt(max(mu, lam_lame + 2.0 * mu)) * 4.0 * bound * float(times[-1])
+    if not phase <= 1.0 / math.sqrt(sys.float_info.epsilon):
+        raise ConfigError(f"config.lame {c['lame']} and config.times.t1 = {float(times[-1])!r} "
+                          f"give a wave phase up to {phase:.3g}, past 1/sqrt(eps)")
     deltas, tables = c["deltas"], _tables(c, deltas=c["deltas"])
     table = ResultTable(["system", "delta", "l2_time_error"])
 

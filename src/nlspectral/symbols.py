@@ -27,16 +27,17 @@ the factors of one kernel, lattice and radial count serve every orientation.
 _re_lambda takes them from _cached_factors, a thread-safe functools.lru_cache
 of _RADIAL_CACHE_SIZE = 4 read-only entries, one full ladder of build_table,
 keyed by the kernel (a KernelSpec is hashable, a tabulated profile held as
-tuples), the bytes of the distinct |xi| (and in 2D of the modes), the radial
-count nr and the order L.  An entry holds the radial sums R_l at the
-distinct |xi| in 3D, and in 2D the matrix M of w_l R_l(|xi|) cos(l theta_xi)
-and sin(l theta_xi) over the modes with Lambda at each |xi|, so that each
-further orientation costs one small product M A(n) (_re_lambda).  Each
+tuples), the lattice bound N and the radial count nr, which decide the
+lattice, the order L and every value of an entry.  An entry is the pair
+(M, Lambda), Lambda at each distinct |xi|: in 3D M holds the radial sums
+R_l at the even orders over the distinct |xi|, in 2D the matrix of w_l
+R_l(|xi|) cos(l theta_xi) and sin(l theta_xi) over the modes, so that each
+further 2D orientation costs one small product M A(n) (_re_lambda).  Each
 level of a refinement ladder is its own entry, so settle still compares
 two computed levels, and an orientation sweep hits at whichever level it
-settles.  The ladder starts at the radial count whose Gauss error bound on
-f_l(k r) is below rounding (_radial_count).  clear_radial_cache empties
-the cache, and the CLI calls it at the start of every run.
+settles; a hit gives the bits of a cold evaluation.  The ladder starts at
+the radial count whose Gauss error bound on f_l(k r) is below rounding
+(_radial_count).
 
 What depends on the lattice alone comes from the read-only fields.lattice(N, d).
 Every SymbolTable is validated when it is made and is read-only; it keeps its
@@ -426,43 +427,37 @@ def _harmonics(lmax, u):
 
 
 @lru_cache(maxsize=_RADIAL_CACHE_SIZE)
-def _cached_factors(kernel, kbytes, mbytes, nr, lmax):
-    """The orientation-free factors of one radial level (_re_lambda), read-only.
+def _cached_factors(kernel, bound, nr):
+    """The orientation-free factors (M, Lambda) of one radial level (_re_lambda), read-only.
 
-    kbytes are the float64 bytes of the distinct |xi| in ascending order.
-    3D (mbytes None): the radial sums R_l there (_radial_orders).  2D, where
-    mbytes are the float64 bytes of the modes (Q, 2): the pair (M, Lambda),
-    M of shape (Q, 2L' - 1), column-major, whose columns are w_l R_l(|xi|)
-    cos(l theta_xi) at the even l <= lmax and then w_l R_l(|xi|) sin(l
-    theta_xi) at the even 2 <= l <= lmax (_harmonics of xi^), and Lambda =
-    2 pi R_1 at the distinct |xi|.
+    Over fields.lattice(bound, d), whose distinct |xi| and positive half
+    decide the entry; Lambda is R_1 times the sphere's area at the distinct
+    |xi|.  3D: M is the radial sums R_l there at the even l <= L
+    (_radial_orders).  2D: M, of shape (Q, 2L' - 1) over the half's modes,
+    column-major, has the columns w_l R_l(|xi|) cos(l theta_xi) at the even
+    l <= L and then w_l R_l(|xi|) sin(l theta_xi) at the even 2 <= l <= L
+    (_harmonics of xi^).
     """
-    ks = np.frombuffer(kbytes)
-    rad = _radial_orders(kernel, ks, nr, max(lmax, 1))
-    if mbytes is None:
-        return _read_only(rad)
-    modes = np.frombuffer(mbytes).reshape(-1, 2)
-    norms = np.sqrt(np.sum(modes**2, axis=1))
-    cos, sin = _harmonics(lmax, modes / norms[:, None])
-    wr = (_half_ball_weights(lmax, 2)[:, None] * rad[:lmax + 1:2])[:, np.searchsorted(ks, norms)]
-    m = np.empty((len(modes), 2 * len(wr) - 1), order="F")
+    d, lat = kernel.dimension, lattice(bound, kernel.dimension)
+    lmax = _orders(kernel.horizon * float(lat.k[-1]), d)
+    rad = _radial_orders(kernel, lat.k, nr, max(lmax, 1))
+    lam_rad = _read_only(SPHERE_AREA[d] * rad[1])
+    if d == 3:
+        return _read_only(rad[:lmax + 1:2]), lam_rad
+    cos, sin = _harmonics(lmax, lat.half / lat.k[lat.index, None])
+    wr = (_half_ball_weights(lmax, 2)[:, None] * rad[:lmax + 1:2])[:, lat.index]
+    m = np.empty((len(lat.half), 2 * len(wr) - 1), order="F")
     np.multiply(wr, cos, out=m[:, :len(wr)].T)
     np.multiply(wr[1:], sin, out=m[:, len(wr):].T)
-    return _read_only(m), _read_only(SPHERE_AREA[2] * rad[1])
+    return _read_only(m), lam_rad
 
 
-def clear_radial_cache():
-    """Empty the cache of the factors that _re_lambda shares across orientations."""
-    _cached_factors.cache_clear()
+def _re_lambda(kernel, bound, n):
+    """Re lambda at the positive half of fields.lattice(bound, d) for the unit orientation n.
 
-
-def _re_lambda(kernel, modes, n, q2, index):
-    """Re lambda at the nonzero integer modes (Q, d) for the unit orientation n.
-
-    q2 and index are np.unique of the modes' |xi|^2 with return_inverse.
     Returns the function of the radial count nr that evaluates (Re lambda,
-    Lambda at each q2); the angular integral over the half-ball s.n >= 0 is
-    closed.  With k = |xi|, xi^ = xi/k and c = xi^.n,
+    Lambda at each distinct |xi|); the angular integral over the half-ball
+    s.n >= 0 is closed.  With k = |xi|, xi^ = xi/k and c = xi^.n,
 
         Re lambda(xi) = sum_(l even <= L) w_l R_l(k) [Z_l(c) n + Z_l'(c) (xi^ - c n)]
 
@@ -485,22 +480,18 @@ def _re_lambda(kernel, modes, n, q2, index):
       m = 0 term along n, with a_l = int_0^1 t P_l dt, and the m = 1 term
       across it, with P_l^1(c) = -sqrt(1 - c^2) P_l'(c) and
       int_0^1 (1 - t^2) P_l' dt/(l(l + 1)), which is a_l again.  The
-      polynomial factors are computed here, once, and each call takes R_l
-      from the cache.
+      polynomial factors are computed here, once, and each call gathers
+      the cached R_l (M) to the modes by lattice(bound, d).index.
     Lambda is R_1 times the sphere's area (lambda_radial).  Each call takes
-    the factors of nr radial nodes from the cache (module docstring), which
-    other orientations of the same kernel and modes share.  Z_l(-c) =
-    Z_l(c) and Z_l'(-c) = -Z_l'(c) hold bit for bit at even l, so A(-n) =
-    A(n), [-n; -t] = -[n; t], and the orientation -n gives exactly -Re
-    lambda in both dimensions.
+    the pair (M, Lambda) of nr radial nodes from the cache (module
+    docstring), which other orientations of the same kernel and N share.
+    Z_l(-c) = Z_l(c) and Z_l'(-c) = -Z_l'(c) hold bit for bit at even l, so
+    A(-n) = A(n), [-n; -t] = -[n; t], and the orientation -n gives exactly
+    -Re lambda in both dimensions.
     """
-    d = kernel.dimension
-    ks = np.sqrt(q2.astype(float))
-    lmax = _orders(kernel.horizon * float(ks[-1]), d)
-    kbytes = ks.tobytes()
+    d, lat = kernel.dimension, lattice(bound, kernel.dimension)
+    lmax = _orders(kernel.horizon * float(lat.k[-1]), d)
     if d == 2:
-        # in C order, so that the key does not depend on the layout of modes
-        mbytes = np.ascontiguousarray(modes, dtype=float).tobytes()
         cos, sin = _harmonics(lmax, n)
         l = np.arange(2, lmax + 1, 2)
         # A(n): a row per column of M, then A(n) [n; t]
@@ -509,13 +500,12 @@ def _re_lambda(kernel, modes, n, q2, index):
         p = a @ np.array([n, [-n[1], n[0]]])
 
         def evaluate(nr):
-            m, lam_rad = _cached_factors(kernel, kbytes, mbytes, nr, lmax)
+            m, lam_rad = _cached_factors(kernel, bound, nr)
             return m @ p, lam_rad
 
         return evaluate
 
-    # C order, so that xhat @ n takes one path and the bits do not depend on modes' layout
-    xhat = np.ascontiguousarray(modes / ks[index, None])
+    xhat = lat.half / lat.k[lat.index, None]
     c = xhat @ n
     lateral = xhat - c[:, None] * n
     p, dp = _zonal(lmax, c, d)
@@ -523,11 +513,11 @@ def _re_lambda(kernel, modes, n, q2, index):
     along, across = weights * p[::2], weights * dp[::2]
 
     def evaluate(nr):
-        rad = _cached_factors(kernel, kbytes, None, nr, lmax)
-        even = rad[:lmax + 1:2][:, index]
+        m, lam_rad = _cached_factors(kernel, bound, nr)
+        even = m[:, lat.index]
         re = (np.sum(even * along, axis=0)[:, None] * n
               + np.sum(even * across, axis=0)[:, None] * lateral)
-        return re, SPHERE_AREA[d] * rad[1]
+        return re, lam_rad
 
     return evaluate
 
@@ -553,10 +543,10 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
     closed, and Re lambda and Lambda come from one Bessel pass per level
     (_re_lambda), so the ladder refines the radial count alone: 4 levels,
     from the count whose Gauss error bound on f_l(k r) up to k r = delta
-    sqrt(d) N is below rounding (_radial_count).  Each level's factors are
-    cached (_cached_factors): a 2D orientation sweep of one kernel and N
-    computes each level once, and every other orientation costs one small
-    product per level.
+    sqrt(d) N is below rounding (_radial_count).  Each level's factors (M,
+    Lambda) are cached under (kernel, N, nr) (_cached_factors): an
+    orientation sweep of one kernel and N computes each level once, and
+    every other 2D orientation costs one small product per level.
     """
     if bound < 1:
         raise ValueError("lattice bound must be at least 1")
@@ -570,7 +560,7 @@ def build_table(kernel, orientation, bound, tol=quad.DEFAULT_TOL):
         raise ValueError("orientation dimension does not match the kernel")
 
     lat = lattice(bound, d)
-    re_half, lam_rad = quad.settle(_re_lambda(kernel, lat.half, n, lat.q2, lat.index),
+    re_half, lam_rad = quad.settle(_re_lambda(kernel, bound, n),
                                    _radial_bumps(_radial_count(kmax, d), 4),
                                    tol, f"symbol quadrature for N={bound}")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlspectral import normalize, symbols
-from nlspectral.symbols import Orientation, build_table, clear_radial_cache
+from nlspectral.symbols import Orientation, build_table
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
 # blob that replays a failure; without it the properties draw afresh
@@ -16,7 +16,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 @pytest.fixture(autouse=True)
 def _cold_radial_cache():
     """Each test starts with an empty radial cache, whichever tests ran before."""
-    clear_radial_cache()
+    symbols._cached_factors.cache_clear()
 
 
 @pytest.fixture()

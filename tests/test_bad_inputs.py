@@ -11,8 +11,9 @@ bad_inputs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bad_inputs)
 
 # leaves whose 16 values run in about 2 s together and between them give
-# every documented exit: 3 (quad.tol = 1e-300), 1 (t1, decay at 1e300 and
-# delta = 3) and the Lame pair that once escaped main
+# every documented exit: 3 (quad.tol = 1e-300), 1 (t1 = 1e-300, decay at
+# 1e300 and delta = 3), 2 (t1 = 1e300, whose wave phase is past rounding)
+# and the Lame pair that once escaped main
 _LEAVES = [
     ("crit01_symbol_bounds.json", ("tolerances", "quad.tol")),
     ("crit02_stokes_convergence.json", ("system",)),

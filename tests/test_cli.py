@@ -486,11 +486,31 @@ def test_helmholtz_orientation_vector_far_from_unit_scale(tmp_path, vector):
     assert cli.main(["helmholtz", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
-def test_each_cli_run_starts_with_a_cold_radial_cache(tmp_path, radial_passes):
-    # the second run of the same config computes its radial sums again
+@pytest.mark.parametrize("lam, code", [(1e300, 2), (1e6, 0)])
+def test_evolution_wave_phase_past_rounding_exits_2(tmp_path, capsys, lam, code):
+    # crit10 with mu = 1: a phase of about 1.6e154 is refused before any
+    # table is built, one of about 1.6e4 runs and passes
+    with open(os.path.join(PRESETS, "crit10_evolution.json")) as fh:
+        payload = json.load(fh)
+    payload["lame"] = [1.0, lam]
+    cfg = write_cfg(tmp_path, payload)
+    assert cli.main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "config.lame" in err and "config.times" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_second_cli_run_reuses_the_radial_cache_and_writes_the_same_csv(tmp_path,
+                                                                           radial_passes):
+    # the second run of the same config computes no radial sum, and its CSV
+    # has the bytes of the first run's, which began with an empty cache
     cfg = write_cfg(tmp_path, SMALL_STOKES)
-    counts = []
+    counts, bodies = [], []
     for run in ("first", "second"):
         assert cli.main(["stokes", "--config", cfg, "--out", str(tmp_path / run)]) == 0
         counts.append(len(radial_passes))
-    assert counts[0] >= 2 and counts[1] == 2 * counts[0]
+        (csv,) = (tmp_path / run).glob("*.csv")
+        bodies.append(csv.read_bytes())
+    assert counts[0] >= 2 and counts[1] == counts[0]
+    assert bodies[0] == bodies[1]

@@ -31,9 +31,21 @@ def _positive_half(bound, d):
 
 
 def _re_lambda(kernel, modes, n):
-    """sym._re_lambda at the modes, given np.unique of their |xi|^2 as build_table gives it."""
-    return sym._re_lambda(kernel, modes, n, *np.unique(np.sum(modes**2, axis=1),
-                                                       return_inverse=True))
+    """sym._re_lambda at modes of the positive half lattice: evaluated over the
+    lattice of their max |coordinate|, and its rows at the modes picked, with
+    Lambda at each distinct |xi| of that lattice."""
+    bound, d = int(np.max(np.abs(modes))), kernel.dimension
+    evaluate = sym._re_lambda(kernel, bound, n)
+    # the half follows the zero mode in the cube's C order (fl.lattice)
+    rows = np.ravel_multi_index(tuple((modes + bound).T), (2 * bound + 1,) * d) - len(
+        fl.lattice(bound, d).modes) // 2 - 1
+    assert np.all(rows >= 0)
+
+    def at(nr):
+        re, lam_rad = evaluate(nr)
+        return re[rows], lam_rad
+
+    return at
 
 
 def _full_ball(kernel, ks, nr, odd):
@@ -311,22 +323,11 @@ def test_lattice_record_is_computed_once_and_read_only(bound, d):
     centre = len(flat) // 2
     np.testing.assert_array_equal(flat[centre + 1:], half)
     np.testing.assert_array_equal(flat[centre - 1::-1], -half)
-    # C order too, so that _re_lambda's C-ordered xhat is no copy
+    # C order too, so that _re_lambda's xhat = half/k[index] is C-ordered
     for name, value in lat._asdict().items():
         assert not value.flags.writeable and value.flags.c_contiguous, name
     with pytest.raises(AttributeError):
         lat.modes = modes
-
-
-def test_re_lambda_bits_do_not_depend_on_the_layout_of_modes():
-    # xhat @ n took another path for F-ordered modes, 1 ulp apart in 3D
-    kernel = normalize("constant", 3, horizon=0.3)
-    n = sym.Orientation.from_vector([1.0, -2.0, 0.5]).vec
-    lat = fl.lattice(3, 3)
-    c_side = sym._re_lambda(kernel, lat.half, n, lat.q2, lat.index)(40)
-    f_side = sym._re_lambda(kernel, np.asfortranarray(lat.half), n, lat.q2, lat.index)(40)
-    for c, f in zip(c_side, f_side):
-        np.testing.assert_array_equal(f, c)
 
 
 def test_floor_stable_between_deltas():
@@ -863,6 +864,8 @@ def _assert_orders_past_truncation_change_nothing(monkeypatch, d, delta, bound):
     got = _re_lambda(kernel, modes, n)(nr)[0]
     orders = sym._orders
     monkeypatch.setattr(sym, "_orders", lambda x, d: orders(x, d) + 16)
+    # the key (kernel, N, nr) holds the order L of the unpatched _orders
+    sym._cached_factors.cache_clear()
     more = _re_lambda(kernel, modes, n)(nr)[0]
     lam_rad = _full_ball(kernel, np.linalg.norm(modes, axis=1), nr, True)
     scale = float(np.max(np.sqrt(np.sum(got**2, axis=1) + lam_rad**2)))
@@ -1080,7 +1083,7 @@ def _assert_matches_the_old_start(monkeypatch, family, d, delta, bound):
     n = sym.Orientation.from_vector(_unit(d))
     new = sym.build_table(kernel, n, bound)
     monkeypatch.setattr(sym, "_radial_count", _old_radial_count)
-    sym.clear_radial_cache()
+    sym._cached_factors.cache_clear()
     old = sym.build_table(kernel, n, bound)
     scale = float(np.max(np.abs(old.lam)))
     assert np.max(np.abs(new.lam - old.lam)) <= new.tol * scale
@@ -1116,55 +1119,83 @@ def _one_ulp_more_at(values, i):
     return values[:i] + (float(np.nextafter(values[i], np.inf)),) + values[i + 1:]
 
 
-_M2 = [[1, 0], [1, 1], [2, 1], [0, 3]]
-_M3 = [[1, 0, 0], [1, 1, 0], [2, 1, 0], [0, 3, 0]]     # the |xi| of _M2
-
-
 def _cache_pair(case):
-    """Two (kernel, modes) that differ in one field of the kernel or in the lattice."""
+    """Two (kernel, bound) that differ in one field of the kernel or in the bound."""
     frac = normalize("fractional", 2, beta=1.5, horizon=0.1)
     tab = normalize("tabulated", 2, horizon=0.1, values=[3.0, 2.0, 1.0, 0.5])
     return {
-        "clamped": ((frac, _M2), (epsilon_cutoff(frac, 0.01), _M2)),
-        "normalization": ((frac, _M2), (dataclasses.replace(frac, normalization=2.0), _M2)),
-        "tabulated value": ((tab, _M2),
+        "clamped": ((frac, 3), (epsilon_cutoff(frac, 0.01), 3)),
+        "normalization": ((frac, 3), (dataclasses.replace(frac, normalization=2.0), 3)),
+        "tabulated value": ((tab, 3),
                             (dataclasses.replace(tab, table_w=_one_ulp_more_at(tab.table_w, 2)),
-                             _M2)),
-        "dimension": ((normalize("constant", 2, horizon=0.1), _M2),
-                      (normalize("constant", 3, horizon=0.1), _M3)),
-        "bound": ((frac, fl.lattice(4, 2).modes), (frac, fl.lattice(5, 2).modes)),
-        # one more |xi| below the largest, so the order L is the same
-        "lattice": ((frac, _M2), (frac, _M2 + [[2, 0]])),
+                             3)),
+        "dimension": ((normalize("constant", 2, horizon=0.1), 3),
+                      (normalize("constant", 3, horizon=0.1), 3)),
+        "bound": ((frac, 4), (frac, 5)),
     }[case]
 
 
 @pytest.mark.parametrize("case", ["clamped", "normalization", "tabulated value", "dimension",
-                                  "bound", "lattice"])
+                                  "bound"])
 def test_radial_cache_keeps_kernels_apart(case):
     # the second evaluation gets its own entry and the bits of a cold cache
-    (ka, ma), (kb, mb) = _cache_pair(case)
-    _re_lambda(ka, np.array(ma), _unit(ka.dimension))(30)
-    warm = _re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
+    (ka, ba), (kb, bb) = _cache_pair(case)
+    sym._re_lambda(ka, ba, _unit(ka.dimension))(30)
+    warm = sym._re_lambda(kb, bb, _unit(kb.dimension))(30)
     info = sym._cached_factors.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
-    sym.clear_radial_cache()
-    cold = _re_lambda(kb, np.array(mb), _unit(kb.dimension))(30)
+    sym._cached_factors.cache_clear()
+    cold = sym._re_lambda(kb, bb, _unit(kb.dimension))(30)
     for w, c in zip(warm, cold):
         np.testing.assert_array_equal(w, c)
 
 
+def test_equal_kernels_share_an_entry():
+    # two normalize calls with equal arguments give equal keys: one entry, one hit
+    kernels = [normalize("fractional", 2, beta=1.5, horizon=0.1) for _ in range(2)]
+    assert kernels[0] is not kernels[1]
+    first, second = (sym._re_lambda(k, 4, _unit(2))(30) for k in kernels)
+    info = sym._cached_factors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("d, bound", [(2, 8), (3, 4)])
+def test_warm_factors_match_cold_factors_at_every_level(d, bound):
+    # each level of a ladder, taken from a cache that another orientation
+    # filled, has the bits of the same evaluation from an empty cache
+    kernel = normalize("fractional", d, beta=1.5, horizon=0.2)
+    levels = list(sym._radial_bumps(sym._radial_count(kernel.horizon * math.sqrt(d) * bound, d),
+                                    4))
+    prime = sym._re_lambda(kernel, bound, -_unit(d)[::-1])
+    for nr in levels:
+        prime(nr)
+    evaluate = sym._re_lambda(kernel, bound, _unit(d))
+    warm = [evaluate(nr) for nr in levels]
+    info = sym._cached_factors.cache_info()
+    assert (info.hits, info.misses) == (len(levels), len(levels))
+    for nr, parts in zip(levels, warm):
+        sym._cached_factors.cache_clear()
+        for w, c in zip(parts, sym._re_lambda(kernel, bound, _unit(d))(nr)):
+            np.testing.assert_array_equal(w, c)
+
+
 def test_radial_cache_entries_are_read_only(const2, const3):
-    # 2D: M, of shape (Q, 2L' - 1), and Lambda at the distinct |xi|; 3D: R_l
-    ks = np.sqrt(np.unique(np.sum(np.array(_M2) ** 2, axis=1)).astype(float)).tobytes()
-    m2 = np.array(_M2, dtype=float).tobytes()
-    entry = sym._cached_factors(const2, ks, m2, 30, 4)
-    assert sym._cached_factors(const2, ks, m2, 30, 4) is entry
+    # (M, Lambda): 2D M of shape (Q, 2L' - 1) over the positive half, 3D M
+    # the R_l at the even l <= L over the distinct |xi|
+    entry = sym._cached_factors(const2, 3, 30)
+    assert sym._cached_factors(const2, 3, 30) is entry
     m, lam_rad = entry
-    assert m.shape == (len(_M2), 5) and lam_rad.shape == (4,)
-    rad = sym._cached_factors(const3, ks, None, 30, 4)
-    assert rad.shape == (5, 4)
+    lat = fl.lattice(3, 2)
+    order = sym._orders(const2.horizon * float(lat.k[-1]), 2)
+    assert m.shape == (len(lat.half), order + 1) and lam_rad.shape == lat.k.shape
+    m3, lam_rad3 = sym._cached_factors(const3, 3, 30)
+    lat3 = fl.lattice(3, 3)
+    order3 = sym._orders(const3.horizon * float(lat3.k[-1]), 3)
+    assert m3.shape == (order3 // 2 + 1,) + lat3.k.shape and lam_rad3.shape == lat3.k.shape
     assert sym._cached_factors.cache_info().currsize == 2
-    for a in (m, lam_rad, rad):
+    for a in (m, lam_rad, m3, lam_rad3):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -1189,7 +1220,7 @@ def test_warm_build_matches_cold_build(d):
     ori = sym.Orientation.from_vector(_unit(d))
     sym.build_table(kernel, sym.Orientation.from_vector(-_unit(d)[::-1]), 6)
     warm = sym.build_table(kernel, ori, 6)
-    sym.clear_radial_cache()
+    sym._cached_factors.cache_clear()
     cold = sym.build_table(kernel, ori, 6)
     np.testing.assert_array_equal(warm.lam, cold.lam)
     assert warm.lambda_radial_map == cold.lambda_radial_map
@@ -1208,11 +1239,11 @@ def test_pooled_builds_match_serial_builds():
         return sym.build_table(job[0], sym.Orientation.from_angle(job[1]), 16)
 
     # both sides start cold: the pool's threads also race to build the lattice record
-    sym.clear_radial_cache()
+    sym._cached_factors.cache_clear()
     fl.lattice.cache_clear()
     with ThreadPoolExecutor(max_workers=2) as pool:
         pooled = list(pool.map(build, jobs))
-    sym.clear_radial_cache()
+    sym._cached_factors.cache_clear()
     fl.lattice.cache_clear()
     serial = [build(job) for job in jobs]
     for p, s in zip(pooled, serial):
@@ -1224,7 +1255,7 @@ def test_pooled_builds_match_serial_builds():
 def test_radial_cache_is_bounded_and_drops_the_oldest(radial_passes, const2):
     # five levels through a cache of four: the first, least recently used,
     # is computed again, and the last, most recently used, is not
-    evaluate = _re_lambda(const2, np.array(_M2), _unit(2))
+    evaluate = sym._re_lambda(const2, 3, _unit(2))
     for nr in range(20, 20 + sym._RADIAL_CACHE_SIZE + 1):
         evaluate(nr)
     info = sym._cached_factors.cache_info()
@@ -1248,10 +1279,10 @@ def test_radial_cache_under_contention():
     jobs = [(i, nr) for i in range(2) for nr in range(20, 26)] * 8
 
     def evaluate(job):
-        return _re_lambda(kernels[job[0]], np.array(_M2), _unit(2))(job[1])
+        return sym._re_lambda(kernels[job[0]], 3, _unit(2))(job[1])
 
     want = {job: evaluate(job) for job in set(jobs)}
-    sym.clear_radial_cache()
+    sym._cached_factors.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
