@@ -15,6 +15,16 @@ profile is non-increasing and may change sign otherwise.  Non-integrable
 profiles are handled by clamping the kernel near the origin and letting the
 clamp radius shrink: the clamped bond kernels increase monotonically and
 their mass tends to one.
+
+The clamped kernels agree with the profile above their radii, so one pass
+builds every clamp level.  All levels share the abscissae (the mesh and one
+bond rule whose panel edges hold every radius) and, per abscissa a, one row
+of panels for the cross term int w(b) w(a+b) db: the doubling ladder of the
+finest radius, cut at every radius eps_j and at eps_j - a.  Each panel then
+lies wholly inside or outside each level's clamp, in b and in a + b, and is
+a piece of a doubling panel, where 16 Gauss nodes are exact to rounding.
+The profile is evaluated once per node, and each level's cross term is a
+sum of per-panel sums (``_cross_integral``).
 """
 
 from dataclasses import dataclass
@@ -34,7 +44,9 @@ _NODES = 16   # Gauss-Legendre nodes per panel of the cross term (see _cross_int
 
 
 def graded_mesh(delta, size=MESH_SIZE):
-    """Interior mesh of (0, delta) clustered at both endpoints."""
+    """Interior mesh of (0, delta) clustered at both endpoints, of a positive whole size."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+        raise ValueError(f"mesh size must be a positive integer, got {size!r}")
     t = (np.arange(size) + 0.5) / size
     return delta * (t**2 * (3.0 - 2.0 * t))
 
@@ -63,22 +75,25 @@ class RhoKernel:
         return np.where(a <= self.delta, np.interp(a, self.mesh, self.values), 0.0)
 
 
-def _edge_matrix(kernel, a, top):
-    """Panel edges resolving both factors of w(b) w(a+b) on (0, top), a row per a.
+def _edge_matrix(levels, a, top):
+    """Panel edges shared by every level's w(b) w(a+b) on (0, top), a row per a.
 
-    Clamped singular profiles vary over decades above the clamp radius, so
-    the edges grow geometrically away from the clamp (in both the b and the
-    a+b coordinate); smooth profiles only need their breakpoints.  Row i
-    holds 0, the distinct edges inside (0, top_i) in increasing order and
-    top_i, padded with copies of top_i; returns the rows and their edge
-    counts.  Requires top > 0.
+    ``levels`` are one profile clamped at several radii, or one kernel.  The
+    edges are each level's breakpoints e (its clamp radius among them) and
+    e - a, and for a clamped power profile, which varies over decades above
+    its clamp, the doubling ladders of the finest radius in b and in a + b.
+    So each panel lies on one side of every clamp in b and in a + b, and is
+    a piece of a doubling panel.  Row i holds 0, the distinct edges inside
+    (0, top_i) in increasing order and top_i, padded with copies of top_i;
+    returns the rows and their edge counts.  Requires top > 0.
     """
-    delta = kernel.horizon
+    delta = levels[0].horizon
     cols = [top]
-    for e in (delta * r for r in kernel.breakpoints()):
+    for e in {delta * r for k in levels for r in k.breakpoints()}:
         cols += [np.full_like(a, e), e - a]
-    if kernel.family == FRACTIONAL and kernel.cutoff_rho > 0.0:
-        eps = kernel.cutoff_rho * delta
+    finest = min(levels, key=lambda k: k.cutoff_rho)
+    if finest.family == FRACTIONAL and finest.cutoff_rho > 0.0:
+        eps = finest.cutoff_rho * delta
         for anchor in (np.full_like(a, eps), eps - a):
             anchor = np.where(anchor <= 0.0, np.minimum(eps, top) * 0.5, anchor)
             # doubling is exact, so column k is the k-th doubling of the anchor
@@ -93,29 +108,40 @@ def _edge_matrix(kernel, a, top):
     return np.column_stack([np.zeros_like(a), edges]), counts
 
 
-def _cross_integral(kernel, a, edges):
-    """int w(b) w(a+b) db over the panels of each row of edges, GL per panel.
+def _cross_integral(kernel, a, edges, clamps):
+    """int w_j(b) w_j(a+b) db over the panels of each row of edges, one row per level j.
 
-    Zero-width panels (padding) get zero weight; the nodes and weights of
-    the others are those of ``quad.gl_panels`` on the row.
+    ``kernel`` is the finest level and ``clamps`` holds each level's clamp
+    radius eps_j and value c_j (0 and 0 for an unclamped kernel).  The
+    profile is evaluated once per node, at b and a + b, and gives per panel
+    S = sum wb w(b) w(a+b) and T = sum wb w(a+b).  A panel lies on one side
+    of each clamp (``_edge_matrix``), and a + b >= b, so level j's panel
+    term is S where neither factor is clamped, c_j T where only w(b) is,
+    and c_j^2 times the panel width where both are.  Zero-width panels
+    (padding) add nothing; the nodes and weights of the others are those of
+    ``quad.gl_panels`` on the row.
 
     16 nodes put the Gauss error below rounding.  Breakpoints and clamp
-    edges are panel edges of ``_edge_matrix``, so inside a panel the
-    factors are entire or polynomial for the smooth profiles, and for a
-    clamped power profile singular only at b = 0 and b = -a (w(b) is
-    constant on the first panel, which ends at or below the clamp radius).
-    Each panel [lo, hi] past the first is a doubling panel of a clamp
-    ladder or a piece of one, so hi - lo <= lo, and both points lie at
-    least one panel width left of lo: at t <= -3 in the panel's unit
-    coordinate, whose Bernstein ellipse has parameter 3 + sqrt(8) = 5.83.
-    The 16-point Gauss error is then about 5.83^-32 = 3e-25 relative.
+    edges are panel edges, so inside a panel each factor is entire or
+    polynomial for the smooth profiles, constant where clamped, and for a
+    power profile singular only at b = 0 and b = -a (w(b) is clamped on
+    the first panel, which ends at or below the finest radius).  Each panel
+    [lo, hi] past the first is a piece of a doubling panel of the finest
+    ladder, so hi - lo <= lo, and both points lie at least one panel width
+    left of lo: at t <= -3 in the panel's unit coordinate, whose Bernstein
+    ellipse has parameter 3 + sqrt(8) = 5.83.  The 16-point Gauss error is
+    then about 5.83^-32 = 3e-25 relative, at every level.
     """
     x, w = quad.legendre(_NODES)
-    lo, hi = edges[:, :-1, None], edges[:, 1:, None]
+    lo, hi = edges[:, :-1], edges[:, 1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    b = (mid + half * x).reshape(len(a), -1)
-    wb = (half * w).reshape(len(a), -1)
-    return np.sum(wb * eval_kernel(kernel, b) * eval_kernel(kernel, a[:, None] + b), axis=1)
+    b = mid[..., None] + half[..., None] * x
+    wab = half[..., None] * w * eval_kernel(kernel, a[:, None, None] + b)
+    t = np.sum(wab, axis=2)
+    s = np.sum(wab * eval_kernel(kernel, b), axis=2)
+    eps, c = clamps
+    return np.sum(np.where(a[:, None] + mid < eps, c * c * (hi - lo),
+                           np.where(mid < eps, c * t, s)), axis=2)
 
 
 def _kernel_mass(kernel):
@@ -124,32 +150,38 @@ def _kernel_mass(kernel):
                        (2**i for i in range(7)), 1e-12, "kernel mass quadrature")
 
 
-def _rho_pointwise(kernel, a_values, wmass):
-    """rho(a) at the given abscissae, by panel quadrature: the k-part
-    2 a^2 w(a) int_0^delta w plus the h-part -2 a^2 int_0^(delta-a) w(b) w(a+b) db.
+def _rho_pointwise(kernel, a_values, eps_sequence=()):
+    """rho(a) of the kernel clamped at each radius, a row per radius (or its own, for none).
 
-    ``wmass`` is ``_kernel_mass(kernel)``, settled once per kernel by the
-    caller.  The cross term is evaluated in blocks of abscissae: rows with
-    the same number of panel edges share one (rows, panels, nodes) array, of
-    at most ``quad._BLOCK`` entries, so that its temporaries stay in cache
-    and are not returned to the system after each block.  Abscissae at or
+    A row is the level's k-part 2 a^2 w(a) int_0^delta w, its kernel mass
+    settled once, plus its h-part -2 a^2 int_0^(delta-a) w(b) w(a+b) db; the
+    h-parts of all levels come from one panel row per abscissa and one
+    evaluation of the profile on it (``_cross_integral``).  Rows with the
+    same number of panel edges share one (rows, panels, nodes) array, of at
+    most ``quad._BLOCK`` entries, so that its temporaries stay in cache and
+    are not returned to the system after each block.  Abscissae at or
     beyond the horizon have no cross term.
     """
     delta = kernel.horizon
-    kp = 2.0 * a_values * a_values * eval_kernel(kernel, a_values) * wmass
-    hp = np.zeros_like(kp)
+    levels = [epsilon_cutoff(kernel, e) for e in eps_sequence] or [kernel]
+    # each level's clamp radius and value (0 and 0 unclamped), shaped (level, 1, 1)
+    clamps = np.array([(delta * k.cutoff_rho, k.cutoff_value / delta**2)
+                       for k in levels]).T[:, :, None, None]
+    rho = np.array([2.0 * a_values * a_values * eval_kernel(k, a_values) * _kernel_mass(k)
+                    for k in levels])
     live = np.flatnonzero(delta - a_values > 0.0)
     a = a_values[live]
-    cross = np.empty_like(a)
     if len(a):
-        edges, counts = _edge_matrix(kernel, a, delta - a)
+        finest = min(levels, key=lambda k: k.cutoff_rho)
+        cross = np.empty((len(levels), len(a)))
+        edges, counts = _edge_matrix(levels, a, delta - a)
         for c in np.unique(counts):
             rows = np.flatnonzero(counts == c)
             step = max(1, quad._BLOCK // ((c - 1) * _NODES))
             for r in (rows[i:i + step] for i in range(0, len(rows), step)):
-                cross[r] = _cross_integral(kernel, a[r], edges[r, :c])
-    hp[live] = -2.0 * a * a * cross
-    return kp + hp
+                cross[:, r] = _cross_integral(finest, a[r], edges[r, :c], clamps)
+        rho[:, live] -= 2.0 * a * a * cross
+    return rho
 
 
 def _endpoint_graded_edges(delta, extra=()):
@@ -160,28 +192,26 @@ def _endpoint_graded_edges(delta, extra=()):
                   | {e for e in extra if 0.0 < e < delta})
 
 
-def _bond_rule(rho_fn, delta, extra=()):
-    """Mass and bond rule of rho from one evaluation on endpoint-graded panels.
+def _rho_levels(kernel, mesh_size, eps_sequence=()):
+    """RhoKernel of the kernel clamped at each radius, or of the kernel alone.
 
-    Returns (mass, nodes, weights): the two-sided L1 mass 2 int_0^delta rho(a) da
-    and the one-sided rule for int_0^delta rho(a)/a^2 g(a) da.
+    Every level shares one abscissa set: the mesh and a bond rule on
+    endpoint-graded panels whose edges hold every clamp radius, so each
+    level keeps its own radius as a panel edge.  One ``_rho_pointwise``
+    call evaluates every level there, and each level gets its own values,
+    two-sided L1 mass 2 int_0^delta rho(a) da and weights of the one-sided
+    rule for int_0^delta rho(a)/a^2 g(a) da.
     """
-    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, extra), 32)
-    wr = wa * rho_fn(a)
-    return 2.0 * float(np.sum(wr)), a, wr / (a * a)
-
-
-def _rho_level(kernel, mesh, epsilon=0.0):
-    """RhoKernel of one (possibly clamped) kernel: rho on the mesh and its bond rule.
-
-    The kernel mass is settled once and shared by the mesh values and the
-    bond rule; a clamp radius epsilon > 0 is also a panel edge of the rule.
-    """
-    wmass = _kernel_mass(kernel)
-    rho = _rho_pointwise(kernel, mesh, wmass)
-    mass, nodes, weights = _bond_rule(lambda a: _rho_pointwise(kernel, a, wmass),
-                                      kernel.horizon, extra=(epsilon,))
-    return RhoKernel(kernel.horizon, mesh, rho, mass, nodes, weights, epsilon)
+    delta = kernel.horizon
+    mesh = graded_mesh(delta, mesh_size)
+    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, eps_sequence), 32)
+    rho = _rho_pointwise(kernel, np.concatenate([mesh, a]), eps_sequence)
+    levels = []
+    for eps, values in zip(eps_sequence or (0.0,), rho):
+        wr = wa * values[len(mesh):]
+        levels.append(RhoKernel(delta, mesh, values[:len(mesh)], 2.0 * float(np.sum(wr)),
+                                a, wr / (a * a), eps))
+    return levels
 
 
 def rho_from_kernel(kernel, mesh_size=MESH_SIZE):
@@ -196,31 +226,29 @@ def rho_from_kernel(kernel, mesh_size=MESH_SIZE):
         raise KernelError(
             "kernel is not integrable; use rho_regularized for the clamped limit"
         )
-    return _rho_level(kernel, graded_mesh(kernel.horizon, mesh_size))
+    return _rho_levels(kernel, mesh_size)[0]
 
 
 def rho_regularized(kernel, eps_sequence=DEFAULT_EPS_SEQUENCE, mesh_size=MESH_SIZE):
     """Clamped bond kernels for a non-increasing 1D kernel, plus their limit.
 
     Returns (levels, limit): one RhoKernel per clamp radius eps (decreasing)
-    and the finest level standing in for the eps -> 0 limit.  Monotone
-    increase in shrinking eps is verified on the mesh.
+    and the finest level standing in for the eps -> 0 limit.  All levels
+    come from one evaluation of the profile, so every radius is checked
+    first.  Monotone increase in shrinking eps is verified on the mesh.
     """
     if kernel.dimension != 1:
         raise KernelError("rho is a one-dimensional construction")
     if not kernel.is_nonincreasing:
         raise KernelError("regularized rho needs a non-increasing kernel profile")
     eps_sequence = sorted(eps_sequence, reverse=True)
-    if eps_sequence[0] >= kernel.horizon:
-        raise KernelError("clamp radii must be below the horizon")
-    mesh = graded_mesh(kernel.horizon, mesh_size)
-    levels = []
-    for eps in eps_sequence:
-        level = _rho_level(epsilon_cutoff(kernel, eps), mesh, eps)
-        rho = level.values
-        if levels and np.any(rho < levels[-1].values - 1e-9 * np.max(np.abs(rho))):
+    if not eps_sequence or not all(0.0 < e < kernel.horizon for e in eps_sequence):
+        raise KernelError(f"clamp radii must be a non-empty sequence in (0, delta), "
+                          f"got {eps_sequence!r}")
+    levels = _rho_levels(kernel, mesh_size, eps_sequence)
+    for coarse, fine in zip(levels[:-1], levels[1:]):
+        if np.any(fine.values < coarse.values - 1e-9 * np.max(np.abs(fine.values))):
             raise KernelError("clamped bond kernels failed to increase monotonically")
-        levels.append(level)
     return levels, levels[-1]
 
 

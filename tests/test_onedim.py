@@ -37,13 +37,13 @@ def test_sine_rho_matches_closed_form_on_mesh(rho_sine):
 
 def test_sine_rho_midpoint_value():
     ks = normalize("sine", 1)
-    val = float(od._rho_pointwise(ks, np.array([0.5]), od._kernel_mass(ks))[0])
+    val = float(od._rho_pointwise(ks, np.array([0.5]))[0, 0])
     assert val == pytest.approx(3.0 * math.pi / 16.0, abs=1e-10)
 
 
 def test_sine_rho_changes_sign():
     ks = normalize("sine", 1)
-    val = float(od._rho_pointwise(ks, np.array([0.1]), od._kernel_mass(ks))[0])
+    val = float(od._rho_pointwise(ks, np.array([0.1]))[0, 0])
     assert val == pytest.approx(-0.013839, abs=1e-5)
     assert val < 0.0
 
@@ -62,7 +62,7 @@ def test_constant_rho_pointwise_closed_form(delta):
     expect = np.where(a <= delta, 2.0 * a**3 / delta**4, 0.0)
     # within rounding of the k-part 2 a^2/delta^3, which the h-part cancels
     kp = 2.0 * a * a / delta**3
-    assert np.all(np.abs(od._rho_pointwise(k, a, wmass) - expect) <= 1e-14 * kp)
+    assert np.all(np.abs(od._rho_pointwise(k, a)[0] - expect) <= 1e-14 * kp)
 
 
 @pytest.mark.parametrize("family", ["constant", "sine"])
@@ -74,7 +74,7 @@ def test_h_part_mass_identity(family):
     s2w = 2.0 * float(np.sum(w * s * s))
     wmass = od._kernel_mass(k)
     a, wa = quad.gl_panels(od._endpoint_graded_edges(1.0), 32)
-    hp = od._rho_pointwise(k, a, wmass) - 2.0 * a * a * eval_kernel(k, a) * wmass
+    hp = od._rho_pointwise(k, a)[0] - 2.0 * a * a * eval_kernel(k, a) * wmass
     hmass = 2.0 * float(np.sum(wa * hp))
     assert hmass == pytest.approx(1.0 - s2w * 2.0 * wmass, abs=1e-8)
 
@@ -207,6 +207,12 @@ def _rho_pointwise_loop(kernel, a_values, wmass):
     return rho
 
 
+def _rho_levels_loop(kernel, a_values, eps_sequence=()):
+    """_rho_pointwise one level and one abscissa at a time (reference)."""
+    levels = [epsilon_cutoff(kernel, e) for e in eps_sequence] or [kernel]
+    return np.array([_rho_pointwise_loop(k, a_values, od._kernel_mass(k)) for k in levels])
+
+
 def _assert_values_close(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -233,18 +239,24 @@ def _tabulated(horizon=0.8):
 def test_block_rho_from_kernel_matches_loop(monkeypatch, make):
     kernel = make()
     got = od.rho_from_kernel(kernel, mesh_size=256)
-    monkeypatch.setattr(od, "_rho_pointwise", _rho_pointwise_loop)
+    monkeypatch.setattr(od, "_rho_pointwise", _rho_levels_loop)
     _assert_rho_close(got, od.rho_from_kernel(kernel, mesh_size=256))
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
 def test_block_rho_regularized_matches_loop(monkeypatch, beta):
+    # every level from the shared panel rows against the per-level loop, on
+    # the shared abscissae: the mesh and one bond rule holding every radius
     kernel = normalize("fractional", 1, beta=beta)
 
     got = od.rho_regularized(kernel, mesh_size=128)[0]
-    monkeypatch.setattr(od, "_rho_pointwise", _rho_pointwise_loop)
+    monkeypatch.setattr(od, "_rho_pointwise", _rho_levels_loop)
     ref = od.rho_regularized(kernel, mesh_size=128)[0]
     assert [lv.epsilon for lv in got] == list(od.DEFAULT_EPS_SEQUENCE)
+    assert all(lv.nodes is got[0].nodes for lv in got)
+    # one bond rule, whose panel edges hold every radius
+    nodes = quad.gl_panels(od._endpoint_graded_edges(1.0, od.DEFAULT_EPS_SEQUENCE), 32)[0]
+    np.testing.assert_array_equal(got[0].nodes, nodes)
     for g, r in zip(got, ref):
         _assert_rho_close(g, r)
 
@@ -259,17 +271,20 @@ def _special_abscissae(delta, eps):
 @pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
 @pytest.mark.parametrize("eps", od.DEFAULT_EPS_SEQUENCE)
 def test_block_rho_special_abscissae(beta, eps):
+    # the level eps of the whole default ladder, built on shared panel rows
     delta = 0.7
-    clamped = epsilon_cutoff(normalize("fractional", 1, beta=beta, horizon=delta), eps)
+    kernel = normalize("fractional", 1, beta=beta, horizon=delta)
+    clamped = epsilon_cutoff(kernel, eps)
     a = _special_abscissae(delta, eps)
     wmass = od._kernel_mass(clamped)
-    got = od._rho_pointwise(clamped, a, wmass)
+    level = od.DEFAULT_EPS_SEQUENCE.index(eps)
+    got = od._rho_pointwise(kernel, a, od.DEFAULT_EPS_SEQUENCE)[level]
     _assert_values_close(got, _rho_pointwise_loop(clamped, a, wmass))
     # at and beyond the horizon rho is its k-part alone
     beyond = a >= delta
     np.testing.assert_array_equal(got[beyond],
                                   (2.0 * a * a * eval_kernel(clamped, a) * wmass)[beyond])
-    np.testing.assert_array_equal(od._rho_pointwise(clamped, a[beyond], wmass), got[beyond])
+    np.testing.assert_array_equal(od._rho_pointwise(clamped, a[beyond])[0], got[beyond])
 
 
 @settings(max_examples=30, deadline=None)
@@ -293,40 +308,73 @@ def test_block_rho_property(family, beta, delta, eps_frac, clamp, size):
         kernel = epsilon_cutoff(kernel, eps)
     a = np.concatenate([od.graded_mesh(delta, size), _special_abscissae(delta, eps)])
     wmass = od._kernel_mass(kernel)
-    _assert_values_close(od._rho_pointwise(kernel, a, wmass),
-                         _rho_pointwise_loop(kernel, a, wmass))
+    _assert_values_close(od._rho_pointwise(kernel, a)[0], _rho_pointwise_loop(kernel, a, wmass))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    beta=st.floats(1.0, 1.95),
+    delta=st.floats(0.05, 2.0),
+    # 1 to 6 radii, unsorted, drawn from a pool so that some repeat
+    eps_fracs=st.lists(st.floats(1e-7, 0.5), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)),
+    size=st.integers(1, 48),
+)
+def test_block_rho_levels_property(beta, delta, eps_fracs, size):
+    # every level of one shared build against the per-level loop, on the
+    # mesh, the shared bond rule and the special abscissae of every radius;
+    # each level's mass and weights against a build of that level alone
+    kernel = normalize("fractional", 1, beta=beta, horizon=delta)
+    radii = [f * delta for f in eps_fracs]
+    nodes, wa = quad.gl_panels(od._endpoint_graded_edges(delta, radii), 32)
+    mesh = od.graded_mesh(delta, size)
+    a = np.concatenate([mesh, nodes] + [_special_abscissae(delta, e) for e in radii])
+    got = od._rho_pointwise(kernel, a, radii)
+    for eps, rho in zip(radii, got):
+        level = epsilon_cutoff(kernel, eps)
+        _assert_values_close(rho, _rho_pointwise_loop(level, a, od._kernel_mass(level)))
+        wr = wa * rho[len(mesh):len(mesh) + len(nodes)]
+        alone = wa * od._rho_pointwise(kernel, nodes, (eps,))[0]
+        assert abs(np.sum(wr) - np.sum(alone)) <= 1e-13 * abs(np.sum(alone))
+        _assert_values_close(wr / (nodes * nodes), alone / (nodes * nodes))
 
 
 @pytest.mark.parametrize("chunk", [32, 100, 2000])
 def test_block_rho_budget_split_changes_nothing(monkeypatch, chunk):
-    kernel = epsilon_cutoff(normalize("fractional", 1, beta=1.4), 1e-4)
+    kernel = normalize("fractional", 1, beta=1.4)
     a = od.graded_mesh(1.0, 200)
-    wmass = od._kernel_mass(kernel)
-    whole = od._rho_pointwise(kernel, a, wmass)
+    whole = od._rho_pointwise(kernel, a, od.DEFAULT_EPS_SEQUENCE)
     monkeypatch.setattr(quad, "_BLOCK", chunk)
-    np.testing.assert_array_equal(od._rho_pointwise(kernel, a, wmass), whole)
+    np.testing.assert_array_equal(od._rho_pointwise(kernel, a, od.DEFAULT_EPS_SEQUENCE), whole)
 
 
-def _cross_rounding_floor(kernel, a, nodes):
-    """Rounding floor of the h-part of _rho_pointwise at ``nodes`` per panel.
+def _cross_rounding_floor(levels, level, a, nodes):
+    """Rounding floor of the h-part of ``levels[level]`` in _rho_pointwise at ``nodes`` per panel.
 
-    The cross term sums n = panels * nodes terms t = wb w(b) w(a+b), with
-    unit roundoff e = 2^-53.  numpy sums a row pairwise in 8-way unrolled
-    blocks of 128, so the sum is off by at most (log2 n + 18) e sum |t|.
-    The products wb w w, the half width, 2 a a and each kernel's r/delta,
-    profile and 1/delta^2 add at most 12 e |t| more; 30 covers both with
-    room.  A node b = mid + half x is off by at most 3 e hi (hi the panel's
-    right end) and a + b by e (a + b) more, which moves each factor by that
-    much times its slope; the slope comes from a backward difference, which
-    never looks past the horizon.  Times the leading 2 a^2:
+    The panels are the rows shared by all ``levels``.  The level's cross
+    term sums, per panel, S = sum wb w(b) w(a+b) over the panel's nodes, or
+    c sum wb w(a+b) where w(b) is clamped to c, or c^2 times the width
+    where both factors are; then it sums the row's panels.  With unit
+    roundoff e = 2^-53 and t = wb w(b) w(a+b) per node (w the clamped
+    profile): numpy sums pairwise in 8-way unrolled blocks of 128, so a sum
+    of n terms is off by at most (log2 n + 18) e sum |t|, and the two sums
+    together by (log2 (panels * nodes) + 36) e sum |t|.  The products wb w w
+    (or c wb w, c c width), the half width, 2 a a and each kernel's
+    r/delta, profile and 1/delta^2 add at most 13 e |t| more; 50 covers
+    both with room.  A node b = mid + half x is off by at most 3 e hi (hi
+    the panel's right end) and a + b by e (a + b) more, which moves each
+    unclamped factor by that much times its slope; the slope comes from a
+    backward difference, which never looks past the horizon.  Times the
+    leading 2 a^2:
 
-        floor = 2 a^2 e sum wb ((log2 n + 30) |w(b) w(a+b)|
+        floor = 2 a^2 e sum wb ((log2 n + 50) |w(b) w(a+b)|
                                 + 3 hi |w'(b)| |w(a+b)| + |w(b)| (a + b + 3 hi) |w'(a+b)|).
     """
+    kernel = levels[level]
     delta = kernel.horizon
     floor = np.zeros_like(a)
     live = np.flatnonzero(delta - a > 0.0)
-    edges, counts = od._edge_matrix(kernel, a[live], delta - a[live])
+    edges, counts = od._edge_matrix(levels, a[live], delta - a[live])
     x, w = quad.legendre(nodes)
     lo, hi = edges[:, :-1, None], edges[:, 1:, None]
     b = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
@@ -338,7 +386,7 @@ def _cross_rounding_floor(kernel, a, nodes):
 
     kb, kab = np.abs(eval_kernel(kernel, b)), np.abs(eval_kernel(kernel, ab))
     log_n = np.log2((counts - 1) * nodes)[:, None, None]
-    terms = wb * ((log_n + 30.0) * kb * kab + 3.0 * hi * slope(b) * kab
+    terms = wb * ((log_n + 50.0) * kb * kab + 3.0 * hi * slope(b) * kab
                   + kb * (ab + 3.0 * hi) * slope(ab))
     floor[live] = 2.0 * a[live] ** 2 * 2.0**-53 * np.sum(terms, axis=(1, 2))
     return floor
@@ -349,24 +397,30 @@ def _cross_rounding_floor(kernel, a, nodes):
                          + [("fractional", b, e) for b in (1.0, 1.4, 1.9)
                             for e in od.DEFAULT_EPS_SEQUENCE])
 def test_rho_nodes_at_the_rounding_floor(monkeypatch, family, beta, eps):
-    # rho at _NODES against a 96-node rule on the same panels: apart from
-    # the two rules' rounding (the cross-term floors, and one rounding of
-    # kp + hp on each side) they agree, the Gauss error being ~3e-25
+    # rho at _NODES against a 96-node rule on the same shared panels: apart
+    # from the two rules' rounding (the cross-term floors, and one rounding
+    # of kp + hp on each side) they agree, the Gauss error being ~3e-25.
+    # The fractional level eps and the tabulated 1e-3 are levels of clamp
+    # ladders, whose panels are cut at every radius of the ladder
+    radii = ()
     if family == "tabulated":
-        kernel = _tabulated()
+        kernel, radii = _tabulated(), (1e-2, eps)
     elif family == "fractional":
-        kernel = epsilon_cutoff(normalize(family, 1, beta=beta), eps)
+        kernel, radii = normalize(family, 1, beta=beta), od.DEFAULT_EPS_SEQUENCE
     else:
         kernel = normalize(family, 1, horizon=0.6)
+    levels = [epsilon_cutoff(kernel, e) for e in radii] or [kernel]
+    level = radii.index(eps) if radii else 0
     a = np.concatenate([od.graded_mesh(kernel.horizon, 64),
                         _special_abscissae(kernel.horizon, eps)])
-    wmass = od._kernel_mass(kernel)
-    got = od._rho_pointwise(kernel, a, wmass)
-    floor = _cross_rounding_floor(kernel, a, od._NODES)
+    got = od._rho_pointwise(kernel, a, radii)[level]
+    floor = _cross_rounding_floor(levels, level, a, od._NODES)
     monkeypatch.setattr(od, "_NODES", 96)
-    ref = od._rho_pointwise(kernel, a, wmass)
-    kp = 2.0 * a * a * eval_kernel(kernel, a) * wmass  # the h-part is ref - kp
-    floor += _cross_rounding_floor(kernel, a, 96) + 2.0**-52 * (np.abs(kp) + np.abs(ref - kp))
+    ref = od._rho_pointwise(kernel, a, radii)[level]
+    clamped = levels[level]
+    kp = 2.0 * a * a * eval_kernel(clamped, a) * od._kernel_mass(clamped)  # the h-part is ref - kp
+    floor += _cross_rounding_floor(levels, level, a, 96)
+    floor += 2.0**-52 * (np.abs(kp) + np.abs(ref - kp))
     assert np.all(np.abs(got - ref) <= floor)
 
 
@@ -473,6 +527,28 @@ def test_rho_value_vanishes_beyond_the_support():
     np.testing.assert_array_equal(rho.value(inside),
                                   np.interp(np.abs(inside), rho.mesh, rho.values))
     assert rho.value(0.3) == rho.value(-0.3) > 0.0
+
+
+@pytest.mark.parametrize("radii", [(), (1e-2, 0.0), (1e-3, -1e-2), (1e-2, math.nan)],
+                         ids=["empty", "zero", "negative", "nan"])
+def test_regularized_checks_every_radius_first(monkeypatch, radii):
+    # the one-pass build needs every radius, so a bad one is refused before
+    # any level is evaluated
+    calls = []
+    monkeypatch.setattr(od, "_kernel_mass", calls.append)
+    with pytest.raises(KernelError, match="clamp radii"):
+        od.rho_regularized(normalize("fractional", 1, beta=1.4), radii, mesh_size=8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
+@pytest.mark.parametrize("build", ["from_kernel", "regularized"])
+def test_rho_rejects_a_mesh_size_that_is_not_a_positive_integer(size, build):
+    with pytest.raises(ValueError, match="mesh size must be a positive integer"):
+        if build == "from_kernel":
+            od.rho_from_kernel(normalize("constant", 1), mesh_size=size)
+        else:
+            od.rho_regularized(normalize("fractional", 1, beta=1.4), (1e-2,), mesh_size=size)
 
 
 def test_kernel_mass_settled_once_per_level(monkeypatch):
