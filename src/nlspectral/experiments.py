@@ -143,8 +143,7 @@ def _orientation(value, where):
 
 
 _KERNEL = _block({"family": (_text, _REQUIRED), "dimension": (_whole(), _REQUIRED),
-                  "delta": (_positive, None), "beta": (_finite, None),
-                  "values": (_list(_finite), None), "mesh": (_list(_finite), None)})
+                  "delta": (_positive, None), "beta": (_finite, None)})
 
 
 def _kernel(dimension=None, swept=False):

@@ -10,10 +10,10 @@ dimension:
 
     integral_{|x| <= 1} w(|x|) |x| dx = d.
 
-Supported families: constant, fractional (w ~ r**-beta for 1 <= beta < 2),
-a fixed sine profile (pi/2) * sin(pi r), and tabulated profiles interpolated
-piecewise-linearly on a graded radial mesh, held as tuples of floats so that
-a KernelSpec is hashable and compares by value (symbols caches by kernel).
+Supported families: constant, fractional (w ~ r**-beta for 1 <= beta < 2)
+and a fixed sine profile (pi/2) * sin(pi r), each normalized in closed form.
+A KernelSpec holds plain values, so it is hashable and compares by value
+(symbols caches by kernel).
 """
 
 from dataclasses import dataclass, replace
@@ -26,9 +26,8 @@ from .errors import KernelError
 CONSTANT = "constant"
 FRACTIONAL = "fractional"
 SINE = "sine"
-TABULATED = "tabulated"
 
-FAMILIES = (CONSTANT, FRACTIONAL, SINE, TABULATED)
+FAMILIES = (CONSTANT, FRACTIONAL, SINE)
 
 # Surface measure of the unit sphere S^{d-1}; the d=1 value 2 counts the
 # two endpoints of the interval so that spherical-shell formulas hold.
@@ -46,8 +45,8 @@ class KernelSpec:
     downstream consumer sees bit-identical values.  ``cutoff_rho`` in (0, 1)
     marks an epsilon-regularized kernel (see :func:`epsilon_cutoff`): the
     profile is clamped on [0, cutoff_rho] to ``cutoff_value`` (the infimum
-    of the profile over that interval).  The knots ``table_r`` and values
-    ``table_w`` of a tabulated profile are stored as tuples of floats.
+    of the profile over that interval).  Every field is a plain value, so a
+    KernelSpec is hashable and compares by value, as a cache key must.
     """
 
     family: str
@@ -55,15 +54,8 @@ class KernelSpec:
     horizon: float
     normalization: float
     beta: float | None = None
-    table_r: tuple | None = None
-    table_w: tuple | None = None
     cutoff_rho: float = 0.0
     cutoff_value: float = 0.0
-
-    def __post_init__(self):
-        for name in ("table_r", "table_w"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
     def profile(self, rho):
         """Normalized unit-ball profile w(rho), vectorized over rho >= 0.
@@ -84,8 +76,6 @@ class KernelSpec:
                 out[inside] = 1.0
             elif self.family == SINE:
                 out[inside] = (math.pi / 2.0) * np.sin(math.pi * rho[inside])
-            elif self.family == TABULATED:
-                out[inside] = np.interp(rho[inside], self.table_r, self.table_w)
             else:
                 raise KernelError(f"unknown kernel family {self.family!r}")
         out *= self.normalization
@@ -108,20 +98,11 @@ class KernelSpec:
 
     @property
     def is_nonincreasing(self):
-        if self.family in (CONSTANT, FRACTIONAL):
-            return True
-        if self.family == TABULATED:
-            return bool(np.all(np.diff(self.table_w) <= 1e-15))
-        return False
+        return self.family in (CONSTANT, FRACTIONAL)
 
     def breakpoints(self):
-        """Profile breakpoints in (0, 1): interpolation knots and cutoff edge."""
-        pts = []
-        if self.family == TABULATED:
-            pts.extend(float(r) for r in self.table_r if 0.0 < r < 1.0)
-        if self.cutoff_rho > 0.0:
-            pts.append(self.cutoff_rho)
-        return sorted(set(pts))
+        """Profile breakpoints in (0, 1): the cutoff edge of a clamped kernel."""
+        return [self.cutoff_rho] if self.cutoff_rho > 0.0 else []
 
 
 def eval_kernel(kernel, r):
@@ -140,36 +121,19 @@ def _moment_constant(family, d, beta=None):
         return d * (d + 1) / area
     if family == FRACTIONAL:
         return d * (d + 1 - beta) / area
-    if family == SINE:
-        # integral_0^1 sin(pi r) r^(d+1) dr, d = 1, 2, 3
-        radial = {
-            1: 1.0 / math.pi,
-            2: (math.pi**2 - 4.0) / math.pi**3,
-            3: (math.pi**2 - 6.0) / math.pi**3,
-        }[d]
-        return d / (area * (math.pi / 2.0) * radial)
-    raise KernelError(f"no closed-form constant for family {family!r}")
+    # sine: integral_0^1 sin(pi r) r^(d+1) dr, d = 1, 2, 3
+    radial = {
+        1: 1.0 / math.pi,
+        2: (math.pi**2 - 4.0) / math.pi**3,
+        3: (math.pi**2 - 6.0) / math.pi**3,
+    }[d]
+    return d / (area * (math.pi / 2.0) * radial)
 
 
-def _tabulated_moment(table_r, table_w, d):
-    # integral of the piecewise-linear profile against r^d, segment by segment
-    # with 4-point Gauss-Legendre (exact: integrand degree <= d + 1 <= 4).
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(4)
-    total = 0.0
-    for a, b in zip(table_r[:-1], table_r[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        r = mid + half * x
-        total += half * np.sum(w * np.interp(r, table_r, table_w) * r**d)
-    return SPHERE_AREA[d] * total
-
-
-def normalize(family, dimension, horizon=1.0, beta=None, values=None, mesh=None):
+def normalize(family, dimension, horizon=1.0, beta=None):
     """Construct a KernelSpec satisfying the first-moment condition.
 
-    Closed-form families get analytic constants; tabulated profiles are
-    normalized by quadrature on their mesh.  The moment condition is
+    Every family gets its analytic constant.  The moment condition is
     re-verified numerically at construction and a failure raises KernelError.
     """
     if dimension not in (1, 2, 3):
@@ -184,29 +148,10 @@ def normalize(family, dimension, horizon=1.0, beta=None, values=None, mesh=None)
     if family not in FAMILIES:
         raise KernelError(f"unknown kernel family {family!r}")
 
-    table_r = table_w = None
     if family == FRACTIONAL:
         if beta is None or not (1.0 <= beta < 2.0):
             raise KernelError(f"fractional exponent must satisfy 1 <= beta < 2, got {beta}")
         const = _moment_constant(family, dimension, beta)
-    elif family == TABULATED:
-        if values is None:
-            raise KernelError("tabulated kernel needs profile values")
-        table_w = np.asarray(values, dtype=float)
-        if np.any(table_w < 0.0):
-            raise KernelError("tabulated kernel values must be nonnegative")
-        if mesh is not None:
-            table_r = np.asarray(mesh, dtype=float)
-        else:
-            # geometrically graded toward r = 0; the first knot sits at 0 so
-            # interpolation needs no extrapolation
-            table_r = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, len(table_w) - 1)])
-        if table_r.shape != table_w.shape or len(table_r) < 2:
-            raise KernelError("tabulated mesh/values mismatch")
-        raw = _tabulated_moment(table_r, table_w, dimension)
-        if raw <= 0.0:
-            raise KernelError("tabulated kernel has zero first moment")
-        const = dimension / raw
     else:
         if beta is not None:
             raise KernelError(f"family {family!r} takes no exponent")
@@ -218,8 +163,6 @@ def normalize(family, dimension, horizon=1.0, beta=None, values=None, mesh=None)
         horizon=float(horizon),
         normalization=float(const),
         beta=None if beta is None else float(beta),
-        table_r=table_r,
-        table_w=table_w,
     )
     check = moment(spec)
     if not math.isclose(check, dimension, rel_tol=MOMENT_RTOL):
@@ -268,8 +211,8 @@ def epsilon_cutoff(kernel, eps):
     elif kernel.family == FRACTIONAL:
         value = kernel.normalization * rho_eps ** (-kernel.beta)
     else:
-        probe = np.linspace(0.0, rho_eps, 4097)
-        value = float(np.min(kernel.profile(probe)))
+        # the sine profile vanishes at the origin and is positive on (0, 1)
+        value = 0.0
     return replace(kernel, cutoff_rho=float(rho_eps), cutoff_value=float(value))
 
 
@@ -277,7 +220,7 @@ def from_config(cfg):
     """Build a kernel from its JSON description.
 
     Expected keys: "family", "dimension", "delta", and "beta" for the
-    fractional family; tabulated kernels add "values" and optionally "mesh".
+    fractional family.
     """
     try:
         family = cfg["family"]
@@ -285,11 +228,4 @@ def from_config(cfg):
         delta = float(cfg["delta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise KernelError(f"bad kernel config: {cfg!r}") from exc
-    return normalize(
-        family,
-        dimension,
-        horizon=delta,
-        beta=cfg.get("beta"),
-        values=cfg.get("values"),
-        mesh=cfg.get("mesh"),
-    )
+    return normalize(family, dimension, horizon=delta, beta=cfg.get("beta"))

@@ -53,7 +53,7 @@ def graded_mesh(delta, size=MESH_SIZE):
 
 @dataclass
 class RhoKernel:
-    """Even bond kernel tabulated on a graded mesh of (0, delta).
+    """Even bond kernel sampled on a graded mesh of (0, delta).
 
     ``value`` interpolates rho on the mesh at arbitrary points;
     ``nodes``/``weights`` give a one-sided quadrature rule for integrals of
@@ -196,15 +196,17 @@ def _rho_levels(kernel, mesh_size, eps_sequence=()):
     """RhoKernel of the kernel clamped at each radius, or of the kernel alone.
 
     Every level shares one abscissa set: the mesh and a bond rule on
-    endpoint-graded panels whose edges hold every clamp radius, so each
-    level keeps its own radius as a panel edge.  One ``_rho_pointwise``
+    endpoint-graded panels whose edges hold every clamp radius and the
+    kernel's own (a clamped kernel's rho has a kink there), so each level
+    keeps its own radius as a panel edge.  One ``_rho_pointwise``
     call evaluates every level there, and each level gets its own values,
     two-sided L1 mass 2 int_0^delta rho(a) da and weights of the one-sided
     rule for int_0^delta rho(a)/a^2 g(a) da.
     """
     delta = kernel.horizon
     mesh = graded_mesh(delta, mesh_size)
-    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, eps_sequence), 32)
+    extra = [*eps_sequence, *(delta * r for r in kernel.breakpoints())]
+    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, extra), 32)
     rho = _rho_pointwise(kernel, np.concatenate([mesh, a]), eps_sequence)
     levels = []
     for eps, values in zip(eps_sequence or (0.0,), rho):
@@ -296,7 +298,7 @@ def bond_energy(rho, u):
     4N + 2) points (exact for band-limited integrands).  u(x+a) is a
     separable phase sum: with exp(ik(x+a)) = exp(ikx) exp(ika), the real
     and imaginary parts of exp(ikx) uhat_k (per mode and x) and of exp(ika)
-    (per mode and bond node) are tabulated once, and each block of at most
+    (per mode and bond node) are computed once, and each block of at most
     ``quad._BLOCK`` (part, x, a) entries, a cache-sized budget, accumulates
     u(x+a) mode by mode in real arithmetic.  Every entry is summed in the same order whatever the
     blocks, so the value does not depend on the budget; a BLAS matmul's

@@ -3,10 +3,10 @@
 ``scaled_radial_rule``, the radial rule of every symbol table, integrates
 against w_delta(r) r^(d-1) dr on (0, delta]: Gauss-Jacobi (Golub-Welsch)
 for the singular r^-beta weight, else composite Gauss-Legendre split at
-the profile's breakpoints.  ``halfball_points``, the one half-ball rule,
-is that radial rule times Gauss-Legendre angles on the half-circle (2D)
-or polar angles times an azimuth trapezoid on the hemisphere (3D) about
-the orientation, as physical offsets and weights.  The symbol tables close
+a clamped profile's cutoff radius.  ``halfball_points``, the one
+half-ball rule, is that radial rule times Gauss-Legendre angles on the
+half-circle (2D) or polar angles times an azimuth trapezoid on the
+hemisphere (3D) about the orientation, as physical offsets and weights.  The symbol tables close
 their angular integrals (``symbols``), so it serves the physical-space
 checks alone: ``integrate_halfball``, the oracles of ``operators`` and
 the test oracles.  ``_interval_rule`` is the 1D rule on (0, delta] (``onedim``).
@@ -17,8 +17,8 @@ fixed pair) and accepts the finer of the first two successive levels whose
 largest change is at most tol times the finer level's largest magnitude;
 otherwise it raises QuadratureConvergenceError with the last error and
 level.  Composite Gauss-Legendre rules come from ``gl_panels``, except
-those that ``onedim._cross_integral``, ``operators._window_rule`` and
-``kernels._tabulated_moment`` build from Gauss-Legendre nodes themselves.
+those that ``onedim._cross_integral`` and ``operators._window_rule`` build
+from Gauss-Legendre nodes themselves.
 """
 
 from functools import lru_cache
@@ -171,23 +171,14 @@ def scaled_radial_rule(kernel, panels=1, n_nodes=24):
 
 
 def _edges(kernel):
-    """Panel edges of [0, 1] honoring profile breakpoints.
+    """Panel edges of [0, 1] honoring the profile's breakpoint, if any.
 
     Regularized fractional kernels get octave-geometric panels to the right
     of the cutoff radius, where the profile still spans many decades.
     """
-    breaks = [0.0] + kernel.breakpoints() + [1.0]
-    edges = [0.0]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if (
-            kernel.family == FRACTIONAL
-            and kernel.cutoff_rho > 0.0
-            and a >= kernel.cutoff_rho - 1e-300
-        ):
-            edges.extend(geometric_edges(a, b)[1:])
-        else:
-            edges.append(b)
-    return edges
+    if kernel.family == FRACTIONAL and kernel.cutoff_rho > 0.0:
+        return [0.0] + geometric_edges(kernel.cutoff_rho, 1.0)
+    return [0.0] + kernel.breakpoints() + [1.0]
 
 
 def frame_matrix(n):

@@ -26,13 +26,13 @@ Only the zonal factors and the direction xi^ depend on the orientation, so
 the factors of one kernel, lattice and radial count serve every orientation.
 _re_lambda takes them from _cached_factors, a thread-safe functools.lru_cache
 of _RADIAL_CACHE_SIZE = 4 read-only entries, one full ladder of build_table,
-keyed by the kernel (a KernelSpec is hashable, a tabulated profile held as
-tuples), the lattice bound N and the radial count nr, which decide the
-lattice, the order L and every value of an entry.  An entry is the pair
-(M, Lambda), Lambda at each distinct |xi|: in 3D M holds the radial sums
-R_l at the even orders over the distinct |xi|, in 2D the matrix of w_l
-R_l(|xi|) cos(l theta_xi) and sin(l theta_xi) over the modes, so that each
-further 2D orientation costs one small product M A(n) (_re_lambda).  Each
+keyed by the kernel (a KernelSpec is hashable), the lattice bound N and
+the radial count nr, which decide the lattice, the order L and every value
+of an entry.  An entry is the pair (M, Lambda), Lambda at each distinct
+|xi|: in 3D M holds the radial sums R_l at the even orders over the
+distinct |xi|, in 2D the matrix of w_l R_l(|xi|) cos(l theta_xi) and
+sin(l theta_xi) over the modes, so that each further 2D orientation costs
+one small product M A(n) (_re_lambda).  Each
 level of a refinement ladder is its own entry, so settle still compares
 two computed levels, and an orientation sweep hits at whichever level it
 settles; a hit gives the bits of a cold evaluation.  The ladder starts at
@@ -619,8 +619,6 @@ def save_table(table, path):
     if table.kernel is None:
         raise ValueError("local tables are analytic; nothing to cache")
     k = table.kernel
-    if k.family == "tabulated":
-        raise ValueError("tabulated kernels are not supported by the text cache")
     hdr = (
         f"# nlspectral-symbols d={k.dimension} N={table.bound} family={k.family} "
         f"beta={'' if k.beta is None else repr(k.beta)} delta={k.horizon!r} "

@@ -223,6 +223,12 @@ BAD_CONFIGS = {
     "top-level typo": ("stokes", dict(SMALL_STOKES, decya=9.0), "'decya'"),
     "kernel typo": ("stokes", dict(SMALL_STOKES, kernel=dict(SMALL_STOKES["kernel"], betaa=1.5)),
                     "'betaa'"),
+    # the kernel families are constant, fractional and sine, which take no
+    # profile values
+    "kernel family tabulated": ("stokes", dict(SMALL_STOKES, kernel=dict(
+        SMALL_STOKES["kernel"], family="tabulated")), "unknown kernel family"),
+    "kernel values": ("stokes", dict(SMALL_STOKES, kernel=dict(
+        SMALL_STOKES["kernel"], values=[3.0, 2.0, 1.0, 0.5])), "unknown key 'values'"),
     "tolerance typo": ("stokes", dict(SMALL_STOKES, tolerances={"quad.tl": 1e-8}), "'quad.tl'"),
     "seed string": ("stokes", dict(SMALL_STOKES, seed="x"), "seed"),
     "seed float": ("stokes", dict(SMALL_STOKES, seed=7.9), "seed"),

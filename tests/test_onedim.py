@@ -225,22 +225,28 @@ def _assert_rho_close(got, ref):
     assert np.max(np.abs(got.weights - ref.weights)) <= 1e-13 * np.max(np.abs(ref.weights))
 
 
-def _tabulated(horizon=0.8):
-    # non-increasing with interior knots: breakpoint and shifted edges
-    return normalize("tabulated", 1, horizon=horizon, values=[3.0, 2.5, 1.0, 0.6, 0.1],
-                     mesh=[0.0, 0.15, 0.4, 0.65, 1.0])
-
-
 @pytest.mark.parametrize("make", [
     lambda: normalize("constant", 1, horizon=0.6),
     lambda: normalize("sine", 1),
-    _tabulated,
-], ids=["constant", "sine", "tabulated"])
+], ids=["constant", "sine"])
 def test_block_rho_from_kernel_matches_loop(monkeypatch, make):
     kernel = make()
     got = od.rho_from_kernel(kernel, mesh_size=256)
     monkeypatch.setattr(od, "_rho_pointwise", _rho_levels_loop)
     _assert_rho_close(got, od.rho_from_kernel(kernel, mesh_size=256))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
+def test_a_clamped_kernel_gives_the_rho_of_its_clamp_level(eps):
+    # the clamp radius of the kernel itself is a panel edge of the bond rule,
+    # as every radius of a clamp ladder is, so rho has no kink inside a
+    # panel and both builds of the clamped kernel agree bit for bit
+    kernel = normalize("fractional", 1, beta=1.4)
+    alone = od.rho_from_kernel(epsilon_cutoff(kernel, eps), mesh_size=64)
+    level = od.rho_regularized(kernel, (eps,), mesh_size=64)[0][0]
+    np.testing.assert_array_equal(alone.nodes, level.nodes)
+    np.testing.assert_array_equal(alone.values, level.values)
+    assert alone.l1_mass == level.l1_mass
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
@@ -289,7 +295,7 @@ def test_block_rho_special_abscissae(beta, eps):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    family=st.sampled_from(["constant", "sine", "tabulated", "fractional"]),
+    family=st.sampled_from(["constant", "sine", "fractional"]),
     beta=st.floats(1.0, 1.95),
     delta=st.floats(0.05, 2.0),
     eps_frac=st.floats(1e-7, 0.5),
@@ -297,9 +303,7 @@ def test_block_rho_special_abscissae(beta, eps):
     size=st.integers(1, 48),
 )
 def test_block_rho_property(family, beta, delta, eps_frac, clamp, size):
-    if family == "tabulated":
-        kernel = _tabulated(delta)
-    elif family == "fractional":
+    if family == "fractional":
         kernel = normalize(family, 1, beta=beta, horizon=delta)
     else:
         kernel = normalize(family, 1, horizon=delta)
@@ -393,19 +397,17 @@ def _cross_rounding_floor(levels, level, a, nodes):
 
 
 @pytest.mark.parametrize("family, beta, eps",
-                         [(f, None, 1e-3) for f in ("constant", "sine", "tabulated")]
+                         [(f, None, 1e-3) for f in ("constant", "sine")]
                          + [("fractional", b, e) for b in (1.0, 1.4, 1.9)
                             for e in od.DEFAULT_EPS_SEQUENCE])
 def test_rho_nodes_at_the_rounding_floor(monkeypatch, family, beta, eps):
     # rho at _NODES against a 96-node rule on the same shared panels: apart
     # from the two rules' rounding (the cross-term floors, and one rounding
     # of kp + hp on each side) they agree, the Gauss error being ~3e-25.
-    # The fractional level eps and the tabulated 1e-3 are levels of clamp
-    # ladders, whose panels are cut at every radius of the ladder
+    # The fractional level eps is a level of the clamp ladder, whose panels
+    # are cut at every radius of the ladder
     radii = ()
-    if family == "tabulated":
-        kernel, radii = _tabulated(), (1e-2, eps)
-    elif family == "fractional":
+    if family == "fractional":
         kernel, radii = normalize(family, 1, beta=beta), od.DEFAULT_EPS_SEQUENCE
     else:
         kernel = normalize(family, 1, horizon=0.6)

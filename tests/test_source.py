@@ -12,16 +12,26 @@ passed, by keyword or by position, by some call outside tests/ to a
 function of that name: a setting that no caller sets is a constant at its
 one use.  A call with ``*args`` passes every position, one with
 ``**kwargs`` every keyword.
+
+And every kernel family must be run: named as a ``"family"`` value in some
+preset, or spelled as a string literal by the demos, the benchmark harness
+or the experiment runners.
 """
 
 import ast
+import json
 import math
 from pathlib import Path
+
+from nlspectral.kernels import FAMILIES
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "nlspectral").glob("*.py"))
 USERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py")) + sorted(
     path for folder in ("demos", "tools") for path in (ROOT / folder).rglob("*.py"))
+PRESETS = sorted((ROOT / "presets").glob("*.json"))
+RUNNERS = sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "src" / "nlspectral" / "experiments.py"]
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCS + (ast.ClassDef,)
@@ -103,6 +113,27 @@ def _unset_parameters(library, users):
                        for count, kw in calls.get(node.name, []))]
 
 
+def _family_values(doc):
+    """The values of every "family" key in a parsed JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key == "family":
+                yield value
+            yield from _family_values(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _family_values(value)
+
+
+def _unrun_families(families, presets, runners):
+    """The families that no preset names as a "family" and no runner tree
+    spells as a string literal."""
+    used = {value for doc in presets for value in _family_values(doc)}
+    used |= {node.value for tree in runners for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return [family for family in families if family not in used]
+
+
 def test_no_public_name_is_used_by_the_tests_alone():
     library = [ast.parse(path.read_text(), str(path)) for path in LIBRARY]
     users = [ast.parse(path.read_text(), str(path)) for path in USERS]
@@ -136,6 +167,23 @@ def test_no_setting_is_set_by_the_tests_alone():
     unset = _unset_parameters(library, users)
     assert not unset, ("defaulted parameters that no caller outside tests/ passes; "
                        "make each a constant at its use: " + ", ".join(unset))
+
+
+def test_every_kernel_family_is_run_outside_the_tests():
+    presets = [json.loads(path.read_text()) for path in PRESETS]
+    runners = [ast.parse(path.read_text(), str(path)) for path in RUNNERS]
+    unrun = _unrun_families(FAMILIES, presets, runners)
+    assert not unrun, ("kernel families that no preset, demo, benchmark workload or "
+                       "experiment runner uses; move them to tests/: " + ", ".join(unrun))
+
+
+def test_a_test_only_family_is_found():
+    # the check itself: a family named in a nested preset kernel list, one
+    # spelled by a runner, and the miss: a name that is only a variable
+    presets = [{"kernels": [{"family": "constant", "dimension": 2}]}]
+    runners = [ast.parse('normalize("sine", 1)\nsquare = "fractional".upper()\n')]
+    assert _unrun_families(("constant", "sine", "fractional", "square"),
+                           presets, runners) == ["square"]
 
 
 def test_an_unset_parameter_is_found():

@@ -1068,8 +1068,6 @@ _SWEEP = {
     "fractional 1.99": lambda d, delta: normalize("fractional", d, beta=1.99, horizon=delta),
     "fractional 1.999": lambda d, delta: normalize("fractional", d, beta=1.999, horizon=delta),
     "sine": lambda d, delta: normalize("sine", d, horizon=delta),
-    "tabulated": lambda d, delta: normalize("tabulated", d, horizon=delta,
-                                            values=[3.0, 2.0, 1.0, 0.5]),
     "clamped": lambda d, delta: epsilon_cutoff(
         normalize("fractional", d, beta=1.5, horizon=delta), delta / 16),
     "clamped 1.99": lambda d, delta: epsilon_cutoff(
@@ -1100,7 +1098,7 @@ def test_tables_match_the_tables_of_the_old_start(monkeypatch, family, d, delta,
 # delta sqrt(d) N = 990 and 999, next to the cap of 1000.  The old start's
 # rules there have 1013 nodes and more, and a Gauss-Jacobi rule that size
 # takes seconds to build, so the fractional kernels sit this one out
-@pytest.mark.parametrize("family", ["constant", "sine", "tabulated", "clamped 1.99"])
+@pytest.mark.parametrize("family", ["constant", "sine", "clamped 1.99"])
 @pytest.mark.parametrize("d, delta", [(2, 700.0), (3, 577.0)])
 def test_tables_next_to_the_cap_match_the_old_start(monkeypatch, family, d, delta):
     _assert_matches_the_old_start(monkeypatch, family, d, delta, 1)
@@ -1114,29 +1112,19 @@ def _unit(d):
     return np.array([0.6, -0.8]) if d == 2 else np.array([0.48, -0.6, 0.64])
 
 
-def _one_ulp_more_at(values, i):
-    """The tuple values with its entry i one ulp larger."""
-    return values[:i] + (float(np.nextafter(values[i], np.inf)),) + values[i + 1:]
-
-
 def _cache_pair(case):
     """Two (kernel, bound) that differ in one field of the kernel or in the bound."""
     frac = normalize("fractional", 2, beta=1.5, horizon=0.1)
-    tab = normalize("tabulated", 2, horizon=0.1, values=[3.0, 2.0, 1.0, 0.5])
     return {
         "clamped": ((frac, 3), (epsilon_cutoff(frac, 0.01), 3)),
         "normalization": ((frac, 3), (dataclasses.replace(frac, normalization=2.0), 3)),
-        "tabulated value": ((tab, 3),
-                            (dataclasses.replace(tab, table_w=_one_ulp_more_at(tab.table_w, 2)),
-                             3)),
         "dimension": ((normalize("constant", 2, horizon=0.1), 3),
                       (normalize("constant", 3, horizon=0.1), 3)),
         "bound": ((frac, 4), (frac, 5)),
     }[case]
 
 
-@pytest.mark.parametrize("case", ["clamped", "normalization", "tabulated value", "dimension",
-                                  "bound"])
+@pytest.mark.parametrize("case", ["clamped", "normalization", "dimension", "bound"])
 def test_radial_cache_keeps_kernels_apart(case):
     # the second evaluation gets its own entry and the bits of a cold cache
     (ka, ba), (kb, bb) = _cache_pair(case)
