@@ -33,6 +33,11 @@ kf = normalize("fractional", 1, beta=1.0)
 levels, limit = od.rho_regularized(kf, mesh_size=256)
 for lv in levels:
     print(f"eps={lv.epsilon:8.1e}  mass={lv.l1_mass:.9f}")
+# the limit's bond symbol against |lambda^+|^2 of the uncut kernel itself
+xi = np.arange(1.0, 9.0)
+lam2 = np.abs(od.one_sided_symbol(kf, xi)) ** 2
+gap = float(np.max(np.abs(lam2 + ops.bond_symbol(limit, xi)) / lam2))
+print(f"max relative gap of -bond symbol vs |lambda+|^2 over xi = 1..8: {gap:.1e}")
 
 print()
 print("=== energy equivalence on u = sin x ===")

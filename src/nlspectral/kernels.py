@@ -43,10 +43,11 @@ class KernelSpec:
     ``normalization`` is the dimensionless constant multiplying the raw family
     profile; it is computed once by :func:`normalize` and stored so every
     downstream consumer sees bit-identical values.  ``cutoff_rho`` in (0, 1)
-    marks an epsilon-regularized kernel (see :func:`epsilon_cutoff`): the
-    profile is clamped on [0, cutoff_rho] to ``cutoff_value`` (the infimum
-    of the profile over that interval).  Every field is a plain value, so a
-    KernelSpec is hashable and compares by value, as a cache key must.
+    marks a clamped 1D fractional kernel (see :func:`epsilon_cutoff`), the
+    one the 1D clamp ladder of ``onedim`` builds: the profile is clamped on
+    [0, cutoff_rho] to ``cutoff_value``, its value at cutoff_rho.  Every
+    field is a plain value, so a KernelSpec is hashable and compares by
+    value, as a cache key must.
     """
 
     family: str
@@ -88,21 +89,6 @@ class KernelSpec:
     def is_singular(self):
         """True when the profile is unbounded at the origin."""
         return self.family == FRACTIONAL and self.cutoff_rho == 0.0
-
-    @property
-    def is_integrable(self):
-        """True when w_delta is integrable over its support."""
-        if self.family == FRACTIONAL and self.cutoff_rho == 0.0:
-            return self.beta < self.dimension
-        return True
-
-    @property
-    def is_nonincreasing(self):
-        return self.family in (CONSTANT, FRACTIONAL)
-
-    def breakpoints(self):
-        """Profile breakpoints in (0, 1): the cutoff edge of a clamped kernel."""
-        return [self.cutoff_rho] if self.cutoff_rho > 0.0 else []
 
 
 def eval_kernel(kernel, r):
@@ -178,8 +164,8 @@ def moment(kernel):
     Acts as the construction-time oracle for the normalization constants; it
     deliberately reimplements the integral instead of using the quadrature
     module.  The singular fractional profile integrates in closed form,
-    int_0^1 r^(d - beta) dr = 1/(d - beta + 1); everything else uses
-    64-point Gauss-Legendre panels between the profile breakpoints.
+    int_0^1 r^(d - beta) dr = 1/(d - beta + 1); the smooth profiles use a
+    64-point Gauss-Legendre rule on [0, 1].
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -187,32 +173,24 @@ def moment(kernel):
     if kernel.is_singular:
         return SPHERE_AREA[d] * (kernel.normalization / (d - kernel.beta + 1.0))
     x, w = leggauss(64)
-    edges = [0.0] + kernel.breakpoints() + [1.0]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        r = mid + half * x
-        total += half * np.sum(w * kernel.profile(r) * r**d)
-    return SPHERE_AREA[d] * total
+    r = 0.5 + 0.5 * x
+    return SPHERE_AREA[d] * (0.5 * np.sum(w * kernel.profile(r) * r**d))
 
 
 def epsilon_cutoff(kernel, eps):
-    """Clamp the kernel on [0, eps] to its infimum there (regularization).
+    """Clamp an uncut 1D fractional kernel on [0, eps] to w_delta(eps).
 
-    The returned kernel equals w_delta for r > eps and the constant
-    inf_{|y| <= eps} w_delta(|y|) otherwise; it is integrable and, for a
-    non-increasing base profile, non-increasing.
+    The returned kernel equals w_delta for r > eps and w_delta(eps), its
+    infimum on [0, eps], below; it is integrable and non-increasing, and is
+    a level of the 1D clamp ladder (``onedim.rho_regularized``).  The
+    half-ball tables need no clamp, so KernelError for any other kernel.
     """
+    if not (kernel.dimension == 1 and kernel.is_singular):
+        raise KernelError(f"only an uncut 1D fractional kernel is clamped, got {kernel!r}")
     if not (0.0 < eps < kernel.horizon):
         raise KernelError(f"cutoff must satisfy 0 < eps < delta, got {eps}")
     rho_eps = eps / kernel.horizon
-    if kernel.family == CONSTANT:
-        value = kernel.normalization
-    elif kernel.family == FRACTIONAL:
-        value = kernel.normalization * rho_eps ** (-kernel.beta)
-    else:
-        # the sine profile vanishes at the origin and is positive on (0, 1)
-        value = 0.0
+    value = kernel.normalization * rho_eps ** (-kernel.beta)
     return replace(kernel, cutoff_rho=float(rho_eps), cutoff_value=float(value))
 
 

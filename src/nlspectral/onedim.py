@@ -78,9 +78,9 @@ class RhoKernel:
 def _edge_matrix(levels, a, top):
     """Panel edges shared by every level's w(b) w(a+b) on (0, top), a row per a.
 
-    ``levels`` are one profile clamped at several radii, or one kernel.  The
-    edges are each level's breakpoints e (its clamp radius among them) and
-    e - a, and for a clamped power profile, which varies over decades above
+    ``levels`` are one fractional profile clamped at several radii, or one
+    unclamped kernel, which adds no edge.  The edges are each level's clamp
+    radius e and e - a, and, as the power profile varies over decades above
     its clamp, the doubling ladders of the finest radius in b and in a + b.
     So each panel lies on one side of every clamp in b and in a + b, and is
     a piece of a doubling panel.  Row i holds 0, the distinct edges inside
@@ -89,10 +89,10 @@ def _edge_matrix(levels, a, top):
     """
     delta = levels[0].horizon
     cols = [top]
-    for e in {delta * r for k in levels for r in k.breakpoints()}:
+    for e in {delta * k.cutoff_rho for k in levels if k.cutoff_rho > 0.0}:
         cols += [np.full_like(a, e), e - a]
     finest = min(levels, key=lambda k: k.cutoff_rho)
-    if finest.family == FRACTIONAL and finest.cutoff_rho > 0.0:
+    if finest.cutoff_rho > 0.0:
         eps = finest.cutoff_rho * delta
         for anchor in (np.full_like(a, eps), eps - a):
             anchor = np.where(anchor <= 0.0, np.minimum(eps, top) * 0.5, anchor)
@@ -121,9 +121,9 @@ def _cross_integral(kernel, a, edges, clamps):
     (padding) add nothing; the nodes and weights of the others are those of
     ``quad.gl_panels`` on the row.
 
-    16 nodes put the Gauss error below rounding.  Breakpoints and clamp
-    edges are panel edges, so inside a panel each factor is entire or
-    polynomial for the smooth profiles, constant where clamped, and for a
+    16 nodes put the Gauss error below rounding.  Clamp edges are panel
+    edges, so inside a panel each factor is entire or polynomial for the
+    smooth profiles, constant where clamped, and for a
     power profile singular only at b = 0 and b = -a (w(b) is clamped on
     the first panel, which ends at or below the finest radius).  Each panel
     [lo, hi] past the first is a piece of a doubling panel of the finest
@@ -196,17 +196,16 @@ def _rho_levels(kernel, mesh_size, eps_sequence=()):
     """RhoKernel of the kernel clamped at each radius, or of the kernel alone.
 
     Every level shares one abscissa set: the mesh and a bond rule on
-    endpoint-graded panels whose edges hold every clamp radius and the
-    kernel's own (a clamped kernel's rho has a kink there), so each level
-    keeps its own radius as a panel edge.  One ``_rho_pointwise``
+    endpoint-graded panels whose edges hold every clamp radius (a clamped
+    kernel's rho has a kink there), so each level keeps its own radius as
+    a panel edge.  One ``_rho_pointwise``
     call evaluates every level there, and each level gets its own values,
     two-sided L1 mass 2 int_0^delta rho(a) da and weights of the one-sided
     rule for int_0^delta rho(a)/a^2 g(a) da.
     """
     delta = kernel.horizon
     mesh = graded_mesh(delta, mesh_size)
-    extra = [*eps_sequence, *(delta * r for r in kernel.breakpoints())]
-    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, extra), 32)
+    a, wa = quad.gl_panels(_endpoint_graded_edges(delta, eps_sequence), 32)
     rho = _rho_pointwise(kernel, np.concatenate([mesh, a]), eps_sequence)
     levels = []
     for eps, values in zip(eps_sequence or (0.0,), rho):
@@ -217,32 +216,27 @@ def _rho_levels(kernel, mesh_size, eps_sequence=()):
 
 
 def rho_from_kernel(kernel, mesh_size=MESH_SIZE):
-    """Bond kernel of an integrable 1D kernel, by direct quadrature.
+    """Bond kernel of a 1D constant or sine kernel, by direct quadrature.
 
-    Rejects non-integrable kernels (fractional with beta >= 1); those go
-    through rho_regularized.
+    Rejects a fractional kernel, uncut (not integrable for beta >= 1) or
+    clamped: its bond kernels are the levels of rho_regularized.
     """
-    if kernel.dimension != 1:
-        raise KernelError("rho is a one-dimensional construction")
-    if not kernel.is_integrable:
-        raise KernelError(
-            "kernel is not integrable; use rho_regularized for the clamped limit"
-        )
+    if kernel.dimension != 1 or kernel.family == FRACTIONAL:
+        raise KernelError("rho_from_kernel takes a 1D constant or sine kernel; a fractional "
+                          "kernel's rho is the clamped limit of rho_regularized")
     return _rho_levels(kernel, mesh_size)[0]
 
 
 def rho_regularized(kernel, eps_sequence=DEFAULT_EPS_SEQUENCE, mesh_size=MESH_SIZE):
-    """Clamped bond kernels for a non-increasing 1D kernel, plus their limit.
+    """Clamped bond kernels of an uncut 1D fractional kernel, plus their limit.
 
     Returns (levels, limit): one RhoKernel per clamp radius eps (decreasing)
     and the finest level standing in for the eps -> 0 limit.  All levels
     come from one evaluation of the profile, so every radius is checked
     first.  Monotone increase in shrinking eps is verified on the mesh.
     """
-    if kernel.dimension != 1:
-        raise KernelError("rho is a one-dimensional construction")
-    if not kernel.is_nonincreasing:
-        raise KernelError("regularized rho needs a non-increasing kernel profile")
+    if not (kernel.dimension == 1 and kernel.is_singular):
+        raise KernelError("regularized rho needs an uncut 1D fractional kernel")
     eps_sequence = sorted(eps_sequence, reverse=True)
     if not eps_sequence or not all(0.0 < e < kernel.horizon for e in eps_sequence):
         raise KernelError(f"clamp radii must be a non-empty sequence in (0, delta), "

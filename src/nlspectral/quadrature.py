@@ -2,9 +2,12 @@
 
 ``scaled_radial_rule``, the radial rule of every symbol table, integrates
 against w_delta(r) r^(d-1) dr on (0, delta]: Gauss-Jacobi (Golub-Welsch)
-for the singular r^-beta weight, else composite Gauss-Legendre split at
-a clamped profile's cutoff radius.  ``halfball_points``, the one
-half-ball rule, is that radial rule times Gauss-Legendre angles on the
+for the singular r^-beta weight, else composite Gauss-Legendre.  The
+half-ball rules refuse a clamped kernel (``ball_dimension``): the
+half-ball operators need no clamp near the origin, and the one clamp,
+of the 1D fractional kernel, is integrated by ``_interval_rule``.
+``halfball_points``, the one half-ball rule, is that radial rule times
+Gauss-Legendre angles on the
 half-circle (2D) or polar angles times an azimuth trapezoid on the
 hemisphere (3D) about the orientation, as physical offsets and weights.  The symbol tables close
 their angular integrals (``symbols``), so it serves the physical-space
@@ -28,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import KernelError, QuadratureConvergenceError
-from .kernels import FRACTIONAL, eval_kernel
+from .kernels import eval_kernel
 
 DEFAULT_TOL = 1e-10
 _TINY = 1e-300
@@ -141,20 +144,22 @@ def _split_rule(edges, panels, n):
 # ---------------------------------------------------------------------------
 
 def ball_dimension(kernel):
-    """The kernel's dimension; KernelError, naming it, unless it is 2 or 3."""
+    """The kernel's dimension; KernelError, naming it, unless it is 2 or 3 and unclamped."""
     d = kernel.dimension
-    if d not in (2, 3):
-        raise KernelError(f"symbols and radial rules need a 2D or 3D kernel, got dimension {d}")
+    if d not in (2, 3) or kernel.cutoff_rho > 0.0:
+        raise KernelError(f"symbols and radial rules need an unclamped 2D or 3D kernel, got "
+                          f"dimension {d} and cutoff {kernel.cutoff_rho!r}")
     return d
 
 
 def scaled_radial_rule(kernel, panels=1, n_nodes=24):
     """Nodes/weights (r, v) with sum v*g(r) ~ int_0^delta w_delta(r) r^(d-1) g dr.
 
-    Built on (0, 1] and scaled by the horizon, for a 2D or 3D kernel
-    (``ball_dimension``; 1D kernels have their own rule,
-    ``_interval_rule``).  For uncut fractional kernels the algebraic
-    weight rho^(d-1-beta) is built into a Gauss-Jacobi rule.
+    Built on (0, 1] and scaled by the horizon, for an unclamped 2D or 3D
+    kernel (``ball_dimension``; 1D kernels have their own rule,
+    ``_interval_rule``).  For fractional kernels the algebraic weight
+    rho^(d-1-beta) is built into a Gauss-Jacobi rule; the smooth profiles
+    take ``panels`` Gauss-Legendre panels on [0, 1].
     """
     d = ball_dimension(kernel)
     if kernel.is_singular:
@@ -163,22 +168,9 @@ def scaled_radial_rule(kernel, panels=1, n_nodes=24):
         rho = 0.5 * (x + 1.0)
         v = kernel.normalization * w * 0.5 ** (gamma + 1.0)
     else:
-        rho, w = _split_rule(_edges(kernel), panels, n_nodes)
+        rho, w = _split_rule([0.0, 1.0], panels, n_nodes)
         v = w * kernel.profile(rho) * rho ** (d - 1)
-        keep = v != 0.0
-        rho, v = rho[keep], v[keep]
     return kernel.horizon * rho, v / kernel.horizon
-
-
-def _edges(kernel):
-    """Panel edges of [0, 1] honoring the profile's breakpoint, if any.
-
-    Regularized fractional kernels get octave-geometric panels to the right
-    of the cutoff radius, where the profile still spans many decades.
-    """
-    if kernel.family == FRACTIONAL and kernel.cutoff_rho > 0.0:
-        return [0.0] + geometric_edges(kernel.cutoff_rho, 1.0)
-    return [0.0] + kernel.breakpoints() + [1.0]
 
 
 def frame_matrix(n):
@@ -255,7 +247,9 @@ def _interval_rule(kernel, panels, n_nodes=24):
     """Nodes/weights (s, v) with sum v*g(s) ~ int_0^delta w_delta(s) g(s) ds, 1D kernel.
 
     n_nodes * panels Gauss-Jacobi nodes for an uncut fractional kernel, else
-    Gauss-Legendre panels at the breakpoints and above a clamp radius.
+    Gauss-Legendre panels: on (0, delta) for a smooth profile, and for a
+    clamped one on the clamp and the octaves above its radius, where the
+    power law still spans many decades.
     """
     delta = kernel.horizon
     if kernel.is_singular:
@@ -264,10 +258,7 @@ def _interval_rule(kernel, panels, n_nodes=24):
         s = delta * (0.5 * (x + 1.0))
         scale = kernel.normalization / delta ** (2.0 - kernel.beta)
         return s, scale * w * 0.5 ** (gamma + 1.0) * delta ** (gamma + 1.0) / s
-    edges = {0.0, delta} | {delta * r for r in kernel.breakpoints() if 0.0 < delta * r < delta}
-    if kernel.family == FRACTIONAL and kernel.cutoff_rho > 0.0:
-        # clamped power profile: geometric panels resolve the decades above
-        # the clamp radius
-        edges.update(geometric_edges(kernel.cutoff_rho * delta, delta)[1:-1])
-    s, w = _split_rule(sorted(edges), panels, n_nodes)
+    eps = kernel.cutoff_rho * delta
+    edges = [0.0] + geometric_edges(eps, delta) if eps > 0.0 else [0.0, delta]
+    s, w = _split_rule(edges, panels, n_nodes)
     return s, w * eval_kernel(kernel, s)

@@ -126,7 +126,9 @@ class SymbolTable:
 
     A table is valid by construction, whether built, loaded, local, made by
     hand or by dataclasses.replace: its arrays become read-only; ValueError
-    unless they have the shapes above; KernelError unless lambda(0) = 0 and
+    unless they have the shapes above; KernelError unless its kernel, if
+    any, is an unclamped kernel of its dimension (quadrature.ball_dimension),
+    so that save_table writes all of it, and unless lambda(0) = 0 and
     0 < |lambda| <= sqrt(2) d |xi| at every other mode, which a NaN fails.
     It is frozen, so no reassigned attribute escapes that check, and a copy
     (pickle, copy.deepcopy) is rebuilt through the constructor.
@@ -145,6 +147,8 @@ class SymbolTable:
                 or self.radial.shape != lattice(self.bound, d).q2.shape):
             raise ValueError(f"lam {self.lam.shape} and radial {self.radial.shape} "
                              f"do not fit N={self.bound}")
+        if self.kernel is not None and quad.ball_dimension(self.kernel) != d:
+            raise KernelError(f"a {self.kernel.dimension}D kernel for a {d}D table")
         for a in (self.lam, self.radial):
             _read_only(a)
         if np.any(self.lam[centre]):
@@ -217,7 +221,7 @@ def _radial_count(x, d):
     misses int w g by g^(2n)(z)/(2n)! int w pi_n^2, and int w pi_n^2 <= 4
     (h/4)^(2n) int w, since the monic Chebyshev polynomial of the interval
     is at most 2 (h/4)^n there.  In rho = r/delta every radial rule is such a
-    rule on (0, 1] or on panels of it: Gauss-Jacobi, whose weight holds
+    rule on (0, 1]: Gauss-Jacobi, whose weight holds
     rho^(d-1-beta), or Gauss-Legendre, whose integrand is rho^(d-1) f_l(x
     rho) times the profile.  |f_l^(j)| <= 1 at every order l and j (J_l
     and j_l are averages of a unit phase), so by Leibniz the 2n-th
@@ -229,12 +233,11 @@ def _radial_count(x, d):
 
     for a constant profile and for Gauss-Jacobi.  The count is the least n
     that brings it to eps, the rounding that R_0 already carries
-    (docs/full_ball.md), and at least 6.  What another profile adds to the
-    derivatives (the sine's, the clamped power law's on its octave panels)
-    is left to the ladder, which then settles a level or two later: from 6,
-    its levels reach 10, 16 and 25 nodes, which resolve those profiles to
-    rounding, while the bound alone falls to 2 as x -> 0, and its ladder
-    would end at 11.
+    (docs/full_ball.md), and at least 6.  What the sine profile adds to the
+    derivatives is left to the ladder, which then settles a level later:
+    from 6, its levels reach 10, 16 and 25 nodes, which resolve that
+    profile to rounding, while the bound alone falls to 2 as x -> 0, and
+    its ladder would end at 11.
     """
     log_eps, n = math.log(np.finfo(float).eps), 6
     while True:

@@ -251,6 +251,11 @@ BAD_CONFIGS = {
     "energy-1d float mesh": ("energy-1d", {"mesh": 2048.0}, "mesh"),
     "energy-1d bool ximax": ("energy-1d", {"checks": ["double"], "ximax": True}, "ximax"),
     "energy-1d quad.tol": ("energy-1d", {"tolerances": {"quad.tol": 1e-8}}, "'quad.tol'"),
+    # neither runner draws a random field, so neither reads a seed
+    "crit06 seed": ("energy-1d", dict(_preset("crit06_rho_suite.json"), seed=7), "'seed'"),
+    "symbols seed": ("symbols", {"kernels": [{"family": "constant", "dimension": 2}],
+                                 "deltas": [0.1], "angles": [0.0], "bound": 2, "seed": 7},
+                     "'seed'"),
     "helmholtz no case": ("helmholtz", {"experiment": "hh", "seed": 2}, "case2d"),
     "helmholtz case typo": ("helmholtz", dict(SMALL_HELMHOLTZ, case2d=dict(
         SMALL_HELMHOLTZ["case2d"], bonud=4)), "'bonud'"),
@@ -338,11 +343,33 @@ def test_cli_out_that_is_or_lies_below_a_file_exits_2(tmp_path, capsys, below):
 
 def test_divcurl_identity_and_sweep_in_one_config():
     # the identity checks use the kernel's own horizon, the solve sweeps deltas
-    payload = dict(SMALL_DIVCURL, checks=["vector_identity", "consistency"],
+    payload = dict(SMALL_DIVCURL, checks=["vector_identity", "curl_of_gradient", "consistency",
+                                          "friedrichs"],
                    kernel=dict(SMALL_DIVCURL["kernel"], delta=0.1))
     _, summary = RUNNERS["divcurl"](payload)
     assert set(summary["assertions"]) == {"vector_identity", "curl_of_gradient",
                                           "consistency_residual", "friedrichs_variation"}
+    assert passed(summary)
+
+
+@pytest.mark.parametrize("check, assertion, rows", [
+    ("vector_identity", "vector_identity", {"vector_identity"}),
+    ("curl_of_gradient", "curl_of_gradient", {"curl_of_gradient"}),
+    ("consistency", "consistency_residual", {"residual"}),
+    ("friedrichs", "friedrichs_variation", {"friedrichs_ratio"}),
+], ids=["vector_identity", "curl_of_gradient", "consistency", "friedrichs"])
+def test_a_divcurl_check_adds_its_own_rows_and_assertion_alone(check, assertion, rows):
+    # the parent asserted both checks of a pair whichever one was named, so a
+    # check nobody asked for could fail the run
+    if check in ("vector_identity", "curl_of_gradient"):
+        payload = dict(SMALL_DIVCURL, checks=[check], kernel=dict(SMALL_DIVCURL["kernel"],
+                                                                  delta=0.1))
+        del payload["deltas"]
+    else:
+        payload = dict(SMALL_DIVCURL, checks=[check])
+    table, summary = RUNNERS["divcurl"](payload)
+    assert set(summary["assertions"]) == {assertion}
+    assert set(table.column("check")) == rows
     assert passed(summary)
 
 

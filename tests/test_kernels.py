@@ -58,7 +58,7 @@ def test_equal_arguments_give_equal_hashable_kernels(args, kwargs):
 
 def test_kernels_that_differ_in_one_field_compare_unequal():
     # every field of KernelSpec in turn: a float one ulp larger, or another value
-    frac = epsilon_cutoff(normalize("fractional", 2, beta=1.5, horizon=0.1), 0.01)
+    frac = epsilon_cutoff(normalize("fractional", 1, beta=1.5, horizon=0.1), 0.01)
     changed = {"family": "constant", "dimension": 3}
     for field in fields(kernels.KernelSpec):
         value = changed.get(field.name) or float(np.nextafter(getattr(frac, field.name), np.inf))
@@ -114,13 +114,6 @@ def test_eval_fractional_unbounded_at_origin():
     assert np.isinf(eval_kernel(k, 0.0))
 
 
-def test_cutoff_constant_is_identity():
-    k = normalize("constant", 1)
-    kc = epsilon_cutoff(k, 0.1)
-    r = np.linspace(0.0, 1.2, 50)
-    np.testing.assert_allclose(eval_kernel(kc, r), eval_kernel(k, r), rtol=0, atol=0)
-
-
 def test_cutoff_fractional_plateau():
     k = normalize("fractional", 1, beta=1.0, horizon=1.0)
     kc = epsilon_cutoff(k, 0.1)
@@ -130,16 +123,22 @@ def test_cutoff_fractional_plateau():
     assert eval_kernel(kc, 0.2) == pytest.approx(eval_kernel(k, 0.2), rel=1e-14)
 
 
-def test_cutoff_sine_plateau_is_zero():
-    k = normalize("sine", 1)
-    kc = epsilon_cutoff(k, 0.1)
-    assert float(eval_kernel(kc, 0.05)) == 0.0
-
-
 def test_cutoff_rejects_large_eps():
-    k = normalize("constant", 1, horizon=0.5)
-    with pytest.raises(KernelError):
+    k = normalize("fractional", 1, beta=1.5, horizon=0.5)
+    with pytest.raises(KernelError, match="0 < eps < delta"):
         epsilon_cutoff(k, 0.5)
+
+
+@pytest.mark.parametrize("kernel", [
+    normalize("fractional", 2, beta=1.5),
+    normalize("constant", 1),
+    normalize("sine", 1),
+    epsilon_cutoff(normalize("fractional", 1, beta=1.5), 0.1),
+], ids=["2D fractional", "constant", "sine", "clamped"])
+def test_cutoff_clamps_only_an_uncut_1d_fractional_kernel(kernel):
+    # the 1D clamp ladder is the one place a clamp is made
+    with pytest.raises(KernelError, match="only an uncut 1D fractional kernel"):
+        epsilon_cutoff(kernel, 0.01)
 
 
 def test_cutoff_below_original_and_nonincreasing():
@@ -163,8 +162,8 @@ def test_from_config_rejects_garbage():
 
 def test_cutoff_makes_fractional_integrable():
     k = normalize("fractional", 1, beta=1.5)
-    assert not k.is_integrable
-    assert epsilon_cutoff(k, 0.01).is_integrable
+    assert k.is_singular
+    assert not epsilon_cutoff(k, 0.01).is_singular
 
 
 def _fractional_profile_gather(kernel, rho):
@@ -197,27 +196,19 @@ def test_fractional_profile_matches_gather_form(beta, cutoff):
 
 
 def _profile_parent(kernel, rho):
-    """KernelSpec.profile with the zero store beyond rho = 1 after the clamp."""
+    """KernelSpec.profile of a clamped fractional kernel with the zero store
+    beyond rho = 1 after the clamp."""
     rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    inside = rho <= 1.0
-    if kernel.family == "constant":
-        out[inside] = 1.0
-    elif kernel.family == "sine":
-        out[inside] = (math.pi / 2.0) * np.sin(math.pi * rho[inside])
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.where(inside, np.power(rho, -kernel.beta), 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.where(rho <= 1.0, np.power(rho, -kernel.beta), 0.0)
     out *= kernel.normalization
-    if kernel.cutoff_rho > 0.0:
-        out = np.where(rho <= kernel.cutoff_rho, kernel.cutoff_value, out)
-        out[rho > 1.0] = 0.0
+    out = np.where(rho <= kernel.cutoff_rho, kernel.cutoff_value, out)
+    out[rho > 1.0] = 0.0
     return out
 
 
 @pytest.mark.parametrize("eps", DEFAULT_EPS_SEQUENCE)
-@pytest.mark.parametrize("family, beta", [("constant", None), ("sine", None),
-                                          ("fractional", 1.0), ("fractional", 1.4),
+@pytest.mark.parametrize("family, beta", [("fractional", 1.0), ("fractional", 1.4),
                                           ("fractional", 1.9)])
 def test_clamped_profile_matches_masked_store(family, beta, eps):
     k = epsilon_cutoff(normalize(family, 1, beta=beta, horizon=1.0), eps)
@@ -280,12 +271,16 @@ def _eval_kernel_two_pass(kernel, r):
     return kernel.profile(r / delta) / delta ** (kernel.dimension + 1)
 
 
-@pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("clamped", [False, True])
-@pytest.mark.parametrize("family, kwargs", [
-    ("constant", {}), ("sine", {}), ("fractional", {"beta": 1.0}),
-    ("fractional", {"beta": 1.4}),
-])
+_TWO_PASS_FAMILIES = [("constant", {}), ("sine", {}), ("fractional", {"beta": 1.0}),
+                      ("fractional", {"beta": 1.4})]
+
+
+# every family unclamped in 1D and 3D, and the one clamped kernel, 1D fractional
+@pytest.mark.parametrize("family, kwargs, clamped, d", [
+    pytest.param(family, kwargs, clamped, d, id=f"{family}-kwargs{i}-{clamped}-{d}")
+    for i, (family, kwargs) in enumerate(_TWO_PASS_FAMILIES)
+    for clamped in (False, True) for d in (1, 3)
+    if not clamped or (family == "fractional" and d == 1)])
 def test_eval_kernel_matches_two_pass_form(d, clamped, family, kwargs):
     k = normalize(family, d, horizon=0.3, **kwargs)
     if clamped:

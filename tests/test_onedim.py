@@ -90,11 +90,11 @@ def test_regularized_rejects_increasing_profile():
         od.rho_regularized(normalize("sine", 1))
 
 
-def test_regularized_constant_equals_direct(rho_constant):
-    levels, limit = od.rho_regularized(normalize("constant", 1),
-                                       eps_sequence=(1e-2, 1e-3), mesh_size=512)
-    np.testing.assert_allclose(limit.values, rho_constant.values, atol=1e-12)
-    assert limit.l1_mass == pytest.approx(rho_constant.l1_mass, abs=1e-10)
+def test_regularized_rejects_a_constant_kernel():
+    # the clamp ladder is the uncut fractional kernel's; a constant kernel's
+    # rho is rho_from_kernel's alone
+    with pytest.raises(KernelError, match="uncut 1D fractional"):
+        od.rho_regularized(normalize("constant", 1), eps_sequence=(1e-2, 1e-3), mesh_size=64)
 
 
 def test_regularized_fractional_masses_monotone_to_one():
@@ -170,7 +170,7 @@ def test_fractional_bond_symbol_matches_after_regularization():
 def _cross_edges_loop(kernel, a, top):
     """Panel edges of w(b) w(a+b) on (0, top) for one abscissa (reference)."""
     delta = kernel.horizon
-    breaks = [delta * r for r in kernel.breakpoints()]
+    breaks = [delta * kernel.cutoff_rho] if kernel.cutoff_rho > 0.0 else []
     pts = {0.0, top}
     for e in breaks:
         if 0.0 < e < top:
@@ -236,17 +236,11 @@ def test_block_rho_from_kernel_matches_loop(monkeypatch, make):
     _assert_rho_close(got, od.rho_from_kernel(kernel, mesh_size=256))
 
 
-@pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
-def test_a_clamped_kernel_gives_the_rho_of_its_clamp_level(eps):
-    # the clamp radius of the kernel itself is a panel edge of the bond rule,
-    # as every radius of a clamp ladder is, so rho has no kink inside a
-    # panel and both builds of the clamped kernel agree bit for bit
-    kernel = normalize("fractional", 1, beta=1.4)
-    alone = od.rho_from_kernel(epsilon_cutoff(kernel, eps), mesh_size=64)
-    level = od.rho_regularized(kernel, (eps,), mesh_size=64)[0][0]
-    np.testing.assert_array_equal(alone.nodes, level.nodes)
-    np.testing.assert_array_equal(alone.values, level.values)
-    assert alone.l1_mass == level.l1_mass
+def test_rho_from_kernel_rejects_a_clamped_kernel():
+    # a clamped kernel's rho is a level of rho_regularized, its one path
+    kernel = epsilon_cutoff(normalize("fractional", 1, beta=1.4), 1e-2)
+    with pytest.raises(KernelError, match="rho_regularized"):
+        od.rho_from_kernel(kernel, mesh_size=64)
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.4, 1.9])
@@ -299,17 +293,15 @@ def test_block_rho_special_abscissae(beta, eps):
     beta=st.floats(1.0, 1.95),
     delta=st.floats(0.05, 2.0),
     eps_frac=st.floats(1e-7, 0.5),
-    clamp=st.booleans(),
     size=st.integers(1, 48),
 )
-def test_block_rho_property(family, beta, delta, eps_frac, clamp, size):
+def test_block_rho_property(family, beta, delta, eps_frac, size):
+    # the fractional kernel clamped at eps, the others as they are
+    eps = eps_frac * delta
     if family == "fractional":
-        kernel = normalize(family, 1, beta=beta, horizon=delta)
+        kernel = epsilon_cutoff(normalize(family, 1, beta=beta, horizon=delta), eps)
     else:
         kernel = normalize(family, 1, horizon=delta)
-    eps = eps_frac * delta
-    if clamp or family == "fractional":
-        kernel = epsilon_cutoff(kernel, eps)
     a = np.concatenate([od.graded_mesh(delta, size), _special_abscissae(delta, eps)])
     wmass = od._kernel_mass(kernel)
     _assert_values_close(od._rho_pointwise(kernel, a)[0], _rho_pointwise_loop(kernel, a, wmass))

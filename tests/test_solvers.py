@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from nlspectral import epsilon_cutoff, fields as fl
+from nlspectral import fields as fl
 from nlspectral import normalize
 from nlspectral import operators as ops
 from nlspectral import quadrature as quad
@@ -742,8 +742,7 @@ def _random_kernel(family, d, beta, delta):
         return normalize("sine", d, horizon=delta)
     if family == "constant":
         return normalize("constant", d, horizon=delta)
-    kernel = normalize("fractional", d, beta=beta, horizon=delta)
-    return epsilon_cutoff(kernel, delta / 16) if family == "clamped" else kernel
+    return normalize("fractional", d, beta=beta, horizon=delta)
 
 
 def _random_orientation(d, angles):
@@ -754,7 +753,7 @@ def _random_orientation(d, angles):
 
 _TABLE_ARGS = dict(
     d=st.sampled_from([2, 3]),
-    family=st.sampled_from(["constant", "fractional", "clamped", "sine"]),
+    family=st.sampled_from(["constant", "fractional", "sine"]),
     beta=st.floats(1.0, 1.95),
     delta=st.floats(0.02, 1.0),
     angles=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi)),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from nlspectral import epsilon_cutoff, normalize
+from nlspectral import normalize
 from nlspectral import fields as fl
 from nlspectral import quadrature as quad
 from nlspectral import symbols as sym
@@ -253,6 +253,39 @@ def test_a_table_must_fit_its_lattice(table2):
                    {"lam": table2.lam[..., :1]}):
         with pytest.raises(ValueError, match="do not fit"):
             dataclasses.replace(local, **kwargs)
+
+
+def _clamped_by_hand(kernel, rho=0.1):
+    """The kernel clamped at rho, made by replace: epsilon_cutoff clamps only
+    an uncut 1D fractional kernel."""
+    return dataclasses.replace(kernel, cutoff_rho=rho, cutoff_value=float(kernel.profile(rho)))
+
+
+@pytest.mark.parametrize("kernel", ["3D", "clamped"])
+def test_a_table_refuses_a_kernel_that_does_not_fit(table2, kernel):
+    # the parent took both: save_table then wrote a cache that load_table
+    # calls malformed, or one that loads back unclamped
+    other = normalize("constant", 3, horizon=0.1) if kernel == "3D" else _clamped_by_hand(
+        table2.kernel)
+    with pytest.raises(KernelError):
+        dataclasses.replace(table2, kernel=other)
+
+
+_BALL_ENTRY_POINTS = {
+    "build_table": lambda k: sym.build_table(k, sym.Orientation.from_angle(0.3), 4),
+    "lambda_radial": lambda k: sym.lambda_radial(k, 5.0),
+    "scaled_radial_rule": quad.scaled_radial_rule,
+    "halfball_points": lambda k: quad.halfball_points(k, [1.0, 0.0]),
+    "integrate_halfball": lambda k: quad.integrate_halfball(k, [1.0, 0.0], lambda r, dirs: r),
+}
+
+
+@pytest.mark.parametrize("entry", _BALL_ENTRY_POINTS)
+def test_the_ball_rules_refuse_a_clamped_kernel(entry):
+    # a half-ball operator needs no clamp; the one clamp is the 1D ladder's
+    kernel = _clamped_by_hand(normalize("fractional", 2, beta=1.5, horizon=0.1))
+    with pytest.raises(KernelError, match="unclamped"):
+        _BALL_ENTRY_POINTS[entry](kernel)
 
 
 def test_a_table_is_frozen(table2):
@@ -943,8 +976,6 @@ def test_build_table_fractional_beta_near_two(d, beta, bound):
 _KERNELS = {
     "constant": lambda d, delta, beta: normalize("constant", d, horizon=delta),
     "fractional": lambda d, delta, beta: normalize("fractional", d, beta=beta, horizon=delta),
-    "clamped": lambda d, delta, beta: epsilon_cutoff(
-        normalize("fractional", d, beta=beta, horizon=delta), delta / 16),
 }
 
 
@@ -996,7 +1027,6 @@ def test_full_ball_chunks_match_unchunked(monkeypatch, odd, d, na, chunk):
 
 @pytest.mark.parametrize("family, beta", [
     ("constant", None), ("fractional", 1.0), ("fractional", 1.5), ("fractional", 1.9),
-    ("clamped", 1.5),
 ])
 @pytest.mark.parametrize("d, bound", [(2, 32), (3, 8)])
 @pytest.mark.parametrize("delta", [0.2, 0.02])
@@ -1068,10 +1098,6 @@ _SWEEP = {
     "fractional 1.99": lambda d, delta: normalize("fractional", d, beta=1.99, horizon=delta),
     "fractional 1.999": lambda d, delta: normalize("fractional", d, beta=1.999, horizon=delta),
     "sine": lambda d, delta: normalize("sine", d, horizon=delta),
-    "clamped": lambda d, delta: epsilon_cutoff(
-        normalize("fractional", d, beta=1.5, horizon=delta), delta / 16),
-    "clamped 1.99": lambda d, delta: epsilon_cutoff(
-        normalize("fractional", d, beta=1.99, horizon=delta), delta / 1000),
 }
 
 
@@ -1098,7 +1124,7 @@ def test_tables_match_the_tables_of_the_old_start(monkeypatch, family, d, delta,
 # delta sqrt(d) N = 990 and 999, next to the cap of 1000.  The old start's
 # rules there have 1013 nodes and more, and a Gauss-Jacobi rule that size
 # takes seconds to build, so the fractional kernels sit this one out
-@pytest.mark.parametrize("family", ["constant", "sine", "clamped 1.99"])
+@pytest.mark.parametrize("family", ["constant", "sine"])
 @pytest.mark.parametrize("d, delta", [(2, 700.0), (3, 577.0)])
 def test_tables_next_to_the_cap_match_the_old_start(monkeypatch, family, d, delta):
     _assert_matches_the_old_start(monkeypatch, family, d, delta, 1)
@@ -1116,7 +1142,6 @@ def _cache_pair(case):
     """Two (kernel, bound) that differ in one field of the kernel or in the bound."""
     frac = normalize("fractional", 2, beta=1.5, horizon=0.1)
     return {
-        "clamped": ((frac, 3), (epsilon_cutoff(frac, 0.01), 3)),
         "normalization": ((frac, 3), (dataclasses.replace(frac, normalization=2.0), 3)),
         "dimension": ((normalize("constant", 2, horizon=0.1), 3),
                       (normalize("constant", 3, horizon=0.1), 3)),
@@ -1124,7 +1149,7 @@ def _cache_pair(case):
     }[case]
 
 
-@pytest.mark.parametrize("case", ["clamped", "normalization", "dimension", "bound"])
+@pytest.mark.parametrize("case", ["normalization", "dimension", "bound"])
 def test_radial_cache_keeps_kernels_apart(case):
     # the second evaluation gets its own entry and the bits of a cold cache
     (ka, ba), (kb, bb) = _cache_pair(case)
