@@ -114,37 +114,87 @@ def bond_symbol(gamma, xi):
     return 4.0 * np.sum(w * (np.cos(np.multiply.outer(xi, a)) - 1.0), axis=-1)
 
 
+# frequencies per stride of the cosine recurrence, between direct re-seeds
+_RESEED = 32
+
+
+def _frequency_step(xi):
+    """h of a 1-D, finite xi = h (1..K) with h > 0, each entry to 4 ulps; else ValueError."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 1 or len(xi) == 0 or not np.all(np.isfinite(xi)) or not xi[0] > 0.0:
+        raise ValueError(f"xi must be a 1-D, finite h (1..K) with h > 0, got {xi!r}")
+    h = float(xi[0])
+    if np.any(np.abs(xi - h * np.arange(1, len(xi) + 1)) > 4.0 * np.finfo(float).eps * xi):
+        raise ValueError(f"xi must be the uniform frequencies h (1..K), got {xi!r}")
+    return h
+
+
+def _cos_sums(theta, wrow, wcol, count):
+    """wrow . (cos(k theta) @ wcol) for k = 1..count, one column per frequency.
+
+    c_k = cos(k theta) comes from c_{k+1} = 2 c_1 c_k - c_{k-1}; c_k and
+    c_{k+1} are taken from cos directly at every multiple k of _RESEED, so
+    no value is more than _RESEED - 2 steps from its two seeds.
+    """
+    out = np.empty(count)
+    cur = np.cos(theta)
+    two_c1 = 2.0 * cur
+    prev, nxt = np.ones_like(theta), np.empty_like(theta)
+    for k in range(1, count + 1):
+        if k > 1:
+            if k % _RESEED <= 1:
+                np.cos(np.multiply(theta, k, out=nxt), out=nxt)
+            else:
+                np.subtract(np.multiply(two_c1, cur, out=nxt), prev, out=nxt)
+            prev, cur, nxt = cur, nxt, prev
+        out[k - 1] = wrow @ (cur @ wcol)
+    return out
+
+
 def double_symbol_direct(gamma, eta, xi):
-    """Unfactored tensor quadrature of the doubly nonlocal symbol.
+    """Unfactored tensor quadrature of the doubly nonlocal symbol at xi = h (1..K).
 
     Integrates the four-point combination cos(xi(y+r)) - 1 - cos(xi r) +
     cos(xi y) over the product of the two windows; used as the independent
-    side of the factorization check.  The frequencies go in blocks of at
-    most ``quad._BLOCK`` (xi, y, r) entries, a cache-sized budget; one
-    frequency is the least block.  Every block is formed in the same two
-    slab buffers, allocated once, so no block maps fresh memory.
+    side of the factorization check.  Two-sided in both variables via the
+    windows' even symmetry, the integrand at xi = k h is cos(k h (y + r)) +
+    cos(k h (y - r)) - 2 - 2 cos(k h r) + 2 cos(k h y).  The coupled terms
+    stay on the (y, r) grid, in row blocks of at most ``quad._BLOCK``
+    entries: cos(k theta) comes from the three-term recurrence (_cos_sums)
+    and each frequency's value is wy . (c_k @ wr).  The one-variable terms
+    are sums of cos over one axis times the other window's mass.  Nothing
+    splits cos(a + b) + cos(a - b) into 2 cos a cos b, which would make the
+    check the product it checks.
+
+    ``xi`` must be 1-D, finite and equal to h (1..K) with h > 0, to 4 ulps
+    per entry; anything else is a ValueError.
+
+    Error bound, with u = 2^-53, S = _RESEED and X = K h (delta + eps) the
+    largest angle: a recurrence step adds at most 3u of rounding and 4u
+    through c_1's own (one ulp), and an error made j steps back is
+    multiplied by the Chebyshev |U_j(c_1)| <= j + 1.  A value is at most
+    S - 2 steps from its seed pair, two direct cosines each off by at most
+    (2 + X) u (one ulp and the rounded argument), so every grid cosine is
+    within (2S - 3)(2 + X) u + 3.5 (S - 1)(S - 2) u of cos at its rounded
+    angle: about 4.4e3 u at S = 32 and X = 16, crit07's largest.  The
+    steps' part is capped by S however large K is; only the seeds' rounded
+    arguments grow with X, as a direct cos's does.  The coupled terms carry that times 4 sum|wy| sum|wr|, and
+    the one-variable cosines (2 + X) u times 8 sum|wy| sum|wr|, beside the
+    rounding of the sums and of the angles.
     """
+    h = _frequency_step(xi)
+    xi = np.asarray(xi, dtype=float)
     r, wr = _window_rule(eta)
     y, wy = gamma.nodes, gamma.weights
-    xi = np.asarray(xi, dtype=float)
-    flat = xi.reshape(-1)
-    out = np.empty(len(flat))
-    step = max(1, quad._BLOCK // (len(y) * len(r)))
-    slab = np.empty((2, min(step, len(flat)), len(y), len(r)))
-    for lo in range(0, len(flat), step):
-        ky = np.multiply.outer(flat[lo:lo + step], y)[:, :, None]
-        kr = np.multiply.outer(flat[lo:lo + step], r)[:, None, :]
-        four, minus = slab[:, :len(ky)]
-        # two-sided in both variables via even symmetry of the windows:
-        # cos(ky + kr) + cos(ky - kr) - 2 - 2 cos(kr) + 2 cos(ky), in place
-        np.cos(np.add(ky, kr, out=four), out=four)
-        np.cos(np.subtract(ky, kr, out=minus), out=minus)
-        four += minus
-        four -= 2.0
-        four -= 2.0 * np.cos(kr)
-        four += 2.0 * np.cos(ky)
-        out[lo:lo + step] = 2.0 * np.einsum("kyr,y,r->k", four, wy, wr)
-    return out.reshape(xi.shape)
+    total = 2.0 * (wr.sum() * (np.cos(np.multiply.outer(xi, y)) @ wy)
+                   - wy.sum() * (np.cos(np.multiply.outer(xi, r)) @ wr)
+                   - wy.sum() * wr.sum())
+    step = max(1, quad._BLOCK // (2 * len(r)))
+    for lo in range(0, len(y), step):
+        rows = y[lo:lo + step, None]
+        theta = h * np.concatenate([rows + r, rows - r])
+        total += _cos_sums(theta, np.tile(wy[lo:lo + step], 2), wr, len(xi))
+    return 2.0 * total
 
 
 # ---------------------------------------------------------------------------

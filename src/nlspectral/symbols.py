@@ -126,9 +126,11 @@ class SymbolTable:
 
     A table is valid by construction, whether built, loaded, local, made by
     hand or by dataclasses.replace: its arrays become read-only; ValueError
-    unless they have the shapes above; KernelError unless its kernel, if
-    any, is an unclamped kernel of its dimension (quadrature.ball_dimension),
-    so that save_table writes all of it, and unless lambda(0) = 0 and
+    unless they have the shapes above and its orientation, if any, is of
+    its dimension, so that save_table writes a header load_table reads back;
+    KernelError unless its kernel, if any, is an unclamped kernel of its
+    dimension (quadrature.ball_dimension), so that save_table writes all of
+    it, and unless lambda(0) = 0 and
     0 < |lambda| <= sqrt(2) d |xi| at every other mode, which a NaN fails.
     It is frozen, so no reassigned attribute escapes that check, and a copy
     (pickle, copy.deepcopy) is rebuilt through the constructor.
@@ -147,6 +149,8 @@ class SymbolTable:
                 or self.radial.shape != lattice(self.bound, d).q2.shape):
             raise ValueError(f"lam {self.lam.shape} and radial {self.radial.shape} "
                              f"do not fit N={self.bound}")
+        if self.orientation is not None and self.orientation.dimension != d:
+            raise ValueError(f"a {self.orientation.dimension}D orientation for a {d}D table")
         if self.kernel is not None and quad.ball_dimension(self.kernel) != d:
             raise KernelError(f"a {self.kernel.dimension}D kernel for a {d}D table")
         for a in (self.lam, self.radial):

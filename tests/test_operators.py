@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -268,31 +269,95 @@ def test_adjoint_identity_3d(table3):
 
 
 def _double_symbol_unblocked(gamma, eta, xi):
-    """double_symbol_direct with the whole (xi, y, r) tensor held at once."""
+    """The cos form of double_symbol_direct, one whole (y, r) grid per frequency."""
     x, w = quad.legendre(96)
     r = 0.5 * eta.epsilon * (x + 1.0)
     wr = 0.5 * eta.epsilon * w * eta.profile(r)
     y, wy = gamma.nodes, gamma.weights
-    ky = np.multiply.outer(np.asarray(xi, dtype=float), y)
-    kr = np.multiply.outer(np.asarray(xi, dtype=float), r)
-    four = (
-        np.cos(ky[..., :, None] + kr[..., None, :])
-        + np.cos(ky[..., :, None] - kr[..., None, :])
-        - 2.0
-        - 2.0 * np.cos(kr)[..., None, :]
-        + 2.0 * np.cos(ky)[..., :, None]
-    )
-    return 2.0 * np.einsum("...yr,y,r->...", four, wy, wr)
+    out = []
+    for k in np.asarray(xi, dtype=float):
+        ky, kr = k * y, k * r
+        four = (np.cos(ky[:, None] + kr) + np.cos(ky[:, None] - kr) - 2.0
+                - 2.0 * np.cos(kr) + 2.0 * np.cos(ky)[:, None])
+        out.append(2.0 * ((four @ wr) @ wy))
+    return np.array(out)
+
+
+def _double_symbol_bounds(gamma, eta, xi):
+    """Bounds on double_symbol_direct's gap to _double_symbol_unblocked and to
+    bond_symbol * averaging_symbol, over xi = h (1..K).
+
+    In units of u = 2^-53 times M = sum|wy| sum|wr|, with X = max xi (max y +
+    max r) the largest angle and S = ops._RESEED:
+    - a recurrence cosine is within E = (2S - 3)(2 + X) + 3.5 (S - 1)(S - 2)
+      of cos at its rounded angle (double_symbol_direct's docstring), and
+      that angle within 2X of the exact one at its frequency; the coupled
+      terms, 2 sum wy wr (c+ + c-), add 4 (E + 2X);
+    - its one-variable cosines are within 2 + X (one ulp and the rounded
+      argument), and they enter as 4 Wr sum wy cos and 4 Wy sum wr cos:
+      8 (2 + X);
+    - the oracle's coupled cosines are within 2 + 2X and its others within
+      2 + X, so its four-point sum adds 2 (2 (2 + 2X) + 4 (2 + X));
+    - each form sums terms whose absolute values add up to at most 16 M
+      (|four| <= 8), along chains of at most 2R + 3Y + 20 roundings
+      between them (R + 2Y + 9 here, R + Y + 8 in the oracle).
+    The product's own rounding and the window's mass off 1/2 (the product
+    takes it as exactly 1/2) come on top for the gap to the product.
+    """
+    u = 2.0**-53
+    r, wr = ops._window_rule(eta)
+    y, wy = gamma.nodes, gamma.weights
+    s, my, mr = ops._RESEED, np.sum(np.abs(wy)), np.sum(np.abs(wr))
+    x = np.max(xi) * (np.max(y) + np.max(r))
+    cos_err = (2 * s - 3) * (2 + x) + 3.5 * (s - 1) * (s - 2)
+    oracle = my * mr * u * (4 * (cos_err + 2 * x) + 8 * (2 + x) + 2 * (12 + 8 * x)
+                            + 16 * (2 * len(r) + 3 * len(y) + 20))
+    # |bond| <= 8 sum|wy| and |avg| <= 1/2 + sum|wr|; each term of bond is
+    # off by (2 + X) + 2 + 2 before the sum of Y terms, each of avg by 3 + X
+    bond, avg = 8 * my, 0.5 + mr
+    d_bond = (4 * my * (6 + x) + bond * len(y)) * u
+    d_avg = (mr * (3 + x + len(r)) + avg) * u
+    mass = bond * (abs(np.sum(wr) - 0.5) + len(r) * u * mr)
+    return oracle, oracle + d_bond * avg + bond * d_avg + bond * avg * u + mass
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3 * 96 * 1000])
-@pytest.mark.parametrize("shape", [(20,), (4, 5)])
+@pytest.mark.parametrize("shape", [(20,), (70,)])
 def test_double_symbol_blocks_match_unblocked(monkeypatch, chunk, shape):
+    # (y, r) row blocks of 1 row, of about 170 (the default) and of every
+    # row; 70 frequencies cross the re-seeds at 32, 33, 64 and 65
     gamma = rho_from_kernel(normalize("constant", 1, horizon=0.2), mesh_size=128)
     eta = ops.AveragingWindow(0.05)
-    xi = np.arange(1.0, 21.0).reshape(shape)
+    xi = np.arange(1.0, shape[0] + 1.0)
     if chunk is not None:
         monkeypatch.setattr(quad, "_BLOCK", chunk)
     got = ops.double_symbol_direct(gamma, eta, xi)
     assert got.shape == shape
-    np.testing.assert_array_equal(got, _double_symbol_unblocked(gamma, eta, xi))
+    bound = _double_symbol_bounds(gamma, eta, xi)[0]
+    assert np.all(np.abs(got - _double_symbol_unblocked(gamma, eta, xi)) <= bound)
+
+
+@settings(max_examples=10, deadline=None)
+@given(delta=st.floats(0.05, 1.0), eps=st.floats(0.01, 0.5), h=st.floats(0.25, 2.0),
+       count=st.integers(1, 128))
+def test_double_symbol_property(delta, eps, h, count):
+    # the recurrence against the cos form and against the factorized product
+    gamma = rho_from_kernel(normalize("constant", 1, horizon=delta), mesh_size=64)
+    eta = ops.AveragingWindow(eps)
+    xi = h * np.arange(1.0, count + 1.0)
+    got = ops.double_symbol_direct(gamma, eta, xi)
+    to_oracle, to_product = _double_symbol_bounds(gamma, eta, xi)
+    assert np.all(np.abs(got - _double_symbol_unblocked(gamma, eta, xi)) <= to_oracle)
+    product = ops.bond_symbol(gamma, xi) * ops.averaging_symbol(eta, xi)
+    assert np.all(np.abs(got - product) <= to_product)
+
+
+@pytest.mark.parametrize("xi", [
+    np.arange(1.0, 21.0).reshape(4, 5), np.array([1.0, 2.0, 4.0]), np.arange(2.0, 6.0),
+    np.zeros(3), -np.arange(1.0, 4.0), np.array([1.0, np.nan, 3.0]), np.array([]),
+], ids=["2-D", "non-uniform", "from-2h", "h-zero", "h-negative", "nan", "empty"])
+def test_double_symbol_refuses_xi_off_its_contract(xi):
+    # at the parent the NaN gave NaN and the empty xi an empty array
+    gamma = rho_from_kernel(normalize("constant", 1, horizon=0.2), mesh_size=64)
+    with pytest.raises(ValueError, match="xi must be"):
+        ops.double_symbol_direct(gamma, ops.AveragingWindow(0.05), xi)

@@ -271,6 +271,14 @@ def test_a_table_refuses_a_kernel_that_does_not_fit(table2, kernel):
         dataclasses.replace(table2, kernel=other)
 
 
+@pytest.mark.parametrize("vec", [[1.0, 0.0, 0.0], [1.0]], ids=["3D", "1D"])
+def test_a_table_refuses_an_orientation_that_does_not_fit(table2, vec):
+    # the parent took both, and save_table then wrote a cache that
+    # load_table calls malformed
+    with pytest.raises(ValueError, match="orientation for a 2D table"):
+        dataclasses.replace(table2, orientation=sym.Orientation.from_vector(vec))
+
+
 _BALL_ENTRY_POINTS = {
     "build_table": lambda k: sym.build_table(k, sym.Orientation.from_angle(0.3), 4),
     "lambda_radial": lambda k: sym.lambda_radial(k, 5.0),
