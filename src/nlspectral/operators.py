@@ -119,8 +119,7 @@ _RESEED = 32
 
 
 def _frequency_step(xi):
-    """h of a 1-D, finite xi = h (1..K) with h > 0, each entry to 4 ulps; else ValueError."""
-    xi = np.asarray(xi, dtype=float)
+    """h of a 1-D, finite float array xi = h (1..K), h > 0, to 4 ulps; else ValueError."""
     if xi.ndim != 1 or len(xi) == 0 or not np.all(np.isfinite(xi)) or not xi[0] > 0.0:
         raise ValueError(f"xi must be a 1-D, finite h (1..K) with h > 0, got {xi!r}")
     h = float(xi[0])
@@ -130,7 +129,7 @@ def _frequency_step(xi):
 
 
 def _cos_sums(theta, wrow, wcol, count):
-    """wrow . (cos(k theta) @ wcol) for k = 1..count, one column per frequency.
+    """wrow . (cos(k theta) @ wcol) for k = 1..count, one value per frequency.
 
     c_k = cos(k theta) comes from c_{k+1} = 2 c_1 c_k - c_{k-1}; c_k and
     c_{k+1} are taken from cos directly at every multiple k of _RESEED, so
@@ -178,12 +177,12 @@ def double_symbol_direct(gamma, eta, xi):
     within (2S - 3)(2 + X) u + 3.5 (S - 1)(S - 2) u of cos at its rounded
     angle: about 4.4e3 u at S = 32 and X = 16, crit07's largest.  The
     steps' part is capped by S however large K is; only the seeds' rounded
-    arguments grow with X, as a direct cos's does.  The coupled terms carry that times 4 sum|wy| sum|wr|, and
-    the one-variable cosines (2 + X) u times 8 sum|wy| sum|wr|, beside the
-    rounding of the sums and of the angles.
+    arguments grow with X, as a direct cos's does.  The coupled terms carry
+    that times 4 sum|wy| sum|wr|, and the one-variable cosines (2 + X) u
+    times 8 sum|wy| sum|wr|, beside the rounding of the sums and angles.
     """
-    h = _frequency_step(xi)
     xi = np.asarray(xi, dtype=float)
+    h = _frequency_step(xi)
     r, wr = _window_rule(eta)
     y, wy = gamma.nodes, gamma.weights
     total = 2.0 * (wr.sum() * (np.cos(np.multiply.outer(xi, y)) @ wy)

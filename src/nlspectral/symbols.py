@@ -130,8 +130,8 @@ class SymbolTable:
     its dimension, so that save_table writes a header load_table reads back;
     KernelError unless its kernel, if any, is an unclamped kernel of its
     dimension (quadrature.ball_dimension), so that save_table writes all of
-    it, and unless lambda(0) = 0 and
-    0 < |lambda| <= sqrt(2) d |xi| at every other mode, which a NaN fails.
+    it, and unless lambda(0) = 0 and 0 < |lambda| <= sqrt(2) d |xi| at
+    every other mode, which a NaN fails.
     It is frozen, so no reassigned attribute escapes that check, and a copy
     (pickle, copy.deepcopy) is rebuilt through the constructor.
     """
